@@ -46,20 +46,10 @@ the always-on collector: ``kb.ask`` with the feedback harvest vs
 ``feedback=False``, tracing off, caches off — gated by
 ``--max-feedback-overhead`` (budget <=1.05x).
 
-``--min-parallel-speedup`` gates the PR6 *scale* workload — frontier
-reachability over a large random digraph, serial batch tier vs the
-hash-partitioned worker pool (``--parallel-workers``, default 4).  The
-gate is core-aware: wall-clock speedup from fan-out is only falsifiable
-when the machine actually has >= 2 cores; with fewer the speedup is
-recorded in the report informationally and the run still verifies
-answer parity.
-
-The ``txn_recovery`` arm is the PR7 robustness-tax gate: a bulk
-load + retract batch inside ``with kb.transaction():`` vs bare, and the
-parallel scale query with the default retry budget vs
-``parallel_retries=0``.  Healthy runs never enter the retry path, so
-both ratios must sit at noise level; ``--max-overhead`` bounds them
-alongside the traced-off ratio.
+The ``txn`` arm is the PR7 robustness-tax gate: a bulk load + retract
+batch inside ``with kb.transaction():`` vs bare.  The ratio must sit at
+noise level; ``--max-overhead`` bounds it alongside the traced-off
+ratio.
 
 The ``streaming_ingest`` arm is the PR9 write-path gate: interleaved
 ask/insert/retract against a maintained transitive closure.
@@ -88,7 +78,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -103,7 +92,6 @@ from repro.workloads import (  # noqa: E402
     bill_of_materials,
     random_dag,
     same_generation_instance,
-    scale_reach_instance,
 )
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
@@ -125,7 +113,7 @@ class _Arm:
     """
 
     def __init__(self, kb, compiled, bindings, compile=True, governed=True,
-                 traced=False, batch=True, engine_kwargs=None):
+                 traced=False, batch=True):
         self.kb = kb
         self.compiled = compiled
         self.bindings = bindings
@@ -133,7 +121,6 @@ class _Arm:
         self.governed = governed
         self.traced = traced
         self.batch = batch
-        self.engine_kwargs = engine_kwargs or {}
         self.best_wall = float("inf")
         self.walls: list[float] = []
         self.work = 0
@@ -149,7 +136,7 @@ class _Arm:
             self.kb.db, profiler=profiler, builtins=self.kb.builtins,
             compile=self.compile, batch=self.batch,
             governor=None if self.governed else False,
-            metrics=self.kb.metrics, **self.engine_kwargs, **kwargs,
+            metrics=self.kb.metrics, **kwargs,
         )
         start = time.perf_counter()
         answers = interpreter.run(
@@ -296,71 +283,6 @@ def exp7_bom(assemblies: int, depth: int, fanout: int, repeats: int) -> dict:
     return bench_workload(
         f"exp7c_bom_a{assemblies}", kb, "needs_basic($A, P, W)?", repeats, A=tops[0]
     )
-
-
-def scale_workload(nodes: int, edges: int, workers: int, repeats: int,
-                   min_rows: int = 1024) -> dict:
-    """The PR6 A/B: serial batch tier vs the hash-partitioned pool on
-    the frontier-reachability scale instance (total tuple work scales
-    with *edges* — size that in the millions for the full run).
-
-    The two arms interleave round-robin like the overhead arms, and the
-    speedup is the median of pairwise same-round wall ratios.  A ``>=
-    1.5x`` gate is only *meaningful* when the machine has cores for the
-    workers to run on, so the entry records ``cores`` and whether the
-    gate can be enforced; on a single-core box the number is
-    informational (the parity checks still run either way).
-    """
-    db = Database()
-    scale_reach_instance(db, nodes=nodes, edges=edges, seed=11)
-    kb = KnowledgeBase(OptimizerConfig(recursive_methods=("seminaive",)))
-    kb.rules("reach(X) <- source(X). reach(Y) <- reach(X), edge(X, Y).")
-    kb.facts("edge", rows_of(db, "edge"))
-    kb.facts("source", rows_of(db, "source"))
-    compiled_form = kb.compile("reach(Y)?")
-    arms = {
-        "serial": _Arm(kb, compiled_form, {},
-                       engine_kwargs={"parallel": False}),
-        "parallel": _Arm(kb, compiled_form, {},
-                         engine_kwargs={"parallel": True,
-                                        "parallel_workers": workers,
-                                        "parallel_min_rows": min_rows}),
-    }
-    for arm in arms.values():
-        arm.run_once(timed=False)
-    for _ in range(repeats):
-        for arm in arms.values():
-            arm.run_once()
-    serial = arms["serial"]
-    parallel = arms["parallel"]
-    match = parallel.answers.to_python() == serial.answers.to_python()
-    speedup = _median_ratio(serial.walls, parallel.walls)
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        cores = os.cpu_count() or 1
-    entry = {
-        "workload": f"scale_reach_n{nodes}_e{edges}",
-        "query": "reach(Y)?",
-        "answers": len(serial.answers.to_python()),
-        "results_match": match,
-        "serial": serial.stats(),
-        "parallel": parallel.stats(),
-        "parallel_workers": workers,
-        "cores": cores,
-        "parallel_speedup": speedup,
-        # a wall-clock speedup gate is only falsifiable with real
-        # parallelism available; otherwise the run is correctness-only
-        "gate_enforceable": cores >= 2,
-    }
-    status = "ok" if match else "MISMATCH"
-    print(
-        f"  {entry['workload']:<28} par {speedup:>5.2f}x "
-        f"({serial.best_wall * 1e3:8.2f}ms serial -> "
-        f"{parallel.best_wall * 1e3:8.2f}ms x{workers}, {cores} core(s))  "
-        f"[{status}]"
-    )
-    return entry
 
 
 def warm_cache_workload(n: int, repeats: int) -> dict:
@@ -539,16 +461,13 @@ def feedback_overhead_workload(n: int, repeats: int) -> dict:
     return entry
 
 
-def txn_recovery_workload(n: int, repeats: int, workers: int) -> dict:
+def txn_workload(n: int, repeats: int) -> dict:
     """The PR7 robustness-tax A/B: the same work with and without the
-    fault-tolerance layer engaged, both ratios expected at noise level.
+    transaction layer engaged, the ratio expected at noise level.
 
-    *Transaction overhead* — one bulk load + retract batch applied bare
-    vs inside ``with kb.transaction():`` (undo log, version snapshots,
-    deferred invalidation).  *Recovery overhead* — the parallel scale
-    query with the default retry budget vs ``parallel_retries=0``; on a
-    healthy run the retry wrapper never fires, so any measured gap is
-    pure bookkeeping.  Both are medians of pairwise same-round ratios,
+    One bulk load + retract batch applied bare vs inside ``with
+    kb.transaction():`` (undo log, version snapshots, deferred
+    invalidation); the median of pairwise same-round ratios,
     interleaved like the other arms.
     """
     rows = [(f"n{i}", f"n{i + 1}") for i in range(n)]
@@ -577,48 +496,17 @@ def txn_recovery_workload(n: int, repeats: int, workers: int) -> dict:
         )
     txn_overhead = _median_ratio(txn_walls, plain_walls)
 
-    kb = KnowledgeBase(OptimizerConfig(recursive_methods=("seminaive",)))
-    kb.rules(ANC)
-    kb.facts("par", rows)
-    compiled_form = kb.compile("anc(X, Y)?")
-    arms = {
-        "retries_off": _Arm(kb, compiled_form, {},
-                            engine_kwargs={"parallel": True,
-                                           "parallel_workers": workers,
-                                           "parallel_min_rows": 0,
-                                           "parallel_retries": 0}),
-        "retries_on": _Arm(kb, compiled_form, {},
-                           engine_kwargs={"parallel": True,
-                                          "parallel_workers": workers,
-                                          "parallel_min_rows": 0}),
-    }
-    for arm in arms.values():
-        arm.run_once(timed=False)
-    for _ in range(max(repeats, 3)):
-        for arm in arms.values():
-            arm.run_once()
-    recovery_overhead = _median_ratio(
-        arms["retries_on"].walls, arms["retries_off"].walls
-    )
-    answers_match = answers_match and (
-        arms["retries_on"].answers.to_python()
-        == arms["retries_off"].answers.to_python()
-    )
     entry = {
-        "workload": f"txn_recovery_n{n}",
+        "workload": f"txn_n{n}",
         "results_match": answers_match,
         "txn_overhead": txn_overhead,
-        "recovery_overhead": recovery_overhead,
         "plain_wall_s": min(plain_walls),
         "txn_wall_s": min(txn_walls),
-        "retries_on": arms["retries_on"].stats(),
-        "retries_off": arms["retries_off"].stats(),
     }
     print(
         f"  {entry['workload']:<28} txn {txn_overhead:>6.3f}x "
         f"({min(plain_walls) * 1e3:8.2f}ms bare -> "
-        f"{min(txn_walls) * 1e3:8.2f}ms txn)  recovery "
-        f"{recovery_overhead:.3f}x  "
+        f"{min(txn_walls) * 1e3:8.2f}ms txn)  "
         f"[{'ok' if answers_match else 'MISMATCH'}]"
     )
     return entry
@@ -823,13 +711,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="small sizes (CI)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_PR10.json"))
-    parser.add_argument("--parallel-workers", type=int, default=4,
-                        help="pool size for the scale workload's parallel arm")
-    parser.add_argument("--min-parallel-speedup", type=float, default=None,
-                        help="fail if the scale workload's parallel/serial "
-                             "wall speedup falls below this (only enforced "
-                             "when the machine has >= 2 cores; on fewer the "
-                             "number is recorded informationally)")
     parser.add_argument("--max-overhead", type=float, default=None,
                         help="fail if geomean default/ungoverned wall "
                              "(traced-off instrumentation overhead) exceeds this")
@@ -888,24 +769,15 @@ def main(argv: list[str] | None = None) -> int:
     else:
         feedback = feedback_workload(2_000, 1_300, repeats)
         feedback_tax = feedback_overhead_workload(1_500, repeats)
-    txn = txn_recovery_workload(2_000 if args.smoke else 10_000, repeats,
-                                args.parallel_workers)
+    txn = txn_workload(2_000 if args.smoke else 10_000, repeats)
     streaming = streaming_ingest_workload(
         60 if args.smoke else 200, 6 if args.smoke else 12, repeats
     )
     enum = optimizer_scalability_workload(6 if args.smoke else 8, repeats)
-    if args.smoke:
-        scale = scale_workload(1_500, 30_000, args.parallel_workers, repeats,
-                               min_rows=256)
-    else:
-        scale = scale_workload(12_000, 1_200_000, args.parallel_workers,
-                               repeats, min_rows=1024)
 
     mismatches = [w["workload"] for w in workloads if not w["results_match"]]
     if not warm["results_match"]:
         mismatches.append(warm["workload"])
-    if not scale["results_match"]:
-        mismatches.append(scale["workload"])
     if not txn["results_match"]:
         mismatches.append(txn["workload"])
     if not feedback["results_match"]:
@@ -926,8 +798,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": repeats,
         "workloads": workloads,
         "warm_cache": warm,
-        "scale": scale,
-        "txn_recovery": txn,
+        "txn": txn,
         "feedback": feedback,
         "feedback_overhead": feedback_tax,
         "streaming_ingest": streaming,
@@ -942,9 +813,7 @@ def main(argv: list[str] | None = None) -> int:
                 [w["batch_speedup"] for w in exp9]
             ),
             "warm_cache_speedup": warm["warm_speedup"],
-            "parallel_speedup": scale["parallel_speedup"],
             "txn_overhead": txn["txn_overhead"],
-            "recovery_overhead": txn["recovery_overhead"],
             "feedback_work_gain": feedback["feedback_work_gain"],
             "feedback_replan": feedback["plans_differ"] and feedback["reopt_fired"],
             "feedback_speedup": feedback["feedback_speedup"],
@@ -954,7 +823,6 @@ def main(argv: list[str] | None = None) -> int:
             "enum_work_gain": enum["enum_work_gain"],
             "enum_wall_speedup": enum["enum_wall_speedup"],
             "enum_plan_costs_match": enum["plan_costs_match"],
-            "parallel_gate_enforceable": scale["gate_enforceable"],
             "geomean_traced_off_overhead": _geomean(
                 [w["traced_off_overhead"] for w in workloads]
             ),
@@ -985,10 +853,7 @@ def main(argv: list[str] | None = None) -> int:
         f"batch/row {report['summary']['geomean_batch_speedup']:.2f}x "
         f"({report['summary']['geomean_batch_speedup_exp9']:.2f}x on exp9), "
         f"warm cache {report['summary']['warm_cache_speedup']:.0f}x, "
-        f"parallel {report['summary']['parallel_speedup']:.2f}x"
-        f"{'' if scale['gate_enforceable'] else ' (1-core: informational)'}, "
-        f"txn overhead {txn['txn_overhead']:.3f}x / recovery "
-        f"{txn['recovery_overhead']:.3f}x, "
+        f"txn overhead {txn['txn_overhead']:.3f}x, "
         f"feedback gain {feedback['feedback_work_gain']:.2f}x work / "
         f"collector {feedback_tax['feedback_overhead']:.3f}x, "
         f"ivm gain {streaming['ivm_work_gain']:.1f}x work / "
@@ -1010,32 +875,15 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    # The same bound gates the PR7 robustness tax: mutation batches
-    # inside a transaction, and the parallel retry wrapper on a healthy
-    # run, must both stay at noise level.
-    if args.max_overhead is not None:
-        for key in ("txn_overhead", "recovery_overhead"):
-            if txn[key] > args.max_overhead:
-                print(
-                    f"{key.upper()} {txn[key]:.3f}x exceeds bound "
-                    f"{args.max_overhead:.3f}x",
-                    file=sys.stderr,
-                )
-                return 1
-    if args.min_parallel_speedup is not None:
-        if not scale["gate_enforceable"]:
-            print(
-                f"parallel speedup {scale['parallel_speedup']:.2f}x recorded "
-                f"informationally: {scale['cores']} core(s) available, gate "
-                f"needs >= 2 to be falsifiable"
-            )
-        elif scale["parallel_speedup"] < args.min_parallel_speedup:
-            print(
-                f"PARALLEL SPEEDUP {scale['parallel_speedup']:.2f}x below "
-                f"bound {args.min_parallel_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
+    # The same bound gates the PR7 robustness tax: a mutation batch
+    # inside a transaction must stay at noise level.
+    if args.max_overhead is not None and txn["txn_overhead"] > args.max_overhead:
+        print(
+            f"TXN_OVERHEAD {txn['txn_overhead']:.3f}x exceeds bound "
+            f"{args.max_overhead:.3f}x",
+            file=sys.stderr,
+        )
+        return 1
     if (
         args.min_warm_speedup is not None
         and warm["warm_speedup"] < args.min_warm_speedup

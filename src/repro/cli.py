@@ -120,16 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-batch", action="store_true",
                         help="disable the columnar batch execution tier "
                              "(row kernels only; see docs/performance.md)")
-    parser.add_argument("--no-parallel", action="store_true",
-                        help="disable the partitioned-parallel execution tier "
-                             "(serial batch/row tiers only)")
-    parser.add_argument("--parallel-workers", type=int, default=None, metavar="N",
-                        help="worker-pool size for the parallel tier "
-                             "(default: up to 4, capped at available cores)")
-    parser.add_argument("--parallel-retries", type=int, default=None, metavar="N",
-                        help="parallel-round retries after a worker failure "
-                             "before degrading to the serial batch tier "
-                             "(default: 2; 0 degrades immediately)")
     parser.add_argument("--backend", default="memory",
                         choices=("memory", "sqlite"),
                         help="storage backend: memory (default) keeps all "
@@ -305,9 +295,6 @@ def main(argv: Sequence[str] | None = None, stdin: IO[str] | None = None, stdout
             strategy=args.strategy, search=args.search, **config_kwargs
         ),
         batch=not args.no_batch,
-        parallel=not args.no_parallel,
-        parallel_workers=args.parallel_workers,
-        parallel_retries=args.parallel_retries,
         backend=args.backend,
         spill_threshold=args.spill_threshold,
         result_cache=not args.no_result_cache,

@@ -86,37 +86,6 @@ class TermInterner:
         terms = self.terms
         return tuple(terms[i] for i in ids)
 
-    # -- subprocess-spawn support -------------------------------------------
-
-    def snapshot(self) -> list[Term]:
-        """The table's state as a picklable value: the dense id→term list.
-
-        Interner state crossing a process boundary must be *explicit*.
-        The parallel tier (:mod:`repro.engine.parallel`) is designed so
-        workers never need one — tasks and results are interned ids only
-        — but any future worker-side code that touches terms must ship a
-        snapshot and :meth:`restore` it, never rely on a forked copy of
-        the module-global :data:`INTERNER` staying aligned with the
-        parent's (the parent keeps interning after the fork).
-        """
-        return list(self.terms)
-
-    def restore(self, terms: list[Term]) -> None:
-        """Replace this table's state with *terms* from :meth:`snapshot`.
-
-        Ids are positions in the list, so a restored table decodes any id
-        the snapshotting process had assigned at snapshot time.  Only
-        valid as a prefix-extension: restoring a snapshot *shorter* than
-        the current table would re-assign live ids, so that raises.
-        """
-        if len(terms) < len(self.terms):
-            raise ValueError(
-                f"cannot restore a snapshot of {len(terms)} terms over a "
-                f"table already holding {len(self.terms)} — ids would be reassigned"
-            )
-        self.terms = list(terms)
-        self._ids = {term: ident for ident, term in enumerate(self.terms)}
-
 
 #: The process-wide default table used by the engine and storage layers.
 INTERNER = TermInterner()

@@ -153,35 +153,12 @@ class BatchExecutor:
                         plan, driver, extension_of, profiler,
                         delta_position, delta_rows, governor, tracer,
                     )
-        return self._run_tail(
-            plan, 0, [], 1, extension_of, profiler,
-            delta_position, delta_rows, governor, tracer,
-        )
-
-    def _run_tail(
-        self,
-        plan: BatchPlan,
-        start_position: int,
-        columns: list[list[int]],
-        length: int,
-        extension_of: ExtensionOf,
-        profiler: Profiler,
-        delta_position: int | None,
-        delta_rows: Iterable[Row] | None,
-        governor,
-        tracer,
-    ) -> set[Row]:
-        """The step loop from *start_position* onward, ending in the head.
-
-        ``execute`` starts it at step 0 over the unit table; the parallel
-        executor (:mod:`repro.engine.parallel`) resumes it mid-plan when a
-        rule falls back to serial completion after its driving step.
-        """
         interner = self.interner
-        for position in range(start_position, len(plan.steps)):
+        columns: list[list[int]] = []
+        length = 1  # the unit table
+        for position, step in enumerate(steps):
             if length == 0:
                 return set()
-            step = plan.steps[position]
             label = plan.labels[position]
             with tracer.span(label, kind="operator"):
                 if governor is not None:

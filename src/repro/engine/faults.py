@@ -26,12 +26,7 @@ A rule matches a site by :func:`fnmatch.fnmatchcase` pattern, waits for
 * break the trace sink (``trace_drop=True``) — the next span-close
   export raises inside the tracer, which must degrade to a
   :class:`~repro.obs.tracer.TraceSinkWarning` and never fail the query
-  (``tests/test_tracing.py`` pins this);
-* crash part of the parallel tier (``kill_worker=True`` SIGKILLs one
-  pool worker, ``drop_pipe=True`` closes one parent-side pipe end) —
-  the recovery path in :mod:`repro.engine.parallel` must retry the
-  round or degrade to the serial tiers with identical answers (the
-  chaos harness in :mod:`repro.testing.chaos` sweeps these).
+  (``tests/test_tracing.py`` pins this).
 
 Rule matching is purely count-based, so a fault plan is reproducible
 run-to-run on the same program and data.
@@ -72,8 +67,6 @@ class FaultRule:
     cancel: bool = False
     exhaust: str | None = None
     trace_drop: bool = False
-    kill_worker: bool = False
-    drop_pipe: bool = False
     hits: int = 0
     fired: int = 0
 
@@ -99,23 +92,19 @@ class FaultInjector:
         cancel: bool = False,
         exhaust: str | None = None,
         trace_drop: bool = False,
-        kill_worker: bool = False,
-        drop_pipe: bool = False,
     ) -> "FaultInjector":
         """Add one rule; returns self so plans read as a chain.
 
         *error* may be an exception instance or a message string (wrapped
         in :class:`InjectedFault`).  Actions fire in order: clock skew,
-        cancel, exhaust, trace drop, worker kill, pipe drop, error — so a
-        rule combining ``advance_clock`` with ``error`` skews first,
-        raises second.
+        cancel, exhaust, trace drop, error — so a rule combining
+        ``advance_clock`` with ``error`` skews first, raises second.
         """
         if isinstance(error, str):
             error = InjectedFault(error)
         if (
             error is None and not advance_clock and not cancel
             and exhaust is None and not trace_drop
-            and not kill_worker and not drop_pipe
         ):
             error = InjectedFault(f"injected fault at {site!r}")
         self.rules.append(
@@ -128,8 +117,6 @@ class FaultInjector:
                 cancel=cancel,
                 exhaust=exhaust,
                 trace_drop=trace_drop,
-                kill_worker=kill_worker,
-                drop_pipe=drop_pipe,
             )
         )
         return self
@@ -155,16 +142,6 @@ class FaultInjector:
             if rule.trace_drop and governor.tracer is not None:
                 self.log.append(f"{site}:trace_drop")
                 governor.tracer.inject_sink_failure()
-            if rule.kill_worker:
-                from . import parallel  # deferred: pulls in multiprocessing
-
-                killed = parallel.kill_one_worker()
-                self.log.append(f"{site}:kill_worker={killed}")
-            if rule.drop_pipe:
-                from . import parallel
-
-                dropped = parallel.drop_one_pipe()
-                self.log.append(f"{site}:drop_pipe={dropped}")
             if rule.error is not None:
                 self.log.append(f"{site}:error")
                 raise rule.error

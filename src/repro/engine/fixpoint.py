@@ -36,7 +36,7 @@ from ..datalog.graph import DependencyGraph
 from ..datalog.literals import Literal, PredicateRef, pred_ref
 from ..datalog.rules import Program, Rule
 from ..datalog.safety import exists_safe_order
-from ..errors import ExecutionError, ParallelRoundError, TransientExecutionError
+from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
 from ..storage.catalog import Database
 from ..storage.relation import DerivedRelation
@@ -116,15 +116,6 @@ class FixpointEngine:
         hatch mirroring ``compile=False``.  Rules touching a *spilled*
         extension (:mod:`repro.storage.backend`) force the batch tier
         regardless of size — it is the only tier that stays out-of-core.
-    parallel / parallel_min_rows / parallel_workers:
-        The partitioned-parallel tier (:mod:`repro.engine.parallel`):
-        batch rounds whose driving input is at least *parallel_min_rows*
-        rows hash-partition across a persistent pool of
-        *parallel_workers* processes (default: up to 4, capped at the
-        machine's cores).  Below the threshold — or with
-        ``parallel=False``, the escape hatch — rounds run on the serial
-        batch tier.  Answers, counters, span labels, and budget-abort
-        semantics are identical either way.
     """
 
     def __init__(
@@ -139,10 +130,6 @@ class FixpointEngine:
         compile: bool = True,
         batch: bool = True,
         batch_min_rows: int = 32,
-        parallel: bool = True,
-        parallel_min_rows: int | None = None,
-        parallel_workers: int | None = None,
-        parallel_retries: int | None = None,
         governor: "ResourceGovernor | None | bool" = None,
         tracer=NULL_TRACER,
         metrics=None,
@@ -192,32 +179,6 @@ class FixpointEngine:
             self._batch_exec: "BatchExecutor | None" = BatchExecutor()
         else:
             self._batch_exec = None
-        #: Partitioned-parallel tier (requires the batch tier: it fans the
-        #: same plans out).  The executor is cheap to build — the worker
-        #: pool itself spawns lazily on the first round that crosses
-        #: parallel_min_rows, so small queries never pay for processes.
-        self.parallel = parallel and self.batch
-        if parallel_min_rows is None:
-            from .parallel import DEFAULT_PARALLEL_MIN_ROWS
-
-            parallel_min_rows = DEFAULT_PARALLEL_MIN_ROWS
-        self.parallel_min_rows = parallel_min_rows
-        if self.parallel:
-            from .parallel import DEFAULT_PARALLEL_RETRIES, ParallelBatchExecutor
-
-            self._parallel_exec: "ParallelBatchExecutor | None" = (
-                ParallelBatchExecutor(
-                    workers=parallel_workers,
-                    metrics=metrics,
-                    retries=(
-                        DEFAULT_PARALLEL_RETRIES
-                        if parallel_retries is None
-                        else parallel_retries
-                    ),
-                )
-            )
-        else:
-            self._parallel_exec = None
         #: Spilled extensions force the batch tier (the row tier would
         #: materialize them); checked only when spilling can happen.
         self._spill_active = getattr(db, "spill_threshold", None) is not None
@@ -348,51 +309,18 @@ class FixpointEngine:
                             compiled, workspace, derived
                         )
                         if size >= self.batch_min_rows or spilled:
-                            tier: str | None = "batch"
-                            if (
-                                self._parallel_exec is not None
-                                and size >= self.parallel_min_rows
-                            ):
-                                tier = "parallel"
-                            span.note(tier=tier)
+                            span.note(tier="batch")
                             if self.metrics is not None:
                                 self.metrics.inc("batch_rules_total")
-                            extension_of = (
-                                lambda literal: self._extension(literal, workspace, derived)
+                            return self._batch_exec.execute(
+                                plan,
+                                lambda literal: self._extension(literal, workspace, derived),
+                                self.profiler,
+                                delta_position=delta_position,
+                                delta_rows=delta_rows,
+                                governor=self.governor,
+                                tracer=self.tracer,
                             )
-                            # Tier-degradation ladder: a transient
-                            # infrastructure failure (lost workers after
-                            # in-round retries, an injected transient
-                            # fault) drops the round to the next tier —
-                            # parallel -> serial batch -> row — with
-                            # identical answers.  Work charged by the
-                            # failed attempt stays charged (conservative
-                            # double-count against the budgets).
-                            while tier is not None:
-                                executor = (
-                                    self._parallel_exec
-                                    if tier == "parallel"
-                                    else self._batch_exec
-                                )
-                                try:
-                                    return executor.execute(
-                                        plan,
-                                        extension_of,
-                                        self.profiler,
-                                        delta_position=delta_position,
-                                        delta_rows=delta_rows,
-                                        governor=self.governor,
-                                        tracer=self.tracer,
-                                    )
-                                except TransientExecutionError as err:
-                                    fallback = (
-                                        "batch" if tier == "parallel" else "row"
-                                    )
-                                    self._note_degradation(span, tier, fallback, err)
-                                    tier = None if fallback == "row" else fallback
-                            # fall through: the row tier below is the
-                            # ladder's floor (it cannot lose workers and
-                            # reads spilled relations as plain iterables).
                 return compiled.execute(
                     lambda literal: self._extension(literal, workspace, derived),
                     self.method_chooser,
@@ -420,23 +348,6 @@ class FixpointEngine:
                     table, rule.head, self.profiler, governor=self.governor
                 )
             return head_rows(table, rule.head, self.profiler, governor=self.governor)
-
-    def _note_degradation(self, rule_span, from_tier: str, to_tier: str, err) -> None:
-        """Record one rung of the tier ladder: a ``parallel_degradations``
-        metric labelled with the reason and a structured warning span, so
-        a degraded-but-correct query is visible in traces and metrics."""
-        reason = (
-            "worker_lost" if isinstance(err, ParallelRoundError) else "transient"
-        )
-        if from_tier == "batch":
-            reason = f"batch_{reason}"
-        if self.metrics is not None:
-            self.metrics.inc("parallel_degradations", reason=reason)
-        with self.tracer.span(
-            f"degrade:{from_tier}->{to_tier}", kind="warning"
-        ) as span:
-            span.note(reason=reason, error=str(err))
-        rule_span.note(tier=to_tier, degraded_from=from_tier)
 
     def _batch_input_size(
         self,

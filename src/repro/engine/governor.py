@@ -173,20 +173,6 @@ class ResourceGovernor:
             return None
         return self.deadline_seconds - self.elapsed
 
-    def round_deadline(self, grace: float = 0.0) -> float | None:
-        """Absolute wall-clock cutoff (``time.time()`` scale) for one
-        parallel fan-out round, or None when no deadline is configured.
-
-        Workers self-abort on the plain cutoff; the parent's barrier
-        waits *grace* seconds longer before declaring a silent worker
-        wedged — so the cutoff kills genuinely stuck processes, never
-        legitimately slow rounds that are about to self-abort.
-        """
-        remaining = self.remaining()
-        if remaining is None:
-            return None
-        return time.time() + max(0.0, remaining) + grace
-
     def deadline_exceeded(self) -> bool:
         """Non-raising deadline probe (the optimizer's graceful-degrade
         path asks this instead of :meth:`checkpoint`)."""

@@ -100,10 +100,6 @@ class Interpreter:
         compile: bool = True,
         batch: bool = True,
         batch_min_rows: int = 32,
-        parallel: bool = True,
-        parallel_min_rows: int | None = None,
-        parallel_workers: int | None = None,
-        parallel_retries: int | None = None,
         deadline_seconds: float | None = None,
         max_memory_bytes: int | None = None,
         governor: "ResourceGovernor | None | bool" = None,
@@ -144,12 +140,6 @@ class Interpreter:
         #: batch=False is the row-tier escape hatch.
         self.batch = batch
         self.batch_min_rows = batch_min_rows
-        #: Partitioned-parallel tier knobs (see repro.engine.parallel);
-        #: parallel=False is the serial escape hatch.
-        self.parallel = parallel
-        self.parallel_min_rows = parallel_min_rows
-        self.parallel_workers = parallel_workers
-        self.parallel_retries = parallel_retries
         self._cache: dict[tuple[int, Keys], frozenset[Row]] = {}
         #: per-plan-node measured execution stats (id(node) -> counters),
         #: consumed by EXPLAIN ANALYZE
@@ -350,10 +340,6 @@ class Interpreter:
             compile=self.compile,
             batch=self.batch,
             batch_min_rows=self.batch_min_rows,
-            parallel=self.parallel,
-            parallel_min_rows=self.parallel_min_rows,
-            parallel_workers=self.parallel_workers,
-            parallel_retries=self.parallel_retries,
             # Share the query-wide governor; an explicitly ungoverned
             # interpreter keeps its fixpoints ungoverned too (rather than
             # letting FixpointEngine build its own default).

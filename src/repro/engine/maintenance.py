@@ -110,6 +110,9 @@ class ViewSet:
         #: delta-first evaluation orders per (rule, delta position) — see
         #: :meth:`_delta_first_order`
         self._delta_order: dict[tuple[int, int], tuple[int, ...]] = {}
+        #: base extensions minus rows the database already holds but the
+        #: views have not been told about yet — see :meth:`delete`
+        self._masked: dict[str, DerivedRelation] = {}
         self._validate_and_collect()
 
     # ------------------------------------------------------------ set-up
@@ -266,6 +269,8 @@ class ViewSet:
             return overrides[name]
         if name in self._stored:
             return self._stored[name]
+        if name in self._masked:
+            return self._masked[name]
         relation = self.db.get(name)
         if relation is not None:
             return relation
@@ -407,17 +412,17 @@ class ViewSet:
 
     # --------------------------------------------------------- insertions
 
-    def insert(self, base_name: str, rows: Iterable[Row]) -> dict[str, set[Row]]:
-        """Propagate base-fact insertions; returns the derived deltas.
+    def insert(self, base_rows: Mapping[str, Iterable[Row]]) -> dict[str, set[Row]]:
+        """Propagate base-fact insertions (base predicate -> new tuples,
+        all predicates of one update at once); returns the derived deltas.
 
         The base tuples must already be present in the database and must
         be genuinely new (the caller inserts them first and filters
         duplicates); this routine only updates the views.
         """
-        seed = set(tuple(row) for row in rows)
-        if not seed:
+        deltas = _nonempty_deltas(base_rows)
+        if not deltas:
             return {}
-        deltas: dict[str, set[Row]] = {base_name: seed}
         derived_new: dict[str, set[Row]] = {}
         for stratum in self._strata:
             relevant = {
@@ -497,34 +502,54 @@ class ViewSet:
 
     # ---------------------------------------------------------- deletions
 
-    def delete(self, base_name: str, rows: Iterable[Row]) -> dict[str, set[Row]]:
-        """Propagate base-fact deletions; returns the net removals.
+    def delete(
+        self,
+        base_rows: Mapping[str, Iterable[Row]],
+        pending_inserts: Mapping[str, Iterable[Row]] | None = None,
+    ) -> dict[str, set[Row]]:
+        """Propagate base-fact deletions (base predicate -> removed
+        tuples, all predicates of one update at once); returns the net
+        removals.
 
         The base tuples must already be removed from the database; this
         routine decrements derivation counts in the counting strata and
-        runs DRed in the recursive ones.
+        runs DRed in the recursive ones.  All of an update's deletions
+        must arrive in one call: over-deletion evaluates against the
+        pre-deletion extensions, which it can only reconstruct from the
+        complete delta.  *pending_inserts* names base tuples the database
+        already holds but :meth:`insert` has not been called for yet (a
+        committing transaction that both retracted and inserted); they
+        are hidden for the duration, so a derivation pairing a deleted
+        tuple with a not-yet-propagated one — which the views never
+        counted — is not subtracted.
         """
-        seed = set(tuple(row) for row in rows)
-        if not seed:
+        deltas = _nonempty_deltas(base_rows)
+        if not deltas:
             return {}
-        deltas: dict[str, set[Row]] = {base_name: seed}
+        for name, rows in _nonempty_deltas(pending_inserts or {}).items():
+            self._masked[name] = DerivedRelation(
+                name, set(self._ext_by_name(name)) - rows
+            )
         net_removed: dict[str, set[Row]] = {}
-        for stratum in self._strata:
-            relevant = {
-                name: deltas[name]
-                for name in stratum.body_predicates
-                if deltas.get(name)
-            }
-            if not relevant:
-                continue
-            if stratum.recursive:
-                gone = self._delete_recursive(stratum, relevant)
-            else:
-                gone = self._delete_counted(stratum, relevant)
-            for name, gone_rows in gone.items():
-                if gone_rows:
-                    deltas[name] = gone_rows
-                    net_removed.setdefault(name, set()).update(gone_rows)
+        try:
+            for stratum in self._strata:
+                relevant = {
+                    name: deltas[name]
+                    for name in stratum.body_predicates
+                    if deltas.get(name)
+                }
+                if not relevant:
+                    continue
+                if stratum.recursive:
+                    gone = self._delete_recursive(stratum, relevant)
+                else:
+                    gone = self._delete_counted(stratum, relevant)
+                for name, gone_rows in gone.items():
+                    if gone_rows:
+                        deltas[name] = gone_rows
+                        net_removed.setdefault(name, set()).update(gone_rows)
+        finally:
+            self._masked.clear()
         return net_removed
 
     def _delete_counted(
@@ -669,3 +694,8 @@ class ViewSet:
             rule, lambda index, literal: self._ext_by_name(literal.predicate)
         )
         return head_rows(table, rule.head, self.profiler)
+
+
+def _nonempty_deltas(base_rows: Mapping[str, Iterable[Row]]) -> dict[str, set[Row]]:
+    deltas = {name: {tuple(row) for row in rows} for name, rows in base_rows.items()}
+    return {name: rows for name, rows in deltas.items() if rows}

@@ -55,31 +55,10 @@ class ExecutionError(ReproError):
     """
 
 
-class TransientExecutionError(ExecutionError):
-    """An infrastructure failure that a *different* execution tier can
-    survive: the answer set is unaffected, only the machinery that was
-    computing it died.  The fixpoint engine catches this family and
-    degrades down the tier ladder (parallel -> serial batch -> row)
-    instead of failing the query (see :mod:`repro.engine.fixpoint`).
-    Deterministic errors — wrong plans, unsafe executions, budget
-    exhaustion — must NOT derive from this class: re-running them on
-    another tier would just fail again, slower.
-    """
-
-
-class ParallelRoundError(TransientExecutionError):
-    """A parallel fan-out round lost one or more workers (crash, killed
-    process, broken pipe) and in-round retries were not enough.  The
-    round descriptor is idempotent, so the serial batch tier can re-run
-    it with identical answers.
-    """
-
-
 class StorageError(ExecutionError):
     """The storage backend failed physically (e.g. a SQLite I/O error on
-    a spilled relation).  Not transient: every tier reads through the
-    same disk, so degradation cannot help — the query fails with this
-    clean, typed error instead of a raw ``sqlite3`` exception.
+    a spilled relation): the query fails with this clean, typed error
+    instead of a raw ``sqlite3`` exception.
     """
 
 

@@ -59,7 +59,7 @@ class _KbTxn:
     invalidation fires exactly once at commit."""
 
     __slots__ = (
-        "rules", "views", "result_cache", "view_ops",
+        "rules", "views", "result_cache", "view_inserted", "view_removed",
         "touched", "retracted", "rules_changed", "full_invalidate",
     )
 
@@ -69,7 +69,9 @@ class _KbTxn:
         self.result_cache = (
             dict(kb._result_cache) if kb._result_cache is not None else None
         )
-        self.view_ops: list[tuple[str, str, list]] = []
+        #: net per-predicate base deltas the views are owed at commit
+        self.view_inserted: dict[str, set] = {}
+        self.view_removed: dict[str, set] = {}
         #: base relations actually mutated inside the transaction (no-op
         #: writes never land here) — drives the footprint-scoped
         #: invalidation at commit
@@ -80,16 +82,33 @@ class _KbTxn:
         self.rules_changed = False
         self.full_invalidate = False
 
+    def defer_view_delta(self, predicate: str, rows: list, *, inserted: bool) -> None:
+        """Fold one call's rows into the net delta: a row inserted and
+        retracted (or retracted and put back) inside the transaction
+        cancels, so commit hands the views one before/after difference
+        per predicate rather than a call-by-call history the database no
+        longer reflects."""
+        mine, other = (
+            (self.view_inserted, self.view_removed)
+            if inserted
+            else (self.view_removed, self.view_inserted)
+        )
+        cancels = other.get(predicate, ())
+        keep = mine.setdefault(predicate, set())
+        for row in set(rows):  # a call may repeat a row
+            if row in cancels:
+                cancels.discard(row)
+            else:
+                keep.add(row)
+
 
 class KnowledgeBase:
     """Rules + facts + optimizer + engine, with per-query-form caching.
 
     *batch* / *batch_min_rows* control the columnar batch execution tier
     (:mod:`repro.engine.batch`); ``batch=False`` is the row-tier escape
-    hatch mirroring the engine's ``compile=False``.  *parallel* /
-    *parallel_min_rows* / *parallel_workers* control the partitioned
-    worker-pool tier above it (:mod:`repro.engine.parallel`), and
-    *backend* / *spill_threshold* pick the storage backend — with
+    hatch mirroring the engine's ``compile=False``.  *backend* /
+    *spill_threshold* pick the storage backend — with
     ``backend="sqlite"`` relations larger than the threshold spill to
     disk and stream through the batch kernels
     (:mod:`repro.storage.backend`).
@@ -131,10 +150,6 @@ class KnowledgeBase:
         *,
         batch: bool = True,
         batch_min_rows: int = 32,
-        parallel: bool = True,
-        parallel_min_rows: int | None = None,
-        parallel_workers: int | None = None,
-        parallel_retries: int | None = None,
         backend: str = "memory",
         spill_threshold: int | None = None,
         result_cache: bool = True,
@@ -151,10 +166,6 @@ class KnowledgeBase:
         self.builtins = default_builtins()
         self.batch = batch
         self.batch_min_rows = batch_min_rows
-        self.parallel = parallel
-        self.parallel_min_rows = parallel_min_rows
-        self.parallel_workers = parallel_workers
-        self.parallel_retries = parallel_retries
         self._rules: list[Rule] = []
         self._optimizer: Optimizer | None = None
         self._compiled: dict[tuple[str, str], OptimizedQuery] = {}
@@ -238,11 +249,11 @@ class KnowledgeBase:
                 if txn.retracted:
                     self._feedback_forget(txn.retracted)
             if self._views is not None:
-                for op, predicate, rows in txn.view_ops:
-                    if op == "insert":
-                        self._views.insert(predicate, rows)
-                    else:
-                        self._views.delete(predicate, rows)
+                # Deletions first, with the not-yet-propagated inserts
+                # hidden: the views step through before -> before minus
+                # removed -> after, each against a consistent state.
+                self._views.delete(txn.view_removed, txn.view_inserted)
+                self._views.insert(txn.view_inserted)
             self.metrics.inc("transactions_total", outcome="commit")
 
     @property
@@ -316,15 +327,14 @@ class KnowledgeBase:
             # maintenance never has to be undone on rollback.
             if added:
                 txn.touched.add(predicate)
-            if fresh:
-                txn.view_ops.append(("insert", predicate, fresh))
+            txn.defer_view_delta(predicate, fresh, inserted=True)
             return added
         if added:
             # A no-op insert (every row already present) leaves versions,
             # plans, and caches exactly as they were.
             self._data_invalidate({predicate})
         if self._views is not None and fresh:
-            self._views.insert(predicate, fresh)
+            self._views.insert({predicate: fresh})
         return added
 
     def retract(self, predicate: str, rows: Iterable[Sequence[object]]) -> int:
@@ -341,8 +351,7 @@ class KnowledgeBase:
             if removed:
                 txn.touched.add(predicate)
                 txn.retracted.add(predicate)
-                if present:
-                    txn.view_ops.append(("delete", predicate, present))
+                txn.defer_view_delta(predicate, present, inserted=False)
             return removed
         if removed:
             self._data_invalidate({predicate})
@@ -353,7 +362,7 @@ class KnowledgeBase:
             # see docs/performance.md for the contract.
             self._feedback_forget({predicate})
             if self._views is not None and present:
-                self._views.delete(predicate, present)
+                self._views.delete({predicate: present})
         return removed
 
     # ----------------------------------------------------------- views
@@ -603,9 +612,6 @@ class KnowledgeBase:
             interpreter = Interpreter(
                 self.db, profiler=profiler, builtins=self.builtins,
                 batch=self.batch, batch_min_rows=self.batch_min_rows,
-                parallel=self.parallel, parallel_min_rows=self.parallel_min_rows,
-                parallel_workers=self.parallel_workers,
-                parallel_retries=self.parallel_retries,
                 tracer=tracer, metrics=self.metrics,
             )
             answers = interpreter.run(compiled.plan, compiled.query, **bindings)
@@ -717,9 +723,6 @@ class KnowledgeBase:
             interpreter = Interpreter(
                 self.db, profiler=profiler, builtins=self.builtins,
                 batch=self.batch, batch_min_rows=self.batch_min_rows,
-                parallel=self.parallel, parallel_min_rows=self.parallel_min_rows,
-                parallel_workers=self.parallel_workers,
-                parallel_retries=self.parallel_retries,
                 governor=governor, tracer=tracer, metrics=self.metrics,
             )
             try:
@@ -756,22 +759,18 @@ class KnowledgeBase:
 
     # ------------------------------------------------- feedback + telemetry
 
-    def _tier_counters(self) -> tuple[int, int, int]:
+    def _tier_counters(self) -> tuple[int, int]:
         """Snapshot of the tier/denial counters before a query."""
         metrics = self.metrics
         return (
-            metrics.counter_total("parallel_rules_total"),
             metrics.counter_total("batch_rules_total"),
             metrics.counter_total("governor_denials_total"),
         )
 
-    def _tier_taken(self, before: tuple[int, int, int]) -> str:
+    def _tier_taken(self, before: tuple[int, int]) -> str:
         """Which execution tier this query actually used, inferred from
         per-query counter deltas (works with the tracer off)."""
-        parallel0, batch0, __ = before
-        if self.metrics.counter_total("parallel_rules_total") > parallel0:
-            return "parallel"
-        if self.metrics.counter_total("batch_rules_total") > batch0:
+        if self.metrics.counter_total("batch_rules_total") > before[0]:
             return "batch"
         return "row"
 
@@ -810,7 +809,7 @@ class KnowledgeBase:
         self,
         form: QueryForm,
         started: float,
-        before: tuple[int, int, int],
+        before: tuple[int, int],
         *,
         tier: str,
         cache: str,
@@ -819,7 +818,7 @@ class KnowledgeBase:
         reopt: bool,
         status: str = "ok",
     ) -> None:
-        denials = self.metrics.counter_total("governor_denials_total") - before[2]
+        denials = self.metrics.counter_total("governor_denials_total") - before[1]
         self.telemetry.record(
             goal=str(form.goal),
             adornment=form.adornment.code,

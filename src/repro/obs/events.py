@@ -42,25 +42,18 @@ from .tracer import COUNTER_FIELDS, Span
 #: The current trace-event schema identifier (bump on breaking change).
 SCHEMA = "repro.trace/1"
 
-#: Every span kind the engine emits.  ``partition``, ``recovery`` and
-#: ``warning`` arrived with the parallel tier (PR 6/7); a kind outside
-#: this set is a validator error so renames cannot slip past CI.
+#: Every span kind the engine emits; a kind outside this set is a
+#: validator error so renames cannot slip past CI.
 SPAN_KINDS = frozenset({
     "span", "query", "phase", "node", "operator", "rule", "round",
-    "fixpoint", "sld", "optimizer", "order", "cperm",
-    "partition", "recovery", "warning", "qsqn",
+    "fixpoint", "sld", "optimizer", "order", "cperm", "qsqn",
 })
 
 #: Span names with a fixed shape, and the kind each shape must carry:
-#: ``partition:<i>`` (per-worker spans), ``parallel_retry`` (round
-#: recovery), ``degrade:<from>-><to>`` (tier-degradation warnings),
 #: ``spill-stream:<pred>`` (out-of-core streaming scans),
 #: ``qsqn:<adorned-pred>`` (query-subquery net evaluations) and
 #: ``optimize:enumerate:<pred>`` (c-permutation enumeration).
 _NAME_SHAPES: tuple[tuple[str, re.Pattern, str], ...] = (
-    ("partition:", re.compile(r"^partition:\d+$"), "partition"),
-    ("parallel_retry", re.compile(r"^parallel_retry$"), "recovery"),
-    ("degrade:", re.compile(r"^degrade:[\w.$]+->[\w.$]+$"), "warning"),
     ("spill-stream:", re.compile(r"^spill-stream:[\w.$]+$"), "operator"),
     ("qsqn:", re.compile(r"^qsqn:[\w.$]+$"), "qsqn"),
     ("optimize:enumerate:", re.compile(r"^optimize:enumerate:[\w.$]+$"), "cperm"),

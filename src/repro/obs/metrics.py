@@ -115,7 +115,7 @@ class MetricsRegistry:
 
     def counter_total(self, name: str) -> int:
         """Sum of a counter across every label set (e.g. all
-        ``parallel_degradations{reason=...}`` regardless of reason)."""
+        ``governor_denials_total{kind=...}`` regardless of kind)."""
         return sum(
             value for (series, _labels), value in self._counters.items()
             if series == name

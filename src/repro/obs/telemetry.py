@@ -2,8 +2,8 @@
 
 ``kb.telemetry`` records one :data:`TELEMETRY_SCHEMA` event per answered
 query — wall time, the execution tier that actually served it
-(``row`` / ``batch`` / ``parallel`` / ``cache`` / ``view``), governor
-denials, result-cache hit/miss, worst observed q-error, and whether the
+(``row`` / ``batch`` / ``cache`` / ``view``), governor denials,
+result-cache hit/miss, worst observed q-error, and whether the
 feedback loop triggered a re-optimization.  The newest *capacity*
 records are kept in memory for ``kb.telemetry.slow_queries()``-style
 introspection; an optional sink (any callable, typically
@@ -29,7 +29,7 @@ from .tracer import TraceSinkWarning
 TELEMETRY_SCHEMA = "repro.telemetry/1"
 
 #: Execution tiers a query record may report.
-TIERS = frozenset({"row", "batch", "parallel", "cache", "view"})
+TIERS = frozenset({"row", "batch", "cache", "view"})
 
 #: Fields every telemetry record carries (the validator checks these).
 _CEIL = 1e300

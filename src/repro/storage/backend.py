@@ -554,7 +554,7 @@ def spilled_batch_join(
     the in-memory kernel — ``probes`` per input row, ``examined`` and
     ``produced`` per match — and the governor is ticked per fetch slab,
     so budget totals match serial exactly (tick *granularity* is the
-    disk tier's documented deviation, as in the parallel tier).
+    disk tier's documented deviation).
 
     The ``spill:<relation>`` checkpoint at entry is the fault-injection
     site for simulated disk failures (chaos harness); a real

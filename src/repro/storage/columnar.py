@@ -28,7 +28,7 @@ Row = tuple[Term, ...]
 class BatchStore:
     """Interned columns + row-index buckets for one extension."""
 
-    __slots__ = ("interner", "columns", "length", "_buckets", "par_key", "__weakref__")
+    __slots__ = ("interner", "columns", "length", "_buckets")
 
     def __init__(self, interner: TermInterner, arity: int | None = None):
         self.interner = interner
@@ -41,10 +41,6 @@ class BatchStore:
         #: for single-position buckets, a tuple of ids otherwise (and the
         #: empty tuple for the zero-position "all rows" bucket).
         self._buckets: dict[tuple[int, ...], dict[object, list[int]]] = {}
-        #: Broadcast identity for the parallel tier: stores are append-only,
-        #: so (par_key, length) names an exact column prefix a worker may
-        #: cache.  Assigned on first broadcast by repro.engine.parallel.
-        self.par_key: int | None = None
 
     def append(self, row: Row) -> None:
         """Encode and append one tuple, updating every built bucket map."""
@@ -69,8 +65,27 @@ class BatchStore:
                 bucket.append(index)
 
     def extend(self, rows: Iterable[Row]) -> None:
-        for row in rows:
-            self.append(row)
+        if self._buckets:
+            # built bucket maps must see every row
+            for row in rows:
+                self.append(row)
+            return
+        # Nothing to maintain yet (a fresh mirror, a per-round delta
+        # encode): one pass per column instead of per-row bookkeeping.
+        if not isinstance(rows, (list, tuple, set, frozenset)):
+            rows = list(rows)
+        if not rows:
+            return
+        if self.columns is None:
+            self.columns = [[] for _ in next(iter(rows))]
+        id_of = self.interner.id_of
+        encoded = [
+            [id_of(row[position]) for row in rows]
+            for position in range(len(self.columns))
+        ]
+        for column, ids in zip(self.columns, encoded):
+            column.extend(ids)
+        self.length += len(rows)
 
     def buckets_for(self, positions: tuple[int, ...]) -> dict[object, list[int]]:
         """Row-index buckets keyed on *positions* (built lazily, then

@@ -9,7 +9,7 @@ dict from key tuples to row sets.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..datalog.terms import Term
 
@@ -28,6 +28,18 @@ class HashIndex:
 
     def add(self, row: Row) -> None:
         self._buckets.setdefault(self.key_of(row), set()).add(row)
+
+    def extend(self, rows: Iterable[Row]) -> None:
+        """Bulk :meth:`add` (index builds over a whole extension)."""
+        buckets = self._buckets
+        positions = self.positions
+        for row in rows:
+            key = tuple([row[p] for p in positions])
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {row}
+            else:
+                bucket.add(row)
 
     def remove(self, row: Row) -> None:
         key = self.key_of(row)

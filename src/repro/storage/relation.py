@@ -206,8 +206,7 @@ class Relation:
         index = self._indexes.get(key)
         if index is None:
             index = HashIndex(key)
-            for row in self._rows:
-                index.add(row)
+            index.extend(self._rows)
             self._indexes[key] = index
         return index
 
@@ -366,8 +365,7 @@ class DerivedRelation:
         index = self._indexes.get(key)
         if index is None:
             index = HashIndex(key)
-            for row in self._rows:
-                index.add(row)
+            index.extend(self._rows)
             self._indexes[key] = index
         return index
 

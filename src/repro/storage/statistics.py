@@ -97,11 +97,14 @@ def _is_acyclic_binary(relation: Relation) -> bool:
     """Kahn's algorithm over the relation viewed as an edge set."""
     successors: dict[object, list[object]] = {}
     indegree: dict[object, int] = {}
-    for row in relation:
-        a, b = row
-        successors.setdefault(a, []).append(b)
+    for a, b in relation:
+        out = successors.get(a)
+        if out is None:
+            successors[a] = [b]
+            indegree.setdefault(a, 0)
+        else:
+            out.append(b)
         indegree[b] = indegree.get(b, 0) + 1
-        indegree.setdefault(a, indegree.get(a, 0))
     queue = [node for node, degree in indegree.items() if degree == 0]
     visited = 0
     while queue:

@@ -17,8 +17,8 @@ are answer-equivalent.  This package enforces that mechanically:
   the minimum over the enumerated orders);
 * :mod:`~repro.testing.sweep` — the CLI driver
   (``python -m repro.testing.sweep --seed 0 --count 200``);
-* :mod:`~repro.testing.chaos` — seeded fault sweeps (worker crashes,
-  injected I/O errors, aborted transactions) asserting the
+* :mod:`~repro.testing.chaos` — seeded fault sweeps (injected
+  operator and I/O errors, aborted transactions) asserting the
   fault-tolerance contract (``python -m repro.testing.chaos``).
 """
 

@@ -3,8 +3,8 @@
 The fault-tolerance contract (docs/robustness.md) is a single sentence:
 under any injected fault, a query either returns the *same answers* as
 an undisturbed run, or raises a *clean typed error* with the database
-unchanged — never a wrong answer, a partial update, a leaked worker
-process, or a leftover spill file.  This module enforces that sentence
+unchanged — never a wrong answer, a partial update, or a leftover
+spill file.  This module enforces that sentence
 mechanically, the same way :mod:`repro.testing.sweep` enforces
 answer-equivalence across execution strategies.
 
@@ -12,11 +12,7 @@ Each seed samples one program from
 :func:`~repro.workloads.generate_differential_program` plus one fault
 *scenario* from a seeded RNG:
 
-* ``kill_worker`` / ``drop_pipe`` / ``crash_mix`` — crash-shaped
-  schedules (SIGKILL a pool worker, close a parent-side pipe end) fired
-  at operator/round checkpoints.  Recovery (round retry, then tier
-  degradation) must produce answers identical to the undisturbed run.
-* ``inject_error`` — a non-transient operator fault.  The query must
+* ``inject_error`` — an operator fault.  The query must
   raise a :class:`~repro.errors.ReproError` subtype, and a subsequent
   clean run must still produce the baseline answers (no corrupted
   state).
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import multiprocessing
 import os
 import random
 import sys
@@ -43,7 +38,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from ..engine import parallel
 from ..engine.faults import FaultInjector
 from ..engine.governor import ResourceGovernor
 from ..errors import ReproError, StorageError
@@ -51,16 +45,13 @@ from ..kb import KnowledgeBase
 from ..workloads import generate_differential_program
 
 SCENARIOS = (
-    "kill_worker",
-    "drop_pipe",
-    "crash_mix",
     "inject_error",
     "spill_error",
     "txn_abort",
 )
 
-#: checkpoint sites a crash/error schedule may target (parent-side).
-_CRASH_SITES = ("join:*", "fixpoint:round")
+#: checkpoint sites an operator-fault schedule may target.
+_FAULT_SITES = ("join:*", "fixpoint:round")
 
 
 class _ChaosAbort(RuntimeError):
@@ -96,15 +87,10 @@ def _snapshot(kb: KnowledgeBase) -> dict[str, frozenset]:
 
 
 def _build_kb(sample, *, backend: str = "memory", spill_threshold=None,
-              result_cache: bool = False, parallel_on: bool = True,
-              retries: int | None = None) -> KnowledgeBase:
+              result_cache: bool = False) -> KnowledgeBase:
     kb = KnowledgeBase(
         batch=True,
         batch_min_rows=0,
-        parallel=parallel_on,
-        parallel_min_rows=0,
-        parallel_workers=2,
-        parallel_retries=retries,
         backend=backend,
         spill_threshold=spill_threshold,
         result_cache=result_cache,
@@ -117,57 +103,13 @@ def _build_kb(sample, *, backend: str = "memory", spill_threshold=None,
     return kb
 
 
-def _crash_schedule(rng: random.Random, scenario: str) -> FaultInjector:
-    faults = FaultInjector()
-    if scenario == "crash_mix":
-        actions = [rng.choice(("kill_worker", "drop_pipe")) for _ in range(2)]
-    else:
-        actions = [scenario]
-    for action in actions:
-        faults.inject(
-            rng.choice(_CRASH_SITES),
-            after=rng.randint(0, 4),
-            times=rng.randint(1, 2),
-            **{action: True},
-        )
-    return faults
-
-
-def _run_crash_case(sample, rng: random.Random, result: ChaosCaseResult) -> None:
-    """Crash schedules must be answer-invisible (retry or degrade)."""
-    kb = _build_kb(sample)
-    try:
-        for query in sample.queries[:2]:
-            baseline = _answers(kb, query)
-            faults = _crash_schedule(rng, result.scenario)
-            governor = ResourceGovernor(faults=faults).arm()
-            try:
-                chaotic = _answers(kb, query, governor=governor)
-            except ReproError as err:
-                result.violations.append(
-                    f"{query}: crash schedule raised {type(err).__name__}: {err}"
-                )
-                continue
-            finally:
-                result.queries += 1
-                result.fired += faults.fired_count()
-            if chaotic != baseline:
-                result.violations.append(
-                    f"{query}: answers diverged under {result.scenario} "
-                    f"(want {len(baseline)} rows, got {len(chaotic)})"
-                )
-    finally:
-        kb.close()
-
-
 def _run_error_case(sample, rng: random.Random, result: ChaosCaseResult) -> None:
-    """Injected non-transient faults must be clean, typed, and stateless."""
+    """Injected faults must be clean, typed, and stateless."""
     spill = result.scenario == "spill_error"
     kb = _build_kb(
         sample,
         backend="sqlite" if spill else "memory",
         spill_threshold=4 if spill else None,
-        parallel_on=not spill,  # spilled joins run on the serial batch tier
     )
     try:
         for query in sample.queries[:2]:
@@ -181,7 +123,7 @@ def _run_error_case(sample, rng: random.Random, result: ChaosCaseResult) -> None
                 )
             else:
                 faults.inject(
-                    rng.choice(_CRASH_SITES),
+                    rng.choice(_FAULT_SITES),
                     after=rng.randint(0, 4),
                     error=f"injected operator failure (seed {result.seed})",
                 )
@@ -271,9 +213,7 @@ def chaos_case(seed: int) -> ChaosCaseResult:
     result = ChaosCaseResult(seed=seed, scenario=scenario)
     sample = generate_differential_program(seed)
     spills_before = _spill_files()
-    if scenario in ("kill_worker", "drop_pipe", "crash_mix"):
-        _run_crash_case(sample, rng, result)
-    elif scenario in ("inject_error", "spill_error"):
+    if scenario in ("inject_error", "spill_error"):
         _run_error_case(sample, rng, result)
     else:
         _run_txn_abort_case(sample, rng, result)
@@ -281,17 +221,6 @@ def chaos_case(seed: int) -> ChaosCaseResult:
     if leaked:
         result.violations.append(f"leaked spill files: {sorted(leaked)}")
     return result
-
-
-def check_no_leaked_workers(timeout: float = 5.0) -> list[str]:
-    """Shut every pool down and report processes that survive it."""
-    parallel.shutdown_pools()
-    deadline = time.time() + timeout
-    alive = [p for p in multiprocessing.active_children() if p.is_alive()]
-    while alive and time.time() < deadline:
-        time.sleep(0.05)
-        alive = [p for p in multiprocessing.active_children() if p.is_alive()]
-    return [f"{p.name} (pid {p.pid})" for p in alive]
 
 
 @dataclass
@@ -326,16 +255,13 @@ def run_sweep(seed: int = 0, count: int = 100, verbose: bool = False) -> ChaosRe
             print(f"seed {case.seed}: {case.scenario} "
                   f"({case.queries} queries, {case.fired} faults fired) {status}",
                   flush=True)
-    leaked = check_no_leaked_workers()
-    if leaked:
-        report.violations.append(f"leaked worker processes: {leaked}")
     return report
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.chaos",
-        description="seeded chaos sweep: crash/fault schedules over "
+        description="seeded chaos sweep: fault schedules over "
                     "differential-oracle programs",
     )
     parser.add_argument("--seed", type=int, default=0, help="first case seed")

@@ -11,8 +11,11 @@ that covers the shapes the delta path distinguishes — counted
 non-recursive joins (including self-joins and cross-rule alternative
 derivations), linear and non-linear recursion, multi-stratum layering,
 zero-ary gates — and update scripts mix genuine writes, no-op writes
-(duplicate inserts, absent retracts), multi-row deltas, and aborted
-transactions.
+(duplicate inserts, absent retracts), multi-row deltas, aborted
+transactions, and committed transactions holding several separate
+``facts`` / ``retract`` calls on possibly different predicates (commit
+must maintain the views from the transaction's *net* delta, not call by
+call against a database that has already lost every retracted row).
 
 On a disagreement the sweep prints the trial seed, the program, and the
 full update history (enough to replay by hand), then exits 1.  The CI
@@ -146,9 +149,25 @@ def run_trial(seed: int, steps: int = 8) -> list[str]:
         if action < 0.45:
             kb.facts(base, rows)
             history.append(f"facts {base} {rows}")
-        elif action < 0.9:
+        elif action < 0.8:
             kb.retract(base, rows)
             history.append(f"retract {base} {rows}")
+        elif action < 0.9:
+            calls = [(rng.random() < 0.4, base, rows)]
+            for __ in range(rng.randint(1, 3)):
+                other, other_arity = rng.choice(sorted(bases.items()))
+                calls.append((
+                    rng.random() < 0.4,
+                    other,
+                    [_random_row(rng, other_arity) for __ in range(rng.randint(1, 2))],
+                ))
+            with kb.transaction():
+                for insert, name, call_rows in calls:
+                    (kb.facts if insert else kb.retract)(name, call_rows)
+            history.append("txn " + "; ".join(
+                f"{'facts' if insert else 'retract'} {name} {call_rows}"
+                for insert, name, call_rows in calls
+            ))
         else:
             # an aborted transaction must leave no trace in the views
             try:

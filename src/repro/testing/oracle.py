@@ -17,12 +17,6 @@ Strategy families:
   every batchable rule actually takes the columnar path on the small
   seeded corpus (``fixpoint-compiled`` pins ``batch=False``, so the two
   strategies cover the row and batch tiers separately);
-* ``fixpoint-parallel`` — the hash-partitioned parallel batch tier
-  (:mod:`repro.engine.parallel`): a two-worker pool with both size
-  thresholds forced to zero, so every batchable rule is partitioned,
-  fanned out, and merged at the barrier even on tiny corpus programs —
-  exercising the partitioning, replay, and dedup machinery, not just the
-  happy large-input path;
 * ``sld-tabled`` — the tabled top-down engine;
 * ``magic-basic`` / ``magic-supplementary`` — the rewrites applied
   *directly* (adorn + rewrite + seeded fixpoint), bypassing the
@@ -333,10 +327,6 @@ def _default_runners() -> dict[str, Callable[[Case], Answers]]:
         "fixpoint-compiled": partial(run_fixpoint, compile=True, batch=False),
         "fixpoint-batch": partial(
             run_fixpoint, compile=True, batch=True, batch_min_rows=0
-        ),
-        "fixpoint-parallel": partial(
-            run_fixpoint, compile=True, batch=True, batch_min_rows=0,
-            parallel=True, parallel_min_rows=0, parallel_workers=2,
         ),
         "fixpoint-naive": partial(run_fixpoint, compile=False, naive=True),
         "sld-tabled": run_sld,

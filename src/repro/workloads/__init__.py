@@ -8,7 +8,6 @@ from .datasets import (
     random_graph,
     random_linear_program,
     same_generation_instance,
-    scale_reach_instance,
 )
 from .paper_rulebase import PAPER_RULEBASE, paper_database, paper_program
 from .querygen import (
@@ -43,5 +42,4 @@ __all__ = [
     "random_graph",
     "random_linear_program",
     "same_generation_instance",
-    "scale_reach_instance",
 ]

@@ -121,32 +121,6 @@ def random_graph(
     return names
 
 
-def scale_reach_instance(
-    db: Database,
-    nodes: int,
-    edges: int,
-    sources: int = 4,
-    seed: int = 0,
-) -> list[str]:
-    """The parallel tier's scale instance: a dense random digraph plus a
-    handful of ``source`` seeds for frontier reachability.
-
-    ``reach(X) <- source(X).  reach(Y) <- reach(X), edge(X, Y).`` over
-    this data is the partitioned tier's best case *and* its honest one:
-    the big ``edge`` relation is broadcast to the worker pool once and
-    cached, each semi-naive round's frontier delta hash-partitions on
-    ``X``, and every edge is traversed at most once per run — so total
-    tuple work scales with *edges* (set this in the millions), while the
-    serial tier must walk the same matches on one core.  Returns the
-    chosen source names.
-    """
-    names = random_graph(db, "edge", nodes=nodes, edges=edges, seed=seed)
-    rng = random.Random(seed + 1)
-    chosen = sorted(rng.sample(names, min(sources, len(names))))
-    db.load("source", [(name,) for name in chosen])
-    return chosen
-
-
 def random_linear_program(seed: int = 0):
     """A random linear-recursive program + acyclic data, for equivalence
     property tests across recursive methods.

@@ -211,13 +211,13 @@ def test_spilled_counters_match_memory():
     memory.load("e", chain(30))
     mp = Profiler()
     evaluate_program(memory, parse_program(TC), profiler=mp,
-                     batch=True, batch_min_rows=0, parallel=False)
+                     batch=True, batch_min_rows=0)
 
     disk = Database(backend="sqlite", spill_threshold=1)
     disk.load("e", chain(30))
     dp = Profiler()
     evaluate_program(disk, parse_program(TC), profiler=dp,
-                     batch=True, batch_min_rows=0, parallel=False)
+                     batch=True, batch_min_rows=0)
     assert (dp.examined, dp.produced, dp.probes) == (
         mp.examined, mp.produced, mp.probes,
     )

@@ -11,10 +11,14 @@ unit tests pin the interner's hash-consing guarantees and the
 columnar/row bridge.
 """
 
+import multiprocessing
 import random
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import KnowledgeBase, Tracer
 from repro.datalog.intern import INTERNER, TermInterner, intern_term
 from repro.datalog.parser import parse_program
 from repro.datalog.rules import Program
@@ -264,3 +268,39 @@ def test_batch_store_buckets_and_incremental_append():
     store.append((Constant("a"), Constant("z")))
     assert sorted(store.buckets_for((0,))[a_id]) == [0, 1, 2]
     assert store.length == 3
+    # ... and so does a bulk extend once a bucket map exists
+    store.extend([(Constant("b"), Constant("x")), (Constant("a"), Constant("w"))])
+    assert sorted(store.buckets_for((0,))[a_id]) == [0, 1, 2, 4]
+    assert store.length == 5 and [len(c) for c in store.columns] == [5, 5]
+
+
+# -- one in-process executor --------------------------------------------------
+
+
+def test_large_round_runs_on_the_in_process_batch_tier():
+    """A round driven by a 50 000-row extension (the size that used to
+    fan out to a worker pool) runs on the batch executor, in this
+    process, with the reference answers."""
+    rng = random.Random(5)
+    edges = {(f"n{i}", f"n{i + 1}") for i in range(40)}
+    while len(edges) < 50_000:
+        edges.add((f"m{rng.randrange(20_000)}", f"m{rng.randrange(20_000)}"))
+    kb = KnowledgeBase()
+    kb.rules("reach(X) <- source(X). reach(Y) <- reach(X), edge(X, Y).")
+    kb.facts("edge", sorted(edges))
+    kb.facts("source", [("n0",)])
+    tracer = Tracer()
+    answers = kb.ask("reach(Y)?", tracer=tracer)
+    assert set(answers.to_python()) == {(f"n{i}",) for i in range(41)}
+    tiers = [s.attrs["tier"] for s in tracer.spans if s.kind == "rule" and "tier" in s.attrs]
+    assert tiers and set(tiers) == {"batch"}
+    assert multiprocessing.active_children() == []
+
+
+def test_nothing_under_src_imports_multiprocessing():
+    offenders = [
+        str(path)
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        if "multiprocessing" in path.read_text()
+    ]
+    assert offenders == []

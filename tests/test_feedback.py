@@ -372,17 +372,15 @@ def test_trace_validator_accepts_new_span_labels():
         return {k: 0 for k in COUNTER_FIELDS}
 
     good = [
-        span("partition:3", "partition", 1),
-        span("parallel_retry", "recovery", 2),
-        span("degrade:parallel->batch", "warning", 3),
-        span("spill-stream:par", "operator", 4),
+        span("spill-stream:par", "operator", 1),
+        span("qsqn:anc.bf", "qsqn", 2),
     ]
     assert validate_events(good) == []
     assert any(
-        "kind" in p for p in validate_events([span("partition:3", "operator", 1)])
+        "kind" in p for p in validate_events([span("qsqn:anc.bf", "operator", 1)])
     )
     assert any(
-        "malformed" in p for p in validate_events([span("partition:x", "partition", 1)])
+        "malformed" in p for p in validate_events([span("qsqn:a b", "qsqn", 1)])
     )
     assert any(
         "unknown span kind" in p for p in validate_events([span("foo", "mystery", 1)])

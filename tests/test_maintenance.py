@@ -247,3 +247,60 @@ def test_random_update_sequences_stay_consistent(updates):
         else:
             kb.retract("e", [(x, y)])
         assert kb.view_rows("t") == recompute(kb, "t")
+
+
+# ------------------------------------------- multi-call transactions
+
+
+def test_two_retract_calls_in_one_transaction_match_recompute():
+    """Commit hands DRed the whole transaction's deletions at once: a
+    derivation that used rows from two different retract calls (here
+    a->c: replayed call by call, b->c's over-deletion cannot walk back
+    through a->b, which the database has already lost) must go too."""
+    kb = KnowledgeBase()
+    kb.rules("anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y).")
+    kb.facts("par", [("a", "b"), ("b", "c"), ("c", "d")])
+    kb.materialize()
+    with kb.transaction():
+        kb.retract("par", [("b", "c")])
+        kb.retract("par", [("a", "b")])
+    assert kb.view_rows("anc") == recompute(kb, "anc") == {("c", "d")}
+
+
+def test_retracts_on_two_predicates_in_one_transaction_match_recompute():
+    kb = KnowledgeBase()
+    kb.rules("t(X, Y) <- e(X, Y). t(X, Y) <- t(X, Z), f(Z, Y).")
+    kb.facts("e", [("a", "b")])
+    kb.facts("f", [("b", "c"), ("c", "d")])
+    kb.materialize()
+    with kb.transaction():
+        kb.retract("e", [("a", "b")])
+        kb.retract("f", [("b", "c")])
+    assert kb.view_rows("t") == recompute(kb, "t") == set()
+
+
+def test_retract_and_insert_in_one_transaction_keep_counts_exact():
+    """A retracted row and an inserted row that would join never
+    coexisted, so their pairing must not be subtracted from a support
+    count it was never part of."""
+    kb = KnowledgeBase()
+    kb.rules("v(X) <- a(X), b(X). v(X) <- c(X).")
+    kb.facts("a", [(1,)])
+    kb.facts("b", [(2,)])
+    kb.facts("c", [(1,)])
+    kb.materialize()
+    with kb.transaction():
+        kb.retract("a", [(1,)])
+        kb.facts("b", [(1,)])
+    assert kb.view_rows("v") == recompute(kb, "v") == {(1,)}
+
+
+def test_insert_then_retract_of_the_same_row_cancels_in_a_transaction():
+    kb = tc_kb([("a", "b")])
+    kb.materialize()
+    with kb.transaction():
+        kb.facts("e", [("b", "c")])
+        kb.retract("e", [("b", "c")])
+        kb.retract("e", [("a", "b")])
+        kb.facts("e", [("a", "b")])
+    assert kb.view_rows("t") == recompute(kb, "t") == {("a", "b")}

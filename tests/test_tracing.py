@@ -154,79 +154,6 @@ def test_self_counters_sum_to_profiler_totals_on_paper_rulebase():
         assert totals[field] == getattr(answers.profiler, field), field
 
 
-def parallel_family_kb():
-    """The family KB with the parallel batch tier forced on: thresholds
-    zeroed so even this tiny workload partitions and barriers."""
-    kb = KnowledgeBase(
-        OptimizerConfig(strategy="dp", seed=7),
-        batch_min_rows=0,
-        parallel_min_rows=0,
-        parallel_workers=2,
-    )
-    kb.rules(ANC)
-    kb.facts("par", PAR)
-    return kb
-
-
-def test_self_counters_sum_to_profiler_totals_on_the_parallel_tier():
-    """Conservation survives the fan-out: worker counter deltas are
-    folded into partition child spans at the barrier, so per-span
-    exclusive sums still reproduce the profiler totals exactly."""
-    kb = parallel_family_kb()
-    tracer = Tracer()
-    answers = kb.ask("anc(abe, Y)?", tracer=tracer)
-    assert any(s.kind == "partition" for s in tracer.spans), (
-        "the parallel tier never engaged"
-    )
-    totals = tracer.total_self_counters()
-    for field in COUNTER_FIELDS:
-        assert totals[field] == getattr(answers.profiler, field), field
-
-
-def test_partition_spans_fold_exactly_into_their_step_span():
-    """Each partitioned step span's inclusive counters equal the sum of
-    its partition children plus its own exclusive work (resolve-time
-    examined, the merged head emit) — no partition delta is lost or
-    double-counted."""
-    kb = parallel_family_kb()
-    tracer = Tracer()
-    kb.ask("anc(abe, Y)?", tracer=tracer)
-    folded = 0
-    for span in tracer.spans:
-        children = [c for c in tracer.children_of(span) if c.kind == "partition"]
-        if not children:
-            continue
-        folded += 1
-        for f in COUNTER_FIELDS:
-            child_sum = sum(c.counters[f] for c in children)
-            assert span.counters[f] == child_sum + span.self_counters[f], f
-    assert folded, "no step span carried partition children"
-
-
-def test_parallel_trace_keeps_the_serial_operator_labels():
-    """The barrier replay reopens the serial span labels in order:
-    stripping the partition children must leave the serial operator
-    sequence bit-for-bit."""
-    serial = KnowledgeBase(
-        OptimizerConfig(strategy="dp", seed=7), batch_min_rows=0, parallel=False
-    )
-    serial.rules(ANC)
-    serial.facts("par", PAR)
-    serial_tracer = Tracer()
-    serial_answers = serial.ask("anc(abe, Y)?", tracer=serial_tracer)
-
-    parallel_tracer = Tracer()
-    parallel_answers = parallel_family_kb().ask(
-        "anc(abe, Y)?", tracer=parallel_tracer
-    )
-    assert set(parallel_answers) == set(serial_answers)
-
-    def operator_labels(tracer):
-        return [s.name for s in tracer.spans if s.kind == "operator"]
-
-    assert operator_labels(parallel_tracer) == operator_labels(serial_tracer)
-
-
 def test_inclusive_counters_are_supersets_of_children():
     tracer, _ = traced_run(family_kb(), "anc(abe, Y)?")
     for span in tracer.spans:

@@ -11,7 +11,6 @@ spilled SQLite state, compiled rules, and the cross-query result cache.
 
 import pytest
 
-from repro.engine.parallel import shutdown_pools
 from repro.errors import TransactionError
 from repro.kb import KnowledgeBase
 from repro.storage import Database
@@ -31,12 +30,6 @@ def db_state(db):
         "rows": {r.name: frozenset(r) for r in db},
         "versions": db.version_vector(),
     }
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _pool_teardown():
-    yield
-    shutdown_pools()
 
 
 # ----------------------------------------------------------- Database layer
