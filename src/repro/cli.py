@@ -117,9 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="query-wide live-tuple budget (exit code 5 on expiry)")
     parser.add_argument("--max-memory", type=int, default=None, metavar="BYTES",
                         help="approximate query-wide memory budget in bytes")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="disable the columnar batch execution tier "
-                             "(row kernels only; see docs/performance.md)")
     parser.add_argument("--backend", default="memory",
                         choices=("memory", "sqlite"),
                         help="storage backend: memory (default) keeps all "
@@ -294,7 +291,6 @@ def main(argv: Sequence[str] | None = None, stdin: IO[str] | None = None, stdout
         OptimizerConfig(
             strategy=args.strategy, search=args.search, **config_kwargs
         ),
-        batch=not args.no_batch,
         backend=args.backend,
         spill_threshold=args.spill_threshold,
         result_cache=not args.no_result_cache,

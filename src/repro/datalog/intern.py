@@ -1,6 +1,6 @@
 """Global hash-consing of ground terms.
 
-The batch execution tier (:mod:`repro.engine.batch`) represents tuples as
+The rule executor (:mod:`repro.engine.batch`) represents tuples as
 columns of small integers.  The mapping from ground terms to those
 integers lives here: a :class:`TermInterner` assigns each *distinct*
 ground term one id, forever, and keeps the canonical term instance in a
@@ -20,7 +20,7 @@ Structs are hash-consed recursively: interning ``f(g(a), b)`` interns
 ``g(a)``, ``a`` and ``b`` too, and the canonical instance stored for the
 outer struct references the canonical instances of its arguments.  After
 that, equality between canonical instances is identity — which also
-speeds up the *row* tier's set/dict operations on interned data, since
+speeds up set/dict operations over term tuples of interned data, since
 ``tuple.__eq__`` short-circuits on ``is``.
 
 The module-level :data:`INTERNER` is the default table;

@@ -5,7 +5,6 @@ from .faults import FaultInjector, FaultRule, InjectedFault
 from .fixpoint import EvaluationResult, FixpointEngine, evaluate_program
 from .governor import ResourceGovernor, make_governor
 from .interpreter import Interpreter, QueryAnswers
-from .kernels import CompiledRule, JoinKernel, KernelCache, compile_rule
 from .operators import (
     BindingsTable,
     JOIN_METHODS,
@@ -22,7 +21,6 @@ from .topdown import TopDownEngine
 
 __all__ = [
     "BindingsTable",
-    "CompiledRule",
     "EvaluationResult",
     "FaultInjector",
     "FaultRule",
@@ -30,8 +28,6 @@ __all__ = [
     "InjectedFault",
     "Interpreter",
     "JOIN_METHODS",
-    "JoinKernel",
-    "KernelCache",
     "Profiler",
     "QueryAnswers",
     "ResourceGovernor",
@@ -40,7 +36,6 @@ __all__ = [
     "ViewSet",
     "apply_comparison",
     "compare_terms",
-    "compile_rule",
     "eval_term",
     "evaluate_program",
     "head_rows",

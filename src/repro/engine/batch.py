@@ -1,35 +1,53 @@
-"""Columnar batch execution: whole-delta joins over interned id columns.
+"""The rule executor: rules lowered to columnar steps over interned ids.
 
-The compiled row kernels (:mod:`repro.engine.kernels`) still pay Python's
-per-tuple costs — one dict probe, one tuple build, one set insert *per
-input row per step*.  This module adds the set-oriented tier the paper's
-materialized nodes call for: an intermediate result is a list of parallel
+A rule body is lowered once (:func:`compile_batch_plan`) into a sequence
+of steps, LDL++'s move of compiling rules into reusable physical plans
+(Arni et al.): the safe-order search runs once, the schema growth of the
+body is simulated left to right, and every literal's argument layout is
+baked into slot tuples.  An intermediate result is a list of parallel
 **columns of interned term ids** (:mod:`repro.datalog.intern`), and each
-join processes the entire batch per Python-level call:
+step processes the entire batch per Python-level call.  The step kinds
+are a closed set:
 
-1. **Probe pass** — stream the key column(s) (``zip`` over slot columns)
-   against the extension's precomputed row-index buckets
-   (:class:`~repro.storage.columnar.BatchStore`), producing two parallel
-   *selection vectors*: input-row indices and extension-row indices of
-   every match.
-2. **Gather pass** — build each output column with one list comprehension
-   over a selection vector; C-level loops, no per-row tuple objects.
+* **join** — a stored positive literal.  The probe pass streams the key
+  column(s) against the extension's precomputed row-index buckets
+  (:class:`~repro.storage.columnar.BatchStore`), producing two parallel
+  *selection vectors*; the gather pass builds each output column with
+  one list comprehension over a selection vector.
+* **negation** (anti-join) — a stored negated literal, every argument
+  bound: keep the rows whose key is absent from the extension.
+* **compare** / **builtin** — Section 8's "infinite relations".  The
+  literal is a relation restricted to its bound arguments: the
+  restriction is computed once per distinct key by the same per-row
+  routines the reference operators call
+  (:func:`~repro.engine.operators.comparison_row`,
+  :func:`~repro.engine.operators.builtin_row`) over decoded values of
+  only the columns the literal reads, then joined like a stored one;
+  values it binds are interned and appended as new columns.
 
-Deduplication is deferred to head construction: a join of duplicate-free
-inputs cannot produce duplicate rows (distinct input rows stay distinct
-in their prefix; two extension rows in one bucket share their key fields
-so they differ in a gathered free field), and the input table starts as
-the duplicate-free unit table — so intermediate batches are
-duplicate-free by induction, and the per-step ``produced`` counts match
-the row kernels exactly.  The head projection *can* collapse rows; one
-set of id tuples dedups it, and only the surviving rows are decoded back
-to terms.
+The head is a **projection** (dedup as id tuples, decode the survivors)
+or, for an aggregate head, a **group** on id tuples of the plain
+arguments.
 
-Batch plans keep the **same literal order** as the compiled row plan and
-charge the same profiler counters at the same steps, fire the same
-governor checkpoints, and open the same tracer spans (one per step, at
-batch granularity) — PR 2/3 semantics are preserved, and the differential
-oracle can hold batch ≡ row on every seeded program.
+Only *flat* rules lower: every stored literal's arguments are ground
+terms or plain variables with the free ones distinct, and likewise the
+head.  A struct argument containing a variable or a repeated free
+variable needs unification; such a rule runs on the reference evaluator
+(:meth:`FixpointEngine._eval_body`) and the lowering says why.
+
+Deduplication is deferred to the head: a step over duplicate-free input
+cannot produce duplicate rows (distinct input rows stay distinct in
+their prefix; two extension rows in one bucket share their key fields so
+they differ in a gathered free field; a computed literal's restriction
+is a set), and the input table starts as the duplicate-free unit table —
+so intermediate batches are duplicate-free by induction, one row is one
+derivation, and the per-step ``produced`` counts match the reference
+operators exactly.
+
+Steps charge the same profiler counters as the reference operators,
+fire the same governor checkpoints, and open the same tracer spans (one
+per step, at batch granularity), so span trees, fault-injection sites
+and EXPLAIN ANALYZE do not depend on which evaluator ran a rule.
 """
 
 from __future__ import annotations
@@ -41,14 +59,22 @@ from typing import Callable, Iterable
 
 from ..datalog.intern import INTERNER, TermInterner
 from ..datalog.literals import Literal
-from ..datalog.rules import Rule
+from ..datalog.rules import Rule, aggregate_spec
+from ..datalog.safety import exists_safe_order
+from ..datalog.terms import Constant, Variable, is_ground
+from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
 from ..storage.columnar import BatchStore, store_from_rows
-from .kernels import CompiledRule, JoinKernel
-from .operators import Row
+from .operators import (
+    Row,
+    _literal_vars_in_order,
+    builtin_row,
+    comparison_row,
+    fold_aggregate,
+)
 from .profiler import Profiler
 
-#: Resolves a body literal to its current extension (see kernels.py).
+#: Resolves a body literal to its current extension (workspace or base).
 ExtensionOf = Callable[[Literal], Iterable[Row]]
 
 #: Rows per chunk when streaming a disk-backed scan through the tail.
@@ -57,68 +83,196 @@ SPILL_CHUNK_ROWS = 65_536
 
 @dataclass(frozen=True, slots=True)
 class BatchStep:
-    """One positive-literal join with its columnar layout precompiled."""
+    """One body literal with its columnar layout precompiled."""
 
+    #: "join" | "negation" | "compare" | "builtin" — also the label prefix.
+    kind: str
+    #: The literal; the positive form for a negation.
     literal: Literal
-    #: Per bound position: input column to stream, or None for a constant.
+    #: Span / checkpoint / timing label: ``<kind>:<head>:<predicate>``.
+    label: str
+    #: Per key field: input column to stream, or None for a constant.
     key_slots: tuple[int | None, ...]
-    #: Per bound position: interned id of the fixed term, or None.
+    #: Per key field: interned id of the fixed term, or None.
     key_const_ids: tuple[int | None, ...]
-    bound_positions: tuple[int, ...]
-    #: Extension positions appended to the output, in new-variable order.
-    free_out: tuple[int, ...]
+    #: join / negation: the extension positions the key addresses.
+    bound_positions: tuple[int, ...] = ()
+    #: join: extension positions appended to the output, in new-variable order.
+    free_out: tuple[int, ...] = ()
+    #: compare / builtin: the variable each key field carries (None for a
+    #: constant, which only a by_id key has).
+    key_vars: tuple[Variable | None, ...] = ()
+    #: compare / builtin: the variables the literal binds (appended columns).
+    new_vars: tuple[Variable, ...] = ()
+    builtin: object = None
+    #: compare: ``=`` / ``!=`` between two columns or a column and a
+    #: constant — the key is exactly the two sides, see :func:`_same_term`.
+    by_id: bool = False
 
 
 @dataclass(frozen=True, slots=True)
 class BatchPlan:
-    """A rule lowered to columnar steps; compiled from a CompiledRule."""
+    """A rule lowered to columnar steps and a project or group head."""
 
     rule: Rule
     steps: tuple[BatchStep, ...]
-    #: Same per-step labels the row kernels use (span/checkpoint parity).
-    labels: tuple[str, ...]
+    #: Maps an original-body literal index to its step position.
+    delta_map: tuple[int, ...]
+    #: Per head argument: the column it reads, or None for a constant.
     head_slots: tuple[int | None, ...]
     head_const_ids: tuple[int | None, ...]
+    #: Group head only: per head argument the aggregate functor folding
+    #: its column, or None for a grouping argument.  Empty = projection.
+    head_aggregates: tuple[str | None, ...] = ()
+
+
+def _stored_layout(literal: Literal, slot: dict[Variable, int]):
+    """Slot layout of a stored literal over the schema *slot*:
+    ``(key_slots, key_consts, bound_positions, free)`` with *free* the
+    ``(position, variable)`` pairs the literal binds — or the reason it
+    is not flat."""
+    key_slots: list[int | None] = []
+    key_consts = []
+    bound_positions: list[int] = []
+    free: list[tuple[int, Variable]] = []
+    for position, arg in enumerate(literal.args):
+        if isinstance(arg, Variable):
+            if arg in slot:
+                bound_positions.append(position)
+                key_slots.append(slot[arg])
+                key_consts.append(None)
+            elif any(arg == var for __, var in free):
+                # needs unification between extension fields
+                return f"repeated free variable {arg} in {literal}"
+            else:
+                free.append((position, arg))
+        elif is_ground(arg):
+            bound_positions.append(position)
+            key_slots.append(None)
+            key_consts.append(arg)
+        else:
+            # needs apply() per row (bound) or unification (free)
+            return f"struct argument {arg} in {literal}"
+    return tuple(key_slots), key_consts, tuple(bound_positions), free
+
+
+def ordered_body(
+    rule: Rule, reorder: bool = True, oracle=None, builtins=None
+) -> tuple[tuple[Literal, ...], tuple[int, ...]]:
+    """The body in execution order — the greedy safe order when *reorder*
+    is set, the given (trusted) order otherwise — and the map from an
+    original-body literal index to its position in it."""
+    if not reorder:
+        return rule.body, tuple(range(len(rule.body)))
+    if oracle is None:
+        from ..datalog.builtins import builtin_oracle
+
+        oracle = builtin_oracle(builtins)
+    order, reasons = exists_safe_order(rule.body, frozenset(), oracle)
+    if order is None:
+        raise ExecutionError(
+            f"no effectively computable order for rule '{rule}': " + "; ".join(reasons)
+        )
+    positions = {original: position for position, original in enumerate(order)}
+    return (
+        tuple(rule.body[i] for i in order),
+        tuple(positions[i] for i in range(len(rule.body))),
+    )
 
 
 def compile_batch_plan(
-    compiled: CompiledRule, interner: TermInterner = INTERNER
-) -> BatchPlan | None:
-    """Lower a compiled rule to a batch plan, or None when not batchable.
+    rule: Rule,
+    reorder: bool = True,
+    oracle=None,
+    builtins=None,
+    interner: TermInterner = INTERNER,
+) -> tuple[BatchPlan | None, str]:
+    """Lower *rule* to ``(plan, "")``, or ``(None, why)`` when its shape
+    needs unification (module docstring) and it stays on the reference.
 
-    Batchable means: every body step is a *flat* positive join (no
-    negation, comparisons, builtins, aggregates, or complex terms) and
-    the head has a slot layout.  Everything else stays on the row tier —
-    correctness first, the hot recursive rules are flat joins anyway.
+    Runs the safe-order search once (:func:`ordered_body`; a trusted
+    order is lowered as given, and a literal reached without its
+    bindings raises from its own step), then simulates the left-to-right
+    schema growth exactly as the reference operators extend it.
     """
-    if compiled.rule.is_aggregate or compiled.head_kernel is None:
-        return None
+    body, delta_map = ordered_body(rule, reorder, oracle, builtins)
+
+    head_name = rule.head.predicate
+    slot: dict[Variable, int] = {}
     steps: list[BatchStep] = []
-    for kernel in compiled.steps:
-        if not isinstance(kernel, JoinKernel) or not kernel.flat:
-            return None
+    for literal in body:
+        builtin = None
+        if not literal.is_comparison and not literal.negated and builtins is not None:
+            builtin = builtins.get(literal.predicate)
+            if builtin is not None and builtin.arity != literal.arity:
+                builtin = None
+        if literal.is_comparison or builtin is not None:
+            kind = "compare" if literal.is_comparison else "builtin"
+            in_order = _literal_vars_in_order(literal)
+            by_id = literal.predicate in ("=", "!=") and all(
+                isinstance(arg, Constant) or arg in slot for arg in literal.args
+            )
+            fields = literal.args if by_id else [v for v in in_order if v in slot]
+            key_vars = tuple(f if isinstance(f, Variable) else None for f in fields)
+            new_vars = tuple(v for v in in_order if v not in slot)
+            steps.append(
+                BatchStep(
+                    kind, literal, f"{kind}:{head_name}:{literal.predicate}",
+                    tuple(None if v is None else slot[v] for v in key_vars),
+                    tuple(
+                        interner.id_of(f) if v is None else None
+                        for f, v in zip(fields, key_vars)
+                    ),
+                    key_vars=key_vars, new_vars=new_vars, builtin=builtin, by_id=by_id,
+                )
+            )
+            for var in new_vars:
+                slot[var] = len(slot)
+            continue
+        kind = "negation" if literal.negated else "join"
+        stored = literal.positive() if literal.negated else literal
+        layout = _stored_layout(stored, slot)
+        if isinstance(layout, str):
+            return None, layout
+        key_slots, key_consts, bound_positions, free = layout
+        if literal.negated and free:
+            return None, f"negated literal {literal} with an unbound argument"
         steps.append(
             BatchStep(
-                kernel.literal,
-                kernel.key_slots,
-                tuple(
-                    interner.id_of(const) if const is not None else None
-                    for const in kernel.key_consts
-                ),
-                kernel.bound_positions,
-                kernel.free_out,
+                kind, stored, f"{kind}:{head_name}:{literal.predicate}",
+                key_slots,
+                tuple(None if c is None else interner.id_of(c) for c in key_consts),
+                bound_positions,
+                tuple(position for position, __ in free),
             )
         )
-    head = compiled.head_kernel
-    return BatchPlan(
-        compiled.rule,
-        tuple(steps),
-        compiled.labels,
-        head.slots,
-        tuple(
-            interner.id_of(const) if const is not None else None
-            for const in head.consts
+        for __, var in free:
+            slot[var] = len(slot)
+
+    head_slots: list[int | None] = []
+    head_const_ids: list[int | None] = []
+    aggregates: list[str | None] = []
+    for arg in rule.head.args:
+        spec = aggregate_spec(arg)
+        var = spec[1] if spec is not None else arg
+        if isinstance(var, Variable):
+            if var not in slot:
+                return None, f"head variable {var} not bound by the body"
+            head_slots.append(slot[var])
+            head_const_ids.append(None)
+        elif is_ground(var):
+            head_slots.append(None)
+            head_const_ids.append(interner.id_of(var))
+        else:
+            return None, f"struct argument {var} in head {rule.head}"  # needs apply()
+        aggregates.append(spec[0] if spec is not None else None)
+    return (
+        BatchPlan(
+            rule, tuple(steps), delta_map,
+            tuple(head_slots), tuple(head_const_ids),
+            tuple(aggregates) if rule.is_aggregate else (),
         ),
+        "",
     )
 
 
@@ -138,39 +292,40 @@ class BatchExecutor:
         governor=None,
         tracer=NULL_TRACER,
     ) -> set[Row]:
-        """Evaluate the body over whole batches and instantiate the head —
-        the columnar twin of ``CompiledRule.execute``."""
-        steps = plan.steps
-        if steps and not (delta_position == 0 and delta_rows is not None):
-            extension = extension_of(steps[0].literal)
-            maker = getattr(extension, "batch_store", None)
-            if maker is not None:
-                driver = maker(self.interner)
-                if not isinstance(driver, BatchStore) and not steps[0].bound_positions:
-                    # Disk-backed driving scan: stream it chunk by chunk
-                    # instead of materializing the whole extension.
-                    return self._stream_spilled(
-                        plan, driver, extension_of, profiler,
-                        delta_position, delta_rows, governor, tracer,
-                    )
+        """Evaluate the body over whole batches and instantiate the head.
+        With *delta_rows*, the step at *delta_position* joins them instead
+        of its literal's extension (a semi-naive delta firing)."""
         interner = self.interner
         columns: list[list[int]] = []
         length = 1  # the unit table
-        for position, step in enumerate(steps):
+        for position, step in enumerate(plan.steps):
             if length == 0:
                 return set()
-            label = plan.labels[position]
+            label = step.label
+            # The span opens before the checkpoint so a budget abort's
+            # open-span stack names the operator that was running.
             with tracer.span(label, kind="operator"):
                 if governor is not None:
                     governor.checkpoint(label)
                 start = time.perf_counter()
-                if position == delta_position and delta_rows is not None:
-                    store = store_from_rows(delta_rows, interner)
-                    profiler.bump_examined(store.length)  # build side
-                else:
-                    store = self._resolve_store(extension_of(step.literal), profiler)
-                columns, length = _batch_join(
-                    step, columns, length, store, profiler, governor
+                store = self._store_for(
+                    step, position, extension_of, profiler, delta_position, delta_rows
+                )
+                if (
+                    position == 0
+                    and step.kind == "join"
+                    and not step.bound_positions
+                    and not plan.head_aggregates
+                    and not isinstance(store, BatchStore)
+                ):
+                    # Disk-backed driving scan: stream it chunk by chunk
+                    # instead of materializing the whole extension.
+                    return self._stream_spilled(
+                        plan, store, extension_of, profiler,
+                        delta_position, delta_rows, governor, tracer,
+                    )
+                columns, length = _run_step(
+                    step, columns, length, store, profiler, governor, interner
                 )
                 profiler.add_time(label, time.perf_counter() - start)
         return _instantiate_head(plan, columns, length, interner, profiler, governor)
@@ -191,23 +346,17 @@ class BatchExecutor:
 
         Counter totals equal the one-shot in-memory run (chunk sums
         telescope); span shape does not — the whole stream runs under a
-        single ``spill-stream`` span, the disk tier's documented
-        exception to span parity.
+        single ``spill-stream`` span inside the driving step's, the disk
+        tier's documented exception to span parity.
         """
         interner = self.interner
         steps = plan.steps
-        tail: list[tuple[BatchStep, object, int]] = []
-        for position in range(1, len(steps)):
-            if position == delta_position and delta_rows is not None:
-                store = store_from_rows(delta_rows, interner)
-                tail.append((steps[position], store, store.length))
-            else:
-                scratch = Profiler()
-                store = self._resolve_store(
-                    extension_of(steps[position].literal), scratch
-                )
-                tail.append((steps[position], store, scratch.examined))
-
+        tail = [
+            (step, self._store_for(
+                step, position, extension_of, profiler, delta_position, delta_rows
+            ))
+            for position, step in enumerate(steps) if position
+        ]
         head_ids: set[tuple[int, ...]] = set()
         chunk_rows = SPILL_CHUNK_ROWS
         with tracer.span(
@@ -215,56 +364,119 @@ class BatchExecutor:
         ) as span:
             span.note(chunk_rows=chunk_rows, store=driver.name)
             profiler.bump_probes(1)  # the serial unit-scan's single probe
-            first = True
-            for chunk_columns, chunk_length in driver.scan_chunks(
-                steps[0].free_out, chunk_rows
-            ):
+            for columns, length in driver.scan_chunks(steps[0].free_out, chunk_rows):
                 if governor is not None:
-                    governor.checkpoint(plan.labels[0])
-                profiler.bump_examined(chunk_length)
-                profiler.bump_produced(chunk_length)
+                    governor.checkpoint(steps[0].label)
+                profiler.bump_examined(length)
+                profiler.bump_produced(length)
                 if governor is not None:
-                    governor.tick(chunk_length)
-                columns, length = chunk_columns, chunk_length
-                for step, store, extra_examined in tail:
-                    if first and extra_examined:
-                        profiler.bump_examined(extra_examined)
+                    governor.tick(length)
+                for step, store in tail:
                     if length == 0:
                         break
-                    columns, length = _batch_join(
-                        step, columns, length, store, profiler, governor
+                    columns, length = _run_step(
+                        step, columns, length, store, profiler, governor, interner
                     )
-                first = False
                 if length:
-                    streams = [
-                        columns[slot] if slot is not None else repeat(const, length)
-                        for slot, const in zip(plan.head_slots, plan.head_const_ids)
-                    ]
-                    if streams:
-                        head_ids.update(zip(*streams))
-                    else:
-                        head_ids.add(())
-        terms = interner.terms
-        decode = terms.__getitem__
-        out = {tuple(map(decode, id_row)) for id_row in head_ids}
-        profiler.bump_produced(len(out))
-        if governor is not None:
-            governor.tick(len(out))
-        return out
+                    head_ids |= _project_ids(plan, columns, length)
+        return _decode_head(head_ids, interner, profiler, governor)
 
-    def _resolve_store(self, extension, profiler: Profiler) -> BatchStore:
-        """The extension's columnar mirror — persistent and incrementally
-        maintained for relations, a per-call encode (charged like the row
-        kernels' per-call hash build) for raw iterables."""
-        maker = getattr(extension, "batch_store", None)
-        if maker is not None:
-            return maker(self.interner)
+    def _store_for(
+        self,
+        step: BatchStep,
+        position: int,
+        extension_of: ExtensionOf,
+        profiler: Profiler,
+        delta_position: int | None,
+        delta_rows: Iterable[Row] | None,
+    ):
+        """The store a join / negation step probes: the extension's
+        columnar mirror — persistent and incrementally maintained for
+        relations, a per-call encode (charged as a hash build: one
+        ``examined`` per row) for deltas and raw iterables.  None for a
+        computed literal, which has no extension."""
+        if step.kind not in ("join", "negation"):
+            return None
+        if position == delta_position and delta_rows is not None:
+            extension = delta_rows
+        else:
+            extension = extension_of(step.literal)
+            maker = getattr(extension, "batch_store", None)
+            if maker is not None:
+                return maker(self.interner)
         store = store_from_rows(
             extension if isinstance(extension, (list, set, frozenset)) else list(extension),
             self.interner,
         )
         profiler.bump_examined(store.length)
         return store
+
+
+def _run_step(
+    step: BatchStep,
+    columns: list[list[int]],
+    length: int,
+    store,
+    profiler: Profiler,
+    governor,
+    interner: TermInterner,
+) -> tuple[list[list[int]], int]:
+    """One whole-batch step, by kind (module docstring)."""
+    if step.kind == "join":
+        return _batch_join(step, columns, length, store, profiler, governor)
+    if step.kind == "negation":
+        return _anti_join(step, columns, length, store, profiler, governor)
+    return _computed_join(step, columns, length, profiler, governor, interner)
+
+
+def _key_stream(step: BatchStep, columns: list[list[int]], length: int) -> Iterable[object]:
+    """The step's probe keys, one per input row, shaped like
+    :class:`BatchStore` bucket keys: the bare id for a single field, a
+    tuple of ids otherwise."""
+    slots = step.key_slots
+    const_ids = step.key_const_ids
+    if len(slots) == 1:
+        if const_ids[0] is None:
+            return columns[slots[0]]
+        return repeat(const_ids[0], length)
+    if not slots:
+        return repeat((), length)
+    return zip(
+        *(
+            columns[slot] if slot is not None else repeat(const, length)
+            for slot, const in zip(slots, const_ids)
+        )
+    )
+
+
+def _probe(keys: Iterable[object], get, governor) -> tuple[list[int], list]:
+    """The probe pass: stream *keys* against ``get(key) -> bucket`` (None
+    or empty on a miss) and return the two selection vectors — the input
+    row index and the bucket entry of every match."""
+    left: list[int] = []
+    right: list = []
+    push_left = left.append
+    push_right = right.append
+    # Cooperative budget enforcement at tuple granularity for the price
+    # of one comparison per matching probe: while the output stays below
+    # check_at the governor's budgets cannot be crossed (grant()'s
+    # contract) — explosive joins abort mid-batch.
+    charged = 0
+    check_at = governor.grant() if governor is not None else float("inf")
+    for i, key in enumerate(keys):
+        bucket = get(key)
+        if bucket:
+            for j in bucket:
+                push_left(i)
+                push_right(j)
+            if len(right) >= check_at:
+                emitted = len(right)
+                governor.tick(emitted - charged)
+                charged = emitted
+                check_at = emitted + governor.grant()
+    if governor is not None and len(right) > charged:
+        governor.tick(len(right) - charged)
+    return left, right
 
 
 def _batch_join(
@@ -275,7 +487,7 @@ def _batch_join(
     profiler: Profiler,
     governor,
 ) -> tuple[list[list[int]], int]:
-    """One whole-batch join: probe pass + gather pass (module docstring)."""
+    """A stored positive literal: probe pass + gather pass."""
     if not isinstance(store, BatchStore):
         # Disk-backed extension (see repro.storage.backend): probe/scan
         # runs as a SQL join against the spilled columns instead of an
@@ -299,57 +511,7 @@ def _batch_join(
 
     buckets = store.buckets_for(step.bound_positions)
     profiler.bump_probes(length)
-
-    slots = step.key_slots
-    const_ids = step.key_const_ids
-    if len(slots) == 1:
-        # single-position buckets use bare id keys (see BatchStore)
-        if const_ids[0] is None:
-            keys: Iterable[object] = columns[slots[0]]
-        else:
-            keys = repeat(const_ids[0], length)
-    elif not slots:
-        keys = repeat((), length)
-    else:
-        keys = zip(
-            *(
-                columns[slot] if slot is not None else repeat(const, length)
-                for slot, const in zip(slots, const_ids)
-            )
-        )
-
-    left: list[int] = []
-    right: list[int] = []
-    push_left = left.append
-    push_right = right.append
-    get = buckets.get
-    if governor is None:
-        for i, key in enumerate(keys):
-            bucket = get(key)
-            if bucket is not None:
-                for j in bucket:
-                    push_left(i)
-                    push_right(j)
-    else:
-        # Same cooperative grant/tick pattern as the row kernels: a local
-        # comparison per bucket, a governor call only when the allowance
-        # is spent — explosive joins abort mid-batch.
-        charged = 0
-        check_at = governor.grant()
-        for i, key in enumerate(keys):
-            bucket = get(key)
-            if bucket is not None:
-                for j in bucket:
-                    push_left(i)
-                    push_right(j)
-                if len(right) >= check_at:
-                    emitted = len(right)
-                    governor.tick(emitted - charged)
-                    charged = emitted
-                    check_at = emitted + governor.grant()
-        if len(right) > charged:
-            governor.tick(len(right) - charged)
-
+    left, right = _probe(_key_stream(step, columns, length), buckets.get, governor)
     matches = len(right)
     profiler.bump_examined(matches)
     profiler.bump_produced(matches)
@@ -363,6 +525,145 @@ def _batch_join(
     return out_columns, matches
 
 
+def _anti_join(
+    step: BatchStep,
+    columns: list[list[int]],
+    length: int,
+    store,
+    profiler: Profiler,
+    governor,
+) -> tuple[list[list[int]], int]:
+    """A stored negated literal, fully bound: keep the rows whose key is
+    not in the extension.  Charged as ``negation_filter`` charges."""
+    keys = _key_stream(step, columns, length)
+    if isinstance(store, BatchStore):
+        present = store.buckets_for(step.bound_positions)
+        keep = [i for i, key in enumerate(keys) if key not in present]
+    else:
+        # Disk-backed extension: indexed membership probes, one per
+        # distinct key — never the materialized extension.
+        from ..storage.backend import spilled_absent_keys
+
+        keys = list(keys)
+        absent = spilled_absent_keys(store, keys, governor)
+        keep = [i for i, key in enumerate(keys) if key in absent]
+    profiler.bump_examined(length)
+    if governor is not None:
+        governor.tick()
+    profiler.bump_produced(len(keep))
+    if len(keep) == length:
+        return columns, length
+    return [[column[i] for i in keep] for column in columns], len(keep)
+
+
+def _same_term(a: int, b: int, decode) -> bool | None:
+    """Whether ids *a* and *b* denote terms ``compare_terms`` calls equal,
+    where the ids alone decide it: one id is one term, and two strings
+    with different ids differ.  None otherwise — numbers compare through
+    ``float`` and other payloads through ``str``, which can both collapse
+    distinct terms, so those are evaluated."""
+    if a == b:
+        return True
+    left, right = decode(a), decode(b)
+    if (
+        isinstance(left, Constant) and isinstance(right, Constant)
+        and type(left.value) is str and type(right.value) is str
+    ):
+        return False
+    return None
+
+
+def _computed_join(
+    step: BatchStep,
+    columns: list[list[int]],
+    length: int,
+    profiler: Profiler,
+    governor,
+    interner: TermInterner,
+) -> tuple[list[list[int]], int]:
+    """A comparison or built-in: join with the literal's relation
+    restricted to the distinct keys of this batch, computed on first
+    probe.  Charged per input row as ``apply_comparison`` /
+    ``builtin_join`` charge."""
+    literal = step.literal
+    builtin = step.builtin
+    key_vars = step.key_vars
+    new_vars = step.new_vars
+    bare = len(key_vars) == 1
+    decode = interner.terms.__getitem__
+    id_of = interner.id_of
+    restriction: dict[object, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+    examined = 0
+
+    def restrict(key) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(tuples examined, id rows bound for new_vars)`` under *key*."""
+        ids = (key,) if bare else key
+        if step.by_id:
+            same = _same_term(*ids, decode)
+            if same is not None:
+                return 1, ((),) if same == (literal.predicate == "=") else ()
+        subst = {var: decode(i) for var, i in zip(key_vars, ids) if var is not None}
+        if builtin is None:
+            found = comparison_row(literal, subst, new_vars)
+            raw, rows = 1, (() if found is None else (found,))
+        else:
+            raw, rows = builtin_row(literal, builtin, subst, new_vars)
+        return raw, tuple(tuple(map(id_of, row)) for row in rows)
+
+    def bucket_of(key):
+        nonlocal examined
+        bucket = restriction.get(key)
+        if bucket is None:
+            bucket = restriction[key] = restrict(key)
+        examined += bucket[0]
+        return bucket[1]
+
+    keys = _key_stream(step, columns, length)
+    if builtin is None:
+        # Filters cannot emit more than their (already charged) input,
+        # so one cancellation/deadline probe per call is enough.
+        left, fresh = _probe(keys, bucket_of, None)
+        if governor is not None:
+            governor.tick()
+    else:
+        profiler.bump_probes(length)
+        left, fresh = _probe(keys, bucket_of, governor)
+    profiler.bump_examined(examined)
+    matches = len(left)
+    profiler.bump_produced(matches)
+    if matches == 0:
+        return [], 0
+    if builtin is None and matches == length:
+        out_columns = list(columns)  # a comparison matches a row at most once
+    else:
+        out_columns = [[column[i] for i in left] for column in columns]
+    if new_vars:
+        out_columns.extend(list(column) for column in zip(*fresh))
+    return out_columns, matches
+
+
+def _project_ids(
+    plan: BatchPlan, columns: list[list[int]], length: int
+) -> set[tuple[int, ...]]:
+    """The head projection of a non-empty batch, deduplicated in id space."""
+    streams = [
+        columns[slot] if slot is not None else repeat(const, length)
+        for slot, const in zip(plan.head_slots, plan.head_const_ids)
+    ]
+    return set(zip(*streams)) if streams else {()}
+
+
+def _decode_head(
+    id_rows: Iterable[tuple[int, ...]], interner: TermInterner, profiler: Profiler, governor
+) -> set[Row]:
+    decode = interner.terms.__getitem__
+    out = {tuple(map(decode, id_row)) for id_row in id_rows}
+    profiler.bump_produced(len(out))
+    if governor is not None:
+        governor.tick(len(out))
+    return out
+
+
 def _instantiate_head(
     plan: BatchPlan,
     columns: list[list[int]],
@@ -371,24 +672,44 @@ def _instantiate_head(
     profiler: Profiler,
     governor,
 ) -> set[Row]:
-    """Dedup the head projection as id tuples, decode only the survivors."""
+    """Project (decoding only the surviving rows) or group."""
     if length == 0:
-        # Mirror the row kernels' empty-table head: produced(0), tick(0).
-        profiler.bump_produced(0)
-        if governor is not None:
-            governor.tick(0)
-        return set()
-    streams = [
+        # As the reference heads over an empty table: produced(0), tick(0).
+        return _decode_head((), interner, profiler, governor)
+    if not plan.head_aggregates:
+        return _decode_head(_project_ids(plan, columns, length), interner, profiler, governor)
+
+    # Group head, charged as ``aggregate_rows`` charges: a batch row is
+    # one derivation (module docstring), so a group is a list of row
+    # indices, ``count`` is its size and the folds read one column.
+    aggregates = plan.head_aggregates
+    key_streams = [
         columns[slot] if slot is not None else repeat(const, length)
-        for slot, const in zip(plan.head_slots, plan.head_const_ids)
+        for slot, const, functor in zip(plan.head_slots, plan.head_const_ids, aggregates)
+        if functor is None
     ]
-    if streams:
-        id_rows = set(zip(*streams))
-    else:
-        id_rows = {()} if length else set()
-    terms = interner.terms
-    decode = terms.__getitem__
-    out = {tuple(map(decode, id_row)) for id_row in id_rows}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(zip(*key_streams) if key_streams else repeat((), length)):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [i]
+        else:
+            members.append(i)
+    profiler.bump_examined(length)
+    decode = interner.terms.__getitem__
+    out: set[Row] = set()
+    for key, members in groups.items():
+        key_terms = map(decode, key)
+        row = []
+        for slot, functor in zip(plan.head_slots, aggregates):
+            if functor is None:
+                row.append(next(key_terms))
+            elif functor == "count":
+                row.append(Constant(len(members)))
+            else:
+                column = columns[slot]
+                row.append(fold_aggregate(functor, [decode(column[i]) for i in members]))
+        out.add(tuple(row))
     profiler.bump_produced(len(out))
     if governor is not None:
         governor.tick(len(out))

@@ -5,9 +5,9 @@ real clocks, real memory pressure, or real multi-second runaways.  A
 :class:`FaultInjector` attached to a governor fires *rules* at named
 checkpoint sites:
 
-* operator entry in the compiled kernels — ``join:anc:par``,
+* step entry in the lowered rule executor — ``join:anc:par``,
   ``negation:p:q``, ``builtin:p:plus`` (the same labels the profiler's
-  per-kernel timings use);
+  per-step timings use);
 * fixpoint round boundaries — ``fixpoint:round``;
 * SLD resolution calls — ``sld:<predicate>``;
 * optimizer search steps — ``optimizer:order``, ``optimizer:cperm``;

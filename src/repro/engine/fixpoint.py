@@ -1,14 +1,18 @@
 """Naive and semi-naive fixpoint evaluation of Horn-clause programs.
 
-This is the engine's reference evaluator: bottom-up, stratum by stratum
-(SCCs of the dependency graph in *follows* order, Section 2), with the
-classical delta-driven *semi-naive* iteration inside each recursive clique
-and plain *naive* re-evaluation available for comparison (it is one of the
-recursive methods the OPT algorithm may cost, and the ablation benchmark
-measures the difference).
+Bottom-up, stratum by stratum (SCCs of the dependency graph in *follows*
+order, Section 2), with the classical delta-driven *semi-naive* iteration
+inside each recursive clique and plain *naive* re-evaluation available
+for comparison (it is one of the recursive methods the OPT algorithm may
+cost, and the ablation benchmark measures the difference).
 
-Rule bodies are executed left to right over :class:`BindingsTable`
-pipelines.  By default each body is first reordered by the greedy
+A rule has exactly one executor, chosen once per rule from its shape:
+its lowered columnar plan (:mod:`repro.engine.batch`) when it has one,
+else the reference evaluator :meth:`FixpointEngine._eval_body`, which
+executes the body left to right over :class:`BindingsTable` pipelines
+with the unifying operators of :mod:`repro.engine.operators`.
+``compile=False`` runs every rule on the reference — the oracle's
+baseline.  By default each body is first reordered by the greedy
 effective-computability order (:func:`repro.datalog.safety.exists_safe_order`)
 so evaluable predicates run only once their arguments are bound; the
 optimizer hands over bodies already in its chosen order, in which case
@@ -35,13 +39,12 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..datalog.graph import DependencyGraph
 from ..datalog.literals import Literal, PredicateRef, pred_ref
 from ..datalog.rules import Program, Rule
-from ..datalog.safety import exists_safe_order
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
 from ..storage.catalog import Database
 from ..storage.relation import DerivedRelation
+from . import batch as _batch
 from .governor import ResourceGovernor, make_governor
-from .kernels import KernelCache
 from .operators import (
     BindingsTable,
     Row,
@@ -53,7 +56,7 @@ from .operators import (
 )
 from .profiler import Profiler
 
-#: Chooses the join method for a body literal; default is hash everywhere.
+#: Chooses the reference evaluator's join method for a body literal.
 MethodChooser = Callable[[Literal], str]
 
 
@@ -98,24 +101,20 @@ class FixpointEngine:
         ``False`` disables governance entirely (the ungoverned escape
         hatch kept for overhead A/B measurement — no guards at all).
     method_chooser:
-        Join method per literal (EL label); defaults to hash joins.
+        Join method per literal (EL label) on the reference evaluator
+        only — a lowered plan has one physical join; defaults to index
+        joins.
     reorder_bodies:
         When True (default) bodies are reordered by the greedy EC order
         before execution; when False the given order is trusted.
     compile:
-        When True (default) rules are lowered once per engine into
-        execution kernels (:mod:`repro.engine.kernels`) and derived
-        extensions keep persistent incrementally-maintained indexes;
-        when False every round re-derives body orders and layouts — the
-        uncompiled escape hatch kept for A/B measurement.
-    batch / batch_min_rows:
-        The columnar batch tier (:mod:`repro.engine.batch`): flat rules
-        whose driving input is at least *batch_min_rows* rows execute
-        over interned id columns, whole deltas per Python-level call.
-        Requires ``compile``; ``batch=False`` is the row-tier escape
-        hatch mirroring ``compile=False``.  Rules touching a *spilled*
-        extension (:mod:`repro.storage.backend`) force the batch tier
-        regardless of size — it is the only tier that stays out-of-core.
+        When True (default) each rule is lowered once per engine to a
+        columnar plan (:func:`repro.engine.batch.compile_batch_plan`)
+        and derived extensions keep persistent incrementally-maintained
+        indexes and id columns; a rule whose shape does not lower (a
+        struct argument containing a variable, a repeated free variable)
+        runs on the reference evaluator.  False selects the reference
+        evaluator for every rule — the differential oracle's baseline.
     """
 
     def __init__(
@@ -128,8 +127,6 @@ class FixpointEngine:
         reorder_bodies: bool = True,
         builtins: "BuiltinRegistry | None" = None,
         compile: bool = True,
-        batch: bool = True,
-        batch_min_rows: int = 32,
         governor: "ResourceGovernor | None | bool" = None,
         tracer=NULL_TRACER,
         metrics=None,
@@ -165,22 +162,11 @@ class FixpointEngine:
         self.builtins = builtins
         self._oracle = builtin_oracle(builtins)
         self.compile = compile
-        self._kernels = KernelCache(
-            reorder=reorder_bodies, oracle=self._oracle, builtins=builtins,
-            metrics=metrics,
-        )
-        #: Columnar batch tier (requires compiled kernels as the fallback
-        #: and the source of the shared plan/label layout).
-        self.batch = batch and compile
-        self.batch_min_rows = batch_min_rows
-        if self.batch:
-            from .batch import BatchExecutor
-
-            self._batch_exec: "BatchExecutor | None" = BatchExecutor()
-        else:
-            self._batch_exec = None
-        #: Spilled extensions force the batch tier (the row tier would
-        #: materialize them); checked only when spilling can happen.
+        #: id(rule) -> (rule, lowered plan or None, why not); the rule is
+        #: held so its id stays its own for the engine's lifetime.
+        self._lowered: dict[int, tuple[Rule, "_batch.BatchPlan | None", str]] = {}
+        self._batch_exec = _batch.BatchExecutor()
+        #: Resident base tuples are priced only when spilling can happen.
         self._spill_active = getattr(db, "spill_threshold", None) is not None
 
     # -- extensions ----------------------------------------------------------
@@ -209,16 +195,6 @@ class FixpointEngine:
 
     # -- rule bodies -----------------------------------------------------------
 
-    def _ordered_body(self, rule: Rule) -> tuple[Literal, ...]:
-        if not self.reorder_bodies:
-            return rule.body
-        order, reasons = exists_safe_order(rule.body, frozenset(), self._oracle)
-        if order is None:
-            raise ExecutionError(
-                f"no effectively computable order for rule '{rule}': " + "; ".join(reasons)
-            )
-        return tuple(rule.body[i] for i in order)
-
     def _eval_body(
         self,
         body: Sequence[Literal],
@@ -231,9 +207,9 @@ class FixpointEngine:
         table = BindingsTable.unit()
         governor = self.governor
         tracer = self.tracer
-        # Span names below must match the labels CompiledRule bakes at
-        # compile time (f"{kind}:{head}:{pred}") so the span tree is
-        # identical whether rules run compiled or interpreted.
+        # Span names below must match the labels the lowering bakes into
+        # its steps (f"{kind}:{head}:{pred}") so the span tree is
+        # identical whether a rule runs lowered or on the reference.
         for position, literal in enumerate(body):
             if not table.rows:
                 return table
@@ -282,6 +258,22 @@ class FixpointEngine:
                 )
         return table
 
+    def _plan_for(self, rule: Rule) -> "tuple[_batch.BatchPlan | None, str]":
+        """The rule's lowered plan, or None and the reason it has none."""
+        if not self.compile:
+            return None, "compile=False"
+        entry = self._lowered.get(id(rule))
+        if entry is None:
+            # through the module: the ledger wraps this name by attribute
+            plan, why = _batch.compile_batch_plan(
+                rule, reorder=self.reorder_bodies, oracle=self._oracle,
+                builtins=self.builtins,
+            )
+            entry = self._lowered[id(rule)] = (rule, plan, why)
+            if self.metrics is not None:
+                self.metrics.inc("kernel_compiles_total")
+        return entry[1], entry[2]
+
     def _eval_rule(
         self,
         rule: Rule,
@@ -291,54 +283,31 @@ class FixpointEngine:
         delta_rows: Iterable[Row] | None = None,
     ) -> set[Row]:
         with self.tracer.span(f"rule:{rule.head.predicate}", kind="rule") as span:
-            span.note(compiled=self.compile, delta=delta_literal is not None)
-            if self.compile:
-                compiled = self._kernels.get(rule)
-                delta_position = (
-                    compiled.delta_position(delta_literal)
-                    if delta_literal is not None
-                    else None
-                )
-                if self._batch_exec is not None:
-                    plan = self._kernels.get_batch(rule)
-                    if plan is not None:
-                        size = self._batch_input_size(
-                            compiled, workspace, derived, delta_rows
-                        )
-                        spilled = self._spill_active and self._touches_spilled(
-                            compiled, workspace, derived
-                        )
-                        if size >= self.batch_min_rows or spilled:
-                            span.note(tier="batch")
-                            if self.metrics is not None:
-                                self.metrics.inc("batch_rules_total")
-                            return self._batch_exec.execute(
-                                plan,
-                                lambda literal: self._extension(literal, workspace, derived),
-                                self.profiler,
-                                delta_position=delta_position,
-                                delta_rows=delta_rows,
-                                governor=self.governor,
-                                tracer=self.tracer,
-                            )
-                return compiled.execute(
+            plan, why = self._plan_for(rule)
+            if plan is not None:
+                span.note(tier="batch", delta=delta_literal is not None)
+                if self.metrics is not None:
+                    self.metrics.inc("batch_rules_total")
+                return self._batch_exec.execute(
+                    plan,
                     lambda literal: self._extension(literal, workspace, derived),
-                    self.method_chooser,
                     self.profiler,
-                    delta_position=delta_position,
+                    delta_position=(
+                        plan.delta_map[delta_literal]
+                        if delta_literal is not None
+                        else None
+                    ),
                     delta_rows=delta_rows,
                     governor=self.governor,
                     tracer=self.tracer,
                 )
-            body = self._ordered_body(rule)
-            if delta_literal is not None:
-                # Map the delta position from original body order to the
-                # reordered body.
-                target = rule.body[delta_literal]
-                positions = [i for i, l in enumerate(body) if l is target]
-                delta_position = positions[0] if positions else delta_literal
-            else:
-                delta_position = None
+            span.note(tier="reference", why=why, delta=delta_literal is not None)
+            body, delta_map = _batch.ordered_body(
+                rule, self.reorder_bodies, self._oracle
+            )
+            delta_position = (
+                delta_map[delta_literal] if delta_literal is not None else None
+            )
             table = self._eval_body(
                 body, workspace, derived, delta_position, delta_rows,
                 head_name=rule.head.predicate,
@@ -348,50 +317,6 @@ class FixpointEngine:
                     table, rule.head, self.profiler, governor=self.governor
                 )
             return head_rows(table, rule.head, self.profiler, governor=self.governor)
-
-    def _batch_input_size(
-        self,
-        compiled,
-        workspace: Mapping[str, set[Row]],
-        derived: frozenset[PredicateRef],
-        delta_rows: Iterable[Row] | None,
-    ) -> int:
-        """Cost proxy for row-vs-batch tier selection.
-
-        Semi-naive delta rounds are driven by the delta's size; full
-        evaluations by the largest extension the body touches.  Small
-        inputs stay on the row tier — per-batch setup (column gathers,
-        selection vectors) only pays for itself on bulk rounds.
-        """
-        if delta_rows is not None:
-            return len(delta_rows)
-        size = 0
-        try:
-            for step in compiled.steps:
-                size = max(size, len(self._extension(step.literal, workspace, derived)))
-        except ExecutionError:
-            # Unknown predicate etc.: force the row tier so the error is
-            # raised inside the proper operator span.
-            return -1
-        return size
-
-    def _touches_spilled(
-        self,
-        compiled,
-        workspace: Mapping[str, set[Row]],
-        derived: frozenset[PredicateRef],
-    ) -> bool:
-        """Whether any body extension lives on disk (see
-        :mod:`repro.storage.backend`); such rules must take the batch
-        tier — every other tier materializes the extension in memory."""
-        try:
-            for step in compiled.steps:
-                extension = self._extension(step.literal, workspace, derived)
-                if getattr(extension, "spilled", False):
-                    return True
-        except ExecutionError:
-            return False
-        return False
 
     # -- the fixpoint ------------------------------------------------------------
 
@@ -421,7 +346,7 @@ class FixpointEngine:
         self.tracer.attach(self.profiler)
 
         # Compiled evaluation stores derived extensions as index-maintaining
-        # relations so join kernels keep persistent buckets across rounds.
+        # relations so join steps keep persistent buckets across rounds.
         def new_store(name: str, rows: Iterable[Row] = ()) -> set[Row] | DerivedRelation:
             if self.compile:
                 return DerivedRelation(name, rows)

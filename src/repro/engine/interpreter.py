@@ -97,9 +97,6 @@ class Interpreter:
         max_iterations: int = 100_000,
         max_tuples: int = 5_000_000,
         builtins=None,
-        compile: bool = True,
-        batch: bool = True,
-        batch_min_rows: int = 32,
         deadline_seconds: float | None = None,
         max_memory_bytes: int | None = None,
         governor: "ResourceGovernor | None | bool" = None,
@@ -133,13 +130,6 @@ class Interpreter:
             if metrics is not None and self.governor.metrics is None:
                 self.governor.metrics = metrics
         self.builtins = builtins
-        #: Lower fixpoint rules into execution kernels (False = the
-        #: uncompiled reference path, kept for A/B measurement).
-        self.compile = compile
-        #: Columnar batch tier for fixpoints (see repro.engine.batch);
-        #: batch=False is the row-tier escape hatch.
-        self.batch = batch
-        self.batch_min_rows = batch_min_rows
         self._cache: dict[tuple[int, Keys], frozenset[Row]] = {}
         #: per-plan-node measured execution stats (id(node) -> counters),
         #: consumed by EXPLAIN ANALYZE
@@ -337,9 +327,6 @@ class Interpreter:
             max_iterations=self.max_iterations,
             max_tuples=self.max_tuples,
             builtins=self.builtins,
-            compile=self.compile,
-            batch=self.batch,
-            batch_min_rows=self.batch_min_rows,
             # Share the query-wide governor; an explicitly ungoverned
             # interpreter keeps its fixpoints ungoverned too (rather than
             # letting FixpointEngine build its own default).
@@ -385,7 +372,7 @@ class Interpreter:
             out: set[Row] = set()
             zero = Constant(0)
             # One engine for all keys: each evaluate() builds a fresh
-            # workspace, while the rule kernels compiled for the first key
+            # workspace, while the rule plans lowered for the first key
             # are reused for every subsequent one.
             engine = self._fixpoint_engine()
             for key in keys:
@@ -433,7 +420,7 @@ class Interpreter:
 
 
 def _step_kind(step) -> str:
-    """Span-name prefix for a JoinStep — mirrors the kernel label kinds."""
+    """Span-name prefix for a JoinStep — mirrors the batch step kinds."""
     literal = step.literal
     if literal.is_comparison:
         return "compare"

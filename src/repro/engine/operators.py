@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..datalog.literals import Literal
-from ..datalog.terms import Term, Variable, is_ground, variables_of
+from ..datalog.terms import Constant, Term, Variable, is_ground, variables_of
 from ..datalog.unify import Substitution, apply, match
 from ..errors import ExecutionError
 from .evaluable import solve_comparison, term_sort_key
@@ -59,32 +59,6 @@ class BindingsTable:
     @classmethod
     def from_rows(cls, schema: Sequence[Variable], rows: Iterable[Row]) -> "BindingsTable":
         return cls(tuple(schema), frozenset(rows))
-
-    @classmethod
-    def from_columns(
-        cls,
-        schema: Sequence[Variable],
-        columns: Sequence[Sequence[int]],
-        length: int,
-        interner,
-    ) -> "BindingsTable":
-        """Decode a columnar batch (parallel columns of interned term ids,
-        see :mod:`repro.engine.batch`) into a row table.
-
-        The bridge between the tiers: batch intermediates are id columns,
-        row intermediates are term-tuple sets.  *length* is explicit
-        because a zero-width batch has rows but no columns.
-        """
-        if not columns:
-            rows: Iterable[Row] = [()] if length else []
-            return cls(tuple(schema), frozenset(rows))
-        terms = interner.terms
-        return cls(
-            tuple(schema),
-            frozenset(
-                tuple(terms[i] for i in id_row) for id_row in zip(*columns)
-            ),
-        )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -381,6 +355,54 @@ def _merge_join(
     return BindingsTable(out_schema, frozenset(out_rows))
 
 
+def builtin_row(
+    literal: Literal,
+    builtin,
+    subst: Substitution,
+    new_vars: Sequence[Variable],
+) -> tuple[int, set[Row]]:
+    """One input row of a built-in bind-join: check a declared mode is
+    satisfied under *subst*, call the evaluator, and match the produced
+    ground tuples against the (substituted) argument patterns.
+
+    Returns ``(tuples the evaluator produced, distinct value rows for
+    new_vars)`` — the built-in's relation restricted to this row's bound
+    arguments.
+    """
+    from ..datalog.bindings import BindingPattern
+
+    applied = tuple(apply(arg, subst) for arg in literal.args)
+    adornment = BindingPattern(
+        "".join("b" if is_ground(arg) else "f" for arg in applied)
+    )
+    if builtin.satisfied_mode(adornment) is None:
+        raise ExecutionError(
+            f"builtin {literal} entered with adornment {adornment}, "
+            f"no declared mode satisfied (unsafe execution)"
+        )
+    examined = 0
+    out: set[Row] = set()
+    for produced in builtin.evaluate(applied):
+        examined += 1
+        extended: Substitution | None = subst
+        for pattern, value in zip(applied, produced):
+            extended = match(pattern, value, extended)
+            if extended is None:
+                break
+        if extended is None:
+            continue
+        extra = []
+        for var in new_vars:
+            value = extended.get(var)
+            if value is None or not is_ground(value):
+                raise ExecutionError(
+                    f"builtin {literal} left variable {var} unbound"
+                )
+            extra.append(value)
+        out.add(tuple(extra))
+    return examined, out
+
+
 def builtin_join(
     table: BindingsTable,
     literal: Literal,
@@ -391,12 +413,8 @@ def builtin_join(
     """Join with a built-in (infinite) predicate by per-row evaluation.
 
     Built-ins have no stored extension, so the only execution is the
-    bind-join: for each input row, check a declared mode is satisfied,
-    call the evaluator, and match the produced ground tuples against the
-    (substituted) argument patterns.
+    bind-join: one :func:`builtin_row` per input row.
     """
-    from ..datalog.bindings import BindingPattern
-
     profiler = profiler or Profiler()
     schema_set = set(table.schema)
     new_vars = [v for v in _literal_vars_in_order(literal) if v not in schema_set]
@@ -411,41 +429,36 @@ def builtin_join(
             governor.tick(emitted - charged)
             charged = emitted
             check_at = emitted + governor.grant()
-        subst: Substitution = dict(zip(table.schema, base_row))
-        applied = tuple(apply(arg, subst) for arg in literal.args)
-        adornment = BindingPattern(
-            "".join("b" if is_ground(arg) else "f" for arg in applied)
-        )
-        if builtin.satisfied_mode(adornment) is None:
-            raise ExecutionError(
-                f"builtin {literal} entered with adornment {adornment}, "
-                f"no declared mode satisfied (unsafe execution)"
-            )
         profiler.bump_probes()
-        for produced in builtin.evaluate(applied):
-            profiler.bump_examined()
-            extended = subst
-            ok = True
-            for pattern, value in zip(applied, produced):
-                extended = match(pattern, value, extended)
-                if extended is None:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            extra = []
-            for var in new_vars:
-                value = extended.get(var)
-                if value is None or not is_ground(value):
-                    raise ExecutionError(
-                        f"builtin {literal} left variable {var} unbound"
-                    )
-                extra.append(value)
-            out_rows.add(base_row + tuple(extra))
+        examined, extras = builtin_row(
+            literal, builtin, dict(zip(table.schema, base_row)), new_vars
+        )
+        profiler.bump_examined(examined)
+        for extra in extras:
+            out_rows.add(base_row + extra)
     if governor is not None and len(out_rows) > charged:
         governor.tick(len(out_rows) - charged)
     profiler.bump_produced(len(out_rows))
     return BindingsTable(out_schema, frozenset(out_rows))
+
+
+def comparison_row(
+    literal: Literal, subst: Substitution, new_vars: Sequence[Variable]
+) -> Row | None:
+    """One input row of a comparison: the values it binds for *new_vars*
+    under *subst* (``()`` for a pure filter), or None when it fails."""
+    solved = solve_comparison(literal, subst)
+    if solved is None:
+        return None
+    extra = []
+    for var in new_vars:
+        value = solved.get(var)
+        if value is None or not is_ground(value):
+            raise ExecutionError(
+                f"comparison {literal} left variable {var} unbound (unsafe execution)"
+            )
+        extra.append(apply(value, solved))
+    return tuple(extra)
 
 
 def apply_comparison(
@@ -460,29 +473,16 @@ def apply_comparison(
     comparisons only filter.
     """
     profiler = profiler or Profiler()
-    new_vars: list[Variable] = []
     schema_set = set(table.schema)
-    for var in _literal_vars_in_order(literal):
-        if var not in schema_set:
-            new_vars.append(var)
+    new_vars = [v for v in _literal_vars_in_order(literal) if v not in schema_set]
     out_schema = table.schema + tuple(new_vars)
 
     out_rows: set[Row] = set()
     for row in table.rows:
         profiler.bump_examined()
-        subst: Substitution = dict(zip(table.schema, row))
-        solved = solve_comparison(literal, subst)
-        if solved is None:
-            continue
-        extra = []
-        for var in new_vars:
-            value = solved.get(var)
-            if value is None or not is_ground(value):
-                raise ExecutionError(
-                    f"comparison {literal} left variable {var} unbound (unsafe execution)"
-                )
-            extra.append(apply(value, solved))
-        out_rows.add(row + tuple(extra))
+        extra = comparison_row(literal, dict(zip(table.schema, row)), new_vars)
+        if extra is not None:
+            out_rows.add(row + extra)
     if governor is not None:
         # Filters cannot emit more than their (already charged) input,
         # so one cancellation/deadline probe per call is enough.
@@ -540,6 +540,26 @@ def union_tables(tables: Sequence[BindingsTable], profiler: Profiler | None = No
     return BindingsTable(schema, frozenset(out_rows))
 
 
+def fold_aggregate(functor: str, values: Sequence[Term]) -> Term:
+    """One aggregate over a group's values, one value per derivation:
+    ``count`` is the group size, ``sum``/``avg`` fold numbers,
+    ``min_of``/``max_of`` pick by the total term order."""
+    def numeric(value: Term) -> float:
+        if isinstance(value, Constant) and isinstance(value.value, (int, float)) and not isinstance(value.value, bool):
+            return value.value
+        raise ExecutionError(f"{functor} over non-numeric value {value}")
+
+    if functor == "count":
+        return Constant(len(values))
+    if functor == "sum":
+        return Constant(sum(numeric(v) for v in values))
+    if functor == "avg":
+        return Constant(sum(numeric(v) for v in values) / len(values))
+    if functor == "min_of":
+        return min(values, key=term_sort_key)
+    return max(values, key=term_sort_key)  # max_of
+
+
 def aggregate_rows(
     table: BindingsTable,
     head: Literal,
@@ -549,12 +569,10 @@ def aggregate_rows(
     """Instantiate an *aggregate* head: group-by plain arguments,
     aggregate the wrapped variables over the rule's distinct derivations.
 
-    Each distinct bindings-table row is one derivation; ``count(X)``
-    counts derivations per group, ``sum``/``min_of``/``max_of``/``avg``
-    fold the wrapped variable's (numeric) values.
+    Each distinct bindings-table row is one derivation; see
+    :func:`fold_aggregate` for the per-group folds.
     """
     from ..datalog.rules import aggregate_spec
-    from .evaluable import term_sort_key
 
     profiler = profiler or Profiler()
     specs = [aggregate_spec(arg) for arg in head.args]
@@ -573,13 +591,6 @@ def aggregate_rows(
         groups.setdefault(tuple(key), []).append(subst)
         profiler.bump_examined()
 
-    def numeric(value: Term, functor: str) -> float:
-        from ..datalog.terms import Constant
-
-        if isinstance(value, Constant) and isinstance(value.value, (int, float)) and not isinstance(value.value, bool):
-            return value.value
-        raise ExecutionError(f"{functor} over non-numeric value {value}")
-
     out: set[Row] = set()
     for key, substs in groups.items():
         row: list[Term] = []
@@ -597,19 +608,7 @@ def aggregate_rows(
                         f"aggregate {functor}({var}) over unbound variable"
                     )
                 values.append(value)
-            from ..datalog.terms import Constant
-
-            if functor == "count":
-                row.append(Constant(len(values)))
-            elif functor == "sum":
-                row.append(Constant(sum(numeric(v, functor) for v in values)))
-            elif functor == "avg":
-                total = sum(numeric(v, functor) for v in values)
-                row.append(Constant(total / len(values)))
-            elif functor == "min_of":
-                row.append(min(values, key=term_sort_key))
-            else:  # max_of
-                row.append(max(values, key=term_sort_key))
+            row.append(fold_aggregate(functor, values))
         out.add(tuple(row))
     profiler.bump_produced(len(out))
     if governor is not None:

@@ -9,7 +9,7 @@ deterministic — no wall-clock noise in tests.
 
 Alongside the deterministic counters the profiler also keeps *wall-clock*
 aggregates: total seconds spent in profiled regions and a per-kernel
-timing breakdown (``timings``), fed by the compiled execution kernels.
+timing breakdown (``timings``), fed by the lowered rule executor's steps.
 Timings are for benchmarks and EXPLAIN-style inspection only; tests
 assert on tuple counts, never on seconds.
 """

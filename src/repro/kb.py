@@ -105,13 +105,10 @@ class _KbTxn:
 class KnowledgeBase:
     """Rules + facts + optimizer + engine, with per-query-form caching.
 
-    *batch* / *batch_min_rows* control the columnar batch execution tier
-    (:mod:`repro.engine.batch`); ``batch=False`` is the row-tier escape
-    hatch mirroring the engine's ``compile=False``.  *backend* /
-    *spill_threshold* pick the storage backend — with
+    *backend* / *spill_threshold* pick the storage backend — with
     ``backend="sqlite"`` relations larger than the threshold spill to
-    disk and stream through the batch kernels
-    (:mod:`repro.storage.backend`).
+    disk and stream through the rule executor's columnar steps
+    (:mod:`repro.engine.batch`, :mod:`repro.storage.backend`).
 
     *result_cache* enables the cross-query result cache: a repeat of an
     identical query (same goal, same adornment, same ``$``-bindings)
@@ -148,8 +145,6 @@ class KnowledgeBase:
         self,
         config: OptimizerConfig | None = None,
         *,
-        batch: bool = True,
-        batch_min_rows: int = 32,
         backend: str = "memory",
         spill_threshold: int | None = None,
         result_cache: bool = True,
@@ -164,8 +159,6 @@ class KnowledgeBase:
         self.db = Database(backend=backend, spill_threshold=spill_threshold)
         self.config = config or OptimizerConfig()
         self.builtins = default_builtins()
-        self.batch = batch
-        self.batch_min_rows = batch_min_rows
         self._rules: list[Rule] = []
         self._optimizer: Optimizer | None = None
         self._compiled: dict[tuple[str, str], OptimizedQuery] = {}
@@ -611,7 +604,6 @@ class KnowledgeBase:
             root.note(goal=str(compiled.query.goal))
             interpreter = Interpreter(
                 self.db, profiler=profiler, builtins=self.builtins,
-                batch=self.batch, batch_min_rows=self.batch_min_rows,
                 tracer=tracer, metrics=self.metrics,
             )
             answers = interpreter.run(compiled.plan, compiled.query, **bindings)
@@ -722,7 +714,6 @@ class KnowledgeBase:
                 self.metrics.inc("result_cache_misses_total")
             interpreter = Interpreter(
                 self.db, profiler=profiler, builtins=self.builtins,
-                batch=self.batch, batch_min_rows=self.batch_min_rows,
                 governor=governor, tracer=tracer, metrics=self.metrics,
             )
             try:
@@ -769,7 +760,9 @@ class KnowledgeBase:
 
     def _tier_taken(self, before: tuple[int, int]) -> str:
         """Which execution tier this query actually used, inferred from
-        per-query counter deltas (works with the tracer off)."""
+        per-query counter deltas (works with the tracer off): "batch"
+        when a lowered fixpoint rule ran, "row" when none did (the plan
+        interpreter's own operators, or reference-only rules)."""
         if self.metrics.counter_total("batch_rules_total") > before[0]:
             return "batch"
         return "row"

@@ -28,7 +28,8 @@ from .tracer import TraceSinkWarning
 #: In-band schema identifier for telemetry records.
 TELEMETRY_SCHEMA = "repro.telemetry/1"
 
-#: Execution tiers a query record may report.
+#: Execution tiers a query record may report ("row": no lowered
+#: fixpoint rule ran — see ``KnowledgeBase._tier_taken``).
 TIERS = frozenset({"row", "batch", "cache", "view"})
 
 #: Fields every telemetry record carries (the validator checks these).

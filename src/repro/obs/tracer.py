@@ -23,8 +23,7 @@ default** — every instrumented call site holds a module-singleton
 :data:`NULL_TRACER` whose :meth:`~NullTracer.span` returns a shared
 no-op context manager, so the traced-off hot path pays one attribute
 lookup and two trivial calls per *operator* invocation (never per
-tuple).  The benchmark A/B gate in ``benchmarks/run_bench.py`` holds
-this under 3%.
+tuple).
 
 Span close events can be exported to a *sink* (one event per close; see
 :mod:`repro.obs.events` for the JSONL schema).  A failing sink **never**

@@ -20,11 +20,12 @@ Spilling is per-relation and one-way (facts bases grow; a spilled
 relation stays spilled), and it preserves the whole logical surface:
 set semantics with newness on insert, retract, version counters for the
 result cache, iteration, :meth:`~SpilledRelation.lookup` for the SLD
-engine.  The row tier sees a spilled relation as a plain iterable (it
-type-checks for ``Relation``/``DerivedRelation`` before using persistent
-indexes), so every strategy stays correct — but the *batch* tier is the
-one that stays out-of-core, which is why the engine forces batch
-execution for rules over spilled extensions.
+engine.  The reference operators see a spilled relation as a plain
+iterable (they type-check for ``Relation``/``DerivedRelation`` before
+using persistent indexes), so every strategy stays correct — but the
+lowered rule executor (:mod:`repro.engine.batch`) is the one that stays
+out-of-core: its join, anti-join and driving-scan steps reach the disk
+through :class:`SpilledStore` and never materialize the extension.
 
 Memory-budget accounting: when a spill threshold is configured, the
 :class:`~repro.storage.catalog.Database` reports its **resident** tuple
@@ -421,9 +422,9 @@ class SpilledRelation:
 
     @property
     def rows(self) -> frozenset[Row]:
-        """The extension as a frozenset — the row-tier compatibility path;
-        it materializes, so hot loops at data scale must stay on the batch
-        tier (the engine forces that for spilled extensions)."""
+        """The extension as a frozenset — the reference operators'
+        compatibility path; it materializes, which the lowered rule
+        executor never does."""
         return frozenset(self)
 
     @property
@@ -568,6 +569,26 @@ def spilled_batch_join(
         return _spilled_batch_join(step, columns, length, store, profiler, governor)
     except sqlite3.Error as err:
         raise StorageError(f"relation {store.name!r}: batch join failed: {err}") from err
+
+
+def spilled_absent_keys(store: SpilledStore, keys: Iterable[object], governor) -> set:
+    """The distinct *keys* with no row on disk — the anti-join step's
+    membership test against a spilled extension.
+
+    A key is a full-width row in the batch tier's bucket-key shape (a
+    tuple of ids; the bare id for arity 1).  Each distinct key costs one
+    probe of the relation's unique index (:meth:`SpilledRelation.__contains__`,
+    which raises :class:`~repro.errors.StorageError` on a driver error);
+    the extension is never read back.  Fires the same ``spill:<relation>``
+    checkpoint as :func:`spilled_batch_join`.
+    """
+    if governor is not None:
+        governor.checkpoint(f"spill:{store.name}")
+    relation = store.relation
+    decode = store.interner.terms.__getitem__
+    if relation.arity == 1:
+        return {key for key in set(keys) if (decode(key),) not in relation}
+    return {key for key in set(keys) if tuple(map(decode, key)) not in relation}
 
 
 def _spilled_batch_join(

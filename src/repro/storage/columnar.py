@@ -3,7 +3,7 @@
 A :class:`BatchStore` holds a relation's tuples as parallel columns of
 interned term ids (:mod:`repro.datalog.intern`) plus hash buckets over
 column subsets mapping a key to the *row indices* holding it.  The batch
-join kernels (:mod:`repro.engine.batch`) probe those buckets and gather
+join steps (:mod:`repro.engine.batch`) probe those buckets and gather
 output columns with list comprehensions — the whole point is that every
 per-row operation in the join loop works on small ints, not term objects.
 

@@ -353,7 +353,7 @@ class DerivedRelation:
         """Monotone change counter (see :attr:`Relation.version`)."""
         return self._version
 
-    # -- physical access (what the join kernels use) ---------------------------
+    # -- physical access (what the join operators use) ---------------------------
 
     def ensure_index(self, positions: Sequence[int]) -> HashIndex:
         """Create (or return) a persistent hash index on *positions*.

@@ -89,8 +89,6 @@ def _snapshot(kb: KnowledgeBase) -> dict[str, frozenset]:
 def _build_kb(sample, *, backend: str = "memory", spill_threshold=None,
               result_cache: bool = False) -> KnowledgeBase:
     kb = KnowledgeBase(
-        batch=True,
-        batch_min_rows=0,
         backend=backend,
         spill_threshold=spill_threshold,
         result_cache=result_cache,

@@ -9,14 +9,11 @@ strategy surfaces its rows.
 
 Strategy families:
 
-* ``fixpoint-interpreted`` / ``fixpoint-compiled`` / ``fixpoint-naive``
-  — the bottom-up engine, with and without compiled join kernels and
+* ``fixpoint-interpreted`` / ``fixpoint-naive`` — the bottom-up engine
+  on the reference evaluator (``compile=False``), with and without
   semi-naive deltas;
-* ``fixpoint-batch`` — the columnar batch tier
-  (:mod:`repro.engine.batch`) with its size threshold forced to zero so
-  every batchable rule actually takes the columnar path on the small
-  seeded corpus (``fixpoint-compiled`` pins ``batch=False``, so the two
-  strategies cover the row and batch tiers separately);
+* ``fixpoint-batch`` — the bottom-up engine as shipped: every rule that
+  lowers runs its columnar plan (:mod:`repro.engine.batch`);
 * ``sld-tabled`` — the tabled top-down engine;
 * ``magic-basic`` / ``magic-supplementary`` — the rewrites applied
   *directly* (adorn + rewrite + seeded fixpoint), bypassing the
@@ -45,6 +42,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from ..datalog.adorn import CPermutation, adorn_clique
+from ..datalog.builtins import default_builtins
 from ..datalog.graph import DependencyGraph
 from ..datalog.literals import Literal, pred_ref
 from ..datalog.magic import MagicProgram, magic_rewrite, supplementary_magic_rewrite
@@ -166,7 +164,9 @@ def _parsed(case: Case) -> tuple[Database, Program, "object"]:
 
 def run_fixpoint(case: Case, **engine_kwargs) -> Answers:
     db, program, form = _parsed(case)
-    result = evaluate_program(db, program, **engine_kwargs)
+    result = evaluate_program(
+        db, program, builtins=default_builtins(), **engine_kwargs
+    )
     ref = pred_ref(form.goal)
     if program.is_derived(ref):
         rows: Iterable[Row] = result.rows(form.predicate)
@@ -183,7 +183,12 @@ def run_fixpoint(case: Case, **engine_kwargs) -> Answers:
 
 def run_sld(case: Case) -> Answers:
     db, program, form = _parsed(case)
-    engine = TopDownEngine(db, program)
+    ref = pred_ref(form.goal)
+    if program.is_derived(ref):
+        reached = {ref, *DependencyGraph(program).reachable_from(ref)}
+        if any(rule.is_aggregate for rule in program if rule.head_ref in reached):
+            raise OracleSkip("sld resolution has no aggregate heads")
+    engine = TopDownEngine(db, program, builtins=default_builtins())
     return frozenset(engine.solve(form.goal))
 
 
@@ -220,7 +225,10 @@ def run_direct_magic(case: Case, rewrite: Callable[..., MagicProgram]) -> Answer
     support = [r for r in program if r.head_ref in needed]
     full = rewritten.program.extend(support)
     seed_row = tuple(form.goal.args[i] for i in form.adornment.bound_positions)
-    result = evaluate_program(db, full, seeds={rewritten.seed_predicate: {seed_row}})
+    result = evaluate_program(
+        db, full, seeds={rewritten.seed_predicate: {seed_row}},
+        builtins=default_builtins(),
+    )
     # the answer relation covers every *asked* subquery; the goal filter
     # narrows it back to the seeded one
     return _filter_rows(form.goal, result.rows(rewritten.answer_predicate))
@@ -268,7 +276,9 @@ def run_qsqn(case: Case) -> Answers:
     needed -= set(clique.predicates)
     support = Program([r for r in program if r.head_ref in needed])
     seed_row = tuple(form.goal.args[i] for i in form.adornment.bound_positions)
-    answers = QSQNEngine(db).solve(adorned, support, {seed_row})
+    answers = QSQNEngine(db, builtins=default_builtins()).solve(
+        adorned, support, {seed_row}
+    )
     return _filter_rows(form.goal, answers)
 
 
@@ -324,10 +334,7 @@ def run_kb_feedback(case: Case) -> Answers:
 def _default_runners() -> dict[str, Callable[[Case], Answers]]:
     runners: dict[str, Callable[[Case], Answers]] = {
         "fixpoint-interpreted": partial(run_fixpoint, compile=False),
-        "fixpoint-compiled": partial(run_fixpoint, compile=True, batch=False),
-        "fixpoint-batch": partial(
-            run_fixpoint, compile=True, batch=True, batch_min_rows=0
-        ),
+        "fixpoint-batch": run_fixpoint,
         "fixpoint-naive": partial(run_fixpoint, compile=False, naive=True),
         "sld-tabled": run_sld,
         "magic-basic": partial(run_direct_magic, rewrite=magic_rewrite),

@@ -150,6 +150,7 @@ def generate_random_program(
 
 DIFFERENTIAL_FEATURES = (
     "negation", "comparison", "multiclique", "zeroary", "functor",
+    "aggregate", "arith",
 )
 
 
@@ -183,8 +184,11 @@ def generate_differential_program(
     (left/right/non-linear transitive closure), *multi-clique* programs (a
     second clique consuming the first), stratified negation over base and
     recursive predicates, arithmetic comparisons, zero-ary predicates
-    (both as goals and as body guards), and functor terms (built and
-    decomposed in rule heads/bodies, never stored as facts).
+    (both as goals and as body guards), functor terms (built and
+    decomposed in rule heads/bodies, never stored as facts), stratified
+    aggregates (``count`` and one numeric fold, non-recursive), and
+    computed values (a binding ``=`` over arithmetic and a ``succ`` or
+    ``range`` built-in).
 
     Bodies are emitted in a textually safe order — positive binding
     literals before comparisons and negations — because the tabled SLD
@@ -253,10 +257,12 @@ def generate_differential_program(
     lines.append(f"j0(X, Y) <- b0(X, Z), b1(Z, Y){guard}.")
     sources.append("j0")
 
-    if "comparison" in enabled:
+    if enabled & {"comparison", "aggregate", "arith"}:
         facts["num"] = sorted(
             {(rng.randrange(0, 9), rng.randrange(0, 9)) for __ in range(facts_per_relation)}
         )
+
+    if "comparison" in enabled:
         op = rng.choice(("<", "<=", ">", ">=", "!="))
         lines.append(f"c0(X, Y) <- num(X, Y), X {op} Y.")
         sources.append("c0")
@@ -281,6 +287,22 @@ def generate_differential_program(
         lines.append("g0(X, Y) <- z0, b1(X, Y).")
         sources.append("g0")
 
+    if "aggregate" in enabled:
+        lines.append("a0(X, count(Y)) <- j0(X, Y).")
+        fold = rng.choice(("sum", "min_of", "max_of", "avg"))
+        lines.append(f"a1(X, {fold}(Y)) <- num(X, Y).")
+        sources.append("a0")
+        sources.append("a1")
+
+    if "arith" in enabled:
+        lines.append("s0(X, Z) <- num(X, Y), Z = X + Y.")
+        lines.append(
+            "s1(X, Z) <- num(X, Y), "
+            + rng.choice(("succ(Y, Z).", "range(X, Y, Z)."))
+        )
+        sources.append("s0")
+        sources.append("s1")
+
     for source in sorted(rng.sample(sources, k=min(2, len(sources)))):
         lines.append(f"top(X, Y) <- {source}(X, Y).")
 
@@ -296,6 +318,12 @@ def generate_differential_program(
         queries.append("n1(X, Y)?")
     if "zeroary" in enabled:
         queries.append("z0?")
+    if "aggregate" in enabled:
+        queries.append("a0(X, N)?")
+        queries.append(f"a1({rng.randrange(0, 9)}, N)?")
+    if "arith" in enabled:
+        queries.append("s0(X, Z)?")
+        queries.append(f"s1({rng.randrange(0, 9)}, Z)?")
 
     return DifferentialProgram(
         rules="\n".join(lines),

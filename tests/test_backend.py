@@ -210,17 +210,44 @@ def test_spilled_counters_match_memory():
     memory = Database()
     memory.load("e", chain(30))
     mp = Profiler()
-    evaluate_program(memory, parse_program(TC), profiler=mp,
-                     batch=True, batch_min_rows=0)
+    evaluate_program(memory, parse_program(TC), profiler=mp)
 
     disk = Database(backend="sqlite", spill_threshold=1)
     disk.load("e", chain(30))
     dp = Profiler()
-    evaluate_program(disk, parse_program(TC), profiler=dp,
-                     batch=True, batch_min_rows=0)
+    evaluate_program(disk, parse_program(TC), profiler=dp)
     assert (dp.examined, dp.produced, dp.probes) == (
         mp.examined, mp.produced, mp.probes,
     )
+
+
+def test_negation_probes_a_spilled_relation_without_materializing_it(monkeypatch):
+    """An anti-join against a disk-backed extension asks the unique index
+    about each distinct key; ``SpilledRelation.rows`` would read the whole
+    relation into memory, uncharged to the memory budget."""
+    source = "ok(X, Y) <- e(X, Y), ~banned(X, Y). lone(X) <- e(X, Y), ~stop(Y)."
+    banned = [(f"n{i}", f"n{i + 1}") for i in range(0, 40, 3)] + [("x", "y")]
+    stop = [(f"n{i}",) for i in range(0, 40, 4)]
+
+    memory = Database()
+    disk = Database(backend="sqlite", spill_threshold=5)
+    for db in (memory, disk):
+        db.load("e", chain(40))
+        db.load("banned", banned)
+        db.load("stop", stop)
+    assert all(
+        isinstance(disk.relation(name), SpilledRelation)
+        for name in ("e", "banned", "stop")
+    )
+    expected = evaluate_program(memory, parse_program(source), compile=False)
+
+    def materialized(self):
+        raise AssertionError(f"{self.name}: spilled extension materialized")
+
+    monkeypatch.setattr(SpilledRelation, "rows", property(materialized))
+    got = evaluate_program(disk, parse_program(source))
+    assert got["ok"] == expected["ok"] and len(got["ok"]) == 26
+    assert got["lone"] == expected["lone"] and len(got["lone"]) == 31
 
 
 # --------------------------------------------------------- out-of-core cap

@@ -1,14 +1,16 @@
-"""The columnar batch tier: batch ≡ row equivalence, interning, parity.
+"""The lowered rule executor: lowered ≡ reference, interning, parity.
 
-The contract of :mod:`repro.engine.batch` is the same strict
-observational equivalence the row kernels promise, *plus* profiler
-parity: for any batchable program the columnar tier must produce the
-same answer sets AND the same per-query ``produced`` counts as the row
-kernels, fire the same governor checkpoints (so budget aborts and
-injected faults land identically), and honor the same span labels.  The
-seeded tests here sweep that property over generated workloads; the
-unit tests pin the interner's hash-consing guarantees and the
-columnar/row bridge.
+The contract of :mod:`repro.engine.batch` is strict observational
+equivalence with the reference evaluator (``compile=False``), *plus*
+profiler parity: for any rule that lowers, the columnar plan must
+produce the same answer sets AND the same per-query ``produced`` counts,
+fire the same governor checkpoints (so budget aborts and injected faults
+land identically), and honor the same span labels — at every input
+size, since nothing selects an executor by size.  The tests here hold
+that property over every step and head kind
+(``tests/test_join_kernels.py`` sweeps it over randomized programs and
+the reference's join methods); the unit tests pin the interner's
+hash-consing guarantees and the columnar store's bucket maintenance.
 """
 
 import multiprocessing
@@ -19,6 +21,7 @@ import pytest
 
 import repro
 from repro import KnowledgeBase, Tracer
+from repro.datalog.builtins import default_builtins
 from repro.datalog.intern import INTERNER, TermInterner, intern_term
 from repro.datalog.parser import parse_program
 from repro.datalog.rules import Program
@@ -26,123 +29,120 @@ from repro.datalog.terms import Constant, Struct, Variable
 from repro.engine.batch import compile_batch_plan
 from repro.engine.faults import FaultInjector, InjectedFault
 from repro.engine.fixpoint import FixpointEngine
-from repro.engine.kernels import compile_rule
 from repro.engine.governor import ResourceGovernor, make_governor
-from repro.engine.operators import BindingsTable, JOIN_METHODS
 from repro.engine.profiler import Profiler
-from repro.errors import TupleBudgetExceeded
+from repro.errors import ExecutionError, TupleBudgetExceeded
 from repro.storage import Database, relation_from_rows
 from repro.storage.columnar import store_from_rows
 
-X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+X, Z = Variable("X"), Variable("Z")
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
 
 
-# -- randomized batch/row equivalence -----------------------------------------
+def evaluate(db, program, *, lowered, **engine_kwargs):
+    """(relations, profiler) of one evaluation, lowered or on the reference."""
+    profiler = Profiler()
+    result = FixpointEngine(
+        db, profiler=profiler, builtins=default_builtins(), compile=lowered,
+        **engine_kwargs,
+    ).evaluate(program)
+    return result.relations, profiler
 
 
-def random_database(rng: random.Random) -> Database:
+# -- every step and head kind, at every size ----------------------------------
+
+
+def shaped_database(n: int) -> Database:
+    """*n*-row relations: ``e`` is chains of five nodes (a small closure
+    at any size), ``f`` shares some of its rows, ``t`` attaches a small
+    integer to every node."""
     db = Database()
-    values = [f"v{i}" for i in range(rng.randint(4, 9))]
-    for name in ("e", "f"):
-        rows = {
-            (rng.choice(values), rng.choice(values))
-            for _ in range(rng.randint(3, 18))
-        }
-        db.add_relation(relation_from_rows(name, sorted(rows), arity=2))
+    e = [(f"v{i + i // 4}", f"v{i + i // 4 + 1}") for i in range(n)]
+    f = [row if i % 3 else (row[1], row[0]) for i, row in enumerate(e)]
+    db.add_relation(relation_from_rows("e", e, arity=2))
+    db.add_relation(relation_from_rows("f", f, arity=2))
+    db.add_relation(
+        relation_from_rows("t", [(f"v{i}", i % 5) for i in range(n)], arity=2)
+    )
     return db
 
 
-PROGRAMS = [
-    # transitive closure — the semi-naive delta path, fully batchable
-    "p(X, Y) <- e(X, Y). p(X, Y) <- e(X, Z), p(Z, Y).",
-    # join across two base relations plus a derived one
-    "p(X, Y) <- e(X, Y). q(X, Z) <- p(X, Y), f(Y, Z).",
-    # same-generation shape: two clique literals per body
-    "s(X, Y) <- f(X, Y). s(X, Y) <- e(X, Z), s(Z, W), e(Y, W).",
-    # constants in body literals and in the head
-    "c(X) <- e(v1, X). k(X, ok) <- c(X), f(X, Y).",
-    # mixed: a batchable recursive rule next to a row-only comparison rule
-    "p(X, Y) <- e(X, Y). p(X, Y) <- e(X, Z), p(Z, Y). m(X, n) <- p(X, Y), X != Y.",
-]
+TC = "p(X, Y) <- e(X, Y). p(X, Y) <- e(X, Z), p(Z, Y). "
+
+LOWERED_SHAPES = {
+    "negation over base": "out(X, Y) <- e(X, Y), ~f(X, Y).",
+    "negation over recursive": TC + "out(X, Y) <- e(X, Y), f(Y, Z), ~p(X, Z).",
+    "!=": "out(X, Y) <- e(X, Z), f(Z, Y), X != Y.",
+    "<": "out(X, N) <- t(X, N), N < 3.",
+    "binding = with arithmetic": "out(X, M) <- t(X, N), M = N * 2 + 1.",
+    "succ": "out(X, M) <- t(X, N), succ(N, M).",
+    "range": "out(X, I) <- t(X, N), range(0, N, I).",
+    "count": TC + "out(X, count(Y)) <- p(X, Y).",
+    "sum": "out(X, sum(N)) <- e(X, Y), t(Y, N).",
+    "avg": "out(X, avg(N)) <- e(X, Y), t(Y, N).",
+    "min_of": "out(X, min_of(Y)) <- e(X, Z), f(Z, Y).",
+    "max_of": "out(max_of(N)) <- t(X, N).",
+    "constant in head": "out(X, ok) <- e(X, Y).",
+    "zero-ary guard": "z <- e(X, Y), X != Y. out(X, Y) <- z, f(X, Y).",
+    "comparison as first step": "out(X, Y) <- 1 < 2, e(X, Y).",
+}
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("source", PROGRAMS)
-def test_batch_matches_row_answers_and_produced(seed, source):
-    """batch=True with batch_min_rows=0 (columnar forced whenever the plan
-    is batchable) derives the same relations as batch=False with the same
-    per-query ``produced`` count — the ISSUE's parity property."""
-    rng = random.Random(seed)
-    db = random_database(rng)
-    program = Program(list(parse_program(source)))
-
-    row_profiler = Profiler()
-    row = FixpointEngine(
-        db, profiler=row_profiler, compile=True, batch=False
-    ).evaluate(program)
-
-    batch_profiler = Profiler()
-    batch = FixpointEngine(
-        db, profiler=batch_profiler, compile=True, batch=True, batch_min_rows=0
-    ).evaluate(program)
-
-    assert batch.relations == row.relations, f"answers diverged on seed {seed}"
-    assert batch_profiler.produced == row_profiler.produced, (
-        f"produced counts diverged on seed {seed}: "
-        f"batch={batch_profiler.produced} row={row_profiler.produced}"
-    )
+@pytest.mark.parametrize("rows", [1, 31, 500])
+@pytest.mark.parametrize("shape", sorted(LOWERED_SHAPES))
+def test_every_shape_lowers_and_matches_the_reference(shape, rows):
+    program = Program(list(parse_program(LOWERED_SHAPES[shape])))
+    for rule in program:
+        plan, why = compile_batch_plan(rule, builtins=default_builtins())
+        assert plan is not None, why
+    db = shaped_database(rows)
+    expected, reference_profiler = evaluate(db, program, lowered=False)
+    tracer = Tracer()
+    got, lowered_profiler = evaluate(db, program, lowered=True, tracer=tracer)
+    assert got == expected
+    assert expected["out"] or rows == 1  # the shape is actually exercised
+    assert lowered_profiler.produced == reference_profiler.produced
+    tiers = {s.attrs["tier"] for s in tracer.spans if s.kind == "rule"}
+    assert tiers == {"batch"}
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("method", sorted(JOIN_METHODS))
-def test_batch_matches_every_row_join_method(seed, method):
-    """The columnar tier is method-agnostic: it must agree with the row
-    tier under every join-method choice, not just hash."""
-    rng = random.Random(50 + seed)
-    db = random_database(rng)
-    program = Program(list(parse_program(PROGRAMS[0])))
-
-    row = FixpointEngine(
-        db, method_chooser=lambda literal: method, compile=True, batch=False
-    ).evaluate(program)
-    batch = FixpointEngine(
-        db, compile=True, batch=True, batch_min_rows=0
-    ).evaluate(program)
-    assert batch.relations == row.relations
+NOT_LOWERED_SHAPES = {
+    "struct with a variable in the body": ("out(X) <- w(g(X)).", "struct argument"),
+    "struct with a variable in the head": ("out(g(X)) <- e(X, Y).", "struct argument"),
+    "repeated free variable": ("out(X) <- e(X, X).", "repeated free variable"),
+}
 
 
-def test_small_input_stays_on_row_tier():
-    """Below batch_min_rows the cost model keeps the row kernels (the
-    columnar encode is not worth it for tiny deltas) — answers identical."""
-    db = Database()
-    db.load("par", [("a", "b"), ("b", "c"), ("c", "d")])
-    program = Program(list(parse_program(ANC)))
-    threshold = FixpointEngine(db, compile=True, batch=True, batch_min_rows=32)
-    forced = FixpointEngine(db, compile=True, batch=True, batch_min_rows=0)
-    assert threshold.evaluate(program).relations == forced.evaluate(program).relations
+@pytest.mark.parametrize("shape", sorted(NOT_LOWERED_SHAPES))
+def test_non_flat_shapes_run_on_the_reference_and_say_why(shape):
+    source, reason = NOT_LOWERED_SHAPES[shape]
+    program = Program(list(parse_program("w(g(X)) <- e(X, Y). " + source)))
+    plan, why = compile_batch_plan(program.rules[-1])
+    assert plan is None and reason in why
+    db = shaped_database(31)
+    db.load("e", [("loop", "loop")])
+    expected, __ = evaluate(db, program, lowered=False)
+    tracer = Tracer()
+    got, __ = evaluate(db, program, lowered=True, tracer=tracer)
+    assert got == expected and expected["out"]
+    (span,) = [s for s in tracer.spans if s.name == "rule:out"]
+    assert span.attrs["tier"] == "reference" and reason in span.attrs["why"]
 
 
-# -- batch plan compilation ---------------------------------------------------
-
-
-def test_non_flat_rules_are_not_batchable():
-    rules = parse_program(
-        "n(X, Y) <- e(X, Y), ~f(X, Y)."
-        "c(X) <- e(X, Y), X != Y."
-        "g(X, Y) <- e(X, Y), f(Y, Z), Z = X."
-    ).rules
-    for rule in rules:
-        assert compile_batch_plan(compile_rule(rule)) is None
-
-
-def test_flat_join_rule_is_batchable():
-    rule = parse_program("h(X, Z) <- e(X, Y), f(Y, Z).").rules[0]
-    plan = compile_batch_plan(compile_rule(rule))
-    assert plan is not None
-    assert len(plan.steps) == 2
-    assert plan.labels == tuple(compile_rule(rule).labels)
+def test_flat_join_rule_layout():
+    rule = parse_program("h(Y, X) <- e(X, Y), f(Y, Z), Z != X.").rules[0]
+    plan, why = compile_batch_plan(rule)
+    assert plan is not None and why == ""
+    join_e, join_f, compare = plan.steps
+    assert [step.label for step in plan.steps] == ["join:h:e", "join:h:f", "compare:h:!="]
+    assert join_e.bound_positions == () and join_e.free_out == (0, 1)
+    assert join_f.bound_positions == (0,) and join_f.key_slots == (1,)  # Y's column
+    assert join_f.free_out == (1,)
+    assert compare.key_vars == (Z, X) and compare.key_slots == (2, 0)
+    assert plan.head_slots == (1, 0) and plan.head_aggregates == ()
+    # the delta map addresses literals by their original body index
+    assert plan.delta_map == (0, 1, 2)
 
 
 # -- governor / fault parity --------------------------------------------------
@@ -154,38 +154,68 @@ def _chain_db(n: int) -> Database:
     return db
 
 
-@pytest.mark.parametrize("batch", [False, True])
-def test_tuple_budget_aborts_both_tiers(batch):
-    """A tuple budget that aborts the row tier aborts the batch tier too:
-    the columnar join ticks the governor cooperatively mid-batch."""
+@pytest.mark.parametrize("lowered", [False, True])
+def test_tuple_budget_aborts_both_evaluators(lowered):
+    """A tuple budget that aborts the reference aborts the lowered plan
+    too: the columnar join ticks the governor cooperatively mid-batch."""
     program = Program(list(parse_program(ANC)))
     engine = FixpointEngine(
-        _chain_db(40),
-        compile=True,
-        batch=batch,
-        batch_min_rows=0,
-        governor=make_governor(max_tuples=50),
+        _chain_db(40), compile=lowered, governor=make_governor(max_tuples=50)
     )
     with pytest.raises(TupleBudgetExceeded):
         engine.evaluate(program)
 
 
-@pytest.mark.parametrize("batch", [False, True])
-def test_injected_fault_fires_at_same_site_both_tiers(batch):
-    """Batch steps run the same checkpoint labels as the row kernels, so a
-    fault injected at a named join site fires on either tier."""
+def test_injected_fault_fires_at_the_named_step():
+    """A lowered step's checkpoint carries its span label, so a fault
+    injected at a named join site fires there."""
     faults = FaultInjector().inject("join:anc:par", error="disk on fire")
     program = Program(list(parse_program(ANC)))
     engine = FixpointEngine(
-        _chain_db(10),
-        compile=True,
-        batch=batch,
-        batch_min_rows=0,
-        governor=ResourceGovernor(faults=faults),
+        _chain_db(10), governor=ResourceGovernor(faults=faults)
     )
     with pytest.raises(InjectedFault, match="disk on fire"):
         engine.evaluate(program)
     assert faults.fired_count() == 1
+
+
+def _open_operator(err) -> str:
+    return [name for name in err.spans if ":" in name][-1]
+
+
+def test_tuple_budget_aborts_inside_an_anti_join():
+    faults = FaultInjector().inject("negation:out:f", exhaust="tuples")
+    governor = ResourceGovernor(max_tuples=10_000, faults=faults)
+    program = Program(list(parse_program(LOWERED_SHAPES["negation over base"])))
+    engine = FixpointEngine(shaped_database(31), governor=governor, tracer=Tracer())
+    with pytest.raises(TupleBudgetExceeded) as caught:
+        engine.evaluate(program)
+    assert _open_operator(caught.value) == "negation:out:f"
+
+
+def test_tuple_budget_aborts_inside_a_group_head():
+    """The join fits the budget; the groups on top of it do not."""
+    program = Program(list(parse_program("out(X, Y, count(Z)) <- e(X, Y), e(Y, Z).")))
+    db = Database()
+    db.load("e", [(f"a{i}", f"b{i}") for i in range(30)])
+    db.load("e", [(f"b{i}", f"c{i}") for i in range(30)])
+    engine = FixpointEngine(db, governor=make_governor(max_tuples=100), tracer=Tracer())
+    with pytest.raises(TupleBudgetExceeded) as caught:
+        engine.evaluate(program)
+    # every step had closed (60 + 30 rows in flight): the abort came
+    # from charging the head's 30 groups
+    assert caught.value.spans[-1] == "rule:out"
+    assert caught.value.snapshot["produced"] == 60 + 30 + 30
+
+
+def test_unknown_predicate_raises_inside_the_operator_span():
+    program = Program(list(parse_program("out(X) <- e(X, Y), nosuch(Y).")))
+    tracer = Tracer()
+    engine = FixpointEngine(shaped_database(31), tracer=tracer)
+    with pytest.raises(ExecutionError, match="unknown predicate 'nosuch'"):
+        engine.evaluate(program)
+    failed = [s.name for s in tracer.spans if s.status != "ok"]
+    assert "join:out:nosuch" in failed
 
 
 # -- the interner -------------------------------------------------------------
@@ -237,24 +267,7 @@ def test_global_interner_shares_instances_across_terms():
     assert intern_term(Constant("shared-xyz")) is intern_term(Constant("shared-xyz"))
 
 
-# -- the columnar/row bridge --------------------------------------------------
-
-
-def test_bindings_table_from_columns_roundtrip():
-    interner = TermInterner()
-    rows = [(Constant("a"), Constant(1)), (Constant("b"), Constant(2))]
-    store = store_from_rows(rows, interner)
-    table = BindingsTable.from_columns((X, Y), store.columns, store.length, interner)
-    assert table.schema == (X, Y)
-    assert table.rows == frozenset(rows)
-
-
-def test_bindings_table_from_columns_zero_width():
-    interner = TermInterner()
-    unit = BindingsTable.from_columns((), [], 1, interner)
-    assert unit.rows == frozenset({()})
-    empty = BindingsTable.from_columns((), [], 0, interner)
-    assert empty.rows == frozenset()
+# -- the columnar store -------------------------------------------------------
 
 
 def test_batch_store_buckets_and_incremental_append():

@@ -29,6 +29,7 @@ from repro.obs.feedback import (
 )
 from repro.storage.statistics import RelationStats
 from repro.testing.oracle import Case, DifferentialOracle
+from repro.engine.profiler import Profiler
 from repro.workloads import generate_differential_program
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
@@ -308,20 +309,38 @@ def test_feedback_informs_the_replan():
     assert worst_after < worst_before
 
 
+def test_learned_plan_does_at_least_2x_less_tuple_work():
+    """Asking about the one key the static per-key guess is wrong for:
+    the cold run leads with the skewed relation, crosses the q-error
+    threshold and evicts its plan; the re-planned run leads with the
+    filter.  Gated on profiler counters, so machine speed never enters."""
+    kb = skewed_kb(result_cache=False, reopt_qerror_threshold=4.0)
+    kb.rules("out_of(K, W) <- hot(K, V), filt(V), wide(V, W).")
+    query = "out_of($K, W)?"
+    static_plan = kb.explain(query)
+    cold, warm = Profiler(), Profiler()
+    first = kb.ask(query, K="k0", profiler=cold)
+    assert kb.telemetry.last["reopt"]
+    assert kb.explain(query) != static_plan
+    second = kb.ask(query, K="k0", profiler=warm)
+    assert second.rows == first.rows and len(first) == 8
+    assert cold.total_work >= 2 * warm.total_work
+
+
 # ---------------------------------------------------------------- telemetry
 
 
 def test_telemetry_records_every_ask_including_cache_hits():
     kb = family_kb()
     kb.ask("anc(abe, Y)?")
-    assert kb.telemetry.last["tier"] == "row"
+    assert kb.telemetry.last["tier"] == "batch"  # a lowered fixpoint rule ran
     assert kb.telemetry.last["cache"] == "miss"
     kb.ask("anc(abe, Y)?")
     hit = kb.telemetry.last
     assert hit["tier"] == "cache" and hit["cache"] == "hit"
     assert hit["rows"] == 3
     assert len(kb.telemetry) == 2
-    assert kb.telemetry.by_tier() == {"cache": 1, "row": 1}
+    assert kb.telemetry.by_tier() == {"cache": 1, "batch": 1}
 
 
 def test_telemetry_ring_buffer_drops_oldest():

@@ -1,34 +1,23 @@
-"""Compiled execution kernels: equivalence, layouts, and delta indexing.
+"""Lowered vs reference evaluation across join methods, and delta indexing.
 
-The contract of :mod:`repro.engine.kernels` is strict observational
-equivalence — for any program and any join-method choice, the compiled
-slot-indexed path must produce exactly the rows the interpreted
-unification path produces.  The seeded randomized tests here sweep that
-cross-product (4 join methods x compile on/off) over generated
-workloads; the unit tests pin the layout computations and the
-incremental index maintenance underneath.
+For any program and any join-method choice, a lowered columnar plan must
+produce exactly the rows the reference evaluator's unification path
+produces.  The seeded randomized tests here sweep that cross-product
+(4 join methods x lowered/reference) over generated workloads; the unit
+tests pin the incremental index maintenance underneath.
 """
 
 import random
 
 import pytest
 
-from repro.datalog.parser import parse_literal, parse_program
+from repro.datalog.parser import parse_program
 from repro.datalog.rules import Program
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Constant
 from repro.engine.fixpoint import FixpointEngine
-from repro.engine.kernels import (
-    ComparisonKernel,
-    JoinKernel,
-    KernelCache,
-    compile_rule,
-    execute_join_kernel,
-)
-from repro.engine.operators import BindingsTable, JOIN_METHODS, scan_join
+from repro.engine.operators import JOIN_METHODS
 from repro.engine.profiler import Profiler
 from repro.storage import Database, DerivedRelation, relation_from_rows
-
-X, Y, Z, W = Variable("X"), Variable("Y"), Variable("Z"), Variable("W")
 
 
 # -- randomized cross-method / cross-mode equivalence -------------------------
@@ -65,128 +54,41 @@ PROGRAMS = [
     "c(X) <- e(v1, X). k(X, ok) <- c(X), f(X, Y).",
     # negation against a base relation
     "n(X, Y) <- e(X, Y), ~f(X, Y).",
+    # mixed: a recursive join rule next to a comparison rule
+    "p(X, Y) <- e(X, Y). p(X, Y) <- e(X, Z), p(Z, Y). m(X, n) <- p(X, Y), X != Y.",
 ]
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("source", PROGRAMS)
 def test_methods_and_compilation_agree(seed, source):
-    """All four join methods x {compiled, uncompiled} derive the same
-    relations on randomized data (the ISSUE's cross-method property)."""
+    """The reference evaluator under each of the four join methods and
+    the lowered plan (which has one physical join) derive the same
+    relations with the same per-query ``produced`` count on randomized
+    data — the cross-method and parity properties."""
     rng = random.Random(seed)
     db = random_database(rng)
     program = Program(list(parse_program(source)))
 
-    reference = None
-    for method in JOIN_METHODS:
-        for compiled in (True, False):
-            engine = FixpointEngine(
-                db, method_chooser=lambda literal: method, compile=compiled
+    runs = [
+        (method, {"compile": False, "method_chooser": lambda literal, m=method: m})
+        for method in JOIN_METHODS
+    ] + [("lowered", {})]
+    expected = None
+    for name, kwargs in runs:
+        profiler = Profiler()
+        result = FixpointEngine(db, profiler=profiler, **kwargs).evaluate(program)
+        derived = {
+            name: rows
+            for name, rows in result.relations.items()
+            if rows  # empty relations may or may not appear
+        }
+        if expected is None:
+            expected = (derived, profiler.produced)
+        else:
+            assert (derived, profiler.produced) == expected, (
+                f"{name} diverged on seed {seed}"
             )
-            result = engine.evaluate(program)
-            derived = {
-                name: rows
-                for name, rows in result.relations.items()
-                if rows  # empty relations may or may not appear
-            }
-            if reference is None:
-                reference = derived
-            else:
-                assert derived == reference, (
-                    f"method={method} compiled={compiled} diverged on seed {seed}"
-                )
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_kernel_join_matches_scan_join(seed):
-    """execute_join_kernel == scan_join for a flat literal, per method."""
-    rng = random.Random(100 + seed)
-    db = random_database(rng)
-    rule = parse_program("h(X, Z) <- e(X, Y), f(Y, Z).").rules[0]
-    compiled = compile_rule(rule)
-    first = compiled.steps[0]
-    assert isinstance(first, JoinKernel) and first.flat
-
-    table = scan_join(
-        BindingsTable.unit(), parse_literal("e(X, Y)"), db.relation("e"), "hash"
-    )
-    second = compiled.steps[1]
-    for method in JOIN_METHODS:
-        expected = scan_join(table, parse_literal("f(Y, Z)"), db.relation("f"), method)
-        actual = execute_join_kernel(second, table, db.relation("f"), method, Profiler())
-        assert actual.schema == expected.schema
-        assert actual.rows == expected.rows
-
-
-# -- compiled layouts ---------------------------------------------------------
-
-
-def test_compile_rule_layouts():
-    rule = parse_program("h(Y, X) <- e(X, Y), f(Y, Z), Z = X.").rules[0]
-    compiled = compile_rule(rule, reorder=False)
-    join_e, join_f, cmp_step = compiled.steps
-
-    assert isinstance(join_e, JoinKernel)
-    assert join_e.in_schema == ()
-    assert join_e.out_schema == (X, Y)
-    assert join_e.bound_positions == ()
-    assert join_e.flat and join_e.free_out == (0, 1)
-
-    assert isinstance(join_f, JoinKernel)
-    assert join_f.in_schema == (X, Y)
-    assert join_f.out_schema == (X, Y, Z)
-    assert join_f.bound_positions == (0,)
-    assert join_f.key_slots == (1,)  # Y lives at slot 1 of the input schema
-    assert join_f.free_out == (1,)
-
-    assert isinstance(cmp_step, ComparisonKernel)
-    assert cmp_step.out_schema == (X, Y, Z)
-
-    # Flat head: projection slots, no substitutions.
-    assert compiled.head_kernel is not None
-    assert compiled.head_kernel.slots == (1, 0)
-
-
-def test_constants_and_complex_terms_in_layout():
-    rule = parse_program("h(X) <- e(a, X).").rules[0]
-    compiled = compile_rule(rule)
-    (join,) = compiled.steps
-    assert join.flat
-    assert join.bound_positions == (0,)
-    assert join.key_slots == (None,)
-    assert join.key_consts == (Constant("a"),)
-
-    # A struct argument is not flat — it needs unification.
-    rule2 = parse_program("h(X) <- e(g(X), X).").rules[0]
-    compiled2 = compile_rule(rule2, reorder=False)
-    assert not compiled2.steps[0].flat
-
-    # A repeated free variable is not flat either.
-    rule3 = parse_program("h(X) <- e(X, X).").rules[0]
-    compiled3 = compile_rule(rule3)
-    assert not compiled3.steps[0].flat
-
-
-def test_delta_position_mapping_survives_reordering():
-    # Safe order must move the comparison after the join; the delta map
-    # still addresses literals by their original body index.
-    rule = parse_program("h(X, Y) <- e(X, Z), p(Z, Y).").rules[0]
-    compiled = compile_rule(rule)
-    for original_index, literal in enumerate(rule.body):
-        mapped = compiled.delta_position(original_index)
-        assert compiled.body[mapped] is literal
-
-
-def test_kernel_cache_compiles_each_rule_once():
-    program = Program(
-        list(parse_program("p(X, Y) <- e(X, Y). p(X, Y) <- e(X, Z), p(Z, Y)."))
-    )
-    cache = KernelCache()
-    first = [cache.get(rule) for rule in program]
-    second = [cache.get(rule) for rule in program]
-    assert len(cache) == 2
-    for a, b in zip(first, second):
-        assert a is b
 
 
 # -- incremental delta indexing ----------------------------------------------
@@ -222,8 +124,8 @@ def test_derived_relation_sorted_cache_invalidates_on_insert():
 
 
 def test_fixpoint_workspace_uses_persistent_indexes():
-    """Compiled semi-naive evaluation examines fewer tuples than the
-    uncompiled path: derived-extension buckets are never rebuilt."""
+    """Lowered semi-naive evaluation examines fewer tuples than the
+    reference: derived-extension buckets are never rebuilt."""
     db = Database()
     chain = [(f"n{i}", f"n{i+1}") for i in range(40)]
     db.add_relation(relation_from_rows("par", chain))
