@@ -30,6 +30,8 @@ through it, so fact loading interns as a side effect.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .terms import Constant, Struct, Term, Variable
 
 __all__ = ["TermInterner", "INTERNER", "intern_term", "intern_id", "term_for"]
@@ -78,6 +80,11 @@ class TermInterner:
         """The canonical (shared) instance equal to *term*."""
         return self.terms[self.id_of(term)]
 
+    def lookup(self, term: Term) -> int | None:
+        """The id of *term* if it was ever interned — never admits it, so
+        probing for a constant no stored tuple holds leaves no trace."""
+        return self._ids.get(term)
+
     def encode_row(self, row: tuple[Term, ...]) -> tuple[int, ...]:
         id_of = self.id_of
         return tuple(id_of(t) for t in row)
@@ -85,6 +92,29 @@ class TermInterner:
     def decode_row(self, ids: tuple[int, ...]) -> tuple[Term, ...]:
         terms = self.terms
         return tuple(terms[i] for i in ids)
+
+    # The two bulk forms below are the engine's encode / decode boundary
+    # (docs/performance.md, "the id-space contract"): they work column
+    # by column so the per-field work stays inside ``map``.
+
+    def encode_rows(self, rows: Iterable[tuple[Term, ...]]) -> set[tuple[int, ...]]:
+        """Equal-arity ground term rows as a set of id rows."""
+        if not isinstance(rows, (list, tuple, set, frozenset)):
+            rows = list(rows)
+        columns = list(zip(*rows))
+        if not columns:  # no rows, or the one row of arity 0
+            return {()} if rows else set()
+        return set(zip(*(map(self.id_of, column) for column in columns)))
+
+    def decode_rows(self, id_rows: Iterable[tuple[int, ...]]) -> frozenset[tuple[Term, ...]]:
+        """Equal-arity id rows as a frozenset of canonical term rows."""
+        if not isinstance(id_rows, (list, tuple, set, frozenset)):
+            id_rows = list(id_rows)
+        columns = list(zip(*id_rows))
+        if not columns:
+            return frozenset({()}) if id_rows else frozenset()
+        decode = self.terms.__getitem__
+        return frozenset(zip(*(map(decode, column) for column in columns)))
 
 
 #: The process-wide default table used by the engine and storage layers.

@@ -25,15 +25,21 @@ are a closed set:
   only the columns the literal reads, then joined like a stored one;
   values it binds are interned and appended as new columns.
 
-The head is a **projection** (dedup as id tuples, decode the survivors)
-or, for an aggregate head, a **group** on id tuples of the plain
-arguments.
+The head is a **projection** (dedup as id tuples) or, for an aggregate
+head, a **group** on id tuples of the plain arguments with the folded
+values interned.  Either way the result is a set of **id rows**: nothing
+on this path builds a term tuple, and the caller
+(:class:`~repro.engine.fixpoint.FixpointEngine`'s workspace, the plan
+interpreter's AND nodes) keeps them as ids.
 
 Only *flat* rules lower: every stored literal's arguments are ground
 terms or plain variables with the free ones distinct, and likewise the
 head.  A struct argument containing a variable or a repeated free
 variable needs unification; such a rule runs on the reference evaluator
-(:meth:`FixpointEngine._eval_body`) and the lowering says why.
+(:meth:`FixpointEngine._eval_body`) and the lowering says why.  The same
+lowering serves a plan's AND nodes: *bound* names the variables the
+node's sideways keys bind before the first step, and the interpreter
+runs the steps through :func:`run_step` under its own spans.
 
 Deduplication is deferred to the head: a step over duplicate-free input
 cannot produce duplicate rows (distinct input rows stay distinct in
@@ -64,9 +70,8 @@ from ..datalog.safety import exists_safe_order
 from ..datalog.terms import Constant, Variable, is_ground
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
-from ..storage.columnar import BatchStore, store_from_rows
+from ..storage.columnar import BatchStore, IdRow
 from .operators import (
-    Row,
     _literal_vars_in_order,
     builtin_row,
     comparison_row,
@@ -74,8 +79,11 @@ from .operators import (
 )
 from .profiler import Profiler
 
-#: Resolves a body literal to its current extension (workspace or base).
-ExtensionOf = Callable[[Literal], Iterable[Row]]
+#: Resolves a stored body literal to the store its step probes: a
+#: :class:`BatchStore` (a base relation's mirror, a derived
+#: :class:`~repro.storage.columnar.IdRelation`) or a disk-backed
+#: :class:`~repro.storage.backend.SpilledStore`.
+StoreOf = Callable[[Literal], object]
 
 #: Rows per chunk when streaming a disk-backed scan through the tail.
 SPILL_CHUNK_ROWS = 65_536
@@ -186,6 +194,7 @@ def compile_batch_plan(
     oracle=None,
     builtins=None,
     interner: TermInterner = INTERNER,
+    bound: tuple[Variable, ...] = (),
 ) -> tuple[BatchPlan | None, str]:
     """Lower *rule* to ``(plan, "")``, or ``(None, why)`` when its shape
     needs unification (module docstring) and it stays on the reference.
@@ -193,12 +202,14 @@ def compile_batch_plan(
     Runs the safe-order search once (:func:`ordered_body`; a trusted
     order is lowered as given, and a literal reached without its
     bindings raises from its own step), then simulates the left-to-right
-    schema growth exactly as the reference operators extend it.
+    schema growth exactly as the reference operators extend it.  *bound*
+    is the schema of the input batch — empty for a fixpoint rule (the
+    unit table), the key variables for a plan's AND node.
     """
     body, delta_map = ordered_body(rule, reorder, oracle, builtins)
 
     head_name = rule.head.predicate
-    slot: dict[Variable, int] = {}
+    slot: dict[Variable, int] = {var: i for i, var in enumerate(bound)}
     steps: list[BatchStep] = []
     for literal in body:
         builtin = None
@@ -285,16 +296,16 @@ class BatchExecutor:
     def execute(
         self,
         plan: BatchPlan,
-        extension_of: ExtensionOf,
+        store_of: StoreOf,
         profiler: Profiler,
         delta_position: int | None = None,
-        delta_rows: Iterable[Row] | None = None,
+        delta: BatchStore | None = None,
         governor=None,
         tracer=NULL_TRACER,
-    ) -> set[Row]:
-        """Evaluate the body over whole batches and instantiate the head.
-        With *delta_rows*, the step at *delta_position* joins them instead
-        of its literal's extension (a semi-naive delta firing)."""
+    ) -> set[IdRow]:
+        """Evaluate the body over whole batches and instantiate the head
+        as id rows.  With *delta*, the step at *delta_position* joins it
+        instead of its literal's extension (a semi-naive delta firing)."""
         interner = self.interner
         columns: list[list[int]] = []
         length = 1  # the unit table
@@ -309,7 +320,7 @@ class BatchExecutor:
                     governor.checkpoint(label)
                 start = time.perf_counter()
                 store = self._store_for(
-                    step, position, extension_of, profiler, delta_position, delta_rows
+                    step, position, store_of, profiler, delta_position, delta
                 )
                 if (
                     position == 0
@@ -321,26 +332,26 @@ class BatchExecutor:
                     # Disk-backed driving scan: stream it chunk by chunk
                     # instead of materializing the whole extension.
                     return self._stream_spilled(
-                        plan, store, extension_of, profiler,
-                        delta_position, delta_rows, governor, tracer,
+                        plan, store, store_of, profiler,
+                        delta_position, delta, governor, tracer,
                     )
-                columns, length = _run_step(
+                columns, length = run_step(
                     step, columns, length, store, profiler, governor, interner
                 )
                 profiler.add_time(label, time.perf_counter() - start)
-        return _instantiate_head(plan, columns, length, interner, profiler, governor)
+        return instantiate_head(plan, columns, length, interner, profiler, governor)
 
     def _stream_spilled(
         self,
         plan: BatchPlan,
         driver,
-        extension_of: ExtensionOf,
+        store_of: StoreOf,
         profiler: Profiler,
         delta_position: int | None,
-        delta_rows: Iterable[Row] | None,
+        delta: BatchStore | None,
         governor,
         tracer,
-    ) -> set[Row]:
+    ) -> set[IdRow]:
         """Stream a disk-backed driving scan through the tail steps chunk
         by chunk, never materializing the whole extension.
 
@@ -353,11 +364,11 @@ class BatchExecutor:
         steps = plan.steps
         tail = [
             (step, self._store_for(
-                step, position, extension_of, profiler, delta_position, delta_rows
+                step, position, store_of, profiler, delta_position, delta
             ))
             for position, step in enumerate(steps) if position
         ]
-        head_ids: set[tuple[int, ...]] = set()
+        head_ids: set[IdRow] = set()
         chunk_rows = SPILL_CHUNK_ROWS
         with tracer.span(
             f"spill-stream:{plan.rule.head.predicate}", kind="operator"
@@ -374,45 +385,36 @@ class BatchExecutor:
                 for step, store in tail:
                     if length == 0:
                         break
-                    columns, length = _run_step(
+                    columns, length = run_step(
                         step, columns, length, store, profiler, governor, interner
                     )
                 if length:
-                    head_ids |= _project_ids(plan, columns, length)
-        return _decode_head(head_ids, interner, profiler, governor)
+                    head_ids |= project_ids(plan, columns, length)
+        return _charge_head(head_ids, profiler, governor)
 
     def _store_for(
         self,
         step: BatchStep,
         position: int,
-        extension_of: ExtensionOf,
+        store_of: StoreOf,
         profiler: Profiler,
         delta_position: int | None,
-        delta_rows: Iterable[Row] | None,
+        delta: BatchStore | None,
     ):
-        """The store a join / negation step probes: the extension's
-        columnar mirror — persistent and incrementally maintained for
-        relations, a per-call encode (charged as a hash build: one
-        ``examined`` per row) for deltas and raw iterables.  None for a
-        computed literal, which has no extension."""
+        """The store a join / negation step probes: its literal's, whose
+        bucket maps persist and grow with it, or the round's delta —
+        charged, per firing that reads it, as the hash build the
+        reference does over a delta (one ``examined`` per row).  None for
+        a computed literal, which has no extension."""
         if step.kind not in ("join", "negation"):
             return None
-        if position == delta_position and delta_rows is not None:
-            extension = delta_rows
-        else:
-            extension = extension_of(step.literal)
-            maker = getattr(extension, "batch_store", None)
-            if maker is not None:
-                return maker(self.interner)
-        store = store_from_rows(
-            extension if isinstance(extension, (list, set, frozenset)) else list(extension),
-            self.interner,
-        )
-        profiler.bump_examined(store.length)
-        return store
+        if position == delta_position and delta is not None:
+            profiler.bump_examined(delta.length)
+            return delta
+        return store_of(step.literal)
 
 
-def _run_step(
+def run_step(
     step: BatchStep,
     columns: list[list[int]],
     length: int,
@@ -642,9 +644,9 @@ def _computed_join(
     return out_columns, matches
 
 
-def _project_ids(
+def project_ids(
     plan: BatchPlan, columns: list[list[int]], length: int
-) -> set[tuple[int, ...]]:
+) -> set[IdRow]:
     """The head projection of a non-empty batch, deduplicated in id space."""
     streams = [
         columns[slot] if slot is not None else repeat(const, length)
@@ -653,42 +655,40 @@ def _project_ids(
     return set(zip(*streams)) if streams else {()}
 
 
-def _decode_head(
-    id_rows: Iterable[tuple[int, ...]], interner: TermInterner, profiler: Profiler, governor
-) -> set[Row]:
-    decode = interner.terms.__getitem__
-    out = {tuple(map(decode, id_row)) for id_row in id_rows}
-    profiler.bump_produced(len(out))
+def _charge_head(id_rows: set[IdRow], profiler: Profiler, governor) -> set[IdRow]:
+    """Charge a head's output as ``head_rows`` / ``aggregate_rows`` do."""
+    profiler.bump_produced(len(id_rows))
     if governor is not None:
-        governor.tick(len(out))
-    return out
+        governor.tick(len(id_rows))
+    return id_rows
 
 
-def _instantiate_head(
+def instantiate_head(
     plan: BatchPlan,
     columns: list[list[int]],
     length: int,
     interner: TermInterner,
     profiler: Profiler,
     governor,
-) -> set[Row]:
-    """Project (decoding only the surviving rows) or group."""
+) -> set[IdRow]:
+    """Project or group the final batch into the head's id rows."""
     if length == 0:
         # As the reference heads over an empty table: produced(0), tick(0).
-        return _decode_head((), interner, profiler, governor)
+        return _charge_head(set(), profiler, governor)
     if not plan.head_aggregates:
-        return _decode_head(_project_ids(plan, columns, length), interner, profiler, governor)
+        return _charge_head(project_ids(plan, columns, length), profiler, governor)
 
     # Group head, charged as ``aggregate_rows`` charges: a batch row is
     # one derivation (module docstring), so a group is a list of row
-    # indices, ``count`` is its size and the folds read one column.
+    # indices, ``count`` is its size and the folds read one column.  Only
+    # the folded columns are decoded; the folded value is interned.
     aggregates = plan.head_aggregates
     key_streams = [
         columns[slot] if slot is not None else repeat(const, length)
         for slot, const, functor in zip(plan.head_slots, plan.head_const_ids, aggregates)
         if functor is None
     ]
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[IdRow, list[int]] = {}
     for i, key in enumerate(zip(*key_streams) if key_streams else repeat((), length)):
         members = groups.get(key)
         if members is None:
@@ -697,20 +697,20 @@ def _instantiate_head(
             members.append(i)
     profiler.bump_examined(length)
     decode = interner.terms.__getitem__
-    out: set[Row] = set()
+    id_of = interner.id_of
+    out: set[IdRow] = set()
     for key, members in groups.items():
-        key_terms = map(decode, key)
+        key_ids = iter(key)
         row = []
         for slot, functor in zip(plan.head_slots, aggregates):
             if functor is None:
-                row.append(next(key_terms))
+                row.append(next(key_ids))
             elif functor == "count":
-                row.append(Constant(len(members)))
+                row.append(id_of(Constant(len(members))))
             else:
                 column = columns[slot]
-                row.append(fold_aggregate(functor, [decode(column[i]) for i in members]))
+                row.append(
+                    id_of(fold_aggregate(functor, [decode(column[i]) for i in members]))
+                )
         out.add(tuple(row))
-    profiler.bump_produced(len(out))
-    if governor is not None:
-        governor.tick(len(out))
-    return out
+    return _charge_head(out, profiler, governor)

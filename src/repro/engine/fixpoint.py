@@ -11,7 +11,20 @@ its lowered columnar plan (:mod:`repro.engine.batch`) when it has one,
 else the reference evaluator :meth:`FixpointEngine._eval_body`, which
 executes the body left to right over :class:`BindingsTable` pipelines
 with the unifying operators of :mod:`repro.engine.operators`.
-``compile=False`` runs every rule on the reference — the oracle's
+
+The workspace has one representation per engine.  Compiled (the
+default), every derived extension is an
+:class:`~repro.storage.columnar.IdRelation` — a set of interned-id rows
+with the same rows as columns and bucket maps: seeds are encoded once on
+entry, a lowered rule's head comes back as id rows, a round's new rows
+are ``produced - full`` as one set difference appended in bulk, and each
+predicate's delta is one store per round shared by every firing that
+reads it.  Nothing is decoded until the caller asks
+:class:`EvaluationResult` for term rows.  A rule that does not lower
+crosses the boundary both ways: it reads
+:meth:`~repro.storage.columnar.IdRelation.decoded` views and its head
+rows are encoded on the way out.  ``compile=False`` keeps ``set[Row]``
+workspaces and runs every rule on the reference — the oracle's
 baseline.  By default each body is first reordered by the greedy
 effective-computability order (:func:`repro.datalog.safety.exists_safe_order`)
 so evaluable predicates run only once their arguments are bound; the
@@ -33,7 +46,6 @@ paper's "infinite cost".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..datalog.graph import DependencyGraph
@@ -42,7 +54,7 @@ from ..datalog.rules import Program, Rule
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
 from ..storage.catalog import Database
-from ..storage.relation import DerivedRelation
+from ..storage.columnar import IdRelation
 from . import batch as _batch
 from .governor import ResourceGovernor, make_governor
 from .operators import (
@@ -67,19 +79,52 @@ def _default_method(literal: Literal) -> str:
     return "index"
 
 
-@dataclass
-class EvaluationResult:
-    """The outcome of a fixpoint evaluation."""
+#: A workspace entry: id space when compiled, term rows on the reference.
+Store = "IdRelation | set[Row]"
 
-    relations: dict[str, frozenset[Row]]
-    iterations: int
-    profiler: Profiler
+
+class EvaluationResult:
+    """The outcome of a fixpoint evaluation.
+
+    :meth:`rows`, ``result[predicate]`` and :attr:`relations` hand out
+    ``frozenset[Row]`` extensions; after a compiled evaluation each
+    predicate is decoded when first read, then kept — a caller that
+    stays in id space (:meth:`ids`) or reads one predicate of many pays
+    for what it reads.
+    """
+
+    def __init__(self, stores: Mapping[str, Store], iterations: int, profiler: Profiler):
+        self._stores = stores
+        self._rows: dict[str, frozenset[Row]] = {}
+        self.iterations = iterations
+        self.profiler = profiler
 
     def rows(self, predicate: str) -> frozenset[Row]:
-        return self.relations.get(predicate, frozenset())
+        rows = self._rows.get(predicate)
+        if rows is None:
+            store = self._stores.get(predicate)
+            if store is None:
+                return frozenset()
+            rows = self._rows[predicate] = (
+                store.interner.decode_rows(store.rows)
+                if isinstance(store, IdRelation)
+                else frozenset(store)
+            )
+        return rows
 
     def __getitem__(self, predicate: str) -> frozenset[Row]:
         return self.rows(predicate)
+
+    @property
+    def relations(self) -> dict[str, frozenset[Row]]:
+        """Every derived (and seeded) extension, by predicate."""
+        return {name: self.rows(name) for name in self._stores}
+
+    def ids(self, predicate: str) -> IdRelation | None:
+        """The extension as the evaluation left it in id space; None
+        after a ``compile=False`` evaluation or for an unknown predicate."""
+        store = self._stores.get(predicate)
+        return store if isinstance(store, IdRelation) else None
 
 
 class FixpointEngine:
@@ -110,11 +155,12 @@ class FixpointEngine:
     compile:
         When True (default) each rule is lowered once per engine to a
         columnar plan (:func:`repro.engine.batch.compile_batch_plan`)
-        and derived extensions keep persistent incrementally-maintained
-        indexes and id columns; a rule whose shape does not lower (a
+        and derived extensions are id-space stores with persistent,
+        bulk-extended bucket maps; a rule whose shape does not lower (a
         struct argument containing a variable, a repeated free variable)
-        runs on the reference evaluator.  False selects the reference
-        evaluator for every rule — the differential oracle's baseline.
+        runs on the reference evaluator over decoded views.  False
+        selects the reference evaluator and term-row workspaces for
+        every rule — the differential oracle's baseline.
     """
 
     def __init__(
@@ -174,16 +220,18 @@ class FixpointEngine:
     def _extension(
         self,
         literal: Literal,
-        workspace: Mapping[str, set[Row]],
+        workspace: Mapping[str, Store],
         derived: frozenset[PredicateRef],
-    ) -> Iterable[Row]:
+    ):
+        """What *literal* currently denotes: its workspace entry, else
+        the stored relation."""
         name = literal.predicate
         if name in workspace:
             return workspace[name]
         if pred_ref(literal) in derived:
             # Derived but not yet computed (later stratum would be a bug;
             # same-stratum preds always have a workspace entry).
-            return frozenset()
+            return self._new_store(literal.arity)
         relation = self.db.get(name)
         if relation is not None:
             if relation.arity != literal.arity:
@@ -193,12 +241,42 @@ class FixpointEngine:
             return relation
         raise ExecutionError(f"unknown predicate {name!r} (no rules, no relation, no seed)")
 
+    def _term_extension(self, literal, workspace, derived) -> Iterable[Row]:
+        """:meth:`_extension` for the reference operators: an id-space
+        entry is read through its decoded view."""
+        extension = self._extension(literal, workspace, derived)
+        return extension.decoded() if isinstance(extension, IdRelation) else extension
+
+    def _store(self, literal, workspace, derived):
+        """:meth:`_extension` for a lowered step: a stored relation is
+        probed through its columnar mirror."""
+        extension = self._extension(literal, workspace, derived)
+        if isinstance(extension, IdRelation):
+            return extension
+        return extension.batch_store(self._batch_exec.interner)
+
+    def _new_store(self, arity: int | None = None, rows: Iterable[Row] = ()) -> Store:
+        if self.compile:
+            interner = self._batch_exec.interner
+            return IdRelation(interner, arity, interner.encode_rows(rows))
+        return set(tuple(r) for r in rows)
+
+    @staticmethod
+    def _absorb(store: Store, produced: set) -> set:
+        """Add a firing's output to a workspace entry; the rows that
+        were new (the delta's share), as one set difference."""
+        if isinstance(store, IdRelation):
+            return store.absorb(produced)
+        new = produced - store
+        store |= new
+        return new
+
     # -- rule bodies -----------------------------------------------------------
 
     def _eval_body(
         self,
         body: Sequence[Literal],
-        workspace: Mapping[str, set[Row]],
+        workspace: Mapping[str, Store],
         derived: frozenset[PredicateRef],
         delta_literal: int | None = None,
         delta_rows: Iterable[Row] | None = None,
@@ -225,7 +303,7 @@ class FixpointEngine:
                 with tracer.span(
                     f"negation:{head_name}:{literal.predicate}", kind="operator"
                 ):
-                    extension = self._extension(literal.positive(), workspace, derived)
+                    extension = self._term_extension(literal.positive(), workspace, derived)
                     rows = extension.rows if hasattr(extension, "rows") else extension
                     table = negation_filter(
                         table, literal.positive(), rows, self.profiler, governor=governor
@@ -250,7 +328,7 @@ class FixpointEngine:
                     extension = delta_rows
                     method = "hash"
                 else:
-                    extension = self._extension(literal, workspace, derived)
+                    extension = self._term_extension(literal, workspace, derived)
                     method = self.method_chooser(literal)
                 span.note(method=method)
                 table = scan_join(
@@ -277,11 +355,15 @@ class FixpointEngine:
     def _eval_rule(
         self,
         rule: Rule,
-        workspace: Mapping[str, set[Row]],
+        workspace: Mapping[str, Store],
         derived: frozenset[PredicateRef],
         delta_literal: int | None = None,
-        delta_rows: Iterable[Row] | None = None,
-    ) -> set[Row]:
+        delta: Store | None = None,
+    ) -> set:
+        """One firing's head rows, in the workspace's representation: id
+        rows when compiled, term rows on ``compile=False``.  *delta* is
+        the round's delta for the literal at *delta_literal*, in the
+        same representation."""
         with self.tracer.span(f"rule:{rule.head.predicate}", kind="rule") as span:
             plan, why = self._plan_for(rule)
             if plan is not None:
@@ -290,14 +372,14 @@ class FixpointEngine:
                     self.metrics.inc("batch_rules_total")
                 return self._batch_exec.execute(
                     plan,
-                    lambda literal: self._extension(literal, workspace, derived),
+                    lambda literal: self._store(literal, workspace, derived),
                     self.profiler,
                     delta_position=(
                         plan.delta_map[delta_literal]
                         if delta_literal is not None
                         else None
                     ),
-                    delta_rows=delta_rows,
+                    delta=delta,
                     governor=self.governor,
                     tracer=self.tracer,
                 )
@@ -308,15 +390,18 @@ class FixpointEngine:
             delta_position = (
                 delta_map[delta_literal] if delta_literal is not None else None
             )
+            # The decode / encode boundary of a rule that does not lower
+            # inside a compiled evaluation.
+            interner = self._batch_exec.interner
+            if isinstance(delta, IdRelation):
+                delta = interner.decode_rows(delta.rows)
             table = self._eval_body(
-                body, workspace, derived, delta_position, delta_rows,
+                body, workspace, derived, delta_position, delta,
                 head_name=rule.head.predicate,
             )
-            if rule.is_aggregate:
-                return aggregate_rows(
-                    table, rule.head, self.profiler, governor=self.governor
-                )
-            return head_rows(table, rule.head, self.profiler, governor=self.governor)
+            head = aggregate_rows if rule.is_aggregate else head_rows
+            rows = head(table, rule.head, self.profiler, governor=self.governor)
+            return interner.encode_rows(rows) if self.compile else rows
 
     # -- the fixpoint ------------------------------------------------------------
 
@@ -345,16 +430,9 @@ class FixpointEngine:
                 governor.charge_resident(self.db.resident_tuples())
         self.tracer.attach(self.profiler)
 
-        # Compiled evaluation stores derived extensions as index-maintaining
-        # relations so join steps keep persistent buckets across rounds.
-        def new_store(name: str, rows: Iterable[Row] = ()) -> set[Row] | DerivedRelation:
-            if self.compile:
-                return DerivedRelation(name, rows)
-            return set(tuple(r) for r in rows)
-
-        workspace: dict[str, set[Row] | DerivedRelation] = {}
-        for name, rows in (seeds or {}).items():
-            workspace[name] = new_store(name, (tuple(r) for r in rows))
+        workspace: dict[str, Store] = {
+            name: self._new_store(rows=rows) for name, rows in (seeds or {}).items()
+        }
 
         total_iterations = 0
         for component in graph.evaluation_order():
@@ -366,18 +444,20 @@ class FixpointEngine:
             )
             for ref in component:
                 if ref.name not in workspace:
-                    workspace[ref.name] = new_store(ref.name)
+                    workspace[ref.name] = self._new_store(ref.arity)
             if not recursive:
                 for rule in component_rules:
-                    rows = self._eval_rule(rule, workspace, derived)
-                    workspace[rule.head.predicate].update(rows)
+                    self._absorb(
+                        workspace[rule.head.predicate],
+                        self._eval_rule(rule, workspace, derived),
+                    )
                     if governor is not None:
                         governor.settle(self._live_tuples(workspace))
                 continue
             clique = "+".join(sorted(ref.name for ref in component))
             with self.tracer.span(f"fixpoint:clique:{clique}", kind="fixpoint") as span:
                 iterations = (
-                    self._naive_clique(component_rules, component, workspace, derived)
+                    self._naive_clique(component_rules, workspace, derived)
                     if naive
                     else self._seminaive_clique(
                         component_rules, component, workspace, derived
@@ -391,32 +471,15 @@ class FixpointEngine:
         self.profiler.bump_iterations(total_iterations)
         if governor is not None:
             governor.end_region()
-        return EvaluationResult(
-            relations={
-                name: store.rows if isinstance(store, DerivedRelation) else frozenset(store)
-                for name, store in workspace.items()
-            },
-            iterations=total_iterations,
-            profiler=self.profiler,
-        )
+        return EvaluationResult(workspace, total_iterations, self.profiler)
 
     # -- clique strategies ---------------------------------------------------
 
     @staticmethod
-    def _store_add(store: "set[Row] | DerivedRelation", row: Row) -> bool:
-        """Insert into a workspace store; True when the row was new."""
-        if isinstance(store, DerivedRelation):
-            return store.add(row)
-        if row in store:
-            return False
-        store.add(row)
-        return True
-
-    @staticmethod
-    def _live_tuples(workspace: Mapping[str, set[Row]]) -> int:
+    def _live_tuples(workspace: Mapping[str, Store]) -> int:
         return sum(len(rows) for rows in workspace.values())
 
-    def _check_guards(self, workspace: Mapping[str, set[Row]]) -> None:
+    def _check_guards(self, workspace: Mapping[str, Store]) -> None:
         """Round-boundary guard check: refresh the governor's view of the
         workspace (which already holds this round's delta) and charge one
         fixpoint round against the iteration budget."""
@@ -427,11 +490,22 @@ class FixpointEngine:
         self,
         rules: Sequence[Rule],
         component: frozenset[PredicateRef],
-        workspace: dict[str, set[Row]],
+        workspace: dict[str, Store],
         derived: frozenset[PredicateRef],
     ) -> int:
         names = {ref.name for ref in component}
-        delta: dict[str, set[Row]] = {name: set() for name in names}
+        #: per rule, the body positions a delta can drive
+        clique_positions = [
+            [
+                i
+                for i, literal in enumerate(rule.body)
+                if not literal.is_comparison
+                and not literal.negated
+                and literal.predicate in names
+            ]
+            for rule in rules
+        ]
+        delta: dict[str, set] = {name: set() for name in names}
         governor = self.governor
         tracer = self.tracer
 
@@ -439,10 +513,10 @@ class FixpointEngine:
         # seeds participate).
         with tracer.span("fixpoint:round:0", kind="round"):
             for rule in rules:
-                store = workspace[rule.head.predicate]
-                for row in self._eval_rule(rule, workspace, derived):
-                    if self._store_add(store, row):
-                        delta[rule.head.predicate].add(row)
+                head_name = rule.head.predicate
+                delta[head_name] |= self._absorb(
+                    workspace[head_name], self._eval_rule(rule, workspace, derived)
+                )
                 if governor is not None:
                     governor.settle(self._live_tuples(workspace))
             self._check_guards(workspace)
@@ -450,27 +524,25 @@ class FixpointEngine:
         iterations = 1
         while any(delta.values()):
             with tracer.span(f"fixpoint:round:{iterations}", kind="round"):
-                new_delta: dict[str, set[Row]] = {name: set() for name in names}
-                for rule in rules:
-                    clique_positions = [
-                        i
-                        for i, literal in enumerate(rule.body)
-                        if not literal.is_comparison
-                        and not literal.negated
-                        and literal.predicate in names
-                    ]
-                    for position in clique_positions:
-                        delta_rows = delta.get(rule.body[position].predicate, set())
-                        if not delta_rows:
+                if self.compile:
+                    # one delta store per predicate per round, shared by
+                    # every firing that reads it
+                    interner = self._batch_exec.interner
+                    delta = {
+                        name: IdRelation(interner, rows=rows)
+                        for name, rows in delta.items()
+                    }
+                new_delta: dict[str, set] = {name: set() for name in names}
+                for rule, positions in zip(rules, clique_positions):
+                    head_name = rule.head.predicate
+                    for position in positions:
+                        fired = delta[rule.body[position].predicate]
+                        if not fired:
                             continue
-                        rows = self._eval_rule(
-                            rule, workspace, derived, position, delta_rows
+                        new_delta[head_name] |= self._absorb(
+                            workspace[head_name],
+                            self._eval_rule(rule, workspace, derived, position, fired),
                         )
-                        head_name = rule.head.predicate
-                        store = workspace[head_name]
-                        for row in rows:
-                            if self._store_add(store, row):
-                                new_delta[head_name].add(row)
                         if governor is not None:
                             governor.settle(self._live_tuples(workspace))
                 delta = new_delta
@@ -483,8 +555,7 @@ class FixpointEngine:
     def _naive_clique(
         self,
         rules: Sequence[Rule],
-        component: frozenset[PredicateRef],
-        workspace: dict[str, set[Row]],
+        workspace: dict[str, Store],
         derived: frozenset[PredicateRef],
     ) -> int:
         governor = self.governor
@@ -495,11 +566,10 @@ class FixpointEngine:
                 iterations += 1
                 changed = False
                 for rule in rules:
-                    rows = self._eval_rule(rule, workspace, derived)
-                    head_name = rule.head.predicate
-                    before = len(workspace[head_name])
-                    workspace[head_name].update(rows)
-                    if len(workspace[head_name]) != before:
+                    if self._absorb(
+                        workspace[rule.head.predicate],
+                        self._eval_rule(rule, workspace, derived),
+                    ):
                         changed = True
                     if governor is not None:
                         governor.settle(self._live_tuples(workspace))

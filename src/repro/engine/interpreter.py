@@ -11,11 +11,34 @@ derived predicate node (OR or CC) accepts:
     execute(node, keys) -> all head tuples matching some key
     execute(node, None) -> the full extension (materialized)
 
+Everything that crosses a node boundary is in **id space**: keys are
+sets of interned-id tuples and a node's result is an
+:class:`~repro.storage.columnar.IdRelation` (id rows, columns, bucket
+maps), from the fixpoint's workspace up to :class:`QueryAnswers`, which
+decodes only when a caller asks for terms or Python values.
+
+An AND node (the ``__query__`` wrapper included) is run one of two ways,
+chosen once per node from its shape and noted on its span as
+``tier``/``why``:
+
+* **lowered** — every step is flat and every stored step's EL label is
+  of the hash family (``hash``/``index``, ``pipelined``/``materialized``
+  children, ``anti_probe``): the steps are lowered with
+  :func:`repro.engine.batch.compile_batch_plan` and run by the shared
+  step executor over id columns.  A child's result store is probed
+  directly, sideways keys are the distinct tuples of the key columns,
+  the head is an id-space projection or group.
+* **reference** — a struct-with-variable or repeated-free-variable
+  literal needs unification, and a ``nested_loop``/``merge`` label asks
+  for that method's work profile: the node runs on the operators of
+  :mod:`repro.engine.operators` over :class:`BindingsTable`, reading
+  child extensions through their decoded views and encoding its head.
+
 CC nodes dispatch on their recursive-method label: ``seminaive``/``naive``
-compute the clique's full extension and filter; ``magic`` seeds the magic
-program with the whole key set (set-oriented sideways passing);
-``counting`` runs once per key, since the level index identifies a single
-subquery instance.
+compute the clique's full extension and probe it with the keys; ``magic``
+seeds the magic program with the whole key set (set-oriented sideways
+passing); ``counting`` runs once per key, since the level index
+identifies a single subquery instance.
 
 Results are cached per (node, key-set), so repeated probes of a memoized
 subtree — the run-time mirror of NR-OPT's per-binding memoization — are
@@ -25,16 +48,28 @@ free after the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from ..datalog.bindings import QueryForm
+from ..datalog.intern import INTERNER
 from ..datalog.literals import Literal
-from ..datalog.terms import Constant, Term, Variable, term_from_python
+from ..datalog.rules import Rule
+from ..datalog.terms import (
+    Constant,
+    Term,
+    Variable,
+    is_ground,
+    is_term,
+    term_from_python,
+)
 from ..datalog.unify import Substitution, apply, match
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
-from ..plans.nodes import FixpointNode, JoinNode, UnionNode
+from ..plans.nodes import FixpointNode, JoinNode, JoinStep, UnionNode
 from ..storage.catalog import Database
+from ..storage.columnar import IdRelation, IdRow
+from . import batch as _batch
 from .fixpoint import FixpointEngine
 from .governor import ResourceGovernor, make_governor
 from .operators import (
@@ -48,29 +83,111 @@ from .operators import (
     )
 from .profiler import Profiler
 
-Keys = frozenset[Row] | None
+Keys = frozenset[IdRow] | None
 
 
-@dataclass(frozen=True, slots=True)
+def _plain(term: Term) -> object:
+    return term.value if isinstance(term, Constant) else term
+
+
 class QueryAnswers:
-    """The result set of one executed query form instance."""
+    """The result set of one executed query form instance.
 
-    variables: tuple[Variable, ...]
-    rows: frozenset[Row]
-    profiler: Profiler
+    Held as columns of interned ids: ``len`` and ``bool`` read a count,
+    ``==``, ``hash`` and membership compare id rows, and none of them —
+    nor the result cache, which only stores the object — decodes a term.
+    :attr:`rows`, iteration, :meth:`to_python`, :meth:`to_dicts` and
+    :meth:`first` decode when called, each distinct id once; only
+    :attr:`rows` keeps what it built.  (Columns rather than a set of id
+    tuples, so holding a large answer in the cache costs two flat lists
+    and evicting it on a write frees nothing row by row.)
+
+    Two answers are equal when their variables and rows are; the
+    profiler records how the rows were obtained and is not part of the
+    value.
+    """
+
+    __slots__ = ("variables", "profiler", "_columns", "_length", "_rows")
+
+    def __init__(
+        self, variables: tuple[Variable, ...], ids: Iterable[IdRow], profiler: Profiler
+    ):
+        """*ids* are distinct rows of ids in the process-wide interner."""
+        self.variables = variables
+        self.profiler = profiler
+        if not isinstance(ids, (set, frozenset)):
+            ids = set(ids)
+        self._length = len(ids)
+        #: one list of ids per variable; empty for no rows or no variables
+        self._columns = tuple(map(list, zip(*ids)))
+        self._rows: frozenset[Row] | None = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._length
 
-    def __iter__(self):
-        return iter(sorted(self.rows, key=lambda r: tuple(str(f) for f in r)))
+    def _id_rows(self) -> frozenset[IdRow]:
+        return frozenset(zip(*self._columns) if self._columns else [()] * self._length)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryAnswers):
+            return NotImplemented
+        return (
+            self.variables == other.variables
+            and self._length == other._length
+            and self._id_rows() == other._id_rows()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self._id_rows()))
+
+    def __contains__(self, row: object) -> bool:
+        """Whether *row* — terms or plain Python scalars — is an answer."""
+        try:
+            # Constant(f), not term_from_python(f): a probe value is
+            # looked up, never admitted to the interner
+            ids = tuple(
+                INTERNER.lookup(f if is_term(f) else Constant(f)) for f in row
+            )
+        except TypeError:  # not a row, or an unhashable field
+            return False
+        return ids in self._id_rows()
+
+    def _distinct(self) -> dict[int, Term]:
+        """Every distinct id of the answer, decoded — once each."""
+        terms = INTERNER.terms
+        return {i: terms[i] for i in set(chain.from_iterable(self._columns))}
+
+    def _render(self, by_id: dict) -> list[tuple]:
+        """The rows, in stored order, with ``by_id[i]`` for each id."""
+        if not self._columns:
+            return [()] * self._length
+        return list(zip(*(map(by_id.__getitem__, column) for column in self._columns)))
+
+    def _sort_keys(self, decoded: dict[int, Term]) -> list[tuple]:
+        """Per row, the tuple of its fields' ``str()`` — what answers are
+        listed by."""
+        return self._render({i: str(term) for i, term in decoded.items()})
+
+    def _listed(self, of) -> list[tuple]:
+        """The rows as ``of(term)`` fields, in listing order."""
+        decoded = self._distinct()
+        keys = self._sort_keys(decoded)
+        rows = self._render({i: of(term) for i, term in decoded.items()})
+        return [rows[i] for i in sorted(range(self._length), key=keys.__getitem__)]
+
+    @property
+    def rows(self) -> frozenset[Row]:
+        """The answers as ground term tuples (decoded once, then kept)."""
+        if self._rows is None:
+            self._rows = frozenset(self._render(self._distinct()))
+        return self._rows
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self._listed(lambda term: term))
 
     def to_python(self) -> list[tuple]:
         """Rows as plain Python values (Constant payloads unwrapped)."""
-        out = []
-        for row in self:
-            out.append(tuple(f.value if isinstance(f, Constant) else f for f in row))
-        return out
+        return self._listed(_plain)
 
     def to_dicts(self) -> list[dict[str, object]]:
         """Rows as ``{variable_name: value}`` dicts, in sorted row order."""
@@ -79,12 +196,32 @@ class QueryAnswers:
 
     def first(self) -> tuple | None:
         """The first row as plain values, or ``None`` when empty."""
-        rows = self.to_python()
-        return rows[0] if rows else None
+        if not self._length:
+            return None
+        decoded = self._distinct()
+        at = min(range(self._length), key=self._sort_keys(decoded).__getitem__)
+        return tuple(_plain(decoded[column[at]]) for column in self._columns)
 
     def __repr__(self) -> str:
         header = ", ".join(v.name for v in self.variables)
-        return f"QueryAnswers[{header}]({len(self.rows)} rows)"
+        return f"QueryAnswers[{header}]({self._length} rows)"
+
+
+@dataclass(frozen=True, slots=True)
+class _LoweredNode:
+    """An AND node lowered for one way of entering it (keyed or not)."""
+
+    #: the steps and head, over the key variables as input schema
+    plan: _batch.BatchPlan
+    #: the key fields that become input columns, in schema order
+    key_columns: tuple[int, ...]
+    #: (field, earlier field) pairs a key must agree on (``p(X, X)``)
+    key_equal: tuple[tuple[int, int], ...]
+    #: (field, id) pairs a key must hold (a ground head argument)
+    key_consts: tuple[tuple[int, int], ...]
+    #: per step: the (column, constant id) pairs forming a pipelined
+    #: child's sideways key, or None when the step sends no keys
+    child_keys: tuple[tuple[tuple[int | None, int | None], ...] | None, ...]
 
 
 class Interpreter:
@@ -130,7 +267,10 @@ class Interpreter:
             if metrics is not None and self.governor.metrics is None:
                 self.governor.metrics = metrics
         self.builtins = builtins
-        self._cache: dict[tuple[int, Keys], frozenset[Row]] = {}
+        self._cache: dict[tuple[int, Keys], IdRelation] = {}
+        #: (id(node), entered with keys) -> the node held alive, its
+        #: lowering or None, and why not
+        self._lowered: dict[tuple[int, bool], tuple[JoinNode, _LoweredNode | None, str]] = {}
         #: per-plan-node measured execution stats (id(node) -> counters),
         #: consumed by EXPLAIN ANALYZE
         self.node_stats: dict[int, dict[str, int]] = {}
@@ -151,28 +291,40 @@ class Interpreter:
 
         schema = tuple(sorted(query.bound_vars, key=lambda v: v.name))
         row = tuple(term_from_python(bindings[v.name]) for v in schema)
-        table = BindingsTable.from_rows(schema, [row]) if schema else BindingsTable.unit()
 
         if self.governor is not None:
             self.governor.arm()
         self.tracer.attach(self.profiler)
         wrapper = plan_root.children[0]
-        with self.tracer.span(f"execute:{query.predicate}", kind="phase"):
-            final = self._run_steps(wrapper, table)
+        out_vars = query.output_vars
+        with self.tracer.span(f"execute:{query.predicate}", kind="phase") as span:
+            # The wrapper is an AND node whose input is the one row of
+            # $-values and whose head is the projection on the output
+            # variables (empty for a boolean query: zero or one row).
+            lowered, why = self._lowering(
+                wrapper, Literal("__query__", out_vars), schema=schema
+            )
+            if lowered is not None:
+                span.note(tier="batch")
+                columns, length = self._run_lowered(
+                    wrapper, lowered, [[i] for i in INTERNER.encode_row(row)], 1
+                )
+                ids = _batch.project_ids(lowered.plan, columns, length) if length else ()
+            else:
+                span.note(tier="reference", why=why)
+                table = BindingsTable.from_rows(schema, [row]) if schema else BindingsTable.unit()
+                final = self._run_steps(wrapper, table)
+                length = len(final.rows)
+                ids = INTERNER.encode_rows(final.project(out_vars).rows)
         # The synthetic __query__ wrapper never goes through execute(),
         # so record its stats here: EXPLAIN ANALYZE annotates every node.
-        self._record(wrapper, len(final.rows))
-        self._record(plan_root, len(final.rows))
-        out_vars = query.output_vars
-        projected = final.project(out_vars) if out_vars else final.project(())
-        if not out_vars:
-            # boolean query: empty schema, zero or one row
-            return QueryAnswers((), projected.rows, self.profiler)
-        return QueryAnswers(out_vars, projected.rows, self.profiler)
+        self._record(wrapper, length)
+        self._record(plan_root, length)
+        return QueryAnswers(out_vars, ids, self.profiler)
 
     # --------------------------------------------------------------- nodes
 
-    def execute(self, node: UnionNode | FixpointNode, keys: Keys) -> frozenset[Row]:
+    def execute(self, node: UnionNode | FixpointNode, keys: Keys) -> IdRelation:
         """All head tuples of *node* matching *keys* (all of them if None)."""
         cache_key = (id(node), keys)
         hit = self._cache.get(cache_key)
@@ -205,28 +357,40 @@ class Interpreter:
         else:
             stats["rows"] = max(stats["rows"], rows)
 
-    def _execute_union(self, node: UnionNode, keys: Keys) -> frozenset[Row]:
-        out: set[Row] = set()
+    def _execute_union(self, node: UnionNode, keys: Keys) -> IdRelation:
+        out: set[IdRow] = set()
         for child in node.children:
-            with self.tracer.span(f"and:{child.rule.head.predicate}", kind="node"):
-                rows = self._execute_join(child, keys)
+            with self.tracer.span(f"and:{child.rule.head.predicate}", kind="node") as span:
+                rows = self._execute_join(child, keys, span)
             self._record(child, len(rows))
             out |= rows
-        return frozenset(out)
+        return IdRelation(INTERNER, node.ref.arity, out)
 
-    def _execute_join(self, node: JoinNode, keys: Keys) -> frozenset[Row]:
+    def _execute_join(self, node: JoinNode, keys: Keys, span) -> set[IdRow]:
         head = node.rule.head
+        patterns = (
+            () if keys is None
+            else tuple(head.args[i] for i in node.binding.bound_positions)
+        )
+        lowered, why = self._lowering(node, head, patterns)
+        if lowered is not None:
+            span.note(tier="batch")
+            columns, length = self._key_columns(lowered, keys)
+            columns, length = self._run_lowered(node, lowered, columns, length)
+            return _batch.instantiate_head(
+                lowered.plan, columns, length, INTERNER, self.profiler, self.governor
+            )
+        span.note(tier="reference", why=why)
         if keys is None:
             table = BindingsTable.unit()
         else:
-            patterns = [head.args[i] for i in node.binding.bound_positions]
             schema: list[Variable] = []
             for pattern in patterns:
                 for var in _pattern_vars(pattern):
                     if var not in schema:
                         schema.append(var)
             rows: set[Row] = set()
-            for key in keys:
+            for key in INTERNER.decode_rows(keys):
                 subst: Substitution | None = {}
                 for pattern, value in zip(patterns, key):
                     subst = match(pattern, value, subst)
@@ -237,37 +401,187 @@ class Interpreter:
                 rows.add(tuple(subst[v] for v in schema))
             table = BindingsTable.from_rows(tuple(schema), rows)
         final = self._run_steps(node, table)
-        if node.rule.is_aggregate:
-            return frozenset(aggregate_rows(final, head, self.profiler, governor=self.governor))
-        return frozenset(head_rows(final, head, self.profiler, governor=self.governor))
+        instantiate = aggregate_rows if node.rule.is_aggregate else head_rows
+        return INTERNER.encode_rows(
+            instantiate(final, head, self.profiler, governor=self.governor)
+        )
 
-    def _run_steps(self, node: JoinNode, table: BindingsTable) -> BindingsTable:
+    # ------------------------------------------------------- lowered nodes
+
+    def _lowering(
+        self,
+        node: JoinNode,
+        head: Literal,
+        patterns: Sequence[Term] = (),
+        schema: tuple[Variable, ...] = (),
+    ) -> tuple[_LoweredNode | None, str]:
+        """The node's lowering for this way of entering it — with keys
+        binding the head arguments *patterns*, or (the wrapper) with one
+        row over *schema* — or None and the reason it runs on the
+        reference operators.  Decided once per node."""
+        cache_key = (id(node), bool(patterns))
+        entry = self._lowered.get(cache_key)
+        if entry is None:
+            lowered, why = self._lower(node, head, patterns, schema)
+            entry = self._lowered[cache_key] = (node, lowered, why)
+        return entry[1], entry[2]
+
+    def _lower(
+        self,
+        node: JoinNode,
+        head: Literal,
+        patterns: Sequence[Term],
+        schema: tuple[Variable, ...],
+    ) -> tuple[_LoweredNode | None, str]:
+        for step in node.steps:
+            if step.method in ("nested_loop", "merge"):
+                # the EL label asks for that method's work profile
+                return None, f"{step.method} join label on {step.literal}"
+        key_columns: list[int] = []
+        key_equal: list[tuple[int, int]] = []
+        key_consts: list[tuple[int, int]] = []
+        first_field: dict[Variable, int] = {}
+        for field, pattern in enumerate(patterns):
+            if isinstance(pattern, Variable):
+                if pattern in first_field:
+                    key_equal.append((field, first_field[pattern]))
+                else:
+                    first_field[pattern] = field
+                    key_columns.append(field)
+            elif is_ground(pattern):
+                key_consts.append((field, INTERNER.id_of(pattern)))
+            else:
+                return None, f"struct argument {pattern} in bound head position of {head}"
+        # through the module: the ledger wraps this name by attribute
+        plan, why = _batch.compile_batch_plan(
+            Rule(head, tuple(step.literal for step in node.steps)),
+            reorder=False, builtins=self.builtins,
+            bound=schema or tuple(patterns[field] for field in key_columns),
+        )
+        if plan is None:
+            return None, why
+        child_keys = []
+        for step, lowered_step in zip(node.steps, plan.steps):
+            layout = None
+            if step.child is not None and step.pipelined and lowered_step.kind == "join":
+                slot_at = dict(zip(
+                    lowered_step.bound_positions,
+                    zip(lowered_step.key_slots, lowered_step.key_const_ids),
+                ))
+                wanted = step.child.binding.bound_positions
+                if not all(position in slot_at for position in wanted):
+                    return None, (
+                        f"sideways keys of {step.literal} are not all bound columns"
+                    )
+                layout = tuple(slot_at[position] for position in wanted)
+            child_keys.append(layout)
+        return (
+            _LoweredNode(
+                plan, tuple(key_columns), tuple(key_equal), tuple(key_consts),
+                tuple(child_keys),
+            ),
+            "",
+        )
+
+    @staticmethod
+    def _key_columns(lowered: _LoweredNode, keys: Keys) -> tuple[list[list[int]], int]:
+        """The input batch of a lowered node: the unit table, or the keys
+        that fit the head's bound arguments as one column per variable."""
+        if keys is None:
+            return [], 1
+        if not keys:
+            return [], 0
+        if lowered.key_consts or lowered.key_equal:
+            keys = [
+                key for key in keys
+                if all(key[field] == const for field, const in lowered.key_consts)
+                and all(key[field] == key[other] for field, other in lowered.key_equal)
+            ]
+        if not keys or not lowered.key_columns:
+            return [], 1 if keys else 0
+        # dropped fields are fixed by the kept ones, so rows stay distinct
+        columns = list(zip(*keys))
+        return [list(columns[field]) for field in lowered.key_columns], len(keys)
+
+    def _walk_steps(self, node: JoinNode, forms, state, size, apply):
+        """Run *node*'s steps left to right: ``state = apply(form,
+        state)`` per step, *forms* being the steps as the executor wants
+        them and *state* a bindings table or an id batch of ``size(state)``
+        rows — with the bookkeeping both executors owe around each step:
+        the operator span noting the EL label, governor settling, and the
+        node statistics EXPLAIN ANALYZE and the feedback harvest read."""
         governor = self.governor
-        tracer = self.tracer
         head_name = node.rule.head.predicate
         # Remember the join's input width: the feedback store divides each
         # step's output rows by its predecessor's to learn per-row fanouts.
         node_stats = self.node_stats.setdefault(
             id(node), {"calls": 0, "cached_calls": 0, "rows": 0}
         )
-        node_stats["in_rows"] = max(node_stats.get("in_rows", 0), len(table.rows))
-        for step in node.steps:
-            if not table.rows:
-                return table
-            with tracer.span(
+        node_stats["in_rows"] = max(node_stats.get("in_rows", 0), size(state))
+        for step, form in zip(node.steps, forms):
+            if not size(state):
+                break
+            with self.tracer.span(
                 f"{_step_kind(step)}:{head_name}:{step.literal.predicate}",
                 kind="operator",
             ) as span:
                 span.note(method=step.method)
-                table = self._apply_step(step, table)
+                state = apply(form, state)
             if governor is not None:
-                governor.settle(len(table.rows))
+                governor.settle(size(state))
             stats = self.node_stats.setdefault(
                 id(step), {"calls": 0, "cached_calls": 0, "rows": 0}
             )
             stats["calls"] += 1
-            stats["rows"] = max(stats["rows"], len(table))
-        return table
+            stats["rows"] = max(stats["rows"], size(state))
+        return state
+
+    def _run_lowered(
+        self, node: JoinNode, lowered: _LoweredNode, columns: list[list[int]], length: int
+    ) -> tuple[list[list[int]], int]:
+        def apply(form, batch):
+            step, lowered_step, child_keys = form
+            columns, length = batch
+            store = self._step_store(step, lowered_step, child_keys, columns, length)
+            return _batch.run_step(
+                lowered_step, columns, length, store,
+                self.profiler, self.governor, INTERNER,
+            )
+
+        return self._walk_steps(
+            node, zip(node.steps, lowered.plan.steps, lowered.child_keys),
+            (columns, length), lambda batch: batch[1], apply,
+        )
+
+    def _step_store(self, step: JoinStep, lowered_step, child_keys, columns, length):
+        """The store a lowered stored step probes (None for a computed
+        one): the child's result, or the base relation's mirror.  A
+        positive step charges one ``examined`` per row of a child's
+        extension or of a ``hash``-labelled relation — the build the
+        reference join pays on each call; ``index`` probes are free."""
+        if lowered_step.kind not in ("join", "negation"):
+            return None
+        if step.child is not None:
+            if child_keys is None:
+                keys = None
+            elif child_keys:
+                keys = frozenset(zip(*(
+                    columns[slot] if slot is not None else repeat(const, length)
+                    for slot, const in child_keys
+                )))
+            else:  # pipelined with nothing bound: the one empty key
+                keys = frozenset(((),))
+            store = self.execute(step.child, keys)
+        else:
+            store = self.db.relation(step.literal.predicate).batch_store(INTERNER)
+        if lowered_step.kind == "join" and (step.child is not None or step.method != "index"):
+            self.profiler.bump_examined(len(store))
+        return store
+
+    # ----------------------------------------------------- reference nodes
+
+    def _run_steps(self, node: JoinNode, table: BindingsTable) -> BindingsTable:
+        return self._walk_steps(node, node.steps, table, len, self._apply_step)
 
     def _apply_step(self, step, table: BindingsTable) -> BindingsTable:
         literal = step.literal
@@ -275,16 +589,20 @@ class Interpreter:
         if literal.is_comparison:
             return apply_comparison(table, literal, self.profiler, governor=governor)
         if literal.negated:
-            extension = self._step_extension(step, literal, None)
+            if step.child is not None:
+                extension = INTERNER.decode_rows(self.execute(step.child, None).rows)
+            else:
+                extension = self.db.relation(literal.predicate).rows
             return negation_filter(
                 table, literal.positive(), extension, self.profiler, governor=governor
             )
         if step.child is not None:
+            keys = None
             if step.pipelined:
                 keys = self._probe_keys(table, literal, step.child.binding.bound_positions)
-                extension = self.execute(step.child, keys)
-            else:
-                extension = self.execute(step.child, None)
+            # the decode boundary: a frozenset, joined by a per-call hash
+            # build as every child extension on this path always was
+            extension = INTERNER.decode_rows(self.execute(step.child, keys).rows)
             return scan_join(
                 table, literal, extension, "hash", self.profiler, governor=governor
             )
@@ -302,21 +620,15 @@ class Interpreter:
             table, literal, relation, method, self.profiler, governor=governor
         )
 
-    def _step_extension(self, step, literal: Literal, keys: Keys) -> Iterable[Row]:
-        """Extension of a (possibly derived) literal for a negation check."""
-        if step.child is not None:
-            return self.execute(step.child, keys)
-        return self.db.relation(literal.predicate).rows
-
     def _probe_keys(
         self, table: BindingsTable, literal: Literal, bound_positions: Sequence[int]
-    ) -> frozenset[Row]:
+    ) -> frozenset[IdRow]:
         """Distinct bound-argument values flowing sideways into a child."""
         keys: set[Row] = set()
         for subst in table.substitutions():
             key = tuple(apply(literal.args[i], subst) for i in bound_positions)
             keys.add(key)
-        return frozenset(keys)
+        return frozenset(INTERNER.encode_rows(keys))
 
     # ------------------------------------------------------------ fixpoints
 
@@ -335,37 +647,35 @@ class Interpreter:
             metrics=self.metrics,
         )
 
-    def _execute_fixpoint(self, node: FixpointNode, keys: Keys) -> frozenset[Row]:
+    def _execute_fixpoint(self, node: FixpointNode, keys: Keys) -> IdRelation:
         bound_positions = node.binding.bound_positions
         if node.method in ("seminaive", "naive"):
-            # Materialized fixpoint: full extension (cached), then filter.
+            # Materialized fixpoint: full extension (cached), then probe.
             full = self._cache.get((id(node), None))
             if full is None:
                 result = self._fixpoint_engine().evaluate(
                     node.program, naive=(node.method == "naive")
                 )
-                full = result.rows(node.answer_predicate)
+                full = self._answers(result, node)
                 self._cache[(id(node), None)] = full
             if keys is None:
                 return full
-            return frozenset(
-                row for row in full
-                if tuple(row[i] for i in bound_positions) in keys
-            )
+            return full.select(bound_positions, keys)
 
         if keys is None:
             raise ExecutionError(
                 f"{node.method} fixpoint for {node.ref} requires sideways bindings"
             )
 
+        # The recursive methods below are seeded with, or looped over,
+        # term keys: FixpointEngine.evaluate and QSQNEngine.solve take
+        # their seeds as terms and encode them once on entry.
+        term_keys = INTERNER.decode_rows(keys)
+
         if node.method in ("magic", "supplementary"):
-            seeds = {node.seed_predicate: set(keys)}
+            seeds = {node.seed_predicate: term_keys}
             result = self._fixpoint_engine().evaluate(node.program, seeds=seeds)
-            answers = result.rows(node.answer_predicate)
-            return frozenset(
-                row for row in answers
-                if tuple(row[i] for i in bound_positions) in keys
-            )
+            return self._answers(result, node).select(bound_positions, keys)
 
         if node.method == "counting":
             free_positions = [i for i in range(node.ref.arity) if i not in bound_positions]
@@ -375,7 +685,7 @@ class Interpreter:
             # workspace, while the rule plans lowered for the first key
             # are reused for every subsequent one.
             engine = self._fixpoint_engine()
-            for key in keys:
+            for key in term_keys:
                 seeds = {node.seed_predicate: {(zero,) + key}}
                 result = engine.evaluate(node.program, seeds=seeds)
                 for row in result.rows(node.answer_predicate):
@@ -387,7 +697,9 @@ class Interpreter:
                     for position, value in zip(free_positions, row[1:]):
                         full_row[position] = value
                     out.add(tuple(full_row))
-            return frozenset(out)
+            return IdRelation(
+                INTERNER, node.ref.arity, INTERNER.encode_rows(out)
+            )
 
         if node.method == "qsqn":
             from ..datalog.rules import Program
@@ -410,13 +722,23 @@ class Interpreter:
                 metrics=self.metrics,
                 support_engine=self._fixpoint_engine(),
             )
-            answers = engine.solve(node.adorned, support, keys)
-            return frozenset(
-                row for row in answers
-                if tuple(row[i] for i in bound_positions) in keys
-            )
+            answers = engine.solve(node.adorned, support, term_keys)
+            return IdRelation(
+                INTERNER, node.ref.arity, INTERNER.encode_rows(answers)
+            ).select(bound_positions, keys)
 
         raise ExecutionError(f"unknown recursive method {node.method!r}")
+
+    def _answers(self, result, node: FixpointNode) -> IdRelation:
+        """The answer predicate's extension as the fixpoint left it
+        (encoded here if the engine kept term rows)."""
+        store = result.ids(node.answer_predicate)
+        if store is None:
+            store = IdRelation(
+                INTERNER, node.ref.arity,
+                INTERNER.encode_rows(result.rows(node.answer_predicate)),
+            )
+        return store
 
 
 def _step_kind(step) -> str:

@@ -216,8 +216,10 @@ class ViewSet:
         result = evaluate_program(
             self.db, self.program, profiler=self.profiler, builtins=self.builtins
         )
+        # The views are term-space: adopt each extension's decoded view
+        # (decoded straight from the id columns, no intermediate copy).
         self._stored = {
-            ref.name: DerivedRelation(ref.name, result.rows(ref.name))
+            ref.name: result.ids(ref.name).decoded()
             for ref in self.program.derived_predicates
         }
         self._counts = {}
@@ -239,6 +241,18 @@ class ViewSet:
     def rows(self, predicate: str) -> frozenset[Row]:
         stored = self._stored.get(predicate)
         return stored.rows if stored is not None else frozenset()
+
+    def lookup(
+        self, predicate: str, positions: tuple[int, ...], key: Row
+    ) -> Iterable[Row]:
+        """The rows of *predicate* whose *positions* fields equal *key*,
+        through a persistent index on those positions (built on the first
+        such read, then maintained by every delta like the indexes rule
+        firing uses).  Not to be held across a write."""
+        stored = self._stored.get(predicate)
+        if stored is None:
+            return ()
+        return stored.ensure_index(positions).get_bucket(tuple(key))
 
     def predicates(self) -> tuple[str, ...]:
         """The maintained derived predicates, sorted."""

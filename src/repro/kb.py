@@ -858,8 +858,12 @@ class KnowledgeBase:
         )
 
     def _answer_from_view(self, form: QueryForm, profiler: Profiler, bindings: dict) -> QueryAnswers:
-        """Answer a query form by filtering a materialized extension."""
-        from .datalog.terms import term_from_python
+        """Answer a query form from a materialized extension: the goal's
+        ground arguments (constants, ``$``-values) probe the view's index
+        on their positions, so a bound read examines the rows that match
+        them, not the view; what is left of the goal is matched per row."""
+        from .datalog.intern import INTERNER
+        from .datalog.terms import is_ground, term_from_python
         from .datalog.unify import Substitution, apply, match
         from .errors import ExecutionError
 
@@ -870,9 +874,16 @@ class KnowledgeBase:
             v: term_from_python(bindings[v.name]) for v in form.bound_vars
         }
         patterns = [apply(arg, base) for arg in form.goal.args]
+        ground = tuple(i for i, pattern in enumerate(patterns) if is_ground(pattern))
+        if ground:
+            candidates = self._views.lookup(
+                form.predicate, ground, tuple(patterns[i] for i in ground)
+            )
+        else:
+            candidates = self._views.rows(form.predicate)
         out_vars = form.output_vars
         rows = set()
-        for stored in self._views.rows(form.predicate):
+        for stored in candidates:
             profiler.bump_examined()
             subst: Substitution | None = dict(base)
             for pattern, value in zip(patterns, stored):
@@ -882,7 +893,7 @@ class KnowledgeBase:
             if subst is not None:
                 rows.add(tuple(subst[v] for v in out_vars))
         profiler.bump_produced(len(rows))
-        return QueryAnswers(out_vars, frozenset(rows), profiler)
+        return QueryAnswers(out_vars, INTERNER.encode_rows(rows), profiler)
 
     # ----------------------------------------------------------- persistence
 

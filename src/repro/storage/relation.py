@@ -265,14 +265,17 @@ class Relation:
 
 
 class DerivedRelation:
-    """An index-maintaining extension for derived predicates.
+    """An index-maintaining term-space extension for derived predicates.
 
-    The fixpoint workspace traditionally holds a plain ``set[Row]`` per
-    derived predicate, which forces every hash/index join against a
-    partial result to rebuild its buckets from scratch each round.  This
-    class keeps the set semantics (``add`` returns newness, exactly what
-    semi-naive needs) while maintaining persistent :class:`HashIndex`es
-    and a :class:`SortedOrderCache` incrementally as deltas arrive.
+    Used where derived rows are consumed as terms: the materialized
+    views of :mod:`repro.engine.maintenance`, and the decoded view a
+    rule or plan node on the reference operators reads a compiled
+    extension through (:meth:`~repro.storage.columnar.IdRelation.decoded`).
+    A plain ``set[Row]`` would force every hash/index join against it to
+    rebuild its buckets from scratch on each call; this class keeps the
+    set semantics (``add`` returns newness) while maintaining persistent
+    :class:`HashIndex`es and a :class:`SortedOrderCache` incrementally
+    as rows arrive.
 
     Rows are assumed ground and of consistent arity — the engine derives
     them from already-checked data, so no per-insert validation is done.
@@ -280,7 +283,7 @@ class DerivedRelation:
 
     __slots__ = (
         "name", "_rows", "_indexes", "_sorted", "_version",
-        "_frozen", "_frozen_version", "_batch",
+        "_frozen", "_frozen_version",
     )
 
     def __init__(self, name: str = "", rows: Iterable[Row] = ()):
@@ -291,7 +294,6 @@ class DerivedRelation:
         self._version = 0
         self._frozen: frozenset[Row] | None = None
         self._frozen_version = -1
-        self._batch = None  # BatchStore, built lazily by batch_store()
 
     # -- set-like surface (what the fixpoint workspace uses) -------------------
 
@@ -303,8 +305,6 @@ class DerivedRelation:
         self._version += 1
         for index in self._indexes.values():
             index.add(row)
-        if self._batch is not None:
-            self._batch.append(row)
         return True
 
     def discard(self, row: Row) -> bool:
@@ -312,7 +312,7 @@ class DerivedRelation:
 
         Invalidates exactly what :meth:`add` maintains: the version
         counter (which the sorted-order cache and the result cache key
-        on), every persistent index, and the columnar mirror.
+        on) and every persistent index.
         """
         if row not in self._rows:
             return False
@@ -320,7 +320,6 @@ class DerivedRelation:
         self._version += 1
         for index in self._indexes.values():
             index.remove(row)
-        self._batch = None
         return True
 
     def update(self, rows: Iterable[Row]) -> int:
@@ -374,17 +373,6 @@ class DerivedRelation:
     ) -> tuple[list[tuple[tuple, Row]], bool]:
         """The extension sorted on *positions* (see :meth:`Relation.sorted_by`)."""
         return self._sorted.lookup(tuple(positions), self._version, self._rows, key_fn)
-
-    def batch_store(self, interner) -> "BatchStore":
-        """Columnar mirror, maintained incrementally by :meth:`add`."""
-        store = self._batch
-        if store is None or store.interner is not interner:
-            from .columnar import BatchStore
-
-            store = BatchStore(interner)
-            store.extend(self._rows)
-            self._batch = store
-        return store
 
     def __repr__(self) -> str:
         return f"DerivedRelation({self.name!r}, {len(self._rows)} tuples, {len(self._indexes)} indexes)"

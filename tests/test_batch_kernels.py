@@ -33,7 +33,7 @@ from repro.engine.governor import ResourceGovernor, make_governor
 from repro.engine.profiler import Profiler
 from repro.errors import ExecutionError, TupleBudgetExceeded
 from repro.storage import Database, relation_from_rows
-from repro.storage.columnar import store_from_rows
+from repro.storage.columnar import BatchStore
 
 X, Z = Variable("X"), Variable("Z")
 
@@ -273,7 +273,8 @@ def test_global_interner_shares_instances_across_terms():
 def test_batch_store_buckets_and_incremental_append():
     interner = TermInterner()
     rows = [(Constant("a"), Constant("x")), (Constant("a"), Constant("y"))]
-    store = store_from_rows(rows, interner)
+    store = BatchStore(interner)
+    store.extend(rows)
     buckets = store.buckets_for((0,))
     a_id = interner.id_of(Constant("a"))
     assert sorted(buckets[a_id]) == [0, 1]

@@ -129,22 +129,20 @@ def test_profiler_governor_tracer_bypass_cache():
 # ------------------------------------------------- derived-store invalidation
 
 
-def test_derived_relation_discard_invalidates_batch_store():
-    from repro.datalog.intern import INTERNER
+def test_derived_relation_discard_invalidates_version_and_indexes():
     from repro.datalog.terms import Constant
 
     rel = DerivedRelation("d")
     rel.add((Constant("a"),))
     rel.add((Constant("b"),))
-    store = rel.batch_store(INTERNER)
-    assert store.length == 2
+    index = rel.ensure_index((0,))
+    assert index.get_bucket((Constant("a"),))
     version = rel.version
     rel.discard((Constant("a"),))
     assert rel.version > version
     assert (Constant("a"),) not in rel
-    # the dropped store is rebuilt from the survivors on next use
-    rebuilt = rel.batch_store(INTERNER)
-    assert rebuilt.length == 1
+    assert not index.get_bucket((Constant("a"),))
+    assert rel.rows == frozenset({(Constant("b"),)})
 
 
 def test_relation_remove_drops_batch_store():
