@@ -1,13 +1,13 @@
 """The rule executor: rules lowered to columnar steps over interned ids.
 
-A rule body is lowered once (:func:`compile_batch_plan`) into a sequence
-of steps, LDL++'s move of compiling rules into reusable physical plans
-(Arni et al.): the safe-order search runs once, the schema growth of the
-body is simulated left to right, and every literal's argument layout is
-baked into slot tuples.  An intermediate result is a list of parallel
-**columns of interned term ids** (:mod:`repro.datalog.intern`), and each
-step processes the entire batch per Python-level call.  The step kinds
-are a closed set:
+A rule body is lowered once (:func:`compile_batch_plan`, memoized by
+:func:`lower_rule`) into a sequence of steps, LDL++'s move of compiling
+rules into reusable physical plans (Arni et al.): the safe-order search
+runs once, the schema growth of the body is simulated left to right, and
+every literal's argument layout is baked into slot tuples.  An
+intermediate result is a list of parallel **columns of interned term
+ids** (:mod:`repro.datalog.intern`), and each step processes the entire
+batch per Python-level call.  The step kinds are a closed set:
 
 * **join** — a stored positive literal.  The probe pass streams the key
   column(s) against the extension's precomputed row-index buckets
@@ -285,6 +285,21 @@ def compile_batch_plan(
         ),
         "",
     )
+
+
+def lower_rule(
+    memo: dict, rule: Rule, reorder: bool = True, oracle=None, builtins=None,
+    bound: tuple[Variable, ...] = (),
+) -> tuple[BatchPlan | None, str]:
+    """:func:`compile_batch_plan` through *memo* (a
+    :class:`~repro.plans.nodes.PlanCode`'s): rules are frozen and a plan
+    reads nothing but its rule, so one lowering per rule value, ordering
+    mode and input schema outlives the query plan that first needed it."""
+    key = (rule, reorder, bound)
+    entry = memo.get(key)
+    if entry is None:  # by the module-level name the ledger's tracer rebinds
+        entry = memo[key] = compile_batch_plan(rule, reorder, oracle, builtins, bound=bound)
+    return entry
 
 
 class BatchExecutor:
@@ -653,6 +668,17 @@ def project_ids(
         for slot, const in zip(plan.head_slots, plan.head_const_ids)
     ]
     return set(zip(*streams)) if streams else {()}
+
+
+def head_columns(plan: BatchPlan, columns: list[list[int]]) -> list[list[int]] | None:
+    """The head projection of a batch as its own columns, when the head
+    keeps every one of them: the rows are then as distinct as the batch's
+    (module docstring) and :func:`project_ids` would dedup nothing.  None
+    when the head drops a column, holds a constant or groups."""
+    slots = plan.head_slots
+    if plan.head_aggregates or None in slots or len(set(slots)) != len(columns):
+        return None
+    return [columns[slot] for slot in slots]
 
 
 def _charge_head(id_rows: set[IdRow], profiler: Profiler, governor) -> set[IdRow]:

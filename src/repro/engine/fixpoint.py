@@ -12,6 +12,14 @@ else the reference evaluator :meth:`FixpointEngine._eval_body`, which
 executes the body left to right over :class:`BindingsTable` pipelines
 with the unifying operators of :mod:`repro.engine.operators`.
 
+Everything :meth:`FixpointEngine.evaluate` needs that the program alone
+decides is its *schedule*: the strata in evaluation order, and per rule
+its executor, body order and the positions a delta can drive.  It is
+built once per program (stratification checked then) and kept on a
+:class:`~repro.plans.nodes.PlanCode` — the compiled query's, when the
+plan interpreter runs the engine, so it is built once per plan, not per
+ask — and an evaluation allocates workspaces only.
+
 The workspace has one representation per engine.  Compiled (the
 default), every derived extension is an
 :class:`~repro.storage.columnar.IdRelation` — a set of interned-id rows
@@ -46,25 +54,25 @@ paper's "infinite cost".
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..datalog.graph import DependencyGraph
 from ..datalog.literals import Literal, PredicateRef, pred_ref
 from ..datalog.rules import Program, Rule
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
+from ..plans.nodes import PlanCode
 from ..storage.catalog import Database
 from ..storage.columnar import IdRelation
 from . import batch as _batch
-from .governor import ResourceGovernor, make_governor
+from .governor import ResourceGovernor, adopt_governor, collector_paused
 from .operators import (
     BindingsTable,
     Row,
     aggregate_rows,
-    apply_comparison,
     head_rows,
-    negation_filter,
-    scan_join,
+    reference_step,
+    step_kind,
 )
 from .profiler import Profiler
 
@@ -81,6 +89,29 @@ def _default_method(literal: Literal) -> str:
 
 #: A workspace entry: id space when compiled, term rows on the reference.
 Store = "IdRelation | set[Row]"
+
+
+class _ScheduledRule(NamedTuple):
+    """A rule as the fixpoint fires it: on its lowered *plan*, or (None)
+    on the reference for *why*, which walks *body* — the execution order.
+    *deltas* lists, per body literal a delta can drive and in body order,
+    the clique predicate it reads and its position in execution order."""
+
+    rule: Rule
+    plan: "_batch.BatchPlan | None"
+    why: str
+    body: tuple[Literal, ...]
+    deltas: tuple[tuple[str, int], ...]
+
+
+class _Stratum(NamedTuple):
+    """One component of the dependency graph that has rules; *clique* is
+    its name on the ``fixpoint:clique:`` span."""
+
+    refs: tuple[PredicateRef, ...]
+    rules: tuple[_ScheduledRule, ...]
+    recursive: bool
+    clique: str
 
 
 class EvaluationResult:
@@ -153,8 +184,10 @@ class FixpointEngine:
         When True (default) bodies are reordered by the greedy EC order
         before execution; when False the given order is trusted.
     compile:
-        When True (default) each rule is lowered once per engine to a
-        columnar plan (:func:`repro.engine.batch.compile_batch_plan`)
+        When True (default) each rule is lowered to a columnar plan
+        (:func:`repro.engine.batch.compile_batch_plan`) — once per
+        :attr:`code`, so once per compiled query when the plan
+        interpreter shares the query's, once per engine otherwise —
         and derived extensions are id-space stores with persistent,
         bulk-extended bucket maps; a rule whose shape does not lower (a
         struct argument containing a variable, a repeated free variable)
@@ -181,36 +214,20 @@ class FixpointEngine:
 
         self.db = db
         self.profiler = profiler or Profiler()
-        self.max_iterations = max_iterations
-        self.max_tuples = max_tuples
-        if governor is False:
-            self.governor: ResourceGovernor | None = None
-        elif governor is not None:
-            self.governor = governor
-            if governor.profiler is None:
-                governor.profiler = self.profiler
-        else:
-            self.governor = make_governor(
-                max_tuples=max_tuples,
-                max_iterations=max_iterations,
-                profiler=self.profiler,
-            )
+        self.governor = adopt_governor(
+            governor, self.profiler, tracer, metrics,
+            max_tuples=max_tuples, max_iterations=max_iterations,
+        )
         self.tracer = tracer
         self.metrics = metrics
-        if self.governor is not None:
-            # Let budget aborts name the open spans, and denials count.
-            if tracer.enabled and self.governor.tracer is None:
-                self.governor.tracer = tracer
-            if metrics is not None and self.governor.metrics is None:
-                self.governor.metrics = metrics
         self.method_chooser = method_chooser or _default_method
         self.reorder_bodies = reorder_bodies
         self.builtins = builtins
         self._oracle = builtin_oracle(builtins)
         self.compile = compile
-        #: id(rule) -> (rule, lowered plan or None, why not); the rule is
-        #: held so its id stays its own for the engine's lifetime.
-        self._lowered: dict[int, tuple[Rule, "_batch.BatchPlan | None", str]] = {}
+        #: keeps schedules and lowered rules; private, unless the owner of
+        #: a compiled query puts the query's own here
+        self.code = PlanCode()
         self._batch_exec = _batch.BatchExecutor()
         #: Resident base tuples are priced only when spilling can happen.
         self._spill_active = getattr(db, "spill_threshold", None) is not None
@@ -283,128 +300,121 @@ class FixpointEngine:
         head_name: str = "",
     ) -> BindingsTable:
         table = BindingsTable.unit()
-        governor = self.governor
-        tracer = self.tracer
         # Span names below must match the labels the lowering bakes into
         # its steps (f"{kind}:{head}:{pred}") so the span tree is
         # identical whether a rule runs lowered or on the reference.
         for position, literal in enumerate(body):
             if not table.rows:
                 return table
-            if literal.is_comparison:
-                with tracer.span(
-                    f"compare:{head_name}:{literal.predicate}", kind="operator"
-                ):
-                    table = apply_comparison(
-                        table, literal, self.profiler, governor=governor
-                    )
-                continue
-            if literal.negated:
-                with tracer.span(
-                    f"negation:{head_name}:{literal.predicate}", kind="operator"
-                ):
-                    extension = self._term_extension(literal.positive(), workspace, derived)
-                    rows = extension.rows if hasattr(extension, "rows") else extension
-                    table = negation_filter(
-                        table, literal.positive(), rows, self.profiler, governor=governor
-                    )
-                continue
-            if self.builtins is not None and literal.predicate in self.builtins:
-                builtin = self.builtins.get(literal.predicate)
-                if builtin is not None and builtin.arity == literal.arity:
-                    from .operators import builtin_join
-
-                    with tracer.span(
-                        f"builtin:{head_name}:{literal.predicate}", kind="operator"
-                    ):
-                        table = builtin_join(
-                            table, literal, builtin, self.profiler, governor=governor
-                        )
-                    continue
-            with tracer.span(
-                f"join:{head_name}:{literal.predicate}", kind="operator"
+            kind = step_kind(literal, self.builtins)
+            driven = position == delta_literal and delta_rows is not None
+            with self.tracer.span(
+                f"{kind}:{head_name}:{literal.predicate}", kind="operator"
             ) as span:
-                if position == delta_literal and delta_rows is not None:
-                    extension = delta_rows
-                    method = "hash"
-                else:
-                    extension = self._term_extension(literal, workspace, derived)
-                    method = self.method_chooser(literal)
-                span.note(method=method)
-                table = scan_join(
-                    table, literal, extension, method, self.profiler, governor=governor
+                method = "hash"
+                if kind == "join":
+                    if not driven:
+                        method = self.method_chooser(literal)
+                    span.note(method=method)
+                table = reference_step(
+                    table, literal,
+                    lambda stored: delta_rows if driven
+                    else self._term_extension(stored, workspace, derived),
+                    method, self.profiler, self.governor, self.builtins,
                 )
         return table
 
-    def _plan_for(self, rule: Rule) -> "tuple[_batch.BatchPlan | None, str]":
-        """The rule's lowered plan, or None and the reason it has none."""
-        if not self.compile:
-            return None, "compile=False"
-        entry = self._lowered.get(id(rule))
-        if entry is None:
-            # through the module: the ledger wraps this name by attribute
-            plan, why = _batch.compile_batch_plan(
-                rule, reorder=self.reorder_bodies, oracle=self._oracle,
-                builtins=self.builtins,
-            )
-            entry = self._lowered[id(rule)] = (rule, plan, why)
-            if self.metrics is not None:
-                self.metrics.inc("kernel_compiles_total")
-        return entry[1], entry[2]
-
-    def _eval_rule(
+    def _fire(
         self,
-        rule: Rule,
+        entry: _ScheduledRule,
         workspace: Mapping[str, Store],
         derived: frozenset[PredicateRef],
-        delta_literal: int | None = None,
+        delta_position: int | None = None,
         delta: Store | None = None,
     ) -> set:
         """One firing's head rows, in the workspace's representation: id
         rows when compiled, term rows on ``compile=False``.  *delta* is
-        the round's delta for the literal at *delta_literal*, in the
-        same representation."""
+        the round's delta for the literal at *delta_position* of the
+        execution order, in the same representation."""
+        rule, plan = entry.rule, entry.plan
         with self.tracer.span(f"rule:{rule.head.predicate}", kind="rule") as span:
-            plan, why = self._plan_for(rule)
             if plan is not None:
-                span.note(tier="batch", delta=delta_literal is not None)
+                span.note(tier="batch", delta=delta_position is not None)
                 if self.metrics is not None:
                     self.metrics.inc("batch_rules_total")
                 return self._batch_exec.execute(
                     plan,
                     lambda literal: self._store(literal, workspace, derived),
                     self.profiler,
-                    delta_position=(
-                        plan.delta_map[delta_literal]
-                        if delta_literal is not None
-                        else None
-                    ),
+                    delta_position=delta_position,
                     delta=delta,
                     governor=self.governor,
                     tracer=self.tracer,
                 )
-            span.note(tier="reference", why=why, delta=delta_literal is not None)
-            body, delta_map = _batch.ordered_body(
-                rule, self.reorder_bodies, self._oracle
-            )
-            delta_position = (
-                delta_map[delta_literal] if delta_literal is not None else None
-            )
+            span.note(tier="reference", why=entry.why, delta=delta_position is not None)
             # The decode / encode boundary of a rule that does not lower
             # inside a compiled evaluation.
             interner = self._batch_exec.interner
             if isinstance(delta, IdRelation):
                 delta = interner.decode_rows(delta.rows)
             table = self._eval_body(
-                body, workspace, derived, delta_position, delta,
+                entry.body, workspace, derived, delta_position, delta,
                 head_name=rule.head.predicate,
             )
             head = aggregate_rows if rule.is_aggregate else head_rows
             rows = head(table, rule.head, self.profiler, governor=self.governor)
             return interner.encode_rows(rows) if self.compile else rows
 
+    # -- the schedule ------------------------------------------------------------
+
+    def _schedule(
+        self, program: Program
+    ) -> tuple[frozenset[PredicateRef], tuple[_Stratum, ...]]:
+        """The program's derived predicates and its strata in evaluation
+        order — all of an evaluation that does not depend on the data."""
+        graph = DependencyGraph(program)
+        graph.check_stratified()
+        memo, reorder, oracle = self.code.memo, self.reorder_bodies, self._oracle
+        lowered_before = len(memo)
+        strata = []
+        for component in graph.evaluation_order():
+            rules = [r for r in program if r.head_ref in component]
+            if not rules:
+                continue  # base-only component
+            names = {ref.name for ref in component}
+            scheduled = []
+            for rule in rules:
+                plan, why = (
+                    _batch.lower_rule(memo, rule, reorder, oracle, self.builtins)
+                    if self.compile else (None, "compile=False")
+                )
+                body, delta_map = (
+                    ((), plan.delta_map) if plan is not None
+                    else _batch.ordered_body(rule, reorder, oracle)
+                )
+                scheduled.append(_ScheduledRule(
+                    rule, plan, why, body,
+                    tuple(
+                        (literal.predicate, delta_map[i])
+                        for i, literal in enumerate(rule.body)
+                        if not literal.is_comparison
+                        and not literal.negated
+                        and literal.predicate in names
+                    ),
+                ))
+            strata.append(_Stratum(
+                tuple(component),
+                tuple(scheduled),
+                any(ref in component for rule in rules for ref in rule.body_refs),
+                "+".join(sorted(names)),
+            ))
+        if self.metrics is not None:
+            self.metrics.inc("kernel_compiles_total", len(memo) - lowered_before)
+        return program.derived_predicates, tuple(strata)
+
     # -- the fixpoint ------------------------------------------------------------
 
+    @collector_paused
     def evaluate(
         self,
         program: Program,
@@ -417,9 +427,9 @@ class FixpointEngine:
         seeds).  With ``naive=True`` recursive cliques use naive
         re-evaluation instead of semi-naive deltas.
         """
-        graph = DependencyGraph(program)
-        graph.check_stratified()
-        derived = program.derived_predicates
+        derived, strata = self.code.once(
+            program, (self.compile, self.reorder_bodies), self._schedule, program
+        )
         governor = self.governor
         if governor is not None:
             governor.arm()
@@ -435,33 +445,24 @@ class FixpointEngine:
         }
 
         total_iterations = 0
-        for component in graph.evaluation_order():
-            component_rules = [r for r in program if r.head_ref in component]
-            if not component_rules:
-                continue  # base-only component
-            recursive = any(
-                ref in component for rule in component_rules for ref in rule.body_refs
-            )
-            for ref in component:
+        for stratum in strata:
+            for ref in stratum.refs:
                 if ref.name not in workspace:
                     workspace[ref.name] = self._new_store(ref.arity)
-            if not recursive:
-                for rule in component_rules:
+            if not stratum.recursive:
+                for entry in stratum.rules:
                     self._absorb(
-                        workspace[rule.head.predicate],
-                        self._eval_rule(rule, workspace, derived),
+                        workspace[entry.rule.head.predicate],
+                        self._fire(entry, workspace, derived),
                     )
                     if governor is not None:
                         governor.settle(self._live_tuples(workspace))
                 continue
-            clique = "+".join(sorted(ref.name for ref in component))
-            with self.tracer.span(f"fixpoint:clique:{clique}", kind="fixpoint") as span:
+            with self.tracer.span(f"fixpoint:clique:{stratum.clique}", kind="fixpoint") as span:
                 iterations = (
-                    self._naive_clique(component_rules, workspace, derived)
+                    self._naive_clique(stratum, workspace, derived)
                     if naive
-                    else self._seminaive_clique(
-                        component_rules, component, workspace, derived
-                    )
+                    else self._seminaive_clique(stratum, workspace, derived)
                 )
                 span.note(rounds=iterations, naive=naive)
             if self.metrics is not None:
@@ -488,23 +489,11 @@ class FixpointEngine:
 
     def _seminaive_clique(
         self,
-        rules: Sequence[Rule],
-        component: frozenset[PredicateRef],
+        stratum: _Stratum,
         workspace: dict[str, Store],
         derived: frozenset[PredicateRef],
     ) -> int:
-        names = {ref.name for ref in component}
-        #: per rule, the body positions a delta can drive
-        clique_positions = [
-            [
-                i
-                for i, literal in enumerate(rule.body)
-                if not literal.is_comparison
-                and not literal.negated
-                and literal.predicate in names
-            ]
-            for rule in rules
-        ]
+        names = [ref.name for ref in stratum.refs]
         delta: dict[str, set] = {name: set() for name in names}
         governor = self.governor
         tracer = self.tracer
@@ -512,10 +501,10 @@ class FixpointEngine:
         # Round 0: all rules against the current workspace (exit rules fire;
         # seeds participate).
         with tracer.span("fixpoint:round:0", kind="round"):
-            for rule in rules:
-                head_name = rule.head.predicate
+            for entry in stratum.rules:
+                head_name = entry.rule.head.predicate
                 delta[head_name] |= self._absorb(
-                    workspace[head_name], self._eval_rule(rule, workspace, derived)
+                    workspace[head_name], self._fire(entry, workspace, derived)
                 )
                 if governor is not None:
                     governor.settle(self._live_tuples(workspace))
@@ -533,15 +522,15 @@ class FixpointEngine:
                         for name, rows in delta.items()
                     }
                 new_delta: dict[str, set] = {name: set() for name in names}
-                for rule, positions in zip(rules, clique_positions):
-                    head_name = rule.head.predicate
-                    for position in positions:
-                        fired = delta[rule.body[position].predicate]
+                for entry in stratum.rules:
+                    head_name = entry.rule.head.predicate
+                    for name, position in entry.deltas:
+                        fired = delta[name]
                         if not fired:
                             continue
                         new_delta[head_name] |= self._absorb(
                             workspace[head_name],
-                            self._eval_rule(rule, workspace, derived, position, fired),
+                            self._fire(entry, workspace, derived, position, fired),
                         )
                         if governor is not None:
                             governor.settle(self._live_tuples(workspace))
@@ -554,7 +543,7 @@ class FixpointEngine:
 
     def _naive_clique(
         self,
-        rules: Sequence[Rule],
+        stratum: _Stratum,
         workspace: dict[str, Store],
         derived: frozenset[PredicateRef],
     ) -> int:
@@ -565,10 +554,10 @@ class FixpointEngine:
             with self.tracer.span(f"fixpoint:round:{iterations}", kind="round"):
                 iterations += 1
                 changed = False
-                for rule in rules:
+                for entry in stratum.rules:
                     if self._absorb(
-                        workspace[rule.head.predicate],
-                        self._eval_rule(rule, workspace, derived),
+                        workspace[entry.rule.head.predicate],
+                        self._fire(entry, workspace, derived),
                     ):
                         changed = True
                     if governor is not None:

@@ -37,6 +37,8 @@ snapshot and the governor's partial-progress view at abort time.
 
 from __future__ import annotations
 
+import functools
+import gc
 import time
 from typing import Callable
 
@@ -210,9 +212,6 @@ class ResourceGovernor:
     def live_tuples(self) -> int:
         """The governor's current live-tuple estimate."""
         return self._retained + self._region_live + self._inflight
-
-    def approx_memory_bytes(self) -> int:
-        return self.live_tuples * self.bytes_per_tuple
 
     @property
     def iterations(self) -> int:
@@ -450,3 +449,45 @@ def make_governor(
         max_iterations=max_iterations,
         **kwargs,
     )
+
+
+def adopt_governor(governor, profiler, tracer, metrics, **limits) -> ResourceGovernor | None:
+    """The governor an engine runs under: *governor* itself, None for
+    ``False`` (the ungoverned escape hatch of the overhead A/B — no
+    guards at all), or one built from *limits*.  Where it has none of
+    its own it takes the engine's profiler, tracer (budget aborts name
+    the open spans) and metrics (denials count)."""
+    if governor is False:
+        return None
+    if governor is None:
+        governor = make_governor(**limits)
+    if governor is not None:
+        if governor.profiler is None:
+            governor.profiler = profiler
+        if tracer.enabled and governor.tracer is None:
+            governor.tracer = tracer
+        if metrics is not None and governor.metrics is None:
+            governor.metrics = metrics
+    return governor
+
+
+def collector_paused(fn):
+    """Run *fn* with the cyclic garbage collector paused: a fixpoint or a
+    decode allocates id rows by the hundred thousand — tuples of ints,
+    which cannot form a cycle — and each 700 of them would start a
+    collection pass.  Scoped and re-entrant: the collector comes back on
+    every way out (budget aborts and injected faults included), and only
+    if it was on at entry.  Never ``gc.freeze()``, which is process-wide
+    and would pin the host application's heap."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused

@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Sequence
 from ..datalog.bindings import QueryForm
 from ..datalog.intern import INTERNER
 from ..datalog.literals import Literal
-from ..datalog.rules import Rule
+from ..datalog.rules import Program, Rule
 from ..datalog.terms import (
     Constant,
     Term,
@@ -63,24 +63,25 @@ from ..datalog.terms import (
     is_term,
     term_from_python,
 )
-from ..datalog.unify import Substitution, apply, match
+from ..datalog.unify import apply
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
-from ..plans.nodes import FixpointNode, JoinNode, JoinStep, UnionNode
+from ..plans.nodes import FixpointNode, JoinNode, JoinStep, PlanCode, UnionNode
 from ..storage.catalog import Database
 from ..storage.columnar import IdRelation, IdRow
 from . import batch as _batch
 from .fixpoint import FixpointEngine
-from .governor import ResourceGovernor, make_governor
+from .governor import ResourceGovernor, adopt_governor, collector_paused
 from .operators import (
+    JOIN_METHODS,
     BindingsTable,
     Row,
     aggregate_rows,
-    apply_comparison,
     head_rows,
-    negation_filter,
-    scan_join,
-    )
+    keys_table,
+    reference_step,
+    step_kind,
+)
 from .profiler import Profiler
 
 Keys = frozenset[IdRow] | None
@@ -121,6 +122,17 @@ class QueryAnswers:
         #: one list of ids per variable; empty for no rows or no variables
         self._columns = tuple(map(list, zip(*ids)))
         self._rows: frozenset[Row] | None = None
+
+    @classmethod
+    def from_columns(
+        cls, variables: tuple[Variable, ...], columns: Sequence[list[int]],
+        length: int, profiler: Profiler,
+    ) -> "QueryAnswers":
+        """Answers already laid out as *length* distinct rows in *columns*
+        — taken, not copied: the lists of a finished result store."""
+        answers = cls(variables, (), profiler)
+        answers._columns, answers._length = tuple(columns), length
+        return answers
 
     def __len__(self) -> int:
         return self._length
@@ -168,6 +180,7 @@ class QueryAnswers:
         listed by."""
         return self._render({i: str(term) for i, term in decoded.items()})
 
+    @collector_paused
     def _listed(self, of) -> list[tuple]:
         """The rows as ``of(term)`` fields, in listing order."""
         decoded = self._distinct()
@@ -176,6 +189,7 @@ class QueryAnswers:
         return [rows[i] for i in sorted(range(self._length), key=keys.__getitem__)]
 
     @property
+    @collector_paused
     def rows(self) -> frozenset[Row]:
         """The answers as ground term tuples (decoded once, then kept)."""
         if self._rows is None:
@@ -242,46 +256,38 @@ class Interpreter:
     ):
         self.db = db
         self.profiler = profiler or Profiler()
-        self.max_iterations = max_iterations
-        self.max_tuples = max_tuples
-        if governor is False:
-            # The ungoverned escape hatch (overhead A/B): no guards at all.
-            self.governor: ResourceGovernor | None = None
-        elif governor is not None:
-            self.governor = governor
-            if governor.profiler is None:
-                governor.profiler = self.profiler
-        else:
-            self.governor = make_governor(
-                deadline_seconds=deadline_seconds,
-                max_tuples=max_tuples,
-                max_memory_bytes=max_memory_bytes,
-                max_iterations=max_iterations,
-                profiler=self.profiler,
-            )
+        self.governor = adopt_governor(
+            governor, self.profiler, tracer, metrics,
+            deadline_seconds=deadline_seconds, max_tuples=max_tuples,
+            max_memory_bytes=max_memory_bytes, max_iterations=max_iterations,
+        )
         self.tracer = tracer
         self.metrics = metrics
-        if self.governor is not None:
-            if tracer.enabled and self.governor.tracer is None:
-                self.governor.tracer = tracer
-            if metrics is not None and self.governor.metrics is None:
-                self.governor.metrics = metrics
         self.builtins = builtins
         self._cache: dict[tuple[int, Keys], IdRelation] = {}
-        #: (id(node), entered with keys) -> the node held alive, its
-        #: lowering or None, and why not
-        self._lowered: dict[tuple[int, bool], tuple[JoinNode, _LoweredNode | None, str]] = {}
+        #: the running plan's executable form (AND-node lowerings, fixpoint
+        #: schedules); private until :meth:`run` is handed the query's own
+        self._code = PlanCode()
         #: per-plan-node measured execution stats (id(node) -> counters),
         #: consumed by EXPLAIN ANALYZE
         self.node_stats: dict[int, dict[str, int]] = {}
 
     # ------------------------------------------------------------- queries
 
-    def run(self, plan_root: UnionNode, query: QueryForm, **bindings: object) -> QueryAnswers:
+    @collector_paused
+    def run(
+        self, plan_root: UnionNode, query: QueryForm, code: PlanCode | None = None, /,
+        **bindings: object,
+    ) -> QueryAnswers:
         """Execute an optimized query form with values for its $-variables.
 
         *bindings* maps bound-variable names to plain Python values.
+        *code* is the compiled query's executable form
+        (``OptimizedQuery.code``): what this run lowers is kept there for
+        the next one, instead of on this interpreter.
         """
+        if code is not None:
+            self._code = code
         missing = {v.name for v in query.bound_vars} - set(bindings)
         if missing:
             raise ExecutionError(f"missing values for bound variables: {sorted(missing)}")
@@ -301,26 +307,40 @@ class Interpreter:
             # The wrapper is an AND node whose input is the one row of
             # $-values and whose head is the projection on the output
             # variables (empty for a boolean query: zero or one row).
-            lowered, why = self._lowering(
-                wrapper, Literal("__query__", out_vars), schema=schema
+            lowered, why = self._code.once(
+                wrapper, False, self._lower, wrapper, Literal("__query__", out_vars), (), schema
             )
             if lowered is not None:
                 span.note(tier="batch")
                 columns, length = self._run_lowered(
                     wrapper, lowered, [[i] for i in INTERNER.encode_row(row)], 1
                 )
-                ids = _batch.project_ids(lowered.plan, columns, length) if length else ()
+                # A child's result store is finished, so when the head keeps
+                # its columns whole they *are* the answer (a base relation's
+                # mirror is not: it grows with the relation).
+                taken = (
+                    _batch.head_columns(lowered.plan, columns)
+                    if length and wrapper.steps[0].child is not None
+                    else None
+                )
+                if taken is not None:
+                    answers = QueryAnswers.from_columns(out_vars, taken, length, self.profiler)
+                else:
+                    ids = _batch.project_ids(lowered.plan, columns, length) if length else ()
+                    answers = QueryAnswers(out_vars, ids, self.profiler)
             else:
                 span.note(tier="reference", why=why)
                 table = BindingsTable.from_rows(schema, [row]) if schema else BindingsTable.unit()
                 final = self._run_steps(wrapper, table)
                 length = len(final.rows)
-                ids = INTERNER.encode_rows(final.project(out_vars).rows)
+                answers = QueryAnswers(
+                    out_vars, INTERNER.encode_rows(final.project(out_vars).rows), self.profiler
+                )
         # The synthetic __query__ wrapper never goes through execute(),
         # so record its stats here: EXPLAIN ANALYZE annotates every node.
         self._record(wrapper, length)
         self._record(plan_root, length)
-        return QueryAnswers(out_vars, ids, self.profiler)
+        return answers
 
     # --------------------------------------------------------------- nodes
 
@@ -372,7 +392,9 @@ class Interpreter:
             () if keys is None
             else tuple(head.args[i] for i in node.binding.bound_positions)
         )
-        lowered, why = self._lowering(node, head, patterns)
+        lowered, why = self._code.once(
+            node, bool(patterns), self._lower, node, head, patterns, ()
+        )
         if lowered is not None:
             span.note(tier="batch")
             columns, length = self._key_columns(lowered, keys)
@@ -381,25 +403,10 @@ class Interpreter:
                 lowered.plan, columns, length, INTERNER, self.profiler, self.governor
             )
         span.note(tier="reference", why=why)
-        if keys is None:
-            table = BindingsTable.unit()
-        else:
-            schema: list[Variable] = []
-            for pattern in patterns:
-                for var in _pattern_vars(pattern):
-                    if var not in schema:
-                        schema.append(var)
-            rows: set[Row] = set()
-            for key in INTERNER.decode_rows(keys):
-                subst: Substitution | None = {}
-                for pattern, value in zip(patterns, key):
-                    subst = match(pattern, value, subst)
-                    if subst is None:
-                        break
-                if subst is None:
-                    continue
-                rows.add(tuple(subst[v] for v in schema))
-            table = BindingsTable.from_rows(tuple(schema), rows)
+        table = (
+            BindingsTable.unit() if keys is None
+            else keys_table(patterns, INTERNER.decode_rows(keys))
+        )
         final = self._run_steps(node, table)
         instantiate = aggregate_rows if node.rule.is_aggregate else head_rows
         return INTERNER.encode_rows(
@@ -408,24 +415,6 @@ class Interpreter:
 
     # ------------------------------------------------------- lowered nodes
 
-    def _lowering(
-        self,
-        node: JoinNode,
-        head: Literal,
-        patterns: Sequence[Term] = (),
-        schema: tuple[Variable, ...] = (),
-    ) -> tuple[_LoweredNode | None, str]:
-        """The node's lowering for this way of entering it — with keys
-        binding the head arguments *patterns*, or (the wrapper) with one
-        row over *schema* — or None and the reason it runs on the
-        reference operators.  Decided once per node."""
-        cache_key = (id(node), bool(patterns))
-        entry = self._lowered.get(cache_key)
-        if entry is None:
-            lowered, why = self._lower(node, head, patterns, schema)
-            entry = self._lowered[cache_key] = (node, lowered, why)
-        return entry[1], entry[2]
-
     def _lower(
         self,
         node: JoinNode,
@@ -433,6 +422,11 @@ class Interpreter:
         patterns: Sequence[Term],
         schema: tuple[Variable, ...],
     ) -> tuple[_LoweredNode | None, str]:
+        """The node's lowering for one way of entering it — with keys
+        binding the head arguments *patterns*, or (the wrapper) with one
+        row over *schema* — or None and the reason it runs on the
+        reference operators.  Decided once per node and way, and kept on
+        the plan's :class:`PlanCode`."""
         for step in node.steps:
             if step.method in ("nested_loop", "merge"):
                 # the EL label asks for that method's work profile
@@ -452,8 +446,8 @@ class Interpreter:
                 key_consts.append((field, INTERNER.id_of(pattern)))
             else:
                 return None, f"struct argument {pattern} in bound head position of {head}"
-        # through the module: the ledger wraps this name by attribute
-        plan, why = _batch.compile_batch_plan(
+        plan, why = _batch.lower_rule(
+            self._code.memo,
             Rule(head, tuple(step.literal for step in node.steps)),
             reorder=False, builtins=self.builtins,
             bound=schema or tuple(patterns[field] for field in key_columns),
@@ -522,7 +516,7 @@ class Interpreter:
             if not size(state):
                 break
             with self.tracer.span(
-                f"{_step_kind(step)}:{head_name}:{step.literal.predicate}",
+                f"{step_kind(step.literal, self.builtins)}:{head_name}:{step.literal.predicate}",
                 kind="operator",
             ) as span:
                 span.note(method=step.method)
@@ -584,40 +578,22 @@ class Interpreter:
         return self._walk_steps(node, node.steps, table, len, self._apply_step)
 
     def _apply_step(self, step, table: BindingsTable) -> BindingsTable:
-        literal = step.literal
-        governor = self.governor
-        if literal.is_comparison:
-            return apply_comparison(table, literal, self.profiler, governor=governor)
-        if literal.negated:
-            if step.child is not None:
-                extension = INTERNER.decode_rows(self.execute(step.child, None).rows)
-            else:
-                extension = self.db.relation(literal.predicate).rows
-            return negation_filter(
-                table, literal.positive(), extension, self.profiler, governor=governor
-            )
-        if step.child is not None:
+        literal, child = step.literal, step.child
+
+        def extension_of(stored: Literal):
+            if child is None:
+                return self.db.relation(stored.predicate)
             keys = None
-            if step.pipelined:
-                keys = self._probe_keys(table, literal, step.child.binding.bound_positions)
+            if step.pipelined and not literal.negated:
+                keys = self._probe_keys(table, literal, child.binding.bound_positions)
             # the decode boundary: a frozenset, joined by a per-call hash
             # build as every child extension on this path always was
-            extension = INTERNER.decode_rows(self.execute(step.child, keys).rows)
-            return scan_join(
-                table, literal, extension, "hash", self.profiler, governor=governor
-            )
-        if self.builtins is not None and literal.predicate in self.builtins:
-            builtin = self.builtins.get(literal.predicate)
-            if builtin is not None and builtin.arity == literal.arity:
-                from .operators import builtin_join
+            return INTERNER.decode_rows(self.execute(child, keys).rows)
 
-                return builtin_join(
-                    table, literal, builtin, self.profiler, governor=governor
-                )
-        relation = self.db.relation(literal.predicate)
-        method = step.method if step.method in ("nested_loop", "hash", "index", "merge") else "hash"
-        return scan_join(
-            table, literal, relation, method, self.profiler, governor=governor
+        return reference_step(
+            table, literal, extension_of,
+            step.method if child is None and step.method in JOIN_METHODS else "hash",
+            self.profiler, self.governor, self.builtins if child is None else None,
         )
 
     def _probe_keys(
@@ -633,19 +609,18 @@ class Interpreter:
     # ------------------------------------------------------------ fixpoints
 
     def _fixpoint_engine(self) -> FixpointEngine:
-        return FixpointEngine(
+        engine = FixpointEngine(
             self.db,
             profiler=self.profiler,
-            max_iterations=self.max_iterations,
-            max_tuples=self.max_tuples,
             builtins=self.builtins,
-            # Share the query-wide governor; an explicitly ungoverned
-            # interpreter keeps its fixpoints ungoverned too (rather than
-            # letting FixpointEngine build its own default).
+            # the query-wide governor, or none at all: an ungoverned
+            # interpreter's fixpoints build no default of their own
             governor=self.governor if self.governor is not None else False,
             tracer=self.tracer,
             metrics=self.metrics,
         )
+        engine.code = self._code  # schedules are kept with the plan
+        return engine
 
     def _execute_fixpoint(self, node: FixpointNode, keys: Keys) -> IdRelation:
         bound_positions = node.binding.bound_positions
@@ -675,15 +650,15 @@ class Interpreter:
         if node.method in ("magic", "supplementary"):
             seeds = {node.seed_predicate: term_keys}
             result = self._fixpoint_engine().evaluate(node.program, seeds=seeds)
-            return self._answers(result, node).select(bound_positions, keys)
+            # one pass: a bucket map over an extension dropped with the
+            # result would be built for this single probe
+            return self._answers(result, node).select(bound_positions, keys, probe=False)
 
         if node.method == "counting":
             free_positions = [i for i in range(node.ref.arity) if i not in bound_positions]
             out: set[Row] = set()
             zero = Constant(0)
-            # One engine for all keys: each evaluate() builds a fresh
-            # workspace, while the rule plans lowered for the first key
-            # are reused for every subsequent one.
+            # each evaluate() builds a fresh workspace and nothing else
             engine = self._fixpoint_engine()
             for key in term_keys:
                 seeds = {node.seed_predicate: {(zero,) + key}}
@@ -697,22 +672,17 @@ class Interpreter:
                     for position, value in zip(free_positions, row[1:]):
                         full_row[position] = value
                     out.add(tuple(full_row))
-            return IdRelation(
-                INTERNER, node.ref.arity, INTERNER.encode_rows(out)
-            )
+            return IdRelation(INTERNER, node.ref.arity, INTERNER.encode_rows(out))
 
         if node.method == "qsqn":
-            from ..datalog.rules import Program
             from .qsqn import QSQNEngine
 
             if node.adorned is None:
                 raise ExecutionError(
                     f"qsqn fixpoint for {node.ref} carries no adorned clique"
                 )
-            adorned_predicates = node.adorned.adorned_predicates
-            support = Program(
-                [r for r in node.program if r.head.predicate not in adorned_predicates]
-            )
+            # one Program object per node, so its schedule is found again
+            support = self._code.once(node, "support", _qsqn_support, node)
             engine = QSQNEngine(
                 self.db,
                 builtins=self.builtins,
@@ -722,10 +692,9 @@ class Interpreter:
                 metrics=self.metrics,
                 support_engine=self._fixpoint_engine(),
             )
+            # solve() returns the answers of its seeds only
             answers = engine.solve(node.adorned, support, term_keys)
-            return IdRelation(
-                INTERNER, node.ref.arity, INTERNER.encode_rows(answers)
-            ).select(bound_positions, keys)
+            return IdRelation(INTERNER, node.ref.arity, INTERNER.encode_rows(answers))
 
         raise ExecutionError(f"unknown recursive method {node.method!r}")
 
@@ -741,26 +710,7 @@ class Interpreter:
         return store
 
 
-def _step_kind(step) -> str:
-    """Span-name prefix for a JoinStep — mirrors the batch step kinds."""
-    literal = step.literal
-    if literal.is_comparison:
-        return "compare"
-    if literal.negated:
-        return "negation"
-    if step.method == "builtin":
-        return "builtin"
-    return "join"
-
-
-def _pattern_vars(term: Term) -> list[Variable]:
-    out: list[Variable] = []
-    stack = [term]
-    while stack:
-        t = stack.pop(0)
-        if isinstance(t, Variable):
-            if t not in out:
-                out.append(t)
-        elif hasattr(t, "args"):
-            stack = list(t.args) + stack  # type: ignore[union-attr]
-    return out
+def _qsqn_support(node: FixpointNode) -> Program:
+    """The rules of a qsqn node's program the net does not drive itself."""
+    adorned = node.adorned.adorned_predicates
+    return Program([r for r in node.program if r.head.predicate not in adorned])

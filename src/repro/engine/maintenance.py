@@ -48,15 +48,8 @@ from ..datalog.terms import Variable, is_ground, variables_of
 from ..datalog.unify import apply
 from ..errors import ExecutionError, KnowledgeBaseError
 from ..storage.catalog import Database
-from ..storage.relation import DerivedRelation, Relation
-from .operators import (
-    BindingsTable,
-    Row,
-    apply_comparison,
-    builtin_join,
-    head_rows,
-    scan_join,
-)
+from ..storage.relation import DerivedRelation
+from .operators import BindingsTable, Row, builtin_for, head_rows, reference_step
 from .profiler import Profiler
 
 
@@ -158,13 +151,7 @@ class ViewSet:
     def _is_stored_literal(self, literal: Literal) -> bool:
         """True when *literal* scans a stored extension (base or derived)
         rather than being evaluated as a comparison or built-in."""
-        if literal.is_comparison:
-            return False
-        if self.builtins is not None and literal.predicate in self.builtins:
-            builtin = self.builtins.get(literal.predicate)
-            if builtin is not None and builtin.arity == literal.arity:
-                return False
-        return True
+        return not literal.is_comparison and builtin_for(literal, self.builtins) is None
 
     def _ordered_body(self, rule: Rule) -> list[Literal]:
         cached = self._body_order.get(id(rule))
@@ -318,20 +305,12 @@ class ViewSet:
             literal = body[index]
             if not table.rows:
                 break
-            if literal.is_comparison:
-                table = apply_comparison(table, literal, self.profiler)
-                continue
-            if not self._is_stored_literal(literal):
-                builtin = self.builtins.get(literal.predicate)
-                table = builtin_join(table, literal, builtin, self.profiler)
-                continue
-            extension = ext_for(index, literal)
-            method = (
-                "index"
-                if isinstance(extension, (Relation, DerivedRelation))
-                else "hash"
+            # "index" probes a relation's persistent index and is a
+            # one-shot hash build over anything else
+            table = reference_step(
+                table, literal, lambda stored, index=index: ext_for(index, stored),
+                "index", self.profiler, builtins=self.builtins,
             )
-            table = scan_join(table, literal, extension, method, self.profiler)
         return table
 
     def _head_counts(self, table: BindingsTable, head: Literal) -> Counter:

@@ -500,6 +500,7 @@ def negation_filter(
 ) -> BindingsTable:
     """Keep rows for which the (fully bound) negated literal has no match."""
     profiler = profiler or Profiler()
+    extension = getattr(extension, "rows", extension)  # a relation's own set
     ext_rows = extension if isinstance(extension, (set, frozenset)) else set(extension)
     out_rows: set[Row] = set()
     for row in table.rows:
@@ -637,3 +638,60 @@ def head_rows(
     if governor is not None:
         governor.tick(len(out))
     return out
+
+
+def keys_table(patterns: Sequence[Term], keys: Iterable[Row]) -> BindingsTable:
+    """What ground *keys* bind the variables of *patterns* to, matched
+    field by field (a key that does not fit drops out); the schema is the
+    variables in first-occurrence order."""
+    schema: list[Variable] = []
+    for pattern in patterns:
+        schema.extend(v for v in _vars_in_order(pattern) if v not in schema)
+    rows: set[Row] = set()
+    for key in keys:
+        subst: Substitution | None = {}
+        for pattern, value in zip(patterns, key):
+            subst = match(pattern, value, subst)
+            if subst is None:
+                break
+        else:
+            rows.add(tuple(subst[v] for v in schema))
+    return BindingsTable.from_rows(schema, rows)
+
+
+def builtin_for(literal: Literal, builtins):
+    """The registered built-in a positive literal calls, or None."""
+    builtin = builtins.get(literal.predicate) if builtins is not None else None
+    return builtin if builtin is not None and builtin.arity == literal.arity else None
+
+
+def step_kind(literal: Literal, builtins=None) -> str:
+    """A body literal's step kind, as the lowering names it (the prefix
+    of its span name): ``compare`` / ``negation`` / ``builtin`` / ``join``."""
+    if literal.is_comparison:
+        return "compare"
+    if literal.negated:
+        return "negation"
+    return "join" if builtin_for(literal, builtins) is None else "builtin"
+
+
+def reference_step(
+    table: BindingsTable, literal: Literal, extension_of, method: str,
+    profiler: Profiler, governor=None, builtins=None,
+) -> BindingsTable:
+    """One body literal over a bindings table, by kind — the one dispatch
+    of every term-space evaluator.  ``extension_of(positive literal)`` is
+    asked for a stored literal's extension only; *method* joins it."""
+    if literal.is_comparison:
+        return apply_comparison(table, literal, profiler, governor=governor)
+    if literal.negated:
+        positive = literal.positive()
+        return negation_filter(
+            table, positive, extension_of(positive), profiler, governor=governor
+        )
+    builtin = builtin_for(literal, builtins)
+    if builtin is not None:
+        return builtin_join(table, literal, builtin, profiler, governor=governor)
+    return scan_join(
+        table, literal, extension_of(literal), method, profiler, governor=governor
+    )

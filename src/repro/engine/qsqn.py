@@ -42,18 +42,17 @@ from ..datalog.bindings import binds_after, head_bound_vars, sip_bindings, split
 from ..datalog.literals import Literal
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Term, Variable
-from ..datalog.unify import Substitution, apply, match
+from ..datalog.unify import apply
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
 from .operators import (
     BindingsTable,
     Row,
-    apply_comparison,
-    builtin_join,
     head_rows,
-    negation_filter,
+    keys_table,
+    reference_step,
     scan_join,
-    )
+)
 from .profiler import Profiler
 
 
@@ -118,14 +117,8 @@ class QSQNEngine:
                 tail = tail | literal.variables
                 suffix.append(tail)
             suffix.reverse()  # suffix[i] = head vars ∪ vars(body[i:])
-            schemas: list[tuple[Variable, ...]] = []
             # sup_0 keeps every head-bound variable in first-occurrence order
-            sup0: list[Variable] = []
-            for key_pattern in key_patterns:
-                for var in _vars_in_order(key_pattern):
-                    if var not in sup0:
-                        sup0.append(var)
-            schemas.append(tuple(sup0))
+            schemas: list[tuple[Variable, ...]] = [keys_table(key_patterns, ()).schema]
             for i, literal in enumerate(rule.body):
                 bound = binds_after(literal, entries[i])
                 schemas.append(tuple(sorted(bound & suffix[i + 1], key=lambda v: v.name)))
@@ -234,16 +227,6 @@ class QSQNEngine:
         ) -> BindingsTable:
             net = nets[rule_index]
             literal = net.rule.body[position]
-            if literal.is_comparison:
-                return apply_comparison(
-                    table, literal, self.profiler, governor=self.governor
-                )
-            if literal.negated:
-                positive = literal.positive()
-                return negation_filter(
-                    table, positive, extension_of(positive),
-                    self.profiler, governor=self.governor,
-                )
             if position in net.clique_positions:
                 predicate, bound_positions = net.clique_positions[position]
                 new_keys: set[Row] = set()
@@ -260,15 +243,9 @@ class QSQNEngine:
                     table, literal, frozenset(answers[predicate]), "hash",
                     self.profiler, governor=self.governor,
                 )
-            if self.builtins is not None:
-                builtin = self.builtins.get(literal.predicate)
-                if builtin is not None and builtin.arity == literal.arity:
-                    return builtin_join(
-                        table, literal, builtin, self.profiler, governor=self.governor
-                    )
-            return scan_join(
-                table, literal, extension_of(literal), "hash",
-                self.profiler, governor=self.governor,
+            return reference_step(
+                table, literal, extension_of, "hash",
+                self.profiler, self.governor, self.builtins,
             )
 
         with self.tracer.span(f"qsqn:{query_predicate}", kind="qsqn") as span:
@@ -280,22 +257,10 @@ class QSQNEngine:
                 if event[0] == "sub":
                     __, predicate, keys = event
                     for rule_index in rules_for.get(predicate, ()):
-                        net = nets[rule_index]
-                        rows: set[Row] = set()
-                        for key in keys:
-                            subst: Substitution | None = {}
-                            for key_pattern, value in zip(net.key_patterns, key):
-                                subst = match(key_pattern, value, subst)
-                                if subst is None:
-                                    break
-                            if subst is None:
-                                continue
-                            rows.add(tuple(subst[v] for v in net.schemas[0]))
-                        if rows:
-                            enqueue_sup(
-                                rule_index, 0,
-                                BindingsTable.from_rows(net.schemas[0], rows),
-                            )
+                        # sup_0's schema: the key variables, first occurrence
+                        table = keys_table(nets[rule_index].key_patterns, keys)
+                        if table.rows:
+                            enqueue_sup(rule_index, 0, table)
                 elif event[0] == "sup":
                     __, rule_index, position, rows = event
                     net = nets[rule_index]
@@ -350,16 +315,3 @@ class QSQNEngine:
             row for row in answers[query_predicate]
             if tuple(row[i] for i in bound_positions) in seed_keys
         )
-
-
-def _vars_in_order(term: Term) -> list[Variable]:
-    if isinstance(term, Variable):
-        return [term]
-    if hasattr(term, "args"):
-        out: list[Variable] = []
-        for arg in term.args:  # type: ignore[union-attr]
-            for var in _vars_in_order(arg):
-                if var not in out:
-                    out.append(var)
-        return out
-    return []

@@ -49,6 +49,10 @@ QERROR_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
 #: stand-in for an infinite q-error in the histogram (sums must be finite)
 _QERROR_CEIL = 1e300
 
+#: entries the parsed-form and lowered-rule memos may hold; past it a
+#: memo starts over (both are cheap to refill)
+_MEMO_SIZE = 4096
+
 
 class _KbTxn:
     """Knowledge-base side of one open transaction: snapshots of what the
@@ -162,6 +166,13 @@ class KnowledgeBase:
         self._rules: list[Rule] = []
         self._optimizer: Optimizer | None = None
         self._compiled: dict[tuple[str, str], OptimizedQuery] = {}
+        #: query text -> its parsed form (forms are immutable)
+        self._forms: dict[str, QueryForm] = {}
+        #: lowered rules by value, shared by every compiled query's
+        #: ``PlanCode``: a data write evicts plans, and the plans that
+        #: replace them find their rules lowered already.  Like the forms,
+        #: dropped wherever ``_compiled`` is dropped whole.
+        self._lowered_rules: dict = {}
         #: per-predicate dependency footprints ("name/arity" -> base
         #: relation names transitively read) and the graph they were
         #: computed from; both live until the rule base changes
@@ -228,8 +239,7 @@ class KnowledgeBase:
             # Compiled plans and the optimizer may reflect in-transaction
             # rules/stats; drop them (they rebuild lazily and cheaply).
             self._optimizer = None
-            self._compiled.clear()
-            self._reopt_fired.clear()
+            self._drop_compiled()
             self.metrics.inc("transactions_total", outcome="rollback")
             raise
         else:
@@ -421,14 +431,21 @@ class KnowledgeBase:
                 f"{rule.head.predicate!r} is a built-in predicate; it cannot be redefined"
             )
 
+    def _drop_compiled(self) -> None:
+        """Forget every compiled query and what was derived for them: the
+        parsed forms, the lowered rules, the re-optimization latches."""
+        self._compiled.clear()
+        self._forms.clear()
+        self._lowered_rules.clear()
+        self._reopt_fired.clear()
+
     def _invalidate(self, keep_views: bool = False) -> None:
         """Full invalidation, for rule/builtin changes: the dependency
         graph itself moved, so footprints, plans, and cached results are
         all void (see :meth:`_data_invalidate` for the surgical
         data-write path)."""
         self._optimizer = None
-        self._compiled.clear()
-        self._reopt_fired.clear()
+        self._drop_compiled()
         self._footprints.clear()
         self._footprint_graph = None
         if self._result_cache is not None:
@@ -556,11 +573,7 @@ class KnowledgeBase:
 
         *tracer* records parse / safety / optimize phase spans.
         """
-        if isinstance(query, str):
-            with tracer.span("parse", kind="phase"):
-                form = parse_query(query)
-        else:
-            form = query
+        form = self._form(query, tracer)
         with tracer.span("safety", kind="phase"):
             # First use builds the dependency graph and runs the
             # stratification check; later uses are a cache lookup.
@@ -576,8 +589,25 @@ class KnowledgeBase:
             return hit
         self.metrics.inc("plan_cache_misses_total")
         compiled = optimizer.optimize(form, tracer=tracer, metrics=self.metrics)
+        if len(self._lowered_rules) >= _MEMO_SIZE:
+            self._lowered_rules.clear()  # goals with constants lower apart
+        compiled.code.memo = self._lowered_rules
         self._compiled[key] = compiled
         return compiled
+
+    def _form(self, query: str | QueryForm, tracer=NULL_TRACER) -> QueryForm:
+        """The parsed form of a query text — parsed (under a ``parse``
+        span) the first time the text is seen."""
+        if not isinstance(query, str):
+            return query
+        form = self._forms.get(query)
+        if form is None:
+            with tracer.span("parse", kind="phase"):
+                form = parse_query(query)
+            if len(self._forms) >= _MEMO_SIZE:
+                self._forms.clear()
+            self._forms[query] = form
+        return form
 
     def explain(self, query: str | QueryForm) -> str:
         """The optimizer's chosen processing tree, pretty-printed."""
@@ -606,7 +636,9 @@ class KnowledgeBase:
                 self.db, profiler=profiler, builtins=self.builtins,
                 tracer=tracer, metrics=self.metrics,
             )
-            answers = interpreter.run(compiled.plan, compiled.query, **bindings)
+            answers = interpreter.run(
+                compiled.plan, compiled.query, compiled.code, **bindings
+            )
         self.metrics.inc("queries_total")
         worst, reopt = self._harvest(compiled, interpreter.node_stats)
         self._telemetry_note(
@@ -663,11 +695,7 @@ class KnowledgeBase:
         started = time.perf_counter()
         before = self._tier_counters()
         with tracer.span("query", kind="query") as root:
-            if isinstance(query, str):
-                with tracer.span("parse", kind="phase"):
-                    form = parse_query(query)
-            else:
-                form = query
+            form = self._form(query, tracer)
             root.note(goal=str(form.goal))
             if self._views is not None and form.predicate in self._views:
                 # View-backed answers participate in the result cache too,
@@ -717,7 +745,9 @@ class KnowledgeBase:
                 governor=governor, tracer=tracer, metrics=self.metrics,
             )
             try:
-                answers = interpreter.run(compiled.plan, compiled.query, **bindings)
+                answers = interpreter.run(
+                    compiled.plan, compiled.query, compiled.code, **bindings
+                )
             except ResourceExhausted:
                 self._telemetry_note(
                     form, started, before, tier=self._tier_taken(before),

@@ -46,7 +46,7 @@ from ..datalog.rules import Program, Rule
 from ..datalog.safety import ec_check, exists_safe_order, well_founded_order
 from ..errors import OptimizationError, UnsafeQueryError
 from ..obs.tracer import NULL_TRACER
-from ..plans.nodes import FixpointNode, JoinNode, JoinStep, UnionNode
+from ..plans.nodes import FixpointNode, JoinNode, JoinStep, PlanCode, UnionNode
 from ..storage.statistics import RelationStats, StatisticsProvider
 from .annealing import AnnealingSchedule, annealing_order
 from .conjunctive import OrderResult, cost_order, dp_order, exhaustive_order, split_joinable
@@ -105,6 +105,8 @@ class OptimizedQuery:
     plan: UnionNode
     est: Estimate
     diagnostics: tuple[str, ...] = ()
+    #: the plan's executable form; the engine fills it on first execution
+    code: PlanCode = field(default_factory=PlanCode, compare=False, repr=False)
 
     @property
     def safe(self) -> bool:

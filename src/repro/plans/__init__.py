@@ -5,6 +5,7 @@ from .nodes import (
     FixpointNode,
     JoinNode,
     JoinStep,
+    PlanCode,
     PlanNode,
     RECURSIVE_METHODS,
     count_nodes,
@@ -29,6 +30,7 @@ __all__ = [
     "FixpointNode",
     "JoinNode",
     "JoinStep",
+    "PlanCode",
     "PlanNode",
     "RECURSIVE_METHODS",
     "count_nodes",

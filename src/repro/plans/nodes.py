@@ -148,6 +148,43 @@ class FixpointNode:
 #: Anything that can stand for a derived predicate in a join step.
 DerivedPlan = Union[UnionNode, FixpointNode]
 
+
+class PlanCode:
+    """The executable form of a compiled query: what the engine derives
+    from the plan's nodes alone, whatever the ``$``-values — kept beside
+    the plan so it is derived once per plan and an execution allocates
+    workspaces only.
+
+    A plain holder.  The engine fills it on first execution
+    (:mod:`repro.engine.interpreter` puts each AND node's lowering here,
+    :mod:`repro.engine.fixpoint` each evaluated program's stratum
+    schedule) and it is dropped with the plan.  An interpreter or
+    fixpoint engine used on its own builds a private one through the
+    same calls.
+    """
+
+    __slots__ = ("memo", "entries")
+
+    def __init__(self, memo: "dict | None" = None):
+        #: ``(rule, reorder, bound) -> (BatchPlan | None, why)``: lowered
+        #: rules by value (:func:`repro.engine.batch.lower_rule`).  A
+        #: knowledge base shares one memo among all its plans, so a plan
+        #: re-optimized after a data write lowers nothing again.
+        self.memo: dict = {} if memo is None else memo
+        #: ``(id(owner), tag) -> (owner, value)``; the owner is held so
+        #: its id stays its own
+        self.entries: dict = {}
+
+    def once(self, owner: object, tag: object, build, *args):
+        """``build(*args)``, computed the first time it is asked for
+        under this *owner* (a plan node, a program — by identity) and
+        *tag*."""
+        key = (id(owner), tag)
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = (owner, build(*args))
+        return entry[1]
+
 #: Any node of a processing tree.
 PlanNode = Union[JoinNode, UnionNode, FixpointNode, JoinStep]
 

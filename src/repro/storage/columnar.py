@@ -146,12 +146,29 @@ class IdRelation(BatchStore):
             self.extend_ids(new)
         return new
 
-    def select(self, positions: tuple[int, ...], keys: Iterable[IdRow]) -> "IdRelation":
+    def select(
+        self, positions: tuple[int, ...], keys: "frozenset[IdRow]", probe: bool = True
+    ) -> "IdRelation":
         """The rows whose *positions* fields equal one of *keys* — a
-        bucket probe per key, not a scan.  With no position to compare,
-        any key selects the relation itself (results are read-only)."""
+        bucket probe per key, not a scan, for a store that lives on and
+        is selected from again; with *probe* off one pass over the rows,
+        for an extension about to be dropped, whose bucket map would be
+        built for this one selection.  With no position to compare, any
+        key selects the relation itself (results are read-only)."""
         if not positions and keys:
             return self
+        arity = len(self.columns) if self.columns is not None else None
+        if not probe:
+            if len(positions) == 1:
+                at, = positions
+                wanted = {key[0] for key in keys}
+                rows = {row for row in self.rows if row[at] in wanted}
+            else:
+                rows = {
+                    row for row in self.rows
+                    if tuple(row[p] for p in positions) in keys
+                }
+            return IdRelation(self.interner, arity, rows)
         buckets = self.buckets_for(positions)
         if len(positions) == 1:
             keys = (key[0] for key in keys)
@@ -164,7 +181,6 @@ class IdRelation(BatchStore):
             rows = set(zip(*([column[i] for i in picked] for column in self.columns)))
         else:  # arity 0, or nothing stored yet
             rows = {()} if picked else set()
-        arity = len(self.columns) if self.columns is not None else None
         return IdRelation(self.interner, arity, rows)
 
     def decoded(self):
