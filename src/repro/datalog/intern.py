@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .terms import Constant, Struct, Term, Variable
+from .terms import Constant, Struct, Term, lift_term
 
 __all__ = ["TermInterner", "INTERNER", "intern_term", "intern_id", "term_for"]
 
@@ -61,8 +61,6 @@ class TermInterner:
         return self._admit(term)
 
     def _admit(self, term: Term) -> int:
-        if isinstance(term, Variable):
-            raise ValueError(f"cannot intern non-ground term {term!r}")
         if isinstance(term, Struct):
             # Recurse first so the stored instance references canonical
             # children.  The rebuilt struct compares equal to *term*, so
@@ -71,6 +69,8 @@ class TermInterner:
                 self.terms[self.id_of(arg)] for arg in term.args
             )
             term = Struct(term.functor, canonical_args)
+        elif not isinstance(term, Constant):  # a variable, or not a term at all
+            raise ValueError(f"cannot intern non-ground term {term!r}")
         new_id = len(self.terms)
         self.terms.append(term)
         self._ids[term] = new_id
@@ -84,6 +84,13 @@ class TermInterner:
         """The id of *term* if it was ever interned — never admits it, so
         probing for a constant no stored tuple holds leaves no trace."""
         return self._ids.get(term)
+
+    def lookup_row(self, row: Iterable[object]) -> tuple[int, ...] | None:
+        """:meth:`lookup` over a row of terms or plain values (lifted,
+        not interned): its id row, or None when some field was never
+        interned — so no stored tuple can equal it."""
+        ids = tuple(map(self._ids.get, map(lift_term, row)))
+        return None if None in ids else ids
 
     def encode_row(self, row: tuple[Term, ...]) -> tuple[int, ...]:
         id_of = self.id_of

@@ -119,6 +119,20 @@ def is_term(obj: object) -> bool:
     return isinstance(obj, (Constant, Variable, Struct))
 
 
+def lift_term(obj: object) -> Term:
+    """A Python value (or an existing term) as a :data:`Term`, built
+    fresh: scalars become :class:`Constant`, lists/tuples ``cons`` lists,
+    terms pass through.  Nothing is interned, so the result can be
+    looked up without being admitted."""
+    if is_term(obj):
+        return obj  # type: ignore[return-value]
+    if isinstance(obj, (list, tuple)):
+        return make_list(map(lift_term, obj))
+    if isinstance(obj, (int, float, str, bool)):
+        return Constant(obj)
+    raise TypeError(f"cannot lift {obj!r} ({type(obj).__name__}) into a term")
+
+
 def term_from_python(obj: object) -> Term:
     """Lift a Python value (or an existing term) into a :data:`Term`.
 
@@ -133,13 +147,17 @@ def term_from_python(obj: object) -> Term:
     """
     if is_term(obj):
         return obj  # type: ignore[return-value]
-    from .intern import intern_term
+    return _intern_term(lift_term(obj))
 
-    if isinstance(obj, (list, tuple)):
-        return intern_term(make_list(term_from_python(x) for x in obj))
-    if isinstance(obj, (int, float, str, bool)):
-        return intern_term(Constant(obj))
-    raise TypeError(f"cannot lift {obj!r} ({type(obj).__name__}) into a term")
+
+def _intern_term(term: Term) -> Term:
+    """``intern.intern_term``, bound on the first call: that module
+    imports this one, and an import statement per lifted value is
+    measurable in a bulk load."""
+    global _intern_term
+    from .intern import intern_term as _intern_term
+
+    return _intern_term(term)
 
 
 def make_list(items: Iterable[Term]) -> Term:

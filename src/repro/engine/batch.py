@@ -79,10 +79,10 @@ from .operators import (
 )
 from .profiler import Profiler
 
-#: Resolves a stored body literal to the store its step probes: a
-#: :class:`BatchStore` (a base relation's mirror, a derived
-#: :class:`~repro.storage.columnar.IdRelation`) or a disk-backed
-#: :class:`~repro.storage.backend.SpilledStore`.
+#: Resolves a stored body literal to the store its step probes: an
+#: :class:`~repro.storage.columnar.IdRelation` (a base relation's own,
+#: a derived extension; ``BatchStore`` is the same class) or a
+#: disk-backed :class:`~repro.storage.backend.SpilledStore`.
 StoreOf = Callable[[Literal], object]
 
 #: Rows per chunk when streaming a disk-backed scan through the tail.

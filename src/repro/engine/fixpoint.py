@@ -265,8 +265,8 @@ class FixpointEngine:
         return extension.decoded() if isinstance(extension, IdRelation) else extension
 
     def _store(self, literal, workspace, derived):
-        """:meth:`_extension` for a lowered step: a stored relation is
-        probed through its columnar mirror."""
+        """:meth:`_extension` for a lowered step: a stored relation
+        hands over the id store it keeps its rows in."""
         extension = self._extension(literal, workspace, derived)
         if isinstance(extension, IdRelation):
             return extension

@@ -317,7 +317,7 @@ class Interpreter:
                 )
                 # A child's result store is finished, so when the head keeps
                 # its columns whole they *are* the answer (a base relation's
-                # mirror is not: it grows with the relation).
+                # columns are not: they grow with the relation).
                 taken = (
                     _batch.head_columns(lowered.plan, columns)
                     if length and wrapper.steps[0].child is not None
@@ -549,7 +549,7 @@ class Interpreter:
 
     def _step_store(self, step: JoinStep, lowered_step, child_keys, columns, length):
         """The store a lowered stored step probes (None for a computed
-        one): the child's result, or the base relation's mirror.  A
+        one): the child's result, or the base relation's own store.  A
         positive step charges one ``examined`` per row of a child's
         extension or of a ``hash``-labelled relation — the build the
         reference join pays on each call; ``index`` probes are free."""

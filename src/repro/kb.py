@@ -28,8 +28,10 @@ from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from .datalog.bindings import QueryForm
+from .datalog.intern import INTERNER
 from .datalog.parser import parse_program, parse_query
 from .datalog.rules import Program, Rule
+from .datalog.terms import is_ground, term_from_python
 from .engine.interpreter import Interpreter, QueryAnswers
 from .engine.profiler import Profiler
 from .errors import KnowledgeBaseError, ResourceExhausted, TransactionError
@@ -86,7 +88,7 @@ class _KbTxn:
         self.rules_changed = False
         self.full_invalidate = False
 
-    def defer_view_delta(self, predicate: str, rows: list, *, inserted: bool) -> None:
+    def defer_view_delta(self, predicate: str, rows: frozenset, *, inserted: bool) -> None:
         """Fold one call's rows into the net delta: a row inserted and
         retracted (or retracted and put back) inside the transaction
         cancels, so commit hands the views one before/after difference
@@ -99,7 +101,7 @@ class _KbTxn:
         )
         cancels = other.get(predicate, ())
         keep = mine.setdefault(predicate, set())
-        for row in set(rows):  # a call may repeat a row
+        for row in rows:
             if row in cancels:
                 cancels.discard(row)
             else:
@@ -303,70 +305,53 @@ class KnowledgeBase:
         self._invalidate()
 
     def facts(self, predicate: str, rows: Iterable[Sequence[object]]) -> int:
-        """Bulk-load plain-value tuples for a base predicate.
+        """Bulk-load plain-value tuples for a base predicate — all of
+        them, or none when one is malformed.
 
         Materialized views (see :meth:`materialize`) are maintained
         incrementally from the newly inserted tuples.
         """
-        from .datalog.terms import term_from_python
-
         if any(r.head.predicate == predicate for r in self._rules):
             raise KnowledgeBaseError(
                 f"{predicate!r} is a derived predicate; facts must go to base predicates"
             )
-        lifted = [tuple(term_from_python(v) for v in row) for row in rows]
-        relation = self.db.get(predicate)
-        fresh = [
-            row for row in lifted
-            if relation is None or row not in relation
-        ]
-        added = 0
-        for row in lifted:
-            if self.db.insert(predicate, row):
-                added += 1
-        txn = self._txn
-        if txn is not None:
-            # Deferred to commit: invalidation fires once, and view
-            # maintenance never has to be undone on rollback.
-            if added:
-                txn.touched.add(predicate)
-            txn.defer_view_delta(predicate, fresh, inserted=True)
-            return added
-        if added:
-            # A no-op insert (every row already present) leaves versions,
-            # plans, and caches exactly as they were.
-            self._data_invalidate({predicate})
-        if self._views is not None and fresh:
-            self._views.insert({predicate: fresh})
-        return added
+        return self._wrote(predicate, self.db.add(predicate, rows), inserted=True)
 
     def retract(self, predicate: str, rows: Iterable[Sequence[object]]) -> int:
         """Remove facts from a base predicate; compiled plans are
         invalidated and materialized views maintained by DRed."""
-        from .datalog.terms import term_from_python
+        return self._wrote(predicate, self.db.remove(predicate, rows), inserted=False)
 
-        lifted = [tuple(term_from_python(v) for v in row) for row in rows]
-        relation = self.db.get(predicate)
-        present = [row for row in lifted if relation is not None and row in relation]
-        removed = self.db.retract(predicate, [tuple(f for f in row) for row in present])
+    def _wrote(self, predicate: str, changed: set, inserted: bool) -> int:
+        """What the knowledge base owes the id rows *changed* that went
+        into (or out of) *predicate*; returns their count.  A no-op write
+        leaves versions, plans, and caches exactly as they were."""
+        if not changed:
+            return 0
         txn = self._txn
         if txn is not None:
-            if removed:
-                txn.touched.add(predicate)
+            # Deferred to commit: invalidation fires once, and view
+            # maintenance never has to be undone on rollback.
+            txn.touched.add(predicate)
+            if not inserted:
                 txn.retracted.add(predicate)
-                txn.defer_view_delta(predicate, present, inserted=False)
-            return removed
-        if removed:
-            self._data_invalidate({predicate})
+            txn.defer_view_delta(predicate, INTERNER.decode_rows(changed), inserted=inserted)
+            return len(changed)
+        self._data_invalidate({predicate})
+        if not inserted:
             # Retraction can strand learned selectivities arbitrarily far
             # from reality (the rows they were measured against are gone),
             # so the affected feedback entries are dropped; insertions
             # instead rely on the store's EMA drift + staleness decay —
             # see docs/performance.md for the contract.
             self._feedback_forget({predicate})
-            if self._views is not None and present:
-                self._views.delete({predicate: present})
-        return removed
+        if self._views is not None:
+            delta = {predicate: INTERNER.decode_rows(changed)}
+            if inserted:
+                self._views.insert(delta)
+            else:
+                self._views.delete(delta)
+        return len(changed)
 
     # ----------------------------------------------------------- views
 
@@ -865,8 +850,6 @@ class KnowledgeBase:
         its later creation must miss), so a write to an unrelated
         relation leaves the entry hot.
         """
-        from .datalog.terms import term_from_python
-
         try:
             lifted = tuple(
                 (name, term_from_python(bindings[name])) for name in sorted(bindings)
@@ -892,8 +875,6 @@ class KnowledgeBase:
         ground arguments (constants, ``$``-values) probe the view's index
         on their positions, so a bound read examines the rows that match
         them, not the view; what is left of the goal is matched per row."""
-        from .datalog.intern import INTERNER
-        from .datalog.terms import is_ground, term_from_python
         from .datalog.unify import Substitution, apply, match
         from .errors import ExecutionError
 

@@ -3,7 +3,7 @@
 from .catalog import Database
 from .index import HashIndex
 from .loader import dump_facts_text, load_facts_file, load_facts_text, load_tsv, load_tsv_file
-from .relation import DerivedRelation, Relation, Row, SortedOrderCache, relation_from_rows
+from .relation import DerivedRelation, Relation, Row, relation_from_rows
 from .statistics import (
     ColumnStats,
     DeclaredStatistics,
@@ -21,7 +21,6 @@ __all__ = [
     "Relation",
     "RelationStats",
     "Row",
-    "SortedOrderCache",
     "StatisticsProvider",
     "collect_statistics",
     "dump_facts_text",

@@ -1,7 +1,8 @@
 """Pluggable storage backends: in-memory relations vs disk-backed columns.
 
 The fact base defaults to :class:`~repro.storage.relation.Relation` — a
-Python set of term tuples, plus indexes and a columnar mirror, all
+Python set of interned-id tuples with its columns and bucket maps (and,
+once a term-space reader asks, a decoded view with its indexes), all
 resident.  That caps the engine at RAM.  This module makes the physical
 representation pluggable behind the :class:`StorageBackend` protocol and
 adds the out-of-core implementation the roadmap's data-scale goal needs:
@@ -12,7 +13,7 @@ adds the out-of-core implementation the roadmap's data-scale goal needs:
   temporary SQLite database once they cross the spill threshold.  A
   spilled relation stores one INTEGER column of interned term ids
   (:mod:`repro.datalog.intern`) per field — the on-disk twin of
-  :class:`~repro.storage.columnar.BatchStore` — so the batch tier's
+  :class:`~repro.storage.columnar.IdRelation` — so the batch tier's
   probe/gather becomes a SQL join over ids and a full scan becomes a
   chunked id stream, decoded back to terms only at the head.
 
@@ -47,9 +48,9 @@ import weakref
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..datalog.intern import INTERNER, TermInterner
-from ..datalog.terms import Term, term_from_python
+from ..datalog.terms import Term
 from ..errors import SchemaError, StorageError
-from .relation import Relation, Row, SortKeyFn
+from .relation import Relation, Row, SortKeyFn, StoredRelation
 
 #: Rows per executemany slab when loading / migrating into SQLite.
 _WRITE_CHUNK = 8192
@@ -201,7 +202,7 @@ class _SqlIndex:
         return self.get(key)
 
 
-class SpilledRelation:
+class SpilledRelation(StoredRelation):
     """A relation whose extension lives in a temporary SQLite database.
 
     One INTEGER column of interned ids per field, a unique index over the
@@ -223,16 +224,7 @@ class SpilledRelation:
     ):
         if arity < 1:
             raise SchemaError(f"relation {name!r}: cannot spill arity {arity}")
-        if columns is not None and len(columns) != arity:
-            raise SchemaError(
-                f"relation {name!r}: {len(columns)} column names for arity {arity}"
-            )
-        self.name = name
-        self.arity = arity
-        self.columns = (
-            tuple(columns) if columns is not None else tuple(f"c{i}" for i in range(arity))
-        )
-        self.interner = interner
+        super().__init__(name, arity, columns, interner)
         # A *named* temp file (not sqlite3.connect("")): the path is known
         # so close()/atexit can delete it deterministically, and tests can
         # assert nothing survives a spill + close cycle.
@@ -268,16 +260,8 @@ class SpilledRelation:
         (the result cache's version vector must keep advancing, never
         reset, across the migration)."""
         out = cls(relation.name, relation.arity, relation.columns, interner)
-        encode = interner.encode_row
-        cursor = out._conn.cursor()
-        batch: list[tuple[int, ...]] = []
-        for row in relation:
-            batch.append(encode(row))
-            if len(batch) >= _WRITE_CHUNK:
-                cursor.executemany(out._insert_sql, batch)
-                batch.clear()
-        if batch:
-            cursor.executemany(out._insert_sql, batch)
+        # the id rows as they are: nothing is decoded or encoded again
+        out._conn.executemany(out._insert_sql, relation.batch_store(interner).rows)
         out._conn.commit()
         out._count = len(relation)
         out._version = relation.version + 1  # the migration is a change
@@ -325,57 +309,32 @@ class SpilledRelation:
         except sqlite3.Error as err:
             raise StorageError(f"relation {self.name!r}: commit failed: {err}") from err
 
-    # -- loading (mirrors Relation) -----------------------------------------
+    # -- loading (the row-level entries are StoredRelation's) ---------------
 
-    def _encode_checked(self, row: Sequence[Term]) -> tuple[int, ...]:
-        if len(row) != self.arity:
-            raise SchemaError(
-                f"relation {self.name!r}: tuple of arity {len(row)} into arity {self.arity}"
-            )
+    def _change(self, sql: str, id_rows, step: int, what: str) -> set[tuple[int, ...]]:
+        """Run *sql* once per id row; the rows it applied to."""
+        changed = set()
         try:
-            return self.interner.encode_row(tuple(row))
-        except ValueError as err:  # non-ground term
-            raise SchemaError(f"relation {self.name!r}: {err}") from None
-
-    def insert(self, row: Sequence[Term]) -> bool:
-        ids = self._encode_checked(row)
-        try:
-            cursor = self._conn.execute(self._insert_sql, ids)
+            for ids in id_rows:
+                if self._conn.execute(sql, ids).rowcount == 1:
+                    changed.add(ids)
         except sqlite3.Error as err:
-            raise StorageError(f"relation {self.name!r}: insert failed: {err}") from err
-        if cursor.rowcount != 1:
-            return False
-        self._count += 1
-        self._version += 1
-        self._store = None
-        return True
+            raise StorageError(f"relation {self.name!r}: {what} failed: {err}") from err
+        finally:
+            if changed:
+                self._count += step * len(changed)
+                self._version += 1
+                self._store = None
+        return changed
 
-    def insert_values(self, values: Sequence[object]) -> bool:
-        return self.insert(tuple(term_from_python(v) for v in values))
+    def add_ids(self, id_rows) -> set[tuple[int, ...]]:
+        """Add already-checked id rows; returns the ones that were new."""
+        return self._change(self._insert_sql, id_rows, 1, "insert")
 
-    def load(self, rows: Iterable[Sequence[object]]) -> int:
-        added = 0
-        for row in rows:
-            if self.insert_values(tuple(row)):
-                added += 1
-        return added
-
-    def remove(self, row: Sequence[Term]) -> bool:
-        ids = self._encode_checked(row)
+    def discard_ids(self, id_rows) -> set[tuple[int, ...]]:
+        """Remove id rows; returns the ones that were present."""
         where = " AND ".join(f"c{i} = ?" for i in range(self.arity))
-        try:
-            cursor = self._conn.execute(f"DELETE FROM t WHERE {where}", ids)
-        except sqlite3.Error as err:
-            raise StorageError(f"relation {self.name!r}: retract failed: {err}") from err
-        if cursor.rowcount != 1:
-            return False
-        self._count -= 1
-        self._version += 1
-        self._store = None
-        return True
-
-    def remove_values(self, values: Sequence[object]) -> bool:
-        return self.remove(tuple(term_from_python(v) for v in values))
+        return self._change(f"DELETE FROM t WHERE {where}", id_rows, -1, "retract")
 
     def clear(self) -> None:
         try:
@@ -392,12 +351,8 @@ class SpilledRelation:
         return self._count
 
     def __contains__(self, row: Sequence[Term]) -> bool:
-        row = tuple(row)
-        if len(row) != self.arity:
-            return False
-        try:
-            ids = self.interner.encode_row(row)
-        except ValueError:
+        ids = self.interner.lookup_row(row)
+        if ids is None or len(ids) != self.arity:
             return False
         where = " AND ".join(f"c{i} = ?" for i in range(self.arity))
         try:
@@ -444,10 +399,9 @@ class SpilledRelation:
     def lookup(self, positions: Sequence[int], key: Sequence[Term]) -> Iterator[Row]:
         positions = tuple(positions)
         self.ensure_sql_index(positions)
-        try:
-            ids = [self.interner.id_of(term) for term in key]
-        except ValueError:
-            return  # non-ground key matches nothing
+        ids = self.interner.lookup_row(key)
+        if ids is None:
+            return  # a term no fact holds (a non-ground one included) matches nothing
         where = " AND ".join(f"c{p} = ?" for p in positions) or "1"
         terms = self.interner.terms
         try:
@@ -462,12 +416,7 @@ class SpilledRelation:
             raise StorageError(f"relation {self.name!r}: lookup failed: {err}") from err
 
     def ensure_index(self, positions: Sequence[int]) -> _SqlIndex:
-        positions = tuple(positions)
-        for position in positions:
-            if not 0 <= position < self.arity:
-                raise SchemaError(
-                    f"relation {self.name!r}: index position {position} out of range"
-                )
+        positions = self._index_key(positions)
         self.ensure_sql_index(positions)
         return _SqlIndex(self, positions)
 
@@ -498,9 +447,9 @@ class SpilledRelation:
 
 
 class SpilledStore:
-    """The disk-side analogue of :class:`~repro.storage.columnar.BatchStore`.
+    """The disk-side analogue of :class:`~repro.storage.columnar.IdRelation`.
 
-    Deliberately *not* a ``BatchStore`` subclass: the batch join kernel
+    Deliberately *not* a subclass: the batch join kernel
     dispatches on the type (``isinstance(store, BatchStore)``) and routes
     non-BatchStore extensions through :func:`spilled_batch_join`, which
     turns the probe pass into a SQL join and the full scan into a chunked

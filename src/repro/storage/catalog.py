@@ -13,9 +13,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
-from ..datalog.terms import Term, term_from_python
+from ..datalog.intern import INTERNER
+from ..datalog.terms import Term
 from ..errors import SchemaError, TransactionError
 from .backend import StorageBackend, make_backend
+from .columnar import IdRow, encode_checked
 from .relation import Relation
 from .statistics import RelationStats, collect_statistics
 
@@ -23,8 +25,8 @@ from .statistics import RelationStats, collect_statistics
 class _Txn:
     """Bookkeeping for one open transaction.
 
-    Memory relations get an *undo log* — reversed on rollback via the
-    same insert/remove methods, so indexes stay consistent — plus a
+    Memory relations get an *undo log* — one entry per changing call,
+    reversed on rollback through the same write routine — plus a
     version snapshot per touched relation so the database's version
     vector is byte-identical after a rollback.  Spilled relations use
     SQLite's own BEGIN/ROLLBACK through their ``txn_*`` hooks.  Spill
@@ -38,7 +40,8 @@ class _Txn:
     )
 
     def __init__(self, db: "Database"):
-        self.undo: list[tuple[object, str, tuple]] = []
+        #: (relation, whether the rows were added, the id rows that changed)
+        self.undo: list[tuple[Relation, bool, set[IdRow]]] = []
         self.versions: dict[int, tuple[Relation, int]] = {}
         self.spilled: dict[int, tuple[object, tuple]] = {}
         self.created: list[str] = []
@@ -115,14 +118,10 @@ class Database:
             raise TransactionError("no open transaction to roll back")
         self._txn = None
         # Memory relations: replay the undo log in reverse through the
-        # normal mutators (keeps hash indexes consistent), then pin the
-        # version back and drop version-keyed caches that could otherwise
-        # collide when the restored version is re-reached later.
-        for relation, op, row in reversed(txn.undo):
-            if op == "insert":
-                relation.remove(row)
-            else:
-                relation.insert(row)
+        # write routine (the term views stay in step), then pin the
+        # versions back.
+        for relation, added, id_rows in reversed(txn.undo):
+            self._write(relation, id_rows, adding=not added)
         for relation, version in txn.versions.values():
             relation.txn_restore(version)
         # Spilled relations: real SQL ROLLBACK plus bookkeeping restore.
@@ -156,7 +155,7 @@ class Database:
         key = id(relation)
         if isinstance(relation, Relation):
             if key not in txn.versions:
-                txn.versions[key] = (relation, relation._version)
+                txn.versions[key] = (relation, relation.version)
             return True
         if key not in txn.spilled:
             txn.spilled[key] = (relation, relation.txn_begin())
@@ -224,56 +223,63 @@ class Database:
 
     # -- loading -----------------------------------------------------------
 
+    def _write(self, relation, id_rows: set[IdRow], adding: bool) -> set[IdRow]:
+        """The one place a stored extension changes: add (or remove)
+        *id_rows*, returning those that were new (present).  A call that
+        changes something drops the relation's cached statistics once
+        and, inside a transaction, leaves one undo entry; a no-op call —
+        every row a duplicate, or absent — leaves versions, statistics
+        and the log exactly as they were."""
+        txn = self._txn
+        log_undo = txn is not None and self._txn_touch(relation)
+        changed = relation.add_ids(id_rows) if adding else relation.discard_ids(id_rows)
+        if changed:
+            self._stats_cache.pop(relation.name, None)
+            if log_undo:
+                txn.undo.append((relation, adding, changed))
+        return changed
+
+    def add(self, name: str, rows: Iterable[Sequence[object]]) -> set[IdRow]:
+        """Bulk-insert tuples of ground terms or plain values, creating
+        the relation on demand; returns the id rows that were actually
+        new.  Every row is checked before the first is stored, so a call
+        that raises has changed nothing."""
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        relation = self._relations.get(name)
+        if relation is None and not rows:
+            raise SchemaError(f"cannot infer arity of new relation {name!r} from no rows")
+        arity = relation.arity if relation is not None else len(rows[0])
+        id_rows = encode_checked(name, arity, rows, INTERNER)
+        if relation is None:
+            relation = self.create(name, arity)
+        new = self._write(relation, id_rows, adding=True)
+        if new:
+            if self._txn is None:
+                self._maybe_spill(name)
+            else:
+                self._txn.pending_spill.add(name)
+        return new
+
+    def remove(self, name: str, rows: Iterable[Sequence[object]]) -> set[IdRow]:
+        """Remove tuples of ground terms or plain values from *name*;
+        returns the id rows that were present.  A tuple with a field no
+        fact ever held is absent without being interned."""
+        relation = self.relation(name)
+        id_rows = set(map(INTERNER.lookup_row, rows))
+        id_rows.discard(None)
+        return self._write(relation, id_rows, adding=False)
+
     def insert(self, name: str, row: Sequence[Term]) -> bool:
         """Insert one ground-term tuple, creating the relation on demand."""
-        relation = self._relations.get(name)
-        if relation is None:
-            relation = self.create(name, len(row))
-        txn = self._txn
-        if txn is None:
-            added = relation.insert(row)
-            if added:
-                # Duplicate inserts are complete no-ops: cached statistics
-                # (like the relation version) only move when data does.
-                self._stats_cache.pop(name, None)
-                self._maybe_spill(name)
-            return added
-        log_undo = self._txn_touch(relation)
-        added = relation.insert(row)
-        if added:
-            self._stats_cache.pop(name, None)
-            if log_undo:
-                txn.undo.append((relation, "insert", tuple(row)))
-            txn.pending_spill.add(name)
-        return added
+        return bool(self.add(name, (row,)))
 
     def load(self, name: str, rows: Iterable[Sequence[object]]) -> int:
         """Bulk-load plain-value rows, creating the relation on demand."""
-        rows = list(rows)
-        relation = self._relations.get(name)
-        if relation is None:
-            if not rows:
-                raise SchemaError(f"cannot infer arity of new relation {name!r} from no rows")
-            relation = self.create(name, len(rows[0]))
-        txn = self._txn
-        if txn is None:
-            added = relation.load(rows)
-            if added:
-                self._stats_cache.pop(name, None)
-                self._maybe_spill(name)
-            return added
-        log_undo = self._txn_touch(relation)
-        added = 0
-        for row in rows:
-            term_row = tuple(term_from_python(v) for v in row)
-            if relation.insert(term_row):
-                added += 1
-                if log_undo:
-                    txn.undo.append((relation, "insert", term_row))
-        if added:
-            self._stats_cache.pop(name, None)
-            txn.pending_spill.add(name)
-        return added
+        return len(self.add(name, rows))
+
+    def retract(self, name: str, rows: Iterable[Sequence[object]]) -> int:
+        """Remove plain-value tuples from *name*; returns how many existed."""
+        return len(self.remove(name, rows))
 
     def _maybe_spill(self, name: str) -> None:
         """Let the backend migrate a grown relation to its cold tier."""
@@ -294,22 +300,6 @@ class Database:
             backend.resident_tuples(relation)
             for relation in self._relations.values()
         )
-
-    def retract(self, name: str, rows: Iterable[Sequence[object]]) -> int:
-        """Remove plain-value tuples from *name*; returns how many existed."""
-        relation = self.relation(name)
-        txn = self._txn
-        log_undo = self._txn_touch(relation) if txn is not None else False
-        removed = 0
-        for row in rows:
-            term_row = tuple(term_from_python(v) for v in row)
-            if relation.remove(term_row):
-                removed += 1
-                if log_undo:
-                    txn.undo.append((relation, "remove", term_row))
-        if removed:
-            self._stats_cache.pop(name, None)
-        return removed
 
     # -- statistics ----------------------------------------------------------
 

@@ -1,45 +1,98 @@
 """Columnar id-encoded relation extensions.
 
-A :class:`BatchStore` holds a relation's tuples as parallel columns of
-interned term ids (:mod:`repro.datalog.intern`) plus hash buckets over
-column subsets mapping a key to the *row indices* holding it.  The
-lowered join steps (:mod:`repro.engine.batch`) probe those buckets and
-gather output columns with list comprehensions — the whole point is that
-every per-row operation in the join loop works on small ints, not term
-objects.
+An :class:`IdRelation` holds a duplicate-free extension in id space: the
+set of its rows as tuples of interned term ids
+(:mod:`repro.datalog.intern`), the same rows as parallel columns, and
+hash buckets over column subsets mapping a key to the *row indices*
+holding it.  The lowered join steps (:mod:`repro.engine.batch`) probe
+those buckets and gather output columns with list comprehensions — the
+whole point is that every per-row operation in the join loop works on
+small ints, not term objects.
 
-Two owners:
+One class, two owners:
 
-* a base :class:`~repro.storage.relation.Relation` keeps a
-  :class:`BatchStore` as a *mirror* of its term rows, appending each
-  newly inserted row to it; removal drops the mirror and the next join
-  rebuilds it from the surviving rows — retract is rare, joins are hot;
-* a derived predicate's extension on the compiled query path *is* an
-  :class:`IdRelation` — the store plus the set of its id rows, so new
-  rows are found by one set difference and appended in bulk.  It is
-  never held as term rows; :meth:`IdRelation.decoded` is the boundary a
-  term-space consumer reads it through.
+* a base :class:`~repro.storage.relation.Relation` owns one as its only
+  stored form; removal takes rows out of the set and leaves the columns
+  to be laid out again before the next probe (:meth:`IdRelation.compact`)
+  — retract is rare, joins are hot;
+* a derived predicate's extension on the compiled query path *is* one.
+
+Either way new rows are found by one set difference and appended in
+bulk, and neither is held as term rows: :meth:`IdRelation.decoded` is
+the boundary a term-space consumer reads them through.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from ..datalog.intern import TermInterner
-from ..datalog.terms import Term
+from ..datalog.terms import Term, lift_term
+from ..errors import SchemaError
 
 Row = tuple[Term, ...]
 IdRow = tuple[int, ...]
 
 
-class BatchStore:
-    """Interned columns + row-index buckets for one extension."""
+def encode_checked(
+    name: str, arity: int, rows: Sequence[Sequence[object]], interner: TermInterner
+) -> "set[IdRow]":
+    """The id rows of *rows* bound for relation *name*, a field being a
+    ground term or a plain Python value (lifted as
+    :func:`~repro.datalog.terms.term_from_python` lifts it), interned a
+    column at a time.
 
-    __slots__ = ("interner", "columns", "length", "_buckets")
+    Every row is checked before any is stored: a row of the wrong arity
+    or with a non-ground field raises :class:`SchemaError` and the
+    caller's relation is left as it was.
+    """
+    for row in rows:
+        if len(row) != arity:
+            raise SchemaError(
+                f"relation {name!r}: tuple of arity {len(row)} into arity {arity}"
+            )
+    if not arity or not rows:
+        return {()} if rows else set()
+    id_of = interner.id_of
+    columns = (map(itemgetter(position), rows) for position in range(arity))
+    try:
+        return set(zip(*(map(id_of, map(lift_term, column)) for column in columns)))
+    except ValueError as err:  # a variable somewhere in a field
+        raise SchemaError(f"relation {name!r}: {err}") from None
 
-    def __init__(self, interner: TermInterner, arity: int | None = None):
+
+class IdRelation:
+    """A duplicate-free extension held in id space: the set of its id
+    rows, and the same rows as columns with bucket maps.
+
+    This is what the compiled query path passes around between
+    ``kb.facts`` and ``to_python()``: a base relation's stored form, a
+    fixpoint's workspace entry and its per-round delta, a plan node's
+    result, the key set's target when a bound filter probes instead of
+    scanning.
+    """
+
+    __slots__ = (
+        "interner", "rows", "columns", "length", "_buckets",
+        "_decoded", "_decoded_length",
+    )
+
+    def __init__(
+        self,
+        interner: TermInterner,
+        arity: int | None = None,
+        rows: "set[IdRow] | None" = None,
+    ):
+        """*rows*, when given, becomes the relation's own set (not copied)."""
         self.interner = interner
+        self.rows: set[IdRow] = rows if rows is not None else set()
+        self._decoded = None
+        self._decoded_length = 0
+        self._lay_out(arity)
+
+    def _lay_out(self, arity: int | None) -> None:
         #: One list of ids per column; None until the first row fixes arity.
         self.columns: list[list[int]] | None = (
             [[] for _ in range(arity)] if arity is not None else None
@@ -50,32 +103,57 @@ class BatchStore:
         #: ids otherwise (and the empty tuple for the zero-position "all
         #: rows" bucket).
         self._buckets: dict[tuple[int, ...], list] = {}
+        self._extend(self.rows)
 
-    def append(self, row: Row) -> None:
-        """Encode and append one tuple."""
-        self.extend((row,))
-
-    def extend(self, rows: Iterable[Row]) -> None:
-        """Encode and append term rows, one pass per column."""
-        if not isinstance(rows, (list, tuple, set, frozenset)):
-            rows = list(rows)
-        id_of = self.interner.id_of
-        self._extend_columns(
-            [list(map(id_of, column)) for column in zip(*rows)], len(rows)
-        )
-
-    def extend_ids(self, id_rows: "set[IdRow] | list[IdRow]") -> None:
-        """Append rows that are already interned ids."""
-        self._extend_columns(list(zip(*id_rows)), len(id_rows))
-
-    def _extend_columns(self, new_columns: list, count: int) -> None:
+    def _extend(self, id_rows: "set[IdRow]") -> None:
+        count = len(id_rows)
         if not count:
             return
         if self.columns is None:
-            self.columns = [[] for _ in new_columns]
-        for column, ids in zip(self.columns, new_columns):
-            column.extend(ids)
+            self.columns = [[] for _ in next(iter(id_rows))]
+        # a column at a time, not ``zip(*id_rows)``: a bulk load would
+        # hold a second copy of every column while it is appended
+        for position, column in enumerate(self.columns):
+            column.extend(map(itemgetter(position), id_rows))
         self.length += count
+
+    def absorb(self, produced: "set[IdRow]") -> "set[IdRow]":
+        """Add the rows of *produced* not held yet; returns exactly those."""
+        # into an empty relation everything is new: a bulk load is not copied
+        new = produced - self.rows if self.rows else produced
+        if new:
+            self.rows |= new
+            self._extend(new)
+        return new
+
+    def discard(self, gone: "set[IdRow]") -> "set[IdRow]":
+        """Take out the rows of *gone* that are held; returns exactly
+        those.  Only the id set (and the decoded view, when one exists)
+        shrinks: the columns and bucket maps keep listing the removed
+        rows until :meth:`compact`, which the owner runs before handing
+        the store to a probe."""
+        gone = gone & self.rows
+        if gone:
+            if self._decoded is not None:
+                # Caught up first: a row appended since the last read and
+                # removed now would otherwise be decoded back in later.
+                view = self.decoded()
+                for row in self.interner.decode_rows(gone):
+                    view.discard(row)
+            self.rows -= gone
+        return gone
+
+    def compact(self) -> None:
+        """Lay the columns out again from the id set if rows were removed
+        since they were built (appends keep ``length == len(rows)``;
+        only :meth:`discard` breaks it).  The lists and the bucket table
+        are *replaced*, never edited, so columns a result still aliases
+        stay what they were."""
+        if self.length != len(self.rows):
+            if self._decoded is not None:
+                self.decoded()  # the appended tail, while the old columns have it
+            self._lay_out(len(self.columns))
+            self._decoded_length = self.length
 
     def buckets_for(self, positions: tuple[int, ...]) -> dict[object, list[int]]:
         """Row-index buckets keyed on *positions*: built on the first
@@ -101,50 +179,6 @@ class BatchStore:
                     bucket.append(index)
             entry[1] = self.length
         return buckets
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __repr__(self) -> str:
-        width = len(self.columns) if self.columns is not None else "?"
-        return (
-            f"{type(self).__name__}({self.length} rows, width {width}, "
-            f"{len(self._buckets)} bucket maps)"
-        )
-
-
-class IdRelation(BatchStore):
-    """A duplicate-free extension held in id space: the set of its id
-    rows, and the same rows as columns with bucket maps.
-
-    This is what the compiled query path passes around between a stored
-    relation and ``to_python()``: a fixpoint's workspace entry and its
-    per-round delta, a plan node's result, the key set's target when a
-    bound filter probes instead of scanning.
-    """
-
-    __slots__ = ("rows", "_decoded", "_decoded_length")
-
-    def __init__(
-        self,
-        interner: TermInterner,
-        arity: int | None = None,
-        rows: "set[IdRow] | None" = None,
-    ):
-        """*rows*, when given, becomes the relation's own set (not copied)."""
-        super().__init__(interner, arity)
-        self.rows: set[IdRow] = rows if rows is not None else set()
-        self._decoded = None
-        self._decoded_length = 0
-        self.extend_ids(self.rows)
-
-    def absorb(self, produced: "set[IdRow]") -> "set[IdRow]":
-        """Add the rows of *produced* not held yet; returns exactly those."""
-        new = produced - self.rows
-        if new:
-            self.rows |= new
-            self.extend_ids(new)
-        return new
 
     def select(
         self, positions: tuple[int, ...], keys: "frozenset[IdRow]", probe: bool = True
@@ -184,22 +218,42 @@ class IdRelation(BatchStore):
         return IdRelation(self.interner, arity, rows)
 
     def decoded(self):
-        """The extension as term rows, for a term-space consumer (a rule
-        or plan node on the reference operators): a
-        :class:`~repro.storage.relation.DerivedRelation` whose persistent
-        indexes survive across reads, brought up to date by decoding only
-        the rows appended since the last read."""
+        """The extension as term rows, for a term-space consumer (the
+        reference operators, view maintenance, the top-down engines, a
+        dump): a :class:`~repro.storage.relation.DerivedRelation` whose
+        persistent indexes survive across reads.  Built from the id set
+        on the first read, then brought up to date by decoding only the
+        rows appended since the last one (:meth:`discard` takes rows out
+        of it as they go)."""
         from .relation import DerivedRelation
 
         view = self._decoded
         if view is None:
-            view = self._decoded = DerivedRelation()
-        start = self._decoded_length
-        if start < self.length:
+            view = self._decoded = DerivedRelation(
+                rows=self.interner.decode_rows(self.rows)
+            )
+        elif self._decoded_length < self.length:
             decode = self.interner.terms.__getitem__
+            start = self._decoded_length
             if self.columns:
                 view.update(zip(*(map(decode, column[start:]) for column in self.columns)))
             else:
                 view.add(())
-            self._decoded_length = self.length
+        self._decoded_length = self.length
         return view
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        width = len(self.columns) if self.columns is not None else "?"
+        return (
+            f"IdRelation({self.length} rows, width {width}, "
+            f"{len(self._buckets)} bucket maps)"
+        )
+
+
+#: The name the step executor's ``isinstance`` dispatch between an
+#: in-memory store and a :class:`~repro.storage.backend.SpilledStore`
+#: (and the ledger's tracer) knows the class by.
+BatchStore = IdRelation

@@ -24,16 +24,14 @@ def load_facts_text(db: Database, source: str) -> int:
     anything else raises :class:`KnowledgeBaseError`.  Returns the number
     of newly inserted tuples.
     """
-    program = parse_program(source)
-    added = 0
-    for rule in program:
+    by_predicate: dict[str, list] = {}
+    for rule in parse_program(source):
         if not rule.is_fact:
             raise KnowledgeBaseError(f"not a fact: {rule}")
         if rule.head.variables:
             raise KnowledgeBaseError(f"fact contains variables: {rule}")
-        if db.insert(rule.head.predicate, rule.head.args):
-            added += 1
-    return added
+        by_predicate.setdefault(rule.head.predicate, []).append(rule.head.args)
+    return sum(len(db.add(name, rows)) for name, rows in by_predicate.items())
 
 
 def load_facts_file(db: Database, path: str | Path) -> int:
@@ -56,15 +54,13 @@ def _parse_field(text: str) -> Constant:
 
 def load_tsv(db: Database, name: str, lines: Iterable[str], delimiter: str = "\t") -> int:
     """Load delimited rows (one tuple per line) into relation *name*."""
-    added = 0
+    rows = []
     for line in lines:
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
-        row = tuple(_parse_field(field) for field in line.split(delimiter))
-        if db.insert(name, row):
-            added += 1
-    return added
+        rows.append(tuple(_parse_field(field) for field in line.split(delimiter)))
+    return len(db.add(name, rows)) if rows else 0
 
 
 def load_tsv_file(db: Database, name: str, path: str | Path, delimiter: str = "\t") -> int:

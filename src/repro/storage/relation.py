@@ -7,9 +7,15 @@ fixed-arity tuples whose fields are *ground terms* — atomic
 lists directly in relations).
 
 Tuples are deduplicated (set semantics, as required by fixpoint
-evaluation).  Relations maintain any number of hash indexes over column
-subsets; indexes are kept in sync on insert and are what the
-index-nested-loop join and the magic-set seeds use.
+evaluation) and stored once, in id space: a relation owns a
+:class:`~repro.storage.columnar.IdRelation` — the set of its rows as
+interned ids, the columns and the bucket maps the lowered join steps
+probe (:meth:`Relation.batch_store`).  Its term face — iteration,
+``rows``, hash indexes over column subsets for the index-nested-loop
+join and the magic-set seeds, sorted orders for the merge join — is the
+store's :class:`DerivedRelation` view, decoded on the first use by a
+term-space reader and kept in step with the writes after that; a
+knowledge base whose rules all lower never builds it.
 
 The class intentionally exposes *physical* operations only (scan, indexed
 lookup, insert); algebraic operations live in :mod:`repro.engine`.
@@ -19,8 +25,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..datalog.terms import Term, is_ground, term_from_python
+from ..datalog.intern import INTERNER
+from ..datalog.terms import Term
 from ..errors import SchemaError
+from .columnar import IdRelation, IdRow, encode_checked
 from .index import HashIndex
 
 #: A stored tuple: ground terms, one per column.
@@ -31,43 +39,12 @@ Row = tuple[Term, ...]
 SortKeyFn = Callable[[Row], tuple]
 
 
-class SortedOrderCache:
-    """Cached ``(sort_key, row)`` orders per key-position tuple.
+class StoredRelation:
+    """What the resident and the spilled form of a base relation share:
+    the schema header and the row-level write entries, each over the
+    form's own ``add_ids`` / ``discard_ids``."""
 
-    Merge joins repeatedly sort a relation's extension on the same bound
-    positions; an unchanged relation can hand back the previous sort.  The
-    cache is validated against the owner's ``_version`` counter, which
-    every insert/remove/clear bumps — stale orders are silently rebuilt.
-    """
-
-    def __init__(self) -> None:
-        self._orders: dict[tuple[int, ...], tuple[int, list[tuple[tuple, Row]]]] = {}
-
-    def lookup(
-        self,
-        positions: tuple[int, ...],
-        version: int,
-        rows: Iterable[Row],
-        key_fn: SortKeyFn,
-    ) -> tuple[list[tuple[tuple, Row]], bool]:
-        """Return ``(sorted_keyed_rows, was_cached)`` for *positions*."""
-        hit = self._orders.get(positions)
-        if hit is not None and hit[0] == version:
-            return hit[1], True
-        keyed = sorted(((key_fn(row), row) for row in rows), key=lambda pair: pair[0])
-        self._orders[positions] = (version, keyed)
-        return keyed, False
-
-
-class Relation:
-    """A named, fixed-arity, duplicate-free set of ground-term tuples."""
-
-    def __init__(
-        self,
-        name: str,
-        arity: int,
-        columns: Sequence[str] | None = None,
-    ):
+    def __init__(self, name: str, arity: int, columns: Sequence[str] | None, interner):
         if arity < 0:
             raise SchemaError(f"relation {name!r}: arity must be >= 0, got {arity}")
         if columns is not None and len(columns) != arity:
@@ -77,112 +54,112 @@ class Relation:
         self.name = name
         self.arity = arity
         self.columns = tuple(columns) if columns is not None else tuple(f"c{i}" for i in range(arity))
-        self._rows: set[Row] = set()
-        self._indexes: dict[tuple[int, ...], HashIndex] = {}
-        self._version = 0
-        self._sorted = SortedOrderCache()
-        self._batch = None  # BatchStore, built lazily by batch_store()
+        #: whose ids the stored rows are
+        self.interner = interner
 
-    # -- loading ---------------------------------------------------------------
+    def load(self, rows: Iterable[Sequence[object]]) -> int:
+        """Bulk-insert rows of ground terms or plain values — all of
+        them, or none when one is malformed; returns the number added."""
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        return len(self.add_ids(encode_checked(self.name, self.arity, rows, self.interner)))
 
-    def _check_row(self, row: Sequence[Term]) -> Row:
-        if len(row) != self.arity:
-            raise SchemaError(
-                f"relation {self.name!r}: tuple of arity {len(row)} into arity {self.arity}"
-            )
-        out = tuple(row)
-        for field in out:
-            if not is_ground(field):
-                raise SchemaError(
-                    f"relation {self.name!r}: non-ground field {field} in {out}"
-                )
-        return out
-
-    def insert(self, row: Sequence[Term]) -> bool:
-        """Insert one tuple of ground terms; returns True if it was new."""
-        checked = self._check_row(row)
-        if checked in self._rows:
-            return False
-        self._rows.add(checked)
-        self._version += 1
-        for index in self._indexes.values():
-            index.add(checked)
-        if self._batch is not None:
-            self._batch.append(checked)
-        return True
-
-    def insert_values(self, values: Sequence[object]) -> bool:
-        """Insert a tuple of plain Python values (lifted into terms).
+    def insert(self, row: Sequence[object]) -> bool:
+        """Insert one tuple of ground terms or plain Python values
+        (lifted into terms); returns True if it was new.
 
         >>> r = Relation("up", 2)
         >>> r.insert_values(("a", "b"))
         True
         """
-        return self.insert(tuple(term_from_python(v) for v in values))
+        return bool(self.load((row,)))
 
-    def load(self, rows: Iterable[Sequence[object]]) -> int:
-        """Bulk-insert plain-value rows; returns the number actually added."""
-        added = 0
-        for row in rows:
-            if self.insert_values(tuple(row)):
-                added += 1
-        return added
-
-    def remove(self, row: Sequence[Term]) -> bool:
+    def remove(self, row: Sequence[object]) -> bool:
         """Remove one tuple; returns True if it was present."""
-        checked = tuple(row)
-        if checked not in self._rows:
-            return False
-        self._rows.discard(checked)
-        self._version += 1
-        for index in self._indexes.values():
-            index.remove(checked)
-        # The columnar mirror is append-only; drop it and let the next
-        # batch join rebuild from the surviving rows.
-        self._batch = None
-        return True
+        ids = self.interner.lookup_row(row)
+        return ids is not None and bool(self.discard_ids({ids}))
 
-    def remove_values(self, values: Sequence[object]) -> bool:
-        """Remove a tuple given as plain Python values."""
-        return self.remove(tuple(term_from_python(v) for v in values))
+    insert_values = insert
+    remove_values = remove
+
+    def _index_key(self, positions: Sequence[int]) -> tuple[int, ...]:
+        key = tuple(positions)
+        for position in key:
+            if not 0 <= position < self.arity:
+                raise SchemaError(
+                    f"relation {self.name!r}: index position {position} out of range"
+                )
+        return key
+
+
+class Relation(StoredRelation):
+    """A named, fixed-arity, duplicate-free set of ground-term tuples."""
+
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        columns: Sequence[str] | None = None,
+    ):
+        super().__init__(name, arity, columns, INTERNER)
+        self._ids = IdRelation(INTERNER, arity)
+        self._version = 0
+
+    # -- id face (what the fact base and the lowered steps use) ----------------
+
+    def add_ids(self, id_rows: set[IdRow]) -> set[IdRow]:
+        """Add already-checked id rows; returns the ones that were new."""
+        new = self._ids.absorb(id_rows)
+        if new:
+            self._version += 1
+        return new
+
+    def discard_ids(self, id_rows: set[IdRow]) -> set[IdRow]:
+        """Remove id rows; returns the ones that were present."""
+        gone = self._ids.discard(id_rows)
+        if gone:
+            self._version += 1
+        return gone
+
+    def batch_store(self, interner) -> IdRelation:
+        """The relation's id store, its columns current, for a lowered
+        step to probe.  Its ids are the process-wide table's; a caller
+        working in another interner's ids cannot be served."""
+        if interner is not self.interner:
+            raise ValueError(f"relation {self.name!r} is not interned in {interner!r}")
+        self._ids.compact()
+        return self._ids
 
     def clear(self) -> None:
-        self._rows.clear()
+        self._ids = IdRelation(INTERNER, self.arity)
         self._version += 1
-        for index in self._indexes.values():
-            index.clear()
-        self._batch = None
 
     def txn_restore(self, version: int) -> None:
-        """Rewind the version counter after a transaction rollback.
-
-        The undo log replays through :meth:`insert`/:meth:`remove`, so
-        rows and hash indexes are already back to their pre-transaction
-        state — but every replayed mutation bumped ``_version``.  Restoring
-        the old counter keeps the result-cache version vector stable, and
-        therefore the derived caches keyed on it must be dropped: a
-        :class:`SortedOrderCache` or columnar mirror built *inside* the
-        aborted transaction would otherwise validate against the reused
-        version number while describing discarded rows.
-        """
+        """Rewind the version counter after a rollback, whose replay
+        bumped it: the result cache's version vector must come back
+        exactly.  Nothing else is keyed on it (the term view validates
+        its sorted orders against its own counter)."""
         self._version = version
-        self._batch = None
-        self._sorted = SortedOrderCache()
 
-    # -- access ----------------------------------------------------------------
+    # -- term face (the decoded view) ------------------------------------------
+
+    def _view(self) -> "DerivedRelation":
+        return self._ids.decoded()
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+        return iter(self._view())
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ids.rows)
 
     def __contains__(self, row: Sequence[Term]) -> bool:
-        return tuple(row) in self._rows
+        # by lookup: asking after a row nobody stored interns nothing
+        ids = self.interner.lookup_row(row)
+        return ids is not None and ids in self._ids.rows
 
     @property
     def rows(self) -> frozenset[Row]:
-        return frozenset(self._rows)
+        """The extension as a frozenset (cached until the next write)."""
+        return self._view().rows
 
     @property
     def version(self) -> int:
@@ -193,26 +170,13 @@ class Relation:
         """
         return self._version
 
-    # -- indexing ----------------------------------------------------------------
-
     def ensure_index(self, positions: Sequence[int]) -> HashIndex:
         """Create (or return) a hash index on the given column positions."""
-        key = tuple(positions)
-        for position in key:
-            if not 0 <= position < self.arity:
-                raise SchemaError(
-                    f"relation {self.name!r}: index position {position} out of range"
-                )
-        index = self._indexes.get(key)
-        if index is None:
-            index = HashIndex(key)
-            index.extend(self._rows)
-            self._indexes[key] = index
-        return index
+        return self._view().ensure_index(self._index_key(positions))
 
     def index_on(self, positions: Sequence[int]) -> HashIndex | None:
         """An existing index on exactly these positions, if any."""
-        return self._indexes.get(tuple(positions))
+        return self._view().index_on(positions)
 
     def sorted_by(
         self, positions: Sequence[int], key_fn: SortKeyFn
@@ -223,7 +187,7 @@ class Relation:
         sort key over the positions and must be consistent across calls
         for a given positions tuple.
         """
-        return self._sorted.lookup(tuple(positions), self._version, self._rows, key_fn)
+        return self._view().sorted_by(positions, key_fn)
 
     def lookup(self, positions: Sequence[int], key: Sequence[Term]) -> Iterator[Row]:
         """Tuples whose *positions* columns equal *key* (index-accelerated).
@@ -231,50 +195,32 @@ class Relation:
         Falls back to a scan when no index exists; callers that care
         should :meth:`ensure_index` first.
         """
-        index = self._indexes.get(tuple(positions))
-        if index is not None:
-            yield from index.get(tuple(key))
-            return
-        wanted = tuple(key)
-        for row in self._rows:
-            if tuple(row[p] for p in positions) == wanted:
-                yield row
-
-    def batch_store(self, interner) -> "BatchStore":
-        """The columnar id-encoded mirror of this relation (lazy, then
-        maintained incrementally by :meth:`insert`)."""
-        store = self._batch
-        if store is None or store.interner is not interner:
-            from .columnar import BatchStore
-
-            store = BatchStore(interner, self.arity)
-            store.extend(self._rows)
-            self._batch = store
-        return store
+        return self._view().lookup(positions, key)
 
     # -- misc --------------------------------------------------------------------
 
     def copy(self, name: str | None = None) -> "Relation":
         """A deep-enough copy (rows are immutable; indexes are rebuilt lazily)."""
         out = Relation(name or self.name, self.arity, self.columns)
-        out._rows = set(self._rows)
+        out._ids = IdRelation(INTERNER, self.arity, set(self._ids.rows))
         return out
 
     def __repr__(self) -> str:
-        return f"Relation({self.name!r}, arity={self.arity}, {len(self._rows)} tuples)"
+        return f"Relation({self.name!r}, arity={self.arity}, {len(self)} tuples)"
 
 
 class DerivedRelation:
     """An index-maintaining term-space extension for derived predicates.
 
-    Used where derived rows are consumed as terms: the materialized
-    views of :mod:`repro.engine.maintenance`, and the decoded view a
-    rule or plan node on the reference operators reads a compiled
-    extension through (:meth:`~repro.storage.columnar.IdRelation.decoded`).
+    Used where rows are consumed as terms: the materialized views of
+    :mod:`repro.engine.maintenance`, and the decoded view a term-space
+    reader gets of an id-space extension, stored or derived
+    (:meth:`~repro.storage.columnar.IdRelation.decoded` — a
+    :class:`Relation`'s whole term face is one of these).
     A plain ``set[Row]`` would force every hash/index join against it to
     rebuild its buckets from scratch on each call; this class keeps the
     set semantics (``add`` returns newness) while maintaining persistent
-    :class:`HashIndex`es and a :class:`SortedOrderCache` incrementally
+    :class:`HashIndex`es and per-position sorted orders incrementally
     as rows arrive.
 
     Rows are assumed ground and of consistent arity — the engine derives
@@ -290,7 +236,8 @@ class DerivedRelation:
         self.name = name
         self._rows: set[Row] = set(tuple(r) for r in rows)
         self._indexes: dict[tuple[int, ...], HashIndex] = {}
-        self._sorted = SortedOrderCache()
+        #: positions -> (version sorted at, the ``(sort_key, row)`` order)
+        self._sorted: dict[tuple[int, ...], tuple[int, list[tuple[tuple, Row]]]] = {}
         self._version = 0
         self._frozen: frozenset[Row] | None = None
         self._frozen_version = -1
@@ -368,11 +315,36 @@ class DerivedRelation:
             self._indexes[key] = index
         return index
 
+    def index_on(self, positions: Sequence[int]) -> HashIndex | None:
+        """An existing index on exactly these positions, if any."""
+        return self._indexes.get(tuple(positions))
+
+    def lookup(self, positions: Sequence[int], key: Sequence[Term]) -> Iterator[Row]:
+        """Tuples whose *positions* columns equal *key*: a bucket of the
+        index on exactly those positions when one exists, else a scan."""
+        index = self._indexes.get(tuple(positions))
+        if index is not None:
+            return iter(index.get(key))
+        wanted = tuple(key)
+        return (row for row in self._rows if tuple(row[p] for p in positions) == wanted)
+
     def sorted_by(
         self, positions: Sequence[int], key_fn: SortKeyFn
     ) -> tuple[list[tuple[tuple, Row]], bool]:
-        """The extension sorted on *positions* (see :meth:`Relation.sorted_by`)."""
-        return self._sorted.lookup(tuple(positions), self._version, self._rows, key_fn)
+        """The extension sorted on *positions* (see :meth:`Relation.sorted_by`).
+
+        Merge joins sort an extension on the same bound positions again
+        and again; an unchanged one hands back the previous order.  An
+        order is kept with the ``_version`` it was sorted at, which every
+        add/discard bumps — a stale one is silently rebuilt.
+        """
+        positions = tuple(positions)
+        hit = self._sorted.get(positions)
+        if hit is not None and hit[0] == self._version:
+            return hit[1], True
+        keyed = sorted(((key_fn(row), row) for row in self._rows), key=lambda pair: pair[0])
+        self._sorted[positions] = (self._version, keyed)
+        return keyed, False
 
     def __repr__(self) -> str:
         return f"DerivedRelation({self.name!r}, {len(self._rows)} tuples, {len(self._indexes)} indexes)"

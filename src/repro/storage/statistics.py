@@ -26,9 +26,12 @@ the database").  Consumers depend only on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Protocol
 
+from ..datalog.intern import INTERNER
 from ..datalog.terms import Constant
+from .columnar import IdRelation
 from .relation import Relation
 
 
@@ -93,11 +96,11 @@ class StatisticsProvider(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _is_acyclic_binary(relation: Relation) -> bool:
-    """Kahn's algorithm over the relation viewed as an edge set."""
-    successors: dict[object, list[object]] = {}
-    indegree: dict[object, int] = {}
-    for a, b in relation:
+def _is_acyclic_binary(edges: Iterable[tuple[int, int]]) -> bool:
+    """Kahn's algorithm over id pairs viewed as an edge set."""
+    successors: dict[int, list[int]] = {}
+    indegree: dict[int, int] = {}
+    for a, b in edges:
         out = successors.get(a)
         if out is None:
             successors[a] = [b]
@@ -117,18 +120,35 @@ def _is_acyclic_binary(relation: Relation) -> bool:
     return visited == len(indegree)
 
 
+def _id_chunks(relation) -> Iterator[list[list[int]]]:
+    """The extension as id columns, a chunk at a time: a resident
+    relation's own columns whole, a spilled one's streamed off the disk."""
+    store = relation.batch_store(INTERNER)
+    if isinstance(store, IdRelation):
+        yield store.columns
+    else:
+        for chunk, _length in store.scan_chunks(tuple(range(relation.arity))):
+            yield chunk
+
+
 def collect_statistics(relation: Relation, check_acyclic: bool = True) -> RelationStats:
-    """Compute actual statistics from the data in *relation*.
+    """Compute actual statistics from the data in *relation*, in id
+    space: a column's distinct count is the size of its id set, and only
+    one term per distinct id is decoded, for the numeric range.
 
     Acyclicity is only computed for binary relations (the graph view);
     other arities get ``None``.
     """
     cardinality = float(len(relation))
+    distinct_ids: list[set[int]] = [set() for _ in range(relation.arity)]
+    for chunk in _id_chunks(relation):
+        for seen, ids in zip(distinct_ids, chunk):
+            seen.update(ids)
+    decode = INTERNER.terms.__getitem__
     columns: list[ColumnStats] = []
-    for position in range(relation.arity):
-        values = {row[position] for row in relation}
+    for values in distinct_ids:
         numbers = [
-            v.value for v in values
+            v.value for v in map(decode, values)
             if isinstance(v, Constant) and isinstance(v.value, (int, float)) and not isinstance(v.value, bool)
         ]
         columns.append(
@@ -140,7 +160,9 @@ def collect_statistics(relation: Relation, check_acyclic: bool = True) -> Relati
         )
     acyclic: bool | None = None
     if check_acyclic and relation.arity == 2:
-        acyclic = _is_acyclic_binary(relation)
+        acyclic = _is_acyclic_binary(
+            chain.from_iterable(zip(*chunk) for chunk in _id_chunks(relation))
+        )
     return RelationStats(cardinality=cardinality, columns=tuple(columns), acyclic=acyclic)
 
 

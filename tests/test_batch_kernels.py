@@ -272,19 +272,18 @@ def test_global_interner_shares_instances_across_terms():
 
 def test_batch_store_buckets_and_incremental_append():
     interner = TermInterner()
-    rows = [(Constant("a"), Constant("x")), (Constant("a"), Constant("y"))]
+    ids = {name: interner.id_of(Constant(name)) for name in "abxyzw"}
     store = BatchStore(interner)
-    store.extend(rows)
-    buckets = store.buckets_for((0,))
-    a_id = interner.id_of(Constant("a"))
-    assert sorted(buckets[a_id]) == [0, 1]
-    # appends maintain already-built bucket maps incrementally
-    store.append((Constant("a"), Constant("z")))
-    assert sorted(store.buckets_for((0,))[a_id]) == [0, 1, 2]
+    store.absorb({(ids["a"], ids["x"]), (ids["a"], ids["y"])})
+    assert sorted(store.buckets_for((0,))[ids["a"]]) == [0, 1]
+    # appends bring already-built bucket maps up to date on the next probe
+    assert store.absorb({(ids["a"], ids["z"])}) == {(ids["a"], ids["z"])}
+    assert sorted(store.buckets_for((0,))[ids["a"]]) == [0, 1, 2]
     assert store.length == 3
-    # ... and so does a bulk extend once a bucket map exists
-    store.extend([(Constant("b"), Constant("x")), (Constant("a"), Constant("w"))])
-    assert sorted(store.buckets_for((0,))[a_id]) == [0, 1, 2, 4]
+    # ... and so does a bulk append, which skips the rows already held
+    new = store.absorb({(ids["b"], ids["x"]), (ids["a"], ids["w"]), (ids["a"], ids["x"])})
+    assert new == {(ids["b"], ids["x"]), (ids["a"], ids["w"])}
+    assert len(store.buckets_for((0,))[ids["a"]]) == 4
     assert store.length == 5 and [len(c) for c in store.columns] == [5, 5]
 
 

@@ -1,0 +1,241 @@
+"""Model-based test of the one-store fact base.
+
+A relation is driven through random interleavings of single inserts,
+bulk loads, removals, ``clear``, ``Database`` transactions (commit and
+rollback) and — on the SQLite backend with a small threshold — spill
+migration, with reads of its *term face* (``in``, iteration, ``rows``,
+``lookup`` / ``ensure_index`` on random positions, ``sorted_by``) and
+probes of its *id face* (``batch_store``, ``buckets_for`` on random
+positions) mixed in, against a plain ``set``.
+
+Reads are steps of their own rather than a fixed check after each write,
+so the lazy paths are reached: a term view first asked for after
+removals, columns laid out again only when a probe follows a removal,
+several writes between two reads of either face.  Cases drawn with
+``eager`` check both faces in full after every step as well.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.datalog.intern import INTERNER
+from repro.datalog.terms import Constant
+from repro.engine.evaluable import term_sort_key
+from repro.storage import Database
+from repro.storage.columnar import IdRelation
+from repro.storage.relation import Relation
+
+VALUES = ["a", "b", "c", 1, 2]
+POSITIONS = [(), (0,), (1,), (0, 1), (1, 0)]
+
+values = st.sampled_from(VALUES)
+rows = st.tuples(values, values)
+positions = st.sampled_from(POSITIONS)
+
+steps = st.one_of(
+    st.tuples(st.just("insert"), rows),
+    st.tuples(st.just("load"), st.lists(rows, max_size=6)),
+    st.tuples(st.just("remove"), rows),
+    st.tuples(st.just("retract"), st.lists(rows, max_size=4)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("begin")),
+    st.tuples(st.just("commit")),
+    st.tuples(st.just("rollback")),
+    st.tuples(st.just("contains"), rows),
+    st.tuples(st.just("iterate")),
+    st.tuples(st.just("lookup"), positions, rows),
+    st.tuples(st.just("index"), positions, rows),
+    st.tuples(st.just("sorted"), positions),
+    st.tuples(st.just("store")),
+    st.tuples(st.just("buckets"), positions),
+)
+
+
+def lift(row):
+    return tuple(Constant(value) for value in row)
+
+
+def key_of(row, at):
+    return tuple(row[p] for p in at)
+
+
+def check_term_face(relation, model):
+    assert set(relation) == model and len(list(relation)) == len(model)
+    assert relation.rows == model
+    if isinstance(relation, Relation):
+        assert relation.rows is relation.rows  # kept until the next write
+
+
+def check_id_face(relation, model):
+    store = relation.batch_store(INTERNER)
+    if isinstance(store, IdRelation):
+        assert INTERNER.decode_rows(store.rows) == model
+        assert store.length == len(model) == len(store)
+        stored = list(zip(*store.columns)) if model else []
+        assert len(stored) == len(model) and set(stored) == store.rows
+    else:  # spilled: the id columns stream off the disk
+        chunks = [
+            row
+            for columns, _length in store.scan_chunks((0, 1))
+            for row in zip(*columns)
+        ]
+        assert len(chunks) == len(model)
+        assert INTERNER.decode_rows(chunks) == model
+
+
+def check_buckets(relation, model, at):
+    store = relation.batch_store(INTERNER)
+    if not isinstance(store, IdRelation):
+        return
+    buckets = store.buckets_for(at)
+    grouped = {}
+    for index, row in enumerate(zip(*store.columns) if model else ()):
+        key = row[at[0]] if len(at) == 1 else tuple(row[p] for p in at)
+        grouped.setdefault(key, []).append(index)
+    assert {key: sorted(bucket) for key, bucket in buckets.items()} == grouped
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.lists(steps, max_size=40),
+    st.sampled_from([None, 3, 6]),
+    st.booleans(),
+)
+def test_both_faces_follow_a_set_model(script, spill_threshold, eager):
+    db = Database(
+        backend="memory" if spill_threshold is None else "sqlite",
+        spill_threshold=spill_threshold,
+    )
+    try:
+        db.create("r", 2)
+        model: set = set()
+        at_begin = None  # (model, version) while a transaction is open
+        for step in script:
+            relation = db.relation("r")
+            version = relation.version
+            before = set(model)
+            op = step[0]
+            if op == "insert":
+                assert db.insert("r", lift(step[1])) == (lift(step[1]) not in model)
+                model.add(lift(step[1]))
+            elif op == "load":
+                new = {lift(row) for row in step[1]} - model
+                assert db.load("r", step[1]) == len(new)
+                model |= new
+            elif op == "remove":
+                present = lift(step[1]) in model
+                if at_begin is None:  # the relation's own entry is not undo-logged
+                    assert relation.remove(lift(step[1])) == present
+                else:
+                    assert db.retract("r", [step[1]]) == present
+                model.discard(lift(step[1]))
+            elif op == "retract":
+                gone = {lift(row) for row in step[1]} & model
+                assert db.retract("r", step[1]) == len(gone)
+                model -= gone
+            elif op == "clear":
+                if at_begin is not None:
+                    continue  # clear is not transactional
+                relation.clear()
+                model.clear()
+                assert relation.version > version
+                version = relation.version
+                before = set()
+            elif op == "begin":
+                if at_begin is None:
+                    db.begin_transaction()
+                    at_begin = (set(model), version)
+            elif op == "commit":
+                if at_begin is not None:
+                    db.commit_transaction()
+                    at_begin = None
+                    relation = db.relation("r")  # may have spilled just now
+                    if relation.version != version:  # the migration is a change
+                        assert relation.version > version
+                        version = relation.version
+            elif op == "rollback":
+                if at_begin is not None:
+                    db.rollback_transaction()
+                    model, version = at_begin
+                    before = set(model)
+                    at_begin = None
+                    assert db.relation("r").version == version  # exactly restored
+            elif op == "contains":
+                assert (lift(step[1]) in relation) == (lift(step[1]) in model)
+            elif op == "iterate":
+                check_term_face(relation, model)
+            elif op == "lookup":
+                at, probe = step[1], lift(step[2])
+                found = list(relation.lookup(at, key_of(probe, at)))
+                assert len(found) == len(set(found))
+                assert set(found) == {r for r in model if key_of(r, at) == key_of(probe, at)}
+            elif op == "index":
+                at, probe = step[1], lift(step[2])
+                index = relation.ensure_index(at)
+                assert set(index.get(key_of(probe, at))) == {
+                    r for r in model if key_of(r, at) == key_of(probe, at)
+                }
+                if at or isinstance(relation, Relation):  # SQL has no index on no column
+                    assert relation.index_on(at) is not None
+            elif op == "sorted":
+                at = step[1]
+
+                def sort_key(row, at=at):
+                    return tuple(term_sort_key(row[p]) for p in at)
+
+                keyed, _cached = relation.sorted_by(at, sort_key)
+                assert [key for key, _row in keyed] == sorted(key for key, _row in keyed)
+                assert all(key == sort_key(row) for key, row in keyed)
+                assert len(keyed) == len(model) and {row for _key, row in keyed} == model
+                if isinstance(relation, Relation):
+                    assert relation.sorted_by(at, sort_key) == (keyed, True)
+            elif op == "store":
+                check_id_face(relation, model)
+            elif op == "buckets":
+                check_buckets(relation, model, step[1])
+
+            relation = db.relation("r")
+            assert len(relation) == len(model)
+            # a call that changed the extension moved the version forward,
+            # one that did not left it alone
+            if model != before:
+                assert relation.version > version
+            else:
+                assert relation.version == version
+            if eager:
+                check_term_face(relation, model)
+                check_id_face(relation, model)
+        if at_begin is not None:
+            db.rollback_transaction()
+            model, version = at_begin
+            assert db.relation("r").version == version
+        relation = db.relation("r")
+        check_id_face(relation, model)
+        check_term_face(relation, model)
+        for at in POSITIONS:
+            check_buckets(relation, model, at)
+    finally:
+        db.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rows, max_size=8), st.sampled_from([None, 2]), st.integers(0, 10**9))
+def test_asking_after_an_absent_row_interns_nothing(loaded, spill_threshold, salt):
+    db = Database(
+        backend="memory" if spill_threshold is None else "sqlite",
+        spill_threshold=spill_threshold,
+    )
+    try:
+        db.create("r", 2)
+        db.load("r", loaded)
+        relation = db.relation("r")
+        # constants no fact, rule or earlier example can have interned
+        ghost = (Constant(f"ghost-{salt}-{len(INTERNER)}"), Constant("a"))
+        known, version = len(INTERNER), relation.version
+        assert ghost not in relation
+        assert relation.remove(ghost) is False
+        assert db.remove("r", [ghost, ghost[:1]]) == set()
+        assert list(relation.lookup((0,), ghost[:1])) == []
+        assert len(INTERNER) == known and INTERNER.lookup(ghost[0]) is None
+        assert relation.version == version
+    finally:
+        db.close()

@@ -15,7 +15,7 @@ from repro.errors import TransactionError
 from repro.kb import KnowledgeBase
 from repro.storage import Database
 from repro.storage.backend import SpilledRelation
-from repro.datalog.intern import TermInterner
+from repro.datalog.intern import INTERNER
 from repro.storage.relation import Relation
 
 
@@ -137,20 +137,19 @@ def test_rollback_drops_caches_built_inside_the_transaction():
     db = Database()
     db.create("e", 2)
     db.load("e", [("a", "b")])
-    interner = TermInterner()
     before_version = db.relation("e").version
     with pytest.raises(Boom):
         with db.transaction():
             db.load("e", [("b", "c")])
             # build version-keyed caches against the uncommitted rows
-            db.relation("e").batch_store(interner)
+            db.relation("e").batch_store(INTERNER)
             raise Boom()
     relation = db.relation("e")
     assert relation.version == before_version
     # the rebuilt mirror must describe the restored rows, not the
     # discarded ones (a stale cache would validate against the reused
     # version number)
-    store = relation.batch_store(interner)
+    store = relation.batch_store(INTERNER)
     assert store.length == 1
 
 
