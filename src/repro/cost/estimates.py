@@ -53,8 +53,71 @@ def _no_derived(literal: Literal, binding: BindingPattern) -> DerivedEstimate | 
     return None
 
 
+class _Profile:
+    """What costing reads of one literal that no :class:`StepState` changes.
+
+    ``args`` holds, per argument, the :class:`Variable` itself, ``None``
+    for a ground term or the variable set of a struct that has some;
+    ``derived`` is whether the predicate has rules (``None`` until the
+    oracle was asked); ``shapes`` is :meth:`BodyEstimator.shape`'s memo.
+    """
+
+    __slots__ = ("args", "variables", "derived", "shapes")
+
+    def __init__(self, literal: Literal):
+        self.args = tuple(
+            arg if isinstance(arg, Variable) else variables_of(arg) or None
+            for arg in literal.args
+        )
+        self.variables = literal.variables
+        self.derived: bool | None = None
+        self.shapes: dict[int, tuple] = {}
+
+    def join(
+        self, distincts: Sequence[float], state: StepState
+    ) -> tuple[float, int, dict[Variable, float]]:
+        """Selectivity of the bound positions, those positions as a bit
+        mask, and the per-variable distinct-count updates the join implies.
+
+        Selectivity per bound position follows the symmetric rule
+        ``1/max(seen, new)`` (see :class:`StepState`), which keeps
+        cardinality estimates independent of join order — the property
+        the Selinger DP relies on.
+        """
+        selectivity = 1.0
+        mask = 0
+        updates: dict[Variable, float] = {}
+        bound, seen, known = state.bound, state.var_ndvs, len(distincts)
+        for index, arg in enumerate(self.args):
+            d_new = max(1.0, distincts[index] if index < known else 1.0)
+            if arg.__class__ is Variable:
+                if arg in bound:
+                    mask |= 1 << index
+                    d_seen = max(1.0, seen.get(arg, 1.0))
+                    selectivity /= max(d_seen, d_new)
+                    updates[arg] = min(updates.get(arg, d_new), d_new, d_seen)
+                else:
+                    # free position: the variable will range over this column
+                    updates[arg] = min(updates.get(arg, d_new), d_new)
+            elif arg is None or arg <= bound:
+                # ground (or fully bound struct) argument: a point selection
+                mask |= 1 << index
+                selectivity /= d_new
+        return selectivity, mask, updates
+
+
 class BodyEstimator:
-    """Prices one body literal at a time against catalog statistics."""
+    """Prices one body literal at a time against catalog statistics.
+
+    A step's anatomy: *per literal* (once, :class:`_Profile`) its
+    argument kinds, variable set and whether it is derived; *per
+    (literal, bound-argument mask)* (once, :meth:`shape`) the adornment
+    and the resolved feedback lookup; *per step* a loop over the argument
+    kinds reading floats plus the method formulas of :meth:`leaf_step`.
+    ``profiles`` is that memo.  An owner of many estimators over one
+    program assigns them one dict and empties it when the feedback
+    snapshot may have changed (the optimizer: at every ``optimize()``).
+    """
 
     def __init__(
         self,
@@ -77,6 +140,7 @@ class BodyEstimator:
         #: :class:`repro.obs.feedback.FeedbackStore`): observed per-probe
         #: fanouts take precedence over the static independence guesses
         self.feedback = feedback
+        self.profiles: dict[Literal, _Profile] = {}
 
     # -- statistics access ---------------------------------------------------
 
@@ -89,42 +153,41 @@ class BodyEstimator:
             params.default_cardinality, [params.default_distinct] * arity
         )
 
-    # -- selectivities ----------------------------------------------------------
+    # -- literal profiles -------------------------------------------------------
 
-    def _bound_selectivity(
-        self, literal: Literal, distincts: Sequence[float], state: StepState
-    ) -> tuple[float, tuple[int, ...], dict[Variable, float]]:
-        """Selectivity of the bound positions, those positions, and the
-        per-variable distinct-count updates the join implies.
+    def _profile(self, literal: Literal) -> _Profile:
+        profile = self.profiles.get(literal)
+        if profile is None:
+            profile = self.profiles[literal] = _Profile(literal)
+        return profile
 
-        Selectivity per bound position follows the symmetric rule
-        ``1/max(seen, new)`` (see :class:`StepState`), which keeps
-        cardinality estimates independent of join order — the property
-        the Selinger DP relies on.
-        """
-        selectivity = 1.0
-        positions: list[int] = []
-        updates: dict[Variable, float] = {}
-        for index, arg in enumerate(literal.args):
-            arg_vars = variables_of(arg)
-            d_new = max(1.0, distincts[index] if index < len(distincts) else 1.0)
-            if arg_vars and arg_vars <= state.bound:
-                positions.append(index)
-                if isinstance(arg, Variable):
-                    d_seen = max(1.0, state.ndv_of(arg))
-                    selectivity /= max(d_seen, d_new)
-                    updates[arg] = min(updates.get(arg, d_new), d_new, d_seen)
-                else:
-                    selectivity /= d_new
-            elif not arg_vars:
-                # ground (constant/struct) argument: a point selection
-                positions.append(index)
-                selectivity /= d_new
-            else:
-                # free position: the variable(s) will range over this column
-                if isinstance(arg, Variable):
-                    updates[arg] = min(updates.get(arg, d_new), d_new)
-        return selectivity, tuple(positions), updates
+    def shape(self, literal: Literal, bound: frozenset, mask: int | None = None) -> tuple:
+        """``(adornment, learned)`` of *literal* entered with *bound*:
+        its :class:`BindingPattern` and, per join method that has one,
+        the feedback store's resolved fanout lookup (static -> learned) —
+        built once per bound-argument mask and shared by every step, the
+        derived oracle and the optimizer's learned-vs-static marking."""
+        profile = self._profile(literal)
+        if mask is None:
+            mask = profile.join((), StepState(1.0, bound))[1]
+        shape = profile.shapes.get(mask)
+        if shape is None:
+            pattern = BindingPattern.of_literal(literal, bound)
+            learned = {}
+            if self.feedback is not None:
+                learned = self.feedback.fanout_lookups(literal, pattern.code, LEAF_METHODS)
+            shape = profile.shapes[mask] = (pattern, learned)
+        return shape
+
+    def derived_estimate(self, state: StepState, literal: Literal) -> DerivedEstimate | None:
+        """The derived oracle's answer for *literal* entered at *state*;
+        a literal once found stored is not asked about again."""
+        profile = self._profile(literal)
+        if profile.derived is False:
+            return None
+        derived = self.derived_oracle(literal, self.shape(literal, state.bound)[0])
+        profile.derived = derived is not None
+        return derived
 
     # -- the step function --------------------------------------------------------
 
@@ -153,10 +216,8 @@ class BodyEstimator:
         ok, __ = literal_is_ec(literal, state.bound)
         if not ok:
             return StepState(INFINITE_COST, state.bound, INFINITE_COST)
-        stats = self.stats_for(literal.predicate, literal.arity)
-        probe_cost = state.card * params.probe_weight
         card = clamp_card(state.card * params.negation_selectivity, params)
-        return state.charged(probe_cost + stats.cardinality * 0.0, card, frozenset())
+        return state.charged(state.card * params.probe_weight, card, frozenset())
 
     def builtin_step(self, state: StepState, literal: Literal, builtin) -> StepState:
         """Cost a built-in call: infinite unless a declared mode is
@@ -170,6 +231,50 @@ class BodyEstimator:
         newly = frozenset(literal.variables - state.bound)
         return state.charged(cost, out_card, newly)
 
+    def leaf_step(
+        self,
+        state: StepState,
+        literal: Literal,
+        stats: RelationStats,
+        methods: Sequence[str] = LEAF_METHODS,
+    ) -> tuple[StepState, str]:
+        """Cost joining the current table with a stored relation under
+        every method in *methods*; returns the state and label of the
+        first strictly cheapest.  What no method changes — selectivity,
+        bound positions, ndv updates, the static per-probe fanout and the
+        feedback lookup — is derived once; a learned fanout still
+        overrides ``per_probe`` per method."""
+        params = self.params
+        profile = self._profile(literal)
+        distincts = [stats.distinct(i) for i in range(len(profile.args))]
+        selectivity, mask, ndv_updates = profile.join(distincts, state)
+        card, n, probe_weight = state.card, stats.cardinality, params.probe_weight
+        static = n * selectivity
+        learned = None
+        if self.feedback is not None and not math.isinf(static):
+            learned = self.shape(literal, state.bound, mask)[1]
+        static_card = clamp_card(scaled(card, static), params)
+        best_cost = best_work = best_card = best_method = None
+        for method in methods:
+            per_probe, out_card = static, static_card
+            if learned and method in learned:
+                per_probe = learned[method](static)
+                out_card = clamp_card(scaled(card, per_probe), params)
+            if method == "nested_loop" or (method == "index" and not mask):
+                work = card * n  # an index probing nothing: degenerate scan
+            elif method == "hash":
+                work = n + card * probe_weight + out_card
+            elif method == "index":
+                work = card * (probe_weight + per_probe) + out_card
+            elif method == "merge":
+                work = n * math.log2(n + 2) + card * math.log2(card + 2) + out_card
+            else:
+                raise ValueError(f"unknown join method {method!r}")
+            cost = state.cost + work
+            if best_method is None or cost < best_cost:
+                best_cost, best_work, best_card, best_method = cost, work, out_card, method
+        return state.charged(best_work, best_card, profile.variables, ndv_updates), best_method
+
     def base_step(
         self,
         state: StepState,
@@ -178,41 +283,7 @@ class BodyEstimator:
         method: str,
     ) -> StepState:
         """Cost joining the current table with a base relation by *method*."""
-        params = self.params
-        distincts = [stats.distinct(i) for i in range(literal.arity)]
-        selectivity, bound_positions, ndv_updates = self._bound_selectivity(
-            literal, distincts, state
-        )
-        per_probe = stats.cardinality * selectivity
-        if self.feedback is not None and not math.isinf(per_probe):
-            learned = self.feedback.learned_fanout(
-                literal, state.bound, method, per_probe
-            )
-            if learned is not None:
-                per_probe = learned
-        out_card = clamp_card(scaled(state.card, per_probe), params)
-
-        n = stats.cardinality
-        if method == "nested_loop":
-            work = state.card * n
-        elif method == "hash":
-            work = n + state.card * params.probe_weight + out_card
-        elif method == "index":
-            if not bound_positions:
-                work = state.card * n  # probing nothing: degenerate scan
-            else:
-                work = state.card * (params.probe_weight + per_probe) + out_card
-        elif method == "merge":
-            work = (
-                n * math.log2(n + 2)
-                + state.card * math.log2(state.card + 2)
-                + out_card
-            )
-        else:
-            raise ValueError(f"unknown join method {method!r}")
-
-        newly = literal.variables - state.bound
-        return state.charged(work, out_card, frozenset(newly), ndv_updates)
+        return self.leaf_step(state, literal, stats, (method,))[0]
 
     def derived_step(
         self,
@@ -223,13 +294,13 @@ class BodyEstimator:
     ) -> StepState:
         """Cost joining with a derived predicate (pipelined or materialized)."""
         params = self.params
-        newly = frozenset(literal.variables - state.bound)
-        selectivity, __, ndv_updates = self._bound_selectivity(literal, derived.ndvs, state)
+        profile = self._profile(literal)
+        selectivity, __, ndv_updates = profile.join(derived.ndvs, state)
         if pipelined:
             # bind-join: re-evaluate the bound subplan per outer row.
             cost = scaled(state.card, derived.per_probe.cost)
             out_card = clamp_card(scaled(state.card, derived.per_probe.card), params)
-            return state.charged(cost, out_card, newly, ndv_updates)
+            return state.charged(cost, out_card, profile.variables, ndv_updates)
         # materialized: compute once, then hash-join on bound positions.
         if derived.materialized.is_infinite:
             return StepState(INFINITE_COST, state.bound, INFINITE_COST)
@@ -241,7 +312,7 @@ class BodyEstimator:
             + state.card * params.probe_weight
             + out_card
         )
-        return state.charged(cost, out_card, newly, ndv_updates)
+        return state.charged(cost, out_card, profile.variables, ndv_updates)
 
     def literal_step(
         self,
@@ -266,46 +337,28 @@ class BodyEstimator:
             if builtin is not None and builtin.arity == literal.arity:
                 return self.builtin_step(state, literal, builtin), "builtin"
 
-        if literal.predicate in self.extra_stats:
-            # An overlay entry (fixpoint estimation in progress) shadows the
-            # derived oracle: the predicate is priced as a growing relation,
-            # never by recursive re-optimization.
-            stats = self.extra_stats[literal.predicate]
-            if method is not None and method in LEAF_METHODS:
-                return self.base_step(state, literal, stats, method), method
-            best_state = None
-            best_method = "hash"
-            for candidate in LEAF_METHODS:
-                candidate_state = self.base_step(state, literal, stats, candidate)
-                if best_state is None or candidate_state.cost < best_state.cost:
-                    best_state = candidate_state
-                    best_method = candidate
-            assert best_state is not None
-            return best_state, best_method
-
-        derived = self.derived_oracle(literal, BindingPattern.of_literal(literal, state.bound))
-        if derived is not None:
-            if method in ("pipelined", "materialized"):
-                pipelined = method == "pipelined"
-                return self.derived_step(state, literal, derived, pipelined), method
-            pipe = self.derived_step(state, literal, derived, True)
-            mat = self.derived_step(state, literal, derived, False)
-            if pipe.cost <= mat.cost:
-                return pipe, "pipelined"
-            return mat, "materialized"
-
-        stats = self.stats_for(literal.predicate, literal.arity)
-        if method is not None:
-            return self.base_step(state, literal, stats, method), method
-        best_state: StepState | None = None
-        best_method = "hash"
-        for candidate in LEAF_METHODS:
-            candidate_state = self.base_step(state, literal, stats, candidate)
-            if best_state is None or candidate_state.cost < best_state.cost:
-                best_state = candidate_state
-                best_method = candidate
-        assert best_state is not None
-        return best_state, best_method
+        # An overlay entry (fixpoint estimation in progress) shadows the
+        # derived oracle: the predicate is priced as a growing relation,
+        # never by recursive re-optimization.
+        stats = self.extra_stats.get(literal.predicate)
+        if stats is not None:
+            if method not in LEAF_METHODS:
+                method = None
+        else:
+            derived = self.derived_estimate(state, literal)
+            if derived is not None:
+                if method in ("pipelined", "materialized"):
+                    pipelined = method == "pipelined"
+                    return self.derived_step(state, literal, derived, pipelined), method
+                pipe = self.derived_step(state, literal, derived, True)
+                mat = self.derived_step(state, literal, derived, False)
+                if pipe.cost <= mat.cost:
+                    return pipe, "pipelined"
+                return mat, "materialized"
+            stats = self.stats_for(literal.predicate, literal.arity)
+        return self.leaf_step(
+            state, literal, stats, LEAF_METHODS if method is None else (method,)
+        )
 
     # -- whole bodies ------------------------------------------------------------
 

@@ -53,6 +53,7 @@ resets a persisted store.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -282,33 +283,36 @@ class FeedbackStore:
             return static
         return max(_VALUE_FLOOR, weight * entry.value + (1.0 - weight) * static)
 
+    def fanout_lookups(self, literal, adornment: str, methods) -> dict:
+        """Per join method in *methods* with usable evidence for a base
+        step of *literal* under *adornment*: the resolved lookup ``static
+        -> learned fanout`` (blended toward *static* by staleness).  The
+        exact ``(literal, adornment, method)`` fingerprint wins; the
+        method wildcard is the fallback.  The one resolver behind
+        :meth:`learned_fanout`, :meth:`has_fanout` and the estimator's
+        memo (:meth:`repro.cost.estimates.BodyEstimator.shape`)."""
+        prefix = step_fingerprint(literal, adornment, "")
+        wildcard = self._usable(prefix + "*")
+        lookups = {}
+        for method in methods:
+            entry = self._usable(prefix + method) or wildcard
+            if entry is not None:
+                lookups[method] = functools.partial(self._blend, entry)
+        return lookups
+
     def learned_fanout(
         self, literal, bound_vars: frozenset, method: str, static: float
     ) -> float | None:
         """The learned per-input-row fanout of joining *literal* under the
         adornment implied by *bound_vars*, blended toward *static* by
-        staleness — or ``None`` when nothing (fresh enough) is known.
-
-        The exact ``(literal, adornment, method)`` fingerprint wins;
-        the method wildcard is the fallback.
-        """
+        staleness — or ``None`` when nothing (fresh enough) is known."""
         adorn = BindingPattern.of_literal(literal, bound_vars).code
-        canon = canonical_literal(literal)
-        for key in (f"step|{canon}|{adorn}|{method}", f"step|{canon}|{adorn}|*"):
-            entry = self._usable(key)
-            if entry is not None:
-                return self._blend(entry, static)
-        return None
+        lookup = self.fanout_lookups(literal, adorn, (method,)).get(method)
+        return None if lookup is None else lookup(static)
 
     def has_fanout(self, literal, bound_vars: frozenset, method: str) -> bool:
-        """Would :meth:`learned_fanout` hit?  (The optimizer's
-        learned-vs-guessed plan marking asks this.)"""
-        adorn = BindingPattern.of_literal(literal, bound_vars).code
-        canon = canonical_literal(literal)
-        return (
-            self._usable(f"step|{canon}|{adorn}|{method}") is not None
-            or self._usable(f"step|{canon}|{adorn}|*") is not None
-        )
+        """Would :meth:`learned_fanout` hit?"""
+        return self.learned_fanout(literal, bound_vars, method, 1.0) is not None
 
     def learned_node_card(
         self, kind: str, ref, binding: str, method: str | None, static: float

@@ -115,16 +115,26 @@ def annealing_order(
     if len(joinable) <= 1:
         return cost_order(body, tuple(joinable), floating, initially_bound, estimator)
 
-    cache: dict[tuple[int, ...], OrderResult] = {}
+    # Per costed permutation its result and prefix checkpoints; a candidate
+    # resumes from the checkpoint of the state it was swapped from, at the
+    # first of the two exchanged positions.
+    cache: dict[tuple[int, ...], tuple[OrderResult, list]] = {}
+    origin: tuple[int, ...] = ()
+
+    def neighbor(perm: tuple[int, ...], rng: random.Random) -> tuple[int, ...]:
+        nonlocal origin
+        origin = perm
+        return _swap_two(perm, rng)
 
     def cost_of(perm: tuple[int, ...]) -> float:
-        result = cache.get(perm)
-        if result is None:
-            result = cost_order(body, perm, floating, initially_bound, estimator)
-            cache[perm] = result
-        return result.est.cost
+        if perm not in cache:
+            shared = next((k for k, (a, b) in enumerate(zip(origin, perm)) if a != b), 0)
+            trail = cache[origin][1][: shared + 1] if origin else []
+            result = cost_order(body, perm, floating, initially_bound, estimator, trail)
+            cache[perm] = (result, trail)
+        return cache[perm][0].est.cost
 
     initial = tuple(joinable)
-    outcome = anneal(initial, _swap_two, cost_of, rng, schedule)
-    best = cache[outcome.state]  # type: ignore[index]
+    outcome = anneal(initial, neighbor, cost_of, rng, schedule)
+    best = cache[outcome.state][0]  # type: ignore[index]
     return OrderResult(best.steps, best.est, outcome.evaluations)

@@ -85,53 +85,85 @@ def split_joinable(body: Sequence[Literal]) -> tuple[list[int], list[int]]:
     return joinable, floating
 
 
+#: A costed prefix: the state after it, the floating literals not yet
+#: applied, and the steps so far.
+Checkpoint = tuple[StepState, tuple[int, ...], tuple[CostedStep, ...]]
+
+
+def _place(body, estimator, state: StepState, position: int, steps: list) -> StepState:
+    before = state.cost
+    state, method = estimator.literal_step(state, body[position])
+    steps.append(CostedStep(position, method, state.cost - before, state.card))
+    return state
+
+
+def _extend(
+    body: Sequence[Literal],
+    estimator: BodyEstimator,
+    entry: Checkpoint,
+    position: int | None,
+) -> Checkpoint:
+    """Place joinable *position* after *entry* (``None``: nothing), then
+    flush greedily every floating literal that has become EC."""
+    state, pending, steps = entry
+    out_steps = list(steps)
+    if position is not None:
+        state = _place(body, estimator, state, position, out_steps)
+    remaining = list(pending)
+    progressed = True
+    while progressed and remaining:
+        progressed = False
+        for floating in list(remaining):
+            ok, __ = literal_is_ec(body[floating], state.bound)
+            if not ok:
+                continue
+            state = _place(body, estimator, state, floating, out_steps)
+            remaining.remove(floating)
+            progressed = True
+    return state, tuple(remaining), tuple(out_steps)
+
+
+def _root(body, floating, initially_bound, estimator) -> Checkpoint:
+    """The empty prefix: the floats that are EC from the start, applied."""
+    state = StepState(card=1.0, bound=frozenset(initially_bound), cost=0.0)
+    return _extend(body, estimator, (state, tuple(floating), ()), None)
+
+
+def _finalize(body: Sequence[Literal], estimator: BodyEstimator, entry: Checkpoint) -> OrderResult:
+    """Force-apply the floats that never became EC (pricing the order unsafe)."""
+    state, pending, steps = entry
+    out_steps = list(steps)
+    for position in pending:
+        state = _place(body, estimator, state, position, out_steps)
+    return OrderResult(tuple(out_steps), Estimate(state.cost, state.card))
+
+
 def cost_order(
     body: Sequence[Literal],
     joinable_perm: Sequence[int],
     floating: Sequence[int],
     initially_bound: frozenset[Variable],
     estimator: BodyEstimator,
+    checkpoints: list[Checkpoint] | None = None,
 ) -> OrderResult:
     """Cost one permutation of the joinable literals.
 
     Floating literals are flushed greedily as soon as they become EC;
     leftovers are force-applied at the end (pricing the order unsafe).
+
+    *checkpoints* is the caller's list of the prefixes reached before the
+    first and after each joinable position.  Entries already in it are
+    trusted as this permutation's (a caller that changed the permutation
+    from position *k* on hands over the first ``k + 1``); costing resumes
+    after the last one and appends the rest, so an unchanged prefix is
+    never re-costed.
     """
-    state = StepState(card=1.0, bound=frozenset(initially_bound), cost=0.0)
-    steps: list[CostedStep] = []
-    pending = list(floating)
-
-    def flush(current: StepState) -> StepState:
-        progressed = True
-        while progressed and pending:
-            progressed = False
-            for position in list(pending):
-                literal = body[position]
-                ok, __ = literal_is_ec(literal, current.bound)
-                if not ok:
-                    continue
-                before = current.cost
-                current, method = estimator.literal_step(current, literal)
-                steps.append(
-                    CostedStep(position, method, current.cost - before, current.card)
-                )
-                pending.remove(position)
-                progressed = True
-        return current
-
-    state = flush(state)
-    for position in joinable_perm:
-        before = state.cost
-        state, method = estimator.literal_step(state, body[position])
-        steps.append(CostedStep(position, method, state.cost - before, state.card))
-        state = flush(state)
-
-    for position in pending:  # never became EC: unsafe order
-        before = state.cost
-        state, method = estimator.literal_step(state, body[position])
-        steps.append(CostedStep(position, method, state.cost - before, state.card))
-
-    return OrderResult(tuple(steps), Estimate(state.cost, state.card))
+    trail = [] if checkpoints is None else checkpoints
+    if not trail:
+        trail.append(_root(body, floating, initially_bound, estimator))
+    for position in joinable_perm[len(trail) - 1:]:
+        trail.append(_extend(body, estimator, trail[-1], position))
+    return _finalize(body, estimator, trail[-1])
 
 
 def enumerate_orders(
@@ -289,61 +321,7 @@ def dp_order(
     pruned = 0
     bounds = _CompletionBounds(body, estimator)
 
-    def flush(
-        state: StepState, pending: tuple[int, ...], steps: list[CostedStep]
-    ) -> tuple[StepState, tuple[int, ...]]:
-        remaining = list(pending)
-        progressed = True
-        while progressed and remaining:
-            progressed = False
-            for position in list(remaining):
-                literal = body[position]
-                ok, __ = literal_is_ec(literal, state.bound)
-                if not ok:
-                    continue
-                before = state.cost
-                state, method = estimator.literal_step(state, literal)
-                steps.append(
-                    CostedStep(position, method, state.cost - before, state.card)
-                )
-                remaining.remove(position)
-                progressed = True
-        return state, tuple(remaining)
-
-    def extend(
-        entry: tuple[StepState, tuple[int, ...], tuple[CostedStep, ...]],
-        position: int,
-    ) -> tuple[StepState, tuple[int, ...], tuple[CostedStep, ...]]:
-        nonlocal evaluations
-        evaluations += 1
-        state, pending, steps = entry
-        out_steps = list(steps)
-        before = state.cost
-        state, method = estimator.literal_step(state, body[position])
-        out_steps.append(CostedStep(position, method, state.cost - before, state.card))
-        state, pending = flush(state, pending, out_steps)
-        return state, pending, tuple(out_steps)
-
-    def finalize(
-        entry: tuple[StepState, tuple[int, ...], tuple[CostedStep, ...]],
-    ) -> OrderResult:
-        state, pending, steps = entry
-        out_steps = list(steps)
-        for position in pending:  # never became EC: unsafe order
-            before = state.cost
-            state, method = estimator.literal_step(state, body[position])
-            out_steps.append(
-                CostedStep(position, method, state.cost - before, state.card)
-            )
-        return OrderResult(tuple(out_steps), Estimate(state.cost, state.card))
-
-    root_steps: list[CostedStep] = []
-    root_state, root_pending = flush(
-        StepState(card=1.0, bound=frozenset(initially_bound), cost=0.0),
-        tuple(floating),
-        root_steps,
-    )
-    root = (root_state, root_pending, tuple(root_steps))
+    root = _root(body, floating, initially_bound, estimator)
 
     # Greedy incumbent: cheapest next step, connected extensions first —
     # the cross-product-deferring probe whose full cost seeds the bound.
@@ -353,14 +331,15 @@ def dp_order(
         best_key = None
         best_position = None
         best_child = None
+        evaluations += len(remaining)
         for position in remaining:
-            child = extend(entry, position)
+            child = _extend(body, estimator, entry, position)
             key = (not _connected(body[position], entry[0].bound), child[0].cost)
             if best_key is None or key < best_key:
                 best_key, best_position, best_child = key, position, child
         remaining.remove(best_position)
         entry = best_child
-    best = finalize(entry)
+    best = _finalize(body, estimator, entry)
     incumbent_cost = best.est.cost
 
     # Subset DP, one layer per order length; entries carry the state
@@ -374,8 +353,9 @@ def dp_order(
                 (p for p in joinable if p not in subset),
                 key=lambda p: (not _connected(body[p], state.bound), p),
             )
+            evaluations += len(candidates)
             for position in candidates:
-                child = extend(entry, position)
+                child = _extend(body, estimator, entry, position)
                 child_state = child[0]
                 if prune and incumbent_cost < INFINITE_COST:
                     left = [
@@ -393,7 +373,7 @@ def dp_order(
 
     full = table.get(frozenset(joinable))
     if full is not None:
-        candidate = finalize(full)
+        candidate = _finalize(body, estimator, full)
         if candidate.est.cost < best.est.cost:
             best = candidate
     return OrderResult(best.steps, best.est, evaluations, pruned)

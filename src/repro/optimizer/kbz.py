@@ -188,8 +188,9 @@ def kbz_order(
 
     Falls back gracefully for degenerate inputs (0 or 1 joinable
     literals).  The returned :class:`OrderResult` counts one evaluation
-    per candidate root, making strategy-efficiency comparisons (EXP-1,
-    EXP-3) straightforward.
+    per candidate costed (each root, each transposition — whether costed
+    from position 0 or from a :func:`cost_order` checkpoint), making
+    strategy-efficiency comparisons (EXP-1, EXP-3) straightforward.
     """
     joinable, floating = split_joinable(body)
     if len(joinable) <= 1:
@@ -215,6 +216,7 @@ def kbz_order(
 
     best: OrderResult | None = None
     best_perm: tuple[int, ...] = tuple(joinable)
+    best_trail: list = []  # the incumbent's prefix checkpoints
     evaluations = 0
     for root in range(n):
         t_values: dict[tuple[int, int], float] = {}
@@ -228,18 +230,20 @@ def kbz_order(
                 stack.append((child, node))
         local_order = _linearize(root, adjacency, t_values)
         permutation = tuple(joinable[i] for i in local_order)
-        result = cost_order(body, permutation, floating, initially_bound, estimator)
+        trail: list = []
+        result = cost_order(body, permutation, floating, initially_bound, estimator, trail)
         evaluations += 1
         if best is None or result.est.cost < best.est.cost:
-            best = result
-            best_perm = permutation
+            best, best_perm, best_trail = result, permutation, trail
     assert best is not None
 
     # The "other cost models" extension ([KBZ 86] as evaluated by
     # [Vil 87]): the rank linearization is exact only for ASI cost
     # functions, so finish with a bounded adjacent-transposition descent
     # under the real cost model.  O(n) evaluations per sweep, at most
-    # n sweeps — the overall budget stays quadratic.
+    # n sweeps — the overall budget stays quadratic.  A candidate shares
+    # its first i positions with the incumbent and resumes from the
+    # incumbent's checkpoint there.
     improved = True
     sweeps = 0
     while improved and sweeps < n:
@@ -248,10 +252,10 @@ def kbz_order(
         for i in range(len(best_perm) - 1):
             candidate = list(best_perm)
             candidate[i], candidate[i + 1] = candidate[i + 1], candidate[i]
-            result = cost_order(body, tuple(candidate), floating, initially_bound, estimator)
+            trail = best_trail[: i + 1]
+            result = cost_order(body, candidate, floating, initially_bound, estimator, trail)
             evaluations += 1
             if result.est.cost < best.est.cost:
-                best = result
-                best_perm = tuple(candidate)
+                best, best_perm, best_trail = result, tuple(candidate), trail
                 improved = True
     return OrderResult(best.steps, best.est, evaluations)

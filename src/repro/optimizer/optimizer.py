@@ -155,6 +155,9 @@ class Optimizer:
             raise OptimizationError(
                 f"unknown deadline fallback {self.config.deadline_fallback!r}"
             )
+        #: the literal-profile memo every estimator of this optimizer
+        #: shares (:meth:`_estimator`); it lives and dies with the optimizer
+        self._profiles: dict = {}
         self._memo: dict[tuple[str, str], _MemoEntry] = {}
         self._seminaive_cache: dict[frozenset[PredicateRef], Estimate] = {}
         self._diagnostics: list[str] = []
@@ -207,6 +210,9 @@ class Optimizer:
         self._governor = governor
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
+        # Feedback is a static snapshot inside one optimize() call only:
+        # the resolved lookups in the profile memo do not outlive it.
+        self._profiles.clear()
         if governor is not None:
             governor.arm()
         try:
@@ -269,7 +275,7 @@ class Optimizer:
         )
 
     def _estimator(self, extra_stats: Mapping[str, RelationStats] | None = None) -> BodyEstimator:
-        return BodyEstimator(
+        estimator = BodyEstimator(
             self.stats,
             params=self.config.params,
             derived_oracle=self._oracle,
@@ -277,6 +283,8 @@ class Optimizer:
             builtins=self.builtins,
             feedback=self.feedback,
         )
+        estimator.profiles = self._profiles
+        return estimator
 
     # --------------------------------------------------------- OR subtrees
 
@@ -440,6 +448,7 @@ class Optimizer:
         """Materialize the chosen ordering as plan steps with children."""
         steps: list[JoinStep] = []
         bound = frozenset(initially_bound)
+        shape = self._estimator().shape  # what costing built per (literal, mask)
         running_cost = 0.0
         for costed in result.steps:
             literal = rule.body[costed.index]
@@ -462,17 +471,16 @@ class Optimizer:
                         child = self._optimize_ref(ref, BindingPattern.all_free(ref.arity)).plan
                         pipelined = False
                     else:
-                        binding = BindingPattern.of_literal(literal, bound)
+                        binding = shape(literal, bound)[0]
                         child = self._optimize_ref(ref, binding).plan
                         method = "pipelined"
                 else:
                     pipelined = method in ("index", "builtin")
             est_source = "static"
             if (
-                self.feedback is not None
-                and child is None
+                child is None
                 and method in LEAF_METHODS
-                and self.feedback.has_fanout(literal, bound, method)
+                and method in shape(literal, bound)[1]
             ):
                 est_source = "learned"
             steps.append(JoinStep(
@@ -941,12 +949,7 @@ class _CachingEstimator:
                 for name, stats in self._inner.extra_stats.items()
             )
         )
-        key = (
-            tuple(str(literal) for literal in body),
-            frozenset(str(v) for v in initially_bound),
-            initial_card,
-            overlay,
-        )
+        key = (tuple(body), frozenset(initially_bound), initial_card, overlay)
         cached = self._cache.entries.get(key)
         if cached is not None:
             self._cache.hits += 1
@@ -974,9 +977,11 @@ class _ForcedMethodEstimator:
         return self._inner.stats_for(name, arity)
 
     def literal_step(self, state, literal, method=None):
-        if literal.is_comparison or literal.negated:
-            return self._inner.literal_step(state, literal, method)
-        if self._inner.derived_oracle(literal, BindingPattern.of_literal(literal, state.bound)):
+        if (
+            literal.is_comparison
+            or literal.negated
+            or self._inner.derived_estimate(state, literal) is not None
+        ):
             return self._inner.literal_step(state, literal, method)
         return self._inner.literal_step(state, literal, self._method)
 
