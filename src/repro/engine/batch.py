@@ -59,9 +59,10 @@ and EXPLAIN ANALYZE do not depend on which evaluator ran a rule.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..datalog.intern import INTERNER, TermInterner
 from ..datalog.literals import Literal
@@ -79,11 +80,14 @@ from .operators import (
 )
 from .profiler import Profiler
 
-#: Resolves a stored body literal to the store its step probes: an
-#: :class:`~repro.storage.columnar.IdRelation` (a base relation's own,
-#: a derived extension; ``BatchStore`` is the same class) or a
-#: disk-backed :class:`~repro.storage.backend.SpilledStore`.
-StoreOf = Callable[[Literal], object]
+#: Resolves the stored body literal at a step position to what the step
+#: probes: an :class:`~repro.storage.columnar.IdRelation` (a derived
+#: extension; ``BatchStore`` is the same class), or a stored relation,
+#: which hands over its own store — in memory or a disk-backed
+#: :class:`~repro.storage.backend.SpilledStore`.  By position, not by
+#: predicate: view maintenance reads a predicate's pre-update extension
+#: at one occurrence and its current one at another.
+StoreOf = Callable[[int, Literal], object]
 
 #: Rows per chunk when streaming a disk-backed scan through the tail.
 SPILL_CHUNK_ROWS = 65_536
@@ -302,6 +306,58 @@ def lower_rule(
     return entry
 
 
+class KeyLayout(NamedTuple):
+    """How ground keys for some of a head's arguments enter a lowered
+    plan as its input batch: a plan's AND node entered with sideways
+    keys, a rule re-derived for candidate head rows."""
+
+    #: the key fields that become input columns, in schema order
+    columns: tuple[int, ...]
+    #: (field, earlier field) pairs a key must agree on (``p(X, X)``)
+    equal: tuple[tuple[int, int], ...]
+    #: (field, id) pairs a key must hold (a ground argument)
+    consts: tuple[tuple[int, int], ...]
+    #: the variable each input column binds — the plan's ``bound`` schema
+    schema: tuple[Variable, ...]
+
+
+def key_layout(patterns: Sequence, interner: TermInterner = INTERNER) -> "KeyLayout | str":
+    """The layout of keys matching *patterns* (one argument per key
+    field), or the reason they need unification."""
+    columns: list[int] = []
+    equal: list[tuple[int, int]] = []
+    consts: list[tuple[int, int]] = []
+    first_field: dict[Variable, int] = {}
+    for field, pattern in enumerate(patterns):
+        if isinstance(pattern, Variable):
+            if pattern in first_field:
+                equal.append((field, first_field[pattern]))
+            else:
+                first_field[pattern] = field
+                columns.append(field)
+        elif is_ground(pattern):
+            consts.append((field, interner.id_of(pattern)))
+        else:
+            return f"struct argument {pattern} in a bound head position"
+    return KeyLayout(tuple(columns), tuple(equal), tuple(consts), tuple(first_field))
+
+
+def key_batch(layout: KeyLayout, keys: Iterable[IdRow]) -> tuple[list[list[int]], int]:
+    """The input batch *keys* make: those that fit the layout's constants
+    and equalities, as one column per variable."""
+    if layout.consts or layout.equal:
+        keys = [
+            key for key in keys
+            if all(key[field] == const for field, const in layout.consts)
+            and all(key[field] == key[other] for field, other in layout.equal)
+        ]
+    if not keys or not layout.columns:
+        return [], 1 if keys else 0
+    # dropped fields are fixed by the kept ones, so rows stay distinct
+    columns = list(zip(*keys))
+    return [list(columns[field]) for field in layout.columns], len(keys)
+
+
 class BatchExecutor:
     """Executes batch plans; one per engine, sharing the global interner."""
 
@@ -317,16 +373,21 @@ class BatchExecutor:
         delta: BatchStore | None = None,
         governor=None,
         tracer=NULL_TRACER,
-    ) -> set[IdRow]:
+        batch: tuple[list[list[int]], int] | None = None,
+        counted: bool = False,
+    ) -> "set[IdRow] | Counter":
         """Evaluate the body over whole batches and instantiate the head
         as id rows.  With *delta*, the step at *delta_position* joins it
-        instead of its literal's extension (a semi-naive delta firing)."""
+        instead of its literal's extension (a semi-naive delta firing).
+        *batch* is the input ``(columns, length)`` over the plan's
+        ``bound`` schema instead of the unit table (:func:`key_batch`);
+        *counted* asks for each head row's number of derivations
+        (:func:`count_ids`) instead of the bare set."""
         interner = self.interner
-        columns: list[list[int]] = []
-        length = 1  # the unit table
+        columns, length = batch if batch is not None else ([], 1)  # the unit table
         for position, step in enumerate(plan.steps):
             if length == 0:
-                return set()
+                return Counter() if counted else set()
             label = step.label
             # The span opens before the checkpoint so a budget abort's
             # open-span stack names the operator that was running.
@@ -342,19 +403,22 @@ class BatchExecutor:
                     and step.kind == "join"
                     and not step.bound_positions
                     and not plan.head_aggregates
+                    and batch is None
                     and not isinstance(store, BatchStore)
                 ):
                     # Disk-backed driving scan: stream it chunk by chunk
                     # instead of materializing the whole extension.
                     return self._stream_spilled(
                         plan, store, store_of, profiler,
-                        delta_position, delta, governor, tracer,
+                        delta_position, delta, governor, tracer, counted,
                     )
                 columns, length = run_step(
                     step, columns, length, store, profiler, governor, interner
                 )
                 profiler.add_time(label, time.perf_counter() - start)
-        return instantiate_head(plan, columns, length, interner, profiler, governor)
+        return instantiate_head(
+            plan, columns, length, interner, profiler, governor, counted
+        )
 
     def _stream_spilled(
         self,
@@ -366,7 +430,8 @@ class BatchExecutor:
         delta: BatchStore | None,
         governor,
         tracer,
-    ) -> set[IdRow]:
+        counted: bool,
+    ) -> "set[IdRow] | Counter":
         """Stream a disk-backed driving scan through the tail steps chunk
         by chunk, never materializing the whole extension.
 
@@ -383,7 +448,8 @@ class BatchExecutor:
             ))
             for position, step in enumerate(steps) if position
         ]
-        head_ids: set[IdRow] = set()
+        head = count_ids if counted else project_ids
+        head_ids = Counter() if counted else set()
         chunk_rows = SPILL_CHUNK_ROWS
         with tracer.span(
             f"spill-stream:{plan.rule.head.predicate}", kind="operator"
@@ -404,7 +470,7 @@ class BatchExecutor:
                         step, columns, length, store, profiler, governor, interner
                     )
                 if length:
-                    head_ids |= project_ids(plan, columns, length)
+                    head_ids.update(head(plan, columns, length))
         return _charge_head(head_ids, profiler, governor)
 
     def _store_for(
@@ -426,7 +492,10 @@ class BatchExecutor:
         if position == delta_position and delta is not None:
             profiler.bump_examined(delta.length)
             return delta
-        return store_of(step.literal)
+        extension = store_of(position, step.literal)
+        if isinstance(extension, BatchStore):
+            return extension
+        return extension.batch_store(self.interner)
 
 
 def run_step(
@@ -659,15 +728,28 @@ def _computed_join(
     return out_columns, matches
 
 
-def project_ids(
-    plan: BatchPlan, columns: list[list[int]], length: int
-) -> set[IdRow]:
-    """The head projection of a non-empty batch, deduplicated in id space."""
+def _head_stream(plan: BatchPlan, columns: list[list[int]], length: int) -> Iterable[IdRow]:
+    """The head's id row of every row of a non-empty batch."""
     streams = [
         columns[slot] if slot is not None else repeat(const, length)
         for slot, const in zip(plan.head_slots, plan.head_const_ids)
     ]
-    return set(zip(*streams)) if streams else {()}
+    return zip(*streams) if streams else repeat((), length)
+
+
+def project_ids(
+    plan: BatchPlan, columns: list[list[int]], length: int
+) -> set[IdRow]:
+    """The head projection of a non-empty batch, deduplicated in id space."""
+    return set(_head_stream(plan, columns, length))
+
+
+def count_ids(plan: BatchPlan, columns: list[list[int]], length: int) -> Counter:
+    """The head projection with each row's support: a batch row is one
+    derivation (module docstring), so a head row's count is the number of
+    distinct body assignments deriving it — what view maintenance keeps
+    for a non-recursive predicate."""
+    return Counter(_head_stream(plan, columns, length))
 
 
 def head_columns(plan: BatchPlan, columns: list[list[int]]) -> list[list[int]] | None:
@@ -681,8 +763,9 @@ def head_columns(plan: BatchPlan, columns: list[list[int]]) -> list[list[int]] |
     return [columns[slot] for slot in slots]
 
 
-def _charge_head(id_rows: set[IdRow], profiler: Profiler, governor) -> set[IdRow]:
-    """Charge a head's output as ``head_rows`` / ``aggregate_rows`` do."""
+def _charge_head(id_rows, profiler: Profiler, governor):
+    """Charge a head's output (a set of id rows, or a counter keyed by
+    them) as ``head_rows`` / ``aggregate_rows`` do."""
     profiler.bump_produced(len(id_rows))
     if governor is not None:
         governor.tick(len(id_rows))
@@ -696,13 +779,16 @@ def instantiate_head(
     interner: TermInterner,
     profiler: Profiler,
     governor,
-) -> set[IdRow]:
-    """Project or group the final batch into the head's id rows."""
+    counted: bool = False,
+) -> "set[IdRow] | Counter":
+    """Project (with support when *counted*) or group the final batch
+    into the head's id rows."""
     if length == 0:
         # As the reference heads over an empty table: produced(0), tick(0).
-        return _charge_head(set(), profiler, governor)
+        return _charge_head(Counter() if counted else set(), profiler, governor)
     if not plan.head_aggregates:
-        return _charge_head(project_ids(plan, columns, length), profiler, governor)
+        head = count_ids if counted else project_ids
+        return _charge_head(head(plan, columns, length), profiler, governor)
 
     # Group head, charged as ``aggregate_rows`` charges: a batch row is
     # one derivation (module docstring), so a group is a list of row

@@ -54,6 +54,7 @@ paper's "infinite cost".
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..datalog.graph import DependencyGraph
@@ -258,20 +259,6 @@ class FixpointEngine:
             return relation
         raise ExecutionError(f"unknown predicate {name!r} (no rules, no relation, no seed)")
 
-    def _term_extension(self, literal, workspace, derived) -> Iterable[Row]:
-        """:meth:`_extension` for the reference operators: an id-space
-        entry is read through its decoded view."""
-        extension = self._extension(literal, workspace, derived)
-        return extension.decoded() if isinstance(extension, IdRelation) else extension
-
-    def _store(self, literal, workspace, derived):
-        """:meth:`_extension` for a lowered step: a stored relation
-        hands over the id store it keeps its rows in."""
-        extension = self._extension(literal, workspace, derived)
-        if isinstance(extension, IdRelation):
-            return extension
-        return extension.batch_store(self._batch_exec.interner)
-
     def _new_store(self, arity: int | None = None, rows: Iterable[Row] = ()) -> Store:
         if self.compile:
             interner = self._batch_exec.interner
@@ -293,8 +280,7 @@ class FixpointEngine:
     def _eval_body(
         self,
         body: Sequence[Literal],
-        workspace: Mapping[str, Store],
-        derived: frozenset[PredicateRef],
+        extension_at: "_batch.StoreOf",
         delta_literal: int | None = None,
         delta_rows: Iterable[Row] | None = None,
         head_name: str = "",
@@ -308,6 +294,12 @@ class FixpointEngine:
                 return table
             kind = step_kind(literal, self.builtins)
             driven = position == delta_literal and delta_rows is not None
+
+            def term_extension(stored: Literal, position=position):
+                # an id-space entry is read through its decoded view
+                extension = extension_at(position, stored)
+                return extension.decoded() if isinstance(extension, IdRelation) else extension
+
             with self.tracer.span(
                 f"{kind}:{head_name}:{literal.predicate}", kind="operator"
             ) as span:
@@ -318,24 +310,33 @@ class FixpointEngine:
                     span.note(method=method)
                 table = reference_step(
                     table, literal,
-                    lambda stored: delta_rows if driven
-                    else self._term_extension(stored, workspace, derived),
+                    (lambda stored: delta_rows) if driven else term_extension,
                     method, self.profiler, self.governor, self.builtins,
                 )
         return table
 
-    def _fire(
+    def fire(
         self,
         entry: _ScheduledRule,
-        workspace: Mapping[str, Store],
-        derived: frozenset[PredicateRef],
+        extension_at: "_batch.StoreOf",
         delta_position: int | None = None,
         delta: Store | None = None,
-    ) -> set:
-        """One firing's head rows, in the workspace's representation: id
-        rows when compiled, term rows on ``compile=False``.  *delta* is
-        the round's delta for the literal at *delta_position* of the
-        execution order, in the same representation."""
+        batch: "tuple[list[list[int]], int] | None" = None,
+        counted: bool = False,
+    ):
+        """One firing's head rows — the one routine a rule is fired by,
+        for the fixpoint's rounds and for view maintenance alike.  The
+        rows come in the representation of the caller's stores: id rows
+        when compiled, term rows on ``compile=False``.
+
+        ``extension_at(position, literal)`` is what the stored literal at
+        *position* of the execution order denotes: an id store, a stored
+        relation, or (``compile=False``) a set of term rows.  *delta* is
+        the delta for the literal at *delta_position*, in the same
+        representation.  *batch* (a lowered *entry* only) is the input
+        batch over the ``bound`` schema the entry was scheduled with;
+        *counted* asks for a ``Counter`` of head rows — one count per
+        distinct body assignment — instead of a set."""
         rule, plan = entry.rule, entry.plan
         with self.tracer.span(f"rule:{rule.head.predicate}", kind="rule") as span:
             if plan is not None:
@@ -343,13 +344,10 @@ class FixpointEngine:
                 if self.metrics is not None:
                     self.metrics.inc("batch_rules_total")
                 return self._batch_exec.execute(
-                    plan,
-                    lambda literal: self._store(literal, workspace, derived),
-                    self.profiler,
-                    delta_position=delta_position,
-                    delta=delta,
-                    governor=self.governor,
-                    tracer=self.tracer,
+                    plan, extension_at, self.profiler,
+                    delta_position=delta_position, delta=delta,
+                    governor=self.governor, tracer=self.tracer,
+                    batch=batch, counted=counted,
                 )
             span.note(tier="reference", why=entry.why, delta=delta_position is not None)
             # The decode / encode boundary of a rule that does not lower
@@ -358,14 +356,55 @@ class FixpointEngine:
             if isinstance(delta, IdRelation):
                 delta = interner.decode_rows(delta.rows)
             table = self._eval_body(
-                entry.body, workspace, derived, delta_position, delta,
+                entry.body, extension_at, delta_position, delta,
                 head_name=rule.head.predicate,
             )
-            head = aggregate_rows if rule.is_aggregate else head_rows
-            rows = head(table, rule.head, self.profiler, governor=self.governor)
-            return interner.encode_rows(rows) if self.compile else rows
+            if rule.is_aggregate:
+                rows = aggregate_rows(table, rule.head, self.profiler, governor=self.governor)
+            else:
+                rows = head_rows(
+                    table, rule.head, self.profiler, governor=self.governor, counted=counted
+                )
+            if not self.compile:
+                return rows
+            if counted:
+                return Counter({interner.encode_row(row): n for row, n in rows.items()})
+            return interner.encode_rows(rows)
 
     # -- the schedule ------------------------------------------------------------
+
+    def scheduled(
+        self,
+        rule: Rule,
+        reorder: bool,
+        clique: "frozenset[str] | set[str]" = frozenset(),
+        bound: tuple = (),
+    ) -> _ScheduledRule:
+        """*rule* as :meth:`fire` runs it: lowered (through the memo of
+        :attr:`code`) over the input schema *bound*, or on the reference
+        with the reason.  *reorder* searches a safe body order; without
+        it the given order is trusted.  *clique* names the predicates a
+        semi-naive round drives deltas through."""
+        plan, why = (
+            _batch.lower_rule(
+                self.code.memo, rule, reorder, self._oracle, self.builtins, bound
+            )
+            if self.compile else (None, "compile=False")
+        )
+        body, delta_map = (
+            ((), plan.delta_map) if plan is not None
+            else _batch.ordered_body(rule, reorder, self._oracle)
+        )
+        return _ScheduledRule(
+            rule, plan, why, body,
+            tuple(
+                (literal.predicate, delta_map[i])
+                for i, literal in enumerate(rule.body)
+                if not literal.is_comparison
+                and not literal.negated
+                and literal.predicate in clique
+            ),
+        )
 
     def _schedule(
         self, program: Program
@@ -374,7 +413,7 @@ class FixpointEngine:
         order — all of an evaluation that does not depend on the data."""
         graph = DependencyGraph(program)
         graph.check_stratified()
-        memo, reorder, oracle = self.code.memo, self.reorder_bodies, self._oracle
+        memo = self.code.memo
         lowered_before = len(memo)
         strata = []
         for component in graph.evaluation_order():
@@ -382,26 +421,7 @@ class FixpointEngine:
             if not rules:
                 continue  # base-only component
             names = {ref.name for ref in component}
-            scheduled = []
-            for rule in rules:
-                plan, why = (
-                    _batch.lower_rule(memo, rule, reorder, oracle, self.builtins)
-                    if self.compile else (None, "compile=False")
-                )
-                body, delta_map = (
-                    ((), plan.delta_map) if plan is not None
-                    else _batch.ordered_body(rule, reorder, oracle)
-                )
-                scheduled.append(_ScheduledRule(
-                    rule, plan, why, body,
-                    tuple(
-                        (literal.predicate, delta_map[i])
-                        for i, literal in enumerate(rule.body)
-                        if not literal.is_comparison
-                        and not literal.negated
-                        and literal.predicate in names
-                    ),
-                ))
+            scheduled = [self.scheduled(rule, self.reorder_bodies, names) for rule in rules]
             strata.append(_Stratum(
                 tuple(component),
                 tuple(scheduled),
@@ -444,6 +464,9 @@ class FixpointEngine:
             name: self._new_store(rows=rows) for name, rows in (seeds or {}).items()
         }
 
+        def extension_at(position: int, literal: Literal):
+            return self._extension(literal, workspace, derived)
+
         total_iterations = 0
         for stratum in strata:
             for ref in stratum.refs:
@@ -453,16 +476,16 @@ class FixpointEngine:
                 for entry in stratum.rules:
                     self._absorb(
                         workspace[entry.rule.head.predicate],
-                        self._fire(entry, workspace, derived),
+                        self.fire(entry, extension_at),
                     )
                     if governor is not None:
                         governor.settle(self._live_tuples(workspace))
                 continue
             with self.tracer.span(f"fixpoint:clique:{stratum.clique}", kind="fixpoint") as span:
                 iterations = (
-                    self._naive_clique(stratum, workspace, derived)
+                    self._naive_clique(stratum, workspace, extension_at)
                     if naive
-                    else self._seminaive_clique(stratum, workspace, derived)
+                    else self._seminaive_clique(stratum, workspace, extension_at)
                 )
                 span.note(rounds=iterations, naive=naive)
             if self.metrics is not None:
@@ -491,7 +514,7 @@ class FixpointEngine:
         self,
         stratum: _Stratum,
         workspace: dict[str, Store],
-        derived: frozenset[PredicateRef],
+        extension_at: "_batch.StoreOf",
     ) -> int:
         names = [ref.name for ref in stratum.refs]
         delta: dict[str, set] = {name: set() for name in names}
@@ -504,7 +527,7 @@ class FixpointEngine:
             for entry in stratum.rules:
                 head_name = entry.rule.head.predicate
                 delta[head_name] |= self._absorb(
-                    workspace[head_name], self._fire(entry, workspace, derived)
+                    workspace[head_name], self.fire(entry, extension_at)
                 )
                 if governor is not None:
                     governor.settle(self._live_tuples(workspace))
@@ -530,7 +553,7 @@ class FixpointEngine:
                             continue
                         new_delta[head_name] |= self._absorb(
                             workspace[head_name],
-                            self._fire(entry, workspace, derived, position, fired),
+                            self.fire(entry, extension_at, position, fired),
                         )
                         if governor is not None:
                             governor.settle(self._live_tuples(workspace))
@@ -545,7 +568,7 @@ class FixpointEngine:
         self,
         stratum: _Stratum,
         workspace: dict[str, Store],
-        derived: frozenset[PredicateRef],
+        extension_at: "_batch.StoreOf",
     ) -> int:
         governor = self.governor
         iterations = 0
@@ -557,7 +580,7 @@ class FixpointEngine:
                 for entry in stratum.rules:
                     if self._absorb(
                         workspace[entry.rule.head.predicate],
-                        self._fire(entry, workspace, derived),
+                        self.fire(entry, extension_at),
                     ):
                         changed = True
                     if governor is not None:

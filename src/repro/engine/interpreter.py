@@ -227,12 +227,8 @@ class _LoweredNode:
 
     #: the steps and head, over the key variables as input schema
     plan: _batch.BatchPlan
-    #: the key fields that become input columns, in schema order
-    key_columns: tuple[int, ...]
-    #: (field, earlier field) pairs a key must agree on (``p(X, X)``)
-    key_equal: tuple[tuple[int, int], ...]
-    #: (field, id) pairs a key must hold (a ground head argument)
-    key_consts: tuple[tuple[int, int], ...]
+    #: how sideways keys become the input batch
+    keys: _batch.KeyLayout
     #: per step: the (column, constant id) pairs forming a pipelined
     #: child's sideways key, or None when the step sends no keys
     child_keys: tuple[tuple[tuple[int | None, int | None], ...] | None, ...]
@@ -397,7 +393,9 @@ class Interpreter:
         )
         if lowered is not None:
             span.note(tier="batch")
-            columns, length = self._key_columns(lowered, keys)
+            columns, length = (
+                ([], 1) if keys is None else _batch.key_batch(lowered.keys, keys)
+            )
             columns, length = self._run_lowered(node, lowered, columns, length)
             return _batch.instantiate_head(
                 lowered.plan, columns, length, INTERNER, self.profiler, self.governor
@@ -431,32 +429,20 @@ class Interpreter:
             if step.method in ("nested_loop", "merge"):
                 # the EL label asks for that method's work profile
                 return None, f"{step.method} join label on {step.literal}"
-        key_columns: list[int] = []
-        key_equal: list[tuple[int, int]] = []
-        key_consts: list[tuple[int, int]] = []
-        first_field: dict[Variable, int] = {}
-        for field, pattern in enumerate(patterns):
-            if isinstance(pattern, Variable):
-                if pattern in first_field:
-                    key_equal.append((field, first_field[pattern]))
-                else:
-                    first_field[pattern] = field
-                    key_columns.append(field)
-            elif is_ground(pattern):
-                key_consts.append((field, INTERNER.id_of(pattern)))
-            else:
-                return None, f"struct argument {pattern} in bound head position of {head}"
+        layout = _batch.key_layout(patterns)
+        if isinstance(layout, str):
+            return None, f"{layout} of {head}"
         plan, why = _batch.lower_rule(
             self._code.memo,
             Rule(head, tuple(step.literal for step in node.steps)),
             reorder=False, builtins=self.builtins,
-            bound=schema or tuple(patterns[field] for field in key_columns),
+            bound=schema or layout.schema,
         )
         if plan is None:
             return None, why
         child_keys = []
         for step, lowered_step in zip(node.steps, plan.steps):
-            layout = None
+            sideways = None
             if step.child is not None and step.pipelined and lowered_step.kind == "join":
                 slot_at = dict(zip(
                     lowered_step.bound_positions,
@@ -467,35 +453,9 @@ class Interpreter:
                     return None, (
                         f"sideways keys of {step.literal} are not all bound columns"
                     )
-                layout = tuple(slot_at[position] for position in wanted)
-            child_keys.append(layout)
-        return (
-            _LoweredNode(
-                plan, tuple(key_columns), tuple(key_equal), tuple(key_consts),
-                tuple(child_keys),
-            ),
-            "",
-        )
-
-    @staticmethod
-    def _key_columns(lowered: _LoweredNode, keys: Keys) -> tuple[list[list[int]], int]:
-        """The input batch of a lowered node: the unit table, or the keys
-        that fit the head's bound arguments as one column per variable."""
-        if keys is None:
-            return [], 1
-        if not keys:
-            return [], 0
-        if lowered.key_consts or lowered.key_equal:
-            keys = [
-                key for key in keys
-                if all(key[field] == const for field, const in lowered.key_consts)
-                and all(key[field] == key[other] for field, other in lowered.key_equal)
-            ]
-        if not keys or not lowered.key_columns:
-            return [], 1 if keys else 0
-        # dropped fields are fixed by the kept ones, so rows stay distinct
-        columns = list(zip(*keys))
-        return [list(columns[field]) for field in lowered.key_columns], len(keys)
+                sideways = tuple(slot_at[position] for position in wanted)
+            child_keys.append(sideways)
+        return _LoweredNode(plan, layout, tuple(child_keys)), ""
 
     def _walk_steps(self, node: JoinNode, forms, state, size, apply):
         """Run *node*'s steps left to right: ``state = apply(form,

@@ -24,6 +24,7 @@ how benchmarks observe "measured cost".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -622,18 +623,21 @@ def head_rows(
     head: Literal,
     profiler: Profiler | None = None,
     governor=None,
-) -> set[Row]:
-    """Instantiate *head* for every row — the tuples a rule derives."""
+    counted: bool = False,
+) -> "set[Row] | Counter":
+    """Instantiate *head* for every row — the tuples a rule derives; with
+    *counted*, each with its number of distinct body assignments."""
     profiler = profiler or Profiler()
-    out: set[Row] = set()
-    for subst in table.substitutions():
-        row = tuple(apply(arg, subst) for arg in head.args)
+    rows = [
+        tuple(apply(arg, subst) for arg in head.args) for subst in table.substitutions()
+    ]
+    out = Counter(rows) if counted else set(rows)
+    for row in out:
         for field in row:
             if not is_ground(field):
                 raise ExecutionError(
                     f"rule head {head} not fully bound by body (unsafe execution)"
                 )
-        out.add(row)
     profiler.bump_produced(len(out))
     if governor is not None:
         governor.tick(len(out))

@@ -31,7 +31,7 @@ from .datalog.bindings import QueryForm
 from .datalog.intern import INTERNER
 from .datalog.parser import parse_program, parse_query
 from .datalog.rules import Program, Rule
-from .datalog.terms import is_ground, term_from_python
+from .datalog.terms import Variable, is_ground, term_from_python
 from .engine.interpreter import Interpreter, QueryAnswers
 from .engine.profiler import Profiler
 from .errors import KnowledgeBaseError, ResourceExhausted, TransactionError
@@ -42,7 +42,7 @@ from .obs.tracer import NULL_TRACER
 from .optimizer.optimizer import OptimizedQuery, Optimizer, OptimizerConfig
 from .plans.printer import explain
 from .storage.catalog import Database
-from .storage.loader import load_facts_text
+from .storage.loader import parse_facts_text
 
 #: q-error histogram buckets: powers of two, since q >= 1 by definition
 #: and misestimates compound multiplicatively.
@@ -66,7 +66,7 @@ class _KbTxn:
 
     __slots__ = (
         "rules", "views", "result_cache", "view_inserted", "view_removed",
-        "touched", "retracted", "rules_changed", "full_invalidate",
+        "touched", "retracted", "rules_changed",
     )
 
     def __init__(self, kb: "KnowledgeBase"):
@@ -75,7 +75,7 @@ class _KbTxn:
         self.result_cache = (
             dict(kb._result_cache) if kb._result_cache is not None else None
         )
-        #: net per-predicate base deltas the views are owed at commit
+        #: net per-predicate base deltas (id rows) the views are owed at commit
         self.view_inserted: dict[str, set] = {}
         self.view_removed: dict[str, set] = {}
         #: base relations actually mutated inside the transaction (no-op
@@ -86,10 +86,9 @@ class _KbTxn:
         #: invalidate learned feedback (see KnowledgeBase.retract)
         self.retracted: set[str] = set()
         self.rules_changed = False
-        self.full_invalidate = False
 
-    def defer_view_delta(self, predicate: str, rows: frozenset, *, inserted: bool) -> None:
-        """Fold one call's rows into the net delta: a row inserted and
+    def defer_view_delta(self, predicate: str, rows: set, *, inserted: bool) -> None:
+        """Fold one call's id rows into the net delta: a row inserted and
         retracted (or retracted and put back) inside the transaction
         cancels, so commit hands the views one before/after difference
         per predicate rather than a call-by-call history the database no
@@ -247,7 +246,7 @@ class KnowledgeBase:
         else:
             self._txn = None
             self.db.commit_transaction()
-            if txn.full_invalidate or txn.rules_changed:
+            if txn.rules_changed:
                 self._invalidate()
             elif txn.touched:
                 self._data_invalidate(txn.touched)
@@ -335,7 +334,7 @@ class KnowledgeBase:
             txn.touched.add(predicate)
             if not inserted:
                 txn.retracted.add(predicate)
-            txn.defer_view_delta(predicate, INTERNER.decode_rows(changed), inserted=inserted)
+            txn.defer_view_delta(predicate, changed, inserted=inserted)
             return len(changed)
         self._data_invalidate({predicate})
         if not inserted:
@@ -346,11 +345,9 @@ class KnowledgeBase:
             # see docs/performance.md for the contract.
             self._feedback_forget({predicate})
         if self._views is not None:
-            delta = {predicate: INTERNER.decode_rows(changed)}
-            if inserted:
-                self._views.insert(delta)
-            else:
-                self._views.delete(delta)
+            # id rows end to end: the views join what the store returned
+            maintain = self._views.insert if inserted else self._views.delete
+            maintain({predicate: changed})
         return len(changed)
 
     # ----------------------------------------------------------- views
@@ -387,18 +384,14 @@ class KnowledgeBase:
         }
 
     def facts_text(self, source: str) -> int:
-        """Load facts written in LDL syntax (supports complex terms)."""
-        added = load_facts_text(self.db, source)
-        if self._txn is not None:
-            if added:
-                self._txn.full_invalidate = True  # bypasses view maintenance
-            return added
-        if added:
-            # The loader doesn't report per-row deltas, so views cannot be
-            # maintained incrementally here — full invalidation; but a
-            # load that inserted nothing new changes nothing.
-            self._invalidate()
-        return added
+        """Load facts written in LDL syntax (supports complex terms).
+        A write like :meth:`facts`, one predicate at a time: views are
+        maintained, and only plans and cached answers that can read a
+        loaded relation are evicted."""
+        return sum(
+            self._wrote(predicate, self.db.add(predicate, rows), inserted=True)
+            for predicate, rows in parse_facts_text(source).items()
+        )
 
     def register_builtin(self, builtin) -> None:
         """Register a user-defined built-in predicate (see
@@ -424,7 +417,7 @@ class KnowledgeBase:
         self._lowered_rules.clear()
         self._reopt_fired.clear()
 
-    def _invalidate(self, keep_views: bool = False) -> None:
+    def _invalidate(self) -> None:
         """Full invalidation, for rule/builtin changes: the dependency
         graph itself moved, so footprints, plans, and cached results are
         all void (see :meth:`_data_invalidate` for the surgical
@@ -438,8 +431,7 @@ class KnowledgeBase:
             # this clear covers rule/builtin changes, which the key cannot
             # see, and keeps the cache from accumulating dead entries.
             self._result_cache.clear()
-        if not keep_views:
-            self._views = None
+        self._views = None
 
     # ------------------------------------------------ footprints + eviction
 
@@ -682,36 +674,12 @@ class KnowledgeBase:
         with tracer.span("query", kind="query") as root:
             form = self._form(query, tracer)
             root.note(goal=str(form.goal))
-            if self._views is not None and form.predicate in self._views:
-                # View-backed answers participate in the result cache too,
-                # and tier attribution follows where the rows came from
-                # *this* query: "cache" only on an actual hit, "view" when
-                # the (possibly just partially invalidated) cache missed
-                # and the maintained extension was filtered.
-                cache_key = self._result_cache_key(form, bindings) if cacheable else None
-                if cache_key is not None:
-                    hit = self._result_cache.get(cache_key)
-                    if hit is not None:
-                        self.metrics.inc("result_cache_hits_total")
-                        self._telemetry_note(
-                            form, started, before, tier="cache", cache="hit",
-                            rows=len(hit), worst=1.0, reopt=False,
-                        )
-                        return hit
-                    self.metrics.inc("result_cache_misses_total")
-                answers = self._answer_from_view(form, profiler, bindings)
-                if cache_key is not None:
-                    cache = self._result_cache
-                    while len(cache) >= self._result_cache_size:
-                        cache.pop(next(iter(cache)))  # FIFO bound
-                    cache[cache_key] = answers
-                self._telemetry_note(
-                    form, started, before, tier="view",
-                    cache="miss" if cache_key is not None else "off",
-                    rows=len(answers), worst=1.0, reopt=False,
-                )
-                return answers
-            compiled = self.compile(form, tracer=tracer)
+            view = self._views.ids(form.predicate) if self._views is not None else None
+            if view is not None and len(view.columns) != form.goal.arity:
+                view = None  # another predicate of the same name
+            # A maintained view answers without a plan; anything else is
+            # compiled before the cache is consulted.
+            compiled = self.compile(form, tracer=tracer) if view is None else None
             cache_key = self._result_cache_key(form, bindings) if cacheable else None
             if cache_key is not None:
                 hit = self._result_cache.get(cache_key)
@@ -725,39 +693,40 @@ class KnowledgeBase:
                     )
                     return hit
                 self.metrics.inc("result_cache_misses_total")
-            interpreter = Interpreter(
-                self.db, profiler=profiler, builtins=self.builtins,
-                governor=governor, tracer=tracer, metrics=self.metrics,
-            )
-            try:
-                answers = interpreter.run(
-                    compiled.plan, compiled.query, compiled.code, **bindings
+            if view is not None:
+                # Tier attribution follows where the rows came from *this*
+                # query: "cache" only on an actual hit above, "view" when
+                # the maintained extension was filtered.
+                answers = self._answer_from_view(view, form, profiler, bindings)
+                tier, worst, reopt = "view", 1.0, False
+            else:
+                interpreter = Interpreter(
+                    self.db, profiler=profiler, builtins=self.builtins,
+                    governor=governor, tracer=tracer, metrics=self.metrics,
                 )
-            except ResourceExhausted:
-                self._telemetry_note(
-                    form, started, before, tier=self._tier_taken(before),
-                    cache="off", rows=0, worst=1.0, reopt=False,
-                    status="denied",
-                )
-                raise
-            except Exception:
-                self._telemetry_note(
-                    form, started, before, tier=self._tier_taken(before),
-                    cache="off", rows=0, worst=1.0, reopt=False,
-                    status="error",
-                )
-                raise
-            # Always-on collector: the interpreter's node_stats exist with
-            # or without a tracer, so every successful ask feeds the
-            # feedback store (and may evict a misestimated cached plan).
-            worst, reopt = self._harvest(compiled, interpreter.node_stats)
+                try:
+                    answers = interpreter.run(
+                        compiled.plan, compiled.query, compiled.code, **bindings
+                    )
+                except Exception as err:
+                    self._telemetry_note(
+                        form, started, before, tier=self._tier_taken(before),
+                        cache="off", rows=0, worst=1.0, reopt=False,
+                        status="denied" if isinstance(err, ResourceExhausted) else "error",
+                    )
+                    raise
+                # Always-on collector: the interpreter's node_stats exist
+                # with or without a tracer, so every successful ask feeds
+                # the feedback store (and may evict a misestimated plan).
+                worst, reopt = self._harvest(compiled, interpreter.node_stats)
+                tier = self._tier_taken(before)
             if cache_key is not None:
                 cache = self._result_cache
                 while len(cache) >= self._result_cache_size:
                     cache.pop(next(iter(cache)))  # FIFO bound
                 cache[cache_key] = answers
             self._telemetry_note(
-                form, started, before, tier=self._tier_taken(before),
+                form, started, before, tier=tier,
                 cache="miss" if cache_key is not None else "off",
                 rows=len(answers), worst=worst, reopt=reopt,
             )
@@ -870,11 +839,16 @@ class KnowledgeBase:
             versions,
         )
 
-    def _answer_from_view(self, form: QueryForm, profiler: Profiler, bindings: dict) -> QueryAnswers:
+    def _answer_from_view(
+        self, view, form: QueryForm, profiler: Profiler, bindings: dict
+    ) -> QueryAnswers:
         """Answer a query form from a materialized extension: the goal's
-        ground arguments (constants, ``$``-values) probe the view's index
-        on their positions, so a bound read examines the rows that match
-        them, not the view; what is left of the goal is matched per row."""
+        ground arguments (constants, ``$``-values) select from the view's
+        bucket map on their positions, so a bound read examines the rows
+        that match them, not the view.  A flat goal — every other
+        argument a variable of its own — is then a projection in id
+        space; a struct pattern or a repeated variable is matched per
+        decoded row."""
         from .datalog.unify import Substitution, apply, match
         from .errors import ExecutionError
 
@@ -886,25 +860,27 @@ class KnowledgeBase:
         }
         patterns = [apply(arg, base) for arg in form.goal.args]
         ground = tuple(i for i, pattern in enumerate(patterns) if is_ground(pattern))
-        if ground:
-            candidates = self._views.lookup(
-                form.predicate, ground, tuple(patterns[i] for i in ground)
-            )
-        else:
-            candidates = self._views.rows(form.predicate)
+        # looked up, never admitted: a value no fact holds selects nothing
+        key = tuple(INTERNER.lookup(patterns[i]) for i in ground)
+        selected = view.select(ground, frozenset(() if None in key else (key,)))
+        profiler.bump_examined(len(selected))
         out_vars = form.output_vars
-        rows = set()
-        for stored in candidates:
-            profiler.bump_examined()
-            subst: Substitution | None = dict(base)
-            for pattern, value in zip(patterns, stored):
-                subst = match(pattern, value, subst)
-                if subst is None:
-                    break
-            if subst is not None:
-                rows.add(tuple(subst[v] for v in out_vars))
+        free = [pattern for pattern in patterns if not is_ground(pattern)]
+        if all(isinstance(p, Variable) for p in free) and len(set(free)) == len(free):
+            columns = [selected.columns[patterns.index(v)] for v in out_vars]
+            rows = set(zip(*columns)) if columns else {()} if len(selected) else set()
+        else:
+            rows = set()
+            for stored in INTERNER.decode_rows(selected.rows):
+                subst: Substitution | None = dict(base)
+                for pattern, value in zip(patterns, stored):
+                    subst = match(pattern, value, subst)
+                    if subst is None:
+                        break
+                else:
+                    rows.add(INTERNER.encode_row(tuple(subst[v] for v in out_vars)))
         profiler.bump_produced(len(rows))
-        return QueryAnswers(out_vars, INTERNER.encode_rows(rows), profiler)
+        return QueryAnswers(out_vars, rows, profiler)
 
     # ----------------------------------------------------------- persistence
 

@@ -12,14 +12,15 @@ small ints, not term objects.
 One class, two owners:
 
 * a base :class:`~repro.storage.relation.Relation` owns one as its only
-  stored form; removal takes rows out of the set and leaves the columns
-  to be laid out again before the next probe (:meth:`IdRelation.compact`)
-  — retract is rare, joins are hot;
-* a derived predicate's extension on the compiled query path *is* one.
+  stored form;
+* a derived predicate's extension on the compiled query path *is* one —
+  a fixpoint's workspace entry, a plan node's result, a maintained view.
 
 Either way new rows are found by one set difference and appended in
-bulk, and neither is held as term rows: :meth:`IdRelation.decoded` is
-the boundary a term-space consumer reads them through.
+bulk, a removed row's slot is filled by the last row with the bucket
+maps patched (:meth:`IdRelation.discard`), and neither is held as term
+rows: :meth:`IdRelation.decoded` is the boundary a term-space consumer
+reads them through.
 """
 
 from __future__ import annotations
@@ -128,10 +129,14 @@ class IdRelation:
 
     def discard(self, gone: "set[IdRow]") -> "set[IdRow]":
         """Take out the rows of *gone* that are held; returns exactly
-        those.  Only the id set (and the decoded view, when one exists)
-        shrinks: the columns and bucket maps keep listing the removed
-        rows until :meth:`compact`, which the owner runs before handing
-        the store to a probe."""
+        those.  The columns stay dense and the bucket maps stay valid, for
+        work that follows the smaller of *gone* and what survives: each
+        removed row is found through the narrowest bucket map, the last
+        row moves into its slot, and every map is patched at the two keys
+        involved — nothing is laid out again unless most rows go.
+        Columns and buckets are edited in place, so neither may be held
+        across a removal (a join's batch aliases columns only while it
+        runs; a result that outlives its evaluation copies)."""
         gone = gone & self.rows
         if gone:
             if self._decoded is not None:
@@ -141,19 +146,57 @@ class IdRelation:
                 for row in self.interner.decode_rows(gone):
                     view.discard(row)
             self.rows -= gone
+            if not self.columns or 2 * len(gone) >= self.length:
+                self._lay_out(len(self.columns))
+            else:
+                self._swap_out(gone)
+            self._decoded_length = self.length
         return gone
 
-    def compact(self) -> None:
-        """Lay the columns out again from the id set if rows were removed
-        since they were built (appends keep ``length == len(rows)``;
-        only :meth:`discard` breaks it).  The lists and the bucket table
-        are *replaced*, never edited, so columns a result still aliases
-        stay what they were."""
-        if self.length != len(self.rows):
-            if self._decoded is not None:
-                self.decoded()  # the appended tail, while the old columns have it
-            self._lay_out(len(self.columns))
-            self._decoded_length = self.length
+    def _key_at(self, positions: tuple[int, ...], index: int) -> object:
+        """The bucket key (of :meth:`buckets_for`) of the row at *index*."""
+        if len(positions) == 1:
+            return self.columns[positions[0]][index]
+        return tuple(self.columns[p][index] for p in positions)
+
+    def _swap_out(self, gone: "set[IdRow]") -> None:
+        columns = self.columns
+        # every row in one bucket: patching it is a scan per removed row
+        self._buckets.pop((), None)
+        maps = [(positions, self.buckets_for(positions)) for positions in self._buckets]
+        if maps:
+            positions, buckets = max(maps, key=lambda entry: len(entry[0]))
+            indices = [
+                index
+                for row in gone
+                for index in buckets[
+                    row[positions[0]] if len(positions) == 1
+                    else tuple(row[p] for p in positions)
+                ]
+                if all(column[index] == field for column, field in zip(columns, row))
+            ]
+        else:
+            indices = [index for index, row in enumerate(zip(*columns)) if row in gone]
+        # from the back, so the row that fills a slot is one that stays
+        for index in sorted(indices, reverse=True):
+            last = self.length - 1
+            for positions, buckets in maps:
+                key = self._key_at(positions, index)
+                bucket = buckets[key]
+                if len(bucket) == 1:
+                    del buckets[key]  # an anti-join asks ``key in buckets``
+                else:
+                    bucket.remove(index)
+                if index != last:
+                    bucket = buckets[self._key_at(positions, last)]
+                    bucket[bucket.index(last)] = index
+            for column in columns:
+                field = column.pop()
+                if index != last:
+                    column[index] = field
+            self.length = last
+        for entry in self._buckets.values():
+            entry[1] = self.length
 
     def buckets_for(self, positions: tuple[int, ...]) -> dict[object, list[int]]:
         """Row-index buckets keyed on *positions*: built on the first
@@ -219,8 +262,7 @@ class IdRelation:
 
     def decoded(self):
         """The extension as term rows, for a term-space consumer (the
-        reference operators, view maintenance, the top-down engines, a
-        dump): a :class:`~repro.storage.relation.DerivedRelation` whose
+        reference operators, the top-down engines, a dump): a :class:`~repro.storage.relation.DerivedRelation` whose
         persistent indexes survive across reads.  Built from the id set
         on the first read, then brought up to date by decoding only the
         rows appended since the last one (:meth:`discard` takes rows out

@@ -17,13 +17,10 @@ from ..errors import KnowledgeBaseError
 from .catalog import Database
 
 
-def load_facts_text(db: Database, source: str) -> int:
-    """Parse ``pred(args).`` fact statements and insert them into *db*.
-
-    Every statement must be a ground fact (no body, no variables);
-    anything else raises :class:`KnowledgeBaseError`.  Returns the number
-    of newly inserted tuples.
-    """
+def parse_facts_text(source: str) -> dict[str, list]:
+    """``pred(args).`` fact statements as argument rows per predicate, in
+    order of first appearance.  Every statement must be a ground fact (no
+    body, no variables); anything else raises :class:`KnowledgeBaseError`."""
     by_predicate: dict[str, list] = {}
     for rule in parse_program(source):
         if not rule.is_fact:
@@ -31,7 +28,13 @@ def load_facts_text(db: Database, source: str) -> int:
         if rule.head.variables:
             raise KnowledgeBaseError(f"fact contains variables: {rule}")
         by_predicate.setdefault(rule.head.predicate, []).append(rule.head.args)
-    return sum(len(db.add(name, rows)) for name, rows in by_predicate.items())
+    return by_predicate
+
+
+def load_facts_text(db: Database, source: str) -> int:
+    """Parse fact statements (:func:`parse_facts_text`) and insert them
+    into *db*.  Returns the number of newly inserted tuples."""
+    return sum(len(db.add(name, rows)) for name, rows in parse_facts_text(source).items())
 
 
 def load_facts_file(db: Database, path: str | Path) -> int:

@@ -121,12 +121,11 @@ class Relation(StoredRelation):
         return gone
 
     def batch_store(self, interner) -> IdRelation:
-        """The relation's id store, its columns current, for a lowered
-        step to probe.  Its ids are the process-wide table's; a caller
-        working in another interner's ids cannot be served."""
+        """The relation's id store, for a lowered step to probe.  Its ids
+        are the process-wide table's; a caller working in another
+        interner's ids cannot be served."""
         if interner is not self.interner:
             raise ValueError(f"relation {self.name!r} is not interned in {interner!r}")
-        self._ids.compact()
         return self._ids
 
     def clear(self) -> None:
@@ -212,8 +211,7 @@ class Relation(StoredRelation):
 class DerivedRelation:
     """An index-maintaining term-space extension for derived predicates.
 
-    Used where rows are consumed as terms: the materialized views of
-    :mod:`repro.engine.maintenance`, and the decoded view a term-space
+    Used where rows are consumed as terms: the decoded view a term-space
     reader gets of an id-space extension, stored or derived
     (:meth:`~repro.storage.columnar.IdRelation.decoded` — a
     :class:`Relation`'s whole term face is one of these).

@@ -10,7 +10,10 @@ footprint-invalidation hits).  Programs are drawn from a template pool
 that covers the shapes the delta path distinguishes — counted
 non-recursive joins (including self-joins and cross-rule alternative
 derivations), linear and non-linear recursion, multi-stratum layering,
-zero-ary gates — and update scripts mix genuine writes, no-op writes
+zero-ary gates, a repeated variable (the rule does not lower), computed
+steps under a delta, constants in heads and bodies, a recursive literal
+that is not first, a derived predicate read at two positions — and
+update scripts mix genuine writes, no-op writes
 (duplicate inserts, absent retracts), multi-row deltas, aborted
 transactions, and committed transactions holding several separate
 ``facts`` / ``retract`` calls on possibly different predicates (commit
@@ -74,6 +77,28 @@ PROGRAMS: list[tuple[str, tuple[str, ...], dict[str, int]]] = [
         ("alarm",),
         {"hot": 1, "wired": 1},
     ),
+    # a repeated variable: the rules fire on the engine's reference branch
+    ("loop(X) <- e(X, X). cyc(X) <- e(X, X). cyc(Y) <- cyc(X), e(X, Y).",
+     ("loop", "cyc"), {"e": 2}),
+    # computed steps under a delta, in a counted and in a recursive rule
+    ("""
+     cat(Z) <- e(X, Y), X != Y, string_concat(X, Y, Z).
+     up(X, Y) <- e(X, Y), X < Y.
+     up(X, Y) <- up(X, Z), e(Z, Y), Z < Y, string_concat(X, Y, W), W != "ad".
+     """, ("cat", "up"), {"e": 2}),
+    # a constant in a head (rederivation's keys) and in a body literal
+    ("tag(X, hub) <- e(X, a). r(X, a) <- e(X, a). r(X, a) <- e(X, Y), r(Y, a).",
+     ("tag", "r"), {"e": 2}),
+    # the recursive literal is not first in textual order
+    ("t(X, Y) <- e(X, Y). t(X, Y) <- e(X, Z), t(Z, Y).", ("t",), {"e": 2}),
+    # a derived delta read at two positions (old at one, new at the
+    # other): counted, and as a recursive stratum's external delta
+    ("""
+     h(X, Y) <- e(X, Y).
+     pp(X, Y) <- h(X, Z), h(Z, Y).
+     hh(X, Y) <- h(X, Z), h(Z, Y).
+     hh(X, Y) <- hh(X, Z), h(Z, Y).
+     """, ("h", "pp", "hh"), {"e": 2}),
 ]
 
 DOMAIN = ("a", "b", "c", "d")

@@ -327,3 +327,31 @@ def test_insert_then_retract_of_the_same_row_cancels_in_a_transaction():
         kb.retract("e", [("a", "b")])
         kb.facts("e", [("a", "b")])
     assert kb.view_rows("t") == recompute(kb, "t") == {("a", "b")}
+
+
+# ------------------------------------------- a rule that does not lower
+
+
+def test_struct_argument_view_is_maintained_on_the_reference_branch():
+    """``p(f(X, a), Y)`` needs unification, so the rule runs on the
+    engine's reference branch — under a delta too.  The facts arrive
+    through ``facts_text`` (complex terms), which maintains views like
+    any other write."""
+    kb = KnowledgeBase()
+    kb.rules("q(X) <- p(f(X, a), Y).")
+    kb.facts_text("p(f(k, a), 1). p(f(k, a), 2). p(f(m, b), 1). p(g(n), 1).")
+    views = kb.materialize()
+    from repro.datalog.terms import Constant
+
+    assert kb.view_rows("q") == recompute(kb, "q") == {("k",)}
+    assert views.support("q", (Constant("k"),)) == 2
+    assert kb.facts_text("p(f(n, a), 3). p(f(k, a), 2).") == 1
+    assert kb.view_rows("q") == recompute(kb, "q") == {("k",), ("n",)}
+    from repro.datalog.parser import parse_query
+
+    gone = [parse_query("p(f(k, a), 1)?").goal.args]
+    assert kb.retract("p", gone) == 1
+    assert views.support("q", (Constant("k"),)) == 1
+    assert kb.retract("p", [parse_query("p(f(k, a), 2)?").goal.args]) == 1
+    assert kb.view_rows("q") == recompute(kb, "q") == {("n",)}
+    assert sorted(kb.ask("q(X)?").to_python()) == [("n",)]

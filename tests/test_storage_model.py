@@ -15,6 +15,8 @@ several writes between two reads of either face.  Cases drawn with
 ``eager`` check both faces in full after every step as well.
 """
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog.intern import INTERNER
@@ -239,3 +241,90 @@ def test_asking_after_an_absent_row_interns_nothing(loaded, spill_threshold, sal
         assert relation.version == version
     finally:
         db.close()
+
+
+# ------------------------------------------------- removal in the id store
+
+id_values = st.integers(0, 4)
+id_rows = st.tuples(id_values, id_values, id_values)
+id_positions = st.sampled_from([(), (0,), (2,), (0, 1), (2, 0), (0, 1, 2)])
+
+id_steps = st.one_of(
+    st.tuples(st.just("absorb"), st.sets(id_rows, max_size=8)),
+    st.tuples(st.just("discard"), st.sets(id_rows, max_size=6)),
+    st.tuples(st.just("discard_held"), st.integers(0, 10**6), st.integers(0, 12)),
+    st.tuples(st.just("buckets"), id_positions),
+    st.tuples(st.just("select"), id_positions, st.sets(id_rows, max_size=3)),
+    st.tuples(st.just("scan")),
+    st.tuples(st.just("decoded")),
+)
+
+
+def _bucket_rows(store, at):
+    """``buckets_for(at)`` as key -> the set of rows its indices name."""
+    stored = list(zip(*store.columns))
+    out = {}
+    for key, bucket in store.buckets_for(at).items():
+        assert bucket and len(bucket) == len(set(bucket))
+        out[key] = {stored[index] for index in bucket}
+    return out
+
+
+def _unit_scan(store):
+    """What a unit-input full scan hands its batch: the columns, whole."""
+    assert all(len(column) == store.length for column in store.columns)
+    return sorted(zip(*store.columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(id_steps, max_size=30))
+def test_removal_keeps_an_id_store_equal_to_a_freshly_built_one(script):
+    """Interleaved ``absorb`` / ``discard`` with bucket probes, selections,
+    unit-input scans and the decoded view in between: after every step
+    the store answers as one built from the surviving rows in one go —
+    columns dense, every bucket map (caught up or not when the removal
+    came) naming exactly the rows with its key, no key left empty."""
+    terms = [Constant(f"v{i}") for i in range(5)]
+    ids = [INTERNER.id_of(term) for term in terms]
+
+    def encode(rows):
+        return {tuple(ids[field] for field in row) for row in rows}
+
+    store = IdRelation(INTERNER, 3)
+    model: set = set()
+    probed: set = set()
+    for step in script:
+        op = step[0]
+        if op == "absorb":
+            new = encode(step[1])
+            assert store.absorb(set(new)) == new - model
+            model |= new
+        elif op == "discard":
+            gone = encode(step[1])
+            assert store.discard(set(gone)) == gone & model
+            model -= gone
+        elif op == "discard_held":  # sized draws of rows that are there
+            held = sorted(model)
+            gone = set(random.Random(step[1]).sample(held, min(step[2], len(held))))
+            assert store.discard(set(gone)) == gone
+            model -= gone
+        elif op == "buckets":
+            probed.add(step[1])
+        elif op == "select":
+            at = step[1]
+            keys = frozenset(tuple(row[p] for p in at) for row in encode(step[2]))
+            wanted = {row for row in model if tuple(row[p] for p in at) in keys}
+            assert store.select(at, keys).rows == wanted
+            assert store.select(at, keys, probe=False).rows == wanted
+            probed.add(at)
+        elif op == "decoded":
+            assert set(store.decoded()) == INTERNER.decode_rows(model)
+
+        fresh = IdRelation(INTERNER, 3, set(model))
+        assert store.rows == model and store.length == len(model) == len(store)
+        assert _unit_scan(store) == _unit_scan(fresh) == sorted(model)
+        for at in probed:
+            assert _bucket_rows(store, at) == _bucket_rows(fresh, at)
+        if store._decoded is not None and op in ("scan", "decoded"):
+            assert set(store.decoded()) == INTERNER.decode_rows(model)
+    assert set(store.decoded()) == INTERNER.decode_rows(model)
