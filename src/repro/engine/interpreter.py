@@ -175,18 +175,33 @@ class QueryAnswers:
             return [()] * self._length
         return list(zip(*(map(by_id.__getitem__, column) for column in self._columns)))
 
-    def _sort_keys(self, decoded: dict[int, Term]) -> list[tuple]:
-        """Per row, the tuple of its fields' ``str()`` — what answers are
-        listed by."""
-        return self._render({i: str(term) for i, term in decoded.items()})
+    def _keys(self, decoded: dict[int, Term]) -> list[int]:
+        """Per row, an integer ordered as the tuple of its fields' ``str()``:
+        each distinct id is ranked once by its text (``Constant(1)`` and
+        ``Constant("1")`` share a rank); a row's ranks are its key's digits."""
+        text = {i: str(term) for i, term in decoded.items()}
+        rank, ranks, last = {}, 0, None
+        for i in sorted(text, key=text.__getitem__):
+            ranks += text[i] != last
+            rank[i], last = ranks, text[i]
+        keys = [0] * self._length
+        for column in self._columns:
+            keys = [key * (ranks + 1) + rank[i] for key, i in zip(keys, column)]
+        return keys
 
     @collector_paused
     def _listed(self, of) -> list[tuple]:
-        """The rows as ``of(term)`` fields, in listing order."""
+        """The rows as ``of(term)`` fields, in listing order (ties in
+        stored order)."""
+        if not self._columns:
+            return [()] * self._length
         decoded = self._distinct()
-        keys = self._sort_keys(decoded)
-        rows = self._render({i: of(term) for i, term in decoded.items()})
-        return [rows[i] for i in sorted(range(self._length), key=keys.__getitem__)]
+        value = {i: of(term) for i, term in decoded.items()}
+        if len(self._columns) == 1:  # one id per row: the ids sorted by text
+            text = {i: str(term) for i, term in decoded.items()}
+            return [(value[i],) for i in sorted(self._columns[0], key=text.__getitem__)]
+        order = sorted(range(self._length), key=self._keys(decoded).__getitem__)
+        return list(zip(*([value[column[k]] for k in order] for column in self._columns)))
 
     @property
     @collector_paused
@@ -213,7 +228,7 @@ class QueryAnswers:
         if not self._length:
             return None
         decoded = self._distinct()
-        at = min(range(self._length), key=self._sort_keys(decoded).__getitem__)
+        at = min(range(self._length), key=self._keys(decoded).__getitem__)
         return tuple(_plain(decoded[column[at]]) for column in self._columns)
 
     def __repr__(self) -> str:

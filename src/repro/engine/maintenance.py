@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ..datalog.builtins import BuiltinRegistry, builtin_oracle
 from ..datalog.graph import DependencyGraph
-from ..datalog.literals import Literal
+from ..datalog.literals import Literal, PredicateRef
 from ..datalog.rules import Program, Rule
 from ..datalog.safety import exists_safe_order
 from ..datalog.terms import Term, variables_of
@@ -108,6 +108,24 @@ class _Stratum(NamedTuple):
     body_predicates: frozenset[str]
 
 
+def _unsupported(rules: Iterable[Rule]) -> str | None:
+    """What among *rules* incremental maintenance cannot keep, if anything."""
+    for rule in rules:
+        if rule.is_aggregate:
+            return "aggregate rules"
+        if any(literal.negated for literal in rule.body):
+            return "negation"
+    return None
+
+
+def maintainable_cone(program: Program, goal: PredicateRef) -> Program | None:
+    """The rules a query of the derived *goal* reads (its dependency cone),
+    when a :class:`ViewSet` can maintain them; None otherwise."""
+    cone = DependencyGraph(program).reachable_from(goal)
+    rules = [rule for rule in program if rule.head_ref in cone]
+    return None if _unsupported(rules) or goal not in {r.head_ref for r in rules} else Program(rules)
+
+
 class ViewSet:
     """Materialized extensions of derived predicates, kept incrementally
     consistent with the fact base.
@@ -150,16 +168,9 @@ class ViewSet:
     # ------------------------------------------------------------ set-up
 
     def _validate_and_collect(self) -> None:
-        for rule in self.program:
-            if rule.is_aggregate:
-                raise KnowledgeBaseError(
-                    "incremental maintenance does not support aggregate rules"
-                )
-            for literal in rule.body:
-                if literal.negated:
-                    raise KnowledgeBaseError(
-                        "incremental maintenance does not support negation"
-                    )
+        why = _unsupported(self.program)
+        if why is not None:
+            raise KnowledgeBaseError(f"incremental maintenance does not support {why}")
         graph = DependencyGraph(self.program)
         graph.check_stratified()
         derived = {ref.name for ref in self.program.derived_predicates}

@@ -29,10 +29,13 @@ from typing import Iterable, Sequence
 
 from .datalog.bindings import QueryForm
 from .datalog.intern import INTERNER
+from .datalog.literals import PredicateRef
 from .datalog.parser import parse_program, parse_query
 from .datalog.rules import Program, Rule
 from .datalog.terms import Variable, is_ground, term_from_python
+from .engine.governor import collector_paused
 from .engine.interpreter import Interpreter, QueryAnswers
+from .engine.maintenance import ViewSet, maintainable_cone
 from .engine.profiler import Profiler
 from .errors import KnowledgeBaseError, ResourceExhausted, TransactionError
 from .obs.feedback import FeedbackStore
@@ -56,6 +59,76 @@ _QERROR_CEIL = 1e300
 _MEMO_SIZE = 4096
 
 
+class _NetDelta:
+    """Id rows written per base predicate, held net: a row inserted and
+    retracted (or the reverse) in between cancels, so whoever catches up
+    applies one before/after difference, not a call-by-call history."""
+
+    __slots__ = ("inserted", "removed")
+
+    def __init__(self, inserted=(), removed=()):
+        self.inserted, self.removed = dict(inserted), dict(removed)
+
+    def fold(self, predicate: str, rows: set, *, inserted: bool) -> None:
+        mine, other = (self.inserted, self.removed) if inserted else (self.removed, self.inserted)
+        cancels = other.get(predicate, set())
+        mine.setdefault(predicate, set()).update(rows - cancels)
+        cancels -= rows
+
+    def __len__(self) -> int:
+        return sum(map(len, self.inserted.values())) + sum(map(len, self.removed.values()))
+
+    def apply(self, views) -> None:
+        """Bring *views* up to date in commit order: deletions first (the
+        inserts hidden), then the inserts, each against a consistent state."""
+        views.delete(self.removed, self.inserted)
+        views.insert(self.inserted)
+
+
+class _Extension:
+    """The result-cache entry of an all-free form over a maintainable cone
+    (:meth:`KnowledgeBase._extension_cone`): the plan's answer until a write
+    evicts it, then a :class:`ViewSet` over the cone plus the net delta
+    written since, which the next ask applies.  Its footprint's version
+    vector fences writes that bypass the knowledge base (``kb.db.load``,
+    ``load_tsv(kb.db, ...)``): their rows never reach the pending delta,
+    and the versions they bump are not the ones the entry was told of."""
+
+    __slots__ = ("predicate", "cone", "footprint", "versions", "answers", "views", "pending")
+
+    def __init__(self, predicate: str, cone: Program, versions: tuple, answers):
+        self.predicate, self.cone = predicate, cone
+        self.footprint = frozenset(name for name, __ in versions)
+        #: the footprint's versions the entry reflects, the current answer
+        #: (None once a write moved the data), the extension (None until
+        #: built) and the delta it is owed
+        self.versions, self.answers, self.views, self.pending = versions, answers, None, _NetDelta()
+
+    def current(self, versions: tuple) -> QueryAnswers | None:
+        """The answer, when the footprint is at *versions* — the entry's,
+        advanced by each knowledge-base write (:meth:`owe`); otherwise a
+        write went past the knowledge base and everything is dropped."""
+        if versions != self.versions:
+            self.versions, self.answers, self.views, self.pending = versions, None, None, _NetDelta()
+        return self.answers
+
+    def owe(self, delta: _NetDelta, writes: dict[str, int]) -> None:
+        """Take in *writes* (relation -> knowledge-base writes that changed
+        it, each one version bump, see :meth:`current`): the answer goes,
+        the footprint's rows join the pending delta, and an extension that
+        delta outgrows is dropped."""
+        self.answers = None
+        self.versions = tuple((name, version + writes.get(name, 0)) for name, version in self.versions)
+        if self.views is None:
+            return
+        for rows_by, inserted in ((delta.inserted, True), (delta.removed, False)):
+            for predicate, rows in rows_by.items():
+                if predicate in self.footprint:
+                    self.pending.fold(predicate, rows, inserted=inserted)
+        if len(self.pending) > len(self.views.ids(self.predicate)):
+            self.views, self.pending = None, _NetDelta()
+
+
 class _KbTxn:
     """Knowledge-base side of one open transaction: snapshots of what the
     Database's own rollback cannot see (the rule list, the materialized
@@ -64,10 +137,7 @@ class _KbTxn:
     versions were restored under them), plus deferred view maintenance so
     invalidation fires exactly once at commit."""
 
-    __slots__ = (
-        "rules", "views", "result_cache", "view_inserted", "view_removed",
-        "touched", "retracted", "rules_changed",
-    )
+    __slots__ = ("rules", "views", "result_cache", "delta", "touched", "retracted", "rules_changed")
 
     def __init__(self, kb: "KnowledgeBase"):
         self.rules = list(kb._rules)
@@ -75,36 +145,16 @@ class _KbTxn:
         self.result_cache = (
             dict(kb._result_cache) if kb._result_cache is not None else None
         )
-        #: net per-predicate base deltas (id rows) the views are owed at commit
-        self.view_inserted: dict[str, set] = {}
-        self.view_removed: dict[str, set] = {}
+        #: the net base delta owed to views and maintained entries at commit
+        self.delta = _NetDelta()
         #: base relations actually mutated inside the transaction (no-op
-        #: writes never land here) — drives the footprint-scoped
-        #: invalidation at commit
-        self.touched: set[str] = set()
+        #: writes never land here), each with its count of such writes —
+        #: drives the footprint-scoped invalidation at commit
+        self.touched: dict[str, int] = {}
         #: the subset of `touched` that saw retractions — only these
         #: invalidate learned feedback (see KnowledgeBase.retract)
         self.retracted: set[str] = set()
         self.rules_changed = False
-
-    def defer_view_delta(self, predicate: str, rows: set, *, inserted: bool) -> None:
-        """Fold one call's id rows into the net delta: a row inserted and
-        retracted (or retracted and put back) inside the transaction
-        cancels, so commit hands the views one before/after difference
-        per predicate rather than a call-by-call history the database no
-        longer reflects."""
-        mine, other = (
-            (self.view_inserted, self.view_removed)
-            if inserted
-            else (self.view_removed, self.view_inserted)
-        )
-        cancels = other.get(predicate, ())
-        keep = mine.setdefault(predicate, set())
-        for row in rows:
-            if row in cancels:
-                cancels.discard(row)
-            else:
-                keep.add(row)
 
 
 class KnowledgeBase:
@@ -175,13 +225,17 @@ class KnowledgeBase:
         #: dropped wherever ``_compiled`` is dropped whole.
         self._lowered_rules: dict = {}
         #: per-predicate dependency footprints ("name/arity" -> base
-        #: relation names transitively read) and the graph they were
-        #: computed from; both live until the rule base changes
+        #: relation names transitively read), the graph they were computed
+        #: from and the cones of :meth:`_extension_cone`, until the rules change
         self._footprints: dict[str, frozenset[str]] = {}
         self._footprint_graph = None
+        self._cones: dict[PredicateRef, Program | None] = {}
         self._views = None  # ViewSet, when materialize() has been called
-        self._result_cache: "dict[tuple, QueryAnswers] | None" = (
-            {} if result_cache else None
+        if result_cache_size < 0:
+            raise KnowledgeBaseError(f"result_cache_size must be >= 0, not {result_cache_size}")
+        #: versioned key -> answer; an all-free form's text -> its _Extension
+        self._result_cache: "dict[tuple | str, QueryAnswers | _Extension] | None" = (
+            {} if result_cache and result_cache_size else None
         )
         self._result_cache_size = result_cache_size
         self._txn: _KbTxn | None = None
@@ -249,15 +303,11 @@ class KnowledgeBase:
             if txn.rules_changed:
                 self._invalidate()
             elif txn.touched:
-                self._data_invalidate(txn.touched)
+                self._data_invalidate(txn.touched, txn.delta)
                 if txn.retracted:
                     self._feedback_forget(txn.retracted)
             if self._views is not None:
-                # Deletions first, with the not-yet-propagated inserts
-                # hidden: the views step through before -> before minus
-                # removed -> after, each against a consistent state.
-                self._views.delete(txn.view_removed, txn.view_inserted)
-                self._views.insert(txn.view_inserted)
+                txn.delta.apply(self._views)
             self.metrics.inc("transactions_total", outcome="commit")
 
     @property
@@ -331,12 +381,14 @@ class KnowledgeBase:
         if txn is not None:
             # Deferred to commit: invalidation fires once, and view
             # maintenance never has to be undone on rollback.
-            txn.touched.add(predicate)
+            txn.touched[predicate] = txn.touched.get(predicate, 0) + 1
             if not inserted:
                 txn.retracted.add(predicate)
-            txn.defer_view_delta(predicate, changed, inserted=inserted)
+            txn.delta.fold(predicate, changed, inserted=inserted)
             return len(changed)
-        self._data_invalidate({predicate})
+        written = {predicate: changed}
+        delta = _NetDelta(written, ()) if inserted else _NetDelta((), written)
+        self._data_invalidate({predicate: 1}, delta)
         if not inserted:
             # Retraction can strand learned selectivities arbitrarily far
             # from reality (the rows they were measured against are gone),
@@ -345,9 +397,7 @@ class KnowledgeBase:
             # see docs/performance.md for the contract.
             self._feedback_forget({predicate})
         if self._views is not None:
-            # id rows end to end: the views join what the store returned
-            maintain = self._views.insert if inserted else self._views.delete
-            maintain({predicate: changed})
+            delta.apply(self._views)  # id rows end to end, as the store returned them
         return len(changed)
 
     # ----------------------------------------------------------- views
@@ -359,11 +409,11 @@ class KnowledgeBase:
         Returns the :class:`~repro.engine.maintenance.ViewSet`.  Only
         negation- and aggregation-free programs are supported.
         """
-        from .engine.maintenance import ViewSet
-
         views = ViewSet(self.db, self.program, builtins=self.builtins)
         views.materialize()
         self._views = views
+        if self._result_cache is not None:
+            self._result_cache.clear()  # the views serve the maintained entries' forms
         return views
 
     @property
@@ -410,12 +460,15 @@ class KnowledgeBase:
             )
 
     def _drop_compiled(self) -> None:
-        """Forget every compiled query and what was derived for them: the
-        parsed forms, the lowered rules, the re-optimization latches."""
+        """Forget every compiled query and what was derived for them: forms,
+        lowered rules, re-opt latches, the graph and what was read off it."""
         self._compiled.clear()
         self._forms.clear()
         self._lowered_rules.clear()
         self._reopt_fired.clear()
+        self._footprints.clear()
+        self._footprint_graph = None
+        self._cones.clear()
 
     def _invalidate(self) -> None:
         """Full invalidation, for rule/builtin changes: the dependency
@@ -424,8 +477,6 @@ class KnowledgeBase:
         data-write path)."""
         self._optimizer = None
         self._drop_compiled()
-        self._footprints.clear()
-        self._footprint_graph = None
         if self._result_cache is not None:
             # The footprint-versioned key already fences data changes;
             # this clear covers rule/builtin changes, which the key cannot
@@ -445,8 +496,6 @@ class KnowledgeBase:
         they hold no stored rows); for a base or unknown predicate it is
         the predicate itself.
         """
-        from .datalog.literals import PredicateRef
-
         cache_key = f"{predicate}/{arity}"
         hit = self._footprints.get(cache_key)
         if hit is not None:
@@ -474,16 +523,29 @@ class KnowledgeBase:
     def _form_footprint(self, form: QueryForm) -> frozenset[str]:
         return self._dependency_footprint(form.predicate, form.goal.arity)
 
-    def _data_invalidate(self, touched: set[str]) -> None:
-        """Surgical invalidation after a data write to *touched* base
-        relations: only compiled plans and cached results whose footprint
-        intersects the mutated relations are evicted; queries over
-        disjoint data keep their plans, cached answers, and re-opt state.
+    def _extension_cone(self, form: QueryForm) -> Program | None:
+        """The goal's cone, which a result-cache entry of *form* is kept over,
+        when every argument is a distinct free variable and no views are
+        pinned (:meth:`materialize`); None for a version-fenced entry."""
+        args = form.goal.args
+        flat = all(isinstance(arg, Variable) for arg in args) and len(set(args)) == len(args)
+        if self._views is not None or form.bound_vars or not flat:
+            return None
+        ref = PredicateRef(form.predicate, len(args))
+        if ref not in self._cones:
+            self._cones[ref] = maintainable_cone(self.program, ref)
+        return self._cones[ref]
 
-        (Result-cache entries are version-fenced by their key, so evicting
-        them here is memory hygiene, not correctness — a bumped version
-        already makes the old entry unreachable.)
+    def _data_invalidate(self, writes: dict[str, int], delta: _NetDelta) -> None:
+        """Surgical invalidation after *writes* (base relation -> count of
+        writes that changed it): only compiled plans and cached results
+        whose footprint intersects the mutated relations are evicted;
+        queries over disjoint data keep their plans, cached answers, and
+        re-opt state.  A maintained entry owes the write's *delta* instead
+        (:meth:`_Extension.owe`); the others are version-fenced by their
+        key, so evicting them is memory hygiene, not correctness.
         """
+        touched = writes.keys()
         if not touched:
             return
         # Statistics feeding cost models changed; the optimizer rebuilds
@@ -501,12 +563,12 @@ class KnowledgeBase:
             # the forms whose data actually moved.
             self._reopt_fired.discard(key)
         if self._result_cache is not None:
-            dead = [
-                key for key in self._result_cache
-                if any(name in touched for name, __ in key[3])
-            ]
-            for key in dead:
-                del self._result_cache[key]
+            for key, entry in list(self._result_cache.items()):
+                if isinstance(entry, _Extension):
+                    if not entry.footprint.isdisjoint(touched):
+                        entry.owe(delta, writes)
+                elif not key[3].isdisjoint(touched):
+                    del self._result_cache[key]
 
     def _feedback_forget(self, touched: set[str]) -> None:
         """Drop learned cardinalities invalidated by a retraction: every
@@ -681,8 +743,11 @@ class KnowledgeBase:
             # compiled before the cache is consulted.
             compiled = self.compile(form, tracer=tracer) if view is None else None
             cache_key = self._result_cache_key(form, bindings) if cacheable else None
+            entry = None
             if cache_key is not None:
                 hit = self._result_cache.get(cache_key)
+                if isinstance(hit, _Extension):
+                    entry, hit = hit, hit.current(self._versions(hit.footprint))
                 if hit is not None:
                     self.metrics.inc("result_cache_hits_total")
                     # A warm serving workload is all hits: without this
@@ -698,6 +763,9 @@ class KnowledgeBase:
                 # query: "cache" only on an actual hit above, "view" when
                 # the maintained extension was filtered.
                 answers = self._answer_from_view(view, form, profiler, bindings)
+                tier, worst, reopt = "view", 1.0, False
+            elif entry is not None:
+                answers = self._catch_up(entry, form, profiler)
                 tier, worst, reopt = "view", 1.0, False
             else:
                 interpreter = Interpreter(
@@ -720,11 +788,16 @@ class KnowledgeBase:
                 # the feedback store (and may evict a misestimated plan).
                 worst, reopt = self._harvest(compiled, interpreter.node_stats)
                 tier = self._tier_taken(before)
-            if cache_key is not None:
+            if entry is not None:
+                entry.answers = answers
+            elif cache_key is not None:
                 cache = self._result_cache
                 while len(cache) >= self._result_cache_size:
                     cache.pop(next(iter(cache)))  # FIFO bound
-                cache[cache_key] = answers
+                cache[cache_key] = answers if isinstance(cache_key, tuple) else _Extension(
+                    form.predicate, self._extension_cone(form),
+                    self._versions(self._form_footprint(form)), answers,
+                )
             self._telemetry_note(
                 form, started, before, tier=tier,
                 cache="miss" if cache_key is not None else "off",
@@ -809,34 +882,39 @@ class KnowledgeBase:
             status=status,
         )
 
-    def _result_cache_key(self, form: QueryForm, bindings: dict) -> tuple | None:
-        """(goal text, adornment, $-bindings, footprint version vector) —
-        or None when a binding value cannot be lifted into a hashable term.
+    def _result_cache_key(self, form: QueryForm, bindings: dict) -> tuple | str | None:
+        """(goal text, adornment, $-bindings, footprint, its version vector)
+        — or None when a binding value cannot be lifted into a hashable term.
 
         Freshness is fenced per dependency footprint, not globally: the
         key carries ``(name, version)`` only for the base relations this
         form can actually read (``-1`` for a relation not created yet —
         its later creation must miss), so a write to an unrelated
         relation leaves the entry hot.
+
+        A form with a maintainable cone (:meth:`_extension_cone`) is keyed by
+        its text: its entry follows the writes, learning a transaction's at
+        commit.  Inside a transaction such a form gets no key and runs the
+        plan: the entry takes in no write a rollback may undo.
         """
+        if not bindings and self._extension_cone(form) is not None:
+            return None if self._txn is not None else str(form)
         try:
             lifted = tuple(
                 (name, term_from_python(bindings[name])) for name in sorted(bindings)
             )
         except TypeError:
             return None
-        versions = tuple(
-            (
-                name,
-                relation.version if (relation := self.db.get(name)) is not None else -1,
-            )
-            for name in sorted(self._form_footprint(form))
-        )
-        return (
-            str(form.goal),
-            form.adornment.code,
-            lifted,
-            versions,
+        footprint = self._form_footprint(form)
+        # the footprint rides along so that eviction tests it without a loop
+        return str(form.goal), form.adornment.code, lifted, footprint, self._versions(footprint)
+
+    def _versions(self, footprint: frozenset[str]) -> tuple[tuple[str, int], ...]:
+        """``(name, version)`` over *footprint*, sorted; ``-1`` for a relation
+        not created yet (its later creation must miss)."""
+        return tuple(
+            (name, relation.version if (relation := self.db.get(name)) is not None else -1)
+            for name in sorted(footprint)
         )
 
     def _answer_from_view(
@@ -867,20 +945,36 @@ class KnowledgeBase:
         out_vars = form.output_vars
         free = [pattern for pattern in patterns if not is_ground(pattern)]
         if all(isinstance(p, Variable) for p in free) and len(set(free)) == len(free):
-            columns = [selected.columns[patterns.index(v)] for v in out_vars]
-            rows = set(zip(*columns)) if columns else {()} if len(selected) else set()
-        else:
-            rows = set()
-            for stored in INTERNER.decode_rows(selected.rows):
-                subst: Substitution | None = dict(base)
-                for pattern, value in zip(patterns, stored):
-                    subst = match(pattern, value, subst)
-                    if subst is None:
-                        break
-                else:
-                    rows.add(INTERNER.encode_row(tuple(subst[v] for v in out_vars)))
+            # only ground positions go: the rows stay distinct (copied, as
+            # a write edits a view's own columns in place)
+            length = len(selected)
+            columns = [selected.columns[patterns.index(v)] for v in out_vars] if length else ()
+            profiler.bump_produced(length)
+            return QueryAnswers.from_columns(out_vars, list(map(list, columns)), length, profiler)
+        rows = set()
+        for stored in INTERNER.decode_rows(selected.rows):
+            subst: Substitution | None = dict(base)
+            for pattern, value in zip(patterns, stored):
+                subst = match(pattern, value, subst)
+                if subst is None:
+                    break
+            else:
+                rows.add(INTERNER.encode_row(tuple(subst[v] for v in out_vars)))
         profiler.bump_produced(len(rows))
         return QueryAnswers(out_vars, rows, profiler)
+
+    @collector_paused
+    def _catch_up(self, entry: _Extension, form: QueryForm, profiler: Profiler) -> QueryAnswers:
+        """Answer *form* from its entry's extension: built if none is, then caught up."""
+        views, pending = entry.views, entry.pending
+        # detached until caught up: a failure leaves it to be rebuilt
+        entry.views, entry.pending = None, _NetDelta()
+        if views is None:
+            views = ViewSet(self.db, entry.cone, builtins=self.builtins)
+            views.materialize()
+        pending.apply(views)
+        entry.views = views
+        return self._answer_from_view(views.ids(entry.predicate), form, profiler, {})
 
     # ----------------------------------------------------------- persistence
 

@@ -26,7 +26,8 @@ the database").  Consumers depend only on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import and_
 from typing import Iterable, Iterator, Mapping, Protocol
 
 from ..datalog.intern import INTERNER
@@ -120,6 +121,24 @@ def _is_acyclic_binary(edges: Iterable[tuple[int, int]]) -> bool:
     return visited == len(indegree)
 
 
+def _cycle_candidates(
+    sources: list[int], targets: list[int], has_out: set[int], has_in: set[int]
+) -> Iterable[tuple[int, int]]:
+    """The edges that may lie on a cycle, or a superset: an edge does only
+    when its source has an edge in and its target an edge out.  A pass
+    keeps those by set probes, with no per-edge Python, and runs while
+    at least half the nodes (*has_out*, *has_in*: the sources and the
+    targets) lack one side.  A graph with few such nodes is handed to
+    Kahn's test whole."""
+    while len(has_out) + len(has_in) >= 3 * len(has_out & has_in):
+        keep = list(map(and_, map(has_in.__contains__, sources), map(has_out.__contains__, targets)))
+        if all(keep):
+            break
+        sources, targets = list(compress(sources, keep)), list(compress(targets, keep))
+        has_out, has_in = set(sources), set(targets)
+    return zip(sources, targets)
+
+
 def _id_chunks(relation) -> Iterator[list[list[int]]]:
     """The extension as id columns, a chunk at a time: a resident
     relation's own columns whole, a spilled one's streamed off the disk."""
@@ -160,8 +179,11 @@ def collect_statistics(relation: Relation, check_acyclic: bool = True) -> Relati
         )
     acyclic: bool | None = None
     if check_acyclic and relation.arity == 2:
+        store = relation.batch_store(INTERNER)
         acyclic = _is_acyclic_binary(
-            chain.from_iterable(zip(*chunk) for chunk in _id_chunks(relation))
+            _cycle_candidates(*store.columns, *distinct_ids)
+            if isinstance(store, IdRelation)
+            else chain.from_iterable(zip(*chunk) for chunk in _id_chunks(relation))
         )
     return RelationStats(cardinality=cardinality, columns=tuple(columns), acyclic=acyclic)
 

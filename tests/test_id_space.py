@@ -11,6 +11,7 @@ see must not depend on any of it.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import KnowledgeBase, OptimizerConfig, Tracer
 from repro.datalog import (
@@ -26,8 +27,9 @@ from repro.datalog.builtins import default_builtins
 from repro.datalog.intern import INTERNER
 from repro.datalog.literals import pred_ref
 from repro.datalog.rules import Program
-from repro.datalog.terms import Constant
+from repro.datalog.terms import Constant, Struct, Variable
 from repro.engine.fixpoint import FixpointEngine
+from repro.engine.interpreter import QueryAnswers
 from repro.engine.profiler import Profiler
 from repro.storage import Database
 from repro.workloads import generate_differential_program
@@ -283,6 +285,57 @@ def test_listing_order_is_by_rendered_fields_on_mixed_constants():
     assert answers.first() == (1, "b")
     assert answers.to_dicts()[0] == {"X": 1, "Y": "b"}
     assert kb.ask("r(X, nope)?").first() is None
+
+
+#: fields whose texts collide across kinds: ``1`` and ``"1"``, ``f(a)`` the
+#: struct and ``"f(a)"`` the string
+_FIELDS = st.recursive(
+    st.sampled_from([1, 2, 10, "1", "10", "a", "f(a)", "b"]).map(Constant),
+    lambda inner: st.builds(
+        lambda functor, args: Struct(functor, tuple(args)),
+        st.sampled_from(["f", "g"]), st.lists(inner, min_size=1, max_size=2),
+    ),
+    max_leaves=4,
+)
+
+
+def _listed_by_text_tuples(answers) -> list[tuple]:
+    """The listing as first defined: rows sorted by the tuple of their
+    fields' ``str()``, ties in stored order."""
+    rows = answers._render(answers._distinct())
+    keys = [tuple(map(str, row)) for row in rows]
+    plain = [tuple(f.value if isinstance(f, Constant) else f for f in row) for row in rows]
+    return [plain[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(0, 3), data=st.data())
+def test_listing_by_ranks_equals_listing_by_text_tuples(width, data):
+    rows = data.draw(st.lists(st.tuples(*[_FIELDS] * width), max_size=12, unique=True))
+    variables = tuple(Variable(f"V{i}") for i in range(width))
+    # stored in the drawn order, so ties between equal texts are ordered
+    # by something other than their ids
+    ids = [INTERNER.encode_row(row) for row in rows]
+    columns = [list(column) for column in zip(*ids)] if width and ids else ()
+    answers = QueryAnswers.from_columns(variables, columns, len(ids), Profiler())
+    expected = _listed_by_text_tuples(answers)
+    assert answers.to_python() == expected
+    assert [tuple(f.value if isinstance(f, Constant) else f for f in row) for row in answers] == expected
+    assert answers.first() == (expected[0] if expected else None)
+
+
+def test_equal_texts_keep_their_stored_order():
+    one, text_one = INTERNER.id_of(Constant(1)), INTERNER.id_of(Constant("1"))
+    x = INTERNER.id_of(Constant("x"))
+    for columns, listed in (
+        ([[text_one, one]], [("1",), (1,)]),
+        ([[one, text_one]], [(1,), ("1",)]),
+        ([[text_one, one], [x, x]], [("1", "x"), (1, "x")]),
+        ([[one, text_one], [x, x]], [(1, "x"), ("1", "x")]),
+    ):
+        variables = tuple(Variable(f"V{i}") for i in range(len(columns)))
+        answers = QueryAnswers.from_columns(variables, columns, 2, Profiler())
+        assert answers.to_python() == listed and answers.first() == listed[0]
 
 
 # -- QueryAnswers is a value --------------------------------------------------

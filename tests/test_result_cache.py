@@ -16,9 +16,17 @@ whether it goes through the cache or not.
 import pytest
 
 from repro import KnowledgeBase
+from repro.datalog.intern import INTERNER
+from repro.datalog.terms import Constant
+from repro.engine.fixpoint import FixpointEngine
 from repro.engine.governor import make_governor
+from repro.engine.interpreter import Interpreter
+from repro.engine.maintenance import ViewSet
 from repro.engine.profiler import Profiler
+from repro.errors import KnowledgeBaseError
+from repro.kb import _Extension
 from repro.obs import Tracer
+from repro.storage.loader import load_facts_text, load_tsv
 from repro.storage.relation import DerivedRelation, relation_from_rows
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
@@ -176,3 +184,246 @@ def test_fifo_eviction_bounds_the_cache():
     kb.ask("anc(abe, Y)?")  # the evicted query re-runs (miss, re-inserted)
     assert _counter(kb, "result_cache_hits_total") == 0
     assert _counter(kb, "result_cache_misses_total") == 4
+
+
+def test_zero_size_disables_the_cache_and_negative_is_refused():
+    kb = make_kb(result_cache_size=0)
+    first = kb.ask("anc(abe, Y)?")
+    assert kb.ask("anc(abe, Y)?") is not first  # no cache, no StopIteration
+    assert kb.ask("anc(X, Y)?").to_python() == kb.ask("anc(X, Y)?").to_python()
+    assert _counter(kb, "result_cache_hits_total") == 0
+    with pytest.raises(KnowledgeBaseError, match="result_cache_size"):
+        KnowledgeBase(result_cache_size=-1)
+
+
+def test_a_maintained_entry_counts_against_the_fifo_bound():
+    kb = make_kb(result_cache_size=1)
+    kb.ask("anc(X, Y)?")
+    kb.facts("par", [("bart", "maggie")])
+    kb.ask("anc(X, Y)?")  # promoted: the one entry is an extension
+    assert extension(kb).views is not None
+    assert ("homer",) in set(kb.ask("anc(abe, Y)?").to_python())  # pushes it out
+    assert list(kb._result_cache) != ["anc(X, Y)?"] and len(kb._result_cache) == 1
+    assert ("abe", "maggie") in set(kb.ask("anc(X, Y)?").to_python())
+
+
+# ------------------------------------------- all-free forms: maintained entries
+
+
+def extension(kb, text="anc(X, Y)?") -> _Extension:
+    entry = kb._result_cache[text]
+    assert isinstance(entry, _Extension)
+    return entry
+
+
+def fresh_answers(kb, text) -> list:
+    """*text* asked of a knowledge base built from scratch from *kb*'s
+    rules and facts."""
+    fresh = KnowledgeBase(result_cache=False)
+    fresh.rules("\n".join(str(rule) for rule in kb._rules))
+    for relation in kb.db:
+        if len(relation.batch_store(INTERNER)):
+            fresh.facts(relation.name, [
+                tuple(f.value if isinstance(f, Constant) else f for f in row)
+                for row in relation
+            ])
+    return fresh.ask(text).to_python()
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Counts of plan executions, fixpoint evaluations and extension
+    builds, by spying on their entry points."""
+    counts = {"run": 0, "evaluate": 0, "materialize": 0}
+    for cls, name, key in (
+        (Interpreter, "run", "run"),
+        (FixpointEngine, "evaluate", "evaluate"),
+        (ViewSet, "materialize", "materialize"),
+    ):
+        def spy(*args, _real=getattr(cls, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    return counts
+
+
+def promoted_kb():
+    """The all-free form asked, evicted by a write, and asked again: its
+    entry is a built extension from here on."""
+    kb = make_kb()
+    kb.ask("anc(X, Y)?")
+    assert extension(kb).views is None  # the plan's answer, nothing built
+    kb.facts("par", [("bart", "maggie")])
+    kb.ask("anc(X, Y)?")
+    assert extension(kb).views is not None
+    return kb
+
+
+def test_after_promotion_a_write_and_reask_runs_no_plan_and_no_fixpoint(runs):
+    kb = make_kb()
+    kb.ask("anc(X, Y)?")
+    assert runs == {"run": 1, "evaluate": 1, "materialize": 0}
+    kb.facts("par", [("bart", "maggie")])
+    assert runs["run"] == 1  # the write does no work for the entry
+    kb.ask("anc(X, Y)?")
+    assert runs == {"run": 1, "evaluate": 2, "materialize": 1}  # built, not planned
+    for write in (
+        lambda: kb.facts("par", [("maggie", "lingo")]),
+        lambda: kb.retract("par", [("homer", "bart")]),
+        lambda: kb.facts_text("par(lisa, zia). par(homer, bart)."),
+    ):
+        write()
+        answers = kb.ask("anc(X, Y)?")
+        assert runs == {"run": 1, "evaluate": 2, "materialize": 1}
+        assert answers.to_python() == fresh_answers(kb, "anc(X, Y)?")
+        runs.update(run=1, evaluate=2)  # the fresh knowledge base's own
+    assert kb.ask("anc(X, Y)?") is answers  # no write since: a plain hit
+    tiers = [record["tier"] for record in kb.telemetry.events()]
+    assert tiers == ["batch", "view", "view", "view", "view", "cache"]
+
+
+def test_an_answer_handed_out_does_not_move_with_later_writes():
+    kb = promoted_kb()
+    before = kb.ask("anc(X, Y)?")
+    listed = before.to_python()
+    kb.retract("par", [("abe", "homer")])
+    kb.facts("par", [("zed", "abe")])
+    after = kb.ask("anc(X, Y)?")
+    assert before.to_python() == listed and after.to_python() != listed
+
+
+def test_bound_negation_count_and_measured_asks_still_recompute(runs):
+    kb = make_kb()
+    kb.rules("""
+        parent(X) <- par(X, _).
+        lone(X) <- person(X), ~parent(X).
+        kids(X, count(Y)) <- par(X, Y).
+    """)
+    kb.facts("person", [("abe",), ("bart",), ("lisa",)])
+    forms = [("anc($X, Y)?", {"X": "abe"}), ("lone(X)?", {}), ("kids(X, N)?", {})]
+    for __ in range(3):
+        for text, bindings in forms:
+            kb.ask(text, **bindings)
+        kb.facts("par", [("lisa", f"kid{runs['run']}")])
+    assert runs["run"] == 9 and runs["materialize"] == 0
+    assert not any(isinstance(e, _Extension) for e in kb._result_cache.values())
+    kb = promoted_kb()
+    runs["run"] = 0
+    kb.ask("anc(X, Y)?", profiler=Profiler())
+    kb.ask("anc(X, Y)?", governor=make_governor(max_tuples=10_000))
+    kb.ask("anc(X, Y)?", tracer=Tracer())
+    assert runs["run"] == 3
+
+
+def test_an_oversized_delta_drops_the_extension(runs):
+    kb = promoted_kb()
+    size = len(extension(kb).views.ids("anc"))
+    kb.facts("par", [(f"a{i}", f"b{i}") for i in range(size + 1)])
+    assert extension(kb).views is None
+    assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
+    assert runs["materialize"] == 2 and extension(kb).views is not None
+
+
+def test_mid_transaction_ask_over_a_touched_footprint_sees_its_own_writes(runs):
+    kb = promoted_kb()
+    runs["run"] = 0
+    with kb.transaction():
+        kb.facts("par", [("maggie", "lingo")])
+        inside = kb.ask("anc(X, Y)?")
+        assert ("abe", "lingo") in set(inside.to_python())
+        assert runs["run"] == 1  # the plan, not the stale extension
+        assert extension(kb).answers is not inside  # and not cached
+    assert kb.ask("anc(X, Y)?") == inside
+
+
+def test_abort_leaves_the_pending_delta_untouched():
+    kb = promoted_kb()
+    kb.facts("par", [("maggie", "lingo")])
+    entry = extension(kb)
+    pending = ({k: set(v) for k, v in entry.pending.inserted.items()},
+               {k: set(v) for k, v in entry.pending.removed.items()})
+    with pytest.raises(RuntimeError):
+        with kb.transaction():
+            kb.retract("par", [("maggie", "lingo"), ("abe", "homer")])
+            kb.facts("par", [("lingo", "zia")])
+            raise RuntimeError
+    assert extension(kb) is entry
+    assert (entry.pending.inserted, entry.pending.removed) == pending
+    assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
+
+
+def test_commit_hands_over_the_net_delta():
+    kb = promoted_kb()
+    entry = extension(kb)
+    with kb.transaction():
+        kb.facts("par", [("maggie", "lingo"), ("lingo", "zia")])
+        kb.retract("par", [("lingo", "zia"), ("abe", "homer")])
+        kb.facts("par", [("abe", "homer")])
+    ids = INTERNER.lookup_row
+    assert entry.pending.inserted == {"par": {ids((Constant("maggie"), Constant("lingo")))}}
+    assert not any(entry.pending.removed.values())
+    assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
+
+
+def test_new_rules_drop_the_entry():
+    kb = promoted_kb()
+    kb.rules("anc(X, Y) <- par(Y, X).")
+    assert "anc(X, Y)?" not in kb._result_cache
+    assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
+
+
+def test_a_catch_up_that_fails_leaves_the_extension_to_be_rebuilt(monkeypatch, runs):
+    kb = promoted_kb()
+    kb.facts("par", [("maggie", "lingo")])
+
+    def broken(self, base_rows):
+        raise OSError("disk gone")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ViewSet, "insert", broken)
+        with pytest.raises(OSError):
+            kb.ask("anc(X, Y)?")
+    assert extension(kb).views is None
+    assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
+    assert runs["materialize"] == 2
+
+
+_PAST_THE_KB = {
+    "db.load": lambda kb: kb.db.load("par", [("bart", "ling")]),
+    "db.retract": lambda kb: kb.db.retract("par", [("homer", "bart")]),
+    "load_tsv": lambda kb: load_tsv(kb.db, "par", ["lisa\tzia"]),
+    "load_facts_text": lambda kb: load_facts_text(kb.db, "par(zed, abe)."),
+}
+
+
+@pytest.mark.parametrize("write", sorted(_PAST_THE_KB))
+@pytest.mark.parametrize("promoted", [False, True])
+def test_a_write_past_the_knowledge_base_is_seen(write, promoted):
+    """The database's own writes never reach the pending delta; the
+    entry's version vector catches them, before or after promotion, alone
+    or followed by a write through the knowledge base."""
+    for then in (lambda kb: None, lambda kb: kb.facts("par", [("maggie", "lingo")])):
+        kb = promoted_kb() if promoted else make_kb()
+        before = kb.ask("anc(X, Y)?").to_python()
+        _PAST_THE_KB[write](kb)
+        then(kb)
+        after = kb.ask("anc(X, Y)?").to_python()
+        assert after != before and after == fresh_answers(kb, "anc(X, Y)?")
+        assert kb.ask("anc(X, Y)?").to_python() == after
+
+
+def test_a_write_past_the_knowledge_base_inside_a_transaction(runs):
+    kb = promoted_kb()
+    runs["run"] = 0
+    with pytest.raises(RuntimeError):
+        with kb.transaction():
+            kb.db.load("par", [("maggie", "lingo")])
+            assert ("abe", "lingo") in set(kb.ask("anc(X, Y)?").to_python())
+            assert runs["run"] == 1  # not built or caught up inside
+            raise RuntimeError
+    assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
+    with kb.transaction():
+        kb.db.load("par", [("maggie", "lingo")])
+        kb.facts("par", [("lingo", "zia")])
+    assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")

@@ -4,8 +4,9 @@ One seeded interleaving of ``facts / retract / rules / transaction
 (commit | abort) / materialize / ask`` per case, over a ``querygen``
 differential program, on *one* knowledge base — so every cache that
 outlives an ask (compiled plans and their ``PlanCode``, the lowered-rule
-memo, the parsed-form memo, the result cache, the views) is exercised
-across the writes that must invalidate it.  Each ask is compared with a
+memo, the parsed-form memo, the result cache and its maintained
+extensions, the views) is exercised across the writes that must
+invalidate or update it.  Each ask is compared with a
 fresh knowledge base built from the model state and with the naive
 reference fixpoint (``naive=True, compile=False``): a persisted plan,
 schedule or memo entry must never outlive the rules it was lowered from.
@@ -129,6 +130,15 @@ def run_case(seed: int, steps: int = 12) -> list[str]:
         assert got == expected, "differs from the naive model"
         return text, bindings
 
+    # All-free forms keep their cache entry across writes: re-asked after
+    # every step, each entry is promoted to a maintained extension and then
+    # catches up by the net delta of whatever the step wrote.
+    all_free = [text for text in sample.queries if _all_free(text)]
+
+    def recheck() -> None:
+        for text in all_free:
+            check((text, {}))
+
     try:
         check()
         for __ in range(steps):
@@ -148,6 +158,7 @@ def run_case(seed: int, steps: int = 12) -> list[str]:
                         # an ask inside the block sees its writes (but a
                         # view is maintained at commit, by contract)
                         check()
+                        recheck()
             elif action < 0.8:
                 before = Model("\n".join(model.rules), model.facts)
                 asked = None
@@ -171,6 +182,7 @@ def run_case(seed: int, steps: int = 12) -> list[str]:
             elif action < 0.9 and not sample.features & {"negation", "aggregate"}:
                 kb.materialize()
                 log.append("materialize")
+            recheck()
             check()
             if rng.random() < 0.4:
                 check()  # a second form, or the same one from the caches
@@ -179,6 +191,11 @@ def run_case(seed: int, steps: int = 12) -> list[str]:
     finally:
         kb.close()
     return log
+
+
+def _all_free(text: str) -> bool:
+    args = parse_query(text).goal.args
+    return all(isinstance(arg, Variable) for arg in args) and len(set(args)) == len(args)
 
 
 SEEDS = range(12)

@@ -142,6 +142,40 @@ def test_acyclicity_detection():
     assert collect_statistics(ternary).acyclic is None
 
 
+@given(
+    core=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
+    loose=st.integers(0, 40),
+    spill=st.booleans(),
+)
+def test_acyclicity_matches_a_search_for_a_cycle(core, loose, spill):
+    """Whatever edges the pre-pass drops before Kahn's test (here the
+    *loose* edges between fresh nodes), the verdict is a plain search's:
+    some node reaches itself."""
+    edges = set(core)
+    successors: dict[int, set[int]] = {}
+    for a, b in edges:
+        successors.setdefault(a, set()).add(b)
+
+    def reaches_itself(node):
+        seen, stack = set(), list(successors.get(node, ()))
+        while stack:
+            current = stack.pop()
+            if current == node:
+                return True
+            if current not in seen:
+                seen.add(current)
+                stack.extend(successors.get(current, ()))
+        return False
+
+    expected = not any(reaches_itself(node) for node in successors)
+    rows = [(f"n{a}", f"n{b}") for a, b in edges] + [(f"s{i}", f"t{i}") for i in range(loose)]
+    db = Database(backend="sqlite", spill_threshold=8) if spill else Database()
+    db.create("e", 2)
+    db.load("e", rows)
+    assert collect_statistics(db.relation("e")).acyclic is expected
+    db.close()
+
+
 def test_fanout_and_distinct():
     stats = RelationStats.declared(100, [10, 50])
     assert stats.fanout(0) == 10.0
