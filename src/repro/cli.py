@@ -117,15 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="query-wide live-tuple budget (exit code 5 on expiry)")
     parser.add_argument("--max-memory", type=int, default=None, metavar="BYTES",
                         help="approximate query-wide memory budget in bytes")
-    parser.add_argument("--backend", default="memory",
-                        choices=("memory", "sqlite"),
-                        help="storage backend: memory (default) keeps all "
-                             "relations resident; sqlite spills large ones "
-                             "to disk (see --spill-threshold)")
-    parser.add_argument("--spill-threshold", type=int, default=None, metavar="ROWS",
-                        help="tuples above which a relation spills to the "
-                             "sqlite backend (also enables resident-tuple "
-                             "accounting against --max-memory)")
     parser.add_argument("--no-result-cache", action="store_true",
                         help="disable the cross-query result cache")
     parser.add_argument("--materialize", action="store_true",
@@ -291,8 +282,6 @@ def main(argv: Sequence[str] | None = None, stdin: IO[str] | None = None, stdout
         OptimizerConfig(
             strategy=args.strategy, search=args.search, **config_kwargs
         ),
-        backend=args.backend,
-        spill_threshold=args.spill_threshold,
         result_cache=not args.no_result_cache,
         feedback=feedback,
         telemetry_sink=telemetry_sink,

@@ -11,7 +11,7 @@ batch per Python-level call.  The step kinds are a closed set:
 
 * **join** — a stored positive literal.  The probe pass streams the key
   column(s) against the extension's precomputed row-index buckets
-  (:class:`~repro.storage.columnar.BatchStore`), producing two parallel
+  (:class:`~repro.storage.columnar.IdRelation`), producing two parallel
   *selection vectors*; the gather pass builds each output column with
   one list comprehension over a selection vector.
 * **negation** (anti-join) — a stored negated literal, every argument
@@ -71,7 +71,7 @@ from ..datalog.safety import exists_safe_order
 from ..datalog.terms import Constant, Variable, is_ground
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
-from ..storage.columnar import BatchStore, IdRow
+from ..storage.columnar import IdRelation, IdRow
 from .operators import (
     _literal_vars_in_order,
     builtin_row,
@@ -82,15 +82,10 @@ from .profiler import Profiler
 
 #: Resolves the stored body literal at a step position to what the step
 #: probes: an :class:`~repro.storage.columnar.IdRelation` (a derived
-#: extension; ``BatchStore`` is the same class), or a stored relation,
-#: which hands over its own store — in memory or a disk-backed
-#: :class:`~repro.storage.backend.SpilledStore`.  By position, not by
-#: predicate: view maintenance reads a predicate's pre-update extension
-#: at one occurrence and its current one at another.
+#: extension), or a stored relation, which hands over its own store.  By
+#: position, not by predicate: view maintenance reads a predicate's
+#: pre-update extension at one occurrence and its current one at another.
 StoreOf = Callable[[int, Literal], object]
-
-#: Rows per chunk when streaming a disk-backed scan through the tail.
-SPILL_CHUNK_ROWS = 65_536
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,7 +365,7 @@ class BatchExecutor:
         store_of: StoreOf,
         profiler: Profiler,
         delta_position: int | None = None,
-        delta: BatchStore | None = None,
+        delta: IdRelation | None = None,
         governor=None,
         tracer=NULL_TRACER,
         batch: tuple[list[list[int]], int] | None = None,
@@ -398,20 +393,6 @@ class BatchExecutor:
                 store = self._store_for(
                     step, position, store_of, profiler, delta_position, delta
                 )
-                if (
-                    position == 0
-                    and step.kind == "join"
-                    and not step.bound_positions
-                    and not plan.head_aggregates
-                    and batch is None
-                    and not isinstance(store, BatchStore)
-                ):
-                    # Disk-backed driving scan: stream it chunk by chunk
-                    # instead of materializing the whole extension.
-                    return self._stream_spilled(
-                        plan, store, store_of, profiler,
-                        delta_position, delta, governor, tracer, counted,
-                    )
                 columns, length = run_step(
                     step, columns, length, store, profiler, governor, interner
                 )
@@ -420,59 +401,6 @@ class BatchExecutor:
             plan, columns, length, interner, profiler, governor, counted
         )
 
-    def _stream_spilled(
-        self,
-        plan: BatchPlan,
-        driver,
-        store_of: StoreOf,
-        profiler: Profiler,
-        delta_position: int | None,
-        delta: BatchStore | None,
-        governor,
-        tracer,
-        counted: bool,
-    ) -> "set[IdRow] | Counter":
-        """Stream a disk-backed driving scan through the tail steps chunk
-        by chunk, never materializing the whole extension.
-
-        Counter totals equal the one-shot in-memory run (chunk sums
-        telescope); span shape does not — the whole stream runs under a
-        single ``spill-stream`` span inside the driving step's, the disk
-        tier's documented exception to span parity.
-        """
-        interner = self.interner
-        steps = plan.steps
-        tail = [
-            (step, self._store_for(
-                step, position, store_of, profiler, delta_position, delta
-            ))
-            for position, step in enumerate(steps) if position
-        ]
-        head = count_ids if counted else project_ids
-        head_ids = Counter() if counted else set()
-        chunk_rows = SPILL_CHUNK_ROWS
-        with tracer.span(
-            f"spill-stream:{plan.rule.head.predicate}", kind="operator"
-        ) as span:
-            span.note(chunk_rows=chunk_rows, store=driver.name)
-            profiler.bump_probes(1)  # the serial unit-scan's single probe
-            for columns, length in driver.scan_chunks(steps[0].free_out, chunk_rows):
-                if governor is not None:
-                    governor.checkpoint(steps[0].label)
-                profiler.bump_examined(length)
-                profiler.bump_produced(length)
-                if governor is not None:
-                    governor.tick(length)
-                for step, store in tail:
-                    if length == 0:
-                        break
-                    columns, length = run_step(
-                        step, columns, length, store, profiler, governor, interner
-                    )
-                if length:
-                    head_ids.update(head(plan, columns, length))
-        return _charge_head(head_ids, profiler, governor)
-
     def _store_for(
         self,
         step: BatchStep,
@@ -480,7 +408,7 @@ class BatchExecutor:
         store_of: StoreOf,
         profiler: Profiler,
         delta_position: int | None,
-        delta: BatchStore | None,
+        delta: IdRelation | None,
     ):
         """The store a join / negation step probes: its literal's, whose
         bucket maps persist and grow with it, or the round's delta —
@@ -493,7 +421,7 @@ class BatchExecutor:
             profiler.bump_examined(delta.length)
             return delta
         extension = store_of(position, step.literal)
-        if isinstance(extension, BatchStore):
+        if isinstance(extension, IdRelation):
             return extension
         return extension.batch_store(self.interner)
 
@@ -517,7 +445,7 @@ def run_step(
 
 def _key_stream(step: BatchStep, columns: list[list[int]], length: int) -> Iterable[object]:
     """The step's probe keys, one per input row, shaped like
-    :class:`BatchStore` bucket keys: the bare id for a single field, a
+    :class:`IdRelation` bucket keys: the bare id for a single field, a
     tuple of ids otherwise."""
     slots = step.key_slots
     const_ids = step.key_const_ids
@@ -569,18 +497,11 @@ def _batch_join(
     step: BatchStep,
     columns: list[list[int]],
     length: int,
-    store: BatchStore,
+    store: IdRelation,
     profiler: Profiler,
     governor,
 ) -> tuple[list[list[int]], int]:
     """A stored positive literal: probe pass + gather pass."""
-    if not isinstance(store, BatchStore):
-        # Disk-backed extension (see repro.storage.backend): probe/scan
-        # runs as a SQL join against the spilled columns instead of an
-        # in-memory bucket probe; tuple counters stay identical.
-        from ..storage.backend import spilled_batch_join
-
-        return spilled_batch_join(step, columns, length, store, profiler, governor)
     if not columns and not step.bound_positions:
         # Unit-input full scan: the output *is* the extension's columns,
         # reused by reference — stores are append-only and never shrink
@@ -615,24 +536,15 @@ def _anti_join(
     step: BatchStep,
     columns: list[list[int]],
     length: int,
-    store,
+    store: IdRelation,
     profiler: Profiler,
     governor,
 ) -> tuple[list[list[int]], int]:
     """A stored negated literal, fully bound: keep the rows whose key is
     not in the extension.  Charged as ``negation_filter`` charges."""
     keys = _key_stream(step, columns, length)
-    if isinstance(store, BatchStore):
-        present = store.buckets_for(step.bound_positions)
-        keep = [i for i, key in enumerate(keys) if key not in present]
-    else:
-        # Disk-backed extension: indexed membership probes, one per
-        # distinct key — never the materialized extension.
-        from ..storage.backend import spilled_absent_keys
-
-        keys = list(keys)
-        absent = spilled_absent_keys(store, keys, governor)
-        keep = [i for i, key in enumerate(keys) if key in absent]
+    present = store.buckets_for(step.bound_positions)
+    keep = [i for i, key in enumerate(keys) if key not in present]
     profiler.bump_examined(length)
     if governor is not None:
         governor.tick()

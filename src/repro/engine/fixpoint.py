@@ -230,8 +230,6 @@ class FixpointEngine:
         #: a compiled query puts the query's own here
         self.code = PlanCode()
         self._batch_exec = _batch.BatchExecutor()
-        #: Resident base tuples are priced only when spilling can happen.
-        self._spill_active = getattr(db, "spill_threshold", None) is not None
 
     # -- extensions ----------------------------------------------------------
 
@@ -453,11 +451,6 @@ class FixpointEngine:
         governor = self.governor
         if governor is not None:
             governor.arm()
-            if self._spill_active:
-                # Spill accounting prices the fact base's *resident*
-                # tuples against the memory budget (idempotent per query;
-                # spilled relations count zero — see storage.backend).
-                governor.charge_resident(self.db.resident_tuples())
         self.tracer.attach(self.profiler)
 
         workspace: dict[str, Store] = {

@@ -108,7 +108,6 @@ class ResourceGovernor:
         "_iterations",
         "_countdown",
         "_cancel_reason",
-        "_resident_charged",
     )
 
     def __init__(
@@ -145,7 +144,6 @@ class ResourceGovernor:
         self._iterations = 0
         self._countdown = self.tick_interval
         self._cancel_reason: str | None = None
-        self._resident_charged = False
 
     # ------------------------------------------------------------ clock
 
@@ -314,24 +312,6 @@ class ResourceGovernor:
             and live * self.bytes_per_tuple > self.max_memory_bytes
         ):
             self._raise_memory(live)
-
-    def charge_resident(self, tuples: int) -> None:
-        """Charge the fact base's *resident* tuples (tuples the storage
-        backend keeps in process memory; spilled tuples count zero) —
-        once per query, no matter how many engines share this governor.
-
-        This is what prices the in-memory backend out of an over-RAM
-        workload under ``max_memory_bytes`` while the spilling backend,
-        whose residents stay under the threshold, completes it (see
-        :mod:`repro.storage.backend`).  Only active when the database has
-        a spill threshold configured, so the default accounting — which
-        never charged base facts — is unchanged.
-        """
-        if self._resident_charged:
-            return
-        self._resident_charged = True
-        if tuples:
-            self.retain(tuples)
 
     # ------------------------------------------------------ checkpoints
 

@@ -312,10 +312,7 @@ class ViewSet:
     def _id_rows(self, name: str) -> "set[IdRow]":
         extension = self._extension(name)
         if not isinstance(extension, IdRelation):
-            store = extension.batch_store(self._interner)
-            if not isinstance(store, IdRelation):  # spilled: read it back
-                return self._interner.encode_rows(extension)
-            extension = store
+            extension = extension.batch_store(self._interner)
         return extension.rows
 
     def _delta_stores(self, deltas: Deltas) -> dict[str, IdRelation]:

@@ -55,13 +55,6 @@ class ExecutionError(ReproError):
     """
 
 
-class StorageError(ExecutionError):
-    """The storage backend failed physically (e.g. a SQLite I/O error on
-    a spilled relation): the query fails with this clean, typed error
-    instead of a raw ``sqlite3`` exception.
-    """
-
-
 class TransactionError(ReproError):
     """Raised for transaction protocol misuse: opening a transaction
     while one is already active, or committing/rolling back when none

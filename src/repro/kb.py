@@ -160,11 +160,6 @@ class _KbTxn:
 class KnowledgeBase:
     """Rules + facts + optimizer + engine, with per-query-form caching.
 
-    *backend* / *spill_threshold* pick the storage backend — with
-    ``backend="sqlite"`` relations larger than the threshold spill to
-    disk and stream through the rule executor's columnar steps
-    (:mod:`repro.engine.batch`, :mod:`repro.storage.backend`).
-
     *result_cache* enables the cross-query result cache: a repeat of an
     identical query (same goal, same adornment, same ``$``-bindings)
     against an unchanged fact base is served from the cache without
@@ -200,8 +195,6 @@ class KnowledgeBase:
         self,
         config: OptimizerConfig | None = None,
         *,
-        backend: str = "memory",
-        spill_threshold: int | None = None,
         result_cache: bool = True,
         result_cache_size: int = 256,
         feedback: "bool | str | FeedbackStore" = True,
@@ -211,7 +204,7 @@ class KnowledgeBase:
     ):
         from .datalog.builtins import default_builtins
 
-        self.db = Database(backend=backend, spill_threshold=spill_threshold)
+        self.db = Database()
         self.config = config or OptimizerConfig()
         self.builtins = default_builtins()
         self._rules: list[Rule] = []
@@ -315,9 +308,8 @@ class KnowledgeBase:
         return self._txn is not None
 
     def close(self) -> None:
-        """Release storage resources (rolls back any open transaction,
-        deletes spilled temp files), flush the feedback store, and close
-        the telemetry sink.  Idempotent."""
+        """Roll back any open transaction, flush the feedback store, and
+        close the telemetry sink.  Idempotent."""
         self._txn = None
         if self.feedback is not None:
             self.feedback.flush()

@@ -50,11 +50,9 @@ SPAN_KINDS = frozenset({
 })
 
 #: Span names with a fixed shape, and the kind each shape must carry:
-#: ``spill-stream:<pred>`` (out-of-core streaming scans),
 #: ``qsqn:<adorned-pred>`` (query-subquery net evaluations) and
 #: ``optimize:enumerate:<pred>`` (c-permutation enumeration).
 _NAME_SHAPES: tuple[tuple[str, re.Pattern, str], ...] = (
-    ("spill-stream:", re.compile(r"^spill-stream:[\w.$]+$"), "operator"),
     ("qsqn:", re.compile(r"^qsqn:[\w.$]+$"), "qsqn"),
     ("optimize:enumerate:", re.compile(r"^optimize:enumerate:[\w.$]+$"), "cperm"),
 )

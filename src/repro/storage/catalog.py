@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Sequence
 from ..datalog.intern import INTERNER
 from ..datalog.terms import Term
 from ..errors import SchemaError, TransactionError
-from .backend import StorageBackend, make_backend
 from .columnar import IdRow, encode_checked
 from .relation import Relation
 from .statistics import RelationStats, collect_statistics
@@ -25,50 +24,28 @@ from .statistics import RelationStats, collect_statistics
 class _Txn:
     """Bookkeeping for one open transaction.
 
-    Memory relations get an *undo log* — one entry per changing call,
+    Every relation gets an *undo log* — one entry per changing call,
     reversed on rollback through the same write routine — plus a
     version snapshot per touched relation so the database's version
-    vector is byte-identical after a rollback.  Spilled relations use
-    SQLite's own BEGIN/ROLLBACK through their ``txn_*`` hooks.  Spill
-    migration is deferred to commit so a relation's physical class never
-    changes inside a transaction.
+    vector is byte-identical after a rollback.
     """
 
-    __slots__ = (
-        "undo", "versions", "spilled", "created", "dropped",
-        "pending_spill", "stats_cache", "stats_overrides",
-    )
+    __slots__ = ("undo", "versions", "created", "dropped", "stats_cache", "stats_overrides")
 
     def __init__(self, db: "Database"):
         #: (relation, whether the rows were added, the id rows that changed)
         self.undo: list[tuple[Relation, bool, set[IdRow]]] = []
         self.versions: dict[int, tuple[Relation, int]] = {}
-        self.spilled: dict[int, tuple[object, tuple]] = {}
         self.created: list[str] = []
-        self.dropped: dict[str, object] = {}
-        self.pending_spill: set[str] = set()
+        self.dropped: dict[str, Relation] = {}
         self.stats_cache = dict(db._stats_cache)
         self.stats_overrides = dict(db._stats_overrides)
 
 
 class Database:
-    """A mutable catalog of relations, with cached statistics.
+    """A mutable catalog of relations, with cached statistics."""
 
-    The physical representation of each relation is the *backend*'s
-    business (:mod:`repro.storage.backend`): ``"memory"`` (default) keeps
-    every relation a resident :class:`Relation`; ``"sqlite"`` spills any
-    relation that grows past *spill_threshold* tuples to a temporary
-    on-disk columnar store.  ``spill_threshold=None`` disables both
-    spilling and resident-tuple accounting — the pre-backend behaviour.
-    """
-
-    def __init__(
-        self,
-        backend: "str | StorageBackend" = "memory",
-        spill_threshold: int | None = None,
-    ) -> None:
-        self.backend = make_backend(backend)
-        self.spill_threshold = spill_threshold
+    def __init__(self) -> None:
         self._relations: dict[str, Relation] = {}
         self._stats_cache: dict[str, RelationStats] = {}
         self._stats_overrides: dict[str, RelationStats] = {}
@@ -77,12 +54,10 @@ class Database:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources (spilled temp files).  An open
-        transaction is rolled back first, so close never persists a
-        half-applied group.  Idempotent."""
+        """Roll back an open transaction, so close never persists a
+        half-applied group.  Idempotent; the database stays usable."""
         if self._txn is not None:
             self.rollback_transaction()
-        self.backend.close()
 
     # -- transactions --------------------------------------------------------
 
@@ -98,17 +73,11 @@ class Database:
         self._txn = _Txn(self)
 
     def commit_transaction(self) -> None:
-        """Make the group durable: flush spilled-relation SQL transactions
-        and run the spill migrations deferred during the transaction."""
-        txn = self._txn
-        if txn is None:
+        """Keep the group: the writes are already applied, so committing
+        drops the undo log."""
+        if self._txn is None:
             raise TransactionError("no open transaction to commit")
         self._txn = None
-        for relation, _snapshot in txn.spilled.values():
-            relation.txn_commit()
-        for name in sorted(txn.pending_spill):
-            if name in self._relations:
-                self._maybe_spill(name)
 
     def rollback_transaction(self) -> None:
         """Restore the fact base to its state at ``begin_transaction`` —
@@ -117,16 +86,12 @@ class Database:
         if txn is None:
             raise TransactionError("no open transaction to roll back")
         self._txn = None
-        # Memory relations: replay the undo log in reverse through the
-        # write routine (the term views stay in step), then pin the
-        # versions back.
+        # Replay the undo log in reverse through the write routine (the
+        # term views stay in step), then pin the versions back.
         for relation, added, id_rows in reversed(txn.undo):
             self._write(relation, id_rows, adding=not added)
         for relation, version in txn.versions.values():
             relation.txn_restore(version)
-        # Spilled relations: real SQL ROLLBACK plus bookkeeping restore.
-        for relation, snapshot in txn.spilled.values():
-            relation.txn_rollback(snapshot)
         for name in txn.created:
             self._relations.pop(name, None)
         for name, relation in txn.dropped.items():
@@ -147,37 +112,20 @@ class Database:
         else:
             self.commit_transaction()
 
-    def _txn_touch(self, relation) -> bool:
-        """Record first contact with *relation* inside the open
-        transaction.  Returns True when mutations must be undo-logged
-        (memory relation); False when SQLite's rollback covers them."""
-        txn = self._txn
-        key = id(relation)
-        if isinstance(relation, Relation):
-            if key not in txn.versions:
-                txn.versions[key] = (relation, relation.version)
-            return True
-        if key not in txn.spilled:
-            txn.spilled[key] = (relation, relation.txn_begin())
-        return False
-
     # -- schema ------------------------------------------------------------
 
     def create(self, name: str, arity: int, columns: Sequence[str] | None = None) -> Relation:
         """Create an empty relation; error if the name is taken."""
-        if name in self._relations:
-            raise SchemaError(f"relation {name!r} already exists")
-        relation = self.backend.create_relation(name, arity, columns)
-        self._relations[name] = relation
-        if self._txn is not None:
-            self._txn.created.append(name)
-        return relation
+        return self.add_relation(Relation(name, arity, columns))
 
     def add_relation(self, relation: Relation) -> Relation:
-        """Register an existing relation object under its own name."""
+        """Register a relation object under its own name; error if the
+        name is taken.  Inside a transaction a rollback unregisters it."""
         if relation.name in self._relations:
             raise SchemaError(f"relation {relation.name!r} already exists")
         self._relations[relation.name] = relation
+        if self._txn is not None:
+            self._txn.created.append(relation.name)
         return relation
 
     def drop(self, name: str) -> None:
@@ -221,9 +169,13 @@ class Database:
             for name in sorted(self._relations)
         )
 
+    def resident_tuples(self) -> int:
+        """Tuples stored across the whole fact base."""
+        return sum(len(relation) for relation in self._relations.values())
+
     # -- loading -----------------------------------------------------------
 
-    def _write(self, relation, id_rows: set[IdRow], adding: bool) -> set[IdRow]:
+    def _write(self, relation: Relation, id_rows: set[IdRow], adding: bool) -> set[IdRow]:
         """The one place a stored extension changes: add (or remove)
         *id_rows*, returning those that were new (present).  A call that
         changes something drops the relation's cached statistics once
@@ -231,11 +183,12 @@ class Database:
         every row a duplicate, or absent — leaves versions, statistics
         and the log exactly as they were."""
         txn = self._txn
-        log_undo = txn is not None and self._txn_touch(relation)
+        if txn is not None and id(relation) not in txn.versions:
+            txn.versions[id(relation)] = (relation, relation.version)
         changed = relation.add_ids(id_rows) if adding else relation.discard_ids(id_rows)
         if changed:
             self._stats_cache.pop(relation.name, None)
-            if log_undo:
+            if txn is not None:
                 txn.undo.append((relation, adding, changed))
         return changed
 
@@ -252,13 +205,7 @@ class Database:
         id_rows = encode_checked(name, arity, rows, INTERNER)
         if relation is None:
             relation = self.create(name, arity)
-        new = self._write(relation, id_rows, adding=True)
-        if new:
-            if self._txn is None:
-                self._maybe_spill(name)
-            else:
-                self._txn.pending_spill.add(name)
-        return new
+        return self._write(relation, id_rows, adding=True)
 
     def remove(self, name: str, rows: Iterable[Sequence[object]]) -> set[IdRow]:
         """Remove tuples of ground terms or plain values from *name*;
@@ -280,26 +227,6 @@ class Database:
     def retract(self, name: str, rows: Iterable[Sequence[object]]) -> int:
         """Remove plain-value tuples from *name*; returns how many existed."""
         return len(self.remove(name, rows))
-
-    def _maybe_spill(self, name: str) -> None:
-        """Let the backend migrate a grown relation to its cold tier."""
-        if self.spill_threshold is None:
-            return
-        relation = self._relations[name]
-        migrated = self.backend.maybe_spill(relation, self.spill_threshold)
-        if migrated is not relation:
-            self._relations[name] = migrated
-
-    def resident_tuples(self) -> int:
-        """Tuples the backend holds in process memory across the whole
-        fact base (spilled tuples count zero) — what the engine charges
-        against the governor's memory budget when a spill threshold is
-        configured."""
-        backend = self.backend
-        return sum(
-            backend.resident_tuples(relation)
-            for relation in self._relations.values()
-        )
 
     # -- statistics ----------------------------------------------------------
 

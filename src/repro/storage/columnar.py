@@ -295,7 +295,6 @@ class IdRelation:
         )
 
 
-#: The name the step executor's ``isinstance`` dispatch between an
-#: in-memory store and a :class:`~repro.storage.backend.SpilledStore`
-#: (and the ledger's tracer) knows the class by.
+#: The name the ledger's tracer targets (``BatchStore.buckets_for``);
+#: nothing in the engine uses it.
 BatchStore = IdRelation

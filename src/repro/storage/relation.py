@@ -39,12 +39,15 @@ Row = tuple[Term, ...]
 SortKeyFn = Callable[[Row], tuple]
 
 
-class StoredRelation:
-    """What the resident and the spilled form of a base relation share:
-    the schema header and the row-level write entries, each over the
-    form's own ``add_ids`` / ``discard_ids``."""
+class Relation:
+    """A named, fixed-arity, duplicate-free set of ground-term tuples."""
 
-    def __init__(self, name: str, arity: int, columns: Sequence[str] | None, interner):
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        columns: Sequence[str] | None = None,
+    ):
         if arity < 0:
             raise SchemaError(f"relation {name!r}: arity must be >= 0, got {arity}")
         if columns is not None and len(columns) != arity:
@@ -55,7 +58,11 @@ class StoredRelation:
         self.arity = arity
         self.columns = tuple(columns) if columns is not None else tuple(f"c{i}" for i in range(arity))
         #: whose ids the stored rows are
-        self.interner = interner
+        self.interner = INTERNER
+        self._ids = IdRelation(INTERNER, arity)
+        self._version = 0
+
+    # -- row-level writes --------------------------------------------------------
 
     def load(self, rows: Iterable[Sequence[object]]) -> int:
         """Bulk-insert rows of ground terms or plain values — all of
@@ -89,20 +96,6 @@ class StoredRelation:
                     f"relation {self.name!r}: index position {position} out of range"
                 )
         return key
-
-
-class Relation(StoredRelation):
-    """A named, fixed-arity, duplicate-free set of ground-term tuples."""
-
-    def __init__(
-        self,
-        name: str,
-        arity: int,
-        columns: Sequence[str] | None = None,
-    ):
-        super().__init__(name, arity, columns, INTERNER)
-        self._ids = IdRelation(INTERNER, arity)
-        self._version = 0
 
     # -- id face (what the fact base and the lowered steps use) ----------------
 

@@ -26,13 +26,12 @@ the database").  Consumers depend only on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import and_
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import Iterable, Mapping, Protocol
 
 from ..datalog.intern import INTERNER
 from ..datalog.terms import Constant
-from .columnar import IdRelation
 from .relation import Relation
 
 
@@ -139,17 +138,6 @@ def _cycle_candidates(
     return zip(sources, targets)
 
 
-def _id_chunks(relation) -> Iterator[list[list[int]]]:
-    """The extension as id columns, a chunk at a time: a resident
-    relation's own columns whole, a spilled one's streamed off the disk."""
-    store = relation.batch_store(INTERNER)
-    if isinstance(store, IdRelation):
-        yield store.columns
-    else:
-        for chunk, _length in store.scan_chunks(tuple(range(relation.arity))):
-            yield chunk
-
-
 def collect_statistics(relation: Relation, check_acyclic: bool = True) -> RelationStats:
     """Compute actual statistics from the data in *relation*, in id
     space: a column's distinct count is the size of its id set, and only
@@ -159,10 +147,8 @@ def collect_statistics(relation: Relation, check_acyclic: bool = True) -> Relati
     other arities get ``None``.
     """
     cardinality = float(len(relation))
-    distinct_ids: list[set[int]] = [set() for _ in range(relation.arity)]
-    for chunk in _id_chunks(relation):
-        for seen, ids in zip(distinct_ids, chunk):
-            seen.update(ids)
+    store = relation.batch_store(INTERNER)
+    distinct_ids = [set(column) for column in store.columns]
     decode = INTERNER.terms.__getitem__
     columns: list[ColumnStats] = []
     for values in distinct_ids:
@@ -179,12 +165,7 @@ def collect_statistics(relation: Relation, check_acyclic: bool = True) -> Relati
         )
     acyclic: bool | None = None
     if check_acyclic and relation.arity == 2:
-        store = relation.batch_store(INTERNER)
-        acyclic = _is_acyclic_binary(
-            _cycle_candidates(*store.columns, *distinct_ids)
-            if isinstance(store, IdRelation)
-            else chain.from_iterable(zip(*chunk) for chunk in _id_chunks(relation))
-        )
+        acyclic = _is_acyclic_binary(_cycle_candidates(*store.columns, *distinct_ids))
     return RelationStats(cardinality=cardinality, columns=tuple(columns), acyclic=acyclic)
 
 

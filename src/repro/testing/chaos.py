@@ -3,8 +3,8 @@
 The fault-tolerance contract (docs/robustness.md) is a single sentence:
 under any injected fault, a query either returns the *same answers* as
 an undisturbed run, or raises a *clean typed error* with the database
-unchanged — never a wrong answer, a partial update, or a leftover
-spill file.  This module enforces that sentence
+unchanged — never a wrong answer or a partial update.  This module
+enforces that sentence
 mechanically, the same way :mod:`repro.testing.sweep` enforces
 answer-equivalence across execution strategies.
 
@@ -16,9 +16,6 @@ Each seed samples one program from
   raise a :class:`~repro.errors.ReproError` subtype, and a subsequent
   clean run must still produce the baseline answers (no corrupted
   state).
-* ``spill_error`` — a simulated sqlite I/O failure at a ``spill:*``
-  checkpoint under the sqlite backend.  Must surface as
-  :class:`~repro.errors.StorageError`; the database stays usable.
 * ``txn_abort`` — a mutation batch (inserts, retracts, sometimes a rule
   change) aborted mid-transaction by a foreign exception.  Every
   relation, every query answer, and the kb result cache must be exactly
@@ -30,23 +27,19 @@ CLI: ``python -m repro.testing.chaos --seed 0 --count 100``.
 from __future__ import annotations
 
 import argparse
-import glob
-import os
 import random
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 
 from ..engine.faults import FaultInjector
 from ..engine.governor import ResourceGovernor
-from ..errors import ReproError, StorageError
+from ..errors import ReproError
 from ..kb import KnowledgeBase
 from ..workloads import generate_differential_program
 
 SCENARIOS = (
     "inject_error",
-    "spill_error",
     "txn_abort",
 )
 
@@ -74,10 +67,6 @@ class ChaosCaseResult:
         return not self.violations
 
 
-def _spill_files() -> set[str]:
-    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-spill-*.db")))
-
-
 def _answers(kb: KnowledgeBase, query: str, governor=None) -> frozenset:
     return frozenset(kb.ask(query, governor=governor).rows)
 
@@ -86,13 +75,8 @@ def _snapshot(kb: KnowledgeBase) -> dict[str, frozenset]:
     return {relation.name: frozenset(relation) for relation in kb.db}
 
 
-def _build_kb(sample, *, backend: str = "memory", spill_threshold=None,
-              result_cache: bool = False) -> KnowledgeBase:
-    kb = KnowledgeBase(
-        backend=backend,
-        spill_threshold=spill_threshold,
-        result_cache=result_cache,
-    )
+def _build_kb(sample, *, result_cache: bool = False) -> KnowledgeBase:
+    kb = KnowledgeBase(result_cache=result_cache)
     kb.rules(sample.rules)
     for name in sorted(sample.facts):
         rows = sample.facts[name]
@@ -103,42 +87,22 @@ def _build_kb(sample, *, backend: str = "memory", spill_threshold=None,
 
 def _run_error_case(sample, rng: random.Random, result: ChaosCaseResult) -> None:
     """Injected faults must be clean, typed, and stateless."""
-    spill = result.scenario == "spill_error"
-    kb = _build_kb(
-        sample,
-        backend="sqlite" if spill else "memory",
-        spill_threshold=4 if spill else None,
-    )
+    kb = _build_kb(sample)
     try:
         for query in sample.queries[:2]:
             baseline = _answers(kb, query)
             faults = FaultInjector()
-            if spill:
-                faults.inject(
-                    "spill:*",
-                    after=rng.randint(0, 2),
-                    error=StorageError("injected sqlite I/O failure"),
-                )
-            else:
-                faults.inject(
-                    rng.choice(_FAULT_SITES),
-                    after=rng.randint(0, 4),
-                    error=f"injected operator failure (seed {result.seed})",
-                )
+            faults.inject(
+                rng.choice(_FAULT_SITES),
+                after=rng.randint(0, 4),
+                error=f"injected operator failure (seed {result.seed})",
+            )
             governor = ResourceGovernor(faults=faults).arm()
             result.queries += 1
             try:
                 chaotic = _answers(kb, query, governor=governor)
-            except StorageError:
+            except ReproError:
                 result.clean_errors += 1
-            except ReproError as err:
-                if spill:
-                    result.violations.append(
-                        f"{query}: spill fault surfaced as "
-                        f"{type(err).__name__}, want StorageError"
-                    )
-                else:
-                    result.clean_errors += 1
             except Exception as err:  # noqa: BLE001 - the contract under test
                 result.violations.append(
                     f"{query}: fault leaked an untyped {type(err).__name__}: {err}"
@@ -162,13 +126,8 @@ def _run_error_case(sample, rng: random.Random, result: ChaosCaseResult) -> None
 
 def _run_txn_abort_case(sample, rng: random.Random, result: ChaosCaseResult) -> None:
     """An aborted transaction must leave no observable trace."""
-    backend = rng.choice(("memory", "sqlite"))
-    kb = _build_kb(
-        sample,
-        backend=backend,
-        spill_threshold=4 if backend == "sqlite" else None,
-        result_cache=True,  # rollback must also restore the result cache
-    )
+    # rollback must also restore the result cache
+    kb = _build_kb(sample, result_cache=True)
     try:
         queries = sample.queries[:2]
         baseline = {query: _answers(kb, query) for query in queries}
@@ -210,14 +169,10 @@ def chaos_case(seed: int) -> ChaosCaseResult:
     scenario = rng.choice(SCENARIOS)
     result = ChaosCaseResult(seed=seed, scenario=scenario)
     sample = generate_differential_program(seed)
-    spills_before = _spill_files()
-    if scenario in ("inject_error", "spill_error"):
+    if scenario == "inject_error":
         _run_error_case(sample, rng, result)
     else:
         _run_txn_abort_case(sample, rng, result)
-    leaked = _spill_files() - spills_before
-    if leaked:
-        result.violations.append(f"leaked spill files: {sorted(leaked)}")
     return result
 
 

@@ -391,7 +391,7 @@ def test_trace_validator_accepts_new_span_labels():
         return {k: 0 for k in COUNTER_FIELDS}
 
     good = [
-        span("spill-stream:par", "operator", 1),
+        span("optimize:enumerate:anc", "cperm", 1),
         span("qsqn:anc.bf", "qsqn", 2),
     ]
     assert validate_events(good) == []

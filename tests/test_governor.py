@@ -121,6 +121,17 @@ def test_settle_and_retain_compose_query_wide():
         gov.retain(41)   # 101 retained across operators
 
 
+def test_max_memory_bytes_never_charges_base_facts():
+    """The budget prices what evaluation produces, not the fact base:
+    the copy ticks ~4 000 tuples (~256 000 bytes at 64 B), under the cap;
+    the 2 000 stored tuples on top would put it at ~384 000, over it."""
+    db = Database()
+    db.load("e", [(f"n{i}", f"n{i + 1}") for i in range(2_000)])
+    governor = ResourceGovernor(max_memory_bytes=300_000, bytes_per_tuple=64).arm()
+    result = evaluate_program(db, parse_program("q(X, Y) <- e(X, Y)."), governor=governor)
+    assert len(result["q"]) == 2_000
+
+
 def test_errors_carry_snapshot_and_partial():
     gov = make_governor(max_tuples=1)
     gov.arm()

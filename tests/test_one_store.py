@@ -7,6 +7,7 @@ readers that want terms.  Every write goes through one routine on
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from repro.datalog.terms import Constant, Variable
 from repro.errors import SchemaError
 from repro.storage import Database, DerivedRelation, HashIndex, Relation
 from repro.storage import columnar
-from repro.storage.backend import SpilledRelation
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -165,20 +165,16 @@ def test_a_failed_facts_call_changes_nothing(materialized, in_transaction, bad):
         assert {("a", "d"), ("b", "d"), ("c", "d")} <= kb.view_rows("anc")
 
 
-def test_a_failed_load_changes_nothing_on_a_spilled_relation():
-    db = Database(backend="sqlite", spill_threshold=2)
-    try:
-        db.load("e", [(1, 2), (2, 3), (3, 4)])
-        relation = db.relation("e")
-        assert isinstance(relation, SpilledRelation)
-        version, rows = relation.version, relation.rows
-        with pytest.raises(SchemaError):
-            db.load("e", [(4, 5), (5,)])
-        with pytest.raises(SchemaError):
-            relation.load([(4, 5), (5, Variable("X"))])
-        assert (relation.version, relation.rows) == (version, rows)
-    finally:
-        db.close()
+def test_a_failed_load_changes_nothing_on_a_relation():
+    db = Database()
+    db.load("e", [(1, 2), (2, 3), (3, 4)])
+    relation = db.relation("e")
+    version, rows = relation.version, relation.rows
+    with pytest.raises(SchemaError):
+        db.load("e", [(4, 5), (5,)])
+    with pytest.raises(SchemaError):
+        relation.load([(4, 5), (5, Variable("X"))])
+    assert (relation.version, relation.rows) == (version, rows)
 
 
 def test_every_write_entry_reaches_the_one_routine(monkeypatch):
@@ -263,3 +259,26 @@ def test_nothing_re_encodes_a_base_relation_to_build_its_columns():
                 if isinstance(node, ast.Attribute) and node.attr in encoders:
                     sites.append(f"{path.name}:{function.name}")
     assert sites == ["columnar.py:encode_checked"]
+
+
+def test_nothing_under_src_reaches_for_a_second_storage_tier():
+    """One storage tier: no module imports ``sqlite3``, ``tempfile``,
+    ``atexit`` or ``weakref`` (a disk store, its temp files and their
+    sweep), and there is no ``repro.storage.backend`` to import."""
+    banned = {"sqlite3", "tempfile", "atexit", "weakref"}
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}:{node.lineno} {module}"
+                for module in modules if module.split(".")[0] in banned
+            ]
+    assert offenders == []
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.storage.backend")

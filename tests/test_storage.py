@@ -86,6 +86,51 @@ def test_relation_copy_independent():
     assert len(r) == 1 and len(c) == 2
 
 
+def chain(n):
+    return [(f"n{i}", f"n{i + 1}") for i in range(n)]
+
+
+def test_insert_newness_and_dedup():
+    relation = relation_from_rows("r", chain(5))
+    assert not relation.insert((Constant("n0"), Constant("n1")))  # present from the load
+    fresh = (Constant("x"), Constant("y"))
+    assert relation.insert(fresh)
+    assert not relation.insert(fresh)
+    assert len(relation) == 6
+
+
+def test_retract_and_clear():
+    relation = relation_from_rows("r", chain(5))
+    assert relation.remove_values(("n0", "n1"))
+    assert not relation.remove_values(("n0", "n1"))
+    assert len(relation) == 4
+    relation.clear()
+    assert len(relation) == 0
+    assert list(relation) == []
+
+
+def test_iteration_contains_and_lookup():
+    relation = relation_from_rows("r", chain(5))
+    rows = set(relation)
+    assert len(rows) == 5
+    row = (Constant("n2"), Constant("n3"))
+    assert row in rows and row in relation
+    assert list(relation.lookup((0,), (Constant("n2"),))) == [row]
+    assert list(relation.ensure_index((0,)).get((Constant("n2"),))) == [row]
+
+
+def test_version_bumps_on_every_mutation():
+    relation = relation_from_rows("r", chain(5))
+    versions = [relation.version]
+    relation.insert((Constant("x"), Constant("y")))
+    versions.append(relation.version)
+    relation.remove_values(("x", "y"))
+    versions.append(relation.version)
+    relation.clear()
+    versions.append(relation.version)
+    assert versions == sorted(set(versions))
+
+
 # -- catalog ----------------------------------------------------------------------
 
 
@@ -145,9 +190,8 @@ def test_acyclicity_detection():
 @given(
     core=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
     loose=st.integers(0, 40),
-    spill=st.booleans(),
 )
-def test_acyclicity_matches_a_search_for_a_cycle(core, loose, spill):
+def test_acyclicity_matches_a_search_for_a_cycle(core, loose):
     """Whatever edges the pre-pass drops before Kahn's test (here the
     *loose* edges between fresh nodes), the verdict is a plain search's:
     some node reaches itself."""
@@ -169,11 +213,10 @@ def test_acyclicity_matches_a_search_for_a_cycle(core, loose, spill):
 
     expected = not any(reaches_itself(node) for node in successors)
     rows = [(f"n{a}", f"n{b}") for a, b in edges] + [(f"s{i}", f"t{i}") for i in range(loose)]
-    db = Database(backend="sqlite", spill_threshold=8) if spill else Database()
+    db = Database()
     db.create("e", 2)
     db.load("e", rows)
     assert collect_statistics(db.relation("e")).acyclic is expected
-    db.close()
 
 
 def test_fanout_and_distinct():

@@ -1,9 +1,8 @@
 """Model-based test of the one-store fact base.
 
 A relation is driven through random interleavings of single inserts,
-bulk loads, removals, ``clear``, ``Database`` transactions (commit and
-rollback) and — on the SQLite backend with a small threshold — spill
-migration, with reads of its *term face* (``in``, iteration, ``rows``,
+bulk loads, removals, ``clear`` and ``Database`` transactions (commit
+and rollback), with reads of its *term face* (``in``, iteration, ``rows``,
 ``lookup`` / ``ensure_index`` on random positions, ``sorted_by``) and
 probes of its *id face* (``batch_store``, ``buckets_for`` on random
 positions) mixed in, against a plain ``set``.
@@ -24,7 +23,6 @@ from repro.datalog.terms import Constant
 from repro.engine.evaluable import term_sort_key
 from repro.storage import Database
 from repro.storage.columnar import IdRelation
-from repro.storage.relation import Relation
 
 VALUES = ["a", "b", "c", 1, 2]
 POSITIONS = [(), (0,), (1,), (0, 1), (1, 0)]
@@ -63,31 +61,19 @@ def key_of(row, at):
 def check_term_face(relation, model):
     assert set(relation) == model and len(list(relation)) == len(model)
     assert relation.rows == model
-    if isinstance(relation, Relation):
-        assert relation.rows is relation.rows  # kept until the next write
+    assert relation.rows is relation.rows  # kept until the next write
 
 
 def check_id_face(relation, model):
     store = relation.batch_store(INTERNER)
-    if isinstance(store, IdRelation):
-        assert INTERNER.decode_rows(store.rows) == model
-        assert store.length == len(model) == len(store)
-        stored = list(zip(*store.columns)) if model else []
-        assert len(stored) == len(model) and set(stored) == store.rows
-    else:  # spilled: the id columns stream off the disk
-        chunks = [
-            row
-            for columns, _length in store.scan_chunks((0, 1))
-            for row in zip(*columns)
-        ]
-        assert len(chunks) == len(model)
-        assert INTERNER.decode_rows(chunks) == model
+    assert INTERNER.decode_rows(store.rows) == model
+    assert store.length == len(model) == len(store)
+    stored = list(zip(*store.columns)) if model else []
+    assert len(stored) == len(model) and set(stored) == store.rows
 
 
 def check_buckets(relation, model, at):
     store = relation.batch_store(INTERNER)
-    if not isinstance(store, IdRelation):
-        return
     buckets = store.buckets_for(at)
     grouped = {}
     for index, row in enumerate(zip(*store.columns) if model else ()):
@@ -97,16 +83,9 @@ def check_buckets(relation, model, at):
 
 
 @settings(max_examples=250, deadline=None)
-@given(
-    st.lists(steps, max_size=40),
-    st.sampled_from([None, 3, 6]),
-    st.booleans(),
-)
-def test_both_faces_follow_a_set_model(script, spill_threshold, eager):
-    db = Database(
-        backend="memory" if spill_threshold is None else "sqlite",
-        spill_threshold=spill_threshold,
-    )
+@given(st.lists(steps, max_size=40), st.booleans())
+def test_both_faces_follow_a_set_model(script, eager):
+    db = Database()
     try:
         db.create("r", 2)
         model: set = set()
@@ -150,10 +129,6 @@ def test_both_faces_follow_a_set_model(script, spill_threshold, eager):
                 if at_begin is not None:
                     db.commit_transaction()
                     at_begin = None
-                    relation = db.relation("r")  # may have spilled just now
-                    if relation.version != version:  # the migration is a change
-                        assert relation.version > version
-                        version = relation.version
             elif op == "rollback":
                 if at_begin is not None:
                     db.rollback_transaction()
@@ -176,8 +151,7 @@ def test_both_faces_follow_a_set_model(script, spill_threshold, eager):
                 assert set(index.get(key_of(probe, at))) == {
                     r for r in model if key_of(r, at) == key_of(probe, at)
                 }
-                if at or isinstance(relation, Relation):  # SQL has no index on no column
-                    assert relation.index_on(at) is not None
+                assert relation.index_on(at) is not None
             elif op == "sorted":
                 at = step[1]
 
@@ -188,8 +162,7 @@ def test_both_faces_follow_a_set_model(script, spill_threshold, eager):
                 assert [key for key, _row in keyed] == sorted(key for key, _row in keyed)
                 assert all(key == sort_key(row) for key, row in keyed)
                 assert len(keyed) == len(model) and {row for _key, row in keyed} == model
-                if isinstance(relation, Relation):
-                    assert relation.sorted_by(at, sort_key) == (keyed, True)
+                assert relation.sorted_by(at, sort_key) == (keyed, True)
             elif op == "store":
                 check_id_face(relation, model)
             elif op == "buckets":
@@ -220,27 +193,21 @@ def test_both_faces_follow_a_set_model(script, spill_threshold, eager):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(rows, max_size=8), st.sampled_from([None, 2]), st.integers(0, 10**9))
-def test_asking_after_an_absent_row_interns_nothing(loaded, spill_threshold, salt):
-    db = Database(
-        backend="memory" if spill_threshold is None else "sqlite",
-        spill_threshold=spill_threshold,
-    )
-    try:
-        db.create("r", 2)
-        db.load("r", loaded)
-        relation = db.relation("r")
-        # constants no fact, rule or earlier example can have interned
-        ghost = (Constant(f"ghost-{salt}-{len(INTERNER)}"), Constant("a"))
-        known, version = len(INTERNER), relation.version
-        assert ghost not in relation
-        assert relation.remove(ghost) is False
-        assert db.remove("r", [ghost, ghost[:1]]) == set()
-        assert list(relation.lookup((0,), ghost[:1])) == []
-        assert len(INTERNER) == known and INTERNER.lookup(ghost[0]) is None
-        assert relation.version == version
-    finally:
-        db.close()
+@given(st.lists(rows, max_size=8), st.integers(0, 10**9))
+def test_asking_after_an_absent_row_interns_nothing(loaded, salt):
+    db = Database()
+    db.create("r", 2)
+    db.load("r", loaded)
+    relation = db.relation("r")
+    # constants no fact, rule or earlier example can have interned
+    ghost = (Constant(f"ghost-{salt}-{len(INTERNER)}"), Constant("a"))
+    known, version = len(INTERNER), relation.version
+    assert ghost not in relation
+    assert relation.remove(ghost) is False
+    assert db.remove("r", [ghost, ghost[:1]]) == set()
+    assert list(relation.lookup((0,), ghost[:1])) == []
+    assert len(INTERNER) == known and INTERNER.lookup(ghost[0]) is None
+    assert relation.version == version
 
 
 # ------------------------------------------------- removal in the id store

@@ -4,7 +4,7 @@ Two things a base relation's stored form must not move:
 
 * the statistics the cost model reads — :func:`collect_statistics` works
   over id columns, and has to agree with a plain term-space computation
-  on every generated dataset, resident and spilled;
+  on every generated dataset;
 * the work the engines report — the reference operators must still see
   a :class:`Relation` (``index`` probes free, ``hash`` builds charged)
   and not its decoded view, so ``produced`` / ``examined`` / ``probes`` /
@@ -25,7 +25,6 @@ from repro.kb import KnowledgeBase
 from repro.optimizer.optimizer import OptimizerConfig
 from repro.plans import RECURSIVE_METHODS
 from repro.storage import Database, collect_statistics
-from repro.storage.backend import SpilledRelation
 from repro.workloads.querygen import generate_differential_program
 
 # ---------------------------------------------------------------- statistics
@@ -79,27 +78,16 @@ def assert_statistics_match(relation):
 @pytest.mark.parametrize("seed", range(40))
 def test_id_column_statistics_equal_term_space_on_generated_datasets(seed):
     case = generate_differential_program(seed)
-    resident = Database()
-    spilling = Database(backend="sqlite", spill_threshold=2)
-    try:
-        for name, rows in case.facts.items():
-            if rows:
-                resident.load(name, rows)
-                spilling.load(name, rows)
-        for relation in resident:
-            assert_statistics_match(relation)
-        for relation in spilling:
-            assert_statistics_match(relation)
-        assert any(isinstance(r, SpilledRelation) for r in spilling) or not any(
-            len(r) >= 2 and r.arity for r in spilling
-        )
-    finally:
-        spilling.close()
+    db = Database()
+    for name, rows in case.facts.items():
+        if rows:
+            db.load(name, rows)
+    for relation in db:
+        assert_statistics_match(relation)
 
 
 def test_statistics_over_bool_mixed_and_cyclic_columns():
     db = Database()
-    spilled = Database(backend="sqlite", spill_threshold=1)
     rows = [
         ("a", 3, "x"), ("b", 2.5, "x"), ("c", "seven", "x"),
         ("d", -4, "x"), ("e", "nine", "y"),
@@ -109,24 +97,20 @@ def test_statistics_over_bool_mixed_and_cyclic_columns():
     flags = [("on", True), ("off", False)]
     cyclic = [(1, 2), (2, 3), (3, 1), (7, 8)]
     loop = [("s", "s")]
-    try:
-        for target in (db, spilled):
-            target.load("mixed", rows)
-            target.load("flags", flags)
-            target.load("cyclic", cyclic)
-            target.load("loop", loop)
-            target.create("empty", 2)
-            for relation in target:
-                assert_statistics_match(relation)
-        mixed = db.stats_for("mixed")
-        assert (mixed.columns[1].minimum, mixed.columns[1].maximum) == (-4.0, 3.0)
-        assert mixed.columns[0].minimum is None and mixed.columns[2].distinct == 2
-        assert db.stats_for("cyclic").acyclic is False and db.stats_for("loop").acyclic is False
-        empty = db.stats_for("empty")
-        assert empty.cardinality == 0 and empty.acyclic is True
-        assert [c.distinct for c in empty.columns] == [0, 0]
-    finally:
-        spilled.close()
+    db.load("mixed", rows)
+    db.load("flags", flags)
+    db.load("cyclic", cyclic)
+    db.load("loop", loop)
+    db.create("empty", 2)
+    for relation in db:
+        assert_statistics_match(relation)
+    mixed = db.stats_for("mixed")
+    assert (mixed.columns[1].minimum, mixed.columns[1].maximum) == (-4.0, 3.0)
+    assert mixed.columns[0].minimum is None and mixed.columns[2].distinct == 2
+    assert db.stats_for("cyclic").acyclic is False and db.stats_for("loop").acyclic is False
+    empty = db.stats_for("empty")
+    assert empty.cardinality == 0 and empty.acyclic is True
+    assert [c.distinct for c in empty.columns] == [0, 0]
 
 
 # ------------------------------------------------------------- work counters

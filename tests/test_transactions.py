@@ -6,7 +6,7 @@ all-or-nothing: any group of ``insert``/``retract``/rule changes inside
 one unit — version vector bumped, result-cache/batch-store invalidation
 fired exactly once — or, on any exception, leaves the database
 byte-identical to before ``begin``: rows, versions, schema, statistics,
-spilled SQLite state, compiled rules, and the cross-query result cache.
+compiled rules, and the cross-query result cache.
 """
 
 import pytest
@@ -14,9 +14,8 @@ import pytest
 from repro.errors import TransactionError
 from repro.kb import KnowledgeBase
 from repro.storage import Database
-from repro.storage.backend import SpilledRelation
 from repro.datalog.intern import INTERNER
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, relation_from_rows
 
 
 class Boom(RuntimeError):
@@ -90,47 +89,20 @@ def test_nested_and_orphan_transaction_calls_are_typed_errors():
     assert not db.in_transaction
 
 
-def test_sqlite_rollback_restores_spilled_rows():
-    db = Database(backend="sqlite", spill_threshold=4)
-    db.create("e", 2)
-    db.load("e", [(f"n{i}", f"n{i + 1}") for i in range(10)])
-    relation = db.relation("e")
-    assert isinstance(relation, SpilledRelation)
-    before = db_state(db)
-    with pytest.raises(Boom):
-        with db.transaction():
-            db.load("e", [("x", "y")])
-            db.retract("e", [("n0", "n1")])
-            raise Boom()
-    assert db_state(db) == before
-    db.close()
-
-
-def test_spill_migration_is_deferred_to_commit():
-    db = Database(backend="sqlite", spill_threshold=4)
-    db.create("e", 2)
-    db.load("e", [("a", "b")])
-    with db.transaction():
-        db.load("e", [(f"n{i}", f"n{i + 1}") for i in range(10)])
-        # still resident inside the txn: the physical class never
-        # changes while an undo log points at it
-        assert isinstance(db.relation("e"), Relation)
-    assert isinstance(db.relation("e"), SpilledRelation)
-    db.close()
-
-
-def test_aborted_spill_migration_stays_resident():
-    db = Database(backend="sqlite", spill_threshold=4)
-    db.create("e", 2)
+def test_rollback_unregisters_a_relation_added_inside_the_transaction():
+    """``add_relation`` is ``create``'s registration: a relation either
+    one brought in is gone after a rollback, and so is its entry in the
+    version vector the result cache keys on."""
+    db = Database()
     db.load("e", [("a", "b")])
     before = db_state(db)
     with pytest.raises(Boom):
         with db.transaction():
-            db.load("e", [(f"n{i}", f"n{i + 1}") for i in range(10)])
+            db.add_relation(Relation("r", 1))
+            db.add_relation(relation_from_rows("s", [("x",)]))
             raise Boom()
-    assert isinstance(db.relation("e"), Relation)
     assert db_state(db) == before
-    db.close()
+    assert "r" not in db and "s" not in db
 
 
 def test_rollback_drops_caches_built_inside_the_transaction():
