@@ -119,7 +119,7 @@ def kb_state(kb):
     return (
         db.version_vector(),
         {r.name: frozenset(r) for r in db},
-        dict(db._stats_cache),
+        {name: db.stats_for(name) for name in sorted(db._stats)},
         dict(kb._result_cache),
         {name: kb.view_rows(name) for name in ("anc",)} if kb.materialized_views else None,
         sorted(kb.ask("anc(X, Y)?").to_python()),

@@ -160,6 +160,31 @@ def test_stats_cached_and_invalidated():
     assert stats2.cardinality == 2
 
 
+def test_stats_follow_writes_that_bypass_the_database():
+    """A write straight to a relation the database holds never reaches
+    the database's write log; the relation's version fences the
+    statistics instead."""
+    db = Database()
+    db.add("e", [("a", "b"), ("b", "c")])
+    relation = db.relation("e")
+    assert db.stats_for("e").acyclic is True
+    relation.insert(("c", "a"))
+    assert db.stats_for("e").acyclic is False
+    for write in (lambda: relation.remove(("c", "a")), lambda: relation.load([("c", "d")]), relation.clear):
+        write()
+        assert db.stats_for("e") == collect_statistics(relation)
+    assert db.stats_for("e").cardinality == 0.0
+
+
+def test_invalidate_stats_drops_the_maintained_state():
+    db = Database()
+    db.load("e", [("a", "b")])
+    first = db.stats_for("e")
+    db.invalidate_stats("e")
+    again = db.stats_for("e")
+    assert again == first and again is not first
+
+
 def test_declared_stats_override():
     db = Database()
     db.load("e", [("a", "b")])

@@ -19,9 +19,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog.intern import INTERNER
-from repro.datalog.terms import Constant
+from repro.datalog.terms import Constant, Struct
 from repro.engine.evaluable import term_sort_key
-from repro.storage import Database
+from repro.storage import Database, collect_statistics
 from repro.storage.columnar import IdRelation
 
 VALUES = ["a", "b", "c", 1, 2]
@@ -295,3 +295,93 @@ def test_removal_keeps_an_id_store_equal_to_a_freshly_built_one(script):
         if store._decoded is not None and op in ("scan", "decoded"):
             assert set(store.decoded()) == INTERNER.decode_rows(model)
     assert set(store.decoded()) == INTERNER.decode_rows(model)
+
+
+# ---------------------------------------------- statistics on the write path
+
+ARITY = {"u": 1, "g": 2, "t": 3}
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-2.5, 0.5, 1.5]),
+    st.booleans(),
+    st.sampled_from(["a", "b"]),
+    st.integers(0, 1).map(lambda v: Struct("f", (Constant(v),))),
+)
+#: ``u`` and ``t`` over mixed values; ``g``, a graph on five nodes, gains
+#: and loses cycles
+STAT_ROWS = {
+    "u": st.tuples(SCALARS),
+    "g": st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    "t": st.tuples(SCALARS, SCALARS, SCALARS),
+}
+
+
+def some_rows(name):
+    return st.lists(STAT_ROWS[name], max_size=5)
+
+
+def on_a_relation(op, *draws):
+    """A step on one relation, with what it draws for that relation."""
+    return st.sampled_from(sorted(ARITY)).flatmap(
+        lambda name: st.tuples(st.just(op), st.just(name), *(draw(name) for draw in draws))
+    )
+
+
+stat_steps = st.one_of(
+    on_a_relation(
+        "write", lambda name: st.lists(st.tuples(st.booleans(), some_rows(name)), min_size=1, max_size=4)
+    ),
+    on_a_relation("bypass", lambda name: st.booleans(), lambda name: STAT_ROWS[name], some_rows),
+    on_a_relation("clear"),
+    on_a_relation("recreate"),
+    on_a_relation("churn", lambda name: st.integers(1, 8)),
+    on_a_relation("invalidate"),
+    st.tuples(st.sampled_from(["begin", "commit", "rollback"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(stat_steps, max_size=30))
+def test_statistics_follow_every_write(script):
+    """After every step, ``stats_for`` equals ``collect_statistics`` on
+    every relation: several writes logged between two reads, a write
+    straight to the relation (alone, or followed by a database write
+    before the next read), transaction commit and rollback, drop and
+    re-create under the same name, and churn that logs more rows than the
+    relation holds."""
+    db = Database()
+    for name, arity in ARITY.items():
+        db.create(name, arity)
+    try:
+        for step in script:
+            op = step[0]
+            if op == "write":
+                for adding, rows in step[2]:
+                    (db.add if adding else db.remove)(step[1], rows)
+            elif op == "bypass":
+                relation = db.relation(step[1])
+                (relation.insert if step[2] else relation.remove)(step[3])
+                db.add(step[1], step[4])
+            elif op == "clear":
+                db.relation(step[1]).clear()
+            elif op == "recreate":
+                db.drop(step[1])
+                db.create(step[1], ARITY[step[1]])
+            elif op == "churn":
+                rows = [tuple(f"churn{i}.{p}" for p in range(ARITY[step[1]])) for i in range(step[2])]
+                db.add(step[1], rows)
+                db.remove(step[1], rows)
+            elif op == "invalidate":
+                db.invalidate_stats(step[1])
+            elif op == "begin":
+                if not db.in_transaction:
+                    db.begin_transaction()
+            elif op == "commit":
+                if db.in_transaction:
+                    db.commit_transaction()
+            elif db.in_transaction:
+                db.rollback_transaction()
+            for relation in db:
+                assert db.stats_for(relation.name) == collect_statistics(relation), (step, relation.name)
+    finally:
+        db.close()
