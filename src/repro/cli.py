@@ -35,6 +35,7 @@ from . import KnowledgeBase, OptimizerConfig
 from .engine.governor import make_governor
 from .errors import ParseError, ReproError, ResourceExhausted, UnsafeQueryError
 from .obs import NULL_TRACER, JsonlSink, Tracer
+from .plans.nodes import RECURSIVE_METHODS
 from .plans.serialize import plan_to_json
 
 #: Exit codes (documented in docs/api.md): scripts can tell *why* a query
@@ -99,17 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strategy", default="dp",
                         choices=("exhaustive", "dp", "kbz", "annealing", "textual"),
                         help="join-ordering strategy (default: dp)")
-    parser.add_argument("--search", default="bb", choices=("bb", "full"),
-                        help="plan-search mode: 'bb' prunes with memoized "
-                             "branch-and-bound (cost-identical plans, fewer "
-                             "costings), 'full' is the un-pruned baseline "
-                             "(default: bb)")
     parser.add_argument("--recursive-method", default=None, metavar="METHOD",
-                        choices=("seminaive", "naive", "magic",
-                                 "supplementary", "counting", "qsqn"),
+                        choices=RECURSIVE_METHODS,
                         help="restrict recursive cliques to one method "
-                             "(e.g. 'qsqn' forces query-subquery nets on "
-                             "bound recursive queries; default: let the "
+                             "(e.g. 'counting' forces the counting rewrite "
+                             "on bound recursive queries; default: let the "
                              "cost model choose)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help="wall-clock deadline per query (exit code 5 on expiry)")
@@ -273,15 +268,11 @@ def main(argv: Sequence[str] | None = None, stdin: IO[str] | None = None, stdout
         kb_kwargs["reopt_qerror_threshold"] = args.reopt_threshold
     config_kwargs = {}
     if args.recursive_method is not None:
-        # restricting to a bound-only method (e.g. qsqn) still executes
-        # all-free recursive queries: the optimizer falls back to a
-        # materialized semi-naive node (with a diagnostic) when no
-        # candidate method is applicable
+        # a bound-only method (e.g. magic) leaves an all-free recursive
+        # query no safe method: it is reported unsafe, with a diagnostic
         config_kwargs["recursive_methods"] = (args.recursive_method,)
     kb = KnowledgeBase(
-        OptimizerConfig(
-            strategy=args.strategy, search=args.search, **config_kwargs
-        ),
+        OptimizerConfig(strategy=args.strategy, **config_kwargs),
         result_cache=not args.no_result_cache,
         feedback=feedback,
         telemetry_sink=telemetry_sink,

@@ -54,12 +54,6 @@ class CostParams:
     materialize_weight: float = 1.0
     #: charge for one index/hash probe
     probe_weight: float = 1.0
-    #: multiplier on the QSQN recursive method's estimate relative to the
-    #: supplementary-magic fixpoint it is priced from (both materialize
-    #: the same supplement relations; QSQN drives them by subquery/answer
-    #: queues instead of semi-naive rounds).  At the default 1.0 the two
-    #: tie and the earlier-listed method wins; lower it to prefer QSQN.
-    qsqn_weight: float = 1.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Sequence
 from ..datalog.bindings import QueryForm
 from ..datalog.intern import INTERNER
 from ..datalog.literals import Literal
-from ..datalog.rules import Program, Rule
+from ..datalog.rules import Rule
 from ..datalog.terms import (
     Constant,
     Term,
@@ -618,8 +618,8 @@ class Interpreter:
             )
 
         # The recursive methods below are seeded with, or looped over,
-        # term keys: FixpointEngine.evaluate and QSQNEngine.solve take
-        # their seeds as terms and encode them once on entry.
+        # term keys: FixpointEngine.evaluate takes its seeds as terms and
+        # encodes them once on entry.
         term_keys = INTERNER.decode_rows(keys)
 
         if node.method in ("magic", "supplementary"):
@@ -649,28 +649,6 @@ class Interpreter:
                     out.add(tuple(full_row))
             return IdRelation(INTERNER, node.ref.arity, INTERNER.encode_rows(out))
 
-        if node.method == "qsqn":
-            from .qsqn import QSQNEngine
-
-            if node.adorned is None:
-                raise ExecutionError(
-                    f"qsqn fixpoint for {node.ref} carries no adorned clique"
-                )
-            # one Program object per node, so its schedule is found again
-            support = self._code.once(node, "support", _qsqn_support, node)
-            engine = QSQNEngine(
-                self.db,
-                builtins=self.builtins,
-                governor=self.governor,
-                profiler=self.profiler,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                support_engine=self._fixpoint_engine(),
-            )
-            # solve() returns the answers of its seeds only
-            answers = engine.solve(node.adorned, support, term_keys)
-            return IdRelation(INTERNER, node.ref.arity, INTERNER.encode_rows(answers))
-
         raise ExecutionError(f"unknown recursive method {node.method!r}")
 
     def _answers(self, result, node: FixpointNode) -> IdRelation:
@@ -684,8 +662,3 @@ class Interpreter:
             )
         return store
 
-
-def _qsqn_support(node: FixpointNode) -> Program:
-    """The rules of a qsqn node's program the net does not drive itself."""
-    adorned = node.adorned.adorned_predicates
-    return Program([r for r in node.program if r.head.predicate not in adorned])

@@ -46,14 +46,12 @@ SCHEMA = "repro.trace/1"
 #: validator error so renames cannot slip past CI.
 SPAN_KINDS = frozenset({
     "span", "query", "phase", "node", "operator", "rule", "round",
-    "fixpoint", "sld", "optimizer", "order", "cperm", "qsqn",
+    "fixpoint", "sld", "optimizer", "order", "cperm",
 })
 
 #: Span names with a fixed shape, and the kind each shape must carry:
-#: ``qsqn:<adorned-pred>`` (query-subquery net evaluations) and
 #: ``optimize:enumerate:<pred>`` (c-permutation enumeration).
 _NAME_SHAPES: tuple[tuple[str, re.Pattern, str], ...] = (
-    ("qsqn:", re.compile(r"^qsqn:[\w.$]+$"), "qsqn"),
     ("optimize:enumerate:", re.compile(r"^optimize:enumerate:[\w.$]+$"), "cperm"),
 )
 

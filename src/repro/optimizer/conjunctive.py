@@ -288,8 +288,6 @@ def dp_order(
     body: Sequence[Literal],
     initially_bound: frozenset[Variable],
     estimator: BodyEstimator,
-    *,
-    prune: bool = True,
 ) -> OrderResult:
     """Selinger dynamic programming over subsets of joinable literals,
     with branch-and-bound pruning against a greedy incumbent.
@@ -307,7 +305,7 @@ def dp_order(
     incumbent, but disconnected ones are never eliminated (a cross
     product with a tiny relation can be strictly optimal).
 
-    Branch-and-bound (``prune=True``) discards a partial order when its
+    Branch-and-bound discards a partial order when its
     accumulated cost plus an admissible completion bound
     (:class:`_CompletionBounds`) already reaches the incumbent; since the
     bound never exceeds the true completion cost, the returned plan is
@@ -357,7 +355,7 @@ def dp_order(
             for position in candidates:
                 child = _extend(body, estimator, entry, position)
                 child_state = child[0]
-                if prune and incumbent_cost < INFINITE_COST:
+                if incumbent_cost < INFINITE_COST:
                     left = [
                         p for p in joinable if p not in subset and p != position
                     ] + list(child[1])

@@ -46,7 +46,7 @@ from ..datalog.rules import Program, Rule
 from ..datalog.safety import ec_check, exists_safe_order, well_founded_order
 from ..errors import OptimizationError, UnsafeQueryError
 from ..obs.tracer import NULL_TRACER
-from ..plans.nodes import FixpointNode, JoinNode, JoinStep, PlanCode, UnionNode
+from ..plans.nodes import RECURSIVE_METHODS, FixpointNode, JoinNode, JoinStep, PlanCode, UnionNode
 from ..storage.statistics import RelationStats, StatisticsProvider
 from .annealing import AnnealingSchedule, annealing_order
 from .conjunctive import OrderResult, cost_order, dp_order, exhaustive_order, split_joinable
@@ -55,10 +55,15 @@ from .kbz import kbz_order
 #: Names of the available ordering strategies.
 STRATEGIES = ("exhaustive", "dp", "kbz", "annealing", "textual")
 
-#: Names of the available search modes: ``bb`` prunes with memoized
-#: branch-and-bound (cost-identical plans, far fewer costings), ``full``
-#: keeps the legacy un-pruned enumeration (the A/B baseline).
-SEARCH_MODES = ("bb", "full")
+#: Bodies with more joinable literals than ``LARGE_BODY_THRESHOLD`` are
+#: ordered by ``LARGE_BODY_STRATEGY`` when the configured strategy is
+#: ``exhaustive`` or ``dp`` (their n! / 2^n budgets explode past it).
+LARGE_BODY_THRESHOLD = 9
+LARGE_BODY_STRATEGY = "kbz"
+#: What ``exhaustive`` / ``dp`` degrade to once the search deadline expires.
+DEADLINE_FALLBACK = "kbz"
+#: C-permutation budget before the enumeration switches to a seeded sample.
+MAX_CPERMUTATIONS = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,33 +73,41 @@ class OptimizerConfig:
     per rule")."""
 
     strategy: str = "dp"
-    #: plan-search mode: ``bb`` (default) prunes join-order DP with
-    #: branch-and-bound, memoizes costed prefixes across c-permutations,
-    #: and caps fixpoint estimation at the incumbent cost; ``full`` is
-    #: the legacy exhaustive enumeration.  Both return cost-identical
-    #: plans — ``bb`` just finds them with far fewer costings.
-    search: str = "bb"
-    #: switch to this strategy when a body has more joinable literals
-    #: than ``large_body_threshold`` (None disables the switch)
-    large_body_strategy: str | None = "kbz"
-    large_body_threshold: int = 9
     params: CostParams = field(default_factory=CostParams)
     #: recursive methods the CC search may label a clique with
     recursive_methods: tuple[str, ...] = (
-        "seminaive", "magic", "supplementary", "counting", "qsqn"
+        "seminaive", "magic", "supplementary", "counting"
     )
-    #: c-permutation budget before switching to annealing
-    max_cpermutations: int = 512
     #: force every base join step to one method (used by baselines)
     force_method: str | None = None
     seed: int = 0
     annealing: AnnealingSchedule = field(default_factory=AnnealingSchedule)
     #: wall-clock budget for the whole search; once it expires the
-    #: exhaustive/DP strategies degrade to ``deadline_fallback`` and the
+    #: exhaustive/DP strategies degrade to ``DEADLINE_FALLBACK`` and the
     #: c-permutation enumeration is truncated (never an abort: the
     #: optimizer always returns *a* plan, just a cheaper-to-find one)
     deadline_seconds: float | None = None
-    deadline_fallback: str = "kbz"
+
+
+def _check_config(config: OptimizerConfig) -> None:
+    """Reject a name no search can act on before the first ask does."""
+    if config.strategy not in STRATEGIES:
+        raise OptimizationError(f"unknown strategy {config.strategy!r}")
+    if not config.recursive_methods:
+        raise OptimizationError(
+            f"recursive_methods is empty; choose from {', '.join(RECURSIVE_METHODS)}"
+        )
+    for method in config.recursive_methods:
+        if method not in RECURSIVE_METHODS:
+            raise OptimizationError(
+                f"unknown recursive method {method!r}; "
+                f"choose from {', '.join(RECURSIVE_METHODS)}"
+            )
+    if config.force_method is not None and config.force_method not in LEAF_METHODS:
+        raise OptimizationError(
+            f"unknown join method {config.force_method!r} for force_method; "
+            f"choose from {', '.join(LEAF_METHODS)}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,16 +158,9 @@ class Optimizer:
         #: every estimate static
         self.feedback = feedback
         self._ec_oracle = builtin_oracle(self.builtins)
-        if self.config.strategy not in STRATEGIES:
-            raise OptimizationError(f"unknown strategy {self.config.strategy!r}")
-        if self.config.search not in SEARCH_MODES:
-            raise OptimizationError(f"unknown search mode {self.config.search!r}")
+        _check_config(self.config)
         self.graph = DependencyGraph(program)
         self.graph.check_stratified()
-        if self.config.deadline_fallback not in STRATEGIES:
-            raise OptimizationError(
-                f"unknown deadline fallback {self.config.deadline_fallback!r}"
-            )
         #: the literal-profile memo every estimator of this optimizer
         #: shares (:meth:`_estimator`); it lives and dies with the optimizer
         self._profiles: dict = {}
@@ -194,7 +200,7 @@ class Optimizer:
         *governor* is an optional
         :class:`~repro.engine.governor.ResourceGovernor` whose deadline the
         search respects *gracefully*: on expiry, exhaustive/DP body
-        ordering degrades to ``config.deadline_fallback`` and the
+        ordering degrades to ``DEADLINE_FALLBACK`` and the
         c-permutation enumeration is truncated, with a diagnostic recorded
         on the returned plan.  When None and ``config.deadline_seconds``
         is set, a deadline-only governor is built internally.
@@ -356,15 +362,11 @@ class Optimizer:
                 self._metrics.inc("optimizer_degradations_total", kind="order")
             self._diagnostics.append(
                 f"optimizer deadline exceeded: downgraded {config.strategy} "
-                f"to {config.deadline_fallback} for a {len(joinable)}-literal body"
+                f"to {DEADLINE_FALLBACK} for a {len(joinable)}-literal body"
             )
-            return config.deadline_fallback
-        if (
-            config.large_body_strategy is not None
-            and config.strategy in ("exhaustive", "dp")
-            and len(joinable) > config.large_body_threshold
-        ):
-            return config.large_body_strategy
+            return DEADLINE_FALLBACK
+        if config.strategy in ("exhaustive", "dp") and len(joinable) > LARGE_BODY_THRESHOLD:
+            return LARGE_BODY_STRATEGY
         return config.strategy
 
     def _order_body(
@@ -382,10 +384,7 @@ class Optimizer:
             if strategy == "exhaustive":
                 result = exhaustive_order(body, initially_bound, estimator)
             elif strategy == "dp":
-                result = dp_order(
-                    body, initially_bound, estimator,
-                    prune=self.config.search == "bb",
-                )
+                result = dp_order(body, initially_bound, estimator)
             elif strategy == "kbz":
                 result = kbz_order(body, initially_bound, estimator)
             elif strategy == "annealing":
@@ -552,7 +551,7 @@ class Optimizer:
         space = 1
         for rule in clique.rules:
             space *= max(1, _math.factorial(len(rule.body)))
-        if space <= self.config.max_cpermutations:
+        if space <= MAX_CPERMUTATIONS:
             yield from enumerate_cpermutations(clique, ref, binding)
             return
         yield CPermutation.identity()
@@ -560,7 +559,7 @@ class Optimizer:
 
         stable = zlib.crc32(f"{ref}:{binding.code}".encode())
         rng = random.Random(self.config.seed ^ stable)
-        for __ in range(self.config.max_cpermutations - 1):
+        for __ in range(MAX_CPERMUTATIONS - 1):
             defaults = {}
             for index, rule in enumerate(clique.rules):
                 perm = list(range(len(rule.body)))
@@ -630,23 +629,20 @@ class Optimizer:
         bound_methods = [
             m
             for m in self.config.recursive_methods
-            if m in ("magic", "supplementary", "counting", "qsqn")
+            if m in ("magic", "supplementary", "counting")
         ]
         if binding.bound_count > 0 and bound_methods:
             seen_adorned: set[str] = set()
             governor = self._governor
             candidates = 0
             pruned_duplicates = 0
-            bb = self.config.search == "bb"
             # Structural sharing across c-permutations of the same clique:
             # whole-body estimates are memoized by (literal sequence,
             # frontier, derived-overlay cards), so two cperms that agree
             # on a rule's prefix pay for it once; per-replica EC verdicts
-            # are memoized the same way.  Under search="full" the cache
-            # only *counts* body costings (no reuse) so plans_costed stays
-            # comparable across the two modes.
-            body_cache = _BodyEstimateCache(reuse=bb)
-            ec_memo: dict[tuple, bool] = {} if bb else None
+            # are memoized the same way.
+            body_cache = _BodyEstimateCache()
+            ec_memo: dict[tuple, bool] = {}
             with self._tracer.span(
                 f"optimize:enumerate:{ref.name}", kind="cperm"
             ) as espan:
@@ -676,8 +672,7 @@ class Optimizer:
                     signature = str(adorned)
                     if signature in seen_adorned:
                         pruned_duplicates += 1
-                        if bb:
-                            self._charge_search(0, 1)
+                        self._charge_search(0, 1)
                         continue
                     seen_adorned.add(signature)
                     with self._tracer.span(
@@ -685,7 +680,7 @@ class Optimizer:
                     ) as aspan:
                         candidate = self._cost_adorned(
                             adorned, support, bound_methods,
-                            cost_cap=best_est.cost if bb else INFINITE_COST,
+                            cost_cap=best_est.cost,
                             ec_memo=ec_memo,
                             body_cache=body_cache,
                         )
@@ -735,9 +730,9 @@ class Optimizer:
         adorned: AdornedClique,
         support: list[Rule],
         methods: Sequence[str],
-        cost_cap: float = INFINITE_COST,
-        ec_memo: dict | None = None,
-        body_cache: "_BodyEstimateCache | None" = None,
+        cost_cap: float,
+        ec_memo: dict,
+        body_cache: "_BodyEstimateCache",
     ) -> FixpointNode | None:
         """Price one adorned program under each applicable bound method.
 
@@ -756,14 +751,13 @@ class Optimizer:
         # verbatim, so the verdict is memoized on that signature.
         for adorned_rule in adorned.rules:
             ec_key = (str(adorned_rule.rule), adorned_rule.head_adornment.code)
-            if ec_memo is not None and ec_key in ec_memo:
+            if ec_key in ec_memo:
                 if not ec_memo[ec_key]:
                     return None
                 continue
             bound0 = head_bound_vars(adorned_rule.rule.head, adorned_rule.head_adornment)
             report = ec_check(adorned_rule.rule.body, bound0, self._ec_oracle)
-            if ec_memo is not None:
-                ec_memo[ec_key] = report.ok
+            ec_memo[ec_key] = report.ok
             if not report.ok:
                 self._diagnostics.extend(
                     f"adorned rule '{adorned_rule.rule}': {f}" for f in report.failures
@@ -779,39 +773,19 @@ class Optimizer:
         for literal, pattern in adorned.external_goals:
             self._optimize_ref(pred_ref(literal), pattern)
 
-        if body_cache is not None:
-            factory = lambda overlay: _CachingEstimator(  # noqa: E731
-                self._estimator(extra_stats=overlay), body_cache
-            )
-        else:
-            factory = lambda overlay: self._estimator(extra_stats=overlay)  # noqa: E731
-
-        has_aggregate = any(ar.rule.is_aggregate for ar in adorned.rules)
+        factory = lambda overlay: _CachingEstimator(  # noqa: E731
+            self._estimator(extra_stats=overlay), body_cache
+        )
         best: FixpointNode | None = None
         for method in methods:
             cap = min(cost_cap, best.est.cost if best is not None else INFINITE_COST)
             level_indexed: frozenset[str] = frozenset()
-            est_scale = 1.0
             if method == "magic":
                 rewritten = magic_rewrite(adorned)
                 seed_cards = {rewritten.seed_predicate: (1.0, rewritten.seed_arity)}
-            elif method in ("supplementary", "qsqn"):
-                if method == "qsqn" and has_aggregate:
-                    continue  # QSQN evaluates tuple-at-a-time; no aggregate path
+            elif method == "supplementary":
                 rewritten = supplementary_magic_rewrite(adorned)
                 seed_cards = {rewritten.seed_predicate: (1.0, rewritten.seed_arity)}
-                if method == "qsqn":
-                    # QSQN materializes the same supplement relations as the
-                    # supplementary-magic fixpoint, driven by queues instead
-                    # of rounds; its price is that estimate scaled by
-                    # params.qsqn_weight.  When the weight shrinks the
-                    # estimate, the cap must grow by the inverse so a capped
-                    # run can never be an underestimate of a winning plan.
-                    est_scale = max(params.qsqn_weight, 0.0)
-                    if est_scale <= 0.0:
-                        cap = INFINITE_COST
-                    elif est_scale < 1.0 and not math.isinf(cap):
-                        cap = cap / est_scale
             else:
                 if not counting_applicable(adorned):
                     continue
@@ -826,13 +800,8 @@ class Optimizer:
                 seed_cards=seed_cards,
                 params=params,
                 level_indexed=level_indexed,
-                cost_cap=cap if self.config.search == "bb" else INFINITE_COST,
+                cost_cap=cap,
             )
-            if body_cache is None:
-                # direct callers without a shared cache: one candidate costed
-                self._charge_search(1, 0)
-            if est_scale != 1.0:
-                est = Estimate(est.cost * est_scale, est.card)
             if est.is_infinite:
                 continue
             if not math.isinf(cost_cap) and est.cost >= cost_cap:
@@ -840,38 +809,18 @@ class Optimizer:
                 # an earlier c-permutation already beats it.
                 self._charge_search(0, 1)
                 continue
-            if method == "qsqn":
-                # The QSQN engine drives the *adorned* rules directly (it
-                # builds its own supplement stores); the rewritten program
-                # was only priced, not shipped.
-                node = FixpointNode(
-                    ref=adorned.query_ref,
-                    binding=adorned.query_adornment,
-                    method=method,
-                    program=Program(
-                        [ar.rule for ar in adorned.rules]
-                    ).extend(support),
-                    answer_predicate=adorned.query_predicate,
-                    seed_predicate=None,
-                    seed_arity=adorned.query_adornment.bound_count,
-                    adorned=adorned,
-                    est=est,
-                    ndvs=derived_ndvs(est.card, adorned.query_ref.arity, params),
-                )
-            else:
-                node = FixpointNode(
-                    ref=adorned.query_ref,
-                    binding=adorned.query_adornment,
-                    method=method,
-                    program=rewritten.program.extend(support),
-                    answer_predicate=rewritten.answer_predicate,
-                    seed_predicate=rewritten.seed_predicate,
-                    seed_arity=rewritten.seed_arity,
-                    adorned=adorned,
-                    est=est,
-                    ndvs=derived_ndvs(est.card, adorned.query_ref.arity, params),
-                    answer_any_level=getattr(rewritten, "answer_any_level", False),
-                )
+            node = FixpointNode(
+                ref=adorned.query_ref,
+                binding=adorned.query_adornment,
+                method=method,
+                program=rewritten.program.extend(support),
+                answer_predicate=rewritten.answer_predicate,
+                seed_predicate=rewritten.seed_predicate,
+                seed_arity=rewritten.seed_arity,
+                est=est,
+                ndvs=derived_ndvs(est.card, adorned.query_ref.arity, params),
+                answer_any_level=getattr(rewritten, "answer_any_level", False),
+            )
             if best is None or node.est.cost < best.est.cost:
                 best = node
         return best
@@ -906,18 +855,14 @@ class _BodyEstimateCache:
     per round.  The memo key is the literal sequence, the frontier
     (initially bound variables + initial cardinality), and the derived
     overlay cards the body can see; hits are "plans pruned" (costings
-    avoided), misses are "plans costed".  ``reuse=False`` degrades the
-    cache to a pure counter (every call is a miss) — the search="full"
-    baseline, where plans_costed then measures the legacy enumerator's
-    work in the same unit."""
+    avoided), misses are "plans costed"."""
 
-    __slots__ = ("entries", "hits", "misses", "reuse")
+    __slots__ = ("entries", "hits", "misses")
 
-    def __init__(self, reuse: bool = True) -> None:
+    def __init__(self) -> None:
         self.entries: dict = {}
         self.hits = 0
         self.misses = 0
-        self.reuse = reuse
 
 
 class _CachingEstimator:
@@ -940,9 +885,6 @@ class _CachingEstimator:
         return self._inner.literal_step(state, literal, method)
 
     def body_estimate(self, body, initially_bound=frozenset(), initial_card=1.0):
-        if not self._cache.reuse:
-            self._cache.misses += 1
-            return self._inner.body_estimate(body, initially_bound, initial_card)
         overlay = tuple(
             sorted(
                 (name, stats.cardinality)

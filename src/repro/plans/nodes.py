@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..datalog.adorn import AdornedClique
 from ..datalog.bindings import BindingPattern
 from ..datalog.literals import Literal, PredicateRef
 from ..datalog.rules import Program, Rule
@@ -34,9 +33,7 @@ from ..cost.model import Estimate
 #: Recursive methods a CC node can be labelled with (Section 7.3).
 #: "supplementary" is supplementary magic — same seeding/answer protocol
 #: as magic, different rewritten program.
-#: "qsqn" is Query-Subquery Nets — top-down, tuple/subquery queues over
-#: the adorned rules themselves (no rewrite is shipped).
-RECURSIVE_METHODS = ("seminaive", "naive", "magic", "supplementary", "counting", "qsqn")
+RECURSIVE_METHODS = ("seminaive", "naive", "magic", "supplementary", "counting")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,15 +109,15 @@ class UnionNode:
 class FixpointNode:
     """A CC node: a contracted recursive clique (Section 4).
 
-    The node's label is the paper's PA choice — a c-permutation (recorded
-    in ``adorned``, which was produced by it) plus a recursive method —
-    and the execution program is the corresponding rewrite:
+    The node's label is the paper's PA choice — a c-permutation (it
+    fixed the body order of every rule in ``program``) plus a recursive
+    method — and the execution program is the corresponding rewrite:
 
     * ``seminaive`` / ``naive`` — the original clique rules; the whole
       extension is computed and then filtered by the input keys
       (materialized fixpoint);
-    * ``magic`` — the magic rewrite, seeded with the input keys
-      (pipelined fixpoint, set-oriented);
+    * ``magic`` / ``supplementary`` — the (supplementary) magic rewrite,
+      seeded with the input keys (pipelined fixpoint, set-oriented);
     * ``counting`` — the counting rewrite, run once per input key (the
       level index identifies a single subquery instance).
 
@@ -135,7 +132,6 @@ class FixpointNode:
     answer_predicate: str
     seed_predicate: Optional[str]
     seed_arity: int
-    adorned: Optional[AdornedClique] = None
     est: Estimate = Estimate(0.0, 0.0)
     ndvs: tuple[float, ...] = ()
     #: counting only: answers valid at any level (pure-copy down phase)

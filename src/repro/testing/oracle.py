@@ -19,11 +19,6 @@ Strategy families:
   *directly* (adorn + rewrite + seeded fixpoint), bypassing the
   optimizer, so the rewrite paths are exercised even when the cost model
   would not choose them; only applicable to recursive query predicates;
-* ``qsqn`` — the Query-Subquery Nets engine
-  (:mod:`repro.engine.qsqn`) driven directly over the greedy-SIP adorned
-  clique, again bypassing the optimizer; only applicable to recursive
-  query predicates whose adorned bodies are effectively computable in
-  SIP order (QSQN executes them literally, without reordering);
 * ``kb-<strategy>`` — the full pipeline under each optimizer search
   strategy, plus method-restricted variants (``kb-dp-magic``,
   ``kb-dp-supplementary``) that force the magic rewrites through the
@@ -234,54 +229,6 @@ def run_direct_magic(case: Case, rewrite: Callable[..., MagicProgram]) -> Answer
     return _filter_rows(form.goal, result.rows(rewritten.answer_predicate))
 
 
-def run_qsqn(case: Case) -> Answers:
-    """Adorn + query-subquery net evaluation, without the optimizer.
-
-    Applies only to recursive, negation-free, aggregate-free query
-    cliques whose greedy-SIP adorned bodies are effectively computable in
-    order — QSQN executes the SIP order literally (no body reordering),
-    so a stuck comparison is a skip here, not a failure.
-    """
-    from ..datalog.bindings import head_bound_vars
-    from ..datalog.safety import ec_check
-    from ..engine.qsqn import QSQNEngine
-
-    db, program, form = _parsed(case)
-    ref = pred_ref(form.goal)
-    if not program.is_derived(ref):
-        raise OracleSkip("query predicate is a base relation")
-    graph = DependencyGraph(program)
-    graph.check_stratified()
-    clique = graph.clique_of(ref)
-    if clique is None:
-        raise OracleSkip("query predicate is not recursive")
-    if any(l.negated for rule in clique.rules for l in rule.body):
-        raise OracleSkip("qsqn over a negated clique body")
-    if any(rule.is_aggregate for rule in clique.rules):
-        raise OracleSkip("qsqn over an aggregate clique rule")
-    adorned = adorn_clique(
-        clique,
-        ref,
-        form.adornment,
-        CPermutation.greedy_sip(),
-        derived_predicates=program.derived_predicates,
-    )
-    for adorned_rule in adorned.rules:
-        bound0 = head_bound_vars(adorned_rule.rule.head, adorned_rule.head_adornment)
-        if not ec_check(adorned_rule.rule.body, bound0).ok:
-            raise OracleSkip("adorned body not EC in SIP order")
-    needed: set = set()
-    for clique_ref in clique.predicates:
-        needed |= set(graph.reachable_from(clique_ref))
-    needed -= set(clique.predicates)
-    support = Program([r for r in program if r.head_ref in needed])
-    seed_row = tuple(form.goal.args[i] for i in form.adornment.bound_positions)
-    answers = QSQNEngine(db, builtins=default_builtins()).solve(
-        adorned, support, {seed_row}
-    )
-    return _filter_rows(form.goal, answers)
-
-
 def run_kb(case: Case, config: OptimizerConfig) -> Answers:
     kb = KnowledgeBase(config)
     kb.rules(case.rules)
@@ -339,7 +286,6 @@ def _default_runners() -> dict[str, Callable[[Case], Answers]]:
         "sld-tabled": run_sld,
         "magic-basic": partial(run_direct_magic, rewrite=magic_rewrite),
         "magic-supplementary": partial(run_direct_magic, rewrite=supplementary_magic_rewrite),
-        "qsqn": run_qsqn,
     }
     for strategy in STRATEGIES:
         runners[f"kb-{strategy}"] = partial(

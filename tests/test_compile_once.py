@@ -31,7 +31,7 @@ from repro.obs.tracer import Tracer
 from repro.plans import FixpointNode, plan_nodes
 from repro.storage.columnar import IdRelation
 
-METHODS = ("seminaive", "naive", "magic", "supplementary", "counting", "qsqn")
+METHODS = ("seminaive", "naive", "magic", "supplementary", "counting")
 
 SG = """
 sg(X, Y) <- flat(X, Y).

@@ -39,6 +39,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.terms import Constant, Struct, Variable, variables_of
 from repro.obs.feedback import FeedbackStore, step_fingerprint
 from repro.optimizer import AnnealingSchedule, Optimizer, annealing_order, dp_order, exhaustive_order, kbz_order
+from repro.optimizer import optimizer as optimizer_module
 from repro.optimizer.conjunctive import cost_order, split_joinable
 from repro.plans.printer import explain
 from repro.storage.statistics import DeclaredStatistics, RelationStats
@@ -262,12 +263,12 @@ def _annealing(body, bound, estimator):
 
 
 def _searches(body, feedback):
-    """(label, search) pairs feasible for *body*: the four strategies,
-    dp in both search modes (``prune`` is what ``search="bb"`` sets)."""
+    """(label, search) pairs feasible for *body*: the four strategies
+    (``dp/bb`` is the pruned DP, labelled as when an un-pruned mode
+    existed beside it)."""
     n = len(split_joinable(body)[0])
     if n <= (8 if feedback else 11):
-        yield "dp/bb", lambda *a: dp_order(*a, prune=True)
-        yield "dp/full", lambda *a: dp_order(*a, prune=False)
+        yield "dp/bb", dp_order
     if n <= 6:
         yield "exhaustive", exhaustive_order
     yield "kbz", kbz_order
@@ -317,14 +318,13 @@ def _wide_program():
 
 
 def _configs():
+    """(label, config, large-body threshold) per strategy."""
     for strategy in ("dp", "kbz", "annealing", "exhaustive"):
-        for search in ("bb", "full"):
-            # 7! orders per body is what a test can afford of "exhaustive"
-            threshold = 6 if strategy == "exhaustive" else 9
-            yield f"{strategy}/{search}", OptimizerConfig(
-                strategy=strategy, search=search, seed=7, large_body_threshold=threshold,
-                annealing=AnnealingSchedule(max_evaluations=400),
-            )
+        # 7! orders per body is what a test can afford of "exhaustive"
+        threshold = 6 if strategy == "exhaustive" else optimizer_module.LARGE_BODY_THRESHOLD
+        yield f"{strategy}/bb", OptimizerConfig(
+            strategy=strategy, seed=7, annealing=AnnealingSchedule(max_evaluations=400),
+        ), threshold
 
 
 def _ledger_plans():
@@ -354,8 +354,12 @@ def _ledger_plans():
 
 
 def record():
-    """Everything part 2 and 3 pin, as JSON-able data.  Uses only what
-    the parent commit has too, so the same function recorded the file."""
+    """Everything part 2 and 3 pin, as JSON-able data.  An earlier form
+    of this function recorded the file, when the large-body threshold
+    was a config field and a ``*/full`` un-pruned search mode ran beside
+    every ``*/bb`` entry; those entries are retired, and the four
+    ``wide:*`` ``plans_pruned`` counters no longer count the body-cache
+    hits of the deleted QSQN method.  Everything else is as recorded."""
     orders = {}
     for label, body, stats, bound in _bodies():
         for fed in (False, True):
@@ -366,7 +370,9 @@ def record():
                 orders[key] = _order_json(search(body, bound, estimator))
     optimizers = {}
     program, stats, forms = _wide_program()
-    for label, config in _configs():
+    default_threshold = optimizer_module.LARGE_BODY_THRESHOLD
+    for label, config, threshold in _configs():
+        optimizer_module.LARGE_BODY_THRESHOLD = threshold
         optimizer = Optimizer(program, stats, config)
         compiled = [optimizer.optimize(parse_query(form)) for form in forms]
         optimizers[f"wide:{label}"] = {
@@ -385,6 +391,7 @@ def record():
                 "counters": dict(kb.optimizer.counters),
             }
             kb.close()
+    optimizer_module.LARGE_BODY_THRESHOLD = default_threshold
     return {"orders": orders, "optimizers": optimizers, "ledger": _ledger_plans()}
 
 

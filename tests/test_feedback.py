@@ -390,16 +390,20 @@ def test_trace_validator_accepts_new_span_labels():
         from repro.obs import COUNTER_FIELDS
         return {k: 0 for k in COUNTER_FIELDS}
 
-    good = [
-        span("optimize:enumerate:anc", "cperm", 1),
-        span("qsqn:anc.bf", "qsqn", 2),
-    ]
+    good = [span("optimize:enumerate:anc", "cperm", 1)]
     assert validate_events(good) == []
     assert any(
-        "kind" in p for p in validate_events([span("qsqn:anc.bf", "operator", 1)])
+        "kind" in p
+        for p in validate_events([span("optimize:enumerate:anc", "operator", 1)])
     )
     assert any(
-        "malformed" in p for p in validate_events([span("qsqn:a b", "qsqn", 1)])
+        "malformed" in p
+        for p in validate_events([span("optimize:enumerate:a b", "cperm", 1)])
+    )
+    # no engine emits the query-subquery-net shape any more
+    assert any(
+        "unknown span kind 'qsqn'" in p
+        for p in validate_events([span("qsqn:anc.bf", "qsqn", 2)])
     )
     assert any(
         "unknown span kind" in p for p in validate_events([span("foo", "mystery", 1)])

@@ -3,7 +3,8 @@
 Branch-and-bound must be invisible in the *result*: on every body where
 the exhaustive search is feasible, the DP/B&B enumerator returns a plan
 of identical cost, and the pruned c-permutation search picks the same
-recursive plan as the un-pruned one — only the amount of work differs.
+recursive plan as an uncapped enumeration of every c-permutation — only
+the amount of work differs.
 """
 
 import math
@@ -47,7 +48,7 @@ def test_bb_cost_equals_exhaustive(n, seed, shape):
     w = generate_conjunctive(n, shape, seed=seed)
     est = BodyEstimator(w.stats)
     bound = bound_subset(w.body, seed)
-    pruned = dp_order(w.body, bound, est, prune=True)
+    pruned = dp_order(w.body, bound, est)
     exact = exhaustive_order(w.body, bound, est)
     assert pruned.est.cost == pytest.approx(exact.est.cost)
 
@@ -63,7 +64,7 @@ def test_bb_cost_equals_exhaustive_wide(n, seeds):
         w = generate_conjunctive(n, ("random", "chain")[seed % 2], seed=seed)
         est = BodyEstimator(w.stats)
         bound = bound_subset(w.body, seed)
-        pruned = dp_order(w.body, bound, est, prune=True)
+        pruned = dp_order(w.body, bound, est)
         exact = exhaustive_order(w.body, bound, est)
         assert pruned.est.cost == pytest.approx(exact.est.cost)
         assert exact.evaluations == math.factorial(n)
@@ -73,72 +74,108 @@ def test_bb_cost_equals_exhaustive_wide(n, seeds):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["chain", "star", "random"]))
 def test_bb_prune_flag_preserves_cost(seed, shape):
-    """prune=True vs prune=False: identical best cost, fewer costings."""
+    """Pruned DP vs the exhaustive enumeration: identical best cost,
+    fewer costings."""
     w = generate_conjunctive(6, shape, seed=seed)
     est = BodyEstimator(w.stats)
     bound = bound_subset(w.body, seed)
-    on = dp_order(w.body, bound, est, prune=True)
-    off = dp_order(w.body, bound, est, prune=False)
-    assert on.est.cost == pytest.approx(off.est.cost)
-    assert on.evaluations <= off.evaluations
+    pruned = dp_order(w.body, bound, est)
+    exact = exhaustive_order(w.body, bound, est)
+    assert pruned.est.cost == pytest.approx(exact.est.cost)
+    assert pruned.evaluations <= exact.evaluations
 
 
-def _sg_kb(search):
-    kb = KnowledgeBase(
-        OptimizerConfig(strategy="dp", seed=0, search=search), feedback=False
-    )
+def _sg_kb(**config):
+    kb = KnowledgeBase(OptimizerConfig(strategy="dp", seed=0, **config), feedback=False)
     same_generation_instance(kb.db, fanout=2, depth=3)
     kb.rules(SG)
     return kb
 
 
-def _anc_kb(search):
-    kb = KnowledgeBase(
-        OptimizerConfig(strategy="dp", seed=0, search=search), feedback=False
-    )
+def _anc_kb(**config):
+    kb = KnowledgeBase(OptimizerConfig(strategy="dp", seed=0, **config), feedback=False)
     kb.facts("par", [(f"n{i}", f"n{i + 1}") for i in range(20)])
     kb.rules(ANC)
     return kb
 
 
+def _cc(compiled):
+    """The CC node the query wrapper's single step reads."""
+    return compiled.plan.children[0].steps[0].child
+
+
+def _uncapped_choice(kb, query):
+    """The reference the pruned c-permutation search must match: every
+    c-permutation priced under every bound method with no cost cap and a
+    fresh body-estimate cache, the first strict minimum kept.  Returns
+    that node (None when no c-permutation is safe) and the number of
+    body estimates the enumeration priced."""
+    from repro.cost.model import INFINITE_COST
+    from repro.datalog import adorn_clique, parse_query, pred_ref
+    from repro.optimizer.optimizer import _BodyEstimateCache
+
+    optimizer = kb.optimizer
+    form = parse_query(query)
+    ref = pred_ref(form.goal)
+    clique = optimizer.graph.clique_of(ref)
+    support = optimizer._support_program(clique)
+    methods = [m for m in optimizer.config.recursive_methods if m != "seminaive"]
+    best, costed = None, 0
+    for cperm in optimizer._cpermutations(clique, ref, form.adornment):
+        adorned = adorn_clique(
+            clique, ref, form.adornment, cperm,
+            derived_predicates=optimizer.program.derived_predicates,
+        )
+        cache = _BodyEstimateCache()
+        node = optimizer._cost_adorned(adorned, support, methods, INFINITE_COST, {}, cache)
+        costed += cache.misses
+        if node is not None and (best is None or node.est.cost < best.est.cost):
+            best = node
+    return best, costed
+
+
+def _assert_matches_uncapped(make_kb, query):
+    kb = make_kb()
+    chosen = _cc(kb.compile(query))
+    # the materialized candidate is priced first; a bound method must beat it
+    expected = _cc(make_kb(recursive_methods=("seminaive",)).compile(query))
+    reference, __ = _uncapped_choice(kb, query)
+    if reference is not None and reference.est.cost < expected.est.cost:
+        expected = reference
+    assert chosen.method == expected.method
+    assert chosen.est.cost == pytest.approx(expected.est.cost)
+    assert chosen.program == expected.program
+
+
 @pytest.mark.parametrize("query", ["sg($X, Y)?", "sg(X, $Y)?", "sg($X, $Y)?"])
 def test_bb_cperm_choice_matches_full_sg(query):
-    """Pruned c-permutation search picks the same plan as the un-pruned."""
-    bb = _sg_kb("bb").compile(query)
-    full = _sg_kb("full").compile(query)
-    assert bb.plan.est.cost == pytest.approx(full.plan.est.cost)
-    assert bb.plan.children[0].steps[0].child.method == (
-        full.plan.children[0].steps[0].child.method
-    )
+    """Pruned c-permutation search picks the plan the uncapped
+    enumeration picks."""
+    _assert_matches_uncapped(_sg_kb, query)
 
 
 @pytest.mark.parametrize("query", ["anc($X, Y)?", "anc(X, $Y)?"])
 def test_bb_cperm_choice_matches_full_anc(query):
-    bb = _anc_kb("bb").compile(query)
-    full = _anc_kb("full").compile(query)
-    assert bb.plan.est.cost == pytest.approx(full.plan.est.cost)
+    _assert_matches_uncapped(_anc_kb, query)
 
 
 def test_bb_does_less_work_and_counts_it():
-    """plans_costed drops under bb; the saved work lands in plans_pruned."""
-    bb_kb, full_kb = _sg_kb("bb"), _sg_kb("full")
-    bb_kb.compile("sg($X, Y)?")
-    full_kb.compile("sg($X, Y)?")
-    bb_counters = bb_kb.optimizer.counters
-    full_counters = full_kb.optimizer.counters
-    assert bb_counters["plans_costed"] < full_counters["plans_costed"]
-    assert bb_counters["plans_pruned"] > 0
-    # the un-pruned baseline never prunes order candidates
-    assert full_counters["plans_pruned"] == 0
+    """The pruned search prices fewer bodies than the uncapped
+    enumeration; the saved work lands in plans_pruned."""
+    kb = _sg_kb()
+    kb.compile("sg($X, Y)?")
+    __, uncapped = _uncapped_choice(kb, "sg($X, Y)?")
+    counters = kb.optimizer.counters
+    assert counters["plans_costed"] < uncapped
+    assert counters["plans_pruned"] > 0
 
 
 def test_unknown_search_mode_rejected():
-    from repro.errors import OptimizationError
-
-    kb = KnowledgeBase(OptimizerConfig(search="greedy"))
-    kb.rules(ANC)
-    with pytest.raises(OptimizationError):
-        kb.compile("anc($X, Y)?")
+    """There is one plan search: the mode keyword is gone."""
+    with pytest.raises(TypeError):
+        OptimizerConfig(search="greedy")
+    with pytest.raises(TypeError):
+        OptimizerConfig(search="full")
 
 
 def test_join_node_records_pruning():

@@ -180,7 +180,6 @@ def view_counters():
 RECORDED = {'ask anc bound, counting': (242, 242, 69, 5, 30),
  'ask anc bound, magic': (1318, 1256, 598, 7, 30),
  'ask anc bound, naive': (2424, 1412, 321, 5, 30),
- 'ask anc bound, qsqn': (256, 974, 309, 0, 30),
  'ask anc bound, seminaive': (976, 946, 317, 5, 30),
  'ask anc bound, supplementary': (588, 588, 198, 12, 30),
  'ask rich, textual hash': (1441, 1693, 576, 5, 51),
