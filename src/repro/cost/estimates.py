@@ -146,8 +146,10 @@ class BodyEstimator:
 
     def stats_for(self, name: str, arity: int) -> RelationStats:
         found = self.extra_stats.get(name) or self.stats.stats_for(name)
-        if found is not None:
+        if found is not None and (not found.columns or found.arity == arity):
             return found
+        # unknown, or stored at another arity: the literal is costed as
+        # declared and the executor reports the mismatch
         params = self.params
         return RelationStats.declared(
             params.default_cardinality, [params.default_distinct] * arity

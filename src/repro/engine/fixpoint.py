@@ -159,6 +159,21 @@ class EvaluationResult:
         return store if isinstance(store, IdRelation) else None
 
 
+def stored_relation(db: Database, literal: Literal):
+    """The stored relation *literal* reads — checked to exist and to have
+    the literal's arity, so every evaluator fails alike."""
+    relation = db.get(literal.predicate)
+    if relation is None:
+        raise ExecutionError(
+            f"unknown predicate {literal.predicate!r} (no rules, no relation, no seed)"
+        )
+    if relation.arity != literal.arity:
+        raise ExecutionError(
+            f"literal {literal} has arity {literal.arity}, relation has {relation.arity}"
+        )
+    return relation
+
+
 class FixpointEngine:
     """Bottom-up evaluator for a program over a database.
 
@@ -248,14 +263,7 @@ class FixpointEngine:
             # Derived but not yet computed (later stratum would be a bug;
             # same-stratum preds always have a workspace entry).
             return self._new_store(literal.arity)
-        relation = self.db.get(name)
-        if relation is not None:
-            if relation.arity != literal.arity:
-                raise ExecutionError(
-                    f"literal {literal} has arity {literal.arity}, relation has {relation.arity}"
-                )
-            return relation
-        raise ExecutionError(f"unknown predicate {name!r} (no rules, no relation, no seed)")
+        return stored_relation(self.db, literal)
 
     def _new_store(self, arity: int | None = None, rows: Iterable[Row] = ()) -> Store:
         if self.compile:

@@ -70,7 +70,7 @@ from ..plans.nodes import FixpointNode, JoinNode, JoinStep, PlanCode, UnionNode
 from ..storage.catalog import Database
 from ..storage.columnar import IdRelation, IdRow
 from . import batch as _batch
-from .fixpoint import FixpointEngine
+from .fixpoint import FixpointEngine, stored_relation
 from .governor import ResourceGovernor, adopt_governor, collector_paused
 from .operators import (
     JOIN_METHODS,
@@ -542,7 +542,7 @@ class Interpreter:
                 keys = frozenset(((),))
             store = self.execute(step.child, keys)
         else:
-            store = self.db.relation(step.literal.predicate).batch_store(INTERNER)
+            store = stored_relation(self.db, step.literal).batch_store(INTERNER)
         if lowered_step.kind == "join" and (step.child is not None or step.method != "index"):
             self.profiler.bump_examined(len(store))
         return store
@@ -557,7 +557,7 @@ class Interpreter:
 
         def extension_of(stored: Literal):
             if child is None:
-                return self.db.relation(stored.predicate)
+                return stored_relation(self.db, stored)
             keys = None
             if step.pipelined and not literal.negated:
                 keys = self._probe_keys(table, literal, child.binding.bound_positions)

@@ -89,7 +89,9 @@ class _Extension:
     """The result-cache entry of an all-free form over a maintainable cone
     (:meth:`KnowledgeBase._extension_cone`): the plan's answer until a write
     evicts it, then a :class:`ViewSet` over the cone plus the net delta
-    written since, which the next ask applies.  Its footprint's version
+    written since, which the next ask applies.  Entries over one footprint
+    share one extension (and its delta) when its rules cover theirs — see
+    :meth:`KnowledgeBase._catch_up`.  Its footprint's version
     vector fences writes that bypass the knowledge base (``kb.db.load``,
     ``load_tsv(kb.db, ...)``): their rows never reach the pending delta,
     and the versions they bump are not the ones the entry was told of."""
@@ -112,20 +114,23 @@ class _Extension:
             self.versions, self.answers, self.views, self.pending = versions, None, None, _NetDelta()
         return self.answers
 
-    def owe(self, delta: _NetDelta, writes: dict[str, int]) -> None:
+    def owe(self, delta: _NetDelta, writes: dict[str, int], folded: list) -> None:
         """Take in *writes* (relation -> knowledge-base writes that changed
         it, each one version bump, see :meth:`current`): the answer goes,
-        the footprint's rows join the pending delta, and an extension that
-        delta outgrows is dropped."""
+        the footprint's rows join the pending delta (once, when *folded*
+        does not hold it yet: entries may share it), and an extension that
+        delta outgrows — more rows than the whole cone holds — is dropped."""
         self.answers = None
         self.versions = tuple((name, version + writes.get(name, 0)) for name, version in self.versions)
         if self.views is None:
             return
-        for rows_by, inserted in ((delta.inserted, True), (delta.removed, False)):
-            for predicate, rows in rows_by.items():
-                if predicate in self.footprint:
-                    self.pending.fold(predicate, rows, inserted=inserted)
-        if len(self.pending) > len(self.views.ids(self.predicate)):
+        if self.pending not in folded:
+            folded.append(self.pending)
+            for rows_by, inserted in ((delta.inserted, True), (delta.removed, False)):
+                for predicate, rows in rows_by.items():
+                    if predicate in self.footprint:
+                        self.pending.fold(predicate, rows, inserted=inserted)
+        if len(self.pending) > self.views.size():
             self.views, self.pending = None, _NetDelta()
 
 
@@ -398,8 +403,9 @@ class KnowledgeBase:
         """Materialize every derived predicate and keep the extensions
         incrementally consistent under :meth:`facts` / :meth:`retract`.
 
-        Returns the :class:`~repro.engine.maintenance.ViewSet`.  Only
-        negation- and aggregation-free programs are supported.
+        Returns the :class:`~repro.engine.maintenance.ViewSet`.  Stratified
+        negation and aggregates are maintained too; an aggregate rule of a
+        recursive predicate is refused.
         """
         views = ViewSet(self.db, self.program, builtins=self.builtins)
         views.materialize()
@@ -555,10 +561,11 @@ class KnowledgeBase:
             # the forms whose data actually moved.
             self._reopt_fired.discard(key)
         if self._result_cache is not None:
+            folded: list[_NetDelta] = []
             for key, entry in list(self._result_cache.items()):
                 if isinstance(entry, _Extension):
                     if not entry.footprint.isdisjoint(touched):
-                        entry.owe(delta, writes)
+                        entry.owe(delta, writes, folded)
                 elif not key[3].isdisjoint(touched):
                     del self._result_cache[key]
 
@@ -957,15 +964,33 @@ class KnowledgeBase:
 
     @collector_paused
     def _catch_up(self, entry: _Extension, form: QueryForm, profiler: Profiler) -> QueryAnswers:
-        """Answer *form* from its entry's extension: built if none is, then caught up."""
+        """Answer *form* from its entry's extension, caught up.  Entries
+        over one footprint, equally current, share an extension whose
+        rules cover their cones (one copy of a predicate two forms read;
+        sharers fold each write once): one is taken over when there is
+        one, else one is built and every entry it covers moves onto it."""
+        held = [e for e in self._result_cache.values() if isinstance(e, _Extension)]
+        if entry.views is None:
+            footprint, versions, rules = entry.footprint, entry.versions, set(entry.cone)
+            peers = [e for e in held if e.footprint == footprint and e.versions == versions]
+            covering = (e for e in peers if e.views is not None and rules.issubset(e.views.program))
+            host = next(covering, None)
+            if host is not None:
+                entry.views, entry.pending = host.views, host.pending
+            else:
+                views, pending = ViewSet(self.db, entry.cone, builtins=self.builtins), _NetDelta()
+                views.materialize()
+                for peer in peers:
+                    if rules.issuperset(peer.cone):
+                        peer.views, peer.pending = views, pending
         views, pending = entry.views, entry.pending
-        # detached until caught up: a failure leaves it to be rebuilt
-        entry.views, entry.pending = None, _NetDelta()
-        if views is None:
-            views = ViewSet(self.db, entry.cone, builtins=self.builtins)
-            views.materialize()
+        sharers = [e for e in held if e.views is views]
+        for sharer in sharers:  # detached until caught up: a failure leaves them to be rebuilt
+            sharer.views, sharer.pending = None, _NetDelta()
         pending.apply(views)
-        entry.views = views
+        pending = _NetDelta()
+        for sharer in sharers:
+            sharer.views, sharer.pending = views, pending
         return self._answer_from_view(views.ids(entry.predicate), form, profiler, {})
 
     # ----------------------------------------------------------- persistence

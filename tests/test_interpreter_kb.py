@@ -165,3 +165,28 @@ def test_kb_invalidation_on_new_facts(family_kb):
 def test_repr_smoke(family_kb):
     family_kb.compile("anc(X, Y)?")
     assert "KnowledgeBase" in repr(family_kb)
+
+
+@pytest.mark.parametrize("rules, r_rows, query", [
+    ("p(X) <- q(X), r(X).", [("a", "b")], "p(X)?"),
+    ("p(X) <- q(X), r(X).", [("a", "b")], "p($X)?"),
+    ("p(X) <- q(X), r(X, Y).", [("a",)], "p(X)?"),
+    ("p(X) <- q(X), ~r(X).", [("a", "b")], "p(X)?"),
+    ("p(X) <- q(X), r(X).", None, "p(X)?"),
+    ("p(X) <- q(X), ~r(X).", None, "p(X)?"),
+])
+def test_a_plan_checks_a_body_literal_against_its_stored_relation(rules, r_rows, query):
+    """The non-recursive plan reads base relations through the lookup the
+    fixpoint uses: a wrong arity or a missing relation raises the same
+    ExecutionError on every path, never a silent answer."""
+    kb = KnowledgeBase()
+    kb.rules(rules)
+    kb.facts("q", [("a",)])
+    if r_rows is not None:
+        kb.facts("r", r_rows)
+    expected = "has arity" if r_rows is not None else "unknown predicate 'r'"
+    with pytest.raises(ExecutionError, match=expected):
+        kb.ask(query, **({"X": "a"} if "$" in query else {}))
+    kb.rules("p(X) <- p(X), q(X).")  # the same body on the fixpoint path
+    with pytest.raises(ExecutionError, match=expected):
+        kb.ask("p(X)?")
