@@ -1,5 +1,7 @@
 """Stratified aggregation (LDL's set-grouping flavour)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from repro import KnowledgeBase, KnowledgeBaseError
 from repro.datalog.parser import parse_rule
 from repro.datalog.rules import aggregate_spec
 from repro.datalog.terms import Constant, Struct, Variable
+from repro.engine.operators import fold_aggregate
 from repro.errors import ExecutionError
 
 EMPS = [("ann", "eng", 90), ("bob", "eng", 80), ("cal", "ops", 70), ("dee", "eng", 80)]
@@ -106,6 +109,20 @@ def test_sum_non_numeric_raises():
     kb = KnowledgeBase()
     kb.rules("bad(sum(N)) <- word(N).")
     kb.facts("word", [("hello",)])
+    with pytest.raises(ExecutionError):
+        kb.ask("bad(T)?")
+
+
+def test_float_sums_are_exact_and_rounded_once_and_non_finite_raises():
+    values = [1e16, 1.0, -1e16, 0.1, 0.2]
+    for order in (values, values[::-1], sorted(values)):
+        assert fold_aggregate("sum", [Constant(v) for v in order]) == Constant(math.fsum(values))
+    assert fold_aggregate("avg", [Constant(1), Constant(2)]) == Constant(1.5)
+    assert isinstance(fold_aggregate("sum", [Constant(1), Constant(2)]).value, int)
+    assert isinstance(fold_aggregate("sum", [Constant(1), Constant(2.0)]).value, float)
+    kb = KnowledgeBase()
+    kb.rules("bad(sum(N)) <- num(N).")
+    kb.facts("num", [(math.inf,)])
     with pytest.raises(ExecutionError):
         kb.ask("bad(T)?")
 
