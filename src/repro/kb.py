@@ -85,72 +85,23 @@ class _NetDelta:
         views.insert(self.inserted)
 
 
-class _Extension:
-    """The result-cache entry of an all-free form over a maintainable cone
-    (:meth:`KnowledgeBase._extension_cone`): the plan's answer until a write
-    evicts it, then a :class:`ViewSet` over the cone plus the net delta
-    written since, which the next ask applies.  Entries over one footprint
-    share one extension (and its delta) when its rules cover theirs — see
-    :meth:`KnowledgeBase._catch_up`.  Its footprint's version
-    vector fences writes that bypass the knowledge base (``kb.db.load``,
-    ``load_tsv(kb.db, ...)``): their rows never reach the pending delta,
-    and the versions they bump are not the ones the entry was told of."""
-
-    __slots__ = ("predicate", "cone", "footprint", "versions", "answers", "views", "pending")
-
-    def __init__(self, predicate: str, cone: Program, versions: tuple, answers):
-        self.predicate, self.cone = predicate, cone
-        self.footprint = frozenset(name for name, __ in versions)
-        #: the footprint's versions the entry reflects, the current answer
-        #: (None once a write moved the data), the extension (None until
-        #: built) and the delta it is owed
-        self.versions, self.answers, self.views, self.pending = versions, answers, None, _NetDelta()
-
-    def current(self, versions: tuple) -> QueryAnswers | None:
-        """The answer, when the footprint is at *versions* — the entry's,
-        advanced by each knowledge-base write (:meth:`owe`); otherwise a
-        write went past the knowledge base and everything is dropped."""
-        if versions != self.versions:
-            self.versions, self.answers, self.views, self.pending = versions, None, None, _NetDelta()
-        return self.answers
-
-    def owe(self, delta: _NetDelta, writes: dict[str, int], folded: list) -> None:
-        """Take in *writes* (relation -> knowledge-base writes that changed
-        it, each one version bump, see :meth:`current`): the answer goes,
-        the footprint's rows join the pending delta (once, when *folded*
-        does not hold it yet: entries may share it), and an extension that
-        delta outgrows — more rows than the whole cone holds — is dropped."""
-        self.answers = None
-        self.versions = tuple((name, version + writes.get(name, 0)) for name, version in self.versions)
-        if self.views is None:
-            return
-        if self.pending not in folded:
-            folded.append(self.pending)
-            for rows_by, inserted in ((delta.inserted, True), (delta.removed, False)):
-                for predicate, rows in rows_by.items():
-                    if predicate in self.footprint:
-                        self.pending.fold(predicate, rows, inserted=inserted)
-        if len(self.pending) > self.views.size():
-            self.views, self.pending = None, _NetDelta()
-
-
 class _KbTxn:
     """Knowledge-base side of one open transaction: snapshots of what the
-    Database's own rollback cannot see (the rule list, the materialized
-    ViewSet reference, and the cross-query result cache — whose entries
-    added at intermediate version vectors would go stale-but-reachable if
-    versions were restored under them), plus deferred view maintenance so
-    invalidation fires exactly once at commit."""
+    Database's own rollback cannot see (the rule list, the derived-extension
+    store with its pending delta, fence and pin, and the cross-query result
+    cache — whose entries added at intermediate version vectors would go
+    stale-but-reachable if versions were restored under them), plus the
+    net delta the store is owed, folded in once at commit."""
 
-    __slots__ = ("rules", "views", "result_cache", "delta", "touched", "retracted", "rules_changed")
+    __slots__ = ("rules", "store", "result_cache", "delta", "touched", "retracted", "rules_changed")
 
     def __init__(self, kb: "KnowledgeBase"):
         self.rules = list(kb._rules)
-        self.views = kb._views
+        self.store = kb._views, kb._pending, kb._fence, kb._pinned
         self.result_cache = (
             dict(kb._result_cache) if kb._result_cache is not None else None
         )
-        #: the net base delta owed to views and maintained entries at commit
+        #: the net base delta owed to the store at commit
         self.delta = _NetDelta()
         #: base relations actually mutated inside the transaction (no-op
         #: writes never land here), each with its count of such writes —
@@ -176,6 +127,12 @@ class KnowledgeBase:
     governor, or tracer bypass the cache — those arguments signal that
     the caller wants a measured / governed / traced *execution*, and a
     hit would observably change what they record.
+
+    Derived extensions live in one store (:meth:`_store`): one
+    :class:`~repro.engine.maintenance.ViewSet` over the cones of the
+    all-free forms asked, or over every rule once :meth:`materialize`
+    pins it, the net delta it is owed, and its footprint's version
+    vector, which catches writes made straight to ``kb.db``.
 
     *feedback* controls the cardinality feedback loop
     (:mod:`repro.obs.feedback`): ``True`` (default) keeps an in-memory
@@ -224,15 +181,22 @@ class KnowledgeBase:
         self._lowered_rules: dict = {}
         #: per-predicate dependency footprints ("name/arity" -> base
         #: relation names transitively read), the graph they were computed
-        #: from and the cones of :meth:`_extension_cone`, until the rules change
+        #: from and the maintainable cones of the goals asked (see
+        #: :meth:`_store_goal`), until the rules change
         self._footprints: dict[str, frozenset[str]] = {}
         self._footprint_graph = None
         self._cones: dict[PredicateRef, Program | None] = {}
-        self._views = None  # ViewSet, when materialize() has been called
+        #: the store: its ViewSet (None until built, and once dropped), the
+        #: net delta it is owed, the footprint versions it reflects with
+        #: that delta applied (its fence), and whether it is pinned
+        self._views: ViewSet | None = None
+        self._pending = _NetDelta()
+        self._fence: tuple[tuple[str, int], ...] = ()
+        self._pinned = False
         if result_cache_size < 0:
             raise KnowledgeBaseError(f"result_cache_size must be >= 0, not {result_cache_size}")
-        #: versioned key -> answer; an all-free form's text -> its _Extension
-        self._result_cache: "dict[tuple | str, QueryAnswers | _Extension] | None" = (
+        #: (goal, adornment, bindings, footprint, versions) -> answer
+        self._result_cache: "dict[tuple, QueryAnswers] | None" = (
             {} if result_cache and result_cache_size else None
         )
         self._result_cache_size = result_cache_size
@@ -267,12 +231,12 @@ class KnowledgeBase:
         Every :meth:`facts` / :meth:`retract` / :meth:`rules` /
         :meth:`facts_text` inside the block applies atomically — commit
         on normal exit; on any exception the fact base, rule base, result
-        cache, and version vector are restored byte-identically to the
-        state at entry, then the exception propagates.  Plan/result-cache
-        invalidation and materialized-view maintenance fire exactly once,
-        at commit.  Mid-transaction queries see the transaction's own
-        writes (except through materialized views, whose maintenance is
-        deferred to commit).  No nesting.
+        cache, version vector and derived-extension store are restored
+        byte-identically to the state at entry, then the exception
+        propagates.  Plan/result-cache invalidation and the store's
+        maintenance fire exactly once, at commit.  Mid-transaction queries
+        see the transaction's own writes (except through pinned views,
+        whose maintenance is deferred to commit).  No nesting.
         """
         if self._txn is not None:
             raise TransactionError("transaction already open on this KnowledgeBase")
@@ -285,7 +249,7 @@ class KnowledgeBase:
             self._txn = None
             self.db.rollback_transaction()
             self._rules = txn.rules
-            self._views = txn.views
+            self._views, self._pending, self._fence, self._pinned = txn.store
             if txn.result_cache is not None and self._result_cache is not None:
                 self._result_cache.clear()
                 self._result_cache.update(txn.result_cache)
@@ -304,8 +268,6 @@ class KnowledgeBase:
                 self._data_invalidate(txn.touched, txn.delta)
                 if txn.retracted:
                     self._feedback_forget(txn.retracted)
-            if self._views is not None:
-                txn.delta.apply(self._views)
             self.metrics.inc("transactions_total", outcome="commit")
 
     @property
@@ -354,8 +316,8 @@ class KnowledgeBase:
         """Bulk-load plain-value tuples for a base predicate — all of
         them, or none when one is malformed.
 
-        Materialized views (see :meth:`materialize`) are maintained
-        incrementally from the newly inserted tuples.
+        The derived-extension store is maintained incrementally from the
+        newly inserted tuples (at once when pinned by :meth:`materialize`).
         """
         if any(r.head.predicate == predicate for r in self._rules):
             raise KnowledgeBaseError(
@@ -365,7 +327,7 @@ class KnowledgeBase:
 
     def retract(self, predicate: str, rows: Iterable[Sequence[object]]) -> int:
         """Remove facts from a base predicate; compiled plans are
-        invalidated and materialized views maintained by DRed."""
+        invalidated and the derived-extension store maintained."""
         return self._wrote(predicate, self.db.remove(predicate, rows), inserted=False)
 
     def _wrote(self, predicate: str, changed: set, inserted: bool) -> int:
@@ -376,7 +338,7 @@ class KnowledgeBase:
             return 0
         txn = self._txn
         if txn is not None:
-            # Deferred to commit: invalidation fires once, and view
+            # Deferred to commit: invalidation fires once, and the store's
             # maintenance never has to be undone on rollback.
             txn.touched[predicate] = txn.touched.get(predicate, 0) + 1
             if not inserted:
@@ -393,42 +355,39 @@ class KnowledgeBase:
             # instead rely on the store's EMA drift + staleness decay —
             # see docs/performance.md for the contract.
             self._feedback_forget({predicate})
-        if self._views is not None:
-            delta.apply(self._views)  # id rows end to end, as the store returned them
         return len(changed)
 
     # ----------------------------------------------------------- views
 
     def materialize(self):
-        """Materialize every derived predicate and keep the extensions
-        incrementally consistent under :meth:`facts` / :meth:`retract`.
+        """Pin the derived-extension store to every derived predicate: it
+        is maintained at each write from then on, and answers every ask of
+        a predicate it holds.
 
         Returns the :class:`~repro.engine.maintenance.ViewSet`.  Stratified
         negation and aggregates are maintained too; an aggregate rule of a
         recursive predicate is refused.
         """
-        views = ViewSet(self.db, self.program, builtins=self.builtins)
-        views.materialize()
-        self._views = views
-        if self._result_cache is not None:
-            self._result_cache.clear()  # the views serve the maintained entries' forms
+        views = self._build(self.program)
+        self._pinned = True
         return views
 
     @property
     def materialized_views(self):
-        """The live :class:`~repro.engine.maintenance.ViewSet`, or ``None``
-        when no views are materialized (rule changes reset it)."""
-        return self._views
+        """The pinned store's :class:`~repro.engine.maintenance.ViewSet`,
+        current, or ``None`` when nothing is pinned (rule changes unpin)."""
+        return self._store() if self._pinned else None
 
     def view_rows(self, predicate: str):
         """Current materialized extension of *predicate* (plain values)."""
-        if self._views is None:
+        views = self.materialized_views
+        if views is None:
             raise KnowledgeBaseError("no materialized views; call materialize() first")
         from .datalog.terms import Constant
 
         return {
             tuple(f.value if isinstance(f, Constant) else f for f in row)
-            for row in self._views.rows(predicate)
+            for row in views.rows(predicate)
         }
 
     def facts_text(self, source: str) -> int:
@@ -480,7 +439,8 @@ class KnowledgeBase:
             # this clear covers rule/builtin changes, which the key cannot
             # see, and keeps the cache from accumulating dead entries.
             self._result_cache.clear()
-        self._views = None
+        self._drop()
+        self._pinned = False
 
     # ------------------------------------------------ footprints + eviction
 
@@ -521,27 +481,35 @@ class KnowledgeBase:
     def _form_footprint(self, form: QueryForm) -> frozenset[str]:
         return self._dependency_footprint(form.predicate, form.goal.arity)
 
-    def _extension_cone(self, form: QueryForm) -> Program | None:
-        """The goal's cone, which a result-cache entry of *form* is kept over,
-        when every argument is a distinct free variable and no views are
-        pinned (:meth:`materialize`); None for a version-fenced entry."""
-        args = form.goal.args
-        flat = all(isinstance(arg, Variable) for arg in args) and len(set(args)) == len(args)
-        if self._views is not None or form.bound_vars or not flat:
-            return None
-        ref = PredicateRef(form.predicate, len(args))
-        if ref not in self._cones:
-            self._cones[ref] = maintainable_cone(self.program, ref)
-        return self._cones[ref]
+    def _store_goal(self, form: QueryForm, cacheable: bool) -> PredicateRef | None:
+        """*form*'s goal when the store answers it, else None (the plan
+        does).  A pinned store answers every ask of a predicate it holds.
+        An unpinned one answers a cacheable all-free ask (every argument a
+        distinct variable) outside a transaction, over a cone it can
+        maintain, when it holds that cone already or the cone is memoized,
+        i.e. from the goal's second such ask on: the first runs the plan,
+        and a later miss builds or grows the store."""
+        if not self._pinned:
+            if not cacheable or self._txn is not None or form.bound_vars:
+                return None
+            args = form.goal.args
+            if len(set(args)) != len(args) or not all(isinstance(arg, Variable) for arg in args):
+                return None
+        ref = PredicateRef(form.predicate, form.goal.arity)
+        if ref in self._cones:
+            return None if self._cones[ref] is None else ref
+        self._cones[ref] = maintainable_cone(self.program, ref)
+        held = self._pinned or self._holds(ref)
+        return ref if held and self._cones[ref] is not None else None
 
     def _data_invalidate(self, writes: dict[str, int], delta: _NetDelta) -> None:
         """Surgical invalidation after *writes* (base relation -> count of
         writes that changed it): only compiled plans and cached results
         whose footprint intersects the mutated relations are evicted;
         queries over disjoint data keep their plans, cached answers, and
-        re-opt state.  A maintained entry owes the write's *delta* instead
-        (:meth:`_Extension.owe`); the others are version-fenced by their
-        key, so evicting them is memory hygiene, not correctness.
+        re-opt state.  The cached answers are version-fenced by their key,
+        so evicting them is memory hygiene, not correctness; the store owes
+        the write's *delta* (:meth:`_owe`).
         """
         touched = writes.keys()
         if not touched:
@@ -561,13 +529,9 @@ class KnowledgeBase:
             # the forms whose data actually moved.
             self._reopt_fired.discard(key)
         if self._result_cache is not None:
-            folded: list[_NetDelta] = []
-            for key, entry in list(self._result_cache.items()):
-                if isinstance(entry, _Extension):
-                    if not entry.footprint.isdisjoint(touched):
-                        entry.owe(delta, writes, folded)
-                elif not key[3].isdisjoint(touched):
-                    del self._result_cache[key]
+            for key in [key for key in self._result_cache if not key[3].isdisjoint(touched)]:
+                del self._result_cache[key]
+        self._owe(delta, writes)
 
     def _feedback_forget(self, touched: set[str]) -> None:
         """Drop learned cardinalities invalidated by a retraction: every
@@ -705,9 +669,9 @@ class KnowledgeBase:
         """Compile (cached) and execute a query.
 
         Bound variables (``$X``) take their values from keyword
-        arguments: ``kb.ask("sg($X, Y)?", X="joe")``.  When the goal
-        predicate is materialized (see :meth:`materialize`), the answer
-        is served from the incrementally maintained view.
+        arguments: ``kb.ask("sg($X, Y)?", X="joe")``.  When the
+        derived-extension store answers the form (see :meth:`_store_goal`),
+        the answer is read from its incrementally maintained extension.
 
         *governor* (a :class:`~repro.engine.governor.ResourceGovernor`,
         or ``False`` to disable all limits) spans the whole execution:
@@ -735,18 +699,13 @@ class KnowledgeBase:
         with tracer.span("query", kind="query") as root:
             form = self._form(query, tracer)
             root.note(goal=str(form.goal))
-            view = self._views.ids(form.predicate) if self._views is not None else None
-            if view is not None and len(view.columns) != form.goal.arity:
-                view = None  # another predicate of the same name
-            # A maintained view answers without a plan; anything else is
-            # compiled before the cache is consulted.
-            compiled = self.compile(form, tracer=tracer) if view is None else None
+            # The store answers without a plan; anything else is compiled
+            # before the cache is consulted.
+            goal = self._store_goal(form, cacheable)
+            compiled = self.compile(form, tracer=tracer) if goal is None else None
             cache_key = self._result_cache_key(form, bindings) if cacheable else None
-            entry = None
             if cache_key is not None:
                 hit = self._result_cache.get(cache_key)
-                if isinstance(hit, _Extension):
-                    entry, hit = hit, hit.current(self._versions(hit.footprint))
                 if hit is not None:
                     self.metrics.inc("result_cache_hits_total")
                     # A warm serving workload is all hits: without this
@@ -757,14 +716,12 @@ class KnowledgeBase:
                     )
                     return hit
                 self.metrics.inc("result_cache_misses_total")
-            if view is not None:
+            if goal is not None:
                 # Tier attribution follows where the rows came from *this*
                 # query: "cache" only on an actual hit above, "view" when
-                # the maintained extension was filtered.
-                answers = self._answer_from_view(view, form, profiler, bindings)
-                tier, worst, reopt = "view", 1.0, False
-            elif entry is not None:
-                answers = self._catch_up(entry, form, profiler)
+                # the store's extension was read.
+                views = self._store(goal)
+                answers = self._answer_from_view(views.ids(form.predicate), form, profiler, bindings)
                 tier, worst, reopt = "view", 1.0, False
             else:
                 interpreter = Interpreter(
@@ -787,16 +744,11 @@ class KnowledgeBase:
                 # the feedback store (and may evict a misestimated plan).
                 worst, reopt = self._harvest(compiled, interpreter.node_stats)
                 tier = self._tier_taken(before)
-            if entry is not None:
-                entry.answers = answers
-            elif cache_key is not None:
+            if cache_key is not None:
                 cache = self._result_cache
                 while len(cache) >= self._result_cache_size:
                     cache.pop(next(iter(cache)))  # FIFO bound
-                cache[cache_key] = answers if isinstance(cache_key, tuple) else _Extension(
-                    form.predicate, self._extension_cone(form),
-                    self._versions(self._form_footprint(form)), answers,
-                )
+                cache[cache_key] = answers
             self._telemetry_note(
                 form, started, before, tier=tier,
                 cache="miss" if cache_key is not None else "off",
@@ -881,7 +833,7 @@ class KnowledgeBase:
             status=status,
         )
 
-    def _result_cache_key(self, form: QueryForm, bindings: dict) -> tuple | str | None:
+    def _result_cache_key(self, form: QueryForm, bindings: dict) -> tuple | None:
         """(goal text, adornment, $-bindings, footprint, its version vector)
         — or None when a binding value cannot be lifted into a hashable term.
 
@@ -890,14 +842,7 @@ class KnowledgeBase:
         form can actually read (``-1`` for a relation not created yet —
         its later creation must miss), so a write to an unrelated
         relation leaves the entry hot.
-
-        A form with a maintainable cone (:meth:`_extension_cone`) is keyed by
-        its text: its entry follows the writes, learning a transaction's at
-        commit.  Inside a transaction such a form gets no key and runs the
-        plan: the entry takes in no write a rollback may undo.
         """
-        if not bindings and self._extension_cone(form) is not None:
-            return None if self._txn is not None else str(form)
         try:
             lifted = tuple(
                 (name, term_from_python(bindings[name])) for name in sorted(bindings)
@@ -908,7 +853,7 @@ class KnowledgeBase:
         # the footprint rides along so that eviction tests it without a loop
         return str(form.goal), form.adornment.code, lifted, footprint, self._versions(footprint)
 
-    def _versions(self, footprint: frozenset[str]) -> tuple[tuple[str, int], ...]:
+    def _versions(self, footprint: Iterable[str]) -> tuple[tuple[str, int], ...]:
         """``(name, version)`` over *footprint*, sorted; ``-1`` for a relation
         not created yet (its later creation must miss)."""
         return tuple(
@@ -962,36 +907,76 @@ class KnowledgeBase:
         profiler.bump_produced(len(rows))
         return QueryAnswers(out_vars, rows, profiler)
 
+    # ----------------------------------------------- derived-extension store
+
+    def _holds(self, goal: PredicateRef) -> bool:
+        """Whether the store holds *goal*'s cone: it holds every cone whose
+        goal it derives, being a union of cones (each downward closed)."""
+        return self._views is not None and self._views.program.is_derived(goal)
+
+    def _store(self, goal: PredicateRef | None = None) -> ViewSet | None:
+        """The store, current and holding *goal*'s cone.  It is dropped
+        first when its footprint is not at its fence, advanced by the open
+        transaction's writes (a write went past the knowledge base), rebuilt
+        over the whole program when pinned and dropped, or grown over its
+        rules plus the cone's when it lacks *goal*; then it is caught up."""
+        fence = self._fence
+        if self._txn is not None:
+            fence = tuple((name, version + self._txn.touched.get(name, 0)) for name, version in fence)
+        if self._views is not None and self._versions(name for name, __ in fence) != fence:
+            self._drop()
+        if self._views is None and self._pinned:
+            self._build(self.program)
+        elif goal is not None and not self._holds(goal):
+            rules = set(self._views.program if self._views is not None else ())
+            rules.update(self._cones[goal])
+            self._build(Program(rule for rule in self._rules if rule in rules))
+        if self._pending:
+            self._catch_up()
+        return self._views
+
+    def _build(self, program: Program) -> ViewSet:
+        """Make the store a fresh :class:`ViewSet` over *program*: it owes
+        nothing, and its fence is its footprint's versions now."""
+        views = ViewSet(self.db, program, builtins=self.builtins)
+        views.materialize()
+        footprint = frozenset().union(*(
+            self._dependency_footprint(ref.name, ref.arity) for ref in program.derived_predicates
+        ))
+        self._views, self._pending, self._fence = views, _NetDelta(), self._versions(footprint)
+        return views
+
+    def _drop(self) -> None:
+        self._views, self._pending = None, _NetDelta()
+
+    def _owe(self, delta: _NetDelta, writes: dict[str, int]) -> None:
+        """Fold a knowledge-base write, or a commit's net *delta*, into the
+        store: the fence advances by *writes* (relation -> writes that
+        changed it, one version bump each) and the footprint's rows join
+        the pending delta.  A pinned store is brought up to date at once
+        (:meth:`_store`); another is dropped once it is owed more rows than
+        it holds (a rebuild beats that walk)."""
+        footprint = dict(self._fence)
+        if self._views is None or footprint.keys().isdisjoint(writes):
+            return
+        self._fence = tuple((name, version + writes.get(name, 0)) for name, version in self._fence)
+        for rows_by, inserted in ((delta.inserted, True), (delta.removed, False)):
+            for predicate, rows in rows_by.items():
+                if predicate in footprint:
+                    self._pending.fold(predicate, rows, inserted=inserted)
+        if self._pinned:
+            self._store()
+        elif len(self._pending) > self._views.size():
+            self._drop()
+
     @collector_paused
-    def _catch_up(self, entry: _Extension, form: QueryForm, profiler: Profiler) -> QueryAnswers:
-        """Answer *form* from its entry's extension, caught up.  Entries
-        over one footprint, equally current, share an extension whose
-        rules cover their cones (one copy of a predicate two forms read;
-        sharers fold each write once): one is taken over when there is
-        one, else one is built and every entry it covers moves onto it."""
-        held = [e for e in self._result_cache.values() if isinstance(e, _Extension)]
-        if entry.views is None:
-            footprint, versions, rules = entry.footprint, entry.versions, set(entry.cone)
-            peers = [e for e in held if e.footprint == footprint and e.versions == versions]
-            covering = (e for e in peers if e.views is not None and rules.issubset(e.views.program))
-            host = next(covering, None)
-            if host is not None:
-                entry.views, entry.pending = host.views, host.pending
-            else:
-                views, pending = ViewSet(self.db, entry.cone, builtins=self.builtins), _NetDelta()
-                views.materialize()
-                for peer in peers:
-                    if rules.issuperset(peer.cone):
-                        peer.views, peer.pending = views, pending
-        views, pending = entry.views, entry.pending
-        sharers = [e for e in held if e.views is views]
-        for sharer in sharers:  # detached until caught up: a failure leaves them to be rebuilt
-            sharer.views, sharer.pending = None, _NetDelta()
+    def _catch_up(self) -> None:
+        """Apply the pending delta to the store, detached meanwhile: a
+        catch-up that raises half-way leaves it to be rebuilt."""
+        views, pending = self._views, self._pending
+        self._drop()
         pending.apply(views)
-        pending = _NetDelta()
-        for sharer in sharers:
-            sharer.views, sharer.pending = views, pending
-        return self._answer_from_view(views.ids(entry.predicate), form, profiler, {})
+        self._views = views
 
     # ----------------------------------------------------------- persistence
 

@@ -19,10 +19,12 @@ that is not first, a derived predicate read at two positions, negation
 rule also reads positively) and every aggregate over integers — and
 update scripts mix genuine writes, no-op writes
 (duplicate inserts, absent retracts), multi-row deltas, aborted
-transactions, and committed transactions holding several separate
+transactions, committed transactions holding several separate
 ``facts`` / ``retract`` calls on possibly different predicates (commit
 must maintain the views from the transaction's *net* delta, not call by
-call against a database that has already lost every retracted row).
+call against a database that has already lost every retracted row), and
+``kb.db.load`` writes past the knowledge base, which the store's version
+fence must catch.
 
 On a disagreement the sweep prints the trial seed, the program, and the
 full update history (enough to replay by hand), then exits 1.  The CI
@@ -237,7 +239,13 @@ def run_trial(seed: int, steps: int = 8) -> list[str]:
         base, shape = rng.choice(sorted(bases.items()))
         rows = [_random_row(rng, shape) for __ in range(rng.randint(1, 3))]
         action = rng.random()
-        if action < 0.45:
+        if action < 0.1:
+            # a write past the knowledge base: no delta reaches the store,
+            # whose fence must catch it, pinned or not
+            for target in both:
+                target.db.load(base, rows)
+            history.append(f"db.load {base} {rows}")
+        elif action < 0.45:
             for target in both:
                 target.facts(base, rows)
             history.append(f"facts {base} {rows}")

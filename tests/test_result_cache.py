@@ -13,6 +13,8 @@ the relation version and the re-query must see post-retract answers
 whether it goes through the cache or not.
 """
 
+import gc
+
 import pytest
 
 from repro import KnowledgeBase
@@ -24,7 +26,6 @@ from repro.engine.interpreter import Interpreter
 from repro.engine.maintenance import ViewSet
 from repro.engine.profiler import Profiler
 from repro.errors import KnowledgeBaseError
-from repro.kb import _Extension
 from repro.obs import Tracer
 from repro.storage.loader import load_facts_text, load_tsv
 from repro.storage.relation import DerivedRelation, relation_from_rows
@@ -197,26 +198,24 @@ def test_zero_size_disables_the_cache_and_negative_is_refused():
 
 
 def test_a_maintained_entry_counts_against_the_fifo_bound():
+    """The store's answer is an ordinary entry under the bound; the
+    store itself is not an entry, so pushing the answer out keeps it."""
     kb = make_kb(result_cache_size=1)
     kb.ask("anc(X, Y)?")
     kb.facts("par", [("bart", "maggie")])
-    kb.ask("anc(X, Y)?")  # promoted: the one entry is an extension
-    assert extension(kb).views is not None
+    kb.ask("anc(X, Y)?")  # promoted: the store answers, its answer is the one entry
+    views = kb._views
+    assert views is not None and len(kb._result_cache) == 1
     assert ("homer",) in set(kb.ask("anc(abe, Y)?").to_python())  # pushes it out
-    assert list(kb._result_cache) != ["anc(X, Y)?"] and len(kb._result_cache) == 1
+    assert [key[0] for key in kb._result_cache] == ["anc(abe, Y)"]
     assert ("abe", "maggie") in set(kb.ask("anc(X, Y)?").to_python())
+    assert kb._views is views and kb.telemetry.events()[-1]["tier"] == "view"
 
 
-# ------------------------------------------- all-free forms: maintained entries
+# ------------------------------- all-free forms: the derived-extension store
 
 
-def extension(kb, text="anc(X, Y)?") -> _Extension:
-    entry = kb._result_cache[text]
-    assert isinstance(entry, _Extension)
-    return entry
-
-
-def fresh_answers(kb, text) -> list:
+def fresh_answers(kb, text, **bindings) -> list:
     """*text* asked of a knowledge base built from scratch from *kb*'s
     rules and facts."""
     fresh = KnowledgeBase(result_cache=False)
@@ -227,7 +226,7 @@ def fresh_answers(kb, text) -> list:
                 tuple(f.value if isinstance(f, Constant) else f for f in row)
                 for row in relation
             ])
-    return fresh.ask(text).to_python()
+    return fresh.ask(text, **bindings).to_python()
 
 
 @pytest.fixture
@@ -249,14 +248,14 @@ def runs(monkeypatch):
 
 
 def promoted_kb():
-    """The all-free form asked, evicted by a write, and asked again: its
-    entry is a built extension from here on."""
+    """The all-free form asked, evicted by a write, and asked again: the
+    store holds its cone from here on."""
     kb = make_kb()
     kb.ask("anc(X, Y)?")
-    assert extension(kb).views is None  # the plan's answer, nothing built
+    assert kb._views is None  # the plan's answer, nothing built
     kb.facts("par", [("bart", "maggie")])
     kb.ask("anc(X, Y)?")
-    assert extension(kb).views is not None
+    assert kb._views is not None
     return kb
 
 
@@ -299,7 +298,7 @@ def test_bound_forms_and_measured_asks_still_run_the_plan(runs):
         kb.ask("anc($X, Y)?", X="abe")
         kb.facts("par", [("lisa", f"kid{i}")])
     assert runs["run"] == 3 and runs["materialize"] == 0
-    assert not any(isinstance(e, _Extension) for e in kb._result_cache.values())
+    assert kb._views is None
     kb = promoted_kb()
     runs["run"] = 0
     kb.ask("anc(X, Y)?", profiler=Profiler())
@@ -331,8 +330,7 @@ def test_negation_and_count_forms_catch_up_and_equal_a_recompute(runs):
             assert answers == fresh_answers(kb, text)
             runs["run"] = planned  # not the fresh knowledge base's plan
     assert runs["run"] == 2 and runs["materialize"] == 2  # the first asks' plans
-    for text in forms:
-        assert extension(kb, text).views is not None
+    assert {"lone", "kids"} <= set(kb._views.predicates())  # one store holds both
     tiers = [record["tier"] for record in kb.telemetry.events()]
     assert tiers[2:] == ["view"] * (2 * len(writes))
 
@@ -354,16 +352,16 @@ def test_a_float_sum_form_caught_up_answers_one_row_per_group(runs):
         answers = kb.ask("total(X, S)?").to_python()
         assert answers == fresh_answers(kb, "total(X, S)?")
         assert sorted(group for group, __ in answers) == ["g", "h"]
-    assert runs["materialize"] == 1 and extension(kb, "total(X, S)?").views is not None
+    assert runs["materialize"] == 1 and kb._views is not None
 
 
 def test_an_oversized_delta_drops_the_extension(runs):
     kb = promoted_kb()
-    size = len(extension(kb).views.ids("anc"))
+    size = kb._views.size()
     kb.facts("par", [(f"a{i}", f"b{i}") for i in range(size + 1)])
-    assert extension(kb).views is None
+    assert kb._views is None and not kb._pending
     assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
-    assert runs["materialize"] == 2 and extension(kb).views is not None
+    assert runs["materialize"] == 2 and kb._views is not None
 
 
 def test_a_delta_bigger_than_a_projection_goal_but_not_its_cone_is_caught_up(runs):
@@ -373,13 +371,12 @@ def test_a_delta_bigger_than_a_projection_goal_but_not_its_cone_is_caught_up(run
     kb.ask("src(X)?")
     kb.facts("par", [("c8", "c9")])
     kb.ask("src(X)?")
-    entry = extension(kb, "src(X)?")
-    views = entry.views
-    goal, cone = len(views.ids("src")), sum(len(views.ids(p)) for p in views.predicates())
+    views = kb._views
+    goal, cone = len(views.ids("src")), views.size()
     new = [(f"d{i}", "c0") for i in range(goal + 1)]
     assert goal < len(new) < cone
     kb.facts("par", new)
-    assert entry.views is not None  # kept, to be caught up
+    assert kb._views is views and len(kb._pending) == len(new)  # kept, to be caught up
     assert kb.ask("src(X)?").to_python() == fresh_answers(kb, "src(X)?")
     assert runs["materialize"] == 1
 
@@ -393,10 +390,10 @@ GUARDED = """
 
 @pytest.mark.parametrize("late", [False, True], ids=["built-together", "taken-over"])
 def test_forms_over_one_footprint_share_one_extension(runs, late):
-    """Without *late* both forms are cached before either is built: the
-    second build (nreach's cone covers sreach's) takes the first entry
-    along.  With it sreach is first asked once nreach's extension exists,
-    and its own promotion takes that extension over instead of building."""
+    """Without *late* both forms ran their plans before the store is
+    built: sreach's second miss builds it over sreach's cone and nreach's
+    grows it.  With it sreach is first asked once nreach's store exists,
+    which holds sreach's cone, so the store answers it without a build."""
     kb = make_kb()
     kb.rules(GUARDED)
     kb.facts("blocked", [("lisa",), ("zed",)])
@@ -408,9 +405,8 @@ def test_forms_over_one_footprint_share_one_extension(runs, late):
     for text in forms:
         kb.ask(text)
     builds = 1 if late else 2
-    shared = extension(kb, forms[0])
-    assert shared.views is extension(kb, forms[1]).views is not None
-    assert shared.pending is extension(kb, forms[1]).pending
+    shared = kb._views
+    assert {"sreach", "nreach"} <= set(shared.predicates())
     assert runs["materialize"] == builds
     writes = (
         lambda: kb.retract("blocked", [("lisa",)]),
@@ -419,15 +415,17 @@ def test_forms_over_one_footprint_share_one_extension(runs, late):
     )
     for write in writes:
         write()
-        assert len(shared.pending) == 1  # folded once for both
+        assert len(kb._pending) == 1  # folded once for both
         for text in forms:
             answers, planned = kb.ask(text).to_python(), runs["run"]
             assert answers == fresh_answers(kb, text)
             runs["run"] = planned
-    assert runs["materialize"] == builds and extension(kb, forms[1]).views is shared.views
+    assert runs["materialize"] == builds and kb._views is shared
 
 
 def test_a_failed_catch_up_detaches_every_sharer(monkeypatch):
+    """A catch-up that raises drops the one store: neither form reads a
+    half-maintained extension, and the next ask rebuilds it."""
     kb = make_kb()
     kb.rules(GUARDED)
     kb.facts("blocked", [("homer",)])
@@ -447,57 +445,103 @@ def test_a_failed_catch_up_detaches_every_sharer(monkeypatch):
     monkeypatch.setattr(ViewSet, "insert", broken)
     with pytest.raises(RuntimeError):
         kb.ask(forms[0])
-    assert all(extension(kb, text).views is None for text in forms)
+    assert kb._views is None and not kb._pending
     monkeypatch.setattr(ViewSet, "insert", real)
     for text in forms:
         assert kb.ask(text).to_python() == fresh_answers(kb, text)
+    assert {"sreach", "nreach"} <= set(kb._views.predicates())
+
+
+ROOTED = "rooted(X, Y) <- anc(X, Y), root(X)."
+
+
+def live_views():
+    """Every ViewSet alive in the process."""
+    gc.collect()
+    return [held for held in gc.get_objects() if isinstance(held, ViewSet)]
+
+
+@pytest.mark.parametrize("first", ["anc", "rooted"])
+def test_forms_over_different_footprints_share_one_store(runs, first):
+    """``anc(X, Y)?`` reads par; ``rooted(X, Y)?`` reads par and root, so
+    their footprints differ, yet one store holds one ``anc`` for both, in
+    either order: built once per growth, the size of rooted's cone."""
+    kb = make_kb()
+    kb.rules(ROOTED)
+    kb.facts("root", [("abe",), ("homer",)])
+    forms = ["anc(X, Y)?", "rooted(X, Y)?"]
+    if first == "rooted":
+        forms.reverse()
+    writes = (
+        lambda: kb.facts("par", [("bart", "maggie")]),
+        lambda: kb.facts("par", [("lisa", "zia"), ("zed", "abe")]),
+        lambda: kb.retract("par", [("homer", "bart")]),
+        lambda: kb.facts("root", [("zed",)]),
+        lambda: kb.retract("root", [("abe",)]),
+    )
+    for write in (None,) + writes:
+        if write is not None:
+            write()
+        for text in forms:
+            answers, planned = kb.ask(text).to_python(), runs["run"]
+            assert answers == fresh_answers(kb, text)
+            runs["run"] = planned  # not the fresh knowledge base's plan
+    assert runs["materialize"] == (2 if first == "anc" else 1)
+    views = live_views()
+    assert len(views) == 1 and views[0] is kb._views  # one anc store
+    cone = ViewSet(kb.db, kb.program, builtins=kb.builtins)
+    cone.materialize()
+    assert kb._views.size() == cone.size() == len(cone.ids("anc")) + len(cone.ids("rooted"))
 
 
 def test_mid_transaction_ask_over_a_touched_footprint_sees_its_own_writes(runs):
     kb = promoted_kb()
+    views = kb._views
     runs["run"] = 0
     with kb.transaction():
         kb.facts("par", [("maggie", "lingo")])
         inside = kb.ask("anc(X, Y)?")
         assert ("abe", "lingo") in set(inside.to_python())
-        assert runs["run"] == 1  # the plan, not the stale extension
-        assert extension(kb).answers is not inside  # and not cached
+        assert runs["run"] == 1  # the plan, not the stale store
+        assert kb._views is views and not kb._pending  # neither built nor owed inside
     assert kb.ask("anc(X, Y)?") == inside
+    assert runs["run"] == 1 and kb._views is views  # caught up at the ask
 
 
 def test_abort_leaves_the_pending_delta_untouched():
     kb = promoted_kb()
     kb.facts("par", [("maggie", "lingo")])
-    entry = extension(kb)
-    pending = ({k: set(v) for k, v in entry.pending.inserted.items()},
-               {k: set(v) for k, v in entry.pending.removed.items()})
+    views, owed = kb._views, kb._pending
+    pending = ({k: set(v) for k, v in owed.inserted.items()},
+               {k: set(v) for k, v in owed.removed.items()})
     with pytest.raises(RuntimeError):
         with kb.transaction():
             kb.retract("par", [("maggie", "lingo"), ("abe", "homer")])
             kb.facts("par", [("lingo", "zia")])
             raise RuntimeError
-    assert extension(kb) is entry
-    assert (entry.pending.inserted, entry.pending.removed) == pending
+    assert kb._views is views and kb._pending is owed
+    assert (owed.inserted, owed.removed) == pending
     assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
 
 
 def test_commit_hands_over_the_net_delta():
     kb = promoted_kb()
-    entry = extension(kb)
+    views = kb._views
     with kb.transaction():
         kb.facts("par", [("maggie", "lingo"), ("lingo", "zia")])
         kb.retract("par", [("lingo", "zia"), ("abe", "homer")])
         kb.facts("par", [("abe", "homer")])
     ids = INTERNER.lookup_row
-    assert entry.pending.inserted == {"par": {ids((Constant("maggie"), Constant("lingo")))}}
-    assert not any(entry.pending.removed.values())
+    assert kb._views is views
+    assert kb._pending.inserted == {"par": {ids((Constant("maggie"), Constant("lingo")))}}
+    assert not any(kb._pending.removed.values())
     assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
 
 
 def test_new_rules_drop_the_entry():
     kb = promoted_kb()
     kb.rules("anc(X, Y) <- par(Y, X).")
-    assert "anc(X, Y)?" not in kb._result_cache
+    assert kb._views is None and not kb._result_cache
     assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
 
 
@@ -512,7 +556,7 @@ def test_a_catch_up_that_fails_leaves_the_extension_to_be_rebuilt(monkeypatch, r
         patch.setattr(ViewSet, "insert", broken)
         with pytest.raises(OSError):
             kb.ask("anc(X, Y)?")
-    assert extension(kb).views is None
+    assert kb._views is None
     assert kb.ask("anc(X, Y)?").to_python() == fresh_answers(kb, "anc(X, Y)?")
     assert runs["materialize"] == 2
 
@@ -526,19 +570,27 @@ _PAST_THE_KB = {
 
 
 @pytest.mark.parametrize("write", sorted(_PAST_THE_KB))
-@pytest.mark.parametrize("promoted", [False, True])
+@pytest.mark.parametrize("promoted", [False, True, "pinned"])
 def test_a_write_past_the_knowledge_base_is_seen(write, promoted):
     """The database's own writes never reach the pending delta; the
-    entry's version vector catches them, before or after promotion, alone
-    or followed by a write through the knowledge base."""
+    store's fence catches them, before or after promotion or once pinned,
+    alone or followed by a write through the knowledge base.  Pinned, a
+    bound form and ``view_rows`` read the store too."""
     for then in (lambda kb: None, lambda kb: kb.facts("par", [("maggie", "lingo")])):
-        kb = promoted_kb() if promoted else make_kb()
+        kb = promoted_kb() if promoted is True else make_kb()
+        if promoted == "pinned":
+            kb.materialize()
         before = kb.ask("anc(X, Y)?").to_python()
         _PAST_THE_KB[write](kb)
         then(kb)
         after = kb.ask("anc(X, Y)?").to_python()
         assert after != before and after == fresh_answers(kb, "anc(X, Y)?")
         assert kb.ask("anc(X, Y)?").to_python() == after
+        if promoted == "pinned":
+            for x in ("abe", "homer", "zed"):
+                got = kb.ask("anc($X, Y)?", X=x).to_python()
+                assert got == fresh_answers(kb, "anc($X, Y)?", X=x)
+            assert sorted(kb.view_rows("anc")) == after
 
 
 def test_a_write_past_the_knowledge_base_inside_a_transaction(runs):
