@@ -119,22 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "loading and keep the extensions incrementally "
                              "maintained under fact updates (counting/DRed; "
                              "see docs/performance.md)")
-    parser.add_argument("--feedback", type=Path, default=None, metavar="FILE",
-                        help="persist the cardinality feedback store to FILE "
-                             "as JSONL (schema repro.feedback/1; inspect with "
-                             "python -m repro.obs.feedback); default is an "
-                             "in-memory store")
-    parser.add_argument("--no-feedback", action="store_true",
-                        help="disable the cardinality feedback loop entirely "
-                             "(static estimates only, no re-optimization)")
-    parser.add_argument("--reopt-threshold", type=float, default=None,
-                        metavar="Q",
-                        help="observed worst q-error at which a cached plan "
-                             "is evicted and re-optimized with learned "
-                             "cardinalities (default: 16.0)")
     parser.add_argument("--telemetry", type=Path, default=None, metavar="FILE",
                         help="stream per-query telemetry records to FILE as "
-                             "JSONL (schema repro.telemetry/1; validate with "
+                             "JSONL (schema repro.telemetry/2; validate with "
                              "python -m repro.obs.validate)")
     parser.add_argument("-i", "--interactive", action="store_true",
                         help="drop into a REPL after loading files")
@@ -256,16 +243,7 @@ def repl(kb: KnowledgeBase, args, stdin: IO[str], out: IO[str], tracer=NULL_TRAC
 def main(argv: Sequence[str] | None = None, stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
     out = stdout or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.no_feedback:
-        feedback = False
-    elif args.feedback is not None:
-        feedback = str(args.feedback)
-    else:
-        feedback = True
     telemetry_sink = JsonlSink(str(args.telemetry)) if args.telemetry is not None else None
-    kb_kwargs = {}
-    if args.reopt_threshold is not None:
-        kb_kwargs["reopt_qerror_threshold"] = args.reopt_threshold
     config_kwargs = {}
     if args.recursive_method is not None:
         # a bound-only method (e.g. magic) leaves an all-free recursive
@@ -274,9 +252,7 @@ def main(argv: Sequence[str] | None = None, stdin: IO[str] | None = None, stdout
     kb = KnowledgeBase(
         OptimizerConfig(strategy=args.strategy, **config_kwargs),
         result_cache=not args.no_result_cache,
-        feedback=feedback,
         telemetry_sink=telemetry_sink,
-        **kb_kwargs,
     )
     try:
         load_files(kb, args.files, out)
@@ -313,7 +289,7 @@ def main(argv: Sequence[str] | None = None, stdin: IO[str] | None = None, stdout
             repl(kb, args, stdin or sys.stdin, out, tracer=tracer)
     finally:
         tracer.close()
-        kb.close()  # flushes the feedback store, closes the telemetry sink
+        kb.close()  # closes the telemetry sink
         if args.metrics is not None:
             if args.metrics.suffix == ".json":
                 args.metrics.write_text(kb.metrics.to_json() + "\n")

@@ -282,6 +282,14 @@ class Interpreter:
         #: per-plan-node measured execution stats (id(node) -> counters),
         #: consumed by EXPLAIN ANALYZE
         self.node_stats: dict[int, dict[str, int]] = {}
+        #: whether some AND node ran on the reference operators
+        self._reference = False
+
+    @property
+    def tier(self) -> str:
+        """``"reference"`` when some AND node of what ran here fell back
+        to the reference operators, else ``"batch"``."""
+        return "reference" if self._reference else "batch"
 
     # ------------------------------------------------------------- queries
 
@@ -341,6 +349,7 @@ class Interpreter:
                     answers = QueryAnswers(out_vars, ids, self.profiler)
             else:
                 span.note(tier="reference", why=why)
+                self._reference = True
                 table = BindingsTable.from_rows(schema, [row]) if schema else BindingsTable.unit()
                 final = self._run_steps(wrapper, table)
                 length = len(final.rows)
@@ -416,6 +425,7 @@ class Interpreter:
                 lowered.plan, columns, length, INTERNER, self.profiler, self.governor
             )
         span.note(tier="reference", why=why)
+        self._reference = True
         table = (
             BindingsTable.unit() if keys is None
             else keys_table(patterns, INTERNER.decode_rows(keys))
@@ -478,15 +488,9 @@ class Interpreter:
         them and *state* a bindings table or an id batch of ``size(state)``
         rows — with the bookkeeping both executors owe around each step:
         the operator span noting the EL label, governor settling, and the
-        node statistics EXPLAIN ANALYZE and the feedback harvest read."""
+        node statistics EXPLAIN ANALYZE reads."""
         governor = self.governor
         head_name = node.rule.head.predicate
-        # Remember the join's input width: the feedback store divides each
-        # step's output rows by its predecessor's to learn per-row fanouts.
-        node_stats = self.node_stats.setdefault(
-            id(node), {"calls": 0, "cached_calls": 0, "rows": 0}
-        )
-        node_stats["in_rows"] = max(node_stats.get("in_rows", 0), size(state))
         for step, form in zip(node.steps, forms):
             if not size(state):
                 break

@@ -38,12 +38,11 @@ from .engine.interpreter import Interpreter, QueryAnswers
 from .engine.maintenance import ViewSet, maintainable_cone
 from .engine.profiler import Profiler
 from .errors import KnowledgeBaseError, ResourceExhausted, TransactionError
-from .obs.feedback import FeedbackStore
 from .obs.metrics import MetricsRegistry
 from .obs.telemetry import TelemetryLog
 from .obs.tracer import NULL_TRACER
 from .optimizer.optimizer import OptimizedQuery, Optimizer, OptimizerConfig
-from .plans.printer import explain
+from .plans.printer import explain, worst_q_error
 from .storage.catalog import Database
 from .storage.loader import parse_facts_text
 
@@ -93,7 +92,7 @@ class _KbTxn:
     stale-but-reachable if versions were restored under them), plus the
     net delta the store is owed, folded in once at commit."""
 
-    __slots__ = ("rules", "store", "result_cache", "delta", "touched", "retracted", "rules_changed")
+    __slots__ = ("rules", "store", "result_cache", "delta", "touched", "rules_changed")
 
     def __init__(self, kb: "KnowledgeBase"):
         self.rules = list(kb._rules)
@@ -107,9 +106,6 @@ class _KbTxn:
         #: writes never land here), each with its count of such writes —
         #: drives the footprint-scoped invalidation at commit
         self.touched: dict[str, int] = {}
-        #: the subset of `touched` that saw retractions — only these
-        #: invalidate learned feedback (see KnowledgeBase.retract)
-        self.retracted: set[str] = set()
         self.rules_changed = False
 
 
@@ -134,23 +130,11 @@ class KnowledgeBase:
     pins it, the net delta it is owed, and its footprint's version
     vector, which catches writes made straight to ``kb.db``.
 
-    *feedback* controls the cardinality feedback loop
-    (:mod:`repro.obs.feedback`): ``True`` (default) keeps an in-memory
-    store, a path string persists it as JSONL across restarts, a
-    :class:`~repro.obs.feedback.FeedbackStore` instance is used as-is,
-    and ``False`` disables the loop entirely.  Every executed plan is
-    harvested from the interpreter's always-on per-node counters (no
-    tracer needed); learned selectivities feed the next optimization,
-    and when a plan's observed worst q-error reaches
-    *reopt_qerror_threshold* its plan-cache entry is evicted so the next
-    ask re-plans with the evidence (at most once per cached form between
-    invalidations — no ping-pong).  Feedback changes plans, never
-    answers.
-
-    Every query also lands one record in :attr:`telemetry` — a
+    Every query lands one record in :attr:`telemetry` — a
     :class:`~repro.obs.telemetry.TelemetryLog` ring buffer (wall time,
-    tier taken, cache hit/miss, governor denials, worst q-error) whose
-    *telemetry_sink* can stream ``repro.telemetry/1`` JSONL.
+    tier taken, cache hit/miss, governor denials, worst q-error of the
+    executed plan) whose *telemetry_sink* can stream
+    ``repro.telemetry/2`` JSONL.
     """
 
     def __init__(
@@ -159,8 +143,6 @@ class KnowledgeBase:
         *,
         result_cache: bool = True,
         result_cache_size: int = 256,
-        feedback: "bool | str | FeedbackStore" = True,
-        reopt_qerror_threshold: float = 16.0,
         telemetry_capacity: int = 256,
         telemetry_sink=None,
     ):
@@ -205,22 +187,8 @@ class KnowledgeBase:
         #: governor denials, kernel compiles, ...); exportable via
         #: ``metrics.to_json()`` / ``metrics.to_prometheus_text()``
         self.metrics = MetricsRegistry()
-        #: the cardinality feedback store, or None when feedback=False
-        if feedback is True:
-            self.feedback: FeedbackStore | None = FeedbackStore()
-        elif feedback is False or feedback is None:
-            self.feedback = None
-        elif isinstance(feedback, FeedbackStore):
-            self.feedback = feedback
-        else:
-            self.feedback = FeedbackStore(feedback)
-        self.reopt_qerror_threshold = reopt_qerror_threshold
         #: per-query telemetry ring buffer (see module docstring)
         self.telemetry = TelemetryLog(telemetry_capacity, sink=telemetry_sink)
-        #: plan-cache keys whose entry was already evicted for q-error
-        #: since the last invalidation — re-opt fires once per form, not
-        #: on every execution of the (possibly still misestimated) replan
-        self._reopt_fired: set[tuple[str, str]] = set()
 
     # ----------------------------------------------------------- transactions
 
@@ -266,8 +234,6 @@ class KnowledgeBase:
                 self._invalidate()
             elif txn.touched:
                 self._data_invalidate(txn.touched, txn.delta)
-                if txn.retracted:
-                    self._feedback_forget(txn.retracted)
             self.metrics.inc("transactions_total", outcome="commit")
 
     @property
@@ -275,11 +241,9 @@ class KnowledgeBase:
         return self._txn is not None
 
     def close(self) -> None:
-        """Roll back any open transaction, flush the feedback store, and
-        close the telemetry sink.  Idempotent."""
+        """Roll back any open transaction and close the telemetry sink.
+        Idempotent."""
         self._txn = None
-        if self.feedback is not None:
-            self.feedback.flush()
         self.telemetry.close()
         self.db.close()
 
@@ -341,20 +305,11 @@ class KnowledgeBase:
             # Deferred to commit: invalidation fires once, and the store's
             # maintenance never has to be undone on rollback.
             txn.touched[predicate] = txn.touched.get(predicate, 0) + 1
-            if not inserted:
-                txn.retracted.add(predicate)
             txn.delta.fold(predicate, changed, inserted=inserted)
             return len(changed)
         written = {predicate: changed}
         delta = _NetDelta(written, ()) if inserted else _NetDelta((), written)
         self._data_invalidate({predicate: 1}, delta)
-        if not inserted:
-            # Retraction can strand learned selectivities arbitrarily far
-            # from reality (the rows they were measured against are gone),
-            # so the affected feedback entries are dropped; insertions
-            # instead rely on the store's EMA drift + staleness decay —
-            # see docs/performance.md for the contract.
-            self._feedback_forget({predicate})
         return len(changed)
 
     # ----------------------------------------------------------- views
@@ -418,11 +373,10 @@ class KnowledgeBase:
 
     def _drop_compiled(self) -> None:
         """Forget every compiled query and what was derived for them: forms,
-        lowered rules, re-opt latches, the graph and what was read off it."""
+        lowered rules, the graph and what was read off it."""
         self._compiled.clear()
         self._forms.clear()
         self._lowered_rules.clear()
-        self._reopt_fired.clear()
         self._footprints.clear()
         self._footprint_graph = None
         self._cones.clear()
@@ -506,17 +460,17 @@ class KnowledgeBase:
         """Surgical invalidation after *writes* (base relation -> count of
         writes that changed it): only compiled plans and cached results
         whose footprint intersects the mutated relations are evicted;
-        queries over disjoint data keep their plans, cached answers, and
-        re-opt state.  The cached answers are version-fenced by their key,
+        queries over disjoint data keep their plans and cached answers.
+        The cached answers are version-fenced by their key,
         so evicting them is memory hygiene, not correctness; the store owes
         the write's *delta* (:meth:`_owe`).
         """
         touched = writes.keys()
         if not touched:
             return
-        # Statistics feeding cost models changed; the optimizer rebuilds
-        # lazily (cheap — the expensive per-form work is in _compiled,
-        # which is evicted selectively below).
+        # Statistics feeding cost models changed (and the samples the
+        # optimizer took of them); it rebuilds lazily (cheap — the
+        # expensive per-form work is in _compiled, evicted selectively).
         self._optimizer = None
         stale = [
             key for key, compiled in self._compiled.items()
@@ -524,29 +478,10 @@ class KnowledgeBase:
         ]
         for key in stale:
             del self._compiled[key]
-            # The write may fix (or worsen) the very misestimate that
-            # fired re-optimization; re-arm the once-per-form latch for
-            # the forms whose data actually moved.
-            self._reopt_fired.discard(key)
         if self._result_cache is not None:
             for key in [key for key in self._result_cache if not key[3].isdisjoint(touched)]:
                 del self._result_cache[key]
         self._owe(delta, writes)
-
-    def _feedback_forget(self, touched: set[str]) -> None:
-        """Drop learned cardinalities invalidated by a retraction: every
-        entry recorded for a touched relation or for a derived predicate
-        whose footprint reads one."""
-        if self.feedback is None or not touched:
-            return
-        scope = set(touched)
-        for ref in self.program.derived_predicates:
-            if self._dependency_footprint(ref.name, ref.arity) & touched:
-                scope.add(ref.name)
-        dropped = self.feedback.invalidate(scope)
-        if dropped:
-            self.metrics.inc("feedback_invalidated_total", dropped)
-            self.metrics.set_gauge("feedback_entries", float(len(self.feedback)))
 
     # ----------------------------------------------------------- compiling
 
@@ -558,8 +493,7 @@ class KnowledgeBase:
     def optimizer(self) -> Optimizer:
         if self._optimizer is None:
             self._optimizer = Optimizer(
-                self.program, self.db, self.config,
-                builtins=self.builtins, feedback=self.feedback,
+                self.program, self.db, self.config, builtins=self.builtins
             )
         return self._optimizer
 
@@ -630,7 +564,7 @@ class KnowledgeBase:
         profiler = Profiler()
         tracer.attach(profiler)
         started = time.perf_counter()
-        before = self._tier_counters()
+        before = self._denials()
         with tracer.span("query", kind="query") as root:
             compiled = self.compile(query, tracer=tracer)
             root.note(goal=str(compiled.query.goal))
@@ -642,11 +576,9 @@ class KnowledgeBase:
                 compiled.plan, compiled.query, compiled.code, **bindings
             )
         self.metrics.inc("queries_total")
-        worst, reopt = self._harvest(compiled, interpreter.node_stats)
         self._telemetry_note(
-            compiled.query, started, before,
-            tier=self._tier_taken(before), cache="off",
-            rows=len(answers), worst=worst, reopt=reopt,
+            compiled.query, started, before, tier=interpreter.tier, cache="off",
+            rows=len(answers), worst=self._qerror(compiled, interpreter.node_stats),
         )
         body = explain_analyzed(compiled.plan, interpreter.node_stats)
         summary = (
@@ -695,7 +627,7 @@ class KnowledgeBase:
         # between span trees, so counter deltas cover the whole query.
         tracer.attach(profiler)
         started = time.perf_counter()
-        before = self._tier_counters()
+        before = self._denials()
         with tracer.span("query", kind="query") as root:
             form = self._form(query, tracer)
             root.note(goal=str(form.goal))
@@ -712,7 +644,7 @@ class KnowledgeBase:
                     # record the telemetry log would show an idle system.
                     self._telemetry_note(
                         form, started, before, tier="cache", cache="hit",
-                        rows=len(hit), worst=1.0, reopt=False,
+                        rows=len(hit), worst=1.0,
                     )
                     return hit
                 self.metrics.inc("result_cache_misses_total")
@@ -722,7 +654,7 @@ class KnowledgeBase:
                 # the store's extension was read.
                 views = self._store(goal)
                 answers = self._answer_from_view(views.ids(form.predicate), form, profiler, bindings)
-                tier, worst, reopt = "view", 1.0, False
+                tier, worst = "view", 1.0
             else:
                 interpreter = Interpreter(
                     self.db, profiler=profiler, builtins=self.builtins,
@@ -734,16 +666,15 @@ class KnowledgeBase:
                     )
                 except Exception as err:
                     self._telemetry_note(
-                        form, started, before, tier=self._tier_taken(before),
-                        cache="off", rows=0, worst=1.0, reopt=False,
+                        form, started, before, tier=interpreter.tier,
+                        cache="off", rows=0, worst=1.0,
                         status="denied" if isinstance(err, ResourceExhausted) else "error",
                     )
                     raise
-                # Always-on collector: the interpreter's node_stats exist
-                # with or without a tracer, so every successful ask feeds
-                # the feedback store (and may evict a misestimated plan).
-                worst, reopt = self._harvest(compiled, interpreter.node_stats)
-                tier = self._tier_taken(before)
+                # The interpreter's node_stats exist with or without a
+                # tracer, so every executed plan reports its q-error.
+                worst = self._qerror(compiled, interpreter.node_stats)
+                tier = interpreter.tier
             if cache_key is not None:
                 cache = self._result_cache
                 while len(cache) >= self._result_cache_size:
@@ -752,74 +683,35 @@ class KnowledgeBase:
             self._telemetry_note(
                 form, started, before, tier=tier,
                 cache="miss" if cache_key is not None else "off",
-                rows=len(answers), worst=worst, reopt=reopt,
+                rows=len(answers), worst=worst,
             )
             return answers
 
-    # ------------------------------------------------- feedback + telemetry
+    # --------------------------------------------------------- telemetry
 
-    def _tier_counters(self) -> tuple[int, int]:
-        """Snapshot of the tier/denial counters before a query."""
-        metrics = self.metrics
-        return (
-            metrics.counter_total("batch_rules_total"),
-            metrics.counter_total("governor_denials_total"),
-        )
+    def _denials(self) -> int:
+        """The governor denials counted so far (snapshot before a query)."""
+        return self.metrics.counter_total("governor_denials_total")
 
-    def _tier_taken(self, before: tuple[int, int]) -> str:
-        """Which execution tier this query actually used, inferred from
-        per-query counter deltas (works with the tracer off): "batch"
-        when a lowered fixpoint rule ran, "row" when none did (the plan
-        interpreter's own operators, or reference-only rules)."""
-        if self.metrics.counter_total("batch_rules_total") > before[0]:
-            return "batch"
-        return "row"
-
-    def _harvest(self, compiled: OptimizedQuery, node_stats: dict) -> tuple[float, bool]:
-        """Feed one executed plan into the feedback store; returns the
-        observed worst q-error and whether re-optimization was triggered
-        (the plan-cache entry evicted and the optimizer's memo dropped so
-        the next compile sees the learned cardinalities)."""
-        if self.feedback is None:
-            return 1.0, False
-        observation = self.feedback.observe_plan(compiled.plan, node_stats)
-        self.feedback.flush()
-        worst = observation.worst_qerror
-        self.metrics.observe(
-            "qerror", min(worst, _QERROR_CEIL), buckets=QERROR_BUCKETS
-        )
-        self.metrics.set_gauge("feedback_entries", float(len(self.feedback)))
-        form = compiled.query
-        key = (str(form.goal), form.adornment.code)
-        if (
-            worst >= self.reopt_qerror_threshold
-            and key in self._compiled
-            and key not in self._reopt_fired
-        ):
-            del self._compiled[key]
-            # The optimizer memoizes per-(predicate, binding) subplans, so
-            # evicting only the kb-level entry would hand back the same
-            # tree; a fresh Optimizer re-costs with the learned values.
-            self._optimizer = None
-            self._reopt_fired.add(key)
-            self.metrics.inc("reopt_total", reason="qerror")
-            return worst, True
-        return worst, False
+    def _qerror(self, compiled: OptimizedQuery, node_stats: dict) -> float:
+        """The executed plan's worst q-error, into the ``qerror`` histogram."""
+        worst = worst_q_error(compiled.plan, node_stats)
+        self.metrics.observe("qerror", min(worst, _QERROR_CEIL), buckets=QERROR_BUCKETS)
+        return worst
 
     def _telemetry_note(
         self,
         form: QueryForm,
         started: float,
-        before: tuple[int, int],
+        before: int,
         *,
         tier: str,
         cache: str,
         rows: int,
         worst: float,
-        reopt: bool,
         status: str = "ok",
     ) -> None:
-        denials = self.metrics.counter_total("governor_denials_total") - before[1]
+        denials = self._denials() - before
         self.telemetry.record(
             goal=str(form.goal),
             adornment=form.adornment.code,
@@ -829,7 +721,6 @@ class KnowledgeBase:
             rows=rows,
             worst_qerror=worst,
             denials=int(denials),
-            reopt=reopt,
             status=status,
         )
 

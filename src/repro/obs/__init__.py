@@ -1,6 +1,6 @@
 """Observability: query tracing, metrics, and trace-event export.
 
-Three layers, each usable alone:
+Four layers, each usable alone:
 
 * :mod:`repro.obs.tracer` — a span-based tracer with stable span ids and
   parent links covering parse → optimize → execute, recording the
@@ -12,21 +12,13 @@ Three layers, each usable alone:
 * :mod:`repro.obs.events` — the versioned JSONL span-event schema, its
   file sink, and a stdlib-only validator
   (``python -m repro.obs.validate``).
-
-PR 8 closes the loop with two more:
-
-* :mod:`repro.obs.feedback` — the persistent cardinality feedback store
-  (fingerprint → learned selectivity) the cost model consults and
-  ``kb.ask`` populates on every query
-  (``python -m repro.obs.feedback dump|stats|clear``).
 * :mod:`repro.obs.telemetry` — the per-query telemetry ring buffer
-  (``kb.telemetry``) exporting ``repro.telemetry/1`` records through the
+  (``kb.telemetry``) exporting ``repro.telemetry/2`` records through the
   same JSONL transport.
 
 The CLI surfaces them all: ``--trace FILE``, ``--metrics FILE``,
-``--telemetry FILE``, ``--feedback FILE`` / ``--no-feedback``,
-``--reopt-threshold``, and ``--analyze`` (per-node EXPLAIN ANALYZE;
-also ``:analyze`` in the REPL).
+``--telemetry FILE`` and ``--analyze`` (per-node EXPLAIN ANALYZE; also
+``:analyze`` in the REPL).
 """
 
 from .events import (
@@ -37,7 +29,6 @@ from .events import (
     validate_events,
     validate_trace_file,
 )
-from .feedback import FEEDBACK_SCHEMA, FeedbackEntry, FeedbackStore, PlanObservation
 from .metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from .telemetry import TELEMETRY_SCHEMA, TelemetryLog, validate_telemetry_event
 from .tracer import (
@@ -52,15 +43,11 @@ from .tracer import (
 __all__ = [
     "COUNTER_FIELDS",
     "DEFAULT_BUCKETS",
-    "FEEDBACK_SCHEMA",
-    "FeedbackEntry",
-    "FeedbackStore",
     "Histogram",
     "JsonlSink",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "PlanObservation",
     "SCHEMA",
     "SPAN_KINDS",
     "Span",

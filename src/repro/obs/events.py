@@ -26,7 +26,7 @@ Event shape (version 1)::
 only (no jsonschema dependency) and is what the CI smoke step runs over
 the traces produced from ``examples/``.  ``python -m repro.obs.validate
 FILE`` wraps it for the command line.  Streams may interleave
-``repro.telemetry/1`` query records (see :mod:`repro.obs.telemetry`)
+``repro.telemetry/2`` query records (see :mod:`repro.obs.telemetry`)
 with trace spans — the validator dispatches on the in-band schema field.
 """
 
@@ -146,7 +146,7 @@ def validate_event(event: dict) -> list[str]:
     """Schema violations of one event (empty list = valid).
 
     Dispatches on the in-band ``schema`` field: ``repro.trace/1`` span
-    events are checked here, ``repro.telemetry/1`` query records are
+    events are checked here, ``repro.telemetry/2`` query records are
     handed to :func:`~repro.obs.telemetry.validate_telemetry_event`.
     """
     errors: list[str] = []

@@ -2,15 +2,15 @@
 
 ``kb.telemetry`` records one :data:`TELEMETRY_SCHEMA` event per answered
 query — wall time, the execution tier that actually served it
-(``row`` / ``batch`` / ``cache`` / ``view``), governor denials,
-result-cache hit/miss, worst observed q-error, and whether the
-feedback loop triggered a re-optimization.  The newest *capacity*
+(``batch`` / ``reference`` / ``cache`` / ``view``), governor denials,
+result-cache hit/miss and the worst q-error of the plan's executed
+nodes (:func:`repro.plans.printer.worst_q_error`).  The newest *capacity*
 records are kept in memory for ``kb.telemetry.slow_queries()``-style
 introspection; an optional sink (any callable, typically
 :class:`~repro.obs.events.JsonlSink`) receives every record as it is
 appended, so telemetry shares the trace pipeline's JSONL transport and
 validator (``python -m repro.obs.validate`` accepts mixed
-``repro.trace/1`` / ``repro.telemetry/1`` files).
+``repro.trace/1`` / ``repro.telemetry/2`` files).
 
 Sink failures follow the tracer's discipline: the sink is dropped with a
 :class:`~repro.obs.tracer.TraceSinkWarning` and the query proceeds —
@@ -26,11 +26,13 @@ from typing import Callable, Iterable
 from .tracer import TraceSinkWarning
 
 #: In-band schema identifier for telemetry records.
-TELEMETRY_SCHEMA = "repro.telemetry/1"
+TELEMETRY_SCHEMA = "repro.telemetry/2"
 
-#: Execution tiers a query record may report ("row": no lowered
-#: fixpoint rule ran — see ``KnowledgeBase._tier_taken``).
-TIERS = frozenset({"row", "batch", "cache", "view"})
+#: Execution tiers a query record may report: the plan ran on lowered
+#: columnar operators only (``batch``) or some AND node fell back to the
+#: reference operators (``reference``, see ``Interpreter.tier``); or no
+#: plan ran, the answer coming from the result cache or the store.
+TIERS = frozenset({"batch", "reference", "cache", "view"})
 
 #: Fields every telemetry record carries (the validator checks these).
 _CEIL = 1e300
@@ -47,7 +49,6 @@ def telemetry_record(
     rows: int,
     worst_qerror: float,
     denials: int,
-    reopt: bool,
     status: str = "ok",
 ) -> dict:
     """Build one schema-conformant telemetry event."""
@@ -63,7 +64,6 @@ def telemetry_record(
         "rows": rows,
         "worst_qerror": round(min(worst_qerror, _CEIL), 3),
         "denials": denials,
-        "reopt": reopt,
         "status": status,  # "ok" | "denied" | "error"
     }
 
@@ -153,7 +153,7 @@ class TelemetryLog:
 
 
 def validate_telemetry_event(event: object) -> list[str]:
-    """Schema-check one ``repro.telemetry/1`` record; returns problems."""
+    """Schema-check one ``repro.telemetry/2`` record; returns problems."""
     problems: list[str] = []
     if not isinstance(event, dict):
         return ["telemetry event is not an object"]
@@ -169,7 +169,6 @@ def validate_telemetry_event(event: object) -> list[str]:
         "rows": int,
         "worst_qerror": (int, float),
         "denials": int,
-        "reopt": bool,
         "status": str,
     }
     for field, kind in required.items():

@@ -2,7 +2,7 @@
 
 Exit status 0 when every event in every file conforms to its in-band
 schema — ``repro.trace/1`` span events (kind registry and the shaped
-name ``optimize:enumerate:<pred>`` included) or ``repro.telemetry/1`` query
+name ``optimize:enumerate:<pred>`` included) or ``repro.telemetry/2`` query
 records, which may be interleaved in one file — and 1 otherwise
 (violations are printed one per line).  CI runs this over the traces
 and telemetry produced from the ``examples/`` smoke queries.

@@ -213,9 +213,9 @@ class _CompletionBounds:
     rule) and the declared filter selectivities for comparisons/negation.
 
     The bound is only claimed when every step is priced from catalog (or
-    overlay) statistics with static selectivities: a derived oracle,
-    learned feedback fanouts, or builtin hints can price a step below the
-    statistics floor, so their presence disables the bound (``lower()``
+    overlay) statistics with static selectivities: a derived oracle or
+    builtin hints can price a step below the statistics floor, so their
+    presence disables the bound (``lower()``
     returns 0.0 and pruning falls back to the accumulated prefix cost,
     which is always admissible — step deltas are non-negative).
     """
@@ -223,10 +223,7 @@ class _CompletionBounds:
     def __init__(self, body: Sequence[Literal], estimator: BodyEstimator) -> None:
         self.shrink: dict[int, float] = {}
         self.weight: dict[int, float] = {}
-        self.enabled = (
-            getattr(estimator, "feedback", None) is None
-            and getattr(estimator, "derived_oracle", None) is _no_derived
-        )
+        self.enabled = getattr(estimator, "derived_oracle", None) is _no_derived
         builtins = getattr(estimator, "builtins", None)
         if self.enabled and builtins is not None:
             for literal in body:

@@ -50,11 +50,7 @@ class JoinStep:
       ``pipelined``/``materialized``;
     * ``pipelined`` — whether sideways bindings flow into this step (for
       base literals ``index`` implies pipelined probing; a materialized
-      base step scans the stored relation);
-    * ``est_source`` — where the cardinality estimate came from:
-      ``"static"`` (catalog independence guesses) or ``"learned"`` (the
-      cardinality feedback store had a usable observation for this
-      fragment when the plan was costed).
+      base step scans the stored relation).
     """
 
     literal: Literal
@@ -62,7 +58,6 @@ class JoinStep:
     method: str
     pipelined: bool
     est: Estimate = Estimate(0.0, 0.0)
-    est_source: str = "static"
 
     def describe(self) -> str:
         mode = "→" if self.pipelined else "⊳"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .nodes import DerivedPlan, FixpointNode, JoinNode, UnionNode
+from .nodes import DerivedPlan, FixpointNode, JoinNode, JoinStep, UnionNode
 
 
 def _fmt(value: float) -> str:
@@ -44,6 +44,30 @@ def q_error(est_card: float, act_rows: float) -> float:
     if math.isinf(est):
         return math.inf
     return max(est / act, act / est)
+
+
+def worst_q_error(plan: DerivedPlan, node_stats: dict[int, dict]) -> float:
+    """The largest q-error over the nodes and steps of *plan* that ran
+    (1.0 when none did) — the figure EXPLAIN ANALYZE ranks, without the
+    text.  A subplan shared by several steps is visited once."""
+    worst = 1.0
+    seen: set[int] = set()
+    stack: list = [plan]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stats = node_stats.get(id(node))
+        if stats is not None:
+            worst = max(worst, q_error(node.est.card, stats["rows"]))
+        if isinstance(node, UnionNode):
+            stack.extend(node.children)
+        elif isinstance(node, JoinNode):
+            stack.extend(node.steps)
+        elif isinstance(node, JoinStep) and node.child is not None:
+            stack.append(node.child)
+    return worst
 
 
 def explain(plan: DerivedPlan, indent: int = 0) -> str:
@@ -137,16 +161,8 @@ def _explain_into(
         )
         for step in node.steps:
             marker = "→" if step.pipelined else "⊳"
-            # ``~learned``: this step's cardinality came from the feedback
-            # store rather than static catalog guesses (getattr keeps old
-            # pickled/constructed plans without the field printable).
-            learned = (
-                " ~learned"
-                if getattr(step, "est_source", "static") == "learned"
-                else ""
-            )
             lines.append(
-                f"{pad}  {marker} {step.literal} [{step.method}]{learned} "
+                f"{pad}  {marker} {step.literal} [{step.method}] "
                 f"{_annotation(step.est)}"
                 f"{_measured(step, f'step {step.literal}', node_stats, misses)}"
             )

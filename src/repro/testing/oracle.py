@@ -245,39 +245,6 @@ def run_kb(case: Case, config: OptimizerConfig) -> Answers:
     return frozenset(out)
 
 
-def run_kb_feedback(case: Case) -> Answers:
-    """The feedback loop's answer-identity contract: ask twice with the
-    cardinality feedback store live and an aggressive re-opt threshold,
-    forcing a replan with learned cardinalities between the runs, and
-    return the *second* run's answers.  Feedback must change plans, never
-    answers — any disagreement with the reference is a loop bug.
-    """
-    kb = KnowledgeBase(
-        OptimizerConfig(strategy="dp", seed=0),
-        result_cache=False,  # the second ask must re-execute, not replay
-        feedback=True,
-        reopt_qerror_threshold=1.5,
-    )
-    kb.rules(case.rules)
-    for name in sorted(case.facts):
-        rows = case.facts[name]
-        if rows:
-            kb.facts(name, [tuple(row) for row in rows])
-    form = parse_query(case.query)
-    kb.ask(case.query)
-    # Even a sub-threshold q-error must not change answers: always replan
-    # from scratch with whatever the store learned (internals on purpose —
-    # this is the testing harness exercising the worst case).
-    kb._compiled.clear()
-    kb._optimizer = None
-    answers = kb.ask(case.query)
-    out = set()
-    for row in answers.rows:
-        subst = dict(zip(answers.variables, row))
-        out.add(tuple(apply(arg, subst) for arg in form.goal.args))
-    return frozenset(out)
-
-
 def _default_runners() -> dict[str, Callable[[Case], Answers]]:
     runners: dict[str, Callable[[Case], Answers]] = {
         "fixpoint-interpreted": partial(run_fixpoint, compile=False),
@@ -299,7 +266,6 @@ def _default_runners() -> dict[str, Callable[[Case], Answers]]:
         run_kb,
         config=OptimizerConfig(strategy="dp", recursive_methods=("supplementary", "seminaive")),
     )
-    runners["kb-feedback"] = run_kb_feedback
     return runners
 
 

@@ -99,9 +99,7 @@ def reset(counts: dict) -> None:
 
 @pytest.mark.parametrize("method", METHODS)
 def test_second_ask_with_other_bindings_compiles_nothing(method, calls):
-    # feedback off: a q-error re-optimization between the two asks is a
-    # new plan, which the memo test below covers
-    kb = sg_kb(method, feedback=False)
+    kb = sg_kb(method)
     first = kb.ask("sg($X, Y)?", X="a")
     methods = {n.method for n in plan_nodes(kb.compile("sg($X, Y)?").plan)
                if isinstance(n, FixpointNode)}
@@ -117,7 +115,7 @@ def test_second_ask_with_other_bindings_compiles_nothing(method, calls):
 def test_a_reference_tier_rule_is_ordered_once_per_plan(calls):
     # e(X, X) needs unification: the exit rule runs on the reference
     # evaluator, whose body order is part of the schedule too
-    kb = KnowledgeBase(feedback=False, result_cache=False)
+    kb = KnowledgeBase(result_cache=False)
     kb.rules("reach(X) <- e(X, X).\nreach(Y) <- reach(X), e(X, Y).")
     kb.facts("e", [("a", "a"), ("a", "b"), ("b", "c")])
     tracer = Tracer()
@@ -131,7 +129,7 @@ def test_a_reference_tier_rule_is_ordered_once_per_plan(calls):
 
 
 def test_reoptimization_after_a_data_write_lowers_nothing(calls):
-    kb = sg_kb("magic", feedback=False)
+    kb = sg_kb("magic")
     kb.ask("sg($X, Y)?", X="a")
     reset(calls)
     kb.facts("up", [("f", "e")])  # in the footprint: the plan is evicted
@@ -142,7 +140,7 @@ def test_reoptimization_after_a_data_write_lowers_nothing(calls):
 
 
 def test_a_rule_change_lowers_again(calls):
-    kb = sg_kb("magic", feedback=False)
+    kb = sg_kb("magic")
     kb.ask("sg($X, Y)?", X="a")
     assert kb._lowered_rules
     reset(calls)
@@ -156,7 +154,7 @@ def test_a_rule_change_lowers_again(calls):
 
 
 def test_a_rolled_back_transaction_drops_what_it_lowered():
-    kb = sg_kb("magic", feedback=False)
+    kb = sg_kb("magic")
     with pytest.raises(RuntimeError):
         with kb.transaction():
             kb.rules("sg(X, Y) <- sib(X, Y).")
@@ -201,7 +199,7 @@ def test_standalone_engines_build_a_private_plan_code(calls):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_counters_and_node_stats_repeat_and_answers_match_the_reference(method):
-    kb = sg_kb(method, feedback=False)
+    kb = sg_kb(method)
     compiled = kb.compile("sg($X, Y)?")
 
     def run():
@@ -239,7 +237,7 @@ def test_counters_and_node_stats_repeat_and_answers_match_the_reference(method):
 
 
 def test_an_all_free_goal_takes_the_childs_columns_whole():
-    kb = anc_kb(feedback=False)
+    kb = anc_kb()
     compiled = kb.compile("anc(X, Y)?")
     interpreter = Interpreter(kb.db, builtins=kb.builtins)
     answers = interpreter.run(compiled.plan, compiled.query, compiled.code)

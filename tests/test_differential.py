@@ -46,7 +46,7 @@ def test_oracle_covers_every_strategy():
     names = strategy_names()
     assert "fixpoint-interpreted" in names
     assert "fixpoint-batch" in names
-    assert len(names) == 14
+    assert len(names) == 13
     assert "sld-tabled" in names
     assert "magic-basic" in names
     assert "magic-supplementary" in names

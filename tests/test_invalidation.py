@@ -68,7 +68,7 @@ def test_unrelated_retract_keeps_cache_hot():
     assert kb.ask("anc(abe, Y)?") is first
 
 
-def test_unrelated_write_keeps_compiled_plan_and_reopt_state():
+def test_unrelated_write_keeps_compiled_plan():
     kb = make_kb()
     kb.ask("anc(abe, Y)?")
     key = next(iter(kb._compiled))
@@ -211,34 +211,3 @@ def test_uncacheable_view_query_reports_cache_off():
     kb.ask("anc(abe, Y)?", profiler=Profiler())
     assert kb.telemetry.last["tier"] == "view"
     assert kb.telemetry.last["cache"] == "off"
-
-
-# --------------------------------------------------- feedback invalidation
-
-
-def test_retract_drops_feedback_for_footprint():
-    kb = make_kb()
-    kb.ask("anc(abe, Y)?")
-    assert any(e.predicate in ("anc", "par") for e in kb.feedback.entries())
-    kb.retract("par", [("homer", "bart")])
-    assert not any(e.predicate in ("anc", "par") for e in kb.feedback.entries())
-
-
-def test_insert_keeps_learned_feedback():
-    """Insertions rely on EMA drift + staleness decay, never hard drops —
-    a persisted store must survive a restart that reloads facts."""
-    kb = make_kb()
-    kb.ask("anc(abe, Y)?")
-    entries = len(kb.feedback)
-    assert entries > 0
-    kb.facts("par", [("bart", "maggie")])
-    assert len(kb.feedback) == entries
-
-
-def test_retract_keeps_feedback_for_unrelated_predicates():
-    kb = make_kb()
-    kb.ask("anc(abe, Y)?")
-    kb.ask("owner(homer, Y)?")
-    kb.retract("owns", [("homer", "car")])
-    assert any(e.predicate in ("anc", "par") for e in kb.feedback.entries())
-    assert not any(e.predicate in ("owner", "owns") for e in kb.feedback.entries())

@@ -17,9 +17,10 @@ import pytest
 
 TRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "trace.py"
 
-#: removed with the partitioned-parallel tier (PR 13) and the row-kernel
-#: tier (PR 17); their tier-share metrics stay declared and read 0
-RETIRED_MODULES = {"repro.engine.parallel", "repro.engine.kernels"}
+#: removed with the partitioned-parallel tier, the row-kernel tier and
+#: the learned-cardinality feedback store (replaced by the optimizer's
+#: sampled cardinality); their metrics stay declared and read 0
+RETIRED_MODULES = {"repro.engine.parallel", "repro.engine.kernels", "repro.obs.feedback"}
 #: derived extensions on the compiled path are id-space stores
 #: (``storage.columnar.IdRelation``), not mirrored ``DerivedRelation``s
 RETIRED_ATTRIBUTES = {("repro.storage.relation", "DerivedRelation.batch_store")}

@@ -82,7 +82,7 @@ def test_a_misspelled_recursive_method_is_a_configuration_error(methods):
 
 
 def test_an_empty_recursive_method_list_is_a_configuration_error():
-    kb = KnowledgeBase(OptimizerConfig(recursive_methods=()), feedback=False)
+    kb = KnowledgeBase(OptimizerConfig(recursive_methods=()))
     kb.rules(ANC)
     kb.facts("par", [("a", "b")])
     with pytest.raises(OptimizationError) as raised:

@@ -86,14 +86,14 @@ def test_bb_prune_flag_preserves_cost(seed, shape):
 
 
 def _sg_kb(**config):
-    kb = KnowledgeBase(OptimizerConfig(strategy="dp", seed=0, **config), feedback=False)
+    kb = KnowledgeBase(OptimizerConfig(strategy="dp", seed=0, **config))
     same_generation_instance(kb.db, fanout=2, depth=3)
     kb.rules(SG)
     return kb
 
 
 def _anc_kb(**config):
-    kb = KnowledgeBase(OptimizerConfig(strategy="dp", seed=0, **config), feedback=False)
+    kb = KnowledgeBase(OptimizerConfig(strategy="dp", seed=0, **config))
     kb.facts("par", [(f"n{i}", f"n{i + 1}") for i in range(20)])
     kb.rules(ANC)
     return kb
@@ -180,7 +180,7 @@ def test_unknown_search_mode_rejected():
 
 def test_join_node_records_pruning():
     """EXPLAIN's ~pruned diagnostic source: JoinNode.pruned is populated."""
-    kb = KnowledgeBase(OptimizerConfig(strategy="dp", seed=0), feedback=False)
+    kb = KnowledgeBase(OptimizerConfig(strategy="dp", seed=0))
     w = generate_conjunctive(6, "random", seed=7, prefix="w")
     for literal in w.body:
         kb.facts(literal.predicate, [(1, 2)])

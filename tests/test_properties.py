@@ -14,7 +14,6 @@ from repro.datalog.adorn import greedy_sip_permutation
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_rule as parse_rule_text
 from repro.datalog.terms import Constant, Struct, Variable
-from repro.optimizer.cse import _canonical_segment
 from repro.storage.statistics import DeclaredStatistics
 
 # -- generators ---------------------------------------------------------------
@@ -125,29 +124,6 @@ def test_cost_monotone_in_input_cardinality(small, large):
         b = est.base_step(StepState(large, frozenset({Variable("X")})), literal, stats, method)
         assert b.cost >= a.cost - 1e-9
         assert b.card >= a.card - 1e-9
-
-
-# -- CSE canonical form --------------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(literals, min_size=1, max_size=3))
-def test_canonical_segment_invariant_under_renaming(segment):
-    mapping = {
-        Variable(n): Variable(f"R_{n}") for n in ["X", "Y", "Z", "W", "V1", "V2"]
-    }
-
-    def rename(literal: Literal) -> Literal:
-        from repro.datalog.terms import rename_term
-
-        return Literal(
-            literal.predicate,
-            tuple(rename_term(a, mapping) for a in literal.args),
-            literal.negated,
-        )
-
-    renamed = [rename(l) for l in segment]
-    assert _canonical_segment(segment) == _canonical_segment(renamed)
 
 
 # -- binding patterns -----------------------------------------------------------------

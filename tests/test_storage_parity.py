@@ -146,7 +146,7 @@ def fixpoint_counters(compile):
 
 
 def ask_counters(query, **config):
-    kb = KnowledgeBase(OptimizerConfig(**config), result_cache=False, feedback=False)
+    kb = KnowledgeBase(OptimizerConfig(**config), result_cache=False)
     kb.rules(RULES)
     par, owns = tree_facts()
     kb.facts("par", par)

@@ -260,7 +260,7 @@ def test_supplementary_answers_bound_recursion(case):
     assert got == {row for row in reference if tuple(row[i] for i in bound) in keys}
     assert {tuple(field.value for field in row) for row in got} == expected
 
-    kb = KnowledgeBase(OptimizerConfig(recursive_methods=("supplementary",)), feedback=False)
+    kb = KnowledgeBase(OptimizerConfig(recursive_methods=("supplementary",)))
     kb.rules(rules)
     kb.facts_text(facts)
     assert "method=supplementary" in kb.explain(query)
