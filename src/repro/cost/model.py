@@ -84,12 +84,16 @@ class DerivedEstimate:
     * ``materialized`` — cost/card of computing the full extension under
       this binding once (what a materialized node pays);
     * ``ndvs`` — per-column distinct-value estimates of the materialized
-      extension, for join selectivity above this node.
+      extension, for join selectivity above this node;
+    * ``set_oriented`` — the bound subplan answers the whole key set in one
+      evaluation (a magic / supplementary clique seeded with every key),
+      so a bind-join pays at most ``materialized`` plus a probe per row.
     """
 
     per_probe: Estimate
     materialized: Estimate
     ndvs: tuple[float, ...]
+    set_oriented: bool = False
 
     @property
     def is_infinite(self) -> bool:
