@@ -401,7 +401,7 @@ def estimate_fixpoint(
     magic-set estimates honest — a magic set can never outgrow the domain
     of the bound argument, no matter how large the per-level fanout looks.
     Predicates in *level_indexed* (the counting rewrite's ``cnt_``/``ans_``
-    relations, whose first column is a bounded iteration index) are capped
+    relations, one of whose columns is a bounded iteration index) are capped
     at ``rounds * D**(arity-1)`` instead.
 
     Genuine unsafety is priced upstream (EC violations yield ``inf`` from

@@ -86,8 +86,9 @@ class DerivedEstimate:
     * ``ndvs`` — per-column distinct-value estimates of the materialized
       extension, for join selectivity above this node;
     * ``set_oriented`` — the bound subplan answers the whole key set in one
-      evaluation (a magic / supplementary clique seeded with every key),
-      so a bind-join pays at most ``materialized`` plus a probe per row.
+      evaluation (a magic, supplementary or counting clique seeded with
+      every key), so a bind-join pays at most ``materialized`` plus a
+      probe per row.
     """
 
     per_probe: Estimate

@@ -28,10 +28,10 @@ from .bindings import (
     sip_bindings,
     split_adorned_name,
 )
-from .counting import CountingProgram, counting_applicable, counting_rewrite
+from .counting import counting_applicable, counting_rewrite
 from .graph import Clique, DependencyGraph
 from .literals import COMPARISON_OPS, Literal, PredicateRef, comparison, lit, pred_ref
-from .magic import MagicProgram, magic_rewrite, supplementary_magic_rewrite
+from .magic import SeededProgram, magic_rewrite, supplementary_magic_rewrite
 from .parser import parse_literal, parse_program, parse_query, parse_rule
 from .rewrite import push_projections, relevant_program, rename_apart, specialize
 from .rules import Program, Rule
@@ -64,16 +64,15 @@ __all__ = [
     "COMPARISON_OPS",
     "Clique",
     "Constant",
-    "CountingProgram",
     "CPermutation",
     "DependencyGraph",
     "ECReport",
     "Literal",
-    "MagicProgram",
     "PredicateRef",
     "Program",
     "QueryForm",
     "Rule",
+    "SeededProgram",
     "Struct",
     "Substitution",
     "Term",

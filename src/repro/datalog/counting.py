@@ -14,13 +14,20 @@ For the paper's same-generation query ``sg(c, Y)?`` over
 ``sg(X,Y) <- up(X,X1), sg(Y1,X1), dn(Y1,Y)`` and exit rule
 ``sg(X,Y) <- flat(X,Y)`` the rewrite emits (modulo naming)::
 
-    cnt_sg.bf(0, c).                                       % seed
-    cnt_sg.fb(J, X1) <- cnt_sg.bf(I, X), up(X, X1), J = I + 1.
-    ans_sg.bf(I, Y)  <- cnt_sg.bf(I, X), flat(X, Y).       % exit, any level
-    ans_sg.fb(I, X)  <- cnt_sg.fb(I, Y), flat(X, Y).
-    ans_sg.bf(I, Y)  <- ans_sg.fb(J, Y1), dn(Y1, Y), J = I + 1.
-    ans_sg.fb(I, X)  <- ans_sg.bf(J, X1), up(X, X1), J = I + 1.   % symmetric
-    answer(Y)        <- ans_sg.bf(0, Y).
+    cnt_sg.bf(K, 0, K)   <- seed_sg.bf(K).                        % seed
+    cnt_sg.fb(K, J, X1)  <- cnt_sg.bf(K, I, X), up(X, X1), J = I + 1.
+    ans_sg.bf(K, I, Y)   <- cnt_sg.bf(K, I, X), flat(X, Y).       % exit, any level
+    ans_sg.fb(K, I, X)   <- cnt_sg.fb(K, I, Y), flat(X, Y).
+    ans_sg.bf(K, I, Y)   <- ans_sg.fb(K, J, Y1), dn(Y1, Y), I = J - 1, I >= 0.
+    ans_sg.fb(K, I, X)   <- ans_sg.bf(K, J, X1), up(X, X1), ...   % symmetric
+    sg.bf(K, Y)          <- ans_sg.bf(K, 0, Y).                   % answers
+
+Every ``cnt_`` / ``ans_`` predicate carries the query's key ``K`` (its
+bound-argument values) as leading columns, so one fixpoint answers the
+whole key set, seeded once into ``seed_sg.bf`` — the protocol magic sets
+follow (:class:`~repro.datalog.magic.SeededProgram`).  The answer rule
+rebuilds full-arity rows, in argument order, under the adorned query
+name.
 
 Applicability (checked by :func:`counting_applicable`):
 
@@ -30,11 +37,14 @@ Applicability (checked by :func:`counting_applicable`):
    part occurs only in the recursive literal's free arguments, the head's
    free arguments, or the post part itself — so the down phase needs no
    bound-argument values;
-3. termination requires the up phase to saturate, i.e. the bound-argument
-   graph explored by the prefix must be acyclic — a *data* property the
-   optimizer checks against catalog ``acyclic`` annotations (Section 8:
-   safety is a property of execution, and counting on cyclic data is the
-   canonical unsafe case).
+3. termination requires the up phase to saturate: the recursive
+   literal's bound arguments must take a value the prefix produces (a
+   binding copied from the head, as in the left-linear
+   ``p(X, Y) <- p(X, Z), e(Z, Y)``, is counted one level deeper forever),
+   and the bound-argument graph explored by the prefix must be acyclic —
+   a *data* property the optimizer checks against catalog ``acyclic``
+   annotations (Section 8: safety is a property of execution, and
+   counting on cyclic data is the canonical unsafe case).
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from dataclasses import dataclass
 from .adorn import AdornedClique, AdornedRule
 from .bindings import BindingPattern, split_adorned_name
 from .literals import Literal
+from .magic import SeededProgram
 from .rules import Program, Rule
 from .terms import Constant, Struct, Term, Variable, variables_of
 
@@ -56,39 +67,6 @@ def counting_name(adorned_predicate: str) -> str:
 def answer_name(adorned_predicate: str) -> str:
     """The per-level answer predicate (``ans_sg.bf``)."""
     return f"ans_{adorned_predicate}"
-
-
-@dataclass(frozen=True, slots=True)
-class CountingProgram:
-    """Result of the counting rewrite.
-
-    ``answer_predicate`` holds ``(level, free-args...)`` tuples; final
-    answers are the level-0 tuples — the engine selects them.  The seed is
-    ``(0, bound-args...)`` into ``seed_predicate``.
-    """
-
-    program: Program
-    answer_predicate: str
-    seed_predicate: str
-    seed_arity: int  # bound args only; the engine prepends level 0
-    #: True when every down phase is a pure copy (empty suffix, identity
-    #: free arguments): no down rules are emitted and answers are valid at
-    #: *any* level, which turns the O(N²) level-by-level copying of
-    #: transitive-closure-style queries into O(N).
-    answer_any_level: bool = False
-
-    @property
-    def level_predicates(self) -> frozenset[str]:
-        """Predicates whose first column is the bounded level index —
-        the cost model caps them by rounds x domain, not domain²."""
-        return frozenset(
-            rule.head.predicate
-            for rule in self.program
-            if rule.head.predicate.startswith(("cnt_", "ans_"))
-        ) | {self.seed_predicate}
-
-    def __str__(self) -> str:
-        return str(self.program)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,12 +150,25 @@ def _separable(split: _SplitRule) -> bool:
     return head_free_vars <= produced
 
 
-def counting_applicable(adorned: AdornedClique) -> bool:
-    """Check structural applicability (conditions 1 and 2 above).
+def _advances(split: _SplitRule) -> bool:
+    """Condition 3, its structural half: the recursive literal's bound
+    arguments hold a variable the head does not bind."""
+    head_bound: set[Variable] = set()
+    for term in _bound_args(split.adorned_rule.rule.head, split.adorned_rule.head_adornment):
+        head_bound.update(variables_of(term))
+    inner: set[Variable] = set()
+    for term in _bound_args(split.recursive, split.recursive_pattern):
+        inner.update(variables_of(term))
+    return bool(inner - head_bound)
 
-    Condition 3 (data acyclicity) is checked separately by the optimizer
-    against catalog statistics, because it is a property of the database,
-    not of the rules.
+
+def counting_applicable(adorned: AdornedClique) -> bool:
+    """Check structural applicability (conditions 1, 2 and the
+    structural half of 3 above).
+
+    Condition 3's data half (acyclicity) is checked separately by the
+    optimizer against catalog statistics, because it is a property of
+    the database, not of the rules.
     """
     by_head: dict[str, list[AdornedRule]] = {}
     for adorned_rule in adorned.rules:
@@ -188,12 +179,13 @@ def counting_applicable(adorned: AdornedClique) -> bool:
             return False
         for rule in recursive:
             split = _split_linear(rule)
-            if split is None or not _separable(split):
+            if split is None or not _separable(split) or not _advances(split):
                 return False
     # Counting needs a binding to count from.
     return adorned.query_adornment.bound_count > 0
 
 
+_ZERO = Constant(0)
 _LEVEL_IN = Variable("CntI")
 _LEVEL_OUT = Variable("CntJ")
 #: Up phase: the inner level is one more than the current (CntI bound first).
@@ -205,7 +197,7 @@ _PRED = Literal("=", (_LEVEL_IN, Struct("-", (_LEVEL_OUT, Constant(1)))))
 _NONNEG = Literal(">=", (_LEVEL_IN, Constant(0)))
 
 
-def counting_rewrite(adorned: AdornedClique) -> CountingProgram:
+def counting_rewrite(adorned: AdornedClique) -> SeededProgram:
     """Apply the generalized counting transformation.
 
     The caller must have verified :func:`counting_applicable`; the rewrite
@@ -216,8 +208,9 @@ def counting_rewrite(adorned: AdornedClique) -> CountingProgram:
 
     # Detect the pure-copy case: every recursive rule has an empty suffix,
     # calls its own predicate, and passes the free arguments through
-    # unchanged.  The down phase is then the identity and answers can be
-    # collected at any level.
+    # unchanged.  The down phase is then the identity: no down rules are
+    # emitted and answers are read at *any* level, which turns the O(N²)
+    # level-by-level copying of transitive-closure-style queries into O(N).
     any_level = True
     for adorned_rule in adorned.rules:
         if not adorned_rule.is_recursive:
@@ -234,17 +227,23 @@ def counting_rewrite(adorned: AdornedClique) -> CountingProgram:
             any_level = False
             break
 
-    rules: list[Rule] = []
+    query = adorned.query_predicate
+    pattern = adorned.query_adornment
+    keys = tuple(Variable(f"CntK{i}") for i in range(pattern.bound_count))
+    frees = tuple(Variable(f"CntF{i}") for i in range(len(pattern.free_positions)))
+    seed = f"seed_{query}"
+    rules: list[Rule] = [
+        Rule(Literal(counting_name(query), keys + (_ZERO,) + keys), (Literal(seed, keys),))
+    ]
     for adorned_rule in adorned.rules:
         head = adorned_rule.rule.head
         head_pattern = adorned_rule.head_adornment
-        cnt_head_args = _bound_args(head, head_pattern)
-        ans_head_args = _free_args(head, head_pattern)
+        cnt_head = Literal(counting_name(head.predicate), keys + (_LEVEL_IN,) + _bound_args(head, head_pattern))
+        ans_head = Literal(answer_name(head.predicate), keys + (_LEVEL_IN,) + _free_args(head, head_pattern))
 
         if not adorned_rule.is_recursive:
             # Exit rule: answers materialize at every level the binding reaches.
-            body = (Literal(counting_name(head.predicate), (_LEVEL_IN,) + cnt_head_args),) + adorned_rule.rule.body
-            rules.append(Rule(Literal(answer_name(head.predicate), (_LEVEL_IN,) + ans_head_args), body))
+            rules.append(Rule(ans_head, (cnt_head,) + adorned_rule.rule.body))
             continue
 
         split = _split_linear(adorned_rule)
@@ -254,30 +253,37 @@ def counting_rewrite(adorned: AdornedClique) -> CountingProgram:
         # Up phase: push bound values one level deeper through the prefix.
         up_head = Literal(
             counting_name(rec_pred),
-            (_LEVEL_OUT,) + _bound_args(split.recursive, split.recursive_pattern),
+            keys + (_LEVEL_OUT,) + _bound_args(split.recursive, split.recursive_pattern),
         )
-        up_body = (
-            (Literal(counting_name(head.predicate), (_LEVEL_IN,) + cnt_head_args),)
-            + split.prefix
-            + (_SUCC,)
-        )
-        rules.append(Rule(up_head, up_body))
+        rules.append(Rule(up_head, (cnt_head,) + split.prefix + (_SUCC,)))
 
         if not any_level:
             # Down phase: combine the next level's answers with the suffix —
             # no bound-argument join (the counting optimization).
-            down_head = Literal(answer_name(head.predicate), (_LEVEL_IN,) + ans_head_args)
-            down_body = (
-                (Literal(answer_name(rec_pred), (_LEVEL_OUT,) + _free_args(split.recursive, split.recursive_pattern)),)
-                + split.suffix
-                + (_PRED, _NONNEG)
+            inner = Literal(
+                answer_name(rec_pred),
+                keys + (_LEVEL_OUT,) + _free_args(split.recursive, split.recursive_pattern),
             )
-            rules.append(Rule(down_head, down_body))
+            rules.append(Rule(ans_head, (inner,) + split.suffix + (_PRED, _NONNEG)))
 
-    return CountingProgram(
-        program=Program(rules),
-        answer_predicate=answer_name(adorned.query_predicate),
-        seed_predicate=counting_name(adorned.query_predicate),
-        seed_arity=adorned.query_adornment.bound_count,
-        answer_any_level=any_level,
+    # The answers: full-arity rows in argument order, from level 0 (any
+    # level for a pure-copy down phase).
+    by_position = dict(zip(pattern.bound_positions + pattern.free_positions, keys + frees))
+    level = _LEVEL_IN if any_level else _ZERO
+    rules.append(Rule(
+        Literal(query, tuple(by_position[i] for i in range(len(pattern.code)))),
+        (Literal(answer_name(query), keys + (level,) + frees),),
+    ))
+
+    program = Program(rules)
+    return SeededProgram(
+        program=program,
+        answer_predicate=query,
+        seed_predicate=seed,
+        seed_arity=pattern.bound_count,
+        level_predicates=frozenset(
+            rule.head.predicate
+            for rule in program
+            if rule.head.predicate.startswith(("cnt_", "ans_"))
+        ),
     )

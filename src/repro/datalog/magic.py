@@ -42,21 +42,27 @@ def magic_name(adorned_predicate: str) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class MagicProgram:
-    """Result of the magic-sets rewrite.
+class SeededProgram:
+    """Result of a bound-method rewrite: magic, supplementary magic or
+    counting (:mod:`repro.datalog.counting`).
 
-    * ``program`` — modified + magic rules, ready for semi-naive evaluation;
-    * ``answer_predicate`` — the adorned name of the subquery predicate;
-      its relation holds the answers after the fixpoint;
-    * ``seed_predicate`` — the magic predicate to seed;
-    * ``seed_arity`` — number of bound arguments the seed tuple carries
-      (the subquery's bound-argument values, in position order).
+    All three follow one protocol.  The engine seeds ``seed_predicate``
+    once with the whole key set, each key a tuple of ``seed_arity``
+    bound-argument values in position order.  After the fixpoint,
+    ``answer_predicate`` (the adorned subquery name, ``sg.bf``) holds
+    full-arity rows, at least every seeded key's answers; the caller
+    selects them by key.
+
+    * ``level_predicates`` — counting only: the ``cnt_`` / ``ans_``
+      predicates, one of whose columns is the bounded level index (the
+      cost model caps them by rounds x domain, not domain²).
     """
 
     program: Program
     answer_predicate: str
     seed_predicate: str
     seed_arity: int
+    level_predicates: frozenset[str] = frozenset()
 
     def __str__(self) -> str:
         return str(self.program)
@@ -81,7 +87,7 @@ def _head_magic_literal(adorned_rule: AdornedRule) -> Literal:
     return Literal(magic_name(head.predicate), _bound_args(head, pattern))
 
 
-def supplementary_magic_rewrite(adorned: AdornedClique) -> MagicProgram:
+def supplementary_magic_rewrite(adorned: AdornedClique) -> SeededProgram:
     """The supplementary-magic variant ([BR 87]-style).
 
     Basic magic re-evaluates the SIP prefix ``L1 … L(i-1)`` once per
@@ -163,7 +169,7 @@ def supplementary_magic_rewrite(adorned: AdornedClique) -> MagicProgram:
         )
 
     seed = magic_name(adorned.query_predicate)
-    return MagicProgram(
+    return SeededProgram(
         program=Program(rules),
         answer_predicate=adorned.query_predicate,
         seed_predicate=seed,
@@ -171,7 +177,7 @@ def supplementary_magic_rewrite(adorned: AdornedClique) -> MagicProgram:
     )
 
 
-def magic_rewrite(adorned: AdornedClique) -> MagicProgram:
+def magic_rewrite(adorned: AdornedClique) -> SeededProgram:
     """Apply the (basic) magic-sets transformation to an adorned clique."""
     rules: list[Rule] = []
 
@@ -194,7 +200,7 @@ def magic_rewrite(adorned: AdornedClique) -> MagicProgram:
             rules.append(Rule(magic_head, prefix, source.label))
 
     seed = magic_name(adorned.query_predicate)
-    return MagicProgram(
+    return SeededProgram(
         program=Program(rules),
         answer_predicate=adorned.query_predicate,
         seed_predicate=seed,

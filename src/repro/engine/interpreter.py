@@ -35,10 +35,11 @@ chosen once per node from its shape and noted on its span as
   child extensions through their decoded views and encoding its head.
 
 CC nodes dispatch on their recursive-method label: ``seminaive``/``naive``
-compute the clique's full extension and probe it with the keys; ``magic``
-seeds the magic program with the whole key set (set-oriented sideways
-passing); ``counting`` runs once per key, since the level index
-identifies a single subquery instance.
+compute the clique's full extension and probe it with the keys;
+``magic``, ``supplementary`` and ``counting`` seed their rewritten
+program once with the whole key set (set-oriented sideways passing) and
+select the keys' answers (counting carries the key as leading columns,
+so one evaluation keeps every subquery's levels apart).
 
 Results are cached per (node, key-set), so repeated probes of a memoized
 subtree — the run-time mirror of NR-OPT's per-binding memoization — are
@@ -616,44 +617,19 @@ class Interpreter:
                 return full
             return full.select(bound_positions, keys)
 
+        if node.method not in ("magic", "supplementary", "counting"):
+            raise ExecutionError(f"unknown recursive method {node.method!r}")
         if keys is None:
             raise ExecutionError(
                 f"{node.method} fixpoint for {node.ref} requires sideways bindings"
             )
-
-        # The recursive methods below are seeded with, or looped over,
-        # term keys: FixpointEngine.evaluate takes its seeds as terms and
-        # encodes them once on entry.
-        term_keys = INTERNER.decode_rows(keys)
-
-        if node.method in ("magic", "supplementary"):
-            seeds = {node.seed_predicate: term_keys}
-            result = self._fixpoint_engine().evaluate(node.program, seeds=seeds)
-            # one pass: a bucket map over an extension dropped with the
-            # result would be built for this single probe
-            return self._answers(result, node).select(bound_positions, keys, probe=False)
-
-        if node.method == "counting":
-            free_positions = [i for i in range(node.ref.arity) if i not in bound_positions]
-            out: set[Row] = set()
-            zero = Constant(0)
-            # each evaluate() builds a fresh workspace and nothing else
-            engine = self._fixpoint_engine()
-            for key in term_keys:
-                seeds = {node.seed_predicate: {(zero,) + key}}
-                result = engine.evaluate(node.program, seeds=seeds)
-                for row in result.rows(node.answer_predicate):
-                    if not node.answer_any_level and row[0] != zero:
-                        continue
-                    full_row: list[Term] = [zero] * node.ref.arity
-                    for position, value in zip(bound_positions, key):
-                        full_row[position] = value
-                    for position, value in zip(free_positions, row[1:]):
-                        full_row[position] = value
-                    out.add(tuple(full_row))
-            return IdRelation(INTERNER, node.ref.arity, INTERNER.encode_rows(out))
-
-        raise ExecutionError(f"unknown recursive method {node.method!r}")
+        # Seeded fixpoint: one evaluation for the whole key set (its seeds
+        # are terms, encoded once on entry), then select the keys' answers
+        # in one pass: a bucket map over an extension dropped with the
+        # result would be built for this single probe.
+        seeds = {node.seed_predicate: INTERNER.decode_rows(keys)}
+        result = self._fixpoint_engine().evaluate(node.program, seeds=seeds)
+        return self._answers(result, node).select(bound_positions, keys, probe=False)
 
     def _answers(self, result, node: FixpointNode) -> IdRelation:
         """The answer predicate's extension as the fixpoint left it

@@ -223,24 +223,36 @@ class TopDownEngine:
     def _scan_facts(
         self, literal: Literal, subst: Substitution, relation
     ) -> Iterator[Substitution]:
+        # Facts are read from the relation's id store in stored order: the
+        # order answers reach a table decides how many passes tabling
+        # takes, so a term-set order (one per string-hash seed) would make
+        # the work differ from run to run.
         applied = [apply(arg, subst) for arg in literal.args]
-        bound_positions = [i for i, a in enumerate(applied) if is_ground(a)]
-        if bound_positions and len(bound_positions) == literal.arity:
-            candidates: Iterable[Row] = relation.lookup(bound_positions, tuple(applied))
-        elif bound_positions:
-            index = relation.ensure_index(tuple(bound_positions))
-            candidates = index.get(tuple(applied[i] for i in bound_positions))
-            self.profiler.bump_probes()
+        bound = tuple(i for i, a in enumerate(applied) if is_ground(a))
+        store = relation.batch_store(relation.interner)
+        if store.columns is None:
+            return
+        if bound:
+            key = relation.interner.lookup_row(applied[i] for i in bound)
+            if len(bound) < literal.arity:
+                self.profiler.bump_probes()
+            if key is None:
+                return
+            indices: Iterable[int] = store.buckets_for(bound).get(
+                key[0] if len(bound) == 1 else key, ()
+            )
         else:
-            candidates = relation
+            indices = range(store.length)
+        decode = relation.interner.terms.__getitem__
+        columns = store.columns
         governor = self.governor
-        for row in candidates:
+        for index in indices:
             if governor is not None:
                 governor.tick()
             self.profiler.bump_examined()
             extended: Substitution | None = subst
-            for pattern, value in zip(literal.args, row):
-                extended = match(apply(pattern, extended), value, extended)
+            for pattern, column in zip(literal.args, columns):
+                extended = match(apply(pattern, extended), decode(column[index]), extended)
                 if extended is None:
                     break
             if extended is not None:

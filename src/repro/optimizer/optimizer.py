@@ -287,17 +287,16 @@ class Optimizer:
             free_entry = bound_entry
         else:
             free_entry = self._optimize_ref(ref, BindingPattern.all_free(ref.arity))
-        # A magic / supplementary clique answers its whole key set in one
-        # evaluation.  Only a measured per-key card prices that pipelining
-        # (keys x card rows): the formula's can exceed what a probe returns
-        # by orders, and the cheaper cost would spread that into the body.
+        # A seeded clique (magic, supplementary, counting) answers its whole
+        # key set in one evaluation.  Only a measured per-key card prices
+        # that pipelining (keys x card rows): the formula's can exceed what
+        # a probe returns by orders, and the cheaper cost would spread that
+        # into the body.  Only a seeded node is ever sampled.
         return DerivedEstimate(
             per_probe=bound_entry.est,
             materialized=free_entry.est,
             ndvs=free_entry.ndvs,
-            set_oriented=(
-                bound_entry.sampled and bound_entry.plan.method in ("magic", "supplementary")
-            ),
+            set_oriented=bound_entry.sampled,
         )
 
     def _estimator(
@@ -496,9 +495,6 @@ class Optimizer:
 
     # ----------------------------------------------------------- CC nodes
 
-    def _applicable_cliques(self) -> list[Clique]:
-        return self.graph.recursive_cliques()
-
     def _support_program(self, clique: Clique) -> list[Rule]:
         """Rules for non-clique predicates the clique (transitively) uses."""
         needed: set[PredicateRef] = set()
@@ -610,7 +606,6 @@ class Optimizer:
                 program=Program(rules + support),
                 answer_predicate=ref.name,
                 seed_predicate=None,
-                seed_arity=0,
                 est=probe_est,
                 ndvs=ndvs,
             )
@@ -625,7 +620,7 @@ class Optimizer:
                 best_node = FixpointNode(
                     ref=ref, binding=binding, method="naive",
                     program=Program(rules + support),
-                    answer_predicate=ref.name, seed_predicate=None, seed_arity=0,
+                    answer_predicate=ref.name, seed_predicate=None,
                     est=naive_est,
                     ndvs=derived_ndvs(naive_est.card, ref.arity, params),
                 )
@@ -709,7 +704,7 @@ class Optimizer:
             best_node = FixpointNode(
                 ref=ref, binding=binding, method="seminaive",
                 program=Program(rules + support),
-                answer_predicate=ref.name, seed_predicate=None, seed_arity=0,
+                answer_predicate=ref.name, seed_predicate=None,
                 est=Estimate.unsafe(),
                 ndvs=derived_ndvs(INFINITE_COST, ref.arity, params),
             )
@@ -769,27 +764,20 @@ class Optimizer:
         best: FixpointNode | None = None
         for method in methods:
             cap = min(cost_cap, best.est.cost if best is not None else INFINITE_COST)
-            level_indexed: frozenset[str] = frozenset()
             if method == "magic":
                 rewritten = magic_rewrite(adorned)
-                seed_cards = {rewritten.seed_predicate: (1.0, rewritten.seed_arity)}
             elif method == "supplementary":
                 rewritten = supplementary_magic_rewrite(adorned)
-                seed_cards = {rewritten.seed_predicate: (1.0, rewritten.seed_arity)}
-            else:
-                if not counting_applicable(adorned):
-                    continue
-                if not self._counting_data_safe(adorned):
-                    continue
+            elif counting_applicable(adorned) and self._counting_data_safe(adorned):
                 rewritten = counting_rewrite(adorned)
-                seed_cards = {rewritten.seed_predicate: (1.0, rewritten.seed_arity + 1)}
-                level_indexed = rewritten.level_predicates
+            else:
+                continue
             est, __ = estimate_fixpoint(
                 rewritten.program,
                 factory,
-                seed_cards=seed_cards,
+                seed_cards={rewritten.seed_predicate: (1.0, rewritten.seed_arity)},
                 params=params,
-                level_indexed=level_indexed,
+                level_indexed=rewritten.level_predicates,
                 cost_cap=cap,
             )
             if est.is_infinite:
@@ -806,10 +794,8 @@ class Optimizer:
                 program=rewritten.program.extend(support),
                 answer_predicate=rewritten.answer_predicate,
                 seed_predicate=rewritten.seed_predicate,
-                seed_arity=rewritten.seed_arity,
                 est=est,
                 ndvs=derived_ndvs(est.card, adorned.query_ref.arity, params),
-                answer_any_level=getattr(rewritten, "answer_any_level", False),
             )
             if best is None or node.est.cost < best.est.cost:
                 best = node

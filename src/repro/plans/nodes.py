@@ -111,10 +111,10 @@ class FixpointNode:
     * ``seminaive`` / ``naive`` — the original clique rules; the whole
       extension is computed and then filtered by the input keys
       (materialized fixpoint);
-    * ``magic`` / ``supplementary`` — the (supplementary) magic rewrite,
-      seeded with the input keys (pipelined fixpoint, set-oriented);
-    * ``counting`` — the counting rewrite, run once per input key (the
-      level index identifies a single subquery instance).
+    * ``magic`` / ``supplementary`` / ``counting`` — the (supplementary)
+      magic or counting rewrite, seeded once with the whole input key set
+      into ``seed_predicate``; its answers are then selected by key
+      (pipelined fixpoint, set-oriented).
 
     ``program`` already includes the support rules for non-clique derived
     predicates referenced inside the clique.
@@ -126,11 +126,8 @@ class FixpointNode:
     program: Program
     answer_predicate: str
     seed_predicate: Optional[str]
-    seed_arity: int
     est: Estimate = Estimate(0.0, 0.0)
     ndvs: tuple[float, ...] = ()
-    #: counting only: answers valid at any level (pure-copy down phase)
-    answer_any_level: bool = False
 
     def describe(self) -> str:
         return f"CC {self.ref} / {self.binding} [{self.method}]"

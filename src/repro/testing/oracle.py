@@ -40,7 +40,7 @@ from ..datalog.adorn import CPermutation, adorn_clique
 from ..datalog.builtins import default_builtins
 from ..datalog.graph import DependencyGraph
 from ..datalog.literals import Literal, pred_ref
-from ..datalog.magic import MagicProgram, magic_rewrite, supplementary_magic_rewrite
+from ..datalog.magic import SeededProgram, magic_rewrite, supplementary_magic_rewrite
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
 from ..datalog.terms import Term
@@ -187,7 +187,7 @@ def run_sld(case: Case) -> Answers:
     return frozenset(engine.solve(form.goal))
 
 
-def run_direct_magic(case: Case, rewrite: Callable[..., MagicProgram]) -> Answers:
+def run_direct_magic(case: Case, rewrite: Callable[..., SeededProgram]) -> Answers:
     """Adorn + rewrite + seeded fixpoint, without the optimizer.
 
     Applies only to recursive, negation-free query cliques; the rewritten
@@ -265,6 +265,10 @@ def _default_runners() -> dict[str, Callable[[Case], Answers]]:
     runners["kb-dp-supplementary"] = partial(
         run_kb,
         config=OptimizerConfig(strategy="dp", recursive_methods=("supplementary", "seminaive")),
+    )
+    runners["kb-dp-counting"] = partial(
+        run_kb,
+        config=OptimizerConfig(strategy="dp", recursive_methods=("counting", "seminaive")),
     )
     return runners
 

@@ -314,7 +314,12 @@ def record():
     every ``*/bb`` entry; those entries are retired, and the four
     ``wide:*`` ``plans_pruned`` counters no longer count the body-cache
     hits of the deleted QSQN method, and the ``:feedback`` orders went
-    with the learned-cardinality store.  Everything else is as recorded."""
+    with the learned-cardinality store.  The ``wide:*/bb`` counters were
+    re-recorded when the counting rewrite gained its seed and answer
+    rules (each counting candidate prices two more rules) and counting
+    stopped applying to a recursive call that copies the head's binding
+    (35 candidates fewer): ``plans_costed`` +7 to +11, ``plans_pruned``
+    +4.  Everything else is as recorded."""
     orders = {}
     for label, body, stats, bound in _bodies():
         for name, search in _searches(body):

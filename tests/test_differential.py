@@ -46,10 +46,12 @@ def test_oracle_covers_every_strategy():
     names = strategy_names()
     assert "fixpoint-interpreted" in names
     assert "fixpoint-batch" in names
-    assert len(names) == 13
+    assert len(names) == 14
     assert "sld-tabled" in names
     assert "magic-basic" in names
     assert "magic-supplementary" in names
+    # one kb runner forcing each bound method
+    assert {"kb-dp-magic", "kb-dp-supplementary", "kb-dp-counting"} <= set(names)
     # one kb runner per optimizer search strategy
     assert {n for n in names if n.startswith("kb-")} >= {
         "kb-exhaustive", "kb-dp", "kb-kbz", "kb-annealing", "kb-textual",

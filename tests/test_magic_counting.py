@@ -20,8 +20,9 @@ from repro.datalog import (
     magic_rewrite,
     parse_program,
 )
-from repro.datalog.terms import Constant
+from repro.datalog.terms import Constant, Variable
 from repro.engine.fixpoint import evaluate_program
+from repro.plans.nodes import FixpointNode, plan_nodes
 from repro.storage import Database
 from repro.workloads import same_generation_instance
 
@@ -75,14 +76,35 @@ def test_counting_applicability():
     assert counting_applicable(adorned_anc())
 
 
+def test_left_linear_recursion_is_not_counting_applicable():
+    """``anc(X, Z)`` first copies the head's binding into the recursive
+    call: the up phase would count that one binding up forever."""
+    program = parse_program("anc(X, Y) <- par(X, Y). anc(X, Y) <- anc(X, Z), par(Z, Y).")
+    clique = DependencyGraph(program).recursive_cliques()[0]
+    adorned = adorn_clique(clique, PredicateRef("anc", 2), BindingPattern("bf"))
+    assert not counting_applicable(adorned)
+    kb = counting_first_kb("anc(X, Y) <- par(X, Y). anc(X, Y) <- anc(X, Z), par(Z, Y).")
+    kb.facts("par", [(f"n{i}", f"n{i+1}") for i in range(10)])
+    assert len(kb.ask("anc($X, Y)?", X="n0")) == 10
+
+
 def test_counting_rejects_inapplicable():
     with pytest.raises(ValueError):
         counting_rewrite(adorned_sg(cperm=CPermutation.identity()))
 
 
+def answer_rule(cp):
+    """The counting rewrite's one rule for the adorned query name."""
+    (rule,) = [r for r in cp.program if r.head.predicate == cp.answer_predicate]
+    return rule
+
+
 def test_counting_anc_collapses_to_any_level():
     cp = counting_rewrite(adorned_anc())
-    assert cp.answer_any_level
+    # the answer rule reads ans_anc.bf(K, level, F) at any level: a variable
+    (body,) = answer_rule(cp).body
+    assert body.predicate == "ans_anc.bf"
+    assert isinstance(body.args[1], Variable)
     # pure-copy down phase: no down rules at all
     assert all(not r.head.predicate.startswith("ans_") or
                not any(l.predicate.startswith("ans_") for l in r.body)
@@ -91,11 +113,32 @@ def test_counting_anc_collapses_to_any_level():
 
 def test_counting_sg_keeps_down_rules():
     cp = counting_rewrite(adorned_sg())
-    assert not cp.answer_any_level
+    # answers come from level 0 only
+    (body,) = answer_rule(cp).body
+    assert body.predicate == "ans_sg.bf"
+    assert body.args[1] == Constant(0)
     down = [r for r in cp.program
             if r.head.predicate.startswith("ans_")
             and any(l.predicate.startswith("ans_") for l in r.body)]
     assert down  # alternating clique: real down phase
+
+
+def test_counting_follows_the_seed_protocol():
+    """Seed of bound-count arity, key columns first, full-arity answers
+    under the adorned query name — as magic's."""
+    cp = counting_rewrite(adorned_sg())
+    assert cp.seed_predicate == "seed_sg.bf"
+    assert cp.seed_arity == 1
+    assert cp.answer_predicate == "sg.bf"
+    assert cp.seed_predicate not in cp.level_predicates
+    assert cp.level_predicates == {"cnt_sg.bf", "cnt_sg.fb", "ans_sg.bf", "ans_sg.fb"}
+    seed_rules = [r for r in cp.program if any(l.predicate == cp.seed_predicate for l in r.body)]
+    assert [str(r) for r in seed_rules] == ["cnt_sg.bf(CntK0, 0, CntK0) <- seed_sg.bf(CntK0)."]
+    key = seed_rules[0].body[0].args[0]
+    for rule in cp.program:
+        if rule.head.predicate.startswith(("cnt_", "ans_")):
+            assert rule.head.args[0] == key, str(rule)
+    assert answer_rule(cp).head.args == (key, Variable("CntF0"))
 
 
 # -- semantics ----------------------------------------------------------------
@@ -127,13 +170,14 @@ def test_counting_equals_full_filtered_every_node():
     db = sg_database()
     full = full_sg(db)
     cp = counting_rewrite(adorned_sg())
-    zero = Constant(0)
     nodes = {row[0] for row in db.relation("up")} | {row[1] for row in db.relation("up")}
+    # one evaluation seeded with every node answers each node's subquery
+    res = evaluate_program(db, cp.program, seeds={cp.seed_predicate: {(node,) for node in nodes}})
+    got = res[cp.answer_predicate]
     for node in sorted(nodes, key=str):
-        res = evaluate_program(db, cp.program, seeds={cp.seed_predicate: {(zero, node)}})
-        got = {row[1] for row in res[cp.answer_predicate] if row[0] == zero}
-        expected = {r[1] for r in full if r[0] == node}
-        assert got == expected, f"counting mismatch at {node}"
+        expected = {r for r in full if r[0] == node}
+        assert {r for r in got if r[0] == node} == expected, f"counting mismatch at {node}"
+    assert got == {r for r in full if r[0] in nodes}
 
 
 def test_magic_anc_on_dag():
@@ -153,10 +197,10 @@ def test_counting_anc_any_level_semantics():
     db = Database()
     db.load("par", [(f"n{i}", f"n{i+1}") for i in range(10)])
     cp = counting_rewrite(adorned_anc())
-    zero = Constant(0)
-    res = evaluate_program(db, cp.program, seeds={cp.seed_predicate: {(zero, Constant("n0"))}})
-    got = {row[1].value for row in res[cp.answer_predicate]}
-    assert got == {f"n{i}" for i in range(1, 11)}
+    nodes = {f"n{i}" for i in range(11)}
+    res = evaluate_program(db, cp.program, seeds={cp.seed_predicate: {(Constant(n),) for n in nodes}})
+    got = {(row[0].value, row[1].value) for row in res[cp.answer_predicate]}
+    assert got == {(f"n{i}", f"n{j}") for i in range(11) for j in range(i + 1, 11)}
 
 
 def test_magic_second_argument_bound():
@@ -325,3 +369,46 @@ def test_counting_retraction_in_rolled_back_transaction():
     assert kb.view_rows("anc") == {
         ("a", "b"), ("a", "c"), ("b", "c"), ("x", "c")
     }
+
+
+# -- set-at-a-time counting ------------------------------------------------------
+
+
+def test_a_hundred_key_counting_ask_runs_one_fixpoint(monkeypatch):
+    """Counting seeds one fixpoint with the whole key set, as magic does:
+    a pipelined counting node fed 100 keys evaluates once per execution
+    and answers as the materialized fixpoint does."""
+    from repro import KnowledgeBase, OptimizerConfig
+    from repro.engine import Profiler
+    from repro.engine.fixpoint import FixpointEngine
+    from repro.workloads import random_dag
+
+    rules = ANC + "q(A, D) <- start(A), anc(A, D)."
+
+    def kb_for(methods):
+        kb = KnowledgeBase(OptimizerConfig(recursive_methods=methods))
+        kb.rules(rules)
+        names = random_dag(kb.db, "par", nodes=300, edges=450, seed=11)
+        kb.facts("start", [(name,) for name in names[:100]])
+        return kb
+
+    kb = kb_for(("counting",))
+    compiled = kb.compile("q(A, D)?")
+    (cc,) = [n for n in plan_nodes(compiled.plan) if isinstance(n, FixpointNode)]
+    assert cc.method == "counting" and cc.binding.code == "bf"
+    step = next(n for n in plan_nodes(compiled.plan) if getattr(n, "child", None) is cc)
+    assert step.pipelined
+
+    calls = []
+    real = FixpointEngine.evaluate
+
+    def spy(self, program, seeds=None, naive=False):
+        calls.append(len(next(iter(seeds.values()))) if seeds else 0)
+        return real(self, program, seeds=seeds, naive=naive)
+
+    monkeypatch.setattr(FixpointEngine, "evaluate", spy)
+    got = kb.ask("q(A, D)?", profiler=Profiler()).rows
+    assert calls == [100]  # one evaluation, seeded with every key
+    monkeypatch.setattr(FixpointEngine, "evaluate", real)
+    assert got == kb_for(("seminaive",)).ask("q(A, D)?").rows
+    assert got

@@ -123,7 +123,7 @@ def test_unknown_recursive_method_rejected():
     node = FixpointNode(
         ref=PredicateRef("t", 2), binding=BindingPattern("bf"),
         method="quantum", program=Program(()),
-        answer_predicate="t", seed_predicate=None, seed_arity=0,
+        answer_predicate="t", seed_predicate=None,
     )
     kb = KnowledgeBase()
     kb.facts("noop", [(0,)])

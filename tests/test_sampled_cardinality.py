@@ -173,3 +173,27 @@ def test_declared_statistics_keep_the_formula_card():
 
 def test_two_fresh_knowledge_bases_compile_the_same_plan():
     assert q2_kb().explain(Q2) == q2_kb().explain(Q2)
+
+
+def test_a_sampled_consumed_counting_clique_is_set_oriented(monkeypatch):
+    """Counting runs once per key set like magic, so a consumed counting
+    clique with a sampled card is priced for its whole key set too."""
+    seen = []
+    real = Optimizer._oracle
+
+    def spy(self, literal, binding, sample=True):
+        derived = real(self, literal, binding, sample)
+        seen.append((literal.predicate, binding.code, derived))
+        return derived
+
+    monkeypatch.setattr(Optimizer, "_oracle", spy)
+    compiled = q2_kb(OptimizerConfig(recursive_methods=("counting", "seminaive"))).compile(Q2)
+    sampled = {
+        (d.split()[1].split("/")[0], d.split()[1][-2:])
+        for d in compiled.diagnostics
+        if d.startswith("sampled: ") and d.split()[2] == "(counting)"
+    }
+    assert ("sg", "bf") in sampled
+    oriented = {(name, code) for name, code, derived in seen if derived and derived.set_oriented}
+    assert sampled <= oriented
+    assert all(code != "ff" for __, code in oriented)

@@ -176,8 +176,11 @@ def view_counters():
 
 
 #: (produced, examined, probes, iterations[, answers]) recorded at commit
-#: 340a29a, where a base relation was a set of term rows with a mirror
-RECORDED = {'ask anc bound, counting': (242, 242, 69, 5, 30),
+#: 340a29a, where a base relation was a set of term rows with a mirror;
+#: the counting entry was re-recorded when counting began to run once per
+#: key set (its key column, seed rule and answer rule are real work; the
+#: answers did not change)
+RECORDED = {'ask anc bound, counting': (311, 279, 72, 5, 30),
  'ask anc bound, magic': (1318, 1256, 598, 7, 30),
  'ask anc bound, naive': (2424, 1412, 321, 5, 30),
  'ask anc bound, seminaive': (976, 946, 317, 5, 30),

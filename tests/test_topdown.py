@@ -1,5 +1,10 @@
 """Tabled top-down evaluation: correctness vs the bottom-up reference."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -222,3 +227,42 @@ def test_unsafe_rule_raises_instead_of_hanging():
         program = f"p0(X, Y) <- e0(X, Y). {recursive} {unsafe}"
         with pytest.raises(ExecutionError, match="not fully bound"):
             solve(db, program, "top(X, Y)", tabling=tabling)
+
+
+_TABLED_SG = """
+import sys
+from repro.datalog import parse_literal, parse_program
+from repro.engine import Profiler
+from repro.engine.topdown import TopDownEngine
+from repro.storage import Database
+from repro.workloads import same_generation_instance
+
+db = Database()
+levels = same_generation_instance(db, fanout=2, depth=3)
+profiler = Profiler()
+program = parse_program(
+    "sg(X, Y) <- up(X, X1), sg(Y1, X1), dn(Y1, Y). sg(X, Y) <- flat(X, Y)."
+)
+answers = TopDownEngine(db, program, profiler=profiler).solve(
+    parse_literal(f"sg({levels[-1][0]}, Y)")
+)
+print(len(answers), profiler.total_work)
+"""
+
+
+def test_tabled_work_does_not_depend_on_the_string_hash_seed():
+    """The order facts reach a table decides how many passes tabling
+    takes; it must not be a term-set order, which differs per
+    ``PYTHONHASHSEED`` (and CI pins one seed, so only a subprocess with
+    another one sees it)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _TABLED_SG], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr[-2000:]
+        outputs.append(run.stdout.split())
+    assert outputs[0][0] == outputs[1][0] == "8"
+    assert outputs[0] == outputs[1]
