@@ -3,7 +3,9 @@
 from .calibrate import CalibrationResult, CalibrationSample, calibrate_cost_params, kendall_tau
 from .estimates import (
     BodyEstimator,
+    BodyMemo,
     DerivedOracle,
+    EXECUTOR_METHODS,
     LEAF_METHODS,
     derived_ndvs,
     estimate_fixpoint,
@@ -19,6 +21,7 @@ from .model import (
 
 __all__ = [
     "BodyEstimator",
+    "BodyMemo",
     "CalibrationResult",
     "CalibrationSample",
     "CostParams",
@@ -26,6 +29,7 @@ __all__ = [
     "kendall_tau",
     "DerivedEstimate",
     "DerivedOracle",
+    "EXECUTOR_METHODS",
     "Estimate",
     "INFINITE_COST",
     "LEAF_METHODS",

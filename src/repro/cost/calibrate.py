@@ -99,10 +99,10 @@ def _measure(db: Database, rule, method: str) -> float:
 
 
 def _estimate(db: Database, rule, method: str, params: CostParams) -> float:
-    estimator = BodyEstimator(db, params=params)
+    estimator = BodyEstimator(db, params=params, methods=(method,))
     state = StepState(card=1.0, bound=frozenset())
     for literal in rule.body:
-        state, __ = estimator.literal_step(state, literal, method=method)
+        state, __ = estimator.literal_step(state, literal)
     return state.cost
 
 

@@ -45,8 +45,14 @@ from .model import (
 #: predicate is not derived after all.
 DerivedOracle = Callable[[Literal, BindingPattern], DerivedEstimate | None]
 
-#: Join / access methods available to leaf steps (the EL label set).
+#: Join / access methods a leaf step can be labelled with (the EL label
+#: set).  ``nested_loop`` and ``merge`` are only ever forced: a plan step
+#: carrying one runs on the reference operators.
 LEAF_METHODS = ("index", "hash", "nested_loop", "merge")
+
+#: The labels a :class:`BodyEstimator` prices by default: the two joins
+#: the lowered executor runs.
+EXECUTOR_METHODS = ("index", "hash")
 
 
 def _no_derived(literal: Literal, binding: BindingPattern) -> DerivedEstimate | None:
@@ -116,7 +122,9 @@ class BodyEstimator:
     pattern; *per step* a loop over the argument kinds reading floats
     plus the method formulas of :meth:`leaf_step`.  ``profiles`` is that
     memo; an owner of many estimators over one program assigns them one
-    dict (the optimizer, for its own lifetime).
+    dict (the optimizer, for its own lifetime).  ``methods`` is the label
+    set a base step is priced under: the executor's joins, or one forced
+    label.
     """
 
     def __init__(
@@ -126,6 +134,7 @@ class BodyEstimator:
         derived_oracle: DerivedOracle | None = None,
         extra_stats: Mapping[str, RelationStats] | None = None,
         builtins=None,
+        methods: Sequence[str] = EXECUTOR_METHODS,
     ):
         self.stats = stats
         self.params = params or CostParams()
@@ -135,6 +144,7 @@ class BodyEstimator:
         self.extra_stats: dict[str, RelationStats] = dict(extra_stats or {})
         #: registry of built-in (infinite) predicates with declared modes
         self.builtins = builtins
+        self.methods = tuple(methods)
         self.profiles: dict[Literal, _Profile] = {}
 
     # -- statistics access ---------------------------------------------------
@@ -226,13 +236,13 @@ class BodyEstimator:
         state: StepState,
         literal: Literal,
         stats: RelationStats,
-        methods: Sequence[str] = LEAF_METHODS,
+        methods: Sequence[str] | None = None,
     ) -> tuple[StepState, str]:
         """Cost joining the current table with a stored relation under
-        every method in *methods*; returns the state and label of the
-        first strictly cheapest.  What no method changes — selectivity,
-        bound positions, ndv updates and the per-probe fanout — is
-        derived once."""
+        every method in *methods* (default: :attr:`methods`); returns the
+        state and label of the first strictly cheapest.  What no method
+        changes — selectivity, bound positions, ndv updates and the
+        per-probe fanout — is derived once."""
         params = self.params
         profile = self._profile(literal)
         distincts = [stats.distinct(i) for i in range(len(profile.args))]
@@ -241,7 +251,7 @@ class BodyEstimator:
         per_probe = n * selectivity
         out_card = clamp_card(scaled(card, per_probe), params)
         best_cost = best_work = best_card = best_method = None
-        for method in methods:
+        for method in self.methods if methods is None else methods:
             if method == "nested_loop" or (method == "index" and not mask):
                 work = card * n  # an index probing nothing: degenerate scan
             elif method == "hash":
@@ -300,19 +310,16 @@ class BodyEstimator:
         )
         return state.charged(cost, out_card, profile.variables, ndv_updates)
 
-    def literal_step(
-        self,
-        state: StepState,
-        literal: Literal,
-        method: str | None = None,
-    ) -> tuple[StepState, str]:
-        """Cost one literal, choosing the cheapest method when not forced.
+    def literal_step(self, state: StepState, literal: Literal) -> tuple[StepState, str]:
+        """Cost one literal, choosing its cheapest method.
 
         Returns the new state and the method label used (the EL decision,
         which the paper notes is local for a fixed permutation).
         """
         if state.is_infinite:
-            return state, method or "hash"
+            # the label is moot (the order is unsafe): ``hash`` by default,
+            # the one label of a forced set
+            return state, self.methods[-1]
         if literal.is_comparison:
             return self.comparison_step(state, literal), "eval"
         if literal.negated:
@@ -327,24 +334,16 @@ class BodyEstimator:
         # derived oracle: the predicate is priced as a growing relation,
         # never by recursive re-optimization.
         stats = self.extra_stats.get(literal.predicate)
-        if stats is not None:
-            if method not in LEAF_METHODS:
-                method = None
-        else:
+        if stats is None:
             derived = self.derived_estimate(state, literal)
             if derived is not None:
-                if method in ("pipelined", "materialized"):
-                    pipelined = method == "pipelined"
-                    return self.derived_step(state, literal, derived, pipelined), method
                 pipe = self.derived_step(state, literal, derived, True)
                 mat = self.derived_step(state, literal, derived, False)
                 if pipe.cost <= mat.cost:
                     return pipe, "pipelined"
                 return mat, "materialized"
             stats = self.stats_for(literal.predicate, literal.arity)
-        return self.leaf_step(
-            state, literal, stats, LEAF_METHODS if method is None else (method,)
-        )
+        return self.leaf_step(state, literal, stats)
 
     # -- whole bodies ------------------------------------------------------------
 
@@ -370,6 +369,26 @@ def derived_ndvs(card: float, arity: int, params: CostParams) -> tuple[float, ..
     return tuple(max(1.0, card * params.derived_distinct_fraction) for __ in range(arity))
 
 
+class BodyMemo:
+    """Whole-body estimates shared by the :func:`estimate_fixpoint` calls
+    of one c-permutation search.
+
+    C-permutations of one clique replicate most rule bodies verbatim
+    (only the permuted prefix differs), so their rewritten programs share
+    bodies, and each body is priced once per round.  An entry is keyed by
+    the literal sequence and the derived cards of the round's overlay;
+    ``hits`` count costings avoided ("plans pruned"), ``misses`` costings
+    done ("plans costed").  Estimation inside one ``optimize()`` call is
+    deterministic, so equal keys always reprice identically."""
+
+    __slots__ = ("entries", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple, Estimate] = {}
+        self.hits = 0
+        self.misses = 0
+
+
 def estimate_fixpoint(
     program: Program,
     estimator_factory: Callable[[Mapping[str, RelationStats]], BodyEstimator],
@@ -377,6 +396,7 @@ def estimate_fixpoint(
     params: CostParams,
     level_indexed: frozenset[str] = frozenset(),
     cost_cap: float = INFINITE_COST,
+    memo: BodyMemo | None = None,
 ) -> tuple[Estimate, dict[str, float]]:
     """Price a fixpoint computation of *program* by iterated estimation.
 
@@ -406,6 +426,10 @@ def estimate_fixpoint(
 
     Genuine unsafety is priced upstream (EC violations yield ``inf`` from
     the body estimator; termination is the safety analysis's job).
+
+    A body is priced by an estimator over the round's overlay, built once
+    per distinct overlay; with a *memo*, a body already priced under the
+    same overlay cards is read from it and builds no estimator.
     """
     totals: dict[str, float] = {}
     arities: dict[str, int] = {}
@@ -452,6 +476,25 @@ def estimate_fixpoint(
             for name in derived_names
         }
 
+    estimators: dict[tuple, BodyEstimator] = {}
+
+    def priced(body: tuple[Literal, ...], cards: Mapping[str, float]) -> Estimate:
+        overlay = tuple(sorted(cards.items()))
+        key = (body, overlay)
+        if memo is not None:
+            found = memo.entries.get(key)
+            if found is not None:
+                memo.hits += 1
+                return found
+            memo.misses += 1
+        estimator = estimators.get(overlay)
+        if estimator is None:
+            estimator = estimators[overlay] = estimator_factory(overlay_from(cards))
+        estimate, __ = estimator.body_estimate(body)
+        if memo is not None:
+            memo.entries[key] = estimate
+        return estimate
+
     def is_recursive_rule(rule: Rule) -> bool:
         return any(
             not l.is_comparison and l.predicate in derived_names for l in rule.body
@@ -460,11 +503,11 @@ def estimate_fixpoint(
     total_cost = 0.0
 
     # Round 0: exit rules fire against base relations (plus any seeds).
-    estimator = estimator_factory(overlay_from(totals))
+    seeded = dict(totals)
     for rule in program:
         if is_recursive_rule(rule):
             continue
-        estimate, __ = estimator.body_estimate(rule.body)
+        estimate = priced(rule.body, seeded)
         if estimate.is_infinite:
             return Estimate.unsafe(), totals
         total_cost += estimate.cost
@@ -496,8 +539,7 @@ def estimate_fixpoint(
                     continue  # nothing new through this literal
                 cards = dict(totals)
                 cards[delta_name] = deltas[delta_name]
-                estimator = estimator_factory(overlay_from(cards))
-                estimate, __ = estimator.body_estimate(rule.body)
+                estimate = priced(rule.body, cards)
                 if estimate.is_infinite:
                     return Estimate.unsafe(), totals
                 round_cost += estimate.cost

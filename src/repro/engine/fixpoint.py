@@ -55,7 +55,7 @@ paper's "infinite cost".
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..datalog.graph import DependencyGraph
 from ..datalog.literals import Literal, PredicateRef, pred_ref
@@ -76,17 +76,6 @@ from .operators import (
     step_kind,
 )
 from .profiler import Profiler
-
-#: Chooses the reference evaluator's join method for a body literal.
-MethodChooser = Callable[[Literal], str]
-
-
-def _default_method(literal: Literal) -> str:
-    # Index joins keep a persistent index on base relations, which matters
-    # across the many rounds of a fixpoint; derived extensions fall back to
-    # per-call hash builds inside scan_join.
-    return "index"
-
 
 #: A workspace entry: id space when compiled, term rows on the reference.
 Store = "IdRelation | set[Row]"
@@ -192,10 +181,6 @@ class FixpointEngine:
         fault injection).  ``None`` builds one from the guards above;
         ``False`` disables governance entirely (the ungoverned escape
         hatch kept for overhead A/B measurement — no guards at all).
-    method_chooser:
-        Join method per literal (EL label) on the reference evaluator
-        only — a lowered plan has one physical join; defaults to index
-        joins.
     reorder_bodies:
         When True (default) bodies are reordered by the greedy EC order
         before execution; when False the given order is trusted.
@@ -218,7 +203,6 @@ class FixpointEngine:
         profiler: Profiler | None = None,
         max_iterations: int = 100_000,
         max_tuples: int = 5_000_000,
-        method_chooser: MethodChooser | None = None,
         reorder_bodies: bool = True,
         builtins: "BuiltinRegistry | None" = None,
         compile: bool = True,
@@ -236,7 +220,6 @@ class FixpointEngine:
         )
         self.tracer = tracer
         self.metrics = metrics
-        self.method_chooser = method_chooser or _default_method
         self.reorder_bodies = reorder_bodies
         self.builtins = builtins
         self._oracle = builtin_oracle(builtins)
@@ -309,10 +292,10 @@ class FixpointEngine:
             with self.tracer.span(
                 f"{kind}:{head_name}:{literal.predicate}", kind="operator"
             ) as span:
-                method = "hash"
+                # an index join keeps a persistent index on a stored
+                # relation across rounds; a delta is hashed per call
+                method = "index" if kind == "join" and not driven else "hash"
                 if kind == "join":
-                    if not driven:
-                        method = self.method_chooser(literal)
                     span.note(method=method)
                 table = reference_step(
                     table, literal,

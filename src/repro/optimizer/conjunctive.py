@@ -203,9 +203,10 @@ class _CompletionBounds:
     The remaining literals must each still be placed; under the estimator's
     cost formulas every placement of a literal with input cardinality ``c``
     charges at least ``c * w`` where ``w = min(n, probe_weight, 1)`` for a
-    base relation of ``n`` tuples (the cheapest of the nested/hash/index/
-    merge formulas), ``probe_weight`` for a negated goal, and ``1`` for a
-    comparison.  The input cardinality at any future placement is at least
+    base relation of ``n`` tuples (a floor under each of the nested/hash/
+    index/merge formulas, so under any label set the estimator prices),
+    ``probe_weight`` for a negated goal, and ``1`` for a comparison.  The
+    input cardinality at any future placement is at least
     the current cardinality times the product of every remaining literal's
     *maximum possible shrink factor*: ``n / D**arity`` for a base literal
     (``D`` is the largest distinct count over the body's columns, an upper
@@ -223,8 +224,8 @@ class _CompletionBounds:
     def __init__(self, body: Sequence[Literal], estimator: BodyEstimator) -> None:
         self.shrink: dict[int, float] = {}
         self.weight: dict[int, float] = {}
-        self.enabled = getattr(estimator, "derived_oracle", None) is _no_derived
-        builtins = getattr(estimator, "builtins", None)
+        self.enabled = estimator.derived_oracle is _no_derived
+        builtins = estimator.builtins
         if self.enabled and builtins is not None:
             for literal in body:
                 if literal.is_comparison:

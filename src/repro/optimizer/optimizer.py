@@ -35,7 +35,14 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Mapping, Sequence
 
-from ..cost.estimates import BodyEstimator, LEAF_METHODS, derived_ndvs, estimate_fixpoint
+from ..cost.estimates import (
+    BodyEstimator,
+    BodyMemo,
+    EXECUTOR_METHODS,
+    LEAF_METHODS,
+    derived_ndvs,
+    estimate_fixpoint,
+)
 from ..cost.model import CostParams, DerivedEstimate, Estimate, INFINITE_COST
 from ..datalog.adorn import AdornedClique, CPermutation, adorn_clique, enumerate_cpermutations
 from ..datalog.bindings import BindingPattern, QueryForm, binds_after, head_bound_vars
@@ -85,7 +92,8 @@ class OptimizerConfig:
     recursive_methods: tuple[str, ...] = (
         "seminaive", "magic", "supplementary", "counting"
     )
-    #: force every base join step to one method (used by baselines)
+    #: label every base join step of a rule body with this one method
+    #: (baselines, join-method ranking); fixpoint rules keep the executor's
     force_method: str | None = None
     seed: int = 0
     annealing: AnnealingSchedule = field(default_factory=AnnealingSchedule)
@@ -300,7 +308,10 @@ class Optimizer:
         )
 
     def _estimator(
-        self, extra_stats: Mapping[str, RelationStats] | None = None, sample: bool = True
+        self,
+        extra_stats: Mapping[str, RelationStats] | None = None,
+        sample: bool = True,
+        methods: Sequence[str] = EXECUTOR_METHODS,
     ) -> BodyEstimator:
         estimator = BodyEstimator(
             self.stats,
@@ -308,6 +319,7 @@ class Optimizer:
             derived_oracle=self._oracle if sample else partial(self._oracle, sample=False),
             extra_stats=extra_stats,
             builtins=self.builtins,
+            methods=methods,
         )
         estimator.profiles = self._profiles
         return estimator
@@ -434,9 +446,9 @@ class Optimizer:
         """Step 1: order one rule body under the head's binding pattern."""
         self.counters["and_optimizations"] += 1
         initially_bound = head_bound_vars(rule.head, head_binding)
-        estimator = self._estimator(sample=sample)
-        if self.config.force_method is not None:
-            estimator = _ForcedMethodEstimator(estimator, self.config.force_method)
+        force = self.config.force_method
+        methods = (force,) if force else EXECUTOR_METHODS
+        estimator = self._estimator(sample=sample, methods=methods)
         result = self._order_body(rule.body, initially_bound, estimator)
         if result.est.is_infinite:
             report = ec_check(
@@ -533,7 +545,7 @@ class Optimizer:
             else:
                 estimate, __ = estimate_fixpoint(
                     Program(rules),
-                    lambda overlay: self._estimator(extra_stats=overlay),
+                    self._estimator,
                     seed_cards={},
                     params=self.config.params,
                 )
@@ -638,10 +650,10 @@ class Optimizer:
             pruned_duplicates = 0
             # Structural sharing across c-permutations of the same clique:
             # whole-body estimates are memoized by (literal sequence,
-            # frontier, derived-overlay cards), so two cperms that agree
-            # on a rule's prefix pay for it once; per-replica EC verdicts
-            # are memoized the same way.
-            body_cache = _BodyEstimateCache()
+            # derived-overlay cards), so two cperms that share a rewritten
+            # body pay for it once; per-replica EC verdicts are memoized
+            # the same way.
+            body_cache = BodyMemo()
             ec_memo: dict[tuple, bool] = {}
             with self._tracer.span(
                 f"optimize:enumerate:{ref.name}", kind="cperm"
@@ -717,7 +729,7 @@ class Optimizer:
         methods: Sequence[str],
         cost_cap: float,
         ec_memo: dict,
-        body_cache: "_BodyEstimateCache",
+        body_cache: BodyMemo,
     ) -> FixpointNode | None:
         """Price one adorned program under each applicable bound method.
 
@@ -726,7 +738,7 @@ class Optimizer:
         choice-preserving — see :func:`estimate_fixpoint`).  ``ec_memo``
         shares EC verdicts for identical (rule, head adornment) replicas
         across c-permutations; ``body_cache`` shares whole-body estimates
-        for shared order prefixes.
+        of the bodies their rewritten programs have in common.
         """
         params = self.config.params
 
@@ -758,9 +770,6 @@ class Optimizer:
         for literal, pattern in adorned.external_goals:
             self._optimize_ref(pred_ref(literal), pattern)
 
-        factory = lambda overlay: _CachingEstimator(  # noqa: E731
-            self._estimator(extra_stats=overlay), body_cache
-        )
         best: FixpointNode | None = None
         for method in methods:
             cap = min(cost_cap, best.est.cost if best is not None else INFINITE_COST)
@@ -774,11 +783,12 @@ class Optimizer:
                 continue
             est, __ = estimate_fixpoint(
                 rewritten.program,
-                factory,
+                self._estimator,
                 seed_cards={rewritten.seed_predicate: (1.0, rewritten.seed_arity)},
                 params=params,
                 level_indexed=rewritten.level_predicates,
                 cost_cap=cap,
+                memo=body_cache,
             )
             if est.is_infinite:
                 continue
@@ -913,88 +923,3 @@ class Optimizer:
                 if stats is None or stats.acyclic is not True:
                     return False
         return True
-
-
-class _BodyEstimateCache:
-    """Whole-body estimate memo shared across c-permutations of a clique.
-
-    C-permutations of the same clique replicate most rule bodies verbatim
-    (only the permuted prefix differs), so their rewritten programs share
-    rule bodies — and :func:`estimate_fixpoint` re-prices each body once
-    per round.  The memo key is the literal sequence, the frontier
-    (initially bound variables + initial cardinality), and the derived
-    overlay cards the body can see; hits are "plans pruned" (costings
-    avoided), misses are "plans costed"."""
-
-    __slots__ = ("entries", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.entries: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-
-class _CachingEstimator:
-    """Wrap a :class:`BodyEstimator`, memoizing ``body_estimate`` calls
-    into a shared :class:`_BodyEstimateCache` (see its docstring for the
-    key).  Estimation inside one ``optimize()`` call is deterministic —
-    derived-goal estimates are memoized per binding, a sample is taken
-    once — so equal keys always reprice identically."""
-
-    def __init__(self, inner: BodyEstimator, cache: _BodyEstimateCache):
-        self._inner = inner
-        self._cache = cache
-        self.params = inner.params
-        self.stats = inner.stats
-
-    def stats_for(self, name: str, arity: int):
-        return self._inner.stats_for(name, arity)
-
-    def literal_step(self, state, literal, method=None):
-        return self._inner.literal_step(state, literal, method)
-
-    def body_estimate(self, body, initially_bound=frozenset(), initial_card=1.0):
-        overlay = tuple(
-            sorted(
-                (name, stats.cardinality)
-                for name, stats in self._inner.extra_stats.items()
-            )
-        )
-        key = (tuple(body), frozenset(initially_bound), initial_card, overlay)
-        cached = self._cache.entries.get(key)
-        if cached is not None:
-            self._cache.hits += 1
-            return cached
-        self._cache.misses += 1
-        result = self._inner.body_estimate(body, initially_bound, initial_card)
-        self._cache.entries[key] = result
-        return result
-
-
-class _ForcedMethodEstimator:
-    """Estimator wrapper that pins every base join step to one method.
-
-    Used by the Prolog-style baseline (textual order + nested loops) in
-    the end-to-end experiment.
-    """
-
-    def __init__(self, inner: BodyEstimator, method: str):
-        self._inner = inner
-        self._method = method
-        self.params = inner.params
-        self.stats = inner.stats
-
-    def stats_for(self, name: str, arity: int):
-        return self._inner.stats_for(name, arity)
-
-    def literal_step(self, state, literal, method=None):
-        if (
-            literal.is_comparison
-            or literal.negated
-            or self._inner.derived_estimate(state, literal) is not None
-        ):
-            return self._inner.literal_step(state, literal, method)
-        return self._inner.literal_step(state, literal, self._method)
-
-    def body_estimate(self, body, initially_bound=frozenset(), initial_card=1.0):
-        return self._inner.body_estimate(body, initially_bound, initial_card)

@@ -19,7 +19,9 @@ are answer-equivalent.  This package enforces that mechanically:
   (``python -m repro.testing.sweep --seed 0 --count 200``);
 * :mod:`~repro.testing.chaos` — seeded fault sweeps (injected
   operator and I/O errors, aborted transactions) asserting the
-  fault-tolerance contract (``python -m repro.testing.chaos``).
+  fault-tolerance contract (``python -m repro.testing.chaos``); its
+  names are imported from the module itself, which the package does not
+  load, so ``-m`` runs it once.
 """
 
 from .oracle import (
@@ -33,16 +35,11 @@ from .oracle import (
     case_to_dict,
     strategy_names,
 )
-from .chaos import ChaosCaseResult, ChaosReport, chaos_case, run_sweep
 from .metamorphic import MetamorphicChecker
 from .shrink import shrink_case, to_corpus_dict, to_pytest_source
 
 __all__ = [
     "Case",
-    "ChaosCaseResult",
-    "ChaosReport",
-    "chaos_case",
-    "run_sweep",
     "DifferentialOracle",
     "Disagreement",
     "MetamorphicChecker",

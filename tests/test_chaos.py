@@ -7,10 +7,14 @@ handful of seeds so a regression shows up in the default test run, not
 only in the nightly-style job.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.testing import chaos_case, run_sweep
-from repro.testing.chaos import SCENARIOS
+from repro.testing.chaos import SCENARIOS, chaos_case, run_sweep
 
 
 def test_every_scenario_name_is_reachable():
@@ -37,3 +41,15 @@ def test_short_sweep_reports():
     report = run_sweep(seed=100, count=6)
     assert report.ok, report.violations
     assert report.cases == 6
+
+
+def test_the_cli_runs_without_a_runtime_warning():
+    """``-m`` must find the module unloaded: a package that imported it
+    made Python warn, and ``-W error`` turn the warning into exit 1."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.testing.chaos",
+         "--seed", "0", "--count", "1"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]

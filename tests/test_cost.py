@@ -5,7 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cost import BodyEstimator, CostParams, Estimate, INFINITE_COST, estimate_fixpoint
+from repro.cost import (
+    BodyEstimator,
+    CostParams,
+    Estimate,
+    INFINITE_COST,
+    LEAF_METHODS,
+    estimate_fixpoint,
+)
 from repro.cost.model import DerivedEstimate, StepState, clamp_card
 from repro.datalog import parse_program, parse_rule, parse_literal
 from repro.datalog.terms import Variable
@@ -60,6 +67,23 @@ def test_index_beats_nested_loop_when_selective():
     indexed = est.base_step(state, parse_literal("e(X, Y)"), est.stats_for("e", 2), "index")
     nl = est.base_step(state, parse_literal("e(X, Y)"), est.stats_for("e", 2), "nested_loop")
     assert indexed.cost < nl.cost
+
+
+def test_a_two_valued_bound_key_is_priced_as_an_index_probe():
+    """On a key with two distinct values a nested loop is the cheapest of
+    the four formulas, but the executor runs only ``index`` and ``hash``:
+    the default label set prices those, and a forced set its one label."""
+    stats = DeclaredStatistics()
+    stats.declare("kind", 20, [2, 20])
+    state = StepState(card=1.0, bound=frozenset({X}), var_ndvs={X: 1.0})
+    literal = parse_literal("kind(X, Y)")
+    default, forced = BodyEstimator(stats), BodyEstimator(stats, methods=("nested_loop",))
+    kind = default.stats_for("kind", 2)
+    assert default.leaf_step(state, literal, kind, LEAF_METHODS)[1] == "nested_loop"
+    for est, expected in ((default, "index"), (forced, "nested_loop")):
+        out, method = est.literal_step(state, literal)
+        assert method == expected
+        assert out == est.base_step(state, literal, kind, expected)
 
 
 def test_scan_cost_monotone_in_cardinality():

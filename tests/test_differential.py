@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import KnowledgeBase
 from repro.engine.topdown import TopDownEngine
+from repro.plans import FixpointNode, plan_nodes
 from repro.testing import (
     Case,
     DifferentialOracle,
@@ -56,6 +58,32 @@ def test_oracle_covers_every_strategy():
     assert {n for n in names if n.startswith("kb-")} >= {
         "kb-exhaustive", "kb-dp", "kb-kbz", "kb-annealing", "kb-textual",
     }
+
+
+@pytest.mark.parametrize("method", ["magic", "supplementary", "counting"])
+def test_forced_bound_method_runners_force_their_method(method, monkeypatch):
+    """``kb-dp-<method>`` may label a clique with its method only: an
+    all-free recursive ask has no such plan and is skipped, a bound one
+    runs the method and answers like the reference."""
+    methods = []
+    real_compile = KnowledgeBase.compile
+
+    def spying(kb, *args, **kwargs):
+        compiled = real_compile(kb, *args, **kwargs)
+        methods.extend(n.method for n in plan_nodes(compiled.plan) if isinstance(n, FixpointNode))
+        return compiled
+
+    monkeypatch.setattr(KnowledgeBase, "compile", spying)
+    rules = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
+    par = [(f"n{i}", f"n{i + 1}") for i in range(6)]
+    oracle = DifferentialOracle(strategies=[f"kb-dp-{method}"])
+    __, free = oracle.outcomes(Case.make(rules, {"par": par}, "anc(X, Y)?"))
+    assert free.status == "skip"
+    methods.clear()
+    reference, forced = oracle.outcomes(Case.make(rules, {"par": par}, "anc(n2, Y)?"))
+    assert forced.status == "ok" and forced.answers == reference.answers
+    assert len(reference.answers) == 4
+    assert methods == [method]
 
 
 def test_oracle_outcomes_report_skips():

@@ -1,10 +1,12 @@
-"""Lowered vs reference evaluation across join methods, and delta indexing.
+"""Lowered vs reference evaluation, and delta indexing.
 
-For any program and any join-method choice, a lowered columnar plan must
-produce exactly the rows the reference evaluator's unification path
-produces.  The seeded randomized tests here sweep that cross-product
-(4 join methods x lowered/reference) over generated workloads; the unit
-tests pin the incremental index maintenance underneath.
+For any program, a lowered columnar plan must produce exactly the rows
+the reference evaluator's unification path produces.  The seeded
+randomized tests here check that over generated workloads (the four
+join methods' agreement is ``tests/test_operators.py``'s, and forced
+plan labels are run end to end by ``tests/test_optimizer_paths.py`` and
+``tests/test_storage_parity.py``); the unit tests pin the incremental
+index maintenance underneath.
 """
 
 import random
@@ -15,7 +17,6 @@ from repro.datalog.parser import parse_program
 from repro.datalog.rules import Program
 from repro.datalog.terms import Constant
 from repro.engine.fixpoint import FixpointEngine
-from repro.engine.operators import JOIN_METHODS
 from repro.engine.profiler import Profiler
 from repro.storage import Database, DerivedRelation, relation_from_rows
 
@@ -62,18 +63,14 @@ PROGRAMS = [
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("source", PROGRAMS)
 def test_methods_and_compilation_agree(seed, source):
-    """The reference evaluator under each of the four join methods and
-    the lowered plan (which has one physical join) derive the same
+    """The reference evaluator and the lowered plan derive the same
     relations with the same per-query ``produced`` count on randomized
-    data — the cross-method and parity properties."""
+    data — the parity property."""
     rng = random.Random(seed)
     db = random_database(rng)
     program = Program(list(parse_program(source)))
 
-    runs = [
-        (method, {"compile": False, "method_chooser": lambda literal, m=method: m})
-        for method in JOIN_METHODS
-    ] + [("lowered", {})]
+    runs = [("reference", {"compile": False}), ("lowered", {})]
     expected = None
     for name, kwargs in runs:
         profiler = Profiler()

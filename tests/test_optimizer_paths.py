@@ -51,6 +51,31 @@ def test_forced_methods_execute(method):
     assert kb.ask("j(X, Z)?").to_python() == [("a", "x"), ("b", "y")]
 
 
+def _kind_kb(**config):
+    """A 20-row lookup ``kind`` whose key ``X`` is ``on`` or ``off``, in
+    front of a 400-row ``big``."""
+    kb = KnowledgeBase(OptimizerConfig(**config), result_cache=False)
+    kb.rules("p(X, Z) <- kind(X, Y), big(Y, Z).")
+    kb.facts("kind", [("on" if i % 2 else "off", i) for i in range(20)])
+    kb.facts("big", [(i % 20, i) for i in range(400)])
+    return kb
+
+
+def test_a_two_valued_lookup_key_plans_the_join_the_executor_runs():
+    """A probe on a two-valued key prices cheapest as a nested loop, a
+    join the lowered executor does not run: planned, its label would send
+    the whole AND node to the reference operators."""
+    kb = _kind_kb()
+    body = kb.compile("p($X, Z)?").plan.children[0].steps[0].child.children[0]
+    assert [(str(step.literal), step.method) for step in body.steps] == [
+        ("kind(X, Y)", "index"), ("big(Y, Z)", "index"),
+    ]
+    answers = kb.ask("p($X, Z)?", X="on").to_python()
+    assert kb.telemetry.last["tier"] == "batch"
+    assert len(answers) == 200
+    assert answers == _kind_kb(force_method="index").ask("p($X, Z)?", X="on").to_python()
+
+
 def test_annealing_strategy_full_pipeline():
     kb = KnowledgeBase(OptimizerConfig(strategy="annealing", seed=3))
     kb.rules("p(A, D) <- e1(A, B), e2(B, C), e3(C, D).")

@@ -110,9 +110,9 @@ def _uncapped_choice(kb, query):
     fresh body-estimate cache, the first strict minimum kept.  Returns
     that node (None when no c-permutation is safe) and the number of
     body estimates the enumeration priced."""
+    from repro.cost import BodyMemo
     from repro.cost.model import INFINITE_COST
     from repro.datalog import adorn_clique, parse_query, pred_ref
-    from repro.optimizer.optimizer import _BodyEstimateCache
 
     optimizer = kb.optimizer
     form = parse_query(query)
@@ -126,7 +126,7 @@ def _uncapped_choice(kb, query):
             clique, ref, form.adornment, cperm,
             derived_predicates=optimizer.program.derived_predicates,
         )
-        cache = _BodyEstimateCache()
+        cache = BodyMemo()
         node = optimizer._cost_adorned(adorned, support, methods, INFINITE_COST, {}, cache)
         costed += cache.misses
         if node is not None and (best is None or node.est.cost < best.est.cost):
