@@ -376,7 +376,8 @@ class BodyMemo:
     C-permutations of one clique replicate most rule bodies verbatim
     (only the permuted prefix differs), so their rewritten programs share
     bodies, and each body is priced once per round.  An entry is keyed by
-    the literal sequence and the derived cards of the round's overlay;
+    the literal sequence and the round's cards of the derived predicates
+    it names (negated ones included) — all a body's estimate reads;
     ``hits`` count costings avoided ("plans pruned"), ``misses`` costings
     done ("plans costed").  Estimation inside one ``optimize()`` call is
     deterministic, so equal keys always reprice identically."""
@@ -429,7 +430,8 @@ def estimate_fixpoint(
 
     A body is priced by an estimator over the round's overlay, built once
     per distinct overlay; with a *memo*, a body already priced under the
-    same overlay cards is read from it and builds no estimator.
+    same cards of the derived predicates it names is read from it and
+    builds no estimator.
     """
     totals: dict[str, float] = {}
     arities: dict[str, int] = {}
@@ -479,14 +481,15 @@ def estimate_fixpoint(
     estimators: dict[tuple, BodyEstimator] = {}
 
     def priced(body: tuple[Literal, ...], cards: Mapping[str, float]) -> Estimate:
-        overlay = tuple(sorted(cards.items()))
-        key = (body, overlay)
         if memo is not None:
+            named = {l.predicate for l in body if not l.is_comparison} & derived_names
+            key = (body, tuple(sorted((name, cards[name]) for name in named)))
             found = memo.entries.get(key)
             if found is not None:
                 memo.hits += 1
                 return found
             memo.misses += 1
+        overlay = tuple(sorted(cards.items()))
         estimator = estimators.get(overlay)
         if estimator is None:
             estimator = estimators[overlay] = estimator_factory(overlay_from(cards))

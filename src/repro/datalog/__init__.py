@@ -33,7 +33,7 @@ from .graph import Clique, DependencyGraph
 from .literals import COMPARISON_OPS, Literal, PredicateRef, comparison, lit, pred_ref
 from .magic import SeededProgram, magic_rewrite, supplementary_magic_rewrite
 from .parser import parse_literal, parse_program, parse_query, parse_rule
-from .rewrite import push_projections, relevant_program, rename_apart, specialize
+from .rewrite import push_projections, rename_apart
 from .rules import Program, Rule
 from .safety import (
     ECReport,
@@ -106,10 +106,8 @@ __all__ = [
     "parse_rule",
     "pred_ref",
     "push_projections",
-    "relevant_program",
     "rename_apart",
     "sip_bindings",
-    "specialize",
     "split_adorned_name",
     "supplementary_magic_rewrite",
     "term_from_python",

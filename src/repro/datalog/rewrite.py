@@ -12,10 +12,6 @@ This module provides those rewrites:
 
 * :func:`rename_apart` — standardize a rule's variables apart from a
   context (resolution hygiene, shared by every consumer);
-* :func:`specialize` — unify a rule head with a (partially bound) goal,
-  i.e. push the goal's constant *selections* into the rule;
-* :func:`relevant_program` — restrict a program to the predicates the
-  query can reach (dead-rule elimination);
 * :func:`push_projections` — drop head argument positions that no caller
   ever consumes, for non-recursive predicates (a conservative rendition
   of [RBK 87]).
@@ -30,7 +26,6 @@ from .graph import DependencyGraph
 from .literals import Literal, PredicateRef, pred_ref
 from .rules import Program, Rule
 from .terms import Variable, variables_of
-from .unify import unify_sequences
 
 _fresh_counter = itertools.count()
 
@@ -48,35 +43,6 @@ def rename_apart(rule: Rule, avoid: frozenset[Variable]) -> Rule:
     suffix = next(_fresh_counter)
     mapping = {v: Variable(f"{v.name}#{suffix}") for v in clashes}
     return rule.rename_variables(mapping)
-
-
-def specialize(rule: Rule, goal: Literal) -> Rule | None:
-    """Push the constants of *goal* into *rule* by unifying with its head.
-
-    Returns the specialized rule, or ``None`` if the head cannot match the
-    goal (the rule is then irrelevant to this goal).  The rule is renamed
-    apart from the goal first, so goal variables pass through unchanged.
-
-    >>> from .parser import parse_rule, parse_literal
-    >>> specialize(parse_rule("p(X, Y) <- q(X, Z), r(Z, Y)."), parse_literal("p(a, W)"))
-    Rule('p(a, W) <- q(a, Z), r(Z, W).')
-    """
-    if goal.predicate != rule.head.predicate or goal.arity != rule.head.arity:
-        return None
-    fresh = rename_apart(rule, goal.variables)
-    subst = unify_sequences(fresh.head.args, goal.args)
-    if subst is None:
-        return None
-    return fresh.substitute(subst)
-
-
-def relevant_program(program: Program, goal_ref: PredicateRef) -> Program:
-    """Rules for the predicates reachable from *goal_ref* only."""
-    graph = DependencyGraph(program)
-    if goal_ref not in program.predicates:
-        return Program(())
-    keep = graph.reachable_from(goal_ref)
-    return Program(r for r in program if r.head_ref in keep)
 
 
 def _used_positions(program: Program, roots: Iterable[tuple[PredicateRef, frozenset[int]]]) -> dict[PredicateRef, set[int]]:

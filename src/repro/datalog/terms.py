@@ -31,16 +31,33 @@ CONS = "cons"
 NIL = "nil"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Constant:
     """An atomic ground value.
 
     The payload is a plain Python scalar.  Two constants are equal iff
-    their payloads are equal (note: Python equates ``1`` and ``True``;
-    LDL programs are expected not to rely on that corner).
+    their payloads are of the same class and equal: ``0`` and ``0.0``
+    are two constants, and so are ``1`` and ``True``, although Python
+    equates the payloads.  The interner, term sets and the unifier (and
+    so ``=``) all share this identity; the ordering comparisons and
+    ``!=`` compare numbers by value instead
+    (:func:`repro.engine.evaluable.compare_terms`).
     """
 
     value: AtomicValue
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            other.__class__ is Constant
+            and self.value.__class__ is other.value.__class__  # type: ignore[attr-defined]
+            and self.value == other.value  # type: ignore[attr-defined]
+        )
+
+    def __hash__(self) -> int:
+        # the value's hash alone, as a plain dataclass hashes: stable
+        # across runs (a class's hash is its address), and ``0`` / ``0.0``
+        # colliding costs only an ``__eq__`` call
+        return hash((self.value,))
 
     def __str__(self) -> str:
         if isinstance(self.value, str):

@@ -13,7 +13,6 @@ from .operators import (
     head_rows,
     negation_filter,
     scan_join,
-    union_tables,
 )
 from .maintenance import ViewSet
 from .profiler import Profiler
@@ -44,5 +43,4 @@ __all__ = [
     "scan_join",
     "solve_comparison",
     "term_sort_key",
-    "union_tables",
 ]

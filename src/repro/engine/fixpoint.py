@@ -29,11 +29,11 @@ are ``produced - full`` as one set difference appended in bulk, and each
 predicate's delta is one store per round shared by every firing that
 reads it.  Nothing is decoded until the caller asks
 :class:`EvaluationResult` for term rows.  A rule that does not lower
-crosses the boundary both ways: it reads
-:meth:`~repro.storage.columnar.IdRelation.decoded` views and its head
-rows are encoded on the way out.  ``compile=False`` keeps ``set[Row]``
-workspaces and runs every rule on the reference — the oracle's
-baseline.  By default each body is first reordered by the greedy
+crosses the boundary both ways: the reference operators probe the same
+stores and decode only the rows a key selects (and the round's delta
+whole), and its head rows are encoded on the way out.
+``compile=False`` keeps ``set[Row]`` workspaces and runs every rule on
+the reference — the oracle's baseline.  By default each body is first reordered by the greedy
 effective-computability order (:func:`repro.datalog.safety.exists_safe_order`)
 so evaluable predicates run only once their arguments are bound; the
 optimizer hands over bodies already in its chosen order, in which case
@@ -283,23 +283,18 @@ class FixpointEngine:
                 return table
             kind = step_kind(literal, self.builtins)
             driven = position == delta_literal and delta_rows is not None
-
-            def term_extension(stored: Literal, position=position):
-                # an id-space entry is read through its decoded view
-                extension = extension_at(position, stored)
-                return extension.decoded() if isinstance(extension, IdRelation) else extension
-
             with self.tracer.span(
                 f"{kind}:{head_name}:{literal.predicate}", kind="operator"
             ) as span:
-                # an index join keeps a persistent index on a stored
-                # relation across rounds; a delta is hashed per call
+                # an index join probes a store's bucket maps, which live
+                # on across rounds; a delta is hashed per call
                 method = "index" if kind == "join" and not driven else "hash"
                 if kind == "join":
                     span.note(method=method)
                 table = reference_step(
                     table, literal,
-                    (lambda stored: delta_rows) if driven else term_extension,
+                    (lambda stored: delta_rows) if driven
+                    else (lambda stored, position=position: extension_at(position, stored)),
                     method, self.profiler, self.governor, self.builtins,
                 )
         return table

@@ -28,12 +28,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..datalog.literals import Literal
 from ..datalog.terms import Constant, Term, Variable, is_ground, variables_of
 from ..datalog.unify import Substitution, apply, match
 from ..errors import ExecutionError
+from ..storage.columnar import IdRelation
+from ..storage.relation import Relation
 from .evaluable import solve_comparison, term_sort_key
 from .profiler import Profiler
 
@@ -101,10 +103,25 @@ def _vars_in_order(term: Term) -> list[Variable]:
     return []
 
 
+def _id_store(extension) -> IdRelation | None:
+    """The id store *extension* is held in — a base relation's own or a
+    derived :class:`IdRelation` — or None for a plain set of term rows."""
+    if isinstance(extension, Relation):
+        return extension.batch_store(extension.interner)
+    return extension if isinstance(extension, IdRelation) else None
+
+
+def _store_rows(store: IdRelation, indices: Iterable[int]) -> list[Row]:
+    """The rows at *indices* of *store*, decoded to terms."""
+    decode = store.interner.terms.__getitem__
+    columns = store.columns or ()
+    return [tuple([decode(column[i]) for column in columns]) for i in indices]
+
+
 def scan_join(
     table: BindingsTable,
     literal: Literal,
-    extension: Iterable[Row],
+    extension: "Relation | IdRelation | Iterable[Row]",
     method: str = "hash",
     profiler: Profiler | None = None,
     label: str = "",
@@ -112,24 +129,30 @@ def scan_join(
 ) -> BindingsTable:
     """Join *table* with the extension of *literal*'s predicate.
 
-    *extension* is the set of ground tuples currently known for the
-    predicate (a base relation's rows or a derived predicate's partial
-    result).  The output schema is the input schema extended with the
-    literal's not-yet-bound variables, in first-occurrence order.
+    *extension* is what the predicate currently denotes: a base
+    :class:`~repro.storage.relation.Relation` or a derived
+    :class:`~repro.storage.columnar.IdRelation` — both read through their
+    id store — or a plain set of term rows (a delta, a child's decoded
+    result, a ``compile=False`` workspace entry).  The output schema is
+    the input schema extended with the literal's not-yet-bound variables,
+    in first-occurrence order.
 
     ``method`` selects the physical algorithm:
 
     * ``nested_loop`` — every input row examines every extension tuple;
     * ``hash`` — build a hash table on the literal's bound argument
       positions once, probe per input row;
-    * ``index`` — like hash, but the caller passes a pre-built
-      :class:`~repro.storage.index.HashIndex`-backed lookup via
-      *extension* being a :class:`~repro.storage.relation.Relation`
-      (falls back to ``hash`` otherwise);
+    * ``index`` — like hash, but an id store's bucket map is probed as
+      it stands, with no build to pay (a set of term rows is hashed per
+      call, as ``hash`` does);
     * ``merge`` — sort both sides on the bound key and merge.
 
-    All methods produce identical results; they differ in the work
-    profile, which is the point of the EL transformation.
+    An id store is probed with the ids of the key's terms, looked up and
+    never interned (a key nobody stored matches nothing), and only the
+    rows a key selects are decoded; under ``hash`` the build it replaces
+    is still charged, one ``examined`` per stored row.  All methods
+    produce identical results; they differ in the work profile, which is
+    the point of the EL transformation.
     """
     profiler = profiler or Profiler()
     if method not in JOIN_METHODS:
@@ -144,34 +167,45 @@ def scan_join(
     )
     free_positions = tuple(i for i in range(literal.arity) if i not in bound_positions)
 
-    # Materialize the extension rows once (it may be a generator).  Both
-    # Relation (base data) and DerivedRelation (fixpoint workspace) expose
-    # persistent, incrementally maintained indexes via ensure_index.
-    from ..storage.relation import DerivedRelation, Relation  # local: storage must not import engine
+    store = _id_store(extension)
+    probe = None  # applied arguments -> candidate rows, for hash / index
+    if store is not None and method in ("hash", "index"):
+        if method == "hash":
+            profiler.bump_examined(store.length)  # the build side, read once
+        buckets = store.buckets_for(bound_positions)
+        lookup = store.interner.lookup
+        if len(bound_positions) == 1:
+            at, = bound_positions
 
-    relation: Relation | DerivedRelation | None = (
-        extension if isinstance(extension, (Relation, DerivedRelation)) else None
-    )
-    use_persistent = method == "index" or (
-        # Derived extensions under "hash" also route through the persistent
-        # index: rebuilding buckets over the full partial result every
-        # semi-naive round is exactly the work this cache eliminates.
-        method == "hash" and isinstance(extension, DerivedRelation)
-    )
-    if use_persistent and relation is not None:
-        index = relation.ensure_index(bound_positions)
-        buckets: Mapping[tuple[Term, ...], Iterable[Row]] | None = None
-        ext_rows: list[Row] | None = None
+            def probe(applied):
+                return _store_rows(store, buckets.get(lookup(applied[at]), ()))
+        else:
+            def probe(applied):
+                key = tuple([lookup(applied[i]) for i in bound_positions])
+                return _store_rows(store, buckets.get(key, ()))
     else:
-        ext_rows = list(extension)
-        index = None
-        buckets = None
+        ext_rows = (
+            _store_rows(store, range(store.length)) if store is not None else list(extension)
+        )
         if method in ("hash", "index"):
             built: dict[tuple[Term, ...], list[Row]] = {}
             for row in ext_rows:
                 built.setdefault(tuple(row[i] for i in bound_positions), []).append(row)
-            buckets = built
             profiler.bump_examined(len(ext_rows))  # build side read once
+
+            def probe(applied):
+                return built.get(tuple(applied[i] for i in bound_positions), ())
+
+    if method == "merge":
+        keyed_ext = sorted(
+            ((tuple(term_sort_key(row[i]) for i in bound_positions), row) for row in ext_rows),
+            key=lambda pair: pair[0],
+        )
+        profiler.bump_examined(len(keyed_ext))  # the extension sorting pass
+        return _merge_join(
+            table, literal, keyed_ext, bound_positions, out_schema, new_vars, profiler,
+            governor=governor,
+        )
 
     out_rows: set[Row] = set()
 
@@ -186,30 +220,15 @@ def scan_join(
             extra.append(value)
         out_rows.add(base_row + tuple(extra))
 
-    if method == "merge":
-        assert ext_rows is not None
-        keyed_ext, cached = _keyed_extension(relation, ext_rows, bound_positions)
-        if not cached:
-            profiler.bump_examined(len(keyed_ext))  # the extension sorting pass
-        return _merge_join(
-            table, literal, keyed_ext, bound_positions, out_schema, new_vars, profiler,
-            governor=governor,
-        )
-
     charged = 0
     check_at = governor.grant() if governor is not None else float("inf")
     for base_row in table.rows:
         subst: Substitution = dict(zip(table.schema, base_row))
         applied = [apply(arg, subst) for arg in literal.args]
-        key = tuple(applied[i] for i in bound_positions)
-        if index is not None:
-            candidates: Iterable[Row] = index.get_bucket(key)
-            profiler.bump_probes()
-        elif buckets is not None:
-            candidates = buckets.get(key, ())
+        if probe is not None:
+            candidates: Iterable[Row] = probe(applied)
             profiler.bump_probes()
         else:
-            assert ext_rows is not None
             candidates = ext_rows
         for tuple_row in candidates:
             profiler.bump_examined()
@@ -253,34 +272,6 @@ def _match_free(
     return out
 
 
-def _sort_key_fn(bound_positions: tuple[int, ...]):
-    """Row → sort key over *bound_positions* (the merge join's order)."""
-
-    def key_fn(row: Row) -> tuple:
-        return tuple(term_sort_key(row[i]) for i in bound_positions)
-
-    return key_fn
-
-
-def _keyed_extension(
-    relation, ext_rows: list[Row], bound_positions: tuple[int, ...]
-) -> tuple[list[tuple[tuple, Row]], bool]:
-    """The extension sorted on the join key, via the relation's order cache
-    when one is available (base and derived relations both carry one).
-
-    Returns ``(keyed_rows, was_cached)`` — a cache hit skips the sort and
-    its examined-tuples charge, which is what makes repeated merge joins
-    against an unchanged relation cheap.
-    """
-    key_fn = _sort_key_fn(bound_positions)
-    if relation is not None and hasattr(relation, "sorted_by"):
-        return relation.sorted_by(bound_positions, key_fn)
-    return (
-        sorted(((key_fn(row), row) for row in ext_rows), key=lambda pair: pair[0]),
-        False,
-    )
-
-
 def _merge_join(
     table: BindingsTable,
     literal: Literal,
@@ -293,9 +284,8 @@ def _merge_join(
 ) -> BindingsTable:
     """Sort-merge implementation of :func:`scan_join`.
 
-    *keyed_ext* is the extension already sorted on the join key (possibly
-    served from a relation's order cache); only the input side is sorted
-    here.
+    *keyed_ext* is the extension already sorted on the join key; only
+    the input side is sorted here.
     """
     free_positions = tuple(i for i in range(len(literal.args)) if i not in bound_positions)
 
@@ -497,14 +487,26 @@ def apply_comparison(
 def negation_filter(
     table: BindingsTable,
     literal: Literal,
-    extension: Iterable[Row],
+    extension: "Relation | IdRelation | Iterable[Row]",
     profiler: Profiler | None = None,
     governor=None,
 ) -> BindingsTable:
-    """Keep rows for which the (fully bound) negated literal has no match."""
+    """Keep rows for which the (fully bound) negated literal has no
+    match: a membership test of its ids in an id store (a row with a
+    term nobody interned is absent), of its terms in a set of term rows."""
     profiler = profiler or Profiler()
-    extension = getattr(extension, "rows", extension)  # a relation's own set
-    ext_rows = extension if isinstance(extension, (set, frozenset)) else set(extension)
+    store = _id_store(extension)
+    if store is not None:
+        lookup_row, held = store.interner.lookup_row, store.rows
+
+        def absent(applied: Row) -> bool:
+            ids = lookup_row(applied)
+            return ids is None or ids not in held
+    else:
+        ext_rows = extension if isinstance(extension, (set, frozenset)) else set(extension)
+
+        def absent(applied: Row) -> bool:
+            return applied not in ext_rows
     out_rows: set[Row] = set()
     for row in table.rows:
         profiler.bump_examined()
@@ -515,33 +517,12 @@ def negation_filter(
                 raise ExecutionError(
                     f"negated literal {literal} entered with unbound arguments (unsafe)"
                 )
-        if applied not in ext_rows:
+        if absent(applied):
             out_rows.add(row)
     if governor is not None:
         governor.tick()
     profiler.bump_produced(len(out_rows))
     return BindingsTable(table.schema, frozenset(out_rows))
-
-
-def union_tables(tables: Sequence[BindingsTable], profiler: Profiler | None = None) -> BindingsTable:
-    """Union bindings tables, aligning columns by variable name."""
-    profiler = profiler or Profiler()
-    tables = [t for t in tables if t.schema or t.rows]
-    if not tables:
-        return BindingsTable.empty()
-    schema = tables[0].schema
-    out_rows: set[Row] = set()
-    for table in tables:
-        if set(table.schema) != set(schema):
-            raise ExecutionError(
-                f"union over incompatible schemas {table.schema} vs {schema}"
-            )
-        positions = [table.schema.index(v) for v in schema]
-        for row in table.rows:
-            profiler.bump_examined()
-            out_rows.add(tuple(row[p] for p in positions))
-    profiler.bump_produced(len(out_rows))
-    return BindingsTable(schema, frozenset(out_rows))
 
 
 def numeric_value(functor: str, value: Term) -> "int | Fraction":

@@ -9,7 +9,6 @@ from .nodes import (
     PlanNode,
     RECURSIVE_METHODS,
     count_nodes,
-    plan_cost,
     plan_nodes,
 )
 from .dot import plan_to_dot
@@ -40,7 +39,6 @@ __all__ = [
     "flatten_program",
     "flatten_rule",
     "permute",
-    "plan_cost",
     "plan_nodes",
     "plan_to_dict",
     "plan_to_dot",

@@ -177,11 +177,6 @@ class PlanCode:
 PlanNode = Union[JoinNode, UnionNode, FixpointNode, JoinStep]
 
 
-def plan_cost(plan: DerivedPlan) -> float:
-    """The estimated cost annotation of a plan's root."""
-    return plan.est.cost
-
-
 def plan_nodes(plan: PlanNode) -> list[PlanNode]:
     """All nodes of a processing tree, pre-order."""
     out: list[PlanNode] = [plan]

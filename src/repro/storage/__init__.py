@@ -1,9 +1,8 @@
-"""The storage substrate: relations, indexes, catalog and statistics."""
+"""The storage substrate: relations, catalog and statistics."""
 
 from .catalog import Database
-from .index import HashIndex
 from .loader import dump_facts_text, load_facts_file, load_facts_text, load_tsv, load_tsv_file
-from .relation import DerivedRelation, Relation, Row, relation_from_rows
+from .relation import Relation, Row, relation_from_rows
 from .statistics import (
     ColumnStats,
     DeclaredStatistics,
@@ -16,8 +15,6 @@ __all__ = [
     "ColumnStats",
     "Database",
     "DeclaredStatistics",
-    "DerivedRelation",
-    "HashIndex",
     "Relation",
     "RelationStats",
     "Row",

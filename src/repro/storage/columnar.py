@@ -7,7 +7,9 @@ hash buckets over column subsets mapping a key to the *row indices*
 holding it.  The lowered join steps (:mod:`repro.engine.batch`) probe
 those buckets and gather output columns with list comprehensions — the
 whole point is that every per-row operation in the join loop works on
-small ints, not term objects.
+small ints, not term objects.  The reference operators
+(:mod:`repro.engine.operators`) probe the same buckets with the ids of
+a key's terms and decode only the rows the key selects.
 
 One class, two owners:
 
@@ -18,9 +20,8 @@ One class, two owners:
 
 Either way new rows are found by one set difference and appended in
 bulk, a removed row's slot is filled by the last row with the bucket
-maps patched (:meth:`IdRelation.discard`), and neither is held as term
-rows: :meth:`IdRelation.decoded` is the boundary a term-space consumer
-reads them through.
+maps patched (:meth:`IdRelation.discard`).  Neither is held as term
+rows: a term-space reader decodes the rows it selects.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ..datalog.intern import TermInterner
-from ..datalog.terms import Term, lift_term
+from ..datalog.terms import lift_term
 from ..errors import SchemaError
 
-Row = tuple[Term, ...]
 IdRow = tuple[int, ...]
 
 
@@ -75,10 +75,7 @@ class IdRelation:
     scanning.
     """
 
-    __slots__ = (
-        "interner", "rows", "columns", "length", "_buckets",
-        "_decoded", "_decoded_length",
-    )
+    __slots__ = ("interner", "rows", "columns", "length", "_buckets")
 
     def __init__(
         self,
@@ -89,8 +86,6 @@ class IdRelation:
         """*rows*, when given, becomes the relation's own set (not copied)."""
         self.interner = interner
         self.rows: set[IdRow] = rows if rows is not None else set()
-        self._decoded = None
-        self._decoded_length = 0
         self._lay_out(arity)
 
     def _lay_out(self, arity: int | None) -> None:
@@ -139,18 +134,11 @@ class IdRelation:
         runs; a result that outlives its evaluation copies)."""
         gone = gone & self.rows
         if gone:
-            if self._decoded is not None:
-                # Caught up first: a row appended since the last read and
-                # removed now would otherwise be decoded back in later.
-                view = self.decoded()
-                for row in self.interner.decode_rows(gone):
-                    view.discard(row)
             self.rows -= gone
             if not self.columns or 2 * len(gone) >= self.length:
                 self._lay_out(len(self.columns))
             else:
                 self._swap_out(gone)
-            self._decoded_length = self.length
         return gone
 
     def _key_at(self, positions: tuple[int, ...], index: int) -> object:
@@ -259,30 +247,6 @@ class IdRelation:
         else:  # arity 0, or nothing stored yet
             rows = {()} if picked else set()
         return IdRelation(self.interner, arity, rows)
-
-    def decoded(self):
-        """The extension as term rows, for a term-space consumer (the
-        reference operators, the top-down engines, a dump): a :class:`~repro.storage.relation.DerivedRelation` whose
-        persistent indexes survive across reads.  Built from the id set
-        on the first read, then brought up to date by decoding only the
-        rows appended since the last one (:meth:`discard` takes rows out
-        of it as they go)."""
-        from .relation import DerivedRelation
-
-        view = self._decoded
-        if view is None:
-            view = self._decoded = DerivedRelation(
-                rows=self.interner.decode_rows(self.rows)
-            )
-        elif self._decoded_length < self.length:
-            decode = self.interner.terms.__getitem__
-            start = self._decoded_length
-            if self.columns:
-                view.update(zip(*(map(decode, column[start:]) for column in self.columns)))
-            else:
-                view.add(())
-        self._decoded_length = self.length
-        return view
 
     def __len__(self) -> int:
         return len(self.rows)

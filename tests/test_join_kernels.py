@@ -1,12 +1,12 @@
-"""Lowered vs reference evaluation, and delta indexing.
+"""Lowered vs reference evaluation, and persistent bucket maps.
 
 For any program, a lowered columnar plan must produce exactly the rows
 the reference evaluator's unification path produces.  The seeded
 randomized tests here check that over generated workloads (the four
 join methods' agreement is ``tests/test_operators.py``'s, and forced
 plan labels are run end to end by ``tests/test_optimizer_paths.py`` and
-``tests/test_storage_parity.py``); the unit tests pin the incremental
-index maintenance underneath.
+``tests/test_storage_parity.py``); the last test pins that a lowered
+fixpoint's bucket maps live on across rounds.
 """
 
 import random
@@ -15,10 +15,9 @@ import pytest
 
 from repro.datalog.parser import parse_program
 from repro.datalog.rules import Program
-from repro.datalog.terms import Constant
 from repro.engine.fixpoint import FixpointEngine
 from repro.engine.profiler import Profiler
-from repro.storage import Database, DerivedRelation, relation_from_rows
+from repro.storage import Database, relation_from_rows
 
 
 # -- randomized cross-method / cross-mode equivalence -------------------------
@@ -88,36 +87,7 @@ def test_methods_and_compilation_agree(seed, source):
             )
 
 
-# -- incremental delta indexing ----------------------------------------------
-
-
-def test_derived_relation_maintains_indexes_incrementally():
-    rel = DerivedRelation("p")
-    a, b, c = Constant("a"), Constant("b"), Constant("c")
-    assert rel.add((a, b))
-    index = rel.ensure_index((0,))
-    assert set(index.get_bucket((a,))) == {(a, b)}
-    # Inserts after index creation land in the buckets without a rebuild.
-    assert rel.add((a, c))
-    assert not rel.add((a, c))  # set semantics: duplicates rejected
-    assert set(index.get_bucket((a,))) == {(a, b), (a, c)}
-    assert len(rel) == 2
-    assert rel.rows == frozenset({(a, b), (a, c)})
-
-
-def test_derived_relation_sorted_cache_invalidates_on_insert():
-    rel = DerivedRelation("p")
-    a, b, c = Constant("a"), Constant("b"), Constant("c")
-    rel.add((b, a))
-    key_fn = lambda row: (str(row[0]),)
-    first, cached = rel.sorted_by((0,), key_fn)
-    assert not cached and [row for _, row in first] == [(b, a)]
-    again, cached = rel.sorted_by((0,), key_fn)
-    assert cached and again is first
-    rel.add((a, c))
-    fresh, cached = rel.sorted_by((0,), key_fn)
-    assert not cached
-    assert [row for _, row in fresh] == [(a, c), (b, a)]
+# -- persistent bucket maps --------------------------------------------------
 
 
 def test_fixpoint_workspace_uses_persistent_indexes():

@@ -21,9 +21,14 @@ TRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "trace.p
 #: the learned-cardinality feedback store (replaced by the optimizer's
 #: sampled cardinality); their metrics stay declared and read 0
 RETIRED_MODULES = {"repro.engine.parallel", "repro.engine.kernels", "repro.obs.feedback"}
-#: derived extensions on the compiled path are id-space stores
-#: (``storage.columnar.IdRelation``), not mirrored ``DerivedRelation``s
-RETIRED_ATTRIBUTES = {("repro.storage.relation", "DerivedRelation.batch_store")}
+#: derived extensions are id-space stores (``storage.columnar.IdRelation``),
+#: not mirrored ``DerivedRelation``s, and every join probes the id store's
+#: bucket maps: there is no term-space index to build
+RETIRED_ATTRIBUTES = {
+    ("repro.storage.relation", "DerivedRelation.batch_store"),
+    ("repro.storage.relation", "Relation.ensure_index"),
+    ("repro.storage.relation", "DerivedRelation.ensure_index"),
+}
 
 
 def _targets():

@@ -1,8 +1,9 @@
 """One stored form for base facts, and one way to write them.
 
 A :class:`Relation` keeps its rows once, as interned ids
-(``storage.columnar.IdRelation``); term rows are a view decoded for the
-readers that want terms.  Every write goes through one routine on
+(``storage.columnar.IdRelation``); term rows are decoded for the readers
+that want terms, on each read, and every join — lowered or reference —
+probes the id store.  Every write goes through one routine on
 ``Database`` that checks all rows before storing any.
 """
 
@@ -12,11 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from repro import KnowledgeBase
+from repro import KnowledgeBase, OptimizerConfig
 from repro.datalog.intern import INTERNER
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.literals import Literal
+from repro.datalog.terms import Constant, Struct, Variable
+from repro.engine import fixpoint, interpreter
+from repro.engine.fixpoint import FixpointEngine
+from repro.engine.operators import JOIN_METHODS, BindingsTable, negation_filter, scan_join
 from repro.errors import SchemaError
-from repro.storage import Database, DerivedRelation, HashIndex, Relation
+from repro.storage import Database, Relation
 from repro.storage import columnar
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
@@ -33,16 +38,19 @@ def py(rows):
 def test_relation_holds_id_rows_only():
     relation = Relation("par", 2)
     relation.load([("a", "b"), ("b", "c")])
-    held = vars(relation)
-    assert not {"_rows", "_indexes", "_sorted", "_batch"} & set(held)
+    held = set(vars(relation))
+    assert not {"_rows", "_indexes", "_sorted", "_batch"} & held
     store = relation.batch_store(INTERNER)
     assert store is relation.batch_store(INTERNER) and type(store) is columnar.IdRelation
     assert columnar.BatchStore is columnar.IdRelation
     assert not hasattr(columnar.IdRelation, "append") and not hasattr(columnar.IdRelation, "extend")
     assert all(type(field) is int for row in store.rows for field in row)
-    assert store._decoded is None  # nobody asked for terms yet
     assert py(relation) == [("a", "b"), ("b", "c")]
-    assert isinstance(store._decoded, DerivedRelation)
+    # reading terms keeps nothing: no term rows on the relation or its store
+    assert set(vars(relation)) == held
+    assert set(columnar.IdRelation.__slots__) == {
+        "interner", "rows", "columns", "length", "_buckets"
+    }
 
 
 def test_a_store_in_another_interner_is_refused():
@@ -55,20 +63,26 @@ def test_a_store_in_another_interner_is_refused():
 
 def test_lowered_rules_never_build_a_term_view_of_a_base_relation(monkeypatch):
     """The ledger's ``tc_batch`` program — load, ask, insert, ask: every
-    rule lowers, so no base relation is ever decoded or term-indexed."""
+    rule lowers, so no base relation is ever decoded and no reference
+    operator runs."""
     built = []
 
-    def spy(cls):
-        init = cls.__init__
+    def spy(owner, attribute, name):
+        original = getattr(owner, attribute)
 
-        def counting(self, *args, **kwargs):
-            built.append(cls.__name__)
-            init(self, *args, **kwargs)
+        def counting(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(owner, attribute, counting)
 
-    spy(DerivedRelation)
-    spy(HashIndex)
+    spy(BindingsTable, "__init__", "BindingsTable")
+    spy(fixpoint, "reference_step", "reference_step")
+    spy(interpreter, "reference_step", "reference_step")
+    rows = Relation.rows.fget
+    monkeypatch.setattr(
+        Relation, "rows", property(lambda self: built.append("Relation.rows") or rows(self))
+    )
     kb = KnowledgeBase()
     kb.rules(ANC)
     edges = [(f"n{i}", f"n{j}") for i in range(12) for j in (i + 1, i + 3) if j < 12]
@@ -80,35 +94,94 @@ def test_lowered_rules_never_build_a_term_view_of_a_base_relation(monkeypatch):
     assert kb.retract("par", [("x0", "y0")]) == 1
     assert kb.ask("anc(X, Y)?").to_python() == first
     assert built == []
-    assert kb.db.relation("par").batch_store(INTERNER)._decoded is None
-    list(kb.db.relation("par"))  # a term-space reader builds it, once
-    assert built == ["DerivedRelation"]
+    list(kb.db.relation("par"))  # a term-space reader decodes it, now
+    assert built == ["Relation.rows"]
+
+
+# ------------------------------------------- the reference probes the store
+
+RIDES = """
+colour(P, C) <- owns(P, bike(C)).
+loop(X) <- link(X, X).
+reach(X, Y) <- link(X, Y).
+reach(X, Y) <- reach(X, Z), link(Z, Y).
+far(P, Y) <- colour(P, C), reach(P, Y), ~loop(Y).
+"""
+
+
+def test_a_rule_that_does_not_lower_reads_the_id_store_like_the_lowered_paths():
+    """``owns(P, bike(C))`` (a struct with a variable) and ``link(X, X)``
+    (a repeated free variable) run on the reference operators, which
+    probe the id stores: they answer as the default (semi-naive) and the
+    naive knowledge bases and as the term-set evaluation do, before and
+    after a retract and a re-insert.  A key nobody interned selects
+    nothing and interns nothing."""
+    seminaive = KnowledgeBase()
+    naive = KnowledgeBase(OptimizerConfig(recursive_methods=("naive",)))
+    bike = lambda colour: Struct("bike", (Constant(colour),))  # noqa: E731
+    owns = [("ann", bike("red")), ("bob", bike("blue")), ("bob", "car"), ("cy", bike("red"))]
+    link = [("ann", "bob"), ("bob", "bob"), ("bob", "cy"), ("cy", "dee"), ("dee", "dee")]
+    for kb in (seminaive, naive):
+        kb.rules(RIDES)
+        kb.facts("owns", owns)
+        kb.facts("link", link)
+    engine = FixpointEngine(seminaive.db)
+    for rule in seminaive.program:
+        if rule.head.predicate in ("colour", "loop"):
+            assert engine.scheduled(rule, False).plan is None  # the reference tier
+
+    def agree():
+        oracle = FixpointEngine(seminaive.db, compile=False).evaluate(seminaive.program)
+        for name in ("colour", "loop", "far"):
+            want = sorted(py(oracle.rows(name)))
+            assert want, name
+            goal = "loop(A)?" if name == "loop" else f"{name}(A, B)?"
+            for kb in (seminaive, naive):
+                assert sorted(kb.ask(goal).to_python()) == want, name
+
+    agree()
+    for kb in (seminaive, naive):
+        assert kb.retract("link", [("dee", "dee")]) == 1
+    agree()
+    for kb in (seminaive, naive):
+        assert kb.facts("link", [("dee", "dee")]) == 1
+    agree()
+
+    known = len(INTERNER)
+    ghost = Constant(f"never-interned-{known}")
+    relation = seminaive.db.relation("owns")
+    goal = Literal("owns", (ghost, Struct("bike", (Variable("C"),))))
+    for method in JOIN_METHODS:
+        assert not scan_join(BindingsTable.unit(), goal, relation, method).rows
+    table = BindingsTable.from_rows((Variable("P"),), [(ghost,)])
+    link_p_p = Literal("link", (Variable("P"), Variable("P")))
+    assert negation_filter(table, link_p_p, seminaive.db.relation("link")) == table
+    assert len(INTERNER) == known and INTERNER.lookup(ghost) is None
 
 
 # ------------------------------------------------------------ Relation.rows
 
 
-def test_rows_is_served_from_the_view_until_the_next_write():
+def test_rows_follows_every_write():
     db = Database()
     db.load("e", [("a", "b"), ("b", "c")])
     relation = db.relation("e")
     rows = relation.rows
-    assert isinstance(rows, frozenset) and relation.rows is rows
+    assert isinstance(rows, frozenset) and py(rows) == [("a", "b"), ("b", "c")]
     db.load("e", [("a", "b")])  # a no-op write is no write
-    assert relation.rows is rows
+    assert relation.rows == rows
     db.insert("e", (Constant("c"), Constant("d")))
-    grown = relation.rows
-    assert grown is not rows and len(grown) == 3 and relation.rows is grown
+    assert len(relation.rows) == 3 and set(relation) == relation.rows
     db.retract("e", [("a", "b")])
     shrunk = relation.rows
-    assert py(shrunk) == [("b", "c"), ("c", "d")] and relation.rows is shrunk
+    assert py(shrunk) == [("b", "c"), ("c", "d")]
     with pytest.raises(RuntimeError):
         with db.transaction():
             db.load("e", [("x", "y")])
             db.retract("e", [("b", "c")])
             assert py(relation.rows) == [("c", "d"), ("x", "y")]
             raise RuntimeError
-    assert relation.rows == shrunk and relation.rows is relation.rows
+    assert relation.rows == shrunk
 
 
 # -------------------------------------------------- validate, then apply

@@ -11,11 +11,12 @@ from repro.engine.operators import (
     head_rows,
     negation_filter,
     scan_join,
-    union_tables,
 )
 from repro.engine.profiler import Profiler
 from repro.errors import ExecutionError
+from repro.datalog.intern import INTERNER
 from repro.storage import relation_from_rows
+from repro.storage.columnar import IdRelation
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -87,30 +88,24 @@ def test_profiler_counts_differ_by_method():
     assert hashed.examined < nl.examined
 
 
-def test_merge_join_reuses_sorted_order_cache():
-    """Regression: repeated merge joins against an unchanged relation must
-    not re-sort the extension — the examined count drops after call one."""
-    table = BindingsTable.from_rows((X,), rows_of(*[(f"k{i}",) for i in range(5)]))
-    rel = relation_from_rows("e", [(f"k{i}", i) for i in range(50)])
-    literal = parse_literal("e(X, Y)")
-
-    first = Profiler()
-    out_first = scan_join(table, literal, rel, "merge", first)
-    second = Profiler()
-    out_second = scan_join(table, literal, rel, "merge", second)
-
-    assert out_first.rows == out_second.rows
-    # First call pays the extension sorting pass (50 tuples); the repeat
-    # is served from the cache and only sorts the 5 input rows.
-    assert second.examined == first.examined - len(rel)
-
-    # Mutating the relation invalidates the cached order: one more tuple
-    # in the sorting pass and one more matched candidate.
-    rel.insert_values(("k0", 99))
-    third = Profiler()
-    out_third = scan_join(table, literal, rel, "merge", third)
-    assert third.examined == first.examined + 2
-    assert len(out_third.rows) == len(out_first.rows) + 1
+@pytest.mark.parametrize("form", ["relation", "id store", "term rows"])
+def test_every_extension_form_joins_and_negates_alike(form):
+    """A base relation and a derived id store are probed through their
+    bucket maps, a set of term rows is hashed per call: every method
+    and the negation filter answer the same over each."""
+    rel = relation_from_rows("e", [("a", 1), ("b", 2), ("b", 3), ("c", 4)])
+    extension = {
+        "relation": rel,
+        "id store": IdRelation(INTERNER, 2, set(rel.batch_store(INTERNER).rows)),
+        "term rows": set(rel),
+    }[form]
+    table = BindingsTable.from_rows((X,), rows_of(("a",), ("b",), ("z",)))
+    for method in ("nested_loop", "hash", "index", "merge"):
+        out = scan_join(table, parse_literal("e(X, Y)"), extension, method=method)
+        assert out.rows == rows_of(("a", 1), ("b", 2), ("b", 3))
+    pairs = BindingsTable.from_rows((X, Y), rows_of(("a", 1), ("a", 2), ("zz", 9)))
+    kept = negation_filter(pairs, parse_literal("e(X, Y)"), extension)
+    assert kept.rows == rows_of(("a", 2), ("zz", 9))
 
 
 def test_apply_comparison_filters():
@@ -136,21 +131,6 @@ def test_negation_requires_ground():
     table = BindingsTable.from_rows((X,), rows_of(("a",)))
     with pytest.raises(ExecutionError):
         negation_filter(table, parse_literal("blocked(X, Y)"), frozenset())
-
-
-def test_union_aligns_columns():
-    t1 = BindingsTable.from_rows((X, Y), rows_of(("a", 1)))
-    t2 = BindingsTable.from_rows((Y, X), rows_of((2, "b")))
-    out = union_tables([t1, t2])
-    assert out.schema == (X, Y)
-    assert out.rows == rows_of(("a", 1), ("b", 2))
-
-
-def test_union_incompatible_schemas():
-    t1 = BindingsTable.from_rows((X,), rows_of(("a",)))
-    t2 = BindingsTable.from_rows((Y,), rows_of(("b",)))
-    with pytest.raises(ExecutionError):
-        union_tables([t1, t2])
 
 
 def test_head_rows_instantiates():

@@ -8,9 +8,9 @@ tests/test_invalidation.py).  These tests pin the hit/miss behavior, the
 invalidation paths (insert, retract, new rules), the bypass rules
 (profiler / governor / tracer arguments mean "measure this run", never
 serve a memo), and the escape hatch.  The retract regressions double as
-the index/sort-cache invalidation audit: a retract mid-session must bump
-the relation version and the re-query must see post-retract answers
-whether it goes through the cache or not.
+the bucket-map invalidation audit: a retract mid-session must bump the
+relation version and the re-query must see post-retract answers whether
+it goes through the cache or not.
 """
 
 import gc
@@ -28,7 +28,7 @@ from repro.engine.profiler import Profiler
 from repro.errors import KnowledgeBaseError
 from repro.obs import Tracer
 from repro.storage.loader import load_facts_text, load_tsv
-from repro.storage.relation import DerivedRelation, relation_from_rows
+from repro.storage.relation import relation_from_rows
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
 
@@ -139,19 +139,28 @@ def test_profiler_governor_tracer_bypass_cache():
 
 
 def test_derived_relation_discard_invalidates_version_and_indexes():
+    """A retract mid-session takes the row out of a derived id store's
+    bucket maps (a reference join probing them misses it) and moves the
+    version a cached answer is keyed on."""
+    from repro.datalog.parser import parse_literal
     from repro.datalog.terms import Constant
+    from repro.engine.operators import BindingsTable, scan_join
+    from repro.storage.columnar import IdRelation
 
-    rel = DerivedRelation("d")
-    rel.add((Constant("a"),))
-    rel.add((Constant("b"),))
-    index = rel.ensure_index((0,))
-    assert index.get_bucket((Constant("a"),))
-    version = rel.version
-    rel.discard((Constant("a"),))
-    assert rel.version > version
-    assert (Constant("a"),) not in rel
-    assert not index.get_bucket((Constant("a"),))
-    assert rel.rows == frozenset({(Constant("b"),)})
+    rel = IdRelation(INTERNER, 1, INTERNER.encode_rows({(Constant(v),) for v in "abc"}))
+    probe = lambda: scan_join(BindingsTable.unit(), parse_literal("d(a)"), rel, "index")  # noqa: E731
+    assert probe().rows == {()}
+    assert rel.discard({(INTERNER.id_of(Constant("a")),)})
+    assert probe().rows == frozenset()
+    assert INTERNER.decode_rows(rel.rows) == {(Constant("b"),), (Constant("c"),)}
+
+    kb = make_kb()
+    kb.rules("neq(X, Y) <- par(X, Y), par(X, Z), Y != Z.")
+    assert kb.ask("neq(homer, Y)?").to_python() == [("bart",), ("lisa",)]
+    version = kb.db.relation("par").version
+    assert kb.retract("par", [("homer", "lisa")]) == 1
+    assert kb.db.relation("par").version > version
+    assert kb.ask("neq(homer, Y)?").to_python() == []
 
 
 def test_relation_remove_drops_batch_store():

@@ -1,20 +1,7 @@
-"""Rule rewrites: specialization, relevance restriction, projection pushdown."""
+"""Rule rewrites: renaming apart, projection pushdown."""
 
-import pytest
-
-from repro.datalog import (
-    PredicateRef,
-    parse_literal,
-    parse_program,
-    parse_rule,
-    pred_ref,
-)
-from repro.datalog.rewrite import (
-    push_projections,
-    relevant_program,
-    rename_apart,
-    specialize,
-)
+from repro.datalog import parse_literal, parse_program, parse_rule
+from repro.datalog.rewrite import push_projections, rename_apart
 from repro.datalog.terms import Constant, Variable
 from repro.engine import evaluate_program
 from repro.storage import Database
@@ -30,40 +17,6 @@ def test_rename_apart_only_renames_clashes():
 def test_rename_apart_noop_without_clash():
     rule = parse_rule("p(X) <- q(X).")
     assert rename_apart(rule, frozenset({Variable("Q")})) is rule
-
-
-def test_specialize_pushes_constants():
-    rule = parse_rule("p(X, Y) <- q(X, Z), r(Z, Y).")
-    out = specialize(rule, parse_literal("p(a, W)"))
-    assert str(out) == "p(a, W) <- q(a, Z), r(Z, W)."
-
-
-def test_specialize_handles_goal_variable_clash():
-    rule = parse_rule("p(X, Y) <- q(X, Y).")
-    out = specialize(rule, parse_literal("p(Y, X)"))
-    # goal variables pass through; rule variables renamed apart
-    assert out.head.args == (Variable("Y"), Variable("X"))
-
-
-def test_specialize_rejects_mismatches():
-    rule = parse_rule("p(a, Y) <- q(Y).")
-    assert specialize(rule, parse_literal("p(b, W)")) is None
-    assert specialize(rule, parse_literal("other(a, W)")) is None
-    assert specialize(rule, parse_literal("p(a)")) is None
-
-
-def test_relevant_program_prunes_unreachable():
-    program = parse_program(
-        """
-        p(X) <- q(X).
-        q(X) <- base(X).
-        dead(X) <- other(X).
-        """
-    )
-    pruned = relevant_program(program, PredicateRef("p", 1))
-    heads = {str(r.head_ref) for r in pruned}
-    assert heads == {"p/1", "q/1"}
-    assert len(relevant_program(program, PredicateRef("nope", 1))) == 0
 
 
 PROJ = """

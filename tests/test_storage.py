@@ -1,9 +1,12 @@
-"""Storage substrate tests: relations, indexes, catalog, statistics, loaders."""
+"""Storage substrate tests: relations, bucket probes, catalog, statistics, loaders."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.datalog.intern import INTERNER
+from repro.datalog.parser import parse_literal
 from repro.datalog.terms import Constant, Struct
+from repro.engine.operators import BindingsTable, scan_join
 from repro.errors import SchemaError
 from repro.storage import (
     Database,
@@ -54,29 +57,32 @@ def test_negative_arity_rejected():
         Relation("p", -1)
 
 
+def probe(relation, goal, method="index"):
+    """The rows of *relation* a reference join of *goal* (from the unit
+    table) finds: an ``index`` join probes the relation's id store."""
+    literal = parse_literal(goal)
+    out = scan_join(BindingsTable.unit(), literal, relation, method)
+    return {tuple(subst.get(arg, arg) for arg in literal.args) for subst in out.substitutions()}
+
+
 def test_index_lookup():
     r = relation_from_rows("e", [("a", "b"), ("a", "c"), ("b", "c")])
-    index = r.ensure_index([0])
-    assert index.distinct_keys == 2
-    rows = set(r.lookup([0], (Constant("a"),)))
+    rows = probe(r, "e(a, Y)")
     assert rows == {(Constant("a"), Constant("b")), (Constant("a"), Constant("c"))}
+    assert len(r.batch_store(INTERNER).buckets_for((0,))) == 2  # the map it probed
 
 
 def test_index_maintained_on_insert():
     r = Relation("e", 2)
-    r.ensure_index([1])
+    assert probe(r, "e(X, b)") == set()  # builds the bucket map on column 1
     r.insert_values(("a", "b"))
-    assert set(r.lookup([1], (Constant("b"),))) == {(Constant("a"), Constant("b"))}
+    assert probe(r, "e(X, b)") == {(Constant("a"), Constant("b"))}
 
 
 def test_lookup_without_index_scans():
     r = relation_from_rows("e", [("a", "b"), ("b", "c")])
-    assert set(r.lookup([1], (Constant("c"),))) == {(Constant("b"), Constant("c"))}
-
-
-def test_index_position_out_of_range():
-    with pytest.raises(SchemaError):
-        Relation("p", 2).ensure_index([5])
+    assert probe(r, "e(X, c)", "nested_loop") == {(Constant("b"), Constant("c"))}
+    assert r.batch_store(INTERNER)._buckets == {}  # a scan builds no bucket map
 
 
 def test_relation_copy_independent():
@@ -115,8 +121,8 @@ def test_iteration_contains_and_lookup():
     assert len(rows) == 5
     row = (Constant("n2"), Constant("n3"))
     assert row in rows and row in relation
-    assert list(relation.lookup((0,), (Constant("n2"),))) == [row]
-    assert list(relation.ensure_index((0,)).get((Constant("n2"),))) == [row]
+    assert probe(relation, "r(n2, Y)") == {row}
+    assert probe(relation, "r(n2, Y)", "nested_loop") == {row}
 
 
 def test_version_bumps_on_every_mutation():

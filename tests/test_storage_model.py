@@ -2,13 +2,13 @@
 
 A relation is driven through random interleavings of single inserts,
 bulk loads, removals, ``clear`` and ``Database`` transactions (commit
-and rollback), with reads of its *term face* (``in``, iteration, ``rows``,
-``lookup`` / ``ensure_index`` on random positions, ``sorted_by``) and
-probes of its *id face* (``batch_store``, ``buckets_for`` on random
+and rollback), with reads of its *term face* (``in``, iteration,
+``rows``), reference joins under every method keyed on random positions,
+and probes of its *id face* (``batch_store``, ``buckets_for`` on random
 positions) mixed in, against a plain ``set``.
 
 Reads are steps of their own rather than a fixed check after each write,
-so the lazy paths are reached: a term view first asked for after
+so the lazy paths are reached: a bucket map first asked for after
 removals, columns laid out again only when a probe follows a removal,
 several writes between two reads of either face.  Cases drawn with
 ``eager`` check both faces in full after every step as well.
@@ -19,8 +19,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog.intern import INTERNER
-from repro.datalog.terms import Constant, Struct
-from repro.engine.evaluable import term_sort_key
+from repro.datalog.literals import Literal
+from repro.datalog.terms import Constant, Struct, Variable
+from repro.engine.operators import JOIN_METHODS, BindingsTable, scan_join
 from repro.storage import Database, collect_statistics
 from repro.storage.columnar import IdRelation
 
@@ -42,9 +43,7 @@ steps = st.one_of(
     st.tuples(st.just("rollback")),
     st.tuples(st.just("contains"), rows),
     st.tuples(st.just("iterate")),
-    st.tuples(st.just("lookup"), positions, rows),
-    st.tuples(st.just("index"), positions, rows),
-    st.tuples(st.just("sorted"), positions),
+    st.tuples(st.just("join"), st.sampled_from(JOIN_METHODS), positions, rows),
     st.tuples(st.just("store")),
     st.tuples(st.just("buckets"), positions),
 )
@@ -58,10 +57,20 @@ def key_of(row, at):
     return tuple(row[p] for p in at)
 
 
+def joined(extension, at, probe, method):
+    """The rows of *extension* whose *at* fields equal *probe*'s, as a
+    reference join from the unit table under *method* finds them."""
+    args = tuple(probe[p] if p in at else Variable(f"V{p}") for p in range(len(probe)))
+    out = scan_join(BindingsTable.unit(), Literal("r", args), extension, method)
+    rows = set()
+    for subst in out.substitutions():
+        rows.add(tuple(subst.get(arg, arg) for arg in args))
+    return rows
+
+
 def check_term_face(relation, model):
     assert set(relation) == model and len(list(relation)) == len(model)
     assert relation.rows == model
-    assert relation.rows is relation.rows  # kept until the next write
 
 
 def check_id_face(relation, model):
@@ -140,29 +149,11 @@ def test_both_faces_follow_a_set_model(script, eager):
                 assert (lift(step[1]) in relation) == (lift(step[1]) in model)
             elif op == "iterate":
                 check_term_face(relation, model)
-            elif op == "lookup":
-                at, probe = step[1], lift(step[2])
-                found = list(relation.lookup(at, key_of(probe, at)))
-                assert len(found) == len(set(found))
-                assert set(found) == {r for r in model if key_of(r, at) == key_of(probe, at)}
-            elif op == "index":
-                at, probe = step[1], lift(step[2])
-                index = relation.ensure_index(at)
-                assert set(index.get(key_of(probe, at))) == {
+            elif op == "join":
+                method, at, probe = step[1], step[2], lift(step[3])
+                assert joined(relation, at, probe, method) == {
                     r for r in model if key_of(r, at) == key_of(probe, at)
                 }
-                assert relation.index_on(at) is not None
-            elif op == "sorted":
-                at = step[1]
-
-                def sort_key(row, at=at):
-                    return tuple(term_sort_key(row[p]) for p in at)
-
-                keyed, _cached = relation.sorted_by(at, sort_key)
-                assert [key for key, _row in keyed] == sorted(key for key, _row in keyed)
-                assert all(key == sort_key(row) for key, row in keyed)
-                assert len(keyed) == len(model) and {row for _key, row in keyed} == model
-                assert relation.sorted_by(at, sort_key) == (keyed, True)
             elif op == "store":
                 check_id_face(relation, model)
             elif op == "buckets":
@@ -205,7 +196,8 @@ def test_asking_after_an_absent_row_interns_nothing(loaded, salt):
     assert ghost not in relation
     assert relation.remove(ghost) is False
     assert db.remove("r", [ghost, ghost[:1]]) == set()
-    assert list(relation.lookup((0,), ghost[:1])) == []
+    for method in JOIN_METHODS:
+        assert joined(relation, (0,), ghost, method) == set()
     assert len(INTERNER) == known and INTERNER.lookup(ghost[0]) is None
     assert relation.version == version
 
@@ -223,7 +215,7 @@ id_steps = st.one_of(
     st.tuples(st.just("buckets"), id_positions),
     st.tuples(st.just("select"), id_positions, st.sets(id_rows, max_size=3)),
     st.tuples(st.just("scan")),
-    st.tuples(st.just("decoded")),
+    st.tuples(st.just("join"), st.sampled_from(JOIN_METHODS), id_positions, id_rows),
 )
 
 
@@ -247,7 +239,7 @@ def _unit_scan(store):
 @given(st.lists(id_steps, max_size=30))
 def test_removal_keeps_an_id_store_equal_to_a_freshly_built_one(script):
     """Interleaved ``absorb`` / ``discard`` with bucket probes, selections,
-    unit-input scans and the decoded view in between: after every step
+    unit-input scans and reference joins in between: after every step
     the store answers as one built from the surviving rows in one go —
     columns dense, every bucket map (caught up or not when the removal
     came) naming exactly the rows with its key, no key left empty."""
@@ -256,6 +248,9 @@ def test_removal_keeps_an_id_store_equal_to_a_freshly_built_one(script):
 
     def encode(rows):
         return {tuple(ids[field] for field in row) for row in rows}
+
+    def terms_of(row):
+        return tuple(terms[field] for field in row)
 
     store = IdRelation(INTERNER, 3)
     model: set = set()
@@ -284,17 +279,20 @@ def test_removal_keeps_an_id_store_equal_to_a_freshly_built_one(script):
             assert store.select(at, keys).rows == wanted
             assert store.select(at, keys, probe=False).rows == wanted
             probed.add(at)
-        elif op == "decoded":
-            assert set(store.decoded()) == INTERNER.decode_rows(model)
+        elif op == "join":
+            method, at, probe = step[1], step[2], terms_of(step[3])
+            assert joined(store, at, probe, method) == {
+                row for row in INTERNER.decode_rows(model) if key_of(row, at) == key_of(probe, at)
+            }
+            if method in ("hash", "index"):
+                probed.add(tuple(sorted(at)))  # the map the join probed
 
         fresh = IdRelation(INTERNER, 3, set(model))
         assert store.rows == model and store.length == len(model) == len(store)
         assert _unit_scan(store) == _unit_scan(fresh) == sorted(model)
         for at in probed:
             assert _bucket_rows(store, at) == _bucket_rows(fresh, at)
-        if store._decoded is not None and op in ("scan", "decoded"):
-            assert set(store.decoded()) == INTERNER.decode_rows(model)
-    assert set(store.decoded()) == INTERNER.decode_rows(model)
+    assert joined(store, (), terms_of((0, 0, 0)), "nested_loop") == INTERNER.decode_rows(model)
 
 
 # ---------------------------------------------- statistics on the write path

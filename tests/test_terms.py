@@ -1,5 +1,10 @@
 """Unit tests for term representation and helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +28,38 @@ def test_constant_equality_and_hash():
     assert Constant(3) == Constant(3)
     assert Constant(3) != Constant("3")
     assert hash(Constant("a")) == hash(Constant("a"))
+
+
+def test_constant_identity_is_type_aware():
+    """``0`` and ``0.0``, ``1`` and ``True`` are two constants each — to
+    the interner, to term sets and to the unifier (``=``) alike."""
+    from repro.datalog.intern import TermInterner
+    from repro.datalog.parser import parse_literal
+    from repro.datalog.unify import unify
+    from repro.engine.evaluable import solve_comparison
+
+    for a, b in ((0, 0.0), (1, True), (0, False), (2.0, 2)):
+        assert Constant(a) != Constant(b) and len({Constant(a), Constant(b)}) == 2
+        assert unify(Constant(a), Constant(b), {}) is None
+        interner = TermInterner()
+        assert interner.id_of(Constant(a)) != interner.id_of(Constant(b))
+        assert interner.terms[interner.id_of(Constant(b))].value.__class__ is type(b)
+    assert Struct("f", (Constant(1),)) != Struct("f", (Constant(1.0),))
+    assert solve_comparison(parse_literal("2 = 2.0"), {}) is None
+
+
+def test_interning_a_float_first_leaves_integer_builtins_alone():
+    """Interning ``0.0`` before a ``range/3`` query once made it see a
+    float: ``tests/test_result_cache.py`` then
+    ``tests/test_stateful_staleness.py`` failed run as a pair."""
+    tests = Path(__file__).resolve().parent
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_result_cache.py"), str(tests / "test_stateful_staleness.py")],
+        env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-3000:]
 
 
 def test_variable_str_and_anonymous():

@@ -4,7 +4,7 @@
 counting telescope and DRed's loops; a rule is *fired* by
 ``FixpointEngine.fire`` over id stores — the lowered executor, or the
 engine's reference branch for a rule that needs unification.  These
-tests spy on the term-space classes to pin that down, and cover the two
+tests spy on the term-space operators to pin that down, and cover the two
 ``kb`` entry points that used to go around the views (an ``ask`` of the
 wrong arity, ``facts_text``).
 """
@@ -17,11 +17,10 @@ from pathlib import Path
 import pytest
 
 from repro import KnowledgeBase, KnowledgeBaseError
+from repro.engine import fixpoint, interpreter
 from repro.engine.fixpoint import evaluate_program
 from repro.engine.operators import BindingsTable
 from repro.errors import OptimizationError
-from repro.storage import DerivedRelation
-from repro.storage.columnar import IdRelation
 from repro.workloads.querygen import generate_differential_program
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -42,33 +41,32 @@ def recompute(kb, predicate):
 
 @pytest.fixture
 def term_space(monkeypatch):
-    """Every ``IdRelation.decoded`` call and ``DerivedRelation`` /
-    ``BindingsTable`` construction, with the ``engine/fixpoint.py``
-    functions that were on the stack when it happened (and the caller,
-    when that is the store itself keeping an existing view in step)."""
+    """Every ``BindingsTable`` construction and ``reference_step`` call,
+    with the ``engine/fixpoint.py`` functions that were on the stack when
+    it happened."""
     seen = []
 
     def note(what):
         frame = sys._getframe(2)
-        via = {"(store)"} if frame.f_code.co_name == "discard" else set()
+        via = set()
         while frame is not None:
             if frame.f_code.co_filename.endswith("engine/fixpoint.py"):
                 via.add(frame.f_code.co_name)
             frame = frame.f_back
         seen.append((what, frozenset(via)))
 
-    def spy(cls, attribute):
-        original = getattr(cls, attribute)
+    def spy(owner, attribute, name):
+        original = getattr(owner, attribute)
 
-        def spying(self, *args, **kwargs):
-            note(f"{cls.__name__}.{attribute}")
-            return original(self, *args, **kwargs)
+        def spying(*args, **kwargs):
+            note(name)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, attribute, spying)
+        monkeypatch.setattr(owner, attribute, spying)
 
-    spy(IdRelation, "decoded")
-    spy(DerivedRelation, "__init__")
-    spy(BindingsTable, "__init__")
+    spy(fixpoint, "reference_step", "reference_step")
+    spy(interpreter, "reference_step", "reference_step")
+    spy(BindingsTable, "__init__", "BindingsTable.__init__")
     return seen
 
 
@@ -76,7 +74,7 @@ def drive(kb, rng, held, domain, reads):
     """Single inserts, single retracts, a mixed transaction and reads —
     each write checked against a from-scratch recomputation.  *held* is
     the test's own copy of the base relations it writes (reading them
-    back through the relation would build the term face itself)."""
+    back through the relation would decode it)."""
     views = kb.materialize()
 
     def row():
@@ -152,7 +150,7 @@ def test_lowering_querygen_programs_are_maintained_without_a_term_row(
 
 
 def test_a_rule_that_does_not_lower_fires_on_the_engines_reference_branch(term_space):
-    """``e(X, X)`` needs unification: the term-space classes appear — and
+    """``e(X, X)`` needs unification: the term-space operators run — and
     only under ``FixpointEngine``'s reference evaluator."""
     kb = KnowledgeBase()
     kb.rules("loop(X) <- e(X, X). cyc(X) <- e(X, X). cyc(Y) <- cyc(X), e(X, Y).")
@@ -162,13 +160,8 @@ def test_a_rule_that_does_not_lower_fires_on_the_engines_reference_branch(term_s
     views = drive(kb, random.Random(3), {"e": e}, ["a", "b", "c", "d"], [("cyc(X)?", {})])
     assert views.maintenance_mode("loop") == "counting" and views.maintenance_mode("cyc") == "dred"
     seen = term_space[before:]
-    assert {what for what, __ in seen} == {
-        "IdRelation.decoded", "DerivedRelation.__init__", "BindingsTable.__init__"
-    }
-    stray = [
-        (what, sorted(via)) for what, via in seen
-        if not via & {"_eval_body", "fire", "(store)"}
-    ]
+    assert {what for what, __ in seen} == {"reference_step", "BindingsTable.__init__"}
+    stray = [(what, sorted(via)) for what, via in seen if not via & {"_eval_body", "fire"}]
     assert stray == []
 
 
