@@ -16,6 +16,14 @@ Two properties matter for correctness:
   and invite accidental cross-query aliasing of logically distinct
   variables.
 
+Constants are keyed by payload: one dict per exact payload class maps a
+payload to its id, so ``1``, ``True`` and ``1.0`` stay three ids (as
+three :class:`Constant` instances are three terms), and a field that is
+already interned — a term or a plain value — is found without building
+or hashing a term.  Only structs, and the rare constant whose payload is
+not a lifted class or is unequal to itself (NaN: admitted afresh at
+every store), are keyed by the term.
+
 Structs are hash-consed recursively: interning ``f(g(a), b)`` interns
 ``g(a)``, ``a`` and ``b`` too, and the canonical instance stored for the
 outer struct references the canonical instances of its arguments.  After
@@ -30,19 +38,28 @@ through it, so fact loading interns as a side effect.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .terms import Constant, Struct, Term, lift_term
 
-__all__ = ["TermInterner", "INTERNER", "intern_term", "intern_id", "term_for"]
+__all__ = ["TermInterner", "INTERNER", "intern_term"]
+
+#: Payload classes (and their subclasses) that ``lift_term`` turns into a
+#: :class:`Constant`; a constant over one of them is keyed by its payload.
+_PAYLOADS = (int, float, str, bool)
 
 
 class TermInterner:
     """A bijection between ground terms and dense integer ids."""
 
-    __slots__ = ("_ids", "terms")
+    __slots__ = ("_payloads", "_ids", "terms")
 
     def __init__(self) -> None:
+        #: exact payload class -> payload -> id: every constant whose
+        #: payload is of a lifted class and equal to itself
+        self._payloads: dict[type, dict[object, int]] = {}
+        #: every other ground term (structs, a NaN constant), by the term
         self._ids: dict[Term, int] = {}
         #: id -> canonical term instance; indexing this list decodes.
         self.terms: list[Term] = []
@@ -50,21 +67,43 @@ class TermInterner:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def id_of(self, term: Term) -> int:
-        """The id of *term*, admitting it on first sight.
+    def id_of(self, term: object) -> int:
+        """The id of *term* — a ground term, or a plain value lifted as
+        :func:`~repro.datalog.terms.lift_term` lifts it — admitting it
+        on first sight.  A constant, or a plain value, that is already
+        interned is found by its payload: no term is built or hashed.
 
-        Raises ``ValueError`` for non-ground terms.
+        Raises ``ValueError`` for non-ground terms (``TypeError`` for a
+        value no term can hold).
         """
+        cls = term.__class__
+        if cls is Struct:
+            found = self._ids.get(term)
+            return self._admit(term) if found is None else found
+        value = term.value if cls is Constant else term  # type: ignore[attr-defined]
+        table = self._payloads.get(value.__class__)
+        if table is not None:
+            found = table.get(value)
+            if found is not None:
+                return found
+        return self._admit(lift_term(term))
+
+    def _admit(self, term: Term) -> int:
+        if term.__class__ is Constant:
+            value = term.value
+            if isinstance(value, _PAYLOADS) and value == value:
+                # its payload table missed: that is where it goes
+                table = self._payloads.setdefault(value.__class__, {})
+                new_id = table[value] = len(self.terms)
+                self.terms.append(term)
+                return new_id
         found = self._ids.get(term)
         if found is not None:
             return found
-        return self._admit(term)
-
-    def _admit(self, term: Term) -> int:
         if isinstance(term, Struct):
             # Recurse first so the stored instance references canonical
             # children.  The rebuilt struct compares equal to *term*, so
-            # the _ids miss that brought us here also covers it.
+            # the _ids miss above also covers it.
             canonical_args = tuple(
                 self.terms[self.id_of(arg)] for arg in term.args
             )
@@ -80,38 +119,66 @@ class TermInterner:
         """The canonical (shared) instance equal to *term*."""
         return self.terms[self.id_of(term)]
 
-    def lookup(self, term: Term) -> int | None:
-        """The id of *term* if it was ever interned — never admits it, so
-        probing for a constant no stored tuple holds leaves no trace."""
-        return self._ids.get(term)
+    def lookup(self, term: object) -> int | None:
+        """:meth:`id_of` without admitting: the id of *term* if it was
+        ever interned, else None — so probing for a constant no stored
+        tuple holds leaves no trace."""
+        cls = term.__class__
+        if cls is Struct:
+            return self._ids.get(term)  # type: ignore[arg-type]
+        value = term.value if cls is Constant else term  # type: ignore[attr-defined]
+        table = self._payloads.get(value.__class__)
+        if table is not None:
+            found = table.get(value)
+            if found is not None or value == value:
+                return found
+        return self._ids.get(lift_term(term))
 
     def lookup_row(self, row: Iterable[object]) -> tuple[int, ...] | None:
-        """:meth:`lookup` over a row of terms or plain values (lifted,
-        not interned): its id row, or None when some field was never
-        interned — so no stored tuple can equal it."""
-        ids = tuple(map(self._ids.get, map(lift_term, row)))
+        """:meth:`lookup` over a row of terms or plain values: its id
+        row, or None when some field was never interned — so no stored
+        tuple can equal it."""
+        ids = tuple(map(self.lookup, row))
         return None if None in ids else ids
 
-    def encode_row(self, row: tuple[Term, ...]) -> tuple[int, ...]:
-        id_of = self.id_of
-        return tuple(id_of(t) for t in row)
-
-    def decode_row(self, ids: tuple[int, ...]) -> tuple[Term, ...]:
-        terms = self.terms
-        return tuple(terms[i] for i in ids)
+    def encode_row(self, row: Iterable[object]) -> tuple[int, ...]:
+        return tuple(map(self.id_of, row))
 
     # The two bulk forms below are the engine's encode / decode boundary
-    # (docs/performance.md, "the id-space contract"): they work column
-    # by column so the per-field work stays inside ``map``.
+    # (docs/performance.md, "the id-space contract").
 
-    def encode_rows(self, rows: Iterable[tuple[Term, ...]]) -> set[tuple[int, ...]]:
-        """Equal-arity ground term rows as a set of id rows."""
+    def encode_rows(self, rows: Iterable[Iterable[object]]) -> set[tuple[int, ...]]:
+        """Equal-arity rows of ground terms or plain values as a set of
+        id rows.  New values are admitted row by row, left to right."""
         if not isinstance(rows, (list, tuple, set, frozenset)):
             rows = list(rows)
-        columns = list(zip(*rows))
-        if not columns:  # no rows, or the one row of arity 0
-            return {()} if rows else set()
-        return set(zip(*(map(self.id_of, column) for column in columns)))
+        first = next(iter(rows), ())
+        # a single row (one write) costs less as a call per field than
+        # the bulk path's set-up
+        if len(rows) > 1 and first and isinstance(first[0], _PAYLOADS):
+            cls, fields = type(first[0]), chain.from_iterable
+            if set(map(type, fields(rows))) == {cls} and self._admit_all(cls, fields(rows)):
+                # every field is in its class's table: one probe each,
+                # and no call per field
+                ids = map(self._payloads[cls].__getitem__, fields(rows))
+                return set(zip(*[ids] * len(first)))
+        id_of = self.id_of
+        return {tuple(map(id_of, row)) for row in rows}
+
+    def _admit_all(self, cls: type, values: Iterable[object]) -> bool:
+        """Admit the new ones of *values*, plain payloads all of class
+        *cls*, in the order of their first occurrence — the order the
+        row path admits them in.  False at a NaN, which only the row
+        path admits (afresh), with the values before it admitted."""
+        table = self._payloads.setdefault(cls, {})
+        terms = self.terms
+        for value in dict.fromkeys(values):
+            if value not in table:
+                if value != value:
+                    return False
+                table[value] = len(terms)
+                terms.append(Constant(value))
+        return True
 
     def decode_rows(self, id_rows: Iterable[tuple[int, ...]]) -> frozenset[tuple[Term, ...]]:
         """Equal-arity id rows as a frozenset of canonical term rows."""
@@ -131,13 +198,3 @@ INTERNER = TermInterner()
 def intern_term(term: Term) -> Term:
     """Canonical shared instance of a ground *term* (global table)."""
     return INTERNER.canonical(term)
-
-
-def intern_id(term: Term) -> int:
-    """Global id of a ground *term*."""
-    return INTERNER.id_of(term)
-
-
-def term_for(ident: int) -> Term:
-    """Decode a global id back to its canonical term."""
-    return INTERNER.terms[ident]

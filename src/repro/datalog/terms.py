@@ -38,16 +38,20 @@ class Constant:
     The payload is a plain Python scalar.  Two constants are equal iff
     their payloads are of the same class and equal: ``0`` and ``0.0``
     are two constants, and so are ``1`` and ``True``, although Python
-    equates the payloads.  The interner, term sets and the unifier (and
-    so ``=``) all share this identity; the ordering comparisons and
-    ``!=`` compare numbers by value instead
-    (:func:`repro.engine.evaluable.compare_terms`).
+    equates the payloads.  Term sets, the unifier (and so ``=`` and its
+    negation ``!=``) and the interner all share this identity — the
+    interner keys a constant by its payload in one table per exact
+    payload class, so it finds one without building or hashing a
+    ``Constant``.  Only the ordering comparisons compare numbers by
+    value (:func:`repro.engine.evaluable.compare_terms`).
     """
 
     value: AtomicValue
 
     def __eq__(self, other: object) -> bool:
-        return (
+        # reflexive even for a NaN payload, as containers (and the
+        # interner, which gives the instance one id) already treat it
+        return other is self or (
             other.__class__ is Constant
             and self.value.__class__ is other.value.__class__  # type: ignore[attr-defined]
             and self.value == other.value  # type: ignore[attr-defined]

@@ -555,18 +555,14 @@ def _anti_join(
 
 
 def _same_term(a: int, b: int, decode) -> bool | None:
-    """Whether ids *a* and *b* denote terms ``compare_terms`` calls equal,
-    where the ids alone decide it: one id is one term, and two strings
-    with different ids differ.  None otherwise — numbers compare through
-    ``float`` and other payloads through ``str``, which can both collapse
-    distinct terms, so those are evaluated."""
+    """Whether ids *a* and *b* denote terms ``=`` unifies (and ``!=``
+    then fails), where the ids alone decide it: one id is one term, and
+    two constants with different ids are two terms.  None when a side is
+    a struct, which the literal folds first (a stored ``1 + 2`` equals
+    ``3``), so the literal is evaluated."""
     if a == b:
         return True
-    left, right = decode(a), decode(b)
-    if (
-        isinstance(left, Constant) and isinstance(right, Constant)
-        and type(left.value) is str and type(right.value) is str
-    ):
+    if decode(a).__class__ is Constant and decode(b).__class__ is Constant:
         return False
     return None
 

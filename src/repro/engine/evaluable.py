@@ -91,13 +91,14 @@ def _order_key(term: Term) -> tuple:
     """A total order over ground terms: numbers < strings < structs.
 
     Needed by the sort-merge join and for deterministic output ordering.
+    Numbers (``bool`` among them) are keyed by the number itself: Python
+    compares an ``int`` with a ``float`` exactly, where ``float(n)``
+    would round a large int (and overflow a huge one).
     """
     if isinstance(term, Constant):
         value = term.value
-        if isinstance(value, bool):
-            return (0, float(value), "")
         if isinstance(value, (int, float)):
-            return (0, float(value), "")
+            return (0, value, "")
         return (1, 0.0, str(value))
     if isinstance(term, Struct):
         return (2, 0.0, term.functor) + tuple(_order_key(a) for a in term.args)
@@ -105,7 +106,9 @@ def _order_key(term: Term) -> tuple:
 
 
 def compare_terms(left: Term, right: Term) -> int:
-    """Three-way comparison of ground terms (-1, 0, 1)."""
+    """Three-way comparison of ground terms (-1, 0, 1) in the order of
+    the ordering comparisons: ``2`` and ``2.0`` tie here although they
+    are two terms (which ``=`` and ``!=`` tell apart)."""
     lk, rk = _order_key(left), _order_key(right)
     if lk < rk:
         return -1
@@ -159,12 +162,14 @@ def solve_comparison(literal: Literal, subst: Substitution) -> Substitution | No
         raise ExecutionError(
             f"comparison {literal} entered with unbound arguments {free} (unsafe execution)"
         )
+    if literal.predicate == "!=":
+        # the negation of ``=`` on ground sides: the terms differ
+        return subst if left != right else None
     order = compare_terms(left, right)
     outcome = {
         "<": order < 0,
         "<=": order <= 0,
         ">": order > 0,
         ">=": order >= 0,
-        "!=": order != 0,
     }[literal.predicate]
     return subst if outcome else None

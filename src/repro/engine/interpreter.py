@@ -61,7 +61,6 @@ from ..datalog.terms import (
     Term,
     Variable,
     is_ground,
-    is_term,
     term_from_python,
 )
 from ..datalog.unify import apply
@@ -154,16 +153,14 @@ class QueryAnswers:
         return hash((self.variables, self._id_rows()))
 
     def __contains__(self, row: object) -> bool:
-        """Whether *row* — terms or plain Python scalars — is an answer."""
+        """Whether *row* — terms or plain Python values — is an answer."""
         try:
-            # Constant(f), not term_from_python(f): a probe value is
-            # looked up, never admitted to the interner
-            ids = tuple(
-                INTERNER.lookup(f if is_term(f) else Constant(f)) for f in row
-            )
-        except TypeError:  # not a row, or an unhashable field
+            # lifted as kb.facts lifts it, and looked up: a probe value
+            # is never admitted to the interner
+            ids = INTERNER.lookup_row(row)
+        except TypeError:  # not a row, or a field no term can hold
             return False
-        return ids in self._id_rows()
+        return ids is not None and ids in self._id_rows()
 
     def _distinct(self) -> dict[int, Term]:
         """Every distinct id of the answer, decoded — once each."""

@@ -31,7 +31,6 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ..datalog.intern import TermInterner
-from ..datalog.terms import lift_term
 from ..errors import SchemaError
 
 IdRow = tuple[int, ...]
@@ -42,8 +41,8 @@ def encode_checked(
 ) -> "set[IdRow]":
     """The id rows of *rows* bound for relation *name*, a field being a
     ground term or a plain Python value (lifted as
-    :func:`~repro.datalog.terms.term_from_python` lifts it), interned a
-    column at a time.
+    :func:`~repro.datalog.terms.term_from_python` lifts it), interned by
+    :meth:`TermInterner.encode_rows` row by row.
 
     Every row is checked before any is stored: a row of the wrong arity
     or with a non-ground field raises :class:`SchemaError` and the
@@ -54,12 +53,8 @@ def encode_checked(
             raise SchemaError(
                 f"relation {name!r}: tuple of arity {len(row)} into arity {arity}"
             )
-    if not arity or not rows:
-        return {()} if rows else set()
-    id_of = interner.id_of
-    columns = (map(itemgetter(position), rows) for position in range(arity))
     try:
-        return set(zip(*(map(id_of, map(lift_term, column)) for column in columns)))
+        return interner.encode_rows(rows)
     except ValueError as err:  # a variable somewhere in a field
         raise SchemaError(f"relation {name!r}: {err}") from None
 

@@ -25,7 +25,7 @@ from repro.datalog.builtins import default_builtins
 from repro.datalog.intern import INTERNER, TermInterner, intern_term
 from repro.datalog.parser import parse_program
 from repro.datalog.rules import Program
-from repro.datalog.terms import Constant, Struct, Variable
+from repro.datalog.terms import Constant, Struct, Variable, make_list
 from repro.engine.batch import compile_batch_plan
 from repro.engine.faults import FaultInjector, InjectedFault
 from repro.engine.fixpoint import FixpointEngine
@@ -258,13 +258,131 @@ def test_encode_decode_roundtrip():
     interner = TermInterner()
     row = (Constant("a"), Constant(3), Struct("f", (Constant("b"),)))
     ids = interner.encode_row(row)
-    assert interner.decode_row(ids) == row
+    assert tuple(interner.terms[i] for i in ids) == row
     # injectivity: distinct terms never share an id
     assert len(set(ids)) == len(ids)
 
 
 def test_global_interner_shares_instances_across_terms():
     assert intern_term(Constant("shared-xyz")) is intern_term(Constant("shared-xyz"))
+
+
+class Label(str):
+    pass
+
+
+NAN = float("nan")
+
+LOADS = {
+    "mixed": [
+        ("a", 1, [1, "b"]),
+        (2.0, "a", True),
+        (Constant("c"), 1, Struct("f", (Constant("d"),))),
+        ("e", False, Constant(0.0)),
+    ],
+    "one class": [("b", "a"), ("a", "c"), ("d", "b")],
+    "floats, a NaN among them": [(1.5, -0.0), (NAN, 0.0), (2.5, NAN), (1.5, 3.5)],
+    "a str subclass": [(Label("x"),), (Label("y"),), (Label("x"),)],
+}
+
+
+def _admitted(interner):
+    """The admitted terms, told apart by class (NaN is unequal to itself)."""
+    return [
+        (term.__class__, getattr(term, "value", None).__class__, repr(term))
+        for term in interner.terms
+    ]
+
+
+@pytest.mark.parametrize("load", sorted(LOADS))
+def test_a_bulk_load_admits_row_by_row_as_single_fields_do(load):
+    rows = LOADS[load]
+    bulk, single, by_field = TermInterner(), TermInterner(), TermInterner()
+    id_rows = bulk.encode_rows(rows)
+    for row in rows:
+        single.encode_rows([row])
+        for field in row:
+            by_field.id_of(field)
+    assert _admitted(bulk) == _admitted(single) == _admitted(by_field)
+    if load.startswith("floats"):
+        assert len(id_rows) == len(rows)  # each NaN is a new value
+    else:
+        assert id_rows == set(map(by_field.lookup_row, rows))
+
+
+def test_row_by_row_is_not_column_by_column():
+    interner = TermInterner()
+    interner.encode_rows(LOADS["mixed"])
+    # the second row's 2.0 comes after the first row's list, not right
+    # after "a" as a column at a time would admit it
+    assert interner.terms[:3] == [Constant("a"), Constant(1), Constant("b")]
+    list_id = interner.lookup(make_list([Constant(1), Constant("b")]))
+    assert interner.lookup(2.0) > list_id
+
+
+def test_interned_identity_is_class_exact():
+    interner = TermInterner()
+    one, true, one_f, zero, minus_zero, text, label = interner.encode_row(
+        (1, True, 1.0, 0.0, -0.0, "x", Label("x"))
+    )
+    assert len({one, true, one_f}) == 3
+    assert zero == minus_zero
+    assert text != label and interner.terms[label].value.__class__ is Label
+    # a plain value and its constant are one term
+    assert interner.id_of(Constant(True)) == true and interner.lookup(Constant(1.0)) == one_f
+    assert interner.lookup_row((Constant(1), 1.0)) == (one, one_f)
+
+
+def test_a_nan_is_admitted_afresh_at_every_store():
+    nan = float("nan")
+    interner = TermInterner()
+    first, second = interner.id_of(nan), interner.id_of(nan)
+    assert first != second
+    assert interner.lookup(nan) is None and interner.lookup_row((nan,)) is None
+    # the canonical instance itself is still found, by identity
+    assert interner.id_of(interner.terms[first]) == first
+    kb = KnowledgeBase()
+    assert kb.facts("p", [(nan,), (nan,)]) == 2
+
+
+def test_lookup_admits_nothing():
+    interner = TermInterner()
+    interner.encode_rows([("a", 1, [2])])
+    sizes = len(interner), len(interner._ids), {c: len(t) for c, t in interner._payloads.items()}
+    assert interner.lookup("a") == interner.lookup(Constant("a")) == 0
+    assert interner.lookup_row(("a", 1, [2])) is not None
+    for probe in ("zz", Constant(7), True, 1.5, [3], Struct("f", (Constant("zz"),)), Variable("X")):
+        assert interner.lookup(probe) is None
+    assert interner.lookup_row(("a", 1, [2, 3])) is None
+    assert interner.lookup_row(("a", 7, [2])) is None
+    assert (len(interner), len(interner._ids), {c: len(t) for c, t in interner._payloads.items()}) == sizes
+
+
+def test_reloading_interned_plain_values_builds_no_term(monkeypatch):
+    """A field already interned is found by its payload: neither a bulk
+    load nor a membership probe lifts it into a ``Constant``."""
+    import repro.datalog.intern as intern_module
+    import repro.storage.columnar as columnar_module
+    from repro.datalog.terms import lift_term
+
+    rows = [(f"reload{i}", i, i / 2, i % 2 == 0) for i in range(50)]
+    db = Database()
+    db.add("p", rows)
+    lifted = []
+
+    def spy(obj):
+        lifted.append(obj)
+        return lift_term(obj)
+
+    for module in (intern_module, columnar_module):
+        if hasattr(module, "lift_term"):
+            monkeypatch.setattr(module, "lift_term", spy)
+    size = len(INTERNER)
+    assert len(db.add("q", rows)) == len(rows)
+    assert all(row in db.relation("q") for row in rows)
+    texts = [(text, text) for text, *_ in rows]  # one class: the bulk path
+    assert len(db.add("r", texts)) == len(texts)
+    assert lifted == [] and len(INTERNER) == size
 
 
 # -- the columnar store -------------------------------------------------------

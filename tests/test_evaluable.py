@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.datalog.parser import parse_literal
+from repro import KnowledgeBase
+from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.terms import Constant, Struct, Variable
 from repro.engine.evaluable import (
     compare_terms,
@@ -11,7 +12,9 @@ from repro.engine.evaluable import (
     solve_comparison,
     term_sort_key,
 )
+from repro.engine.fixpoint import evaluate_program
 from repro.errors import ExecutionError
+from repro.storage import Database
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -129,3 +132,79 @@ def test_compare_agrees_with_python(a, b):
 def test_sort_key_is_consistent(values):
     terms = [Constant(v) for v in values]
     assert sorted(terms, key=term_sort_key) == [Constant(v) for v in sorted(values)]
+
+
+def test_disequality_is_term_identity_and_order_is_exact():
+    big = 2 ** 53
+    assert solve_comparison(parse_literal("2 != 2.0"), {}) == {}
+    assert solve_comparison(parse_literal("2 != 2"), {}) is None
+    assert compare_terms(Constant(big), Constant(big + 1)) == -1
+    assert compare_terms(Constant(float(big)), Constant(big + 1)) == -1
+    assert compare_terms(Constant(10 ** 400), Constant(1.5)) == 1  # no overflow
+    assert compare_terms(Constant(True), Constant(0.5)) == 1
+
+
+NUMBERS = """
+same(X, Y) <- n(X), m(Y), X = Y.
+diff(X, Y) <- n(X), m(Y), X != Y.
+lt(X, Y) <- n(X), m(Y), X < Y.
+"""
+
+
+def _typed(rows):
+    """Rows of plain values keyed by class too: ``(2, 2.0) == (2, 2)``."""
+    return {tuple((type(v).__name__, v) for v in row) for row in rows}
+
+
+@pytest.mark.parametrize("lowered", [True, False])
+def test_disequality_negates_equality_on_numbers_equal_as_floats(lowered):
+    """``2`` / ``2.0`` and ``2**53`` / ``2**53 + 1`` are equal as floats
+    but distinct terms: ``=`` fails on them, so ``!=`` holds, and ``<``
+    orders the big pair exactly."""
+    big = 2 ** 53
+    kb = KnowledgeBase()
+    kb.rules(NUMBERS)
+    kb.facts("n", [(2,), (big,)])
+    kb.facts("m", [(2.0,), (big + 1,)])
+    if lowered:
+        answer = {p: _typed(kb.ask(f"{p}(X, Y)?").to_python()) for p in ("same", "diff", "lt")}
+    else:
+        result = evaluate_program(kb.db, parse_program(NUMBERS), compile=False)
+        answer = {
+            p: _typed(tuple(t.value for t in row) for row in result.rows(p))
+            for p in ("same", "diff", "lt")
+        }
+    assert answer["same"] == set()
+    assert answer["diff"] == _typed([(2, 2.0), (2, big + 1), (big, 2.0), (big, big + 1)])
+    assert answer["lt"] == _typed([(2, big + 1), (big, big + 1)])
+
+
+def test_a_stored_arithmetic_struct_is_folded_by_both_evaluators():
+    """``=`` folds a ground side before it unifies, so a stored ``1 + 2``
+    equals ``3``: the lowered executor decides ``=`` / ``!=`` by ids only
+    between two constants, and evaluates a struct side as the reference
+    does."""
+    program = parse_program("q(X) <- p(X), X = 3. r(X) <- p(X), X != 3.")
+    db = Database()
+    db.add("p", [(Struct("+", (Constant(1), Constant(2))),), (3,), (4,)])
+    lowered, reference = (
+        evaluate_program(db, program, compile=compile) for compile in (True, False)
+    )
+    for pred in ("q", "r"):
+        assert lowered.rows(pred) == reference.rows(pred)
+    assert len(lowered.rows("q")) == 2 and lowered.rows("r") == {(Constant(4),)}
+
+
+@pytest.mark.parametrize("lowered", [True, False])
+def test_a_stored_nan_equals_itself_on_both_evaluators(lowered):
+    """One stored NaN is one id, and one canonical instance that ``=``
+    unifies with itself: the lowered executor's id test and the
+    reference's unifier agree, and ``!=`` stays their negation."""
+    program = parse_program(
+        "s(X) <- p(X), X = X. t(X) <- p(X), X != X. r(X) <- p(X), p(Y), X = Y."
+    )
+    db = Database()
+    db.add("p", [(float("nan"),), (1.5,)])
+    result = evaluate_program(db, program, compile=lowered)
+    assert len(result.rows("s")) == len(result.rows("r")) == 2
+    assert result.rows("t") == frozenset()

@@ -254,6 +254,17 @@ def test_nothing_is_decoded_until_terms_are_asked_for(decodes):
     assert decodes.reads == len(distinct)
 
 
+def test_membership_lifts_a_list_value_as_the_facts_did():
+    kb = KnowledgeBase()
+    kb.facts("p", [([1, 2],)])
+    answers = kb.ask("p(X)?")
+    size = len(INTERNER)
+    assert ([1, 2],) in answers and ([1, 2],) in kb.db.relation("p")
+    assert ([2, 1],) not in answers and ([1, 2, 3],) not in answers
+    assert ({},) not in answers and 5 not in answers  # no term holds these
+    assert len(INTERNER) == size
+
+
 def test_evaluation_result_decodes_per_predicate_on_first_access(decodes):
     db = Database()
     db.load("e", [(f"n{i}", f"n{i + 1}") for i in range(10)])
