@@ -59,6 +59,10 @@ def _no_derived(literal: Literal, binding: BindingPattern) -> DerivedEstimate | 
     return None
 
 
+#: a name not in :attr:`BodyEstimator.catalog` yet
+_UNREAD = object()
+
+
 class _Profile:
     """What costing reads of one literal that no :class:`StepState` changes.
 
@@ -66,10 +70,12 @@ class _Profile:
     for a ground term or the variable set of a struct that has some;
     ``derived`` is whether the predicate has rules (``None`` until the
     oracle was asked); ``adornments`` is :meth:`BodyEstimator.adornment`'s
-    memo.
+    memo; ``distincts`` are the per-argument distinct counts of the last
+    statistics object ``stats`` the literal was priced against (they are
+    immutable, so one object always reads the same).
     """
 
-    __slots__ = ("args", "variables", "derived", "adornments")
+    __slots__ = ("args", "variables", "derived", "adornments", "stats", "distincts")
 
     def __init__(self, literal: Literal):
         self.args = tuple(
@@ -79,6 +85,14 @@ class _Profile:
         self.variables = literal.variables
         self.derived: bool | None = None
         self.adornments: dict[int, BindingPattern] = {}
+        self.stats: RelationStats | None = None
+        self.distincts: list[float] = []
+
+    def distincts_of(self, stats: RelationStats) -> list[float]:
+        if stats is not self.stats:
+            self.stats = stats
+            self.distincts = [stats.distinct(i) for i in range(len(self.args))]
+        return self.distincts
 
     def join(
         self, distincts: Sequence[float], state: StepState
@@ -122,9 +136,11 @@ class BodyEstimator:
     pattern; *per step* a loop over the argument kinds reading floats
     plus the method formulas of :meth:`leaf_step`.  ``profiles`` is that
     memo; an owner of many estimators over one program assigns them one
-    dict (the optimizer, for its own lifetime).  ``methods`` is the label
-    set a base step is priced under: the executor's joins, or one forced
-    label.
+    dict (the optimizer, for its own lifetime).  ``catalog``, when an
+    owner assigns one, holds the statistics read from ``stats`` by name,
+    so the estimators of one search read each relation once (the
+    optimizer, per ``optimize()`` call).  ``methods`` is the label set a
+    base step is priced under: the executor's joins, or one forced label.
     """
 
     def __init__(
@@ -146,11 +162,20 @@ class BodyEstimator:
         self.builtins = builtins
         self.methods = tuple(methods)
         self.profiles: dict[Literal, _Profile] = {}
+        self.catalog: dict[str, RelationStats | None] | None = None
 
     # -- statistics access ---------------------------------------------------
 
     def stats_for(self, name: str, arity: int) -> RelationStats:
-        found = self.extra_stats.get(name) or self.stats.stats_for(name)
+        found = self.extra_stats.get(name)
+        if found is None:
+            catalog = self.catalog
+            if catalog is None:
+                found = self.stats.stats_for(name)
+            else:
+                found = catalog.get(name, _UNREAD)
+                if found is _UNREAD:
+                    found = catalog[name] = self.stats.stats_for(name)
         if found is not None and (not found.columns or found.arity == arity):
             return found
         # unknown, or stored at another arity: the literal is costed as
@@ -245,8 +270,7 @@ class BodyEstimator:
         per-probe fanout — is derived once."""
         params = self.params
         profile = self._profile(literal)
-        distincts = [stats.distinct(i) for i in range(len(profile.args))]
-        selectivity, mask, ndv_updates = profile.join(distincts, state)
+        selectivity, mask, ndv_updates = profile.join(profile.distincts_of(stats), state)
         card, n, probe_weight = state.card, stats.cardinality, params.probe_weight
         per_probe = n * selectivity
         out_card = clamp_card(scaled(card, per_probe), params)

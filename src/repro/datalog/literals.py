@@ -24,7 +24,7 @@ module (:mod:`repro.engine.evaluable`) interprets those functors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .terms import Term, Variable, is_ground, term_from_python, variables_of
@@ -42,11 +42,19 @@ class Literal:
 
     Comparison literals are ordinary literals whose ``predicate`` is one of
     :data:`COMPARISON_OPS`; they always have exactly two arguments.
+
+    A literal is a key of every memo the cost search probes, so its
+    variable set and its hash are computed once, at construction; the
+    hash is the one the three fields would get as a tuple, so set and
+    dict orders are those of a literal hashed field by field.
     """
 
     predicate: str
     args: tuple[Term, ...]
     negated: bool = False
+    #: all variables occurring in the argument terms
+    variables: frozenset[Variable] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.args, tuple):
@@ -55,6 +63,18 @@ class Literal:
             raise ValueError(f"comparison {self.predicate!r} takes 2 arguments, got {len(self.args)}")
         if self.predicate in COMPARISON_OPS and self.negated:
             raise ValueError("negated comparisons are not supported; use the complement operator")
+        variables: set[Variable] = set()
+        for arg in self.args:
+            variables.update(variables_of(arg))
+        object.__setattr__(self, "variables", frozenset(variables))
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args, self.negated)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # the cached hash is of this process's string hashing: rebuild it
+        return Literal, (self.predicate, self.args, self.negated)
 
     # -- structural properties -------------------------------------------------
 
@@ -66,14 +86,6 @@ class Literal:
     def is_comparison(self) -> bool:
         """True for evaluable comparison literals (``=``, ``<``, ...)."""
         return self.predicate in COMPARISON_OPS
-
-    @property
-    def variables(self) -> frozenset[Variable]:
-        """All variables occurring in the argument terms."""
-        out: set[Variable] = set()
-        for arg in self.args:
-            out.update(variables_of(arg))
-        return frozenset(out)
 
     @property
     def is_ground(self) -> bool:

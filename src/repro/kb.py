@@ -41,7 +41,7 @@ from .errors import KnowledgeBaseError, ResourceExhausted, TransactionError
 from .obs.metrics import MetricsRegistry
 from .obs.telemetry import TelemetryLog
 from .obs.tracer import NULL_TRACER
-from .optimizer.optimizer import OptimizedQuery, Optimizer, OptimizerConfig
+from .optimizer.optimizer import MEMO_SIZE, OptimizedQuery, Optimizer, OptimizerConfig
 from .plans.printer import explain, worst_q_error
 from .storage.catalog import Database
 from .storage.loader import parse_facts_text
@@ -52,10 +52,6 @@ QERROR_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
 
 #: stand-in for an infinite q-error in the histogram (sums must be finite)
 _QERROR_CEIL = 1e300
-
-#: entries the parsed-form and lowered-rule memos may hold; past it a
-#: memo starts over (both are cheap to refill)
-_MEMO_SIZE = 4096
 
 
 class _NetDelta:
@@ -152,6 +148,10 @@ class KnowledgeBase:
         self.config = config or OptimizerConfig()
         self.builtins = default_builtins()
         self._rules: list[Rule] = []
+        #: the rule base as a Program and its optimizer: built on first use
+        #: after a rules change or a rollback, and kept across data writes
+        #: (a write only makes the optimizer re-price)
+        self._program: Program | None = None
         self._optimizer: Optimizer | None = None
         self._compiled: dict[tuple[str, str], OptimizedQuery] = {}
         #: query text -> its parsed form (forms are immutable)
@@ -162,11 +162,10 @@ class KnowledgeBase:
         #: dropped wherever ``_compiled`` is dropped whole.
         self._lowered_rules: dict = {}
         #: per-predicate dependency footprints ("name/arity" -> base
-        #: relation names transitively read), the graph they were computed
-        #: from and the maintainable cones of the goals asked (see
+        #: relation names transitively read, off the optimizer's graph) and
+        #: the maintainable cones of the goals asked (see
         #: :meth:`_store_goal`), until the rules change
         self._footprints: dict[str, frozenset[str]] = {}
-        self._footprint_graph = None
         self._cones: dict[PredicateRef, Program | None] = {}
         #: the store: its ViewSet (None until built, and once dropped), the
         #: net delta it is owed, the footprint versions it reflects with
@@ -223,7 +222,6 @@ class KnowledgeBase:
                 self._result_cache.update(txn.result_cache)
             # Compiled plans and the optimizer may reflect in-transaction
             # rules/stats; drop them (they rebuild lazily and cheaply).
-            self._optimizer = None
             self._drop_compiled()
             self.metrics.inc("transactions_total", outcome="rollback")
             raise
@@ -256,16 +254,19 @@ class KnowledgeBase:
         """
         program = parse_program(source)
         added = 0
-        for rule in program:
-            if rule.is_fact and not rule.head.variables:
-                self.db.insert(rule.head.predicate, rule.head.args)
-                continue
-            self._check_rule(rule)
-            self._rules.append(rule)
-            added += 1
-        if self._txn is not None:
-            self._txn.rules_changed = True
-        self._invalidate()
+        try:
+            for rule in program:
+                if rule.is_fact and not rule.head.variables:
+                    self.db.insert(rule.head.predicate, rule.head.args)
+                    continue
+                self._check_rule(rule)
+                self._rules.append(rule)
+                added += 1
+        finally:
+            # a rule refused part-way leaves those before it added
+            if self._txn is not None:
+                self._txn.rules_changed = True
+            self._invalidate()
         return added
 
     def rule(self, rule: Rule) -> None:
@@ -372,13 +373,15 @@ class KnowledgeBase:
             )
 
     def _drop_compiled(self) -> None:
-        """Forget every compiled query and what was derived for them: forms,
-        lowered rules, the graph and what was read off it."""
+        """Forget the rule base's Program and optimizer, every compiled
+        query and what was derived for them: forms, lowered rules and what
+        was read off the graph."""
+        self._program = None
+        self._optimizer = None
         self._compiled.clear()
         self._forms.clear()
         self._lowered_rules.clear()
         self._footprints.clear()
-        self._footprint_graph = None
         self._cones.clear()
 
     def _invalidate(self) -> None:
@@ -386,7 +389,6 @@ class KnowledgeBase:
         graph itself moved, so footprints, plans, and cached results are
         all void (see :meth:`_data_invalidate` for the surgical
         data-write path)."""
-        self._optimizer = None
         self._drop_compiled()
         if self._result_cache is not None:
             # The footprint-versioned key already fences data changes;
@@ -412,16 +414,11 @@ class KnowledgeBase:
         hit = self._footprints.get(cache_key)
         if hit is not None:
             return hit
-        if self._footprint_graph is None:
-            from .datalog.graph import DependencyGraph
-
-            self._footprint_graph = DependencyGraph(self.program)
-        program = self.program
-        derived = {ref.name for ref in program.derived_predicates}
+        derived = {ref.name for ref in self.program.derived_predicates}
         if predicate not in derived:
             footprint = frozenset((predicate,))
         else:
-            reachable = self._footprint_graph.reachable_from(
+            reachable = self.optimizer.graph.reachable_from(
                 PredicateRef(predicate, arity)
             )
             footprint = frozenset(
@@ -469,9 +466,11 @@ class KnowledgeBase:
         if not touched:
             return
         # Statistics feeding cost models changed (and the samples the
-        # optimizer took of them); it rebuilds lazily (cheap — the
-        # expensive per-form work is in _compiled, evicted selectively).
-        self._optimizer = None
+        # optimizer took of them): it re-prices, keeping what the rules
+        # alone fix (the expensive per-form work is in _compiled, evicted
+        # selectively).
+        if self._optimizer is not None:
+            self._optimizer.reprice()
         stale = [
             key for key, compiled in self._compiled.items()
             if self._form_footprint(compiled.query) & touched
@@ -487,7 +486,9 @@ class KnowledgeBase:
 
     @property
     def program(self) -> Program:
-        return Program(self._rules)
+        if self._program is None:
+            self._program = Program(self._rules)
+        return self._program
 
     @property
     def optimizer(self) -> Optimizer:
@@ -511,8 +512,9 @@ class KnowledgeBase:
         """
         form = self._form(query, tracer)
         with tracer.span("safety", kind="phase"):
-            # First use builds the dependency graph and runs the
-            # stratification check; later uses are a cache lookup.
+            # The first use after a rules change builds the dependency
+            # graph and runs the stratification check; data writes keep
+            # them, so later uses are an attribute read.
             optimizer = self.optimizer
         if governor is not None:
             return optimizer.optimize(
@@ -525,7 +527,7 @@ class KnowledgeBase:
             return hit
         self.metrics.inc("plan_cache_misses_total")
         compiled = optimizer.optimize(form, tracer=tracer, metrics=self.metrics)
-        if len(self._lowered_rules) >= _MEMO_SIZE:
+        if len(self._lowered_rules) >= MEMO_SIZE:
             self._lowered_rules.clear()  # goals with constants lower apart
         compiled.code.memo = self._lowered_rules
         self._compiled[key] = compiled
@@ -540,7 +542,7 @@ class KnowledgeBase:
         if form is None:
             with tracer.span("parse", kind="phase"):
                 form = parse_query(query)
-            if len(self._forms) >= _MEMO_SIZE:
+            if len(self._forms) >= MEMO_SIZE:
                 self._forms.clear()
             self._forms[query] = form
         return form

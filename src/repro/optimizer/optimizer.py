@@ -78,6 +78,24 @@ MAX_CPERMUTATIONS = 512
 #: before the formula estimate stands instead.
 SAMPLE_KEYS = 8
 SAMPLE_TUPLES = 20_000
+#: Entries a memo that outlives data writes may hold before it starts over
+#: (the literal profiles here, the knowledge base's parsed forms and
+#: lowered rules); each is cheap to refill.
+MEMO_SIZE = 4096
+
+#: The search counters (:attr:`Optimizer.counters`).
+_COUNTERS = (
+    "and_optimizations",
+    "or_optimizations",
+    "cc_optimizations",
+    "order_evaluations",
+    "cpermutations",
+    "deadline_downgrades",
+    # partial/full plan candidates actually costed vs avoided by
+    # branch-and-bound, dedup, prefix memos, and capped fixpoints
+    "plans_costed",
+    "plans_pruned",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +172,13 @@ class _MemoEntry:
 
 
 class Optimizer:
-    """Cost-based compiler for query forms over a program + catalog."""
+    """Cost-based compiler for query forms over a program + catalog.
+
+    What the rule base alone fixes — the dependency graph, its cliques
+    and strata, the literal profiles — is built once and kept for the
+    optimizer's life; what the data prices is dropped by :meth:`reprice`,
+    which the statistics' owner calls after a write.
+    """
 
     def __init__(
         self,
@@ -174,34 +198,33 @@ class Optimizer:
         self.graph = DependencyGraph(program)
         self.graph.check_stratified()
         #: the literal-profile memo every estimator of this optimizer
-        #: shares (:meth:`_estimator`); it lives and dies with the optimizer
+        #: shares (:meth:`_estimator`); it reads the program alone, so it
+        #: lives as long as the optimizer, up to MEMO_SIZE literals
         self._profiles: dict = {}
-        self._memo: dict[tuple[str, str], _MemoEntry] = {}
-        #: the ``_memo`` keys whose card a sample of the data has settled
-        #: (:meth:`_sampled`); the statistics' owner builds a new optimizer
-        #: when the data changes, so a sample never outlives its data
-        self._sampled_keys: set[tuple[str, str]] = set()
-        self._seminaive_cache: dict[frozenset[PredicateRef], Estimate] = {}
+        #: the statistics the optimize() call in flight read, by name
+        self._catalog: dict[str, RelationStats | None] = {}
         self._diagnostics: list[str] = []
-        self._rng = random.Random(self.config.seed)
         #: the governor of the optimize() call in flight (None between calls)
         self._governor = None
         #: tracer/metrics of the optimize() call in flight
         self._tracer = NULL_TRACER
         self._metrics = None
+        self.reprice()
+
+    def reprice(self) -> None:
+        """Drop what was priced from the data, which a write changed: the
+        next :meth:`optimize` starts as a new optimizer over this program
+        would.  O(1): the annealing generator is seeded at its next use.
+        """
+        self._memo: dict[tuple[str, str], _MemoEntry] = {}
+        #: the ``_memo`` keys whose card a sample of the data has settled
+        #: (:meth:`_sampled`); a write drops both, so a sample never
+        #: outlives its data
+        self._sampled_keys: set[tuple[str, str]] = set()
+        self._seminaive_cache: dict[frozenset[PredicateRef], Estimate] = {}
+        self._rng: random.Random | None = None
         #: counters exposed to the complexity benchmarks
-        self.counters: dict[str, int] = {
-            "and_optimizations": 0,
-            "or_optimizations": 0,
-            "cc_optimizations": 0,
-            "order_evaluations": 0,
-            "cpermutations": 0,
-            "deadline_downgrades": 0,
-            # partial/full plan candidates actually costed vs avoided by
-            # branch-and-bound, dedup, prefix memos, and capped fixpoints
-            "plans_costed": 0,
-            "plans_pruned": 0,
-        }
+        self.counters: dict[str, int] = dict.fromkeys(_COUNTERS, 0)
 
     # ------------------------------------------------------------------ API
 
@@ -232,6 +255,9 @@ class Optimizer:
         self._governor = governor
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
+        self._catalog = {}
+        if len(self._profiles) >= MEMO_SIZE:
+            self._profiles.clear()  # forms with constants profile apart
         if governor is not None:
             governor.arm()
         try:
@@ -250,7 +276,7 @@ class Optimizer:
         ref = pred_ref(query.goal)
         if (
             ref not in self.program.predicates
-            and self.stats.stats_for(ref.name) is None
+            and self._relation_stats(ref.name) is None
             and ref.name not in self.builtins
         ):
             raise OptimizationError(f"unknown predicate {ref} in query {query}")
@@ -322,7 +348,16 @@ class Optimizer:
             methods=methods,
         )
         estimator.profiles = self._profiles
+        estimator.catalog = self._catalog
         return estimator
+
+    def _relation_stats(self, name: str) -> RelationStats | None:
+        """*name*'s statistics, read once per optimize() call (shared with
+        the estimators' :attr:`~BodyEstimator.catalog`)."""
+        catalog = self._catalog
+        if name not in catalog:
+            catalog[name] = self.stats.stats_for(name)
+        return catalog[name]
 
     # --------------------------------------------------------- OR subtrees
 
@@ -410,6 +445,8 @@ class Optimizer:
             elif strategy == "kbz":
                 result = kbz_order(body, initially_bound, estimator)
             elif strategy == "annealing":
+                if self._rng is None:
+                    self._rng = random.Random(self.config.seed)
                 result = annealing_order(
                     body, initially_bound, estimator,
                     rng=random.Random(self._rng.randrange(2**30)),
@@ -919,7 +956,7 @@ class Optimizer:
                 base_name, pattern = split_adorned_name(literal.predicate)
                 if pattern is not None:
                     break  # reached the recursive literal: prefix ends
-                stats = self.stats.stats_for(literal.predicate)
+                stats = self._relation_stats(literal.predicate)
                 if stats is None or stats.acyclic is not True:
                     return False
         return True

@@ -28,7 +28,8 @@ protocol.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress
 from operator import and_, itemgetter
 from typing import Callable, Iterable, Mapping, Protocol
@@ -58,12 +59,39 @@ class RelationStats:
 
     ``acyclic`` is three-valued: True/False when known (declared or
     computed for binary relations), ``None`` when unknown — the optimizer
-    treats unknown as cyclic for safety.
+    treats unknown as cyclic for safety.  Statistics built by
+    :meth:`unsettled` compute it at its first read.
     """
 
     cardinality: float
     columns: tuple[ColumnStats, ...]
     acyclic: bool | None = None
+    #: what computes ``acyclic`` of :meth:`unsettled` statistics
+    settle: Callable[[], bool | None] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def unsettled(
+        cls, cardinality: float, columns: tuple[ColumnStats, ...], settle: Callable[[], bool | None]
+    ) -> "RelationStats":
+        """Statistics whose ``acyclic`` slot stays empty until its first
+        read, which fills it from *settle*."""
+        stats = object.__new__(cls)
+        object.__setattr__(stats, "cardinality", cardinality)
+        object.__setattr__(stats, "columns", columns)
+        object.__setattr__(stats, "settle", settle)
+        return stats
+
+    def __getattr__(self, name: str):
+        # reached only for an empty slot: the acyclic flag of unsettled
+        # statistics, not computed yet
+        if name != "acyclic":
+            raise AttributeError(name)
+        acyclic = self.settle()
+        object.__setattr__(self, "acyclic", acyclic)
+        object.__setattr__(self, "settle", None)
+        return acyclic
 
     @property
     def arity(self) -> int:
@@ -182,6 +210,16 @@ def collect_statistics(
     return RelationStats(cardinality=cardinality, columns=columns, acyclic=acyclic)
 
 
+#: :attr:`LiveStatistics.acyclic` of a graph whose flag nobody read yet
+_UNREAD = object()
+
+
+def _acyclic_now(relation: Relation) -> bool:
+    """Kahn's test over a binary relation's stored edges."""
+    store = relation.batch_store(relation.interner)
+    return _is_acyclic_binary(_cycle_candidates(*store.columns, *map(set, store.columns)))
+
+
 def _closes_a_cycle(store: IdRelation, edges: list[tuple[int, int]]) -> bool | None:
     """Whether one of *edges*, all stored, lies on a cycle: a search from
     its target back to its source over the position-0 bucket map.  The
@@ -221,22 +259,26 @@ class LiveStatistics:
     recomputed from the counter's keys only when an extreme value's last
     row goes.
 
-    The ``acyclic`` flag of a binary relation can change two ways only.
-    An insert into an acyclic graph is probed: an edge whose source has
-    no edge in, or whose target none out, closes no cycle; any other is
-    searched for (:func:`_closes_a_cycle`), and Kahn's test settles it
-    when the search runs over budget.  A removal from a cyclic graph
-    reruns Kahn's test.
+    The ``acyclic`` flag of a binary relation is computed (Kahn's test)
+    at its first read only — only the counting method asks — and kept
+    from then on.  It can change two ways only.  An insert into an
+    acyclic graph is probed: an edge whose source has no edge in, or
+    whose target none out, closes no cycle; any other is searched for
+    (:func:`_closes_a_cycle`), and Kahn's test settles it when the search
+    runs over budget.  A removal from a cyclic graph reruns Kahn's test.
     """
 
-    __slots__ = ("relation", "version", "counts", "stats", "log", "logged")
+    __slots__ = ("relation", "version", "counts", "stats", "log", "logged", "acyclic")
 
     def __init__(self, relation: Relation):
         self.relation = relation
         #: the relation's version the log brings these statistics up to
         self.version = relation.version
         self.counts: list[Counter] = []
-        self.stats = collect_statistics(relation, counts=self.counts)
+        stats = collect_statistics(relation, check_acyclic=False, counts=self.counts)
+        #: the kept flag; ``_UNREAD`` for a graph whose flag nobody read yet
+        self.acyclic: bool | None | object = _UNREAD if relation.arity == 2 else None
+        self.stats = self._served(stats.cardinality, stats.columns)
         #: (changed id rows, whether they were added) per write, oldest first
         self.log: list[tuple[set[IdRow], bool]] = []
         self.logged = 0
@@ -262,6 +304,15 @@ class LiveStatistics:
             self._fold()
         return self.stats
 
+    def _served(self, cardinality: float, columns: tuple[ColumnStats, ...]) -> RelationStats:
+        """The statistics a read returns: a graph's flag, until someone
+        reads it, is computed then, over the relation as it is at that
+        read.  (They hold the relation, not these statistics, so that
+        reference counting frees both.)"""
+        if self.acyclic is _UNREAD:
+            return RelationStats.unsettled(cardinality, columns, partial(_acyclic_now, self.relation))
+        return RelationStats(cardinality, columns, self.acyclic)
+
     def _fold(self) -> None:
         log, self.log, self.logged = self.log, [], 0
         decode = self.relation.interner.terms.__getitem__
@@ -284,16 +335,20 @@ class LiveStatistics:
         for position in stale:
             spans[position] = _numbers(self.counts[position], decode)
         cardinality = float(len(self.relation))
-        self.stats = RelationStats(
-            cardinality=cardinality,
-            columns=tuple(_column(c, cardinality, s) for c, s in zip(self.counts, spans)),
-            acyclic=self._acyclic(log),
+        self.acyclic = self._acyclic(log)
+        self.stats = self._served(
+            cardinality, tuple(_column(c, cardinality, s) for c, s in zip(self.counts, spans))
         )
 
-    def _acyclic(self, log: list[tuple[set[IdRow], bool]]) -> bool | None:
-        acyclic = self.stats.acyclic
-        if acyclic is None or not acyclic and all(adding for _rows, adding in log):
-            return acyclic  # not a graph, or a cyclic one that only grew
+    def _acyclic(self, log: list[tuple[set[IdRow], bool]]) -> bool | None | object:
+        acyclic = self.acyclic
+        if acyclic is _UNREAD and self.stats.settle is None:
+            # the served flag was read: of the relation as at that read,
+            # with none, some or all of the *log* applied, and every
+            # step below holds from any of those states
+            acyclic = self.stats.acyclic
+        if acyclic is None or acyclic is _UNREAD or not acyclic and all(adding for _rows, adding in log):
+            return acyclic  # not a graph, not read yet, or a cyclic one that only grew
         store = self.relation.batch_store(self.relation.interner)
         if acyclic:
             has_out, has_in = self.counts

@@ -486,10 +486,11 @@ def test_a_literal_is_adorned_once_per_mask(monkeypatch):
     assert optimizer.counters["order_evaluations"] > 100  # a real search ran
 
 
-def test_the_profile_memo_dies_with_the_optimizer():
+def test_the_profile_memo_dies_with_the_rule_base():
     """No process-global cache: the memo is the optimizer's own dict,
-    shared by the estimators it builds; a write drops the optimizer, and
-    plain reference counting frees it (no cycle through the estimator)."""
+    shared by the estimators it builds.  It reads the rules alone, so a
+    data write keeps it; a rules change drops the optimizer, and plain
+    reference counting frees it (no cycle through the estimator)."""
     import gc
     import weakref
 
@@ -503,10 +504,12 @@ def test_the_profile_memo_dies_with_the_optimizer():
     assert BodyEstimator(kb.db).profiles == {}
     memo, gone = optimizer._profiles, weakref.ref(optimizer)
     del optimizer
+    kb.facts("f", [(3, 6)])
+    assert kb.optimizer._profiles is memo
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        kb.facts("f", [(3, 6)])
+        kb.rules("r(X) <- e(X, X).")
         assert kb._optimizer is None and gone() is None
     finally:
         if was_enabled:

@@ -1,5 +1,8 @@
 """Unit tests for literals, rules and programs."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.datalog.literals import Literal, PredicateRef, comparison, lit, pred_ref
@@ -38,6 +41,52 @@ def test_literal_variables_and_ground():
     assert literal.variables == {X}
     assert not literal.is_ground
     assert lit("p", "a", 1).is_ground
+
+
+def test_literal_hash_is_the_field_tuple_hash_computed_once():
+    struct = parse_rule("p(f(X, g(Y)), 3, X) <- q(X).").head
+    for literal in (lit("up", X, "a"), lit("p", X, negated=True), Literal("=", (X, Y)), struct):
+        assert hash(literal) == hash((literal.predicate, literal.args, literal.negated))
+    assert struct.variables == {X, Y}
+    # the cached fields take no part in equality
+    assert lit("p", X, "a") == Literal("p", (X, Constant("a")))
+    assert lit("p", X) != lit("p", X, negated=True)
+    assert {lit("p", X): 1}[Literal("p", [X])] == 1  # a list of args is stored as a tuple
+
+
+def test_literal_replace_recomputes_its_cached_fields():
+    literal = lit("p", X, "a")
+    moved = dataclasses.replace(literal, args=(Y, Z))
+    assert moved.variables == {Y, Z}
+    assert hash(moved) == hash(("p", (Y, Z), False)) and moved == lit("p", Y, Z)
+    negated = dataclasses.replace(literal, negated=True)
+    assert hash(negated) == hash(("p", literal.args, True)) and negated.variables == {X}
+    with pytest.raises(ValueError):
+        dataclasses.replace(Literal("<", (X, Y)), negated=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(Literal("<", (X, Y)), args=(X,))
+    with pytest.raises(TypeError):
+        Literal("p", (X,), variables=frozenset())  # not a constructor argument
+
+
+def test_literal_pickles_and_survives_save_and_load(tmp_path):
+    from repro import KnowledgeBase
+
+    rule = parse_rule("p(X, f(Y)) <- q(X, Y), ~r(Y), X < 3.")
+    for literal in (rule.head, *rule.body):
+        copy = pickle.loads(pickle.dumps(literal))
+        assert copy == literal and hash(copy) == hash(literal)
+        assert copy.variables == literal.variables
+    assert pickle.loads(pickle.dumps(rule)) == rule
+    kb = KnowledgeBase()
+    kb.rules(str(rule))
+    kb.facts("q", [(1, 2), (5, 6)])
+    kb.facts("r", [(6,)])
+    kb.save(str(tmp_path))
+    loaded = KnowledgeBase.load(str(tmp_path))
+    assert loaded.program.rules == (rule,)
+    assert {hash(l) for l in loaded.program.rules[0].body} == {hash(l) for l in rule.body}
+    assert set(loaded.ask("p(X, Y)?").to_python()) == set(kb.ask("p(X, Y)?").to_python())
 
 
 def test_literal_with_predicate_rename():
