@@ -362,8 +362,13 @@ class Interpreter:
 
     # --------------------------------------------------------------- nodes
 
-    def execute(self, node: UnionNode | FixpointNode, keys: Keys) -> IdRelation:
-        """All head tuples of *node* matching *keys* (all of them if None)."""
+    def execute(
+        self, node: UnionNode | FixpointNode, keys: Keys, code: PlanCode | None = None
+    ) -> IdRelation:
+        """All head tuples of *node* matching *keys* (all of them if None).
+        *code* keeps what this execution lowers, as in :meth:`run`."""
+        if code is not None:
+            self._code = code
         cache_key = (id(node), keys)
         hit = self._cache.get(cache_key)
         if hit is not None:

@@ -1,66 +1,58 @@
 """Incremental maintenance of materialized views (counting + DRed).
 
 LDL includes updates among its constructs ([NK] in the paper's
-references); the natural companion on the evaluation side is keeping a
-materialized derived relation consistent under fact insertions and
-deletions without recomputation.  The machinery here is the classical
-pair, applied per stratum of the dependency graph:
+references); the evaluation side's companion keeps a materialized
+derived relation consistent under fact insertions and deletions
+without recomputation.  Per stratum of the dependency graph:
 
-* **counting** — for the non-recursive strata the view set tracks, per
-  derived tuple, its number of distinct immediate derivations.  A
-  delta is finite-differenced through each rule (delta at one body
-  position, pre-update extensions on one side, post-update on the
-  other, so every new or lost derivation is counted exactly once); a
-  tuple whose support goes ``0 -> n`` is a genuine insert, one whose
-  support drops ``n -> 0`` is a genuine delete — no rederivation pass is
-  ever needed, and a tuple with an alternative derivation through a
-  *different rule* of the same view simply keeps a positive count;
-* **DRed** (delete-and-rederive) — recursive strata cannot carry finite
-  derivation counts usefully, so deletions there over-delete every
-  tuple with a suspect derivation (evaluated against the *pre-deletion*
-  extensions — the classical algorithm; using post-deletion state would
-  miss derivations that used two deleted tuples at once, e.g. a deleted
-  row joined with itself), then re-derive the survivors from what
-  remains; insertions propagate semi-naively from the delta.
+* **counting** — a non-recursive stratum tracks, per derived tuple, its
+  number of distinct immediate derivations.  A delta is
+  finite-differenced through each rule (delta at one body position,
+  pre-update extensions on one side, post-update on the other, so every
+  new or lost derivation is counted once); support ``0 -> n`` is a
+  genuine insert, ``n -> 0`` a genuine delete, and a tuple with another
+  derivation, through any rule, keeps a positive count;
+* **DRed** (delete-and-rederive) — a recursive stratum over-deletes
+  every held tuple with a suspect derivation, evaluated against the
+  *pre-deletion* extensions (post-deletion state would miss derivations
+  that used two deleted tuples at once, e.g. a row joined with itself),
+  leaving the views untouched.  Rederivation is one *witness* pass:
+  each rule fires once, entered with the suspects of its head, against
+  the post-delete base and those views; a witness row is a derivation's
+  head plus its body rows over the stratum.  A witness with no suspect
+  in its body proves its head; any other proves it once each of its
+  distinct suspects is proved (unit propagation).  The proved suspects
+  are the least fixpoint of the rules over the views minus the
+  suspects — exactly what DRed's discard-then-rederive loop re-adds —
+  so mutually supporting suspects on a cycle stay lost, and only the
+  unproved suspects are discarded.  Insertions propagate semi-naively.
 
 Both directions touch only the strata downstream of the mutated
-relation and do work proportional to the deltas flowing through them —
-a write never re-materializes an unaffected view.
+relation and do work proportional to the deltas flowing through them.
 
 Stratified negation and grouping (LDL++ maintains both stratum by
 stratum) ride the same routines.  ``~q(...)`` reads as a positive
 literal over q's complement: an insert into q is a *loss* there and a
 delete a *gain*, so each negated literal gets a firing that joins q's
-delta positively, delta first, with the opposite sign.  A counting
-stratum folds it into its signed telescope; a recursive one seeds DRed's
-over-deletion with every loss (positive deletes, negated inserts) and
-its semi-naive insertion with every gain, losses first, and
-rederivation checks ``~q`` against the new state.  A stratum's net delta
-is therefore signed.  An **aggregate rule** fires with a projection
-head (grouping arguments, then aggregated variables), counted, so each
-distinct derivation counts once as in ``aggregate_rows``, into the
+delta positively, delta first, with the opposite sign; a stratum's net
+delta is signed.  An **aggregate rule** fires with a projection head
+(grouping arguments, then aggregated variables), counted, into the
 rule's :class:`~repro.engine.operators.GroupFolds`: a group keeps its
-derivation count and an exact running total per ``sum`` / ``avg``
-(equal to a recomputed one in any order), ``min_of`` / ``max_of``
-re-fold only the touched groups through a firing keyed on the group
-key, a group whose count reaches 0 disappears, and a changed group's old
-row goes out as a delete and its new one as an insert — an ordinary
-delta for the strata above.
+derivation count and an exact running total per ``sum`` / ``avg``,
+``min_of`` / ``max_of`` re-fold only the touched groups through a
+firing keyed on the group key, and a changed group's old row goes out
+as a delete and its new one as an insert.
 
-Only what is maintenance's own lives here: the strata, the delta-first
-body orders, the counting telescope, DRed's loops.  A rule is *fired*
-by :meth:`~repro.engine.fixpoint.FixpointEngine.fire`, the fixpoint's
-own routine: scheduled once per body position a delta can arrive at,
-that literal first, and lowered to the columnar steps a fixpoint round
-runs (the engine's reference branch when its shape needs unification).
-Everything is in id space: an extension is the
-:class:`~repro.storage.columnar.IdRelation` the materializing fixpoint
-left, a delta is the id rows ``Database.add`` / ``remove`` returned, a
-base literal probes the relation's own store.
+A rule is *fired* by :meth:`~repro.engine.fixpoint.FixpointEngine.fire`,
+the fixpoint's own routine: scheduled once per body position a delta
+can arrive at, that literal first, and lowered to columnar steps (the
+engine's reference branch when its shape needs unification).  All in id
+space: an extension is the :class:`~repro.storage.columnar.IdRelation`
+the materializing fixpoint left, a delta the id rows ``Database.add`` /
+``remove`` returned.
 
 Restrictions: the program must be stratified, and an aggregate rule may
-not define a recursive predicate (its groups would have to live through
-DRed).  :class:`ViewSet` enforces both at materialization time.
+not define a recursive predicate.  :class:`ViewSet` enforces both.
 """
 
 from __future__ import annotations
@@ -111,12 +103,11 @@ class _ViewRule(NamedTuple):
     #: the head predicate
     head: str
     #: the body in safe order with nothing driving it: materialization's
-    #: counts, rederivation when the candidates cannot seed it
+    #: counts, and the order of the keyed and witness forms
     full: _ScheduledRule
-    #: the rule entered with keys over a prefix of its head as input
-    #: batch (when they lay out as keys): candidate rows to rederive, or
-    #: group keys to re-fold a ``min_of`` / ``max_of``
-    keyed: "tuple[_batch.KeyLayout, _ScheduledRule] | None"
+    #: a ``min_of`` / ``max_of`` rule entered with group keys, to re-fold
+    #: the touched groups (:meth:`ViewSet._keyed_form`)
+    keyed: "tuple | None"
     firings: tuple[_Firing, ...]
     #: an aggregate rule's groups (its entries carry the projection head)
     group: "GroupFolds | None" = None
@@ -186,6 +177,8 @@ class ViewSet:
         #: base extensions minus rows the database already holds but the
         #: views have not been told about yet — see :meth:`delete`
         self._masked: dict[str, IdRelation] = {}
+        #: per recursive stratum, its rules' witness forms
+        self._witnesses: dict[frozenset[str], tuple] = {}
         self._validate_and_collect()
 
     # ------------------------------------------------------------ set-up
@@ -201,25 +194,12 @@ class ViewSet:
             names = frozenset(ref.name for ref in component if ref.name in derived)
             if not names:
                 continue  # base-only component
-            recursive = len(component) > 1 or graph.is_recursive(
-                next(iter(component))
-            )
-            rules = tuple(
-                self._view_rule(rule, recursive)
-                for rule in self.program if rule.head.predicate in names
-            )
-            self._strata.append(
-                _Stratum(
-                    names=names,
-                    rules=rules,
-                    recursive=recursive,
-                    body_predicates=frozenset(
-                        firing.predicate for rule in rules for firing in rule.firings
-                    ),
-                )
-            )
+            recursive = len(component) > 1 or graph.is_recursive(next(iter(component)))
+            rules = tuple(self._view_rule(r) for r in self.program if r.head.predicate in names)
+            body = frozenset(firing.predicate for rule in rules for firing in rule.firings)
+            self._strata.append(_Stratum(names, rules, recursive, body))
 
-    def _view_rule(self, rule: Rule, recursive: bool) -> _ViewRule:
+    def _view_rule(self, rule: Rule) -> _ViewRule:
         """*rule* scheduled every way maintenance fires it — decided once:
         the orders depend only on the rule and the builtin registry."""
         oracle = builtin_oracle(self.builtins)
@@ -227,8 +207,7 @@ class ViewSet:
         if order is None:  # pragma: no cover - validated earlier
             raise KnowledgeBaseError(f"rule '{rule}' has no safe order")
         body = tuple(rule.body[i] for i in order)
-        head, group = rule.head, None
-        keys = head.args if recursive else None
+        head, group, keys = rule.head, None, None
         if rule.is_aggregate:
             group = GroupFolds(head, self._interner)
             head = group.projection
@@ -249,17 +228,22 @@ class ViewSet:
                 origin.index(position), origin, literal.negated,
             ))
         in_order = Rule(head, body)
-        keyed = None
-        if keys is not None:
-            layout = _batch.key_layout(keys)
-            if not isinstance(layout, str):
-                entry = schedule(in_order, reorder=False, bound=layout.schema)
-                if entry.plan is not None:
-                    keyed = (layout, entry)
         return _ViewRule(
-            rule.head.predicate, schedule(in_order, reorder=False), keyed,
+            rule.head.predicate, schedule(in_order, reorder=False),
+            None if keys is None else self._keyed_form(keys, in_order),
             tuple(firings), group,
         )
+
+    def _keyed_form(self, keys: tuple, rule: Rule) -> tuple:
+        """*rule* entered with ground rows for *keys*, its head's leading
+        arguments, as its input batch when they lay out as keys and it
+        lowers so; else ``(None, rule)``, fired whole and filtered."""
+        layout, schedule = _batch.key_layout(keys), self._engine.scheduled
+        if not isinstance(layout, str):
+            entry = schedule(rule, reorder=False, bound=layout.schema)
+            if entry.plan is not None:
+                return layout, entry
+        return None, schedule(rule, reorder=False)
 
     @staticmethod
     def _delta_first_order(
@@ -294,7 +278,7 @@ class ViewSet:
                 found = self._engine.fire(rule.full, self._extension_at, counted=True)
                 if rule.group is not None:
                     rule.group.state.clear()
-                    found = rule.group.fold(found, lambda keys: self._keyed(rule, keys))
+                    found = rule.group.fold(found, lambda keys: self._fire_keyed(rule.keyed, keys))
                 self._counts[rule.head].update(found)
 
     # ------------------------------------------------------------ access
@@ -337,23 +321,19 @@ class ViewSet:
     # -------------------------------------------------------- rule firing
 
     def _extension(self, name: str):
-        """What *name* denotes now: a view, a base relation (with the
-        rows :meth:`delete` was asked to hide taken out), or nothing."""
+        """The id store *name* denotes now: a view, a base relation's
+        (with the rows :meth:`delete` was asked to hide taken out), or
+        an empty one."""
         found = self._stored.get(name)
         if found is None:
             found = self._masked.get(name)
         if found is None:
             found = self.db.get(name)
-        return found if found is not None else IdRelation(self._interner)
+            return IdRelation(self._interner) if found is None else found.batch_store(self._interner)
+        return found
 
     def _extension_at(self, position: int, literal: Literal):
         return self._extension(literal.predicate)
-
-    def _id_rows(self, name: str) -> "set[IdRow]":
-        extension = self._extension(name)
-        if not isinstance(extension, IdRelation):
-            extension = extension.batch_store(self._interner)
-        return extension.rows
 
     def _delta_stores(self, deltas: Signed) -> dict:
         """One store per delta side, shared by every firing that reads it."""
@@ -372,15 +352,11 @@ class ViewSet:
         over every position that carries one: with *effect* 0 the signed
         multiset of derivations gained (+) and lost (-), with +1 / -1 the
         rows of the firings with that effect (a positive literal's inserts
-        and a negated one's deletes gain).  Without *old* the other
-        positions read the current extensions.  With it the firing is
+        and a negated one's deletes gain).  With *old* the firing is
         finite-differenced: the delta at one position per pass, the
-        *pre-update* extension (``old(name)``) at earlier delta-carrying
-        positions and the post-update one at later ones (the mirror image
-        when not *inserting*; either split is exact), so every gained /
-        lost body assignment is seen at exactly one pass: counts stay
-        exact, and a rule carrying deltas at one position never asks for
-        an old extension."""
+        pre-update extension ``old(name)`` at earlier delta-carrying
+        positions and the current one at later ones (mirrored when not
+        *inserting*), so each gained / lost body assignment is seen once."""
         carrying = {f.position for f in rule.firings if f.predicate in deltas}
         out, fire = set() if effect else Counter(), self._engine.fire
         for firing in rule.firings:
@@ -415,27 +391,24 @@ class ViewSet:
         def old(name: str) -> IdRelation:
             if name not in memo:
                 gained, lost = deltas[name]
-                memo[name] = IdRelation(self._interner, rows=(self._id_rows(name) - gained) | lost)
+                memo[name] = IdRelation(self._interner, rows=(self._extension(name).rows - gained) | lost)
             return memo[name]
 
         return old
 
-    def _keyed(self, rule: _ViewRule, keys: "set[IdRow]") -> "set[IdRow]":
-        """The rows *rule* derives now whose leading fields are one of
-        *keys* (whole candidate rows, or group keys).  When those head
-        arguments lay out as keys, *keys* are the rule's input batch: the
-        body then probes its extensions with head-bound keys, so the cost
-        follows the keys the way delta-first firings follow the delta.  A
-        struct-with-variable argument falls back to filtering the rule's
-        full derivation set."""
+    def _fire_keyed(self, form: tuple, keys: "set[IdRow]") -> "set[IdRow]":
+        """The rows *form*'s rule (:meth:`_keyed_form`) derives now whose
+        leading fields are one of *keys*.  Keyed, the body probes its
+        extensions with head-bound keys, so the cost follows the keys the
+        way delta-first firings follow the delta."""
+        (layout, entry), at = form, self._extension_at
         if not keys:
             return set()
-        fire, at = self._engine.fire, self._extension_at
-        if rule.keyed is None:
+        if layout is None:
             width = len(next(iter(keys)))
-            return {row for row in fire(rule.full, at) if row[:width] in keys}
-        batch = _batch.key_batch(rule.keyed[0], keys)
-        return fire(rule.keyed[1], at, batch=batch) if batch[1] else set()
+            return {row for row in self._engine.fire(entry, at) if row[:width] in keys}
+        batch = _batch.key_batch(layout, keys)
+        return self._engine.fire(entry, at, batch=batch) if batch[1] else set()
 
     def _propagate(self, base_rows, inserting: bool) -> Deltas:
         """Walk the strata in dependency order, handing each the deltas
@@ -461,15 +434,10 @@ class ViewSet:
 
     def insert(self, base_rows: Mapping[str, Iterable[IdRow]]) -> Deltas:
         """Propagate base-fact insertions (base predicate -> new id rows,
-        all predicates of one update at once); returns per changed derived
-        predicate the id rows it gained or lost, either way (above a
-        negation an insert removes): the count the benchmark ledger
-        reports as ``engine.view_delta_rows``.
-
-        The base tuples must already be present in the database and must
-        be genuinely new (the caller inserts them first and filters
-        duplicates); this routine only updates the views.
-        """
+        already in the database and genuinely new; all predicates of one
+        update at once); returns per changed derived predicate the id rows
+        it gained or lost, either way (above a negation an insert
+        removes): the ledger's ``engine.view_delta_rows``."""
         return self._propagate(base_rows, inserting=True)
 
     def delete(
@@ -477,29 +445,21 @@ class ViewSet:
         base_rows: Mapping[str, Iterable[IdRow]],
         pending_inserts: Mapping[str, "set[IdRow]"] | None = None,
     ) -> Deltas:
-        """Propagate base-fact deletions (base predicate -> removed id
-        rows, all predicates of one update at once); returns the derived
-        rows that changed, as :meth:`insert` does.
-
-        The base tuples must already be removed from the database; this
-        routine moves derivation counts in the counting strata and runs
-        DRed in the recursive ones.  All of an update's deletions must
-        arrive in one call: over-deletion evaluates against the
-        pre-deletion extensions, which it can only reconstruct from the
-        complete delta.  *pending_inserts* names base tuples the database
-        already holds but :meth:`insert` has not been called for yet (a
-        committing transaction that both retracted and inserted); they
-        are hidden for the duration, so a derivation pairing a deleted
-        tuple with a not-yet-propagated one — which the views never
-        counted — is not subtracted.
-        """
+        """Propagate base-fact deletions (base predicate -> id rows
+        already removed from the database); returns the derived rows that
+        changed, as :meth:`insert` does.  All of an update's deletions
+        must arrive in one call: over-deletion reconstructs the
+        pre-deletion extensions from the complete delta.
+        *pending_inserts* names base tuples the database holds but
+        :meth:`insert` has not been told of yet (a committing transaction
+        that both retracted and inserted); they are hidden meanwhile, so
+        a derivation pairing a deleted tuple with one the views never
+        counted is not subtracted."""
         if not any(base_rows.values()):
             return {}
         for name, rows in (pending_inserts or {}).items():
             if rows:
-                self._masked[name] = IdRelation(
-                    self._interner, rows=self._id_rows(name) - rows
-                )
+                self._masked[name] = IdRelation(self._interner, rows=self._extension(name).rows - rows)
         try:
             return self._propagate(base_rows, inserting=False)
         finally:
@@ -513,7 +473,7 @@ class ViewSet:
         for rule in stratum.rules:
             fired = self._fire_deltas(rule, stores, old, inserting)
             if fired and rule.group is not None:
-                fired = rule.group.fold(fired, lambda keys: self._keyed(rule, keys))
+                fired = rule.group.fold(fired, lambda keys: self._fire_keyed(rule.keyed, keys))
             if fired:
                 moved.setdefault(rule.head, Counter()).update(fired)
         out: Signed = {}
@@ -556,45 +516,83 @@ class ViewSet:
             old = None
         return reached
 
+    def _witness_form(self, names: frozenset[str], rule: _ViewRule) -> tuple:
+        """*rule* firing its witnesses: the head's arguments, then those of
+        each positive body literal over a predicate of *names* (the spans
+        say where), entered with candidate head rows as its input batch
+        when the head lays out as keys, else fired whole and filtered."""
+        head, body = rule.full.rule.head, rule.full.rule.body
+        args, spans = list(head.args), []
+        for literal in body:
+            if not literal.negated and literal.predicate in names:
+                spans.append((literal.predicate, len(args), len(args) + literal.arity))
+                args += literal.args
+        witness = Rule(Literal(head.predicate, tuple(args)), body)
+        return self._keyed_form(head.args, witness), tuple(spans)
+
+    def _unproved(self, stratum: _Stratum, suspects: Deltas) -> Deltas:
+        """The *suspects* no derivation supports once they are gone: one
+        witness firing per rule against the untouched views, then unit
+        propagation — a witness with no suspect among its stratum body
+        rows proves its head, any other proves it once each of its
+        distinct suspects is proved.  The proved rows are the least
+        fixpoint of the rules over the views minus the suspects (what
+        DRed's rederivation re-adds), so suspects that only support each
+        other through a cycle stay unproved."""
+        forms = self._witnesses.get(stratum.names)
+        if forms is None:  # scheduled at the stratum's first delete
+            forms = self._witnesses[stratum.names] = tuple(
+                self._witness_form(stratum.names, rule) for rule in stratum.rules
+            )
+        waiting: dict[tuple[str, IdRow], list] = {}
+        ready: list[tuple[str, IdRow]] = []
+        for rule, (form, spans) in zip(stratum.rules, forms):
+            width = rule.full.rule.head.arity
+            for w in self._fire_keyed(form, suspects[rule.head]):
+                need = {(name, w[a:b]) for name, a, b in spans if w[a:b] in suspects[name]}
+                count = [len(need), (rule.head, w[:width])]
+                for suspect in need:
+                    waiting.setdefault(suspect, []).append(count)
+                if not need:
+                    ready.append(count[1])
+        lost = {name: set(rows) for name, rows in suspects.items()}
+        while ready:
+            name, row = suspect = ready.pop()
+            if row in lost[name]:
+                lost[name].remove(row)
+                for count in waiting.pop(suspect, ()):
+                    count[0] -= 1
+                    if not count[0]:
+                        ready.append(count[1])
+        return lost
+
     def _recursive(self, stratum: _Stratum, external: Signed, inserting: bool) -> Signed:
         """A recursive stratum: DRed for the losses its external deltas
         carry, then semi-naive propagation of the gains."""
         stores = self._delta_stores(external)
-        # Phase 1 — over-delete.  A lost tuple (a positive literal's
-        # delete, a negated literal's insert) may invalidate any
-        # derivation that used it.  The first round fires the external
-        # losses (already applied to the database / the stored sets
-        # below) finite-differenced, which also catches a derivation that
-        # used two lost tuples at once; the stratum's own extensions are
-        # untouched until the phase ends, so they *are* the pre-deletion
-        # state for the rounds that follow.
+        # Over-delete.  A lost tuple (a positive literal's delete, a
+        # negated literal's insert) may invalidate any derivation that
+        # used it.  The first round fires the external losses (already
+        # applied to the database / the stored sets below)
+        # finite-differenced, which also catches a derivation that used
+        # two lost tuples at once; the stratum's own extensions stay
+        # untouched, so they *are* the pre-deletion state throughout.
         over = self._spread(stratum, stores, -1, self._old_extensions(external), inserting)
-        for name, suspects in over.items():
-            if suspects:
-                self._stored[name].discard(suspects)
-
-        # Phase 2 — re-derive survivors from what remains.  Every rule of
-        # the stratum is consulted (to fixpoint), so a tuple whose
-        # remaining derivation goes through a different rule than the one
-        # that over-deleted it is put back.  Rederivation is seeded with
-        # the still-missing candidates (see :meth:`_keyed`) — the cost
-        # follows the over-deleted set, not the view size; ``~q`` is
-        # checked against the new state.
-        changed = any(over.values())
-        while changed:
-            changed = False
-            for rule in stratum.rules:
-                stored = self._stored[rule.head]
-                missing = over[rule.head] - stored.rows
-                if missing and stored.absorb(self._keyed(rule, missing)):
-                    changed = True
-
-        # Phase 3 — propagate the gains (a positive literal's inserts, a
-        # negated literal's deletes) semi-naively from the delta: each
-        # round fires every rule once per delta-carrying position,
-        # against the accumulated extensions — never a from-scratch
-        # re-materialization.
+        # Rederive in one witness pass over the suspects, then discard,
+        # once, only the ones no witness supports: what DRed would have
+        # left out after discarding every suspect and re-deriving to
+        # fixpoint.  Every rule of the stratum is consulted, so a tuple
+        # whose remaining derivation goes through another rule survives;
+        # ``~q`` is checked against the new state.
+        lost = self._unproved(stratum, over) if any(over.values()) else over
+        for name, rows in lost.items():
+            if rows:
+                self._stored[name].discard(rows)
+        # Propagate the gains (a positive literal's inserts, a negated
+        # literal's deletes) semi-naively from the delta: each round
+        # fires every rule once per delta-carrying position, against the
+        # accumulated extensions — never a from-scratch re-materialization.
         added = self._spread(stratum, stores, 1)
-        held = self._stored  # a row over-deleted and added back did not change
-        return {name: (added[name] - lost if lost else added[name], lost - held[name].rows)
-                for name, lost in over.items()}
+        held = self._stored  # a row lost and added back did not change
+        return {name: (added[name] - rows if rows else added[name], rows - held[name].rows)
+                for name, rows in lost.items()}

@@ -201,6 +201,11 @@ class Optimizer:
         #: shares (:meth:`_estimator`); it reads the program alone, so it
         #: lives as long as the optimizer, up to MEMO_SIZE literals
         self._profiles: dict = {}
+        #: the rewritten clique programs samples ran, by value, and their
+        #: schedules and lowered rules (:meth:`_sample_card`): they read
+        #: the rules alone, so they too live as long as the optimizer
+        self._sample_programs: dict[Program, Program] = {}
+        self._sample_code = PlanCode()
         #: the statistics the optimize() call in flight read, by name
         self._catalog: dict[str, RelationStats | None] = {}
         self._diagnostics: list[str] = []
@@ -894,10 +899,16 @@ class Optimizer:
             keys = self._sample_keys(node)
             reason = "no base column binds its bound arguments"
         if keys:
+            if len(self._sample_programs) >= MEMO_SIZE:
+                self._sample_programs.clear()
+                self._sample_code = PlanCode()
+            program = self._sample_programs.setdefault(node.program, node.program)
             governor = make_governor(max_tuples=SAMPLE_TUPLES, max_iterations=None)
             interpreter = Interpreter(self.stats, builtins=self.builtins, governor=governor)
             try:
-                rows = len(interpreter.execute(node, keys))
+                rows = len(interpreter.execute(
+                    replace(node, program=program), keys, self._sample_code
+                ))
             except ExecutionError as err:
                 reason = f"the sample failed ({err.__class__.__name__})"
             else:

@@ -496,3 +496,162 @@ def test_struct_argument_view_is_maintained_on_the_reference_branch():
     assert kb.retract("p", [parse_query("p(f(k, a), 2)?").goal.args]) == 1
     assert kb.view_rows("q") == recompute(kb, "q") == {("n",)}
     assert sorted(kb.ask("q(X)?").to_python()) == [("n",)]
+
+
+# ------------------------------------------------- the witness pass
+
+
+def diamond_dag(layers=6, width=3):
+    """Each node of a layer points at two of the next: diamonds everywhere."""
+    return [
+        (f"n{layer}_{i}", f"n{layer + 1}_{(i + step) % width}")
+        for layer in range(layers - 1) for i in range(width) for step in (0, 1)
+    ]
+
+
+def test_a_retract_discards_exactly_the_rows_it_loses(monkeypatch):
+    """Over-deletion suspects every row with a derivation through the
+    edge; most of them have another path.  Only the rows left without
+    any derivation leave the view's store, and in one call."""
+    from repro.storage.columnar import IdRelation
+
+    edges = diamond_dag()
+    kb = tc_kb(edges)
+    views = kb.materialize()
+    discarded = []
+    real = IdRelation.discard
+
+    def spy(self, gone):
+        if self is views.ids("t"):
+            discarded.append(set(gone))
+        return real(self, gone)
+
+    monkeypatch.setattr(IdRelation, "discard", spy)
+    survivors = 0
+    for edge in edges[::4]:
+        before = kb.view_rows("t")
+        reaching = {x for x, y in before if y == edge[0]} | {edge[0]}
+        reached = {y for x, y in before if x == edge[1]} | {edge[1]}
+        suspects = {(x, y) for x, y in before if x in reaching and y in reached}
+        discarded.clear()
+        kb.retract("e", [edge])
+        after = kb.view_rows("t")
+        assert after == recompute(kb, "t")
+        lost = before - after
+        assert discarded == ([{INTERNER.lookup_row(row) for row in lost}] if lost else [])
+        survivors += len(suspects - lost)
+    assert survivors > 0  # the retracts did leave suspects with another path
+
+
+def test_a_retract_fires_each_rule_once_to_rederive(monkeypatch):
+    """Left-linear closure of a depth-10 chain with a bypass edge: every
+    row from the root past the bypass is a suspect whose proof needs the
+    one before it, which re-deriving to fixpoint took a pass per link
+    for.  The witness pass fires each rule once, keyed on the suspects."""
+    from repro.engine.fixpoint import FixpointEngine
+
+    kb = KnowledgeBase()
+    kb.rules("t(X, Y) <- e(X, Y). t(X, Y) <- t(X, Z), e(Z, Y).")
+    kb.facts("e", [(f"n{i}", f"n{i + 1}") for i in range(10)] + [("n0", "n2")])
+    kb.materialize()
+    keyed = []
+    real = FixpointEngine.fire
+
+    def spy(self, entry, *args, **kwargs):
+        if kwargs.get("batch") is not None:
+            keyed.append(entry.rule.head.predicate)
+        return real(self, entry, *args, **kwargs)
+
+    monkeypatch.setattr(FixpointEngine, "fire", spy)
+    kb.retract("e", [("n0", "n1")])
+    assert keyed == ["t", "t"]
+    assert kb.view_rows("t") == recompute(kb, "t")
+    assert ("n0", "n10") in kb.view_rows("t") and ("n0", "n1") not in kb.view_rows("t")
+
+
+def test_suspects_that_support_each_other_only_through_a_cycle_are_lost():
+    kb = KnowledgeBase()
+    kb.rules("t(X, Y) <- e(X, Y). t(X, Y) <- t(X, Z), t(Z, Y).")
+    kb.facts("e", [("a", "b"), ("b", "a")])
+    kb.materialize()
+    assert kb.view_rows("t") == {("a", "b"), ("b", "a"), ("a", "a"), ("b", "b")}
+    kb.retract("e", [("a", "b")])
+    assert kb.view_rows("t") == recompute(kb, "t") == {("b", "a")}
+
+
+def drive_against_recompute(rules, seed, steps=40, predicates=("e",), transactions=False):
+    """Random inserts and retracts over a small DAG-ish graph (in pairs
+    inside a transaction when asked); every derived view equals a
+    from-scratch evaluation after each step."""
+    import random
+
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    kb.rules(rules)
+    nodes = [f"n{i}" for i in range(7)]
+    pairs = [(a, b) for a in nodes for b in nodes if a < b]
+    facts = {name: set(rng.sample(pairs, 9)) for name in predicates}
+    for name, rows in facts.items():
+        kb.facts(name, sorted(rows))
+    views = kb.materialize()
+
+    def change():
+        name = rng.choice(predicates)
+        row = rng.choice(pairs)
+        if row in facts[name]:
+            facts[name].discard(row)
+            kb.retract(name, [row])
+        else:
+            facts[name].add(row)
+            kb.facts(name, [row])
+
+    for __ in range(steps):
+        if transactions:
+            with kb.transaction():
+                change()
+                change()
+        else:
+            change()
+        fresh = evaluate_program(kb.db, kb.program)
+        for name in views.predicates():
+            assert views.rows(name) == fresh.rows(name), name
+    return views
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_struct_head_witness_fires_unkeyed_and_equals_a_recompute(seed):
+    """``r(X, s(Y))`` does not lay out as keys: the witness form fires
+    whole, on the reference branch, and keeps the suspects' witnesses."""
+    views = drive_against_recompute(
+        "r(X, s(Y)) <- e(X, Y). r(X, s(Y)) <- e(X, Z), r(Z, s(Y)).", seed
+    )
+    forms = next(iter(views._witnesses.values()))
+    assert all(layout is None and entry.plan is None for (layout, entry), __ in forms)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_rule_that_does_not_lower_rederives_on_the_reference_branch(seed):
+    """``f(Z, W, W)`` repeats a free variable: that rule stays on the
+    reference evaluator, its witness form too."""
+    views = drive_against_recompute(
+        "t(X, Y) <- e(X, Y). t(X, Y) <- t(X, Z), f(Z, W, W), e(W, Y). f(X, Y, Y) <- g(X, Y).",
+        seed, predicates=("e", "g"),
+    )
+    entries = [entry for forms in views._witnesses.values() for (__, entry), __ in forms]
+    assert any(entry.plan is None for entry in entries)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_negation_inside_the_recursion_equals_a_recompute(seed):
+    """An insert into ``blocked`` is a loss for ``reach``: it seeds the
+    over-deletion, and the witnesses check ``~blocked`` in the new state."""
+    drive_against_recompute(
+        "reach(X, Y) <- e(X, Y), ~blocked(Y). "
+        "reach(X, Y) <- reach(X, Z), e(Z, Y), ~blocked(Y). blocked(Y) <- b(X, Y).",
+        seed, predicates=("e", "b"),
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_transactions_that_retract_and_insert_equal_a_recompute(seed):
+    drive_against_recompute(TC, seed, transactions=True)
