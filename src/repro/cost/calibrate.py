@@ -87,14 +87,15 @@ def _probe_workloads(seed: int, count: int):
 
 
 def _measure(db: Database, rule, method: str) -> float:
-    from ..engine.operators import BindingsTable, head_rows, scan_join
+    """The work of *rule*'s lowered join steps, each running *method*."""
+    from ..engine.batch import BatchExecutor, compile_batch_plan
     from ..engine.profiler import Profiler
 
     profiler = Profiler()
-    table = BindingsTable.unit()
-    for literal in rule.body:
-        table = scan_join(table, literal, db.relation(literal.predicate), method, profiler)
-    head_rows(table, rule.head, profiler)
+    plan = compile_batch_plan(rule, reorder=False, methods=(method,) * len(rule.body))
+    BatchExecutor().execute(
+        plan, lambda position, literal: db.relation(literal.predicate), profiler
+    )
     return float(profiler.total_work)
 
 

@@ -47,11 +47,11 @@ DerivedOracle = Callable[[Literal, BindingPattern], DerivedEstimate | None]
 
 #: Join / access methods a leaf step can be labelled with (the EL label
 #: set).  ``nested_loop`` and ``merge`` are only ever forced: a plan step
-#: carrying one runs on the reference operators.
+#: carrying one runs that variant of the lowered join step.
 LEAF_METHODS = ("index", "hash", "nested_loop", "merge")
 
-#: The labels a :class:`BodyEstimator` prices by default: the two joins
-#: the lowered executor runs.
+#: The labels a :class:`BodyEstimator` prices by default: the two join
+#: variants that probe bucket maps, which an unforced plan runs.
 EXECUTOR_METHODS = ("index", "hash")
 
 

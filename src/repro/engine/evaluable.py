@@ -13,6 +13,10 @@ the run-time face of unsafety.
 ``Z = X + 1`` evaluates the right side and binds ``Z``; ``pair(A, B) =
 pair(1, 2)`` decomposes.  Both directions work, matching Section 8.1's EC
 rule ("as soon as all the variables in expression are instantiated").
+Only the arithmetic written in the literal is folded: a value bound to a
+variable is data (complex terms are uninterpreted, as in LDL++), so a
+stored ``1 + 2`` is not ``3``, and an answer does not depend on whether
+the body binds a variable before or after the comparison.
 """
 
 from __future__ import annotations
@@ -50,41 +54,42 @@ def _as_number(term: Term, context: str) -> Number:
     raise ExecutionError(f"{context}: {term} is not a number")
 
 
-def eval_term(term: Term, subst: Substitution) -> Term:
-    """Normalize *term* under *subst*, folding arithmetic functors.
+def eval_term(term: Term, subst: Substitution, partial: bool = False) -> Term:
+    """*term* under *subst*, with the arithmetic written in *term* folded.
 
-    Non-arithmetic structs are evaluated structurally (their arguments are
-    normalized); arithmetic functors over numbers fold to constants.
-    Raises :class:`ExecutionError` if an arithmetic subterm still contains
-    an unbound variable — the unsafe-execution signal.
+    A value bound to a variable is data, never folded: a stored ``1 + 2``
+    is the struct ``1 + 2``, so arithmetic over it raises as arithmetic
+    over a string does.  Non-arithmetic structs are evaluated
+    structurally (their arguments are normalized).  Raises
+    :class:`ExecutionError` if an arithmetic subterm still contains an
+    unbound variable — the unsafe-execution signal — unless *partial*
+    asks to leave it unfolded.
     """
-    term = apply(term, subst)
-    return _fold(term)
-
-
-def _fold(term: Term) -> Term:
-    if isinstance(term, (Constant, Variable)):
+    if isinstance(term, Variable):
+        return apply(term, subst)
+    if isinstance(term, Constant):
         return term
-    args = tuple(_fold(a) for a in term.args)
-    if term.functor in ARITHMETIC_FUNCTORS:
-        for arg in args:
-            if isinstance(arg, Variable):
-                raise ExecutionError(
-                    f"arithmetic over unbound variable {arg} in {term} (unsafe execution)"
-                )
-        if term.functor in _UNARY_OPS and len(args) == 1:
-            value = _UNARY_OPS[term.functor](_as_number(args[0], str(term)))
-            return Constant(value)
-        if term.functor in _BINARY_OPS and len(args) == 2:
-            left = _as_number(args[0], str(term))
-            right = _as_number(args[1], str(term))
-            try:
-                value = _BINARY_OPS[term.functor](left, right)
-            except ZeroDivisionError:
-                raise ExecutionError(f"division by zero in {term}") from None
-            return Constant(value)
-        raise ExecutionError(f"unknown arithmetic form {term}")
-    return Struct(term.functor, args)
+    args = tuple(eval_term(a, subst, partial) for a in term.args)
+    if term.functor not in ARITHMETIC_FUNCTORS:
+        return Struct(term.functor, args)
+    for arg in args:
+        if not is_ground(arg):
+            if partial:
+                return Struct(term.functor, args)
+            raise ExecutionError(
+                f"arithmetic over unbound variable {arg} in {term} (unsafe execution)"
+            )
+    if term.functor in _UNARY_OPS and len(args) == 1:
+        return Constant(_UNARY_OPS[term.functor](_as_number(args[0], str(term))))
+    if term.functor in _BINARY_OPS and len(args) == 2:
+        left = _as_number(args[0], str(term))
+        right = _as_number(args[1], str(term))
+        try:
+            value = _BINARY_OPS[term.functor](left, right)
+        except ZeroDivisionError:
+            raise ExecutionError(f"division by zero in {term}") from None
+        return Constant(value)
+    raise ExecutionError(f"unknown arithmetic form {term}")
 
 
 def _order_key(term: Term) -> tuple:
@@ -135,12 +140,8 @@ def solve_comparison(literal: Literal, subst: Substitution) -> Substitution | No
     left_raw, right_raw = literal.args
 
     if literal.predicate == "=":
-        left = apply(left_raw, subst)
-        right = apply(right_raw, subst)
-        if is_ground(left):
-            left = _fold(left)
-        if is_ground(right):
-            right = _fold(right)
+        left = eval_term(left_raw, subst, partial=True)
+        right = eval_term(right_raw, subst, partial=True)
         if not is_ground(left) and not is_ground(right):
             raise ExecutionError(
                 f"'=' with both sides non-ground: {left} = {right} (unsafe execution)"

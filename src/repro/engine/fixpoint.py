@@ -6,40 +6,35 @@ inside each recursive clique and plain *naive* re-evaluation available
 for comparison (it is one of the recursive methods the OPT algorithm may
 cost, and the ablation benchmark measures the difference).
 
-A rule has exactly one executor, chosen once per rule from its shape:
-its lowered columnar plan (:mod:`repro.engine.batch`) when it has one,
-else the reference evaluator :meth:`FixpointEngine._eval_body`, which
-executes the body left to right over :class:`BindingsTable` pipelines
-with the unifying operators of :mod:`repro.engine.operators`.
+Every rule runs on its lowered columnar plan (:mod:`repro.engine.batch`):
+complex terms, repeated variables and struct-building heads lower too,
+so there is one executor and one workspace representation.  (The
+term-space evaluator the differential oracle compares against lives in
+:mod:`repro.testing.reference`.)
 
 Everything :meth:`FixpointEngine.evaluate` needs that the program alone
 decides is its *schedule*: the strata in evaluation order, and per rule
-its executor, body order and the positions a delta can drive.  It is
-built once per program (stratification checked then) and kept on a
+its lowered plan and the positions a delta can drive.  It is built once
+per program (stratification checked then) and kept on a
 :class:`~repro.plans.nodes.PlanCode` — the compiled query's, when the
 plan interpreter runs the engine, so it is built once per plan, not per
 ask — and an evaluation allocates workspaces only.
 
-The workspace has one representation per engine.  Compiled (the
-default), every derived extension is an
+Every derived extension is an
 :class:`~repro.storage.columnar.IdRelation` — a set of interned-id rows
 with the same rows as columns and bucket maps: seeds are encoded once on
-entry, a lowered rule's head comes back as id rows, a round's new rows
-are ``produced - full`` as one set difference appended in bulk, and each
+entry, a rule's head comes back as id rows, a round's new rows are
+``produced - full`` as one set difference appended in bulk, and each
 predicate's delta is one store per round shared by every firing that
 reads it.  Nothing is decoded until the caller asks
-:class:`EvaluationResult` for term rows.  A rule that does not lower
-crosses the boundary both ways: the reference operators probe the same
-stores and decode only the rows a key selects (and the round's delta
-whole), and its head rows are encoded on the way out.
-``compile=False`` keeps ``set[Row]`` workspaces and runs every rule on
-the reference — the oracle's baseline.  By default each body is first reordered by the greedy
-effective-computability order (:func:`repro.datalog.safety.exists_safe_order`)
-so evaluable predicates run only once their arguments are bound; the
-optimizer hands over bodies already in its chosen order, in which case
-reordering is disabled and the order is *trusted* — an unsafe order then
-raises :class:`~repro.errors.ExecutionError`, which is exactly the
-run-time behaviour the compile-time safety analysis exists to preclude.
+:class:`EvaluationResult` for term rows.  By default each body is first
+reordered by the greedy effective-computability order
+(:func:`repro.datalog.safety.exists_safe_order`) so evaluable predicates
+run only once their arguments are bound; the optimizer hands over bodies
+already in its chosen order, in which case reordering is disabled and
+the order is *trusted* — an unsafe order then raises
+:class:`~repro.errors.ExecutionError`, which is exactly the run-time
+behaviour the compile-time safety analysis exists to preclude.
 
 Termination guards are enforced by a
 :class:`~repro.engine.governor.ResourceGovernor` (built from
@@ -54,12 +49,12 @@ paper's "infinite cost".
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from ..datalog.graph import DependencyGraph
 from ..datalog.literals import Literal, PredicateRef, pred_ref
 from ..datalog.rules import Program, Rule
+from ..datalog.terms import Term
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
 from ..plans.nodes import PlanCode
@@ -67,30 +62,18 @@ from ..storage.catalog import Database
 from ..storage.columnar import IdRelation
 from . import batch as _batch
 from .governor import ResourceGovernor, adopt_governor, collector_paused
-from .operators import (
-    BindingsTable,
-    Row,
-    aggregate_rows,
-    head_rows,
-    reference_step,
-    step_kind,
-)
 from .profiler import Profiler
 
-#: A workspace entry: id space when compiled, term rows on the reference.
-Store = "IdRelation | set[Row]"
+Row = tuple[Term, ...]
 
 
 class _ScheduledRule(NamedTuple):
-    """A rule as the fixpoint fires it: on its lowered *plan*, or (None)
-    on the reference for *why*, which walks *body* — the execution order.
-    *deltas* lists, per body literal a delta can drive and in body order,
-    the clique predicate it reads and its position in execution order."""
+    """A rule as the fixpoint fires it: its lowered *plan*, and per body
+    literal a delta can drive (in body order) the clique predicate it
+    reads and its position in execution order."""
 
     rule: Rule
-    plan: "_batch.BatchPlan | None"
-    why: str
-    body: tuple[Literal, ...]
+    plan: "_batch.BatchPlan"
     deltas: tuple[tuple[str, int], ...]
 
 
@@ -108,13 +91,12 @@ class EvaluationResult:
     """The outcome of a fixpoint evaluation.
 
     :meth:`rows`, ``result[predicate]`` and :attr:`relations` hand out
-    ``frozenset[Row]`` extensions; after a compiled evaluation each
-    predicate is decoded when first read, then kept — a caller that
-    stays in id space (:meth:`ids`) or reads one predicate of many pays
-    for what it reads.
+    ``frozenset[Row]`` extensions, each predicate decoded when first
+    read, then kept — a caller that stays in id space (:meth:`ids`) or
+    reads one predicate of many pays for what it reads.
     """
 
-    def __init__(self, stores: Mapping[str, Store], iterations: int, profiler: Profiler):
+    def __init__(self, stores: Mapping[str, IdRelation], iterations: int, profiler: Profiler):
         self._stores = stores
         self._rows: dict[str, frozenset[Row]] = {}
         self.iterations = iterations
@@ -123,14 +105,8 @@ class EvaluationResult:
     def rows(self, predicate: str) -> frozenset[Row]:
         rows = self._rows.get(predicate)
         if rows is None:
-            store = self._stores.get(predicate)
-            if store is None:
-                return frozenset()
-            rows = self._rows[predicate] = (
-                store.interner.decode_rows(store.rows)
-                if isinstance(store, IdRelation)
-                else frozenset(store)
-            )
+            store = self.ids(predicate)
+            rows = self._rows[predicate] = store.interner.decode_rows(store.rows)
         return rows
 
     def __getitem__(self, predicate: str) -> frozenset[Row]:
@@ -141,11 +117,11 @@ class EvaluationResult:
         """Every derived (and seeded) extension, by predicate."""
         return {name: self.rows(name) for name in self._stores}
 
-    def ids(self, predicate: str) -> IdRelation | None:
-        """The extension as the evaluation left it in id space; None
-        after a ``compile=False`` evaluation or for an unknown predicate."""
+    def ids(self, predicate: str) -> IdRelation:
+        """The extension as the evaluation left it, in id space (an empty
+        store for a predicate it does not hold)."""
         store = self._stores.get(predicate)
-        return store if isinstance(store, IdRelation) else None
+        return store if store is not None else IdRelation(_batch.INTERNER)
 
 
 def stored_relation(db: Database, literal: Literal):
@@ -184,17 +160,12 @@ class FixpointEngine:
     reorder_bodies:
         When True (default) bodies are reordered by the greedy EC order
         before execution; when False the given order is trusted.
-    compile:
-        When True (default) each rule is lowered to a columnar plan
-        (:func:`repro.engine.batch.compile_batch_plan`) — once per
-        :attr:`code`, so once per compiled query when the plan
-        interpreter shares the query's, once per engine otherwise —
-        and derived extensions are id-space stores with persistent,
-        bulk-extended bucket maps; a rule whose shape does not lower (a
-        struct argument containing a variable, a repeated free variable)
-        runs on the reference evaluator over decoded views.  False
-        selects the reference evaluator and term-row workspaces for
-        every rule — the differential oracle's baseline.
+
+    Each rule is lowered to a columnar plan
+    (:func:`repro.engine.batch.compile_batch_plan`) once per :attr:`code`
+    — so once per compiled query when the plan interpreter shares the
+    query's, once per engine otherwise — and derived extensions are
+    id-space stores with persistent, bulk-extended bucket maps.
     """
 
     def __init__(
@@ -205,7 +176,6 @@ class FixpointEngine:
         max_tuples: int = 5_000_000,
         reorder_bodies: bool = True,
         builtins: "BuiltinRegistry | None" = None,
-        compile: bool = True,
         governor: "ResourceGovernor | None | bool" = None,
         tracer=NULL_TRACER,
         metrics=None,
@@ -223,7 +193,6 @@ class FixpointEngine:
         self.reorder_bodies = reorder_bodies
         self.builtins = builtins
         self._oracle = builtin_oracle(builtins)
-        self.compile = compile
         #: keeps schedules and lowered rules; private, unless the owner of
         #: a compiled query puts the query's own here
         self.code = PlanCode()
@@ -234,7 +203,7 @@ class FixpointEngine:
     def _extension(
         self,
         literal: Literal,
-        workspace: Mapping[str, Store],
+        workspace: Mapping[str, IdRelation],
         derived: frozenset[PredicateRef],
     ):
         """What *literal* currently denotes: its workspace entry, else
@@ -248,112 +217,41 @@ class FixpointEngine:
             return self._new_store(literal.arity)
         return stored_relation(self.db, literal)
 
-    def _new_store(self, arity: int | None = None, rows: Iterable[Row] = ()) -> Store:
-        if self.compile:
-            interner = self._batch_exec.interner
-            return IdRelation(interner, arity, interner.encode_rows(rows))
-        return set(tuple(r) for r in rows)
+    def _new_store(self, arity: int | None = None, rows: Iterable[Row] = ()) -> IdRelation:
+        interner = self._batch_exec.interner
+        return IdRelation(interner, arity, interner.encode_rows(rows))
 
-    @staticmethod
-    def _absorb(store: Store, produced: set) -> set:
-        """Add a firing's output to a workspace entry; the rows that
-        were new (the delta's share), as one set difference."""
-        if isinstance(store, IdRelation):
-            return store.absorb(produced)
-        new = produced - store
-        store |= new
-        return new
-
-    # -- rule bodies -----------------------------------------------------------
-
-    def _eval_body(
-        self,
-        body: Sequence[Literal],
-        extension_at: "_batch.StoreOf",
-        delta_literal: int | None = None,
-        delta_rows: Iterable[Row] | None = None,
-        head_name: str = "",
-    ) -> BindingsTable:
-        table = BindingsTable.unit()
-        # Span names below must match the labels the lowering bakes into
-        # its steps (f"{kind}:{head}:{pred}") so the span tree is
-        # identical whether a rule runs lowered or on the reference.
-        for position, literal in enumerate(body):
-            if not table.rows:
-                return table
-            kind = step_kind(literal, self.builtins)
-            driven = position == delta_literal and delta_rows is not None
-            with self.tracer.span(
-                f"{kind}:{head_name}:{literal.predicate}", kind="operator"
-            ) as span:
-                # an index join probes a store's bucket maps, which live
-                # on across rounds; a delta is hashed per call
-                method = "index" if kind == "join" and not driven else "hash"
-                if kind == "join":
-                    span.note(method=method)
-                table = reference_step(
-                    table, literal,
-                    (lambda stored: delta_rows) if driven
-                    else (lambda stored, position=position: extension_at(position, stored)),
-                    method, self.profiler, self.governor, self.builtins,
-                )
-        return table
+    # -- rules -------------------------------------------------------------------
 
     def fire(
         self,
         entry: _ScheduledRule,
         extension_at: "_batch.StoreOf",
         delta_position: int | None = None,
-        delta: Store | None = None,
+        delta: IdRelation | None = None,
         batch: "tuple[list[list[int]], int] | None" = None,
         counted: bool = False,
     ):
-        """One firing's head rows — the one routine a rule is fired by,
-        for the fixpoint's rounds and for view maintenance alike.  The
-        rows come in the representation of the caller's stores: id rows
-        when compiled, term rows on ``compile=False``.
+        """One firing's head id rows — the one routine a rule is fired
+        by, for the fixpoint's rounds and for view maintenance alike.
 
         ``extension_at(position, literal)`` is what the stored literal at
-        *position* of the execution order denotes: an id store, a stored
-        relation, or (``compile=False``) a set of term rows.  *delta* is
-        the delta for the literal at *delta_position*, in the same
-        representation.  *batch* (a lowered *entry* only) is the input
-        batch over the ``bound`` schema the entry was scheduled with;
-        *counted* asks for a ``Counter`` of head rows — one count per
-        distinct body assignment — instead of a set."""
-        rule, plan = entry.rule, entry.plan
-        with self.tracer.span(f"rule:{rule.head.predicate}", kind="rule") as span:
-            if plan is not None:
-                span.note(tier="batch", delta=delta_position is not None)
-                if self.metrics is not None:
-                    self.metrics.inc("batch_rules_total")
-                return self._batch_exec.execute(
-                    plan, extension_at, self.profiler,
-                    delta_position=delta_position, delta=delta,
-                    governor=self.governor, tracer=self.tracer,
-                    batch=batch, counted=counted,
-                )
-            span.note(tier="reference", why=entry.why, delta=delta_position is not None)
-            # The decode / encode boundary of a rule that does not lower
-            # inside a compiled evaluation.
-            interner = self._batch_exec.interner
-            if isinstance(delta, IdRelation):
-                delta = interner.decode_rows(delta.rows)
-            table = self._eval_body(
-                entry.body, extension_at, delta_position, delta,
-                head_name=rule.head.predicate,
+        *position* of the execution order denotes: an id store or a
+        stored relation.  *delta* is the delta for the literal at
+        *delta_position*.  *batch* is the input batch over the ``bound``
+        schema the entry was scheduled with; *counted* asks for a
+        ``Counter`` of head rows — one count per distinct body
+        assignment — instead of a set."""
+        with self.tracer.span(f"rule:{entry.rule.head.predicate}", kind="rule") as span:
+            span.note(tier="batch", delta=delta_position is not None)
+            if self.metrics is not None:
+                self.metrics.inc("batch_rules_total")
+            return self._batch_exec.execute(
+                entry.plan, extension_at, self.profiler,
+                delta_position=delta_position, delta=delta,
+                governor=self.governor, tracer=self.tracer,
+                batch=batch, counted=counted,
             )
-            if rule.is_aggregate:
-                rows = aggregate_rows(table, rule.head, self.profiler, governor=self.governor)
-            else:
-                rows = head_rows(
-                    table, rule.head, self.profiler, governor=self.governor, counted=counted
-                )
-            if not self.compile:
-                return rows
-            if counted:
-                return Counter({interner.encode_row(row): n for row, n in rows.items()})
-            return interner.encode_rows(rows)
 
     # -- the schedule ------------------------------------------------------------
 
@@ -365,24 +263,16 @@ class FixpointEngine:
         bound: tuple = (),
     ) -> _ScheduledRule:
         """*rule* as :meth:`fire` runs it: lowered (through the memo of
-        :attr:`code`) over the input schema *bound*, or on the reference
-        with the reason.  *reorder* searches a safe body order; without
-        it the given order is trusted.  *clique* names the predicates a
-        semi-naive round drives deltas through."""
-        plan, why = (
-            _batch.lower_rule(
-                self.code.memo, rule, reorder, self._oracle, self.builtins, bound
-            )
-            if self.compile else (None, "compile=False")
-        )
-        body, delta_map = (
-            ((), plan.delta_map) if plan is not None
-            else _batch.ordered_body(rule, reorder, self._oracle)
+        :attr:`code`) over the input schema *bound*.  *reorder* searches a
+        safe body order; without it the given order is trusted.  *clique*
+        names the predicates a semi-naive round drives deltas through."""
+        plan = _batch.lower_rule(
+            self.code.memo, rule, reorder, self._oracle, self.builtins, bound
         )
         return _ScheduledRule(
-            rule, plan, why, body,
+            rule, plan,
             tuple(
-                (literal.predicate, delta_map[i])
+                (literal.predicate, plan.delta_map[i])
                 for i, literal in enumerate(rule.body)
                 if not literal.is_comparison
                 and not literal.negated
@@ -432,14 +322,14 @@ class FixpointEngine:
         re-evaluation instead of semi-naive deltas.
         """
         derived, strata = self.code.once(
-            program, (self.compile, self.reorder_bodies), self._schedule, program
+            program, self.reorder_bodies, self._schedule, program
         )
         governor = self.governor
         if governor is not None:
             governor.arm()
         self.tracer.attach(self.profiler)
 
-        workspace: dict[str, Store] = {
+        workspace: dict[str, IdRelation] = {
             name: self._new_store(rows=rows) for name, rows in (seeds or {}).items()
         }
 
@@ -453,9 +343,8 @@ class FixpointEngine:
                     workspace[ref.name] = self._new_store(ref.arity)
             if not stratum.recursive:
                 for entry in stratum.rules:
-                    self._absorb(
-                        workspace[entry.rule.head.predicate],
-                        self.fire(entry, extension_at),
+                    workspace[entry.rule.head.predicate].absorb(
+                        self.fire(entry, extension_at)
                     )
                     if governor is not None:
                         governor.settle(self._live_tuples(workspace))
@@ -479,10 +368,10 @@ class FixpointEngine:
     # -- clique strategies ---------------------------------------------------
 
     @staticmethod
-    def _live_tuples(workspace: Mapping[str, Store]) -> int:
+    def _live_tuples(workspace: Mapping[str, IdRelation]) -> int:
         return sum(len(rows) for rows in workspace.values())
 
-    def _check_guards(self, workspace: Mapping[str, Store]) -> None:
+    def _check_guards(self, workspace: Mapping[str, IdRelation]) -> None:
         """Round-boundary guard check: refresh the governor's view of the
         workspace (which already holds this round's delta) and charge one
         fixpoint round against the iteration budget."""
@@ -492,7 +381,7 @@ class FixpointEngine:
     def _seminaive_clique(
         self,
         stratum: _Stratum,
-        workspace: dict[str, Store],
+        workspace: dict[str, IdRelation],
         extension_at: "_batch.StoreOf",
     ) -> int:
         names = [ref.name for ref in stratum.refs]
@@ -505,8 +394,8 @@ class FixpointEngine:
         with tracer.span("fixpoint:round:0", kind="round"):
             for entry in stratum.rules:
                 head_name = entry.rule.head.predicate
-                delta[head_name] |= self._absorb(
-                    workspace[head_name], self.fire(entry, extension_at)
+                delta[head_name] |= workspace[head_name].absorb(
+                    self.fire(entry, extension_at)
                 )
                 if governor is not None:
                     governor.settle(self._live_tuples(workspace))
@@ -515,14 +404,10 @@ class FixpointEngine:
         iterations = 1
         while any(delta.values()):
             with tracer.span(f"fixpoint:round:{iterations}", kind="round"):
-                if self.compile:
-                    # one delta store per predicate per round, shared by
-                    # every firing that reads it
-                    interner = self._batch_exec.interner
-                    delta = {
-                        name: IdRelation(interner, rows=rows)
-                        for name, rows in delta.items()
-                    }
+                # one delta store per predicate per round, shared by
+                # every firing that reads it
+                interner = self._batch_exec.interner
+                delta = {name: IdRelation(interner, rows=rows) for name, rows in delta.items()}
                 new_delta: dict[str, set] = {name: set() for name in names}
                 for entry in stratum.rules:
                     head_name = entry.rule.head.predicate
@@ -530,9 +415,8 @@ class FixpointEngine:
                         fired = delta[name]
                         if not fired:
                             continue
-                        new_delta[head_name] |= self._absorb(
-                            workspace[head_name],
-                            self.fire(entry, extension_at, position, fired),
+                        new_delta[head_name] |= workspace[head_name].absorb(
+                            self.fire(entry, extension_at, position, fired)
                         )
                         if governor is not None:
                             governor.settle(self._live_tuples(workspace))
@@ -546,7 +430,7 @@ class FixpointEngine:
     def _naive_clique(
         self,
         stratum: _Stratum,
-        workspace: dict[str, Store],
+        workspace: dict[str, IdRelation],
         extension_at: "_batch.StoreOf",
     ) -> int:
         governor = self.governor
@@ -557,9 +441,8 @@ class FixpointEngine:
                 iterations += 1
                 changed = False
                 for entry in stratum.rules:
-                    if self._absorb(
-                        workspace[entry.rule.head.predicate],
-                        self.fire(entry, extension_at),
+                    if workspace[entry.rule.head.predicate].absorb(
+                        self.fire(entry, extension_at)
                     ):
                         changed = True
                     if governor is not None:

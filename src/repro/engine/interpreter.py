@@ -17,22 +17,13 @@ sets of interned-id tuples and a node's result is an
 maps), from the fixpoint's workspace up to :class:`QueryAnswers`, which
 decodes only when a caller asks for terms or Python values.
 
-An AND node (the ``__query__`` wrapper included) is run one of two ways,
-chosen once per node from its shape and noted on its span as
-``tier``/``why``:
-
-* **lowered** — every step is flat and every stored step's EL label is
-  of the hash family (``hash``/``index``, ``pipelined``/``materialized``
-  children, ``anti_probe``): the steps are lowered with
-  :func:`repro.engine.batch.compile_batch_plan` and run by the shared
-  step executor over id columns.  A child's result store is probed
-  directly, sideways keys are the distinct tuples of the key columns,
-  the head is an id-space projection or group.
-* **reference** — a struct-with-variable or repeated-free-variable
-  literal needs unification, and a ``nested_loop``/``merge`` label asks
-  for that method's work profile: the node runs on the operators of
-  :mod:`repro.engine.operators` over :class:`BindingsTable`, reading
-  child extensions through their decoded views and encoding its head.
+An AND node (the ``__query__`` wrapper included) is lowered once per way
+of entering it (keyed or not) with
+:func:`repro.engine.batch.compile_batch_plan` — every step's EL label
+picks its join step's variant — and its steps run on the shared step
+executor over id columns.  A child's result store is probed directly,
+sideways keys are the distinct tuples of the key columns (a struct key
+built from them), the head is an id-space projection or group.
 
 CC nodes dispatch on their recursive-method label: ``seminaive``/``naive``
 compute the clique's full extension and probe it with the keys;
@@ -49,21 +40,14 @@ free after the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from ..datalog.bindings import QueryForm
 from ..datalog.intern import INTERNER
 from ..datalog.literals import Literal
 from ..datalog.rules import Rule
-from ..datalog.terms import (
-    Constant,
-    Term,
-    Variable,
-    is_ground,
-    term_from_python,
-)
-from ..datalog.unify import apply
+from ..datalog.terms import Constant, Term, Variable, term_from_python
 from ..errors import ExecutionError
 from ..obs.tracer import NULL_TRACER
 from ..plans.nodes import FixpointNode, JoinNode, JoinStep, PlanCode, UnionNode
@@ -72,18 +56,9 @@ from ..storage.columnar import IdRelation, IdRow
 from . import batch as _batch
 from .fixpoint import FixpointEngine, stored_relation
 from .governor import ResourceGovernor, adopt_governor, collector_paused
-from .operators import (
-    JOIN_METHODS,
-    BindingsTable,
-    Row,
-    aggregate_rows,
-    head_rows,
-    keys_table,
-    reference_step,
-    step_kind,
-)
 from .profiler import Profiler
 
+Row = tuple[Term, ...]
 Keys = frozenset[IdRow] | None
 
 
@@ -242,9 +217,9 @@ class _LoweredNode:
     plan: _batch.BatchPlan
     #: how sideways keys become the input batch
     keys: _batch.KeyLayout
-    #: per step: the (column, constant id) pairs forming a pipelined
+    #: per step: the key fields of its lowered step forming a pipelined
     #: child's sideways key, or None when the step sends no keys
-    child_keys: tuple[tuple[tuple[int | None, int | None], ...] | None, ...]
+    child_keys: tuple[tuple[int, ...] | None, ...]
 
 
 class Interpreter:
@@ -280,14 +255,6 @@ class Interpreter:
         #: per-plan-node measured execution stats (id(node) -> counters),
         #: consumed by EXPLAIN ANALYZE
         self.node_stats: dict[int, dict[str, int]] = {}
-        #: whether some AND node ran on the reference operators
-        self._reference = False
-
-    @property
-    def tier(self) -> str:
-        """``"reference"`` when some AND node of what ran here fell back
-        to the reference operators, else ``"batch"``."""
-        return "reference" if self._reference else "batch"
 
     # ------------------------------------------------------------- queries
 
@@ -324,36 +291,26 @@ class Interpreter:
             # The wrapper is an AND node whose input is the one row of
             # $-values and whose head is the projection on the output
             # variables (empty for a boolean query: zero or one row).
-            lowered, why = self._code.once(
+            lowered = self._code.once(
                 wrapper, False, self._lower, wrapper, Literal("__query__", out_vars), (), schema
             )
-            if lowered is not None:
-                span.note(tier="batch")
-                columns, length = self._run_lowered(
-                    wrapper, lowered, [[i] for i in INTERNER.encode_row(row)], 1
-                )
-                # A child's result store is finished, so when the head keeps
-                # its columns whole they *are* the answer (a base relation's
-                # columns are not: they grow with the relation).
-                taken = (
-                    _batch.head_columns(lowered.plan, columns)
-                    if length and wrapper.steps[0].child is not None
-                    else None
-                )
-                if taken is not None:
-                    answers = QueryAnswers.from_columns(out_vars, taken, length, self.profiler)
-                else:
-                    ids = _batch.project_ids(lowered.plan, columns, length) if length else ()
-                    answers = QueryAnswers(out_vars, ids, self.profiler)
+            span.note(tier="batch")
+            columns, length = self._run_lowered(
+                wrapper, lowered, [[i] for i in INTERNER.encode_row(row)], 1
+            )
+            # A child's result store is finished, so when the head keeps
+            # its columns whole they *are* the answer (a base relation's
+            # columns are not: they grow with the relation).
+            taken = (
+                _batch.head_columns(lowered.plan, columns)
+                if length and wrapper.steps[0].child is not None
+                else None
+            )
+            if taken is not None:
+                answers = QueryAnswers.from_columns(out_vars, taken, length, self.profiler)
             else:
-                span.note(tier="reference", why=why)
-                self._reference = True
-                table = BindingsTable.from_rows(schema, [row]) if schema else BindingsTable.unit()
-                final = self._run_steps(wrapper, table)
-                length = len(final.rows)
-                answers = QueryAnswers(
-                    out_vars, INTERNER.encode_rows(final.project(out_vars).rows), self.profiler
-                )
+                ids = _batch.project_ids(lowered.plan, columns, length) if length else ()
+                answers = QueryAnswers(out_vars, ids, self.profiler)
         # The synthetic __query__ wrapper never goes through execute(),
         # so record its stats here: EXPLAIN ANALYZE annotates every node.
         self._record(wrapper, length)
@@ -415,28 +372,16 @@ class Interpreter:
             () if keys is None
             else tuple(head.args[i] for i in node.binding.bound_positions)
         )
-        lowered, why = self._code.once(
+        lowered = self._code.once(
             node, bool(patterns), self._lower, node, head, patterns, ()
         )
-        if lowered is not None:
-            span.note(tier="batch")
-            columns, length = (
-                ([], 1) if keys is None else _batch.key_batch(lowered.keys, keys)
-            )
-            columns, length = self._run_lowered(node, lowered, columns, length)
-            return _batch.instantiate_head(
-                lowered.plan, columns, length, INTERNER, self.profiler, self.governor
-            )
-        span.note(tier="reference", why=why)
-        self._reference = True
-        table = (
-            BindingsTable.unit() if keys is None
-            else keys_table(patterns, INTERNER.decode_rows(keys))
+        span.note(tier="batch")
+        columns, length = (
+            ([], 1) if keys is None else _batch.key_batch(lowered.keys, keys)
         )
-        final = self._run_steps(node, table)
-        instantiate = aggregate_rows if node.rule.is_aggregate else head_rows
-        return INTERNER.encode_rows(
-            instantiate(final, head, self.profiler, governor=self.governor)
+        columns, length = self._run_lowered(node, lowered, columns, length)
+        return _batch.instantiate_head(
+            lowered.plan, columns, length, INTERNER, self.profiler, self.governor
         )
 
     # ------------------------------------------------------- lowered nodes
@@ -447,146 +392,82 @@ class Interpreter:
         head: Literal,
         patterns: Sequence[Term],
         schema: tuple[Variable, ...],
-    ) -> tuple[_LoweredNode | None, str]:
+    ) -> _LoweredNode:
         """The node's lowering for one way of entering it — with keys
         binding the head arguments *patterns*, or (the wrapper) with one
-        row over *schema* — or None and the reason it runs on the
-        reference operators.  Decided once per node and way, and kept on
+        row over *schema*.  Decided once per node and way, and kept on
         the plan's :class:`PlanCode`."""
-        for step in node.steps:
-            if step.method in ("nested_loop", "merge"):
-                # the EL label asks for that method's work profile
-                return None, f"{step.method} join label on {step.literal}"
         layout = _batch.key_layout(patterns)
-        if isinstance(layout, str):
-            return None, f"{layout} of {head}"
-        plan, why = _batch.lower_rule(
+        plan = _batch.lower_rule(
             self._code.memo,
             Rule(head, tuple(step.literal for step in node.steps)),
             reorder=False, builtins=self.builtins,
             bound=schema or layout.schema,
+            methods=tuple(
+                # a child's extension is joined as a hash join, its build paid
+                step.method if step.child is None and step.method in _batch.JOIN_METHODS
+                else "hash"
+                for step in node.steps
+            ),
         )
-        if plan is None:
-            return None, why
         child_keys = []
         for step, lowered_step in zip(node.steps, plan.steps):
             sideways = None
             if step.child is not None and step.pipelined and lowered_step.kind == "join":
-                slot_at = dict(zip(
-                    lowered_step.bound_positions,
-                    zip(lowered_step.key_slots, lowered_step.key_const_ids),
-                ))
+                field_at = {p: i for i, p in enumerate(lowered_step.bound_positions)}
                 wanted = step.child.binding.bound_positions
-                if not all(position in slot_at for position in wanted):
-                    return None, (
-                        f"sideways keys of {step.literal} are not all bound columns"
+                if not all(position in field_at for position in wanted):
+                    raise ExecutionError(
+                        f"sideways keys of {step.literal} are not all bound"
                     )
-                sideways = tuple(slot_at[position] for position in wanted)
+                sideways = tuple(field_at[position] for position in wanted)
             child_keys.append(sideways)
-        return _LoweredNode(plan, layout, tuple(child_keys)), ""
-
-    def _walk_steps(self, node: JoinNode, forms, state, size, apply):
-        """Run *node*'s steps left to right: ``state = apply(form,
-        state)`` per step, *forms* being the steps as the executor wants
-        them and *state* a bindings table or an id batch of ``size(state)``
-        rows — with the bookkeeping both executors owe around each step:
-        the operator span noting the EL label, governor settling, and the
-        node statistics EXPLAIN ANALYZE reads."""
-        governor = self.governor
-        head_name = node.rule.head.predicate
-        for step, form in zip(node.steps, forms):
-            if not size(state):
-                break
-            with self.tracer.span(
-                f"{step_kind(step.literal, self.builtins)}:{head_name}:{step.literal.predicate}",
-                kind="operator",
-            ) as span:
-                span.note(method=step.method)
-                state = apply(form, state)
-            if governor is not None:
-                governor.settle(size(state))
-            stats = self.node_stats.setdefault(
-                id(step), {"calls": 0, "cached_calls": 0, "rows": 0}
-            )
-            stats["calls"] += 1
-            stats["rows"] = max(stats["rows"], size(state))
-        return state
+        return _LoweredNode(plan, layout, tuple(child_keys))
 
     def _run_lowered(
         self, node: JoinNode, lowered: _LoweredNode, columns: list[list[int]], length: int
     ) -> tuple[list[list[int]], int]:
-        def apply(form, batch):
-            step, lowered_step, child_keys = form
-            columns, length = batch
-            store = self._step_store(step, lowered_step, child_keys, columns, length)
-            return _batch.run_step(
-                lowered_step, columns, length, store,
-                self.profiler, self.governor, INTERNER,
+        """Run *node*'s lowered steps left to right over the input batch,
+        with the bookkeeping around each step: the operator span noting
+        the EL label, governor settling, and the node statistics EXPLAIN
+        ANALYZE reads."""
+        governor = self.governor
+        for step, lowered_step, child_keys in zip(
+            node.steps, lowered.plan.steps, lowered.child_keys
+        ):
+            if not length:
+                break
+            with self.tracer.span(lowered_step.label, kind="operator") as span:
+                span.note(method=step.method)
+                store = self._step_store(step, lowered_step, child_keys, columns, length)
+                columns, length = _batch.run_step(
+                    lowered_step, columns, length, store,
+                    self.profiler, governor, INTERNER,
+                )
+            if governor is not None:
+                governor.settle(length)
+            stats = self.node_stats.setdefault(
+                id(step), {"calls": 0, "cached_calls": 0, "rows": 0}
             )
-
-        return self._walk_steps(
-            node, zip(node.steps, lowered.plan.steps, lowered.child_keys),
-            (columns, length), lambda batch: batch[1], apply,
-        )
+            stats["calls"] += 1
+            stats["rows"] = max(stats["rows"], length)
+        return columns, length
 
     def _step_store(self, step: JoinStep, lowered_step, child_keys, columns, length):
         """The store a lowered stored step probes (None for a computed
-        one): the child's result, or the base relation's own store.  A
-        positive step charges one ``examined`` per row of a child's
-        extension or of a ``hash``-labelled relation — the build the
-        reference join pays on each call; ``index`` probes are free."""
+        one): the child's result, or the base relation's own store."""
         if lowered_step.kind not in ("join", "negation"):
             return None
-        if step.child is not None:
-            if child_keys is None:
-                keys = None
-            elif child_keys:
-                keys = frozenset(zip(*(
-                    columns[slot] if slot is not None else repeat(const, length)
-                    for slot, const in child_keys
-                )))
-            else:  # pipelined with nothing bound: the one empty key
-                keys = frozenset(((),))
-            store = self.execute(step.child, keys)
-        else:
-            store = stored_relation(self.db, step.literal).batch_store(INTERNER)
-        if lowered_step.kind == "join" and (step.child is not None or step.method != "index"):
-            self.profiler.bump_examined(len(store))
-        return store
-
-    # ----------------------------------------------------- reference nodes
-
-    def _run_steps(self, node: JoinNode, table: BindingsTable) -> BindingsTable:
-        return self._walk_steps(node, node.steps, table, len, self._apply_step)
-
-    def _apply_step(self, step, table: BindingsTable) -> BindingsTable:
-        literal, child = step.literal, step.child
-
-        def extension_of(stored: Literal):
-            if child is None:
-                return stored_relation(self.db, stored)
+        if step.child is None:
+            return stored_relation(self.db, step.literal).batch_store(INTERNER)
+        if child_keys is None:
             keys = None
-            if step.pipelined and not literal.negated:
-                keys = self._probe_keys(table, literal, child.binding.bound_positions)
-            # the decode boundary: a frozenset, joined by a per-call hash
-            # build as every child extension on this path always was
-            return INTERNER.decode_rows(self.execute(child, keys).rows)
-
-        return reference_step(
-            table, literal, extension_of,
-            step.method if child is None and step.method in JOIN_METHODS else "hash",
-            self.profiler, self.governor, self.builtins if child is None else None,
-        )
-
-    def _probe_keys(
-        self, table: BindingsTable, literal: Literal, bound_positions: Sequence[int]
-    ) -> frozenset[IdRow]:
-        """Distinct bound-argument values flowing sideways into a child."""
-        keys: set[Row] = set()
-        for subst in table.substitutions():
-            key = tuple(apply(literal.args[i], subst) for i in bound_positions)
-            keys.add(key)
-        return frozenset(INTERNER.encode_rows(keys))
+        elif child_keys:
+            fields = _batch.key_fields(lowered_step, columns, length, INTERNER, admit=True)
+            keys = frozenset(zip(*(fields[field] for field in child_keys)))
+        else:  # pipelined with nothing bound: the one empty key
+            keys = frozenset(((),))
+        return self.execute(step.child, keys)
 
     # ------------------------------------------------------------ fixpoints
 
@@ -613,7 +494,7 @@ class Interpreter:
                 result = self._fixpoint_engine().evaluate(
                     node.program, naive=(node.method == "naive")
                 )
-                full = self._answers(result, node)
+                full = result.ids(node.answer_predicate)
                 self._cache[(id(node), None)] = full
             if keys is None:
                 return full
@@ -631,16 +512,4 @@ class Interpreter:
         # result would be built for this single probe.
         seeds = {node.seed_predicate: INTERNER.decode_rows(keys)}
         result = self._fixpoint_engine().evaluate(node.program, seeds=seeds)
-        return self._answers(result, node).select(bound_positions, keys, probe=False)
-
-    def _answers(self, result, node: FixpointNode) -> IdRelation:
-        """The answer predicate's extension as the fixpoint left it
-        (encoded here if the engine kept term rows)."""
-        store = result.ids(node.answer_predicate)
-        if store is None:
-            store = IdRelation(
-                INTERNER, node.ref.arity,
-                INTERNER.encode_rows(result.rows(node.answer_predicate)),
-            )
-        return store
-
+        return result.ids(node.answer_predicate).select(bound_positions, keys, probe=False)

@@ -37,7 +37,7 @@ delete a *gain*, so each negated literal gets a firing that joins q's
 delta positively, delta first, with the opposite sign; a stratum's net
 delta is signed.  An **aggregate rule** fires with a projection head
 (grouping arguments, then aggregated variables), counted, into the
-rule's :class:`~repro.engine.operators.GroupFolds`: a group keeps its
+rule's :class:`~repro.engine.batch.GroupFolds`: a group keeps its
 derivation count and an exact running total per ``sum`` / ``avg``,
 ``min_of`` / ``max_of`` re-fold only the touched groups through a
 firing keyed on the group key, and a changed group's old row goes out
@@ -45,9 +45,8 @@ as a delete and its new one as an insert.
 
 A rule is *fired* by :meth:`~repro.engine.fixpoint.FixpointEngine.fire`,
 the fixpoint's own routine: scheduled once per body position a delta
-can arrive at, that literal first, and lowered to columnar steps (the
-engine's reference branch when its shape needs unification).  All in id
-space: an extension is the :class:`~repro.storage.columnar.IdRelation`
+can arrive at, that literal first, and lowered to columnar steps.  All
+in id space: an extension is the :class:`~repro.storage.columnar.IdRelation`
 the materializing fixpoint left, a delta the id rows ``Database.add`` /
 ``remove`` returned.
 
@@ -70,8 +69,8 @@ from ..errors import KnowledgeBaseError
 from ..storage.catalog import Database
 from ..storage.columnar import IdRelation, IdRow
 from . import batch as _batch
+from .batch import GroupFolds, builtin_for
 from .fixpoint import FixpointEngine, _ScheduledRule, evaluate_program
-from .operators import GroupFolds, builtin_for
 from .profiler import Profiler
 
 Row = tuple[Term, ...]
@@ -236,14 +235,9 @@ class ViewSet:
 
     def _keyed_form(self, keys: tuple, rule: Rule) -> tuple:
         """*rule* entered with ground rows for *keys*, its head's leading
-        arguments, as its input batch when they lay out as keys and it
-        lowers so; else ``(None, rule)``, fired whole and filtered."""
-        layout, schedule = _batch.key_layout(keys), self._engine.scheduled
-        if not isinstance(layout, str):
-            entry = schedule(rule, reorder=False, bound=layout.schema)
-            if entry.plan is not None:
-                return layout, entry
-        return None, schedule(rule, reorder=False)
+        arguments, as its input batch."""
+        layout = _batch.key_layout(keys)
+        return layout, self._engine.scheduled(rule, reorder=False, bound=layout.schema)
 
     @staticmethod
     def _delta_first_order(
@@ -401,14 +395,9 @@ class ViewSet:
         leading fields are one of *keys*.  Keyed, the body probes its
         extensions with head-bound keys, so the cost follows the keys the
         way delta-first firings follow the delta."""
-        (layout, entry), at = form, self._extension_at
-        if not keys:
-            return set()
-        if layout is None:
-            width = len(next(iter(keys)))
-            return {row for row in self._engine.fire(entry, at) if row[:width] in keys}
+        layout, entry = form
         batch = _batch.key_batch(layout, keys)
-        return self._engine.fire(entry, at, batch=batch) if batch[1] else set()
+        return self._engine.fire(entry, self._extension_at, batch=batch) if batch[1] else set()
 
     def _propagate(self, base_rows, inserting: bool) -> Deltas:
         """Walk the strata in dependency order, handing each the deltas
@@ -519,8 +508,7 @@ class ViewSet:
     def _witness_form(self, names: frozenset[str], rule: _ViewRule) -> tuple:
         """*rule* firing its witnesses: the head's arguments, then those of
         each positive body literal over a predicate of *names* (the spans
-        say where), entered with candidate head rows as its input batch
-        when the head lays out as keys, else fired whole and filtered."""
+        say where), entered with candidate head rows as its input batch."""
         head, body = rule.full.rule.head, rule.full.rule.body
         args, spans = list(head.args), []
         for literal in body:

@@ -579,7 +579,7 @@ class KnowledgeBase:
             )
         self.metrics.inc("queries_total")
         self._telemetry_note(
-            compiled.query, started, before, tier=interpreter.tier, cache="off",
+            compiled.query, started, before, tier="batch", cache="off",
             rows=len(answers), worst=self._qerror(compiled, interpreter.node_stats),
         )
         body = explain_analyzed(compiled.plan, interpreter.node_stats)
@@ -668,7 +668,7 @@ class KnowledgeBase:
                     )
                 except Exception as err:
                     self._telemetry_note(
-                        form, started, before, tier=interpreter.tier,
+                        form, started, before, tier="batch",
                         cache="off", rows=0, worst=1.0,
                         status="denied" if isinstance(err, ResourceExhausted) else "error",
                     )
@@ -676,7 +676,7 @@ class KnowledgeBase:
                 # The interpreter's node_stats exist with or without a
                 # tracer, so every executed plan reports its q-error.
                 worst = self._qerror(compiled, interpreter.node_stats)
-                tier = interpreter.tier
+                tier = "batch"
             if cache_key is not None:
                 cache = self._result_cache
                 while len(cache) >= self._result_cache_size:

@@ -2,7 +2,7 @@
 
 ``kb.telemetry`` records one :data:`TELEMETRY_SCHEMA` event per answered
 query — wall time, the execution tier that actually served it
-(``batch`` / ``reference`` / ``cache`` / ``view``), governor denials,
+(``batch`` / ``cache`` / ``view``), governor denials,
 result-cache hit/miss and the worst q-error of the plan's executed
 nodes (:func:`repro.plans.printer.worst_q_error`).  The newest *capacity*
 records are kept in memory for ``kb.telemetry.slow_queries()``-style
@@ -28,11 +28,10 @@ from .tracer import TraceSinkWarning
 #: In-band schema identifier for telemetry records.
 TELEMETRY_SCHEMA = "repro.telemetry/2"
 
-#: Execution tiers a query record may report: the plan ran on lowered
-#: columnar operators only (``batch``) or some AND node fell back to the
-#: reference operators (``reference``, see ``Interpreter.tier``); or no
-#: plan ran, the answer coming from the result cache or the store.
-TIERS = frozenset({"batch", "reference", "cache", "view"})
+#: Execution tiers a query record may report: the plan ran on the lowered
+#: columnar executor (``batch``); or no plan ran, the answer coming from
+#: the result cache or the store.
+TIERS = frozenset({"batch", "cache", "view"})
 
 #: Fields every telemetry record carries (the validator checks these).
 _CEIL = 1e300

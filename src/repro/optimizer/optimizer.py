@@ -66,8 +66,11 @@ STRATEGIES = ("exhaustive", "dp", "kbz", "annealing", "textual")
 
 #: Bodies with more joinable literals than ``LARGE_BODY_THRESHOLD`` are
 #: ordered by ``LARGE_BODY_STRATEGY`` when the configured strategy is
-#: ``exhaustive`` or ``dp`` (their n! / 2^n budgets explode past it).
+#: ``dp`` (its 2^n budget explodes past it); ``exhaustive``'s n! budget
+#: explodes sooner, so it hands off past ``EXHAUSTIVE_BODY_THRESHOLD``
+#: (or past ``LARGE_BODY_THRESHOLD``, when that is lower).
 LARGE_BODY_THRESHOLD = 9
+EXHAUSTIVE_BODY_THRESHOLD = 8
 LARGE_BODY_STRATEGY = "kbz"
 #: What ``exhaustive`` / ``dp`` degrade to once the search deadline expires.
 DEADLINE_FALLBACK = "kbz"
@@ -427,7 +430,11 @@ class Optimizer:
                 f"to {DEADLINE_FALLBACK} for a {len(joinable)}-literal body"
             )
             return DEADLINE_FALLBACK
-        if config.strategy in ("exhaustive", "dp") and len(joinable) > LARGE_BODY_THRESHOLD:
+        limit = {
+            "dp": LARGE_BODY_THRESHOLD,
+            "exhaustive": min(LARGE_BODY_THRESHOLD, EXHAUSTIVE_BODY_THRESHOLD),
+        }.get(config.strategy)
+        if limit is not None and len(joinable) > limit:
             return LARGE_BODY_STRATEGY
         return config.strategy
 

@@ -154,7 +154,7 @@ class PlanCode:
     __slots__ = ("memo", "entries")
 
     def __init__(self, memo: "dict | None" = None):
-        #: ``(rule, reorder, bound) -> (BatchPlan | None, why)``: lowered
+        #: ``(rule, reorder, bound, methods) -> BatchPlan``: lowered
         #: rules by value (:func:`repro.engine.batch.lower_rule`).  A
         #: knowledge base shares one memo among all its plans, so a plan
         #: re-optimized after a data write lowers nothing again.

@@ -7,9 +7,9 @@ hash buckets over column subsets mapping a key to the *row indices*
 holding it.  The lowered join steps (:mod:`repro.engine.batch`) probe
 those buckets and gather output columns with list comprehensions — the
 whole point is that every per-row operation in the join loop works on
-small ints, not term objects.  The reference operators
-(:mod:`repro.engine.operators`) probe the same buckets with the ids of
-a key's terms and decode only the rows the key selects.
+small ints, not term objects.  The term-space evaluator the tests
+compare against (:mod:`repro.testing.reference`) probes the same buckets
+with the ids of a key's terms and decodes only the rows the key selects.
 
 One class, two owners:
 

@@ -9,11 +9,11 @@ strategy surfaces its rows.
 
 Strategy families:
 
-* ``fixpoint-interpreted`` / ``fixpoint-naive`` — the bottom-up engine
-  on the reference evaluator (``compile=False``), with and without
+* ``fixpoint-interpreted`` / ``fixpoint-naive`` — the term-space
+  reference evaluator (:mod:`repro.testing.reference`), with and without
   semi-naive deltas;
-* ``fixpoint-batch`` — the bottom-up engine as shipped: every rule that
-  lowers runs its columnar plan (:mod:`repro.engine.batch`);
+* ``fixpoint-batch`` — the bottom-up engine as shipped: every rule runs
+  its lowered columnar plan (:mod:`repro.engine.batch`);
 * ``sld-tabled`` — the tabled top-down engine;
 * ``magic-basic`` / ``magic-supplementary`` — the rewrites applied
   *directly* (adorn + rewrite + seeded fixpoint), bypassing the
@@ -54,6 +54,7 @@ from ..errors import ExecutionError, ReproError, UnsafeQueryError
 from ..kb import KnowledgeBase
 from ..optimizer import STRATEGIES, OptimizerConfig
 from ..storage.catalog import Database
+from . import reference
 
 Row = tuple[Term, ...]
 Answers = frozenset[Row]
@@ -160,11 +161,11 @@ def _parsed(case: Case) -> tuple[Database, Program, "object"]:
     return db, program, form
 
 
-def run_fixpoint(case: Case, **engine_kwargs) -> Answers:
+def run_fixpoint(case: Case, evaluate=evaluate_program, **engine_kwargs) -> Answers:
+    """The goal's answers from one bottom-up evaluation of the case's
+    program: the engine's, or *evaluate*'s (the reference)."""
     db, program, form = _parsed(case)
-    result = evaluate_program(
-        db, program, builtins=default_builtins(), **engine_kwargs
-    )
+    result = evaluate(db, program, builtins=default_builtins(), **engine_kwargs)
     ref = pred_ref(form.goal)
     if program.is_derived(ref):
         rows: Iterable[Row] = result.rows(form.predicate)
@@ -177,6 +178,10 @@ def run_fixpoint(case: Case, **engine_kwargs) -> Answers:
             raise ExecutionError(f"unknown predicate {form.predicate!r}")
         rows = frozenset(tuple(r) for r in relation)
     return _filter_rows(form.goal, rows)
+
+
+#: The term-space reference's answers (``naive=True`` for naive cliques).
+run_reference = partial(run_fixpoint, evaluate=reference.evaluate_program)
 
 
 def run_sld(case: Case) -> Answers:
@@ -259,9 +264,9 @@ def run_kb_forced(case: Case, method: str) -> Answers:
 
 def _default_runners() -> dict[str, Callable[[Case], Answers]]:
     runners: dict[str, Callable[[Case], Answers]] = {
-        "fixpoint-interpreted": partial(run_fixpoint, compile=False),
+        "fixpoint-interpreted": run_reference,
         "fixpoint-batch": run_fixpoint,
-        "fixpoint-naive": partial(run_fixpoint, compile=False, naive=True),
+        "fixpoint-naive": partial(run_reference, naive=True),
         "sld-tabled": run_sld,
         "magic-basic": partial(run_direct_magic, rewrite=magic_rewrite),
         "magic-supplementary": partial(run_direct_magic, rewrite=supplementary_magic_rewrite),

@@ -185,10 +185,11 @@ def generate_differential_program(
     second clique consuming the first), stratified negation over base and
     recursive predicates, arithmetic comparisons, zero-ary predicates
     (both as goals and as body guards), functor terms (built and
-    decomposed in rule heads/bodies, never stored as facts), stratified
+    decomposed in rule heads/bodies — nested, under a repeated variable,
+    probed bound, negated, asked with a bound struct position), stratified
     aggregates (``count`` and one numeric fold, non-recursive), and
-    computed values (a binding ``=`` over arithmetic and a ``succ`` or
-    ``range`` built-in).
+    computed values (a binding ``=`` over arithmetic, ``=`` against stored
+    ground structs, and a ``succ`` or ``range`` built-in).
 
     Bodies are emitted in a textually safe order — positive binding
     literals before comparisons and negations — because the tabled SLD
@@ -277,10 +278,17 @@ def generate_differential_program(
 
     if "functor" in enabled:
         # build and decompose structs in rules — swapping the fields on
-        # the way out so the decomposition actually matters
+        # the way out so the decomposition actually matters — nested, with
+        # a repeated variable, probed with both fields bound, negated, and
+        # asked with the struct's head position bound
         lines.append("w0(pack(X, Y)) <- j0(X, Y).")
         lines.append("u0(X, Y) <- w0(pack(Y, X)).")
-        sources.append("u0")
+        lines.append("w1(box(pack(X, Y), X)) <- j0(X, Y).")
+        lines.append("u1(X, Y) <- w1(box(pack(Y, X), Y)).")
+        lines.append("r0(X) <- j0(X, X).")
+        lines.append("v0(X, Y) <- b0(X, Y), w0(pack(X, Y)).")
+        lines.append("n2(X, Y) <- j0(X, Y), ~w0(pack(Y, X)).")
+        sources.extend(("u0", "u1", "v0", "n2"))
 
     if "zeroary" in enabled:
         lines.append("z0 <- b0(X, Y), X != Y.")
@@ -295,6 +303,17 @@ def generate_differential_program(
         sources.append("a1")
 
     if "arith" in enabled:
+        # stored ground structs are data: ``=`` between a stored ``a + b``
+        # and a number is id equality, whichever side the body binds first
+        # (written as ground facts of the rules: a case stays plain JSON)
+        a, b = rng.randrange(0, 5), rng.randrange(0, 5)
+        lines.append(
+            f"val({a} + {b}). val({a + b}). val(pair({rng.choice(domain)}, {a})). "
+            f"val({rng.randrange(0, 9)})."
+        )
+        lines.append(f"s2(X) <- val(X), X = {a + b}.")
+        lines.append("s3(X, Y) <- val(X), num(Y, Z), X = Y.")
+        sources.append("s3")
         lines.append("s0(X, Z) <- num(X, Y), Z = X + Y.")
         lines.append(
             "s1(X, Z) <- num(X, Y), "
@@ -321,7 +340,11 @@ def generate_differential_program(
     if "aggregate" in enabled:
         queries.append("a0(X, N)?")
         queries.append(f"a1({rng.randrange(0, 9)}, N)?")
+    if "functor" in enabled:
+        queries.extend(("u1(X, Y)?", "r0(X)?", "n2(X, Y)?"))
+        queries.append(f"w0(pack({rng.choice(domain)}, {rng.choice(domain)}))?")
     if "arith" in enabled:
+        queries.extend(("s2(X)?", "s3(X, Y)?"))
         queries.append("s0(X, Z)?")
         queries.append(f"s1({rng.randrange(0, 9)}, Z)?")
 

@@ -9,7 +9,7 @@ from repro import KnowledgeBase, KnowledgeBaseError
 from repro.datalog.parser import parse_rule
 from repro.datalog.rules import aggregate_spec
 from repro.datalog.terms import Constant, Struct, Variable
-from repro.engine.operators import fold_aggregate
+from repro.engine.batch import fold_aggregate
 from repro.errors import ExecutionError
 
 EMPS = [("ann", "eng", 90), ("bob", "eng", 80), ("cal", "ops", 70), ("dee", "eng", 80)]

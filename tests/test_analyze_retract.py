@@ -5,7 +5,7 @@ import pytest
 from repro import KnowledgeBase
 from repro.datalog.parser import parse_literal
 from repro.datalog.terms import Constant
-from repro.engine.operators import BindingsTable, scan_join
+from repro.testing.reference import BindingsTable, scan_join
 from repro.storage import Relation
 
 
@@ -54,14 +54,14 @@ def test_relation_remove_updates_indexes():
     """A removal patches the bucket map a reference join probes."""
     r = Relation("e", 2)
     goal = parse_literal("e(a, Y)")
-    assert not scan_join(BindingsTable.unit(), goal, r, "index").rows  # map built, empty
+    assert not scan_join(BindingsTable.unit(), goal, r).rows  # map built, empty
     r.insert_values(("a", "b"))
     r.insert_values(("a", "c"))
     r.insert_values(("b", "c"))
-    assert len(scan_join(BindingsTable.unit(), goal, r, "index").rows) == 2
+    assert len(scan_join(BindingsTable.unit(), goal, r).rows) == 2
     assert r.remove_values(("a", "b"))  # one of three: patched in place
     assert not r.remove_values(("a", "b"))  # already gone
-    assert scan_join(BindingsTable.unit(), goal, r, "index").rows == {(Constant("c"),)}
+    assert scan_join(BindingsTable.unit(), goal, r).rows == {(Constant("c"),)}
 
 
 def test_retract_changes_answers():

@@ -1,8 +1,9 @@
 """The lowered rule executor: lowered ≡ reference, interning, parity.
 
 The contract of :mod:`repro.engine.batch` is strict observational
-equivalence with the reference evaluator (``compile=False``), *plus*
-profiler parity: for any rule that lowers, the columnar plan must
+equivalence with the term-space reference evaluator
+(:mod:`repro.testing.reference`), *plus* profiler parity: for every
+rule — every shape lowers — the columnar plan must
 produce the same answer sets AND the same per-query ``produced`` counts,
 fire the same governor checkpoints (so budget aborts and injected faults
 land identically), and honor the same span labels — at every input
@@ -15,6 +16,7 @@ hash-consing guarantees and the columnar store's bucket maintenance.
 
 import multiprocessing
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from repro.engine.profiler import Profiler
 from repro.errors import ExecutionError, TupleBudgetExceeded
 from repro.storage import Database, relation_from_rows
 from repro.storage.columnar import BatchStore
+from repro.testing.reference import ReferenceEngine
 
 X, Z = Variable("X"), Variable("Z")
 
@@ -41,11 +44,12 @@ ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
 
 
 def evaluate(db, program, *, lowered, **engine_kwargs):
-    """(relations, profiler) of one evaluation, lowered or on the reference."""
+    """(relations, profiler) of one evaluation, lowered or on the
+    term-space reference."""
     profiler = Profiler()
-    result = FixpointEngine(
-        db, profiler=profiler, builtins=default_builtins(), compile=lowered,
-        **engine_kwargs,
+    engine = FixpointEngine if lowered else ReferenceEngine
+    result = engine(
+        db, profiler=profiler, builtins=default_builtins(), **engine_kwargs,
     ).evaluate(program)
     return result.relations, profiler
 
@@ -94,8 +98,7 @@ LOWERED_SHAPES = {
 def test_every_shape_lowers_and_matches_the_reference(shape, rows):
     program = Program(list(parse_program(LOWERED_SHAPES[shape])))
     for rule in program:
-        plan, why = compile_batch_plan(rule, builtins=default_builtins())
-        assert plan is not None, why
+        assert compile_batch_plan(rule, builtins=default_builtins()).steps
     db = shaped_database(rows)
     expected, reference_profiler = evaluate(db, program, lowered=False)
     tracer = Tracer()
@@ -107,33 +110,101 @@ def test_every_shape_lowers_and_matches_the_reference(shape, rows):
     assert tiers == {"batch"}
 
 
-NOT_LOWERED_SHAPES = {
-    "struct with a variable in the body": ("out(X) <- w(g(X)).", "struct argument"),
-    "struct with a variable in the head": ("out(g(X)) <- e(X, Y).", "struct argument"),
-    "repeated free variable": ("out(X) <- e(X, X).", "repeated free variable"),
+COMPLEX = "e(f(a), b). e(f(c), d). e(k, k). k2(a, b). k2(c, z). k2(k, k)."
+TAKES = "takes(C, K) <- class(C, S), enrolled(S, K)."
+TAKES_FACTS = (
+    "class(c0, s0). class(c0, s1). class(c1, s1). "
+    "enrolled(s0, k0). enrolled(s1, k1). enrolled(s1, k2)."
+)
+
+#: Per reason the lowering once refused a rule or an AND node (it ran on
+#: the reference evaluator instead): a program of that shape, its facts,
+#: an ask, and the forced join label, if any.
+FORMER_REFUSALS = {
+    "struct pattern with a free variable": (
+        "r(X, Y) <- e(f(X), Y).", COMPLEX, "r(X, Y)?", None),
+    "struct argument with its variables bound": (
+        "v(X, Y) <- k2(X, Y), e(f(X), Y).", COMPLEX, "v(X, Y)?", None),
+    "repeated free variable": ("s(X) <- e(X, X).", COMPLEX, "s(X)?", None),
+    "struct argument in the head": (
+        "t(g(X, Y)) <- e(f(X), Y).", COMPLEX, "t(Z)?", None),
+    "struct argument in a bound head position": (
+        "t(g(X, Y)) <- e(f(X), Y). u(Y) <- t(g(a, Y)).", COMPLEX, "u(Y)?", None),
+    "sideways keys that are not all bound columns": (
+        "t(g(X, Y)) <- e(f(X), Y). w(X) <- k2(X, Y), t(g(X, Y)).", COMPLEX, "w(X)?", None),
+    "nested_loop join label": (TAKES, TAKES_FACTS, "takes($C, K)?", "nested_loop"),
+    "merge join label": (TAKES, TAKES_FACTS, "takes($C, K)?", "merge"),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(NOT_LOWERED_SHAPES))
-def test_non_flat_shapes_run_on_the_reference_and_say_why(shape):
-    source, reason = NOT_LOWERED_SHAPES[shape]
-    program = Program(list(parse_program("w(g(X)) <- e(X, Y). " + source)))
-    plan, why = compile_batch_plan(program.rules[-1])
-    assert plan is None and reason in why
-    db = shaped_database(31)
-    db.load("e", [("loop", "loop")])
-    expected, __ = evaluate(db, program, lowered=False)
+@pytest.mark.parametrize("reason", sorted(FORMER_REFUSALS))
+def test_former_refusal_reasons_lower_and_match_the_reference(reason):
+    """Every shape the lowering once refused runs on the batch tier —
+    on the ``rule:`` / ``and:`` spans and in telemetry — and answers as
+    the term-space reference does; a bottom-up evaluation of its program
+    also produces what the reference's does."""
+    from repro import OptimizerConfig
+    from repro.datalog.parser import parse_query
+    from repro.datalog.unify import match
+    from repro.testing import reference
+
+    rules, facts, query, method = FORMER_REFUSALS[reason]
+    config = OptimizerConfig(strategy="textual", force_method=method) if method else None
+    kb = KnowledgeBase(config)
+    kb.rules(rules)
+    kb.facts_text(facts)
     tracer = Tracer()
-    got, __ = evaluate(db, program, lowered=True, tracer=tracer)
-    assert got == expected and expected["out"]
-    (span,) = [s for s in tracer.spans if s.name == "rule:out"]
-    assert span.attrs["tier"] == "reference" and reason in span.attrs["why"]
+    bindings = {"C": "c0"} if "$C" in query else {}
+    answers = kb.ask(query, tracer=tracer, **bindings)
+    tiers = {s.attrs.get("tier") for s in tracer.spans if s.name.startswith(("rule:", "and:"))}
+    assert tiers == {"batch"} and kb.telemetry.last["tier"] == "batch"
+
+    goal = parse_query(query.replace("$C", "c0")).goal
+    expected, lowered, oracle = set(), Profiler(), Profiler()
+    for row in reference.evaluate_program(kb.db, kb.program, profiler=oracle).rows(
+        goal.predicate
+    ):
+        subst = {}
+        for pattern, value in zip(goal.args, row):
+            subst = match(pattern, value, subst) if subst is not None else None
+        if subst is not None:
+            expected.add(tuple(subst[var] for var in answers.variables))
+    assert answers.rows == expected and expected
+    FixpointEngine(kb.db, profiler=lowered).evaluate(kb.program)
+    assert lowered.produced == oracle.produced
+
+
+UNSAFE = {
+    "head variable not bound by the body": (
+        "out(X, Y) <- e(X, Z).", "rule head out(X, Y) not fully bound by body"),
+    "negated literal with an unbound argument": (
+        "out(X) <- e(X, Y), ~f(X, Z).", "negated literal f(X, Z) entered with unbound"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNSAFE))
+def test_an_unsafe_shape_lowers_and_raises_the_references_error(shape):
+    """An unsafe rule (run in its trusted order) lowers; the step that
+    cannot run raises the reference's error when rows reach it — and
+    only then."""
+    from repro.testing.reference import ReferenceEngine
+
+    source, message = UNSAFE[shape]
+    program = Program(list(parse_program(source)))
+    assert compile_batch_plan(program.rules[0], reorder=False).steps
+    for engine in (FixpointEngine, ReferenceEngine):
+        with pytest.raises(ExecutionError, match=re.escape(message)):
+            engine(shaped_database(5), reorder_bodies=False).evaluate(program)
+        # no rows reach the step: nothing to raise
+        empty = Database()
+        empty.create("e", 2)
+        empty.create("f", 2)
+        assert not engine(empty, reorder_bodies=False).evaluate(program).rows("out")
 
 
 def test_flat_join_rule_layout():
     rule = parse_program("h(Y, X) <- e(X, Y), f(Y, Z), Z != X.").rules[0]
-    plan, why = compile_batch_plan(rule)
-    assert plan is not None and why == ""
+    plan = compile_batch_plan(rule)
     join_e, join_f, compare = plan.steps
     assert [step.label for step in plan.steps] == ["join:h:e", "join:h:f", "compare:h:!="]
     assert join_e.bound_positions == () and join_e.free_out == (0, 1)
@@ -159,8 +230,8 @@ def test_tuple_budget_aborts_both_evaluators(lowered):
     """A tuple budget that aborts the reference aborts the lowered plan
     too: the columnar join ticks the governor cooperatively mid-batch."""
     program = Program(list(parse_program(ANC)))
-    engine = FixpointEngine(
-        _chain_db(40), compile=lowered, governor=make_governor(max_tuples=50)
+    engine = (FixpointEngine if lowered else ReferenceEngine)(
+        _chain_db(40), governor=make_governor(max_tuples=50)
     )
     with pytest.raises(TupleBudgetExceeded):
         engine.evaluate(program)

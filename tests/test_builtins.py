@@ -130,7 +130,7 @@ def test_builtin_cannot_be_redefined():
 
 def test_mode_violation_at_execution_raises():
     """Bypassing the optimizer, the engine's own mode check fires."""
-    from repro.engine.operators import BindingsTable, builtin_join
+    from repro.testing.reference import BindingsTable, builtin_join
 
     builtin = default_builtins().get("range")
     table = BindingsTable.unit()

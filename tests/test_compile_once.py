@@ -30,6 +30,7 @@ from repro.errors import ResourceExhausted
 from repro.obs.tracer import Tracer
 from repro.plans import FixpointNode, plan_nodes
 from repro.storage.columnar import IdRelation
+from repro.testing import reference as term_space
 
 METHODS = ("seminaive", "naive", "magic", "supplementary", "counting")
 
@@ -113,15 +114,15 @@ def test_second_ask_with_other_bindings_compiles_nothing(method, calls):
 
 
 def test_a_reference_tier_rule_is_ordered_once_per_plan(calls):
-    # e(X, X) needs unification: the exit rule runs on the reference
-    # evaluator, whose body order is part of the schedule too
+    # e(X, X), whose exit rule once ran on the reference evaluator, now
+    # lowers to an id equality; its body order is part of the schedule
     kb = KnowledgeBase(result_cache=False)
     kb.rules("reach(X) <- e(X, X).\nreach(Y) <- reach(X), e(X, Y).")
     kb.facts("e", [("a", "a"), ("a", "b"), ("b", "c")])
     tracer = Tracer()
     expected = [("a",), ("b",), ("c",)]
     assert sorted(kb.ask("reach(Y)?", tracer=tracer).to_python()) == expected
-    assert "reference" in {s.attrs.get("tier") for s in tracer.spans if s.kind == "rule"}
+    assert {s.attrs.get("tier") for s in tracer.spans if s.kind == "rule"} == {"batch"}
     assert calls["safe_order"] > 0
     reset(calls)
     assert sorted(kb.ask("reach(Y)?").to_python()) == expected
@@ -226,8 +227,8 @@ def test_counters_and_node_stats_repeat_and_answers_match_the_reference(method):
     )
     assert private.node_stats == first_stats
     # and the answers are the reference evaluator's
-    reference = evaluate_program(
-        kb.db, kb.program, builtins=kb.builtins, compile=False
+    reference = term_space.evaluate_program(
+        kb.db, kb.program, builtins=kb.builtins
     ).rows("sg")
     expected = {(str(y),) for x, y in reference if str(x) == "a"}
     assert set(first.to_python()) == expected
@@ -243,7 +244,7 @@ def test_an_all_free_goal_takes_the_childs_columns_whole():
     answers = interpreter.run(compiled.plan, compiled.query, compiled.code)
     child = interpreter.execute(compiled.plan.children[0].steps[0].child, None)
     assert all(mine is theirs for mine, theirs in zip(answers._columns, child.columns))
-    reference = evaluate_program(kb.db, kb.program, compile=False).rows("anc")
+    reference = term_space.evaluate_program(kb.db, kb.program).rows("anc")
     assert answers.rows == reference and len(answers) == len(reference)
     swapped = kb.ask("anc(Y, X)?")  # the head permutes the columns
     assert set(swapped.to_python()) == set(answers.to_python())

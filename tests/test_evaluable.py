@@ -13,6 +13,8 @@ from repro.engine.evaluable import (
     term_sort_key,
 )
 from repro.engine.fixpoint import evaluate_program
+from repro.optimizer import STRATEGIES, OptimizerConfig
+from repro.testing import reference
 from repro.errors import ExecutionError
 from repro.storage import Database
 
@@ -169,7 +171,7 @@ def test_disequality_negates_equality_on_numbers_equal_as_floats(lowered):
     if lowered:
         answer = {p: _typed(kb.ask(f"{p}(X, Y)?").to_python()) for p in ("same", "diff", "lt")}
     else:
-        result = evaluate_program(kb.db, parse_program(NUMBERS), compile=False)
+        result = reference.evaluate_program(kb.db, parse_program(NUMBERS))
         answer = {
             p: _typed(tuple(t.value for t in row) for row in result.rows(p))
             for p in ("same", "diff", "lt")
@@ -179,20 +181,41 @@ def test_disequality_negates_equality_on_numbers_equal_as_floats(lowered):
     assert answer["lt"] == _typed([(2, big + 1), (big, big + 1)])
 
 
-def test_a_stored_arithmetic_struct_is_folded_by_both_evaluators():
-    """``=`` folds a ground side before it unifies, so a stored ``1 + 2``
-    equals ``3``: the lowered executor decides ``=`` / ``!=`` by ids only
-    between two constants, and evaluates a struct side as the reference
-    does."""
+ONE_PLUS_TWO = Struct("+", (Constant(1), Constant(2)))
+
+
+def test_a_stored_arithmetic_struct_is_data_to_both_evaluators():
+    """``=`` folds only the arithmetic written in the literal: a stored
+    ``1 + 2`` is a struct, not ``3``, so ``=`` / ``!=`` between two ground
+    sides is id equality, and arithmetic over the struct raises as it
+    does over a string.  (It once folded the stored struct, and the
+    answer then hung on whether the body bound ``X`` before ``X = 3``.)"""
     program = parse_program("q(X) <- p(X), X = 3. r(X) <- p(X), X != 3.")
     db = Database()
-    db.add("p", [(Struct("+", (Constant(1), Constant(2))),), (3,), (4,)])
-    lowered, reference = (
-        evaluate_program(db, program, compile=compile) for compile in (True, False)
-    )
+    db.add("p", [(ONE_PLUS_TWO,), (3,), (4,)])
+    lowered = evaluate_program(db, program)
+    expected = reference.evaluate_program(db, program)
     for pred in ("q", "r"):
-        assert lowered.rows(pred) == reference.rows(pred)
-    assert len(lowered.rows("q")) == 2 and lowered.rows("r") == {(Constant(4),)}
+        assert lowered.rows(pred) == expected.rows(pred)
+    assert lowered.rows("q") == {(Constant(3),)}
+    assert lowered.rows("r") == {(ONE_PLUS_TWO,), (Constant(4),)}
+    plus_one = parse_program("s(Y) <- p(X), Y = X + 1.")
+    for evaluate in (evaluate_program, reference.evaluate_program):
+        with pytest.raises(ExecutionError, match="is not a number"):
+            evaluate(db, plus_one)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_equality_answers_alike_in_every_body_order(strategy):
+    """``q(X) <- p(X), X = 3.`` over ``p(1+2). p(3). p(4).``: the
+    optimizer's order (``X = 3`` first) and the written one agree."""
+    kb = KnowledgeBase(OptimizerConfig(strategy=strategy, seed=0))
+    kb.facts_text("p(1+2). p(3). p(4).")
+    kb.rules("q(X) <- p(X), X = 3.")
+    assert kb.ask("q(X)?").to_python() == [(3,)]
+    for evaluate in (evaluate_program, reference.evaluate_program):
+        written = evaluate(kb.db, kb.program, reorder_bodies=False).rows("q")
+        assert written == {(Constant(3),)}
 
 
 @pytest.mark.parametrize("lowered", [True, False])
@@ -205,6 +228,6 @@ def test_a_stored_nan_equals_itself_on_both_evaluators(lowered):
     )
     db = Database()
     db.add("p", [(float("nan"),), (1.5,)])
-    result = evaluate_program(db, program, compile=lowered)
+    result = (evaluate_program if lowered else reference.evaluate_program)(db, program)
     assert len(result.rows("s")) == len(result.rows("r")) == 2
     assert result.rows("t") == frozenset()

@@ -3,9 +3,9 @@
 Between a stored relation and ``to_python()`` the compiled path holds
 interned-id rows only (docs/performance.md, "The id-space contract").
 These tests pin the four places that contract could leak: the compiled
-fixpoint must be observationally the reference (answers, ``produced``,
-rounds); a rule or plan node that cannot be lowered must cross the
-decode / encode boundary correctly and say why it did; nothing may be
+fixpoint must be observationally the term-space reference (answers,
+``produced``, rounds); every rule and plan node shape — complex terms,
+repeated variables, every join label — must lower; nothing may be
 decoded before a caller asks for terms; and the listing order callers
 see must not depend on any of it.
 """
@@ -32,17 +32,21 @@ from repro.engine.fixpoint import FixpointEngine
 from repro.engine.interpreter import QueryAnswers
 from repro.engine.profiler import Profiler
 from repro.storage import Database
+from repro.testing.reference import ReferenceEngine
+from repro.testing.reference import evaluate_program as reference_evaluation
 from repro.workloads import generate_differential_program
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
 
 
-def evaluate(db, program, *, compile, seeds=None, tracer=None):
-    """(relations as a plain dict, produced, rounds) of one evaluation."""
+def evaluate(db, program, *, lowered, seeds=None, tracer=None):
+    """(relations as a plain dict, produced, rounds) of one evaluation,
+    by the engine or (*lowered* off) by the term-space reference."""
     profiler = Profiler()
     kwargs = {"tracer": tracer} if tracer is not None else {}
-    result = FixpointEngine(
-        db, profiler=profiler, builtins=default_builtins(), compile=compile, **kwargs
+    engine = FixpointEngine if lowered else ReferenceEngine
+    result = engine(
+        db, profiler=profiler, builtins=default_builtins(), **kwargs
     ).evaluate(program, seeds=seeds)
     relations = {name: rows for name, rows in result.relations.items() if rows}
     return relations, profiler.produced, result.iterations
@@ -64,7 +68,7 @@ def test_compiled_fixpoint_equals_reference_on_generated_programs(seed):
     sample = generate_differential_program(seed)
     db = database(sample.facts)
     program = Program(list(parse_program(sample.rules)))
-    assert evaluate(db, program, compile=True) == evaluate(db, program, compile=False)
+    assert evaluate(db, program, lowered=True) == evaluate(db, program, lowered=False)
 
 
 @pytest.mark.parametrize("rewrite", [magic_rewrite, supplementary_magic_rewrite])
@@ -90,8 +94,8 @@ def test_compiled_fixpoint_equals_reference_on_seeded_magic_programs(seed, rewri
             tuple(form.goal.args[i] for i in form.adornment.bound_positions)
         }
     }
-    compiled = evaluate(db, rewritten.program, compile=True, seeds=seeds)
-    reference = evaluate(db, rewritten.program, compile=False, seeds=seeds)
+    compiled = evaluate(db, rewritten.program, lowered=True, seeds=seeds)
+    reference = evaluate(db, rewritten.program, lowered=False, seeds=seeds)
     assert compiled == reference
     assert compiled[0][rewritten.answer_predicate]  # the seed reached something
 
@@ -108,23 +112,20 @@ MIXED_CLIQUE = """
 
 
 def test_mixed_clique_crosses_the_boundary_both_ways():
-    """``w`` and ``q`` need unification (a struct with variables), so they
-    run on the reference inside a compiled clique: they read ``p``'s id
-    store through its decoded view (full and delta) and their term rows
-    are encoded into the stores the lowered ``p`` rules probe."""
+    """Named for the decode / encode boundary ``w`` and ``q`` (a struct
+    with variables) once crossed inside a compiled clique: they now lower
+    too — ``w`` builds ``pack(X, Y)`` ids, ``q`` matches them — so the
+    whole clique stays in id space and equals the reference."""
     db = Database()
     db.load("e", [(f"n{i}", f"n{i + 1}") for i in range(12)] + [("n12", "n3")])
     program = Program(list(parse_program(MIXED_CLIQUE)))
     tracer = Tracer()
-    compiled = evaluate(db, program, compile=True, tracer=tracer)
-    assert compiled == evaluate(db, program, compile=False)
+    compiled = evaluate(db, program, lowered=True, tracer=tracer)
+    assert compiled == evaluate(db, program, lowered=False)
     assert len(compiled[0]["p"]) > 13 and compiled[2] > 3  # it really recursed
     tiers = {(s.name, s.attrs["tier"]) for s in tracer.spans if s.kind == "rule"}
-    assert tiers == {
-        ("rule:p", "batch"), ("rule:w", "reference"), ("rule:q", "reference"),
-    }
-    whys = {s.attrs["why"] for s in tracer.spans if s.name in ("rule:w", "rule:q")}
-    assert all("struct argument" in why for why in whys)
+    assert tiers == {("rule:p", "batch"), ("rule:w", "batch"), ("rule:q", "batch")}
+    assert not any("why" in s.attrs for s in tracer.spans)
 
 
 # -- (c) plan nodes: lowered or reference, from the node's shape --------------
@@ -138,8 +139,7 @@ def cyclic_kb(config=None) -> KnowledgeBase:
 
 
 def reference_anc(kb) -> frozenset:
-    result = FixpointEngine(kb.db, compile=False).evaluate(kb.program)
-    return result.rows("anc")
+    return reference_evaluation(kb.db, kb.program).rows("anc")
 
 
 def node_notes(tracer: Tracer, name: str) -> dict:
@@ -153,8 +153,9 @@ def test_repeated_free_variable_goal_runs_on_the_reference_and_says_why():
     answers = kb.ask("anc(X, X)?", tracer=tracer)
     loops = {(x.value,) for x, y in reference_anc(kb) if x == y}
     assert set(answers.to_python()) == loops == {("a",), ("b",), ("c",)}
+    # named for the fallback this goal once took: it lowers now
     notes = node_notes(tracer, "execute:anc")
-    assert notes["tier"] == "reference" and "repeated free variable" in notes["why"]
+    assert notes["tier"] == "batch" and "why" not in notes
 
 
 def test_boolean_and_bound_forms_are_lowered_and_agree_with_the_reference():
@@ -174,8 +175,9 @@ def test_boolean_and_bound_forms_are_lowered_and_agree_with_the_reference():
 
 @pytest.mark.parametrize("method", ["nested_loop", "merge", "hash", "index"])
 def test_join_label_decides_the_tier_of_an_and_node(method):
-    """``nested_loop`` / ``merge`` ask for that method's work profile, so
-    the node stays on the reference operators; the hash family lowers."""
+    """Named for the tier the label once decided: now every label lowers,
+    and picks the variant of the join step (``nested_loop`` / ``merge``
+    do that method's work over id columns)."""
     kb = KnowledgeBase(OptimizerConfig(strategy="textual", force_method=method))
     kb.rules("takes(C, K) <- class(C, S), enrolled(S, K).")
     kb.facts("class", [("c0", "s0"), ("c0", "s1"), ("c1", "s1")])
@@ -184,11 +186,8 @@ def test_join_label_decides_the_tier_of_an_and_node(method):
     answers = kb.ask("takes($C, K)?", C="c0", tracer=tracer)
     assert answers.to_python() == [("k0",), ("k1",), ("k2",)]
     notes = node_notes(tracer, "and:takes")
-    if method in ("nested_loop", "merge"):
-        assert notes["tier"] == "reference"
-        assert f"{method} join label" in notes["why"]
-    else:
-        assert notes["tier"] == "batch" and "why" not in notes
+    assert notes["tier"] == "batch" and "why" not in notes
+    assert node_notes(tracer, "join:takes:class")["method"] == method
 
 
 def test_struct_in_a_bound_head_position_runs_on_the_reference():
@@ -197,8 +196,10 @@ def test_struct_in_a_bound_head_position_runs_on_the_reference():
     kb.facts("e", [("a", "b"), ("b", "c")])
     tracer = Tracer()
     assert kb.ask("open(X, Z)?", tracer=tracer).to_python() == [("a", "b"), ("b", "c")]
+    # named for the fallback this node once took: its keys now match
+    # ``pack(X, Y)`` per key, and both nodes lower
     tiers = {s.name: s.attrs.get("tier") for s in tracer.spans if s.name.startswith("and:")}
-    assert tiers["and:boxed"] == "reference" and tiers["and:open"] == "reference"
+    assert tiers["and:boxed"] == "batch" and tiers["and:open"] == "batch"
 
 
 # -- (d) laziness, by count ---------------------------------------------------
@@ -281,7 +282,7 @@ def test_evaluation_result_decodes_per_predicate_on_first_access(decodes):
     assert decodes.reads == after_p  # kept
     assert result.relations == {"p": result["p"], "twin": result["p"]}
     assert decodes.reads == 2 * after_p  # twin decoded now, p not again
-    assert result.rows("absent") == frozenset() and result.ids("absent") is None
+    assert result.rows("absent") == frozenset() and not result.ids("absent").rows
 
 
 # -- (e) listing order --------------------------------------------------------

@@ -1,9 +1,10 @@
 """Lowered vs reference evaluation, and persistent bucket maps.
 
 For any program, a lowered columnar plan must produce exactly the rows
-the reference evaluator's unification path produces.  The seeded
-randomized tests here check that over generated workloads (the four
-join methods' agreement is ``tests/test_operators.py``'s, and forced
+the term-space reference evaluator (``repro.testing.reference``)
+produces by unification.  The seeded randomized tests here check that
+over generated workloads (the four join methods' agreement with the
+reference's join is ``tests/test_operators.py``'s, and forced
 plan labels are run end to end by ``tests/test_optimizer_paths.py`` and
 ``tests/test_storage_parity.py``); the last test pins that a lowered
 fixpoint's bucket maps live on across rounds.
@@ -18,6 +19,7 @@ from repro.datalog.rules import Program
 from repro.engine.fixpoint import FixpointEngine
 from repro.engine.profiler import Profiler
 from repro.storage import Database, relation_from_rows
+from repro.testing.reference import ReferenceEngine
 
 
 # -- randomized cross-method / cross-mode equivalence -------------------------
@@ -69,11 +71,11 @@ def test_methods_and_compilation_agree(seed, source):
     db = random_database(rng)
     program = Program(list(parse_program(source)))
 
-    runs = [("reference", {"compile": False}), ("lowered", {})]
+    runs = [("reference", ReferenceEngine), ("lowered", FixpointEngine)]
     expected = None
-    for name, kwargs in runs:
+    for name, engine in runs:
         profiler = Profiler()
-        result = FixpointEngine(db, profiler=profiler, **kwargs).evaluate(program)
+        result = engine(db, profiler=profiler).evaluate(program)
         derived = {
             name: rows
             for name, rows in result.relations.items()
@@ -101,8 +103,8 @@ def test_fixpoint_workspace_uses_persistent_indexes():
     )
 
     compiled_profiler, baseline_profiler = Profiler(), Profiler()
-    compiled = FixpointEngine(db, profiler=compiled_profiler, compile=True).evaluate(program)
-    baseline = FixpointEngine(db, profiler=baseline_profiler, compile=False).evaluate(program)
+    compiled = FixpointEngine(db, profiler=compiled_profiler).evaluate(program)
+    baseline = ReferenceEngine(db, profiler=baseline_profiler).evaluate(program)
 
     assert compiled.relations["anc"] == baseline.relations["anc"]
     assert compiled_profiler.examined < baseline_profiler.examined

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro import KnowledgeBase, KnowledgeBaseError
 from repro.datalog.intern import INTERNER
 from repro.datalog.parser import parse_program
-from repro.datalog.terms import Constant
+from repro.datalog.terms import Constant, Struct, Variable
 from repro.engine import Profiler, evaluate_program
 from repro.engine.maintenance import ViewSet
 from repro.storage.catalog import Database
@@ -474,8 +474,10 @@ def test_insert_then_retract_of_the_same_row_cancels_in_a_transaction():
 
 
 def test_struct_argument_view_is_maintained_on_the_reference_branch():
-    """``p(f(X, a), Y)`` needs unification, so the rule runs on the
-    engine's reference branch — under a delta too.  The facts arrive
+    """Named for the reference branch such a rule once took: ``p(f(X,
+    a), Y)`` lowers to a match of ``f(X, a)`` per stored id — under a
+    delta too; a ``support`` of 2 shows the two derivations, one row
+    each.  The facts arrive
     through ``facts_text`` (complex terms), which maintains views like
     any other write."""
     kb = KnowledgeBase()
@@ -620,25 +622,32 @@ def drive_against_recompute(rules, seed, steps=40, predicates=("e",), transactio
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_struct_head_witness_fires_unkeyed_and_equals_a_recompute(seed):
-    """``r(X, s(Y))`` does not lay out as keys: the witness form fires
-    whole, on the reference branch, and keeps the suspects' witnesses."""
+    """Named for the whole, unkeyed firing such a witness once took:
+    ``r(X, s(Y))``'s keys now lay out with a match of ``s(Y)`` per key,
+    so the witness form is entered with the suspects and lowered."""
     views = drive_against_recompute(
         "r(X, s(Y)) <- e(X, Y). r(X, s(Y)) <- e(X, Z), r(Z, s(Y)).", seed
     )
     forms = next(iter(views._witnesses.values()))
-    assert all(layout is None and entry.plan is None for (layout, entry), __ in forms)
+    assert all(
+        [pattern for __, pattern in layout.patterns] == [Struct("s", (Variable("Y"),))]
+        and entry.plan.steps
+        for (layout, entry), __ in forms
+    )
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_rule_that_does_not_lower_rederives_on_the_reference_branch(seed):
-    """``f(Z, W, W)`` repeats a free variable: that rule stays on the
-    reference evaluator, its witness form too."""
+    """Named for the reference branch such a rule once took: ``f(Z, W,
+    W)`` repeats a free variable, and the rule and its witness form
+    (keyed on ``t``'s head) now lower to an id equality of two gathered
+    columns."""
     views = drive_against_recompute(
         "t(X, Y) <- e(X, Y). t(X, Y) <- t(X, Z), f(Z, W, W), e(W, Y). f(X, Y, Y) <- g(X, Y).",
         seed, predicates=("e", "g"),
     )
     entries = [entry for forms in views._witnesses.values() for (__, entry), __ in forms]
-    assert any(entry.plan is None for entry in entries)
+    assert any(step.equal for entry in entries for step in entry.plan.steps)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -2,8 +2,8 @@
 
 A :class:`Relation` keeps its rows once, as interned ids
 (``storage.columnar.IdRelation``); term rows are decoded for the readers
-that want terms, on each read, and every join — lowered or reference —
-probes the id store.  Every write goes through one routine on
+that want terms, on each read, and every join — lowered, or the
+reference evaluator's the tests compare with — probes the id store.  Every write goes through one routine on
 ``Database`` that checks all rows before storing any.
 """
 
@@ -17,9 +17,10 @@ from repro import KnowledgeBase, OptimizerConfig
 from repro.datalog.intern import INTERNER
 from repro.datalog.literals import Literal
 from repro.datalog.terms import Constant, Struct, Variable
-from repro.engine import fixpoint, interpreter
+from repro.engine.batch import JOIN_METHODS
 from repro.engine.fixpoint import FixpointEngine
-from repro.engine.operators import JOIN_METHODS, BindingsTable, negation_filter, scan_join
+from repro.testing import reference
+from repro.testing.reference import BindingsTable, lowered_join, negation_filter, scan_join
 from repro.errors import SchemaError
 from repro.storage import Database, Relation
 from repro.storage import columnar
@@ -62,9 +63,8 @@ def test_a_store_in_another_interner_is_refused():
 
 
 def test_lowered_rules_never_build_a_term_view_of_a_base_relation(monkeypatch):
-    """The ledger's ``tc_batch`` program — load, ask, insert, ask: every
-    rule lowers, so no base relation is ever decoded and no reference
-    operator runs."""
+    """The ledger's ``tc_batch`` program — load, ask, insert, ask: no base
+    relation is ever decoded and no term-space operator runs."""
     built = []
 
     def spy(owner, attribute, name):
@@ -77,8 +77,7 @@ def test_lowered_rules_never_build_a_term_view_of_a_base_relation(monkeypatch):
         monkeypatch.setattr(owner, attribute, counting)
 
     spy(BindingsTable, "__init__", "BindingsTable")
-    spy(fixpoint, "reference_step", "reference_step")
-    spy(interpreter, "reference_step", "reference_step")
+    spy(reference, "reference_step", "reference_step")
     rows = Relation.rows.fget
     monkeypatch.setattr(
         Relation, "rows", property(lambda self: built.append("Relation.rows") or rows(self))
@@ -110,12 +109,13 @@ far(P, Y) <- colour(P, C), reach(P, Y), ~loop(Y).
 
 
 def test_a_rule_that_does_not_lower_reads_the_id_store_like_the_lowered_paths():
-    """``owns(P, bike(C))`` (a struct with a variable) and ``link(X, X)``
-    (a repeated free variable) run on the reference operators, which
-    probe the id stores: they answer as the default (semi-naive) and the
-    naive knowledge bases and as the term-set evaluation do, before and
-    after a retract and a re-insert.  A key nobody interned selects
-    nothing and interns nothing."""
+    """Named for the rules that once fell back to the reference:
+    ``owns(P, bike(C))`` (a struct with a variable, matched per id) and
+    ``link(X, X)`` (a repeated free variable, an id equality) now lower
+    like flat rules and probe the id stores: the default (semi-naive) and
+    the naive knowledge bases answer as the term-space reference does,
+    before and after a retract and a re-insert.  A key nobody interned
+    selects nothing, and the reference's probe interns nothing."""
     seminaive = KnowledgeBase()
     naive = KnowledgeBase(OptimizerConfig(recursive_methods=("naive",)))
     bike = lambda colour: Struct("bike", (Constant(colour),))  # noqa: E731
@@ -126,12 +126,15 @@ def test_a_rule_that_does_not_lower_reads_the_id_store_like_the_lowered_paths():
         kb.facts("owns", owns)
         kb.facts("link", link)
     engine = FixpointEngine(seminaive.db)
-    for rule in seminaive.program:
-        if rule.head.predicate in ("colour", "loop"):
-            assert engine.scheduled(rule, False).plan is None  # the reference tier
+    steps = {
+        rule.head.predicate: engine.scheduled(rule, False).plan.steps[0]
+        for rule in seminaive.program if rule.head.predicate in ("colour", "loop")
+    }
+    assert [m.pattern for m in steps["colour"].matches] == [Struct("bike", (Variable("C"),))]
+    assert steps["loop"].equal == ((1, 0),)
 
     def agree():
-        oracle = FixpointEngine(seminaive.db, compile=False).evaluate(seminaive.program)
+        oracle = reference.evaluate_program(seminaive.db, seminaive.program)
         for name in ("colour", "loop", "far"):
             want = sorted(py(oracle.rows(name)))
             assert want, name
@@ -151,12 +154,14 @@ def test_a_rule_that_does_not_lower_reads_the_id_store_like_the_lowered_paths():
     ghost = Constant(f"never-interned-{known}")
     relation = seminaive.db.relation("owns")
     goal = Literal("owns", (ghost, Struct("bike", (Variable("C"),))))
-    for method in JOIN_METHODS:
-        assert not scan_join(BindingsTable.unit(), goal, relation, method).rows
+    assert not scan_join(BindingsTable.unit(), goal, relation).rows
     table = BindingsTable.from_rows((Variable("P"),), [(ghost,)])
     link_p_p = Literal("link", (Variable("P"), Variable("P")))
     assert negation_filter(table, link_p_p, seminaive.db.relation("link")) == table
     assert len(INTERNER) == known and INTERNER.lookup(ghost) is None
+    # a lowered join interns its literal's constants when it is lowered
+    for method in JOIN_METHODS:
+        assert not lowered_join(BindingsTable.unit(), goal, relation, method).rows
 
 
 # ------------------------------------------------------------ Relation.rows

@@ -1,22 +1,26 @@
-"""Physical operator tests: the join methods must agree with each other."""
+"""Join tests: every join method's lowered step agrees with the
+reference's unifying join (``repro.testing.reference``), and the
+reference's other operators behave."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog.parser import parse_literal
 from repro.datalog.terms import Constant, Struct, Variable
-from repro.engine.operators import (
-    BindingsTable,
-    apply_comparison,
-    head_rows,
-    negation_filter,
-    scan_join,
-)
+from repro.engine.batch import JOIN_METHODS
 from repro.engine.profiler import Profiler
 from repro.errors import ExecutionError
 from repro.datalog.intern import INTERNER
 from repro.storage import relation_from_rows
 from repro.storage.columnar import IdRelation
+from repro.testing.reference import (
+    BindingsTable,
+    apply_comparison,
+    head_rows,
+    lowered_join,
+    negation_filter,
+    scan_join,
+)
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -25,10 +29,18 @@ def rows_of(*values):
     return frozenset(tuple(Constant(v) for v in row) for row in values)
 
 
+def every_join(table, literal, extension):
+    """The reference join's table, checked equal to every lowered variant's."""
+    out = scan_join(table, literal, extension)
+    for method in JOIN_METHODS:
+        assert lowered_join(table, literal, extension, method) == out, method
+    return out
+
+
 def test_unit_table_is_join_identity():
     unit = BindingsTable.unit()
     rel = relation_from_rows("e", [("a", "b")])
-    out = scan_join(unit, parse_literal("e(X, Y)"), rel)
+    out = every_join(unit, parse_literal("e(X, Y)"), rel)
     assert out.schema == (X, Y)
     assert out.rows == rows_of(("a", "b"))
 
@@ -36,7 +48,7 @@ def test_unit_table_is_join_identity():
 def test_scan_join_extends_schema_in_order():
     table = BindingsTable.from_rows((X,), rows_of(("a",), ("b",)))
     rel = relation_from_rows("e", [("a", 1), ("a", 2), ("c", 3)])
-    out = scan_join(table, parse_literal("e(X, Y)"), rel)
+    out = every_join(table, parse_literal("e(X, Y)"), rel)
     assert out.schema == (X, Y)
     assert out.rows == rows_of(("a", 1), ("a", 2))
 
@@ -45,20 +57,21 @@ def test_scan_join_extends_schema_in_order():
 def test_all_methods_agree(method):
     table = BindingsTable.from_rows((X,), rows_of(("a",), ("b",), ("z",)))
     rel = relation_from_rows("e", [("a", 1), ("b", 2), ("b", 3), ("c", 4)])
-    out = scan_join(table, parse_literal("e(X, Y)"), rel, method=method)
+    out = lowered_join(table, parse_literal("e(X, Y)"), rel, method=method)
+    assert out == scan_join(table, parse_literal("e(X, Y)"), rel)
     assert out.rows == rows_of(("a", 1), ("b", 2), ("b", 3))
 
 
 def test_scan_join_repeated_variable():
     rel = relation_from_rows("e", [("a", "a"), ("a", "b")])
-    out = scan_join(BindingsTable.unit(), parse_literal("e(X, X)"), rel)
+    out = every_join(BindingsTable.unit(), parse_literal("e(X, X)"), rel)
     assert out.rows == rows_of(("a",))
     assert out.schema == (X,)
 
 
 def test_scan_join_with_constant():
     rel = relation_from_rows("e", [("a", 1), ("b", 2)])
-    out = scan_join(BindingsTable.unit(), parse_literal("e(b, Y)"), rel)
+    out = every_join(BindingsTable.unit(), parse_literal("e(b, Y)"), rel)
     assert out.rows == rows_of((2,))
 
 
@@ -68,22 +81,22 @@ def test_scan_join_complex_term_pattern():
     rel = Relation("owns", 2)
     rel.insert((Constant("joe"), Struct("bike", (Constant("red"),))))
     rel.insert((Constant("joe"), Constant("car")))
-    out = scan_join(BindingsTable.unit(), parse_literal("owns(P, bike(C))"), rel)
+    out = every_join(BindingsTable.unit(), parse_literal("owns(P, bike(C))"), rel)
     assert out.schema == (Variable("P"), Variable("C"))
     assert out.rows == rows_of(("joe", "red"))
 
 
 def test_scan_join_unknown_method():
     with pytest.raises(ExecutionError):
-        scan_join(BindingsTable.unit(), parse_literal("e(X, Y)"), [], method="sort")
+        lowered_join(BindingsTable.unit(), parse_literal("e(X, Y)"), [], method="sort")
 
 
 def test_profiler_counts_differ_by_method():
     table = BindingsTable.from_rows((X,), rows_of(*[(f"k{i}",) for i in range(10)]))
     rel = relation_from_rows("e", [(f"k{i}", i) for i in range(10)])
     nl, hashed = Profiler(), Profiler()
-    scan_join(table, parse_literal("e(X, Y)"), rel, "nested_loop", nl)
-    scan_join(table, parse_literal("e(X, Y)"), rel, "hash", hashed)
+    lowered_join(table, parse_literal("e(X, Y)"), rel, "nested_loop", nl)
+    lowered_join(table, parse_literal("e(X, Y)"), rel, "hash", hashed)
     assert nl.examined == 100          # 10 probes x 10 tuples
     assert hashed.examined < nl.examined
 
@@ -91,8 +104,9 @@ def test_profiler_counts_differ_by_method():
 @pytest.mark.parametrize("form", ["relation", "id store", "term rows"])
 def test_every_extension_form_joins_and_negates_alike(form):
     """A base relation and a derived id store are probed through their
-    bucket maps, a set of term rows is hashed per call: every method
-    and the negation filter answer the same over each."""
+    bucket maps, a set of term rows is hashed per call: the reference
+    join, every method's lowered join and the negation filter answer the
+    same over each."""
     rel = relation_from_rows("e", [("a", 1), ("b", 2), ("b", 3), ("c", 4)])
     extension = {
         "relation": rel,
@@ -100,9 +114,8 @@ def test_every_extension_form_joins_and_negates_alike(form):
         "term rows": set(rel),
     }[form]
     table = BindingsTable.from_rows((X,), rows_of(("a",), ("b",), ("z",)))
-    for method in ("nested_loop", "hash", "index", "merge"):
-        out = scan_join(table, parse_literal("e(X, Y)"), extension, method=method)
-        assert out.rows == rows_of(("a", 1), ("b", 2), ("b", 3))
+    out = every_join(table, parse_literal("e(X, Y)"), extension)
+    assert out.rows == rows_of(("a", 1), ("b", 2), ("b", 3))
     pairs = BindingsTable.from_rows((X, Y), rows_of(("a", 1), ("a", 2), ("zz", 9)))
     kept = negation_filter(pairs, parse_literal("e(X, Y)"), extension)
     assert kept.rows == rows_of(("a", 2), ("zz", 9))
@@ -159,15 +172,11 @@ def test_project_dedupes():
     st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=15),
 )
 def test_methods_equivalent_property(left_rows, right_rows):
-    """All four join methods compute the same natural join."""
+    """All four join methods' lowered steps compute the reference's
+    natural join."""
     table = BindingsTable.from_rows((X, Y), rows_of(*left_rows))
     rel = relation_from_rows("e", list(right_rows) or [(0, 0)], arity=2)
     if not right_rows:
         rel.clear()
     literal = parse_literal("e(Y, Z)")
-    results = {
-        method: scan_join(table, literal, rel, method).rows
-        for method in ("nested_loop", "hash", "index", "merge")
-    }
-    values = list(results.values())
-    assert all(v == values[0] for v in values)
+    every_join(table, literal, rel)

@@ -10,12 +10,12 @@ over the same rules and facts.
 """
 
 import random
+import time
 
 import pytest
 
 from repro import KnowledgeBase, OptimizerConfig
 from repro.datalog import graph as graph_module
-from repro.optimizer import optimizer as optimizer_module
 from repro.optimizer.optimizer import STRATEGIES
 
 RULES = """
@@ -91,6 +91,18 @@ def test_a_compile_after_writes_builds_no_graph_of_the_rules(monkeypatch):
     kb.close()
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_nine_join_body_compiles_in_a_second_under_every_strategy(strategy):
+    """``w9`` joins nine literals: ``exhaustive`` (9! orders) hands it to
+    the large-body strategy as ``dp`` hands a tenth literal, so no
+    strategy's compile is unbounded."""
+    kb = load(KnowledgeBase(OptimizerConfig(strategy=strategy)), base_facts(random.Random(7)))
+    started = time.perf_counter()
+    kb.compile("w9($A, Z)?")
+    assert time.perf_counter() - started < 1.0
+    kb.close()
+
+
 def test_a_rules_change_or_a_rollback_builds_a_new_optimizer():
     kb = load(KnowledgeBase(), base_facts(random.Random(3)))
     kb.compile("anc($X, Y)?")
@@ -110,16 +122,12 @@ def test_a_rules_change_or_a_rollback_builds_a_new_optimizer():
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_every_compile_after_writes_equals_a_fresh_compile(strategy, monkeypatch):
+def test_every_compile_after_writes_equals_a_fresh_compile(strategy):
     """Writes into and outside each form's footprint, interleaved; after
     each, one compile: a plan-cache miss re-plans on the kept optimizer
     and must match a new knowledge base's compile in EXPLAIN text,
     diagnostics and search counters; a hit (the write missed the
     footprint) must still match its plan and diagnostics."""
-    if strategy == "exhaustive":
-        # nine joins are 9! orders, minutes of search: w9 goes to the
-        # large-body strategy, as a wider body would
-        monkeypatch.setattr(optimizer_module, "LARGE_BODY_THRESHOLD", 8)
     rng = random.Random(1988)
     facts = base_facts(rng)
     config = OptimizerConfig(strategy=strategy)

@@ -63,8 +63,8 @@ def _kind_kb(**config):
 
 def test_a_two_valued_lookup_key_plans_the_join_the_executor_runs():
     """A probe on a two-valued key prices cheapest as a nested loop, a
-    join the lowered executor does not run: planned, its label would send
-    the whole AND node to the reference operators."""
+    join an unforced plan does not run: the search prices only the
+    bucket-probing variants, so the plan keeps ``index``."""
     kb = _kind_kb()
     body = kb.compile("p($X, Z)?").plan.children[0].steps[0].child.children[0]
     assert [(str(step.literal), step.method) for step in body.steps] == [

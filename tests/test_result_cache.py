@@ -144,11 +144,11 @@ def test_derived_relation_discard_invalidates_version_and_indexes():
     version a cached answer is keyed on."""
     from repro.datalog.parser import parse_literal
     from repro.datalog.terms import Constant
-    from repro.engine.operators import BindingsTable, scan_join
+    from repro.testing.reference import BindingsTable, scan_join
     from repro.storage.columnar import IdRelation
 
     rel = IdRelation(INTERNER, 1, INTERNER.encode_rows({(Constant(v),) for v in "abc"}))
-    probe = lambda: scan_join(BindingsTable.unit(), parse_literal("d(a)"), rel, "index")  # noqa: E731
+    probe = lambda: scan_join(BindingsTable.unit(), parse_literal("d(a)"), rel)  # noqa: E731
     assert probe().rows == {()}
     assert rel.discard({(INTERNER.id_of(Constant("a")),)})
     assert probe().rows == frozenset()

@@ -8,8 +8,9 @@ lowered-rule memo, the parsed-form memo, the result cache, the
 derived-extension store, pinned or not) is exercised across the writes
 that must invalidate or update it.  Each ask is compared with a
 fresh knowledge base built from the model state and with the naive
-reference fixpoint (``naive=True, compile=False``): a persisted plan,
-schedule or memo entry must never outlive the rules it was lowered from.
+term-space reference fixpoint (``run_reference(case, naive=True)``): a
+persisted plan, schedule or memo entry must never outlive the rules it
+was lowered from.
 """
 
 import random
@@ -20,7 +21,7 @@ from repro import KnowledgeBase
 from repro.datalog.parser import parse_query
 from repro.datalog.terms import Variable, term_from_python
 from repro.datalog.unify import apply
-from repro.testing.oracle import Case, run_fixpoint
+from repro.testing.oracle import Case, run_reference
 from repro.workloads.querygen import generate_differential_program
 
 #: feature mixes: negation and aggregates are maintained like the rest
@@ -132,7 +133,7 @@ def run_case(seed: int, steps: int = 12) -> list[str]:
             assert got == _goal_rows(fresh, text, bindings), "differs from a fresh KB"
         finally:
             fresh.close()
-        expected = run_fixpoint(model.case(ground), naive=True, compile=False)
+        expected = run_reference(model.case(ground), naive=True)
         assert got == expected, "differs from the naive model"
         return text, bindings
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.datalog.intern import INTERNER
 from repro.datalog.parser import parse_literal
 from repro.datalog.terms import Constant, Struct
-from repro.engine.operators import BindingsTable, scan_join
+from repro.testing.reference import BindingsTable, lowered_join, scan_join
 from repro.errors import SchemaError
 from repro.storage import (
     Database,
@@ -58,10 +58,12 @@ def test_negative_arity_rejected():
 
 
 def probe(relation, goal, method="index"):
-    """The rows of *relation* a reference join of *goal* (from the unit
-    table) finds: an ``index`` join probes the relation's id store."""
+    """The rows of *relation* a lowered join of *goal* running *method*
+    (from the unit table) finds — the reference join's rows over the
+    decoded relation: an ``index`` join probes the relation's id store."""
     literal = parse_literal(goal)
-    out = scan_join(BindingsTable.unit(), literal, relation, method)
+    out = lowered_join(BindingsTable.unit(), literal, relation, method)
+    assert out == scan_join(BindingsTable.unit(), literal, set(relation))
     return {tuple(subst.get(arg, arg) for arg in literal.args) for subst in out.substitutions()}
 
 

@@ -3,8 +3,8 @@
 A relation is driven through random interleavings of single inserts,
 bulk loads, removals, ``clear`` and ``Database`` transactions (commit
 and rollback), with reads of its *term face* (``in``, iteration,
-``rows``), reference joins under every method keyed on random positions,
-and probes of its *id face* (``batch_store``, ``buckets_for`` on random
+``rows``), lowered joins under every method keyed on random positions
+(each checked against the reference join), and probes of its *id face* (``batch_store``, ``buckets_for`` on random
 positions) mixed in, against a plain ``set``.
 
 Reads are steps of their own rather than a fixed check after each write,
@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.datalog.intern import INTERNER
 from repro.datalog.literals import Literal
 from repro.datalog.terms import Constant, Struct, Variable
-from repro.engine.operators import JOIN_METHODS, BindingsTable, scan_join
+from repro.engine.batch import JOIN_METHODS
+from repro.testing.reference import BindingsTable, lowered_join, scan_join
 from repro.storage import Database, collect_statistics
 from repro.storage.columnar import IdRelation
 
@@ -58,10 +59,14 @@ def key_of(row, at):
 
 
 def joined(extension, at, probe, method):
-    """The rows of *extension* whose *at* fields equal *probe*'s, as a
-    reference join from the unit table under *method* finds them."""
+    """The rows of *extension* whose *at* fields equal *probe*'s, as the
+    lowered join step running *method* finds them from the unit table —
+    and as the reference's unifying join does (*method* None: it alone,
+    which looks the key up and interns nothing)."""
     args = tuple(probe[p] if p in at else Variable(f"V{p}") for p in range(len(probe)))
-    out = scan_join(BindingsTable.unit(), Literal("r", args), extension, method)
+    out = scan_join(BindingsTable.unit(), Literal("r", args), extension)
+    if method is not None:
+        assert lowered_join(BindingsTable.unit(), Literal("r", args), extension, method) == out
     rows = set()
     for subst in out.substitutions():
         rows.add(tuple(subst.get(arg, arg) for arg in args))
@@ -196,9 +201,11 @@ def test_asking_after_an_absent_row_interns_nothing(loaded, salt):
     assert ghost not in relation
     assert relation.remove(ghost) is False
     assert db.remove("r", [ghost, ghost[:1]]) == set()
+    assert joined(relation, (0,), ghost, None) == set()
+    assert len(INTERNER) == known and INTERNER.lookup(ghost[0]) is None
+    # a lowered join interns its literal's constants when it is lowered
     for method in JOIN_METHODS:
         assert joined(relation, (0,), ghost, method) == set()
-    assert len(INTERNER) == known and INTERNER.lookup(ghost[0]) is None
     assert relation.version == version
 
 

@@ -1,9 +1,8 @@
 """Per-query telemetry: one ``repro.telemetry/2`` record per ask.
 
 Every ask lands a record — cache hits included — carrying the tier that
-served it: ``batch`` when every AND node of the plan ran on lowered
-columnar operators, ``reference`` when one fell back to the reference
-operators, ``cache`` / ``view`` when no plan ran.
+served it: ``batch`` when the plan ran (every AND node lowers),
+``cache`` / ``view`` when no plan ran.
 """
 
 import io
@@ -47,10 +46,15 @@ def test_a_lowered_conjunctive_ask_records_batch():
 
 
 def test_a_struct_pattern_ask_records_reference():
+    """Named for the tier such an ask once reported: a struct pattern is
+    matched per id now, on the one (``batch``) tier, and ``reference``
+    is no tier a record may carry."""
     kb = KnowledgeBase()
     kb.facts_text("p(f(a), 1). p(g(b), 2).")
     assert kb.ask("p(f(X), Y)?").to_python() == [("a", 1)]
-    assert kb.telemetry.last["tier"] == "reference"
+    assert kb.telemetry.last["tier"] == "batch"
+    bad = dict(kb.telemetry.last, tier="reference")
+    assert any("tier" in p for p in validate_events([json.dumps(bad)]))
 
 
 def test_telemetry_ring_buffer_drops_oldest():
@@ -77,7 +81,7 @@ def test_telemetry_jsonl_stream_validates(tmp_path):
 
 def test_telemetry_validator_rejects_malformed_records():
     good = TelemetryLog(capacity=1).record(
-        goal="q", adornment="f", wall_ms=1.0, tier="reference", cache="off",
+        goal="q", adornment="f", wall_ms=1.0, tier="view", cache="off",
         rows=0, worst_qerror=1.0, denials=0,
     )
     assert validate_events([json.dumps(good)]) == []

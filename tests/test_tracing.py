@@ -35,6 +35,7 @@ from repro.obs import (
 from repro.plans.printer import q_error
 from repro.workloads.paper_rulebase import PAPER_RULEBASE, paper_database
 from repro.workloads.querygen import generate_random_program
+from repro.testing.reference import ReferenceEngine
 
 ANC = "anc(X, Y) <- par(X, Y). anc(X, Y) <- par(X, Z), anc(Z, Y)."
 PAR = [("abe", "homer"), ("mona", "homer"), ("homer", "bart"), ("homer", "lisa")]
@@ -111,14 +112,10 @@ def test_lowered_and_reference_runs_trace_identical_trees():
         tracer = Tracer()
         interpreter = Interpreter(kb.db, builtins=kb.builtins, tracer=tracer)
         if not lowered:
-            make_engine = interpreter._fixpoint_engine
-
-            def reference_engine():
-                engine = make_engine()
-                engine.compile = False
-                return engine
-
-            interpreter._fixpoint_engine = reference_engine
+            interpreter._fixpoint_engine = lambda: ReferenceEngine(
+                kb.db, profiler=interpreter.profiler, builtins=kb.builtins,
+                governor=interpreter.governor or False, tracer=tracer,
+            )
         answers = interpreter.run(compiled.plan, compiled.query)
         return tracer, answers
 

@@ -2,9 +2,9 @@
 
 ``repro.engine.maintenance`` owns the strata, the delta-first orders, the
 counting telescope and DRed's loops; a rule is *fired* by
-``FixpointEngine.fire`` over id stores — the lowered executor, or the
-engine's reference branch for a rule that needs unification.  These
-tests spy on the term-space operators to pin that down, and cover the two
+``FixpointEngine.fire`` over id stores — the lowered executor, for
+every rule shape.  These tests spy on the term-space operators of
+``repro.testing.reference`` to pin that down, and cover the two
 ``kb`` entry points that used to go around the views (an ``ask`` of the
 wrong arity, ``facts_text``).
 """
@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro import KnowledgeBase, KnowledgeBaseError
-from repro.engine import fixpoint, interpreter
 from repro.engine.fixpoint import evaluate_program
-from repro.engine.operators import BindingsTable
+from repro.testing import reference
+from repro.testing.reference import BindingsTable
 from repro.errors import OptimizationError
 from repro.workloads.querygen import generate_differential_program
 
@@ -64,8 +64,7 @@ def term_space(monkeypatch):
 
         monkeypatch.setattr(owner, attribute, spying)
 
-    spy(fixpoint, "reference_step", "reference_step")
-    spy(interpreter, "reference_step", "reference_step")
+    spy(reference, "reference_step", "reference_step")
     spy(BindingsTable, "__init__", "BindingsTable.__init__")
     return seen
 
@@ -150,8 +149,9 @@ def test_lowering_querygen_programs_are_maintained_without_a_term_row(
 
 
 def test_a_rule_that_does_not_lower_fires_on_the_engines_reference_branch(term_space):
-    """``e(X, X)`` needs unification: the term-space operators run — and
-    only under ``FixpointEngine``'s reference evaluator."""
+    """Named for the engine's former reference branch: ``e(X, X)`` now
+    lowers to an id equality, so no term-space operator runs, by
+    counting (``loop``) or by DRed (``cyc``)."""
     kb = KnowledgeBase()
     kb.rules("loop(X) <- e(X, X). cyc(X) <- e(X, X). cyc(Y) <- cyc(X), e(X, Y).")
     e = {("a", "a"), ("a", "b"), ("b", "c")}
@@ -159,10 +159,7 @@ def test_a_rule_that_does_not_lower_fires_on_the_engines_reference_branch(term_s
     before = len(term_space)
     views = drive(kb, random.Random(3), {"e": e}, ["a", "b", "c", "d"], [("cyc(X)?", {})])
     assert views.maintenance_mode("loop") == "counting" and views.maintenance_mode("cyc") == "dred"
-    seen = term_space[before:]
-    assert {what for what, __ in seen} == {"reference_step", "BindingsTable.__init__"}
-    stray = [(what, sorted(via)) for what, via in seen if not via & {"_eval_body", "fire"}]
-    assert stray == []
+    assert term_space[before:] == []
 
 
 # ------------------------------------------------------ the source itself
